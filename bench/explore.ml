@@ -29,7 +29,8 @@
      micro-bench: effects/sec and schedules/sec on a representative case
      mix, solo and through the pool, plus minor-allocation words per
      scheduler step; merges an "explorer" section into PATH
-     (out/BENCH_RESULTS.json, schema 9) when it exists.
+     (out/BENCH_RESULTS.json, written by bench/main.exe, whose schema
+     number it keeps) when it exists.
    - [grow OUT [--target N] [--jobs N] [--budget N] [--base PATH]] —
      coverage-guided corpus growth: breed [--target] known-clean cases from
      a deterministic frontier (plus [--base] corpus, if given), keeping
@@ -487,7 +488,6 @@ let profile args =
           ("step_alloc_words", num step_alloc_words) ]
     in
     let doc = Qs_util.Json.set_member "explorer" section doc in
-    let doc = Qs_util.Json.set_member "schema" (num 9.) doc in
     Out_channel.with_open_text path (fun oc ->
         Out_channel.output_string oc (Qs_util.Json.to_string doc));
     Printf.printf "explorer section merged into %s\n%!" path
@@ -609,8 +609,7 @@ let grow_base () =
                 ~seed:205 }
         in
         [ { churned with Explorer.bags = 1 };
-          { churned with Explorer.bags = 4 };
-          { churned with Explorer.bags = 0 } ])
+          { churned with Explorer.bags = 4 } ])
       [ Scheme.Qsense; Scheme.Cadence; Scheme.Qsbr ]
   in
   rival_shapes @ breadth @ strategies @ faults @ churn_all @ fallback @ bags

@@ -228,12 +228,11 @@ let overhead_table per_ds_results =
 
 (* --- retire/scan microbenchmarks ----------------------------------------- *)
 
-(* Head-to-head of the vector-based limbo list + sorted-id membership set
-   against a faithful replica of the seed's list-based Cadence (wrapper cons
-   per retire, [List.filter] + [List.length] per scan, [List.memq] over the
-   hazard-pointer snapshot). Two scenarios per limbo size L:
+(* Retire + scan cost of the production Cadence path (timestamped limbo
+   bags of 64 nodes, hash-set hazard-pointer snapshot). Two scenarios per
+   limbo size L:
 
-   - "keep":  nothing is old enough, so scans compact the limbo list while
+   - "keep":  nothing is old enough, so scans walk the limbo list while
      keeping every node — the steady-state cost of retire + periodic scans
      (~8 scans per L retires).
    - "drain": everything is old enough and unprotected, so the scan that
@@ -255,75 +254,16 @@ module Micro = struct
   let n_processes = 8
   let hp_per_process = 8
 
-  let micro_cfg ~bags ~scan_threshold ~rooster_interval ~epsilon =
+  let micro_cfg ~scan_threshold ~rooster_interval ~epsilon =
     { (Qs_smr.Smr_intf.default_config ~n_processes ~hp_per_process) with
       scan_threshold;
       (* exact scan cadence: the scenarios are defined by scans firing at
          precisely the configured threshold *)
       scan_factor = 0.;
       rooster_interval;
-      epsilon;
-      limbo_bags = bags }
+      epsilon }
 
-  (* The vector/sorted-set implementation under test. *)
-  module Cad_vec = Qs_smr.Cadence.Make (R) (FN)
-
-  (* Replica of the seed's list-based Cadence hot path (retire + scan),
-     kept as the before/after baseline for the JSON report. *)
-  module Cad_list = struct
-    module Hp = Qs_smr.Hp_array.Make (R) (FN)
-
-    type wrapper = { node : fake; ts : int }
-
-    type t = {
-      cfg : Qs_smr.Smr_intf.config;
-      hp : Hp.t;
-      free : fake -> unit;
-      mutable rlist : wrapper list;
-      mutable rcount : int;
-      mutable retires : int;
-    }
-
-    let create cfg ~dummy ~free =
-      { cfg;
-        hp = Hp.create ~n:cfg.Qs_smr.Smr_intf.n_processes ~k:cfg.hp_per_process ~dummy;
-        free;
-        rlist = [];
-        rcount = 0;
-        retires = 0 }
-
-    let assign_hp t ~pid ~slot n = Hp.assign t.hp ~pid ~slot n
-
-    let is_old_enough t ~now w =
-      now - w.ts >= t.cfg.Qs_smr.Smr_intf.rooster_interval + t.cfg.epsilon
-
-    let scan t =
-      let now = R.now () in
-      let snapshot = Hp.snapshot t.hp in
-      let kept =
-        List.filter
-          (fun w ->
-            if is_old_enough t ~now w && not (Hp.protects snapshot w.node) then begin
-              t.free w.node;
-              false
-            end
-            else true)
-          t.rlist
-      in
-      t.rlist <- kept;
-      t.rcount <- List.length kept
-
-    let retire t n =
-      t.rlist <- { node = n; ts = R.now () } :: t.rlist;
-      t.rcount <- t.rcount + 1;
-      t.retires <- t.retires + 1;
-      if t.retires mod t.cfg.Qs_smr.Smr_intf.scan_threshold = 0 then scan t
-
-    let flush t =
-      List.iter (fun w -> t.free w.node) t.rlist;
-      t.rlist <- [];
-      t.rcount <- 0
-  end
+  module Cad = Qs_smr.Cadence.Make (R) (FN)
 
   let dummy = { id = -1; freed = 0 }
 
@@ -345,22 +285,18 @@ module Micro = struct
 
   let scenario_name = function Keep -> "keep" | Drain -> "drain"
 
-  let cfg_of_scenario scenario ~limbo ~bags =
+  let cfg_of_scenario scenario ~limbo =
     match scenario with
     | Keep ->
       (* Nothing ever ages out: scans keep the whole limbo list. ~8 scans
          over the L retires of a round. *)
-      micro_cfg ~bags ~scan_threshold:(max 1 (limbo / 8))
-        ~rooster_interval:max_int ~epsilon:0
+      micro_cfg ~scan_threshold:(max 1 (limbo / 8)) ~rooster_interval:max_int
+        ~epsilon:0
     | Drain ->
       (* Everything is immediately old: the scan after the L-th retire
          checks every node against the N*K hazard pointers and frees it. *)
-      micro_cfg ~bags ~scan_threshold:limbo ~rooster_interval:0 ~epsilon:0
+      micro_cfg ~scan_threshold:limbo ~rooster_interval:0 ~epsilon:0
 
-  (* Returns best-round ns per retire (scan cost amortized in).
-     [~bags:false] is the vec reference; [~bags:true] the DEBRA-style
-     limbo bags (block capacity 64: one seal stamp and one age check per
-     64 nodes, whole expired bags freed per walk step). *)
   (* Bulk free, as the data structures wire it ([Arena.free_many]): one
      callback per freed bag instead of one closure call per node. *)
   let free_one n = n.freed <- n.freed + 1
@@ -371,28 +307,26 @@ module Micro = struct
       n.freed <- n.freed + 1
     done
 
-  let run_cadence ~bags scenario ~limbo ~rounds =
-    let cfg = cfg_of_scenario scenario ~limbo ~bags in
-    let t = Cad_vec.create cfg ~free_bulk:free_many ~dummy ~free:free_one in
-    let handles = Array.init n_processes (fun pid -> Cad_vec.register t ~pid) in
-    fill_hps (fun ~pid ~slot n -> Cad_vec.assign_hp handles.(pid) ~slot n);
+  (* Returns best-round ns per retire (scan cost amortized in). *)
+  let run_cadence scenario ~limbo ~rounds =
+    let cfg = cfg_of_scenario scenario ~limbo in
+    let t = Cad.create cfg ~free_bulk:free_many ~dummy ~free:free_one in
+    let handles = Array.init n_processes (fun pid -> Cad.register t ~pid) in
+    fill_hps (fun ~pid ~slot n -> Cad.assign_hp handles.(pid) ~slot n);
     let nodes = pool limbo in
     let h = handles.(0) in
     let best = ref max_float in
     for _round = 1 to rounds do
       let t0 = R.now () in
       for i = 0 to limbo - 1 do
-        Cad_vec.retire h nodes.(i)
+        Cad.retire h nodes.(i)
       done;
       let dt = float_of_int (R.now () - t0) in
       if dt < !best then best := dt;
       (* Keep rounds start from an empty limbo; Drain rounds already do. *)
-      Cad_vec.flush h
+      Cad.flush h
     done;
     !best /. float_of_int limbo
-
-  let run_vec = run_cadence ~bags:false
-  let run_bag = run_cadence ~bags:true
 
   (* Steady-state allocation on the bag retire path, measured exactly like
      the test-suite pins: warm-up retires grow the block cache, a flush
@@ -400,52 +334,25 @@ module Micro = struct
      bag and drawing a fresh block) must then allocate exactly nothing. *)
   let bag_retire_alloc_words ~limbo =
     let cfg =
-      micro_cfg ~bags:true ~scan_threshold:max_int ~rooster_interval:max_int
-        ~epsilon:0
+      micro_cfg ~scan_threshold:max_int ~rooster_interval:max_int ~epsilon:0
     in
-    let t = Cad_vec.create cfg ~free_bulk:free_many ~dummy ~free:free_one in
-    let h = Cad_vec.register t ~pid:0 in
+    let t = Cad.create cfg ~free_bulk:free_many ~dummy ~free:free_one in
+    let h = Cad.register t ~pid:0 in
     let node = { id = 0; freed = 0 } in
     for _i = 1 to limbo do
-      Cad_vec.retire h node
+      Cad.retire h node
     done;
-    Cad_vec.flush h;
+    Cad.flush h;
     Gc.minor ();
     let before = Gc.minor_words () in
     for _i = 1 to limbo do
-      Cad_vec.retire h node
+      Cad.retire h node
     done;
     let words = Gc.minor_words () -. before in
-    Cad_vec.flush h;
+    Cad.flush h;
     words
 
-  let run_list scenario ~limbo ~rounds =
-    let cfg = cfg_of_scenario scenario ~limbo ~bags:false in
-    let t = Cad_list.create cfg ~dummy ~free:(fun n -> n.freed <- n.freed + 1) in
-    fill_hps (fun ~pid ~slot n -> Cad_list.assign_hp t ~pid ~slot n);
-    let nodes = pool limbo in
-    let best = ref max_float in
-    for _round = 1 to rounds do
-      let t0 = R.now () in
-      for i = 0 to limbo - 1 do
-        Cad_list.retire t nodes.(i)
-      done;
-      let dt = float_of_int (R.now () - t0) in
-      if dt < !best then best := dt;
-      Cad_list.flush t
-    done;
-    !best /. float_of_int limbo
-
-  type result = {
-    scenario : scenario;
-    limbo : int;
-    list_ns : float;
-    vec_ns : float;
-    bag_ns : float;
-  }
-
-  let speedup r = r.list_ns /. r.vec_ns
-  let bag_speedup r = r.vec_ns /. r.bag_ns
+  type result = { scenario : scenario; limbo : int; bag_ns : float }
 
   let run ~sizes ~target_ops =
     List.concat_map
@@ -453,122 +360,18 @@ module Micro = struct
         let rounds = max 3 (target_ops / limbo) in
         List.map
           (fun scenario ->
-            let list_ns = run_list scenario ~limbo ~rounds in
-            let vec_ns = run_vec scenario ~limbo ~rounds in
-            let bag_ns = run_bag scenario ~limbo ~rounds in
-            { scenario; limbo; list_ns; vec_ns; bag_ns })
+            { scenario; limbo; bag_ns = run_cadence scenario ~limbo ~rounds })
           [ Keep; Drain ])
       sizes
 
   let print_table results =
-    let tbl =
-      Qs_util.Table.create
-        [ "scenario"; "limbo"; "list ns/retire"; "vec ns/retire";
-          "bag ns/retire"; "vec/list"; "bag/vec" ]
-    in
+    let tbl = Qs_util.Table.create [ "scenario"; "limbo"; "ns/retire" ] in
     List.iter
       (fun r ->
         Qs_util.Table.add_row tbl
           [ scenario_name r.scenario;
             string_of_int r.limbo;
-            Printf.sprintf "%.1f" r.list_ns;
-            Printf.sprintf "%.1f" r.vec_ns;
-            Printf.sprintf "%.1f" r.bag_ns;
-            Printf.sprintf "%.2fx" (speedup r);
-            Printf.sprintf "%.2fx" (bag_speedup r) ])
-      results;
-    Qs_util.Table.print tbl;
-    print_newline ()
-
-end
-
-(* --- hazard-pointer membership micro-comparison --------------------------- *)
-
-(* Head-to-head of the production hash-set scan path
-   ([Hp_array.snapshot_into] + [protects_set], expected O(1) per probe)
-   against the PR 1 sorted-id reference ([snapshot_into_sorted] +
-   [protects_sorted], O(log N·K) per probe plus an insertion sort per
-   snapshot). Each timed round is one scan's worth of work: one snapshot of
-   the N×K slots followed by [probes] membership checks, half of which hit
-   (ids present in the slots) and half miss (odd ids; slots hold even ids
-   only). Best-round ns amortised per probe. *)
-module Membership = struct
-  module Hp = Qs_smr.Hp_array.Make (R) (Micro.FN)
-
-  type result = {
-    nk : int;
-    k : int;
-    sorted_ns : float;
-    hash_ns : float;
-  }
-
-  let speedup r = r.sorted_ns /. r.hash_ns
-  let probes = 4_096
-
-  let run_one ~nk ~rounds =
-    let k = 8 in
-    let n = nk / k in
-    let dummy = { Micro.id = -1; freed = 0 } in
-    let hp = Hp.create ~n ~k ~dummy in
-    let nodes = Array.init nk (fun i -> { Micro.id = 2 * i; freed = 0 }) in
-    for pid = 0 to n - 1 do
-      for slot = 0 to k - 1 do
-        Hp.assign hp ~pid ~slot nodes.((pid * k) + slot)
-      done
-    done;
-    let prng = Qs_util.Prng.create ~seed:13 in
-    let lookups =
-      Array.init probes (fun i ->
-          if i land 1 = 0 then nodes.(Qs_util.Prng.int prng nk) (* hit *)
-          else { Micro.id = (2 * Qs_util.Prng.int prng nk) + 1; freed = 0 }
-          (* miss *))
-    in
-    let hits = ref 0 in
-    let time_best f =
-      let best = ref max_float in
-      for _round = 1 to rounds do
-        let t0 = R.now () in
-        f ();
-        let dt = float_of_int (R.now () - t0) in
-        if dt < !best then best := dt
-      done;
-      !best /. float_of_int probes
-    in
-    let sset = Hp.sorted_set hp in
-    let sorted_ns =
-      time_best (fun () ->
-          Hp.snapshot_into_sorted hp sset;
-          for i = 0 to probes - 1 do
-            if Hp.protects_sorted sset lookups.(i) then incr hits
-          done)
-    in
-    let hset = Hp.scan_set hp in
-    let hash_ns =
-      time_best (fun () ->
-          Hp.snapshot_into hp hset;
-          for i = 0 to probes - 1 do
-            if Hp.protects_set hset lookups.(i) then incr hits
-          done)
-    in
-    if !hits = 0 then Printf.printf "(impossible: no membership hits)\n";
-    { nk; k; sorted_ns; hash_ns }
-
-  let run ~quick =
-    let rounds = if quick then 50 else 300 in
-    List.map (fun nk -> run_one ~nk ~rounds) [ 64; 256; 1_024 ]
-
-  let print_table results =
-    let tbl =
-      Qs_util.Table.create
-        [ "N*K"; "sorted ns/probe"; "hash ns/probe"; "speedup" ]
-    in
-    List.iter
-      (fun r ->
-        Qs_util.Table.add_row tbl
-          [ string_of_int r.nk;
-            Printf.sprintf "%.1f" r.sorted_ns;
-            Printf.sprintf "%.1f" r.hash_ns;
-            Printf.sprintf "%.2fx" (speedup r) ])
+            Printf.sprintf "%.1f" r.bag_ns ])
       results;
     Qs_util.Table.print tbl;
     print_newline ()
@@ -1409,14 +1212,17 @@ module Service_obs = struct
     print_newline ()
 end
 
-(* --- JSON report (schema 9) ----------------------------------------------- *)
+(* --- JSON report (schema 10) ---------------------------------------------- *)
 
 (* Consumed by CI (regression guards), by [bench/trend.exe] (committed
    BENCH_HISTORY.jsonl diffing) and by EXPERIMENTS.md readers.
-   Schema 9 = schema 8's sections ("retire_scan", "bags", "membership",
-   "e2e", "rivals", "trace", "latency", "explorer", the "churn" flag)
-   plus a "service" section ([null] unless the bench ran with
-   [--service]): the KV service's get-path zero-alloc pin, a real-domain
+   Schema 10 = schema 9 without the settled A/B comparisons against
+   deleted reference paths: "retire_scan" rows carry only the production
+   bag path's ns/retire, "bags" only its capacity and the retire-path
+   allocation pin, and the "membership" section is gone. The "e2e",
+   "rivals", "trace" sections and the "churn" flag are as in schema 8.
+   The "service" section ([null] unless the bench ran with [--service])
+   holds the KV service's get-path zero-alloc pin, a real-domain
    churned-throughput row, and one sim row per {scheme × key
    distribution} — requests, violations, churn events, leak check,
    per-op-kind p50/p99/p999 in virtual ticks, and the whole-run p999
@@ -1427,13 +1233,13 @@ end
    [explore.exe profile --out out/BENCH_RESULTS.json] fills it in (the
    numbers belong to the explorer binary, which owns the representative
    case mix). *)
-let emit_json ~path ~quick ~churn ~retire_scan ~bag_alloc_words ~membership
-    ~e2e ~rivals ~(trace : Observatory.overhead)
+let emit_json ~path ~quick ~churn ~retire_scan ~bag_alloc_words ~e2e ~rivals
+    ~(trace : Observatory.overhead)
     ~(latency : Latency_obs.report option)
     ~(service : Service_obs.report option) =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": 9,\n";
+  Printf.fprintf oc "  \"schema\": 10,\n";
   Printf.fprintf oc "  \"explorer\": null,\n";
   Printf.fprintf oc "  \"quick\": %b,\n" quick;
   Printf.fprintf oc "  \"churn\": %b,\n" churn;
@@ -1444,10 +1250,9 @@ let emit_json ~path ~quick ~churn ~retire_scan ~bag_alloc_words ~membership
   List.iteri
     (fun i (r : Micro.result) ->
       Printf.fprintf oc
-        "    {\"scenario\": \"%s\", \"limbo\": %d, \"list_ns_per_op\": %.2f, \
-         \"vec_ns_per_op\": %.2f, \"speedup\": %.3f}%s\n"
+        "    {\"scenario\": \"%s\", \"limbo\": %d, \"bag_ns_per_op\": %.2f}%s\n"
         (Micro.scenario_name r.scenario)
-        r.limbo r.list_ns r.vec_ns (Micro.speedup r)
+        r.limbo r.bag_ns
         (if i = n - 1 then "" else ","))
     retire_scan;
   Printf.fprintf oc "  ],\n";
@@ -1456,31 +1261,8 @@ let emit_json ~path ~quick ~churn ~retire_scan ~bag_alloc_words ~membership
     (Qs_smr.Smr_intf.default_config ~n_processes:Micro.n_processes
        ~hp_per_process:Micro.hp_per_process)
       .Qs_smr.Smr_intf.bag_capacity;
-  Printf.fprintf oc "    \"retire_alloc_words\": %.1f,\n" bag_alloc_words;
-  Printf.fprintf oc "    \"rows\": [\n";
-  let n = List.length retire_scan in
-  List.iteri
-    (fun i (r : Micro.result) ->
-      Printf.fprintf oc
-        "      {\"scenario\": \"%s\", \"limbo\": %d, \"vec_ns_per_op\": \
-         %.2f, \"bag_ns_per_op\": %.2f, \"speedup\": %.3f}%s\n"
-        (Micro.scenario_name r.scenario)
-        r.limbo r.vec_ns r.bag_ns (Micro.bag_speedup r)
-        (if i = n - 1 then "" else ","))
-    retire_scan;
-  Printf.fprintf oc "    ]\n";
+  Printf.fprintf oc "    \"retire_alloc_words\": %.1f\n" bag_alloc_words;
   Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"membership\": [\n";
-  let n = List.length membership in
-  List.iteri
-    (fun i (r : Membership.result) ->
-      Printf.fprintf oc
-        "    {\"nk\": %d, \"k\": %d, \"probes\": %d, \"sorted_ns_per_op\": \
-         %.2f, \"hash_ns_per_op\": %.2f, \"speedup\": %.3f}%s\n"
-        r.nk r.k Membership.probes r.sorted_ns r.hash_ns (Membership.speedup r)
-        (if i = n - 1 then "" else ","))
-    membership;
-  Printf.fprintf oc "  ],\n";
   let emit_e2e_rows rows =
     let n = List.length rows in
     List.iteri
@@ -1644,9 +1426,7 @@ let () =
     end
   end;
   Printf.printf
-    "== retire/scan microbenchmark (vec + hash scan set vs seed list impl) ==\n%!";
-  (* --quick must keep at least one limbo >= 10^4 point: the CI speedup
-     guard (bag vs vec) gates on that size class. *)
+    "== retire/scan microbenchmark (Cadence, 64-node bags, hash scan set) ==\n%!";
   let sizes = if quick then [ 100; 1_000; 10_000 ] else [ 100; 1_000; 10_000; 100_000 ] in
   let target_ops = if quick then 200_000 else 2_000_000 in
   let results = Micro.run ~sizes ~target_ops in
@@ -1654,10 +1434,6 @@ let () =
   let bag_alloc_words = Micro.bag_retire_alloc_words ~limbo:10_000 in
   Printf.printf "bag retire path steady-state allocation: %.0f words / 10000 retires\n\n%!"
     bag_alloc_words;
-  Printf.printf
-    "== HP membership: hash scan set vs sorted-id reference (per probe, snapshot amortized) ==\n%!";
-  let membership = Membership.run ~quick in
-  Membership.print_table membership;
   let e2e_results =
     if e2e then begin
       Printf.printf "== end-to-end sweep on real domains (%s%s) ==\n%!"
@@ -1705,7 +1481,7 @@ let () =
     else None
   in
   emit_json ~path:(out_path "BENCH_RESULTS.json") ~quick ~churn
-    ~retire_scan:results ~bag_alloc_words ~membership ~e2e:e2e_results
+    ~retire_scan:results ~bag_alloc_words ~e2e:e2e_results
     ~rivals:rival_results ~trace:trace_overhead ~latency:latency_report
     ~service:service_report;
   Qs_real.Roosters.stop roosters;

@@ -94,27 +94,6 @@ let rec compact = function
 let summarize results =
   let schema = require "schema" (num results "schema") in
   let bags = require "bags object" (Json.member "bags" results) in
-  let bag_rows = arr bags "rows" in
-  let big =
-    List.filter
-      (fun r -> match num r "limbo" with Some l -> l >= 10_000. | None -> false)
-      bag_rows
-  in
-  let bag_min_speedup =
-    List.fold_left
-      (fun acc r ->
-        match num r "speedup" with Some s -> Float.min acc s | None -> acc)
-      infinity big
-  in
-  let membership_speedup =
-    List.fold_left
-      (fun acc m ->
-        match (num m "nk", num m "speedup") with
-        | Some 1024., Some s -> Some s
-        | _ -> acc)
-      None
-      (arr results "membership")
-  in
   let count_bad rows =
     List.length
       (List.filter
@@ -200,12 +179,8 @@ let summarize results =
       ("schema", Json.Num schema);
       ("quick", Json.Bool (bool_ results "quick" = Some true));
       ("churn", Json.Bool (bool_ results "churn" = Some true));
-      ("bag_min_speedup",
-       Json.Num (if bag_min_speedup = infinity then 0. else bag_min_speedup));
       ("bag_retire_alloc_words",
        Json.Num (require "bags.retire_alloc_words" (num bags "retire_alloc_words")));
-      ("membership_speedup_1024",
-       Json.Num (Option.value ~default:0. membership_speedup));
       ("trace_alloc_disabled",
        Json.Num (require "trace alloc disabled" (num trace "alloc_words_per_event_disabled")));
       ("trace_alloc_enabled",
@@ -252,23 +227,20 @@ let median xs =
 
 (* Ratio gates compare against the median of the (same --quick flavour)
    history; a missing metric in old lines just thins the sample. *)
-let history_metric history key sub =
+let history_metric history key section =
   List.filter_map
     (fun line ->
-      match sub with
-      | None -> num line key
-      | Some inner -> (
-        match Json.member inner line with
-        | Some (Json.Obj _ as o) -> num o key
-        | _ -> None))
+      match Json.member section line with
+      | Some (Json.Obj _ as o) -> num o key
+      | _ -> None)
     history
 
 let check ~results_path ~history_path =
   let results = Json.parse_exn (read_file results_path) in
   let summary = summarize results in
   (* -- structural + pins + safety: always gate, no history needed -- *)
-  if num results "schema" <> Some 9. then
-    fail "schema is %s, expected 9"
+  if num results "schema" <> Some 10. then
+    fail "schema is %s, expected 10"
       (match num results "schema" with
       | Some f -> Printf.sprintf "%.0f" f
       | None -> "missing");
@@ -322,22 +294,9 @@ let check ~results_path ~history_path =
      Printf.printf "trend: no committed history at %s — ratio gates skipped\n"
        history_path
    else
-     let vs name current baseline_ok =
-       match current with
-       | None -> ()
-       | Some c -> (
-         match median (history_metric history name None) with
-         | None | Some 0. -> ()
-         | Some m -> if not (baseline_ok c m) then
-           fail "%s = %.3f vs history median %.3f (outside tolerance)" name c m)
-     in
-     vs "bag_min_speedup" (num summary "bag_min_speedup")
-       (fun c m -> c >= m /. 4.);
-     vs "membership_speedup_1024" (num summary "membership_speedup_1024")
-       (fun c m -> c >= m /. 4.);
      (match Json.member "latency" summary with
      | Some (Json.Obj _ as lat) ->
-       let hist_lat key = history_metric history key (Some "latency") in
+       let hist_lat key = history_metric history key "latency" in
        (match (num lat "overhead_pct", median (hist_lat "overhead_pct")) with
        | Some c, Some m ->
          if c > Float.max 10. (Float.abs m *. 4.) then
@@ -351,7 +310,7 @@ let check ~results_path ~history_path =
      | _ -> ());
      (match Json.member "service" summary with
      | Some (Json.Obj _ as svc) ->
-       let hist_svc key = history_metric history key (Some "service") in
+       let hist_svc key = history_metric history key "service" in
        (match (num svc "real_mops", median (hist_svc "real_mops")) with
        | Some c, Some m when m > 0. ->
          if c < m /. 4. then

@@ -15,9 +15,8 @@
    Hot-path discipline: [retire] is allocation- and syscall-free — the
    timestamp comes from the runtime's coarse clock ([R.now_coarse], an
    atomic load refreshed by the roosters) and the node lands in a
-   timestamped limbo bag by default ({!Qs_util.Bag.Ts} via the
-   {!Qs_util.Limbo.Ts} switch; the vec reference stays behind
-   [config.limbo_bags = false]). A bag is stamped once when it seals —
+   timestamped limbo bag ({!Qs_util.Bag.Ts}). A bag is stamped once when
+   it seals —
    with its newest timestamp, the bag's maximum under the monotone coarse
    clock — so a scan walks sealed bags oldest-first, pays ONE age check
    per bag, stops at the first too-young bag, and returns each expired
@@ -32,7 +31,7 @@
    The runtime must run roosters with interval <= [cfg.rooster_interval]:
    simulator config [rooster_interval], or {!Qs_real.Roosters.start}. *)
 
-module Limbo = Qs_util.Limbo
+module Bag = Qs_util.Bag
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   type node = N.t
@@ -47,7 +46,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     free_bulk : node array -> int -> unit;
     dummy : node;
     handles : handle option array;
-    orphans : node Limbo.Ts.t Orphan_pool.t;
+    orphans : node Bag.Ts.t Orphan_pool.t;
     mutable legacy_retires : int;
     mutable legacy_frees : int;
     mutable legacy_scans : int;
@@ -58,8 +57,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   and handle = {
     owner : t;
     pid : int;
-    mutable lsrc : node Limbo.Ts.source;
-    mutable rlist : node Limbo.Ts.t;
+    mutable lsrc : node Bag.Ts.source;
+    mutable rlist : node Bag.Ts.t;
     scan_set : Hp.scan_set;
     mutable retires : int;
     mutable until_scan : int;
@@ -72,7 +71,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     mutable scan_now : int;
         (* the scan's single [now_coarse] read, hoisted into the handle so
            the preallocated filter closures capture no per-scan state *)
-    vec_filter : node -> int -> bool;
     age_ok : int -> bool;
     keep : node -> bool;
     free_bag : node array -> int array -> int -> int -> unit;
@@ -104,9 +102,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       legacy_scans = 0;
       legacy_retired_peak = 0 }
 
-  let limbo_source t =
-    Limbo.Ts.source ~bags:t.cfg.limbo_bags ~capacity:t.cfg.bag_capacity
-      t.dummy
+  let limbo_source t = Bag.Ts.source ~capacity:t.cfg.bag_capacity t.dummy
 
   let register t ~pid =
     let lsrc = limbo_source t in
@@ -115,7 +111,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       { owner = t;
         pid;
         lsrc;
-        rlist = Limbo.Ts.create lsrc;
+        rlist = Bag.Ts.create lsrc;
         scan_set = Hp.scan_set t.hp;
         retires = 0;
         until_scan = t.scan_threshold_eff;
@@ -123,20 +119,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         scans = 0;
         retired_peak = 0;
         scan_now = 0;
-        vec_filter =
-          (fun n ts ->
-            if
-              h.scan_now - ts >= age && not (Hp.protects_set h.scan_set n)
-            then begin
-              t.free n;
-              h.frees <- h.frees + 1;
-              (* [now - ts] is the exact quantity the age check passed on —
-                 Ev_free.b is the node's age at free, the paper's T + epsilon
-                 floor observed empirically. *)
-              R.emit Qs_intf.Runtime_intf.Ev_free (N.id n) (h.scan_now - ts);
-              false
-            end
-            else true);
         age_ok = (fun stamp -> h.scan_now - stamp >= age);
         keep = (fun n -> Hp.protects_set h.scan_set n);
         free_bag =
@@ -144,7 +126,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
             t.free_bulk data count;
             h.frees <- h.frees + count;
             (* one tracing check per bag instead of one dead emit per
-               node; Ev_free.b stays the exact age at free when traced *)
+               node; Ev_free.b is the node's exact age at free, the
+               paper's T + epsilon floor observed empirically *)
             if R.tracing () then
               for i = 0 to count - 1 do
                 R.emit Qs_intf.Runtime_intf.Ev_free (N.id data.(i))
@@ -181,7 +164,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       match Orphan_pool.take t.orphans with
       | None -> ()
       | Some e ->
-        Limbo.Ts.splice_into ~src:e.Orphan_pool.payload ~dst:h.rlist;
+        Bag.Ts.splice_into ~src:e.Orphan_pool.payload ~dst:h.rlist;
         R.emit Qs_intf.Runtime_intf.Ev_adopt e.Orphan_pool.nodes
           e.Orphan_pool.donor
 
@@ -190,20 +173,19 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     adopt_orphans h;
     let t = h.owner in
     h.scans <- h.scans + 1;
-    let before = Limbo.Ts.length h.rlist in
+    let before = Bag.Ts.length h.rlist in
     R.emit Qs_intf.Runtime_intf.Ev_scan_begin before (-1);
     h.scan_now <- R.now_coarse ();
     Hp.snapshot_into t.hp h.scan_set;
-    Limbo.Ts.scan h.rlist ~vec_filter:h.vec_filter ~age_ok:h.age_ok
-      ~keep:h.keep ~free_bag:h.free_bag;
-    let kept = Limbo.Ts.length h.rlist in
+    Bag.Ts.scan h.rlist ~age_ok:h.age_ok ~keep:h.keep ~free_bag:h.free_bag;
+    let kept = Bag.Ts.length h.rlist in
     R.emit Qs_intf.Runtime_intf.Ev_scan_end (before - kept) kept
 
   let retire h n =
     R.hook Qs_intf.Runtime_intf.Hook_retire;
-    let sealed = Limbo.Ts.push h.rlist n (R.now_coarse ()) in
+    let sealed = Bag.Ts.push h.rlist n (R.now_coarse ()) in
     h.retires <- h.retires + 1;
-    let rcount = Limbo.Ts.length h.rlist in
+    let rcount = Bag.Ts.length h.rlist in
     if rcount > h.retired_peak then h.retired_peak <- rcount;
     R.emit Qs_intf.Runtime_intf.Ev_retire (N.id n) rcount;
     if sealed > 0 then R.emit Qs_intf.Runtime_intf.Ev_bag_seal sealed (-1);
@@ -222,10 +204,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     let t = h.owner in
     Hp.clear t.hp ~pid:h.pid;
     R.fence ();
-    let donated = Limbo.Ts.length h.rlist in
+    let donated = Bag.Ts.length h.rlist in
     let old = h.rlist in
     h.lsrc <- limbo_source t;
-    h.rlist <- Limbo.Ts.create h.lsrc;
+    h.rlist <- Bag.Ts.create h.lsrc;
     Orphan_pool.donate t.orphans ~donor:h.pid ~nodes:donated old;
     t.legacy_retires <- t.legacy_retires + h.retires;
     t.legacy_frees <- t.legacy_frees + h.frees;
@@ -240,17 +222,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let flush h =
     let t = h.owner in
-    Limbo.Ts.drain h.rlist
-      ~free_node:(fun n _ts ->
-        t.free n;
-        h.frees <- h.frees + 1)
-      ~free_bag:h.flush_bag;
+    Bag.Ts.drain h.rlist ~free_bag:h.flush_bag;
     List.iter
       (fun (e : _ Orphan_pool.entry) ->
-        Limbo.Ts.drain e.Orphan_pool.payload
-          ~free_node:(fun n _ts ->
-            t.free n;
-            t.legacy_frees <- t.legacy_frees + 1)
+        Bag.Ts.drain e.Orphan_pool.payload
           ~free_bag:(fun data _ts count _stamp ->
             t.free_bulk data count;
             t.legacy_frees <- t.legacy_frees + count))
@@ -262,7 +237,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       0 t.handles
 
   let retired_count t =
-    fold t (fun h -> Limbo.Ts.length h.rlist)
+    fold t (fun h -> Bag.Ts.length h.rlist)
     + Orphan_pool.node_count t.orphans
 
   let stats t =

@@ -47,7 +47,7 @@
    the simulator (reading one is not a schedule point) and correctly
    synchronized on real domains. *)
 
-module Limbo = Qs_util.Limbo
+module Bag = Qs_util.Bag
 
 (* Failed epoch-advance attempts (spaced Q operations apart) tolerated
    before neutralizing the laggards. Patience keeps neutralization off the
@@ -74,7 +74,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     poisoned : bool Stdlib.Atomic.t array;
     dummy : node;
     handles : handle option array;
-    orphans : node Limbo.t array Orphan_pool.t;
+    orphans : node Bag.t array Orphan_pool.t;
     mutable legacy_retires : int;
     mutable legacy_frees : int;
     mutable legacy_epoch_advances : int;
@@ -86,8 +86,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   and handle = {
     owner : t;
     pid : int;
-    mutable lsrc : node Limbo.source;
-    mutable limbo : node Limbo.Triple.t;
+    mutable lsrc : node Bag.source;
+    mutable limbo : node Bag.Triple.t;
     mutable last_epoch : int; (* last epoch this process was pinned to *)
     mutable pinned : int;
         (* cache of [locals.(pid)] as last written by the owner: the
@@ -107,9 +107,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     mutable epoch_advances : int;
     mutable neutralizations : int;
     mutable retired_peak : int;
-    free_node : node -> unit;
     free_bag : node array -> int -> unit;
-    flush_node : node -> unit;
     flush_bag : node array -> int -> unit;
   }
 
@@ -140,8 +138,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       legacy_neutralizations = 0;
       legacy_retired_peak = 0 }
 
-  let limbo_source t =
-    Limbo.source ~bags:t.cfg.limbo_bags ~capacity:t.cfg.bag_capacity t.dummy
+  let limbo_source t = Bag.source ~capacity:t.cfg.bag_capacity t.dummy
 
   let register t ~pid =
     let lsrc = limbo_source t in
@@ -149,7 +146,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       { owner = t;
         pid;
         lsrc;
-        limbo = Limbo.Triple.create lsrc;
+        limbo = Bag.Triple.create lsrc;
         last_epoch = -1;
         pinned = -1;
         ops = 0;
@@ -159,11 +156,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         epoch_advances = 0;
         neutralizations = 0;
         retired_peak = 0;
-        free_node =
-          (fun n ->
-            t.free n;
-            h.frees <- h.frees + 1;
-            R.emit Qs_intf.Runtime_intf.Ev_free (N.id n) (-1));
         free_bag =
           (fun data count ->
             t.free_bulk data count;
@@ -173,10 +165,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
                 R.emit Qs_intf.Runtime_intf.Ev_free (N.id data.(i)) (-1)
               done;
             R.emit Qs_intf.Runtime_intf.Ev_bag_free count (-1));
-        flush_node =
-          (fun n ->
-            t.free n;
-            h.frees <- h.frees + 1);
         flush_bag =
           (fun data count ->
             t.free_bulk data count;
@@ -190,8 +178,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let free_epoch ?(emit = true) h e =
     let v = h.limbo.(e) in
-    if emit then Limbo.drain v ~free_node:h.free_node ~free_bag:h.free_bag
-    else Limbo.drain v ~free_node:h.flush_node ~free_bag:h.flush_bag
+    Bag.drain v ~free_bag:(if emit then h.free_bag else h.flush_bag)
 
   let all_on t eg =
     let n = Array.length t.locals in
@@ -210,7 +197,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       | None -> ()
       | Some e ->
         Array.iter
-          (fun v -> Limbo.splice_into ~src:v ~dst:h.limbo.(eg))
+          (fun v -> Bag.splice_into ~src:v ~dst:h.limbo.(eg))
           e.Orphan_pool.payload;
         R.emit Qs_intf.Runtime_intf.Ev_adopt e.Orphan_pool.nodes
           e.Orphan_pool.donor
@@ -338,7 +325,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   let assign_hp h ~slot:_ _ =
     if Stdlib.Atomic.get h.owner.poisoned.(h.pid) then ack_restart h
 
-  let total_limbo h = Limbo.Triple.total h.limbo
+  let total_limbo h = Bag.Triple.total h.limbo
 
   (* No runtime reads: the target list comes from the cached pin (or the
      last pin, for the rare retire outside an operation). Everything up to
@@ -355,7 +342,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       else if h.last_epoch >= 0 then h.last_epoch
       else 0
     in
-    let sealed = Limbo.push h.limbo.(e) n in
+    let sealed = Bag.push h.limbo.(e) n in
     R.hook Qs_intf.Runtime_intf.Hook_retire;
     h.retires <- h.retires + 1;
     let total = total_limbo h in
@@ -369,7 +356,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     let donated = total_limbo h in
     let old = h.limbo in
     h.lsrc <- limbo_source t;
-    h.limbo <- Limbo.Triple.create h.lsrc;
+    h.limbo <- Bag.Triple.create h.lsrc;
     h.pinned <- -1;
     R.set t.locals.(h.pid) (-1);
     Stdlib.Atomic.set t.poisoned.(h.pid) false;
@@ -396,11 +383,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       (fun (e : _ Orphan_pool.entry) ->
         Array.iter
           (fun v ->
-            Limbo.drain v
-              ~free_node:(fun n ->
-                t.free n;
-                t.legacy_frees <- t.legacy_frees + 1)
-              ~free_bag:(fun data count ->
+            Bag.drain v ~free_bag:(fun data count ->
                 t.free_bulk data count;
                 t.legacy_frees <- t.legacy_frees + count))
           e.Orphan_pool.payload)

@@ -15,14 +15,13 @@
    [clear_hps] (end of every operation, where hazard-pointer schemes drop
    protection) = leave it.
 
-   Hot-path discipline: batched-bag limbo lists by default ({!Qs_util.Bag}
-   via the {!Qs_util.Limbo} switch; allocation-free [retire], whole-bag
-   frees on epoch expiry, the vec reference behind
-   [config.limbo_bags = false]); padded per-process epoch slots —
+   Hot-path discipline: batched-bag limbo lists ({!Qs_util.Bag};
+   allocation-free [retire], whole-bag frees on epoch expiry); padded
+   per-process epoch slots —
    [clear_hps] writes the slot on every single operation, making it the
    most false-sharing-sensitive cell in the scheme. *)
 
-module Limbo = Qs_util.Limbo
+module Bag = Qs_util.Bag
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   type node = N.t
@@ -37,7 +36,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     locals : int R.atomic array;
     dummy : node;
     handles : handle option array;
-    orphans : node Limbo.t array Orphan_pool.t;
+    orphans : node Bag.t array Orphan_pool.t;
     mutable legacy_retires : int;
     mutable legacy_frees : int;
     mutable legacy_epoch_advances : int;
@@ -48,19 +47,17 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   and handle = {
     owner : t;
     pid : int;
-    mutable lsrc : node Limbo.source;
-    mutable limbo : node Limbo.Triple.t;
+    mutable lsrc : node Bag.source;
+    mutable limbo : node Bag.Triple.t;
     mutable last_epoch : int; (* last epoch this process was pinned to *)
     mutable ops : int;
     mutable retires : int;
     mutable frees : int;
     mutable epoch_advances : int;
     mutable retired_peak : int;
-    (* preallocated reclamation callbacks; the [flush_*] pair skips event
+    (* preallocated reclamation callbacks; [flush_bag] skips event
        emission (teardown may run outside process context) *)
-    free_node : node -> unit;
     free_bag : node array -> int -> unit;
-    flush_node : node -> unit;
     flush_bag : node array -> int -> unit;
   }
 
@@ -89,8 +86,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       legacy_epoch_advances = 0;
       legacy_retired_peak = 0 }
 
-  let limbo_source t =
-    Limbo.source ~bags:t.cfg.limbo_bags ~capacity:t.cfg.bag_capacity t.dummy
+  let limbo_source t = Bag.source ~capacity:t.cfg.bag_capacity t.dummy
 
   let register t ~pid =
     let lsrc = limbo_source t in
@@ -98,18 +94,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       { owner = t;
         pid;
         lsrc;
-        limbo = Limbo.Triple.create lsrc;
+        limbo = Bag.Triple.create lsrc;
         last_epoch = -1;
         ops = 0;
         retires = 0;
         frees = 0;
         epoch_advances = 0;
         retired_peak = 0;
-        free_node =
-          (fun n ->
-            t.free n;
-            h.frees <- h.frees + 1;
-            R.emit Qs_intf.Runtime_intf.Ev_free (N.id n) (-1));
         free_bag =
           (fun data count ->
             t.free_bulk data count;
@@ -120,10 +111,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
                 R.emit Qs_intf.Runtime_intf.Ev_free (N.id data.(i)) (-1)
               done;
             R.emit Qs_intf.Runtime_intf.Ev_bag_free count (-1));
-        flush_node =
-          (fun n ->
-            t.free n;
-            h.frees <- h.frees + 1);
         flush_bag =
           (fun data count ->
             t.free_bulk data count;
@@ -136,8 +123,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
      process context where performing the emit effect is illegal. *)
   let free_epoch ?(emit = true) h e =
     let v = h.limbo.(e) in
-    if emit then Limbo.drain v ~free_node:h.free_node ~free_bag:h.free_bag
-    else Limbo.drain v ~free_node:h.flush_node ~free_bag:h.flush_bag
+    Bag.drain v ~free_bag:(if emit then h.free_bag else h.flush_bag)
 
   (* Every process is either inactive or pinned to [eg]. *)
   let all_on t eg =
@@ -162,7 +148,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       | None -> ()
       | Some e ->
         Array.iter
-          (fun v -> Limbo.splice_into ~src:v ~dst:h.limbo.(eg))
+          (fun v -> Bag.splice_into ~src:v ~dst:h.limbo.(eg))
           e.Orphan_pool.payload;
         R.emit Qs_intf.Runtime_intf.Ev_adopt e.Orphan_pool.nodes
           e.Orphan_pool.donor
@@ -195,7 +181,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let assign_hp _ ~slot:_ _ = ()
 
-  let total_limbo h = Limbo.Triple.total h.limbo
+  let total_limbo h = Bag.Triple.total h.limbo
 
   let retire h n =
     R.hook Qs_intf.Runtime_intf.Hook_retire;
@@ -204,7 +190,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       | -1 -> R.get h.owner.global (* retire outside an operation *)
       | e -> e
     in
-    let sealed = Limbo.push h.limbo.(e) n in
+    let sealed = Bag.push h.limbo.(e) n in
     h.retires <- h.retires + 1;
     let total = total_limbo h in
     if total > h.retired_peak then h.retired_peak <- total;
@@ -220,7 +206,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     let donated = total_limbo h in
     let old = h.limbo in
     h.lsrc <- limbo_source t;
-    h.limbo <- Limbo.Triple.create h.lsrc;
+    h.limbo <- Bag.Triple.create h.lsrc;
     R.set t.locals.(h.pid) (-1);
     Orphan_pool.donate t.orphans ~donor:h.pid ~nodes:donated old;
     t.legacy_retires <- t.legacy_retires + h.retires;
@@ -243,11 +229,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       (fun (e : _ Orphan_pool.entry) ->
         Array.iter
           (fun v ->
-            Limbo.drain v
-              ~free_node:(fun n ->
-                t.free n;
-                t.legacy_frees <- t.legacy_frees + 1)
-              ~free_bag:(fun data count ->
+            Bag.drain v ~free_bag:(fun data count ->
                 t.free_bulk data count;
                 t.legacy_frees <- t.legacy_frees + count))
           e.Orphan_pool.payload)

@@ -11,20 +11,18 @@
    TSO model the unfenced variant reclaims nodes that are still hazardously
    referenced.
 
-   Hot-path discipline: the removed list is a batched bag deque by default
-   ({!Qs_util.Bag} via the {!Qs_util.Limbo} switch; allocation-free
-   [retire], drops freed one whole bag per arena call, survivors compacted
-   into fresh bags; the vec reference behind [config.limbo_bags = false]);
-   a scan snapshots the N×K hazard slots into a reusable id
-   hash set (expected-O(1) membership, zero allocation) and compacts the
-   removed list in place. The scan threshold adapts to the deployment:
+   Hot-path discipline: the removed list is a batched bag deque
+   ({!Qs_util.Bag}; allocation-free [retire], drops freed one whole bag
+   per arena call, survivors compacted into fresh bags); a scan snapshots
+   the N×K hazard slots into a reusable id hash set (expected-O(1)
+   membership, zero allocation). The scan threshold adapts to the deployment:
    effective R = max(cfg.scan_threshold, ceil(scan_factor * N * K)),
    computed once at creation — a scan costs O(N·K + limbo) and keeps at
    most N·K protected nodes, so every scan frees at least
    (scan_factor - 1)·N·K nodes and scan work is amortised O(1) per retire
    however many processes or hazard pointers the system runs. *)
 
-module Limbo = Qs_util.Limbo
+module Bag = Qs_util.Bag
 
 module type PARAMS = sig
   val scheme_name : string
@@ -48,7 +46,7 @@ struct
     free_bulk : node array -> int -> unit;
     dummy : node;
     handles : handle option array;
-    orphans : node Limbo.t Orphan_pool.t;
+    orphans : node Bag.t Orphan_pool.t;
     mutable legacy_retires : int;
     mutable legacy_frees : int;
     mutable legacy_scans : int;
@@ -59,8 +57,8 @@ struct
   and handle = {
     owner : t;
     pid : int;
-    mutable lsrc : node Limbo.source;
-    mutable rlist : node Limbo.t;
+    mutable lsrc : node Bag.source;
+    mutable rlist : node Bag.t;
     scan_set : Hp.scan_set;
     mutable retires : int;
     mutable frees : int;
@@ -68,7 +66,6 @@ struct
     mutable retired_peak : int;
     (* preallocated scan/flush callbacks: the per-scan closure state is
        hoisted into the handle so a scan builds nothing on the heap *)
-    vec_filter : node -> bool;
     keep : node -> bool;
     free_bag : node array -> int -> unit;
     flush_bag : node array -> int -> unit;
@@ -99,8 +96,7 @@ struct
       legacy_scans = 0;
       legacy_retired_peak = 0 }
 
-  let limbo_source t =
-    Limbo.source ~bags:t.cfg.limbo_bags ~capacity:t.cfg.bag_capacity t.dummy
+  let limbo_source t = Bag.source ~capacity:t.cfg.bag_capacity t.dummy
 
   let register t ~pid =
     let lsrc = limbo_source t in
@@ -108,29 +104,20 @@ struct
       { owner = t;
         pid;
         lsrc;
-        rlist = Limbo.create lsrc;
+        rlist = Bag.create lsrc;
         scan_set = Hp.scan_set t.hp;
         retires = 0;
         frees = 0;
         scans = 0;
         retired_peak = 0;
-        vec_filter =
-          (fun n ->
-            if Hp.protects_set h.scan_set n then true
-            else begin
-              t.free n;
-              h.frees <- h.frees + 1;
-              (* classic HP has no timestamps: age recovered offline by
-                 joining against the node's Ev_retire *)
-              R.emit Qs_intf.Runtime_intf.Ev_free (N.id n) (-1);
-              false
-            end);
         keep = (fun n -> Hp.protects_set h.scan_set n);
         free_bag =
           (fun data count ->
             t.free_bulk data count;
             h.frees <- h.frees + count;
-            (* one tracing check per bag instead of one dead emit per node *)
+            (* one tracing check per bag instead of one dead emit per node;
+               classic HP has no timestamps: age recovered offline by
+               joining against the node's Ev_retire *)
             if R.tracing () then
               for i = 0 to count - 1 do
                 R.emit Qs_intf.Runtime_intf.Ev_free (N.id data.(i)) (-1)
@@ -165,7 +152,7 @@ struct
       match Orphan_pool.take t.orphans with
       | None -> ()
       | Some e ->
-        Limbo.splice_into ~src:e.Orphan_pool.payload ~dst:h.rlist;
+        Bag.splice_into ~src:e.Orphan_pool.payload ~dst:h.rlist;
         R.emit Qs_intf.Runtime_intf.Ev_adopt e.Orphan_pool.nodes
           e.Orphan_pool.donor
 
@@ -176,19 +163,18 @@ struct
     adopt_orphans h;
     let t = h.owner in
     h.scans <- h.scans + 1;
-    let before = Limbo.length h.rlist in
+    let before = Bag.length h.rlist in
     R.emit Qs_intf.Runtime_intf.Ev_scan_begin before (-1);
     Hp.snapshot_into t.hp h.scan_set;
-    Limbo.scan h.rlist ~vec_filter:h.vec_filter ~keep:h.keep
-      ~free_bag:h.free_bag;
-    let kept = Limbo.length h.rlist in
+    Bag.scan h.rlist ~keep:h.keep ~free_bag:h.free_bag;
+    let kept = Bag.length h.rlist in
     R.emit Qs_intf.Runtime_intf.Ev_scan_end (before - kept) kept
 
   let retire h n =
     R.hook Qs_intf.Runtime_intf.Hook_retire;
-    let sealed = Limbo.push h.rlist n in
+    let sealed = Bag.push h.rlist n in
     h.retires <- h.retires + 1;
-    let rcount = Limbo.length h.rlist in
+    let rcount = Bag.length h.rlist in
     if rcount > h.retired_peak then h.retired_peak <- rcount;
     R.emit Qs_intf.Runtime_intf.Ev_retire (N.id n) rcount;
     if sealed > 0 then R.emit Qs_intf.Runtime_intf.Ev_bag_seal sealed (-1);
@@ -201,10 +187,10 @@ struct
     let t = h.owner in
     Hp.clear t.hp ~pid:h.pid;
     if P.fenced then R.fence ();
-    let donated = Limbo.length h.rlist in
+    let donated = Bag.length h.rlist in
     let old = h.rlist in
     h.lsrc <- limbo_source t;
-    h.rlist <- Limbo.create h.lsrc;
+    h.rlist <- Bag.create h.lsrc;
     Orphan_pool.donate t.orphans ~donor:h.pid ~nodes:donated old;
     t.legacy_retires <- t.legacy_retires + h.retires;
     t.legacy_frees <- t.legacy_frees + h.frees;
@@ -219,18 +205,10 @@ struct
 
   let flush h =
     let t = h.owner in
-    Limbo.drain h.rlist
-      ~free_node:(fun n ->
-        t.free n;
-        h.frees <- h.frees + 1)
-      ~free_bag:h.flush_bag;
+    Bag.drain h.rlist ~free_bag:h.flush_bag;
     List.iter
       (fun (e : _ Orphan_pool.entry) ->
-        Limbo.drain e.Orphan_pool.payload
-          ~free_node:(fun n ->
-            t.free n;
-            t.legacy_frees <- t.legacy_frees + 1)
-          ~free_bag:(fun data count ->
+        Bag.drain e.Orphan_pool.payload ~free_bag:(fun data count ->
             t.free_bulk data count;
             t.legacy_frees <- t.legacy_frees + count))
       (Orphan_pool.drain t.orphans)
@@ -241,7 +219,7 @@ struct
       0 t.handles
 
   let retired_count t =
-    fold t (fun h -> Limbo.length h.rlist)
+    fold t (fun h -> Bag.length h.rlist)
     + Orphan_pool.node_count t.orphans
 
   let stats t =

@@ -12,11 +12,7 @@
    {!Qs_util.Int_set}), giving expected-O(1) membership per retired node
    and zero allocation per scan — Michael's original hash-set scan, which
    together with the adaptive scan threshold makes scan work amortised O(1)
-   per retire. Two reference implementations survive for the differential
-   property tests: the seed's list-based [snapshot]/[protects]
-   ([List.memq], O(N·K) per node, one cons per non-dummy slot) and PR 1's
-   sorted-id array ([snapshot_into_sorted]/[protects_sorted], O(log N·K)
-   per node). *)
+   per retire. *)
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   type t = { slots : N.t R.plain array array; dummy : N.t; k : int }
@@ -34,95 +30,17 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       R.write row.(i) t.dummy
     done
 
-  (* --- reference implementation (tests only) ----------------------------- *)
-
-  (* Read every slot of every process; the result is the set of nodes that
-     must not be reclaimed. Reads are racy by design: a hazard pointer whose
-     store is still sitting in its writer's store buffer is missed — that is
-     the hole deferred reclamation closes. *)
-  let snapshot t =
-    let acc = ref [] in
-    Array.iter
-      (fun row ->
-        Array.iter
-          (fun slot ->
-            let n = R.read slot in
-            if n != t.dummy then acc := n :: !acc)
-          row)
-      t.slots;
-    !acc
-
-  let protects snapshot n = List.memq n snapshot
-
-  (* --- reference implementation 2: reusable sorted-id snapshot ------------ *)
-
-  type sorted_set = { mutable ids : int array; mutable len : int }
-
-  let sorted_set t =
-    { ids = Array.make (max 1 (Array.length t.slots * t.k)) 0; len = 0 }
-
-  (* Insertion sort: the snapshot has at most N·K entries (tens), is nearly
-     free to sort, and needs no closure or comparator allocation. *)
-  let sort_ids ids len =
-    for i = 1 to len - 1 do
-      let x = ids.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && ids.(!j) > x do
-        ids.(!j + 1) <- ids.(!j);
-        decr j
-      done;
-      ids.(!j + 1) <- x
-    done
-
-  (* Snapshot all N×K slots into [s] (same raciness as {!snapshot}): ids of
-     the non-dummy slots, sorted. No allocation in steady state; the id
-     array grows only if the set outlives a resize of the HP array (it
-     cannot today — both are sized at creation). *)
-  let snapshot_into_sorted t s =
-    let cap = Array.length t.slots * t.k in
-    if Array.length s.ids < cap then s.ids <- Array.make cap 0;
-    let len = ref 0 in
-    let dummy = t.dummy in
-    for pid = 0 to Array.length t.slots - 1 do
-      let row = t.slots.(pid) in
-      for i = 0 to t.k - 1 do
-        let n = R.read row.(i) in
-        if n != dummy then begin
-          s.ids.(!len) <- N.id n;
-          incr len
-        end
-      done
-    done;
-    s.len <- !len;
-    sort_ids s.ids s.len
-
-  let mem_id s id =
-    let lo = ref 0 and hi = ref (s.len - 1) in
-    let found = ref false in
-    while (not !found) && !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let v = s.ids.(mid) in
-      if v = id then found := true
-      else if v < id then lo := mid + 1
-      else hi := mid - 1
-    done;
-    !found
-
-  (* O(log N·K) membership by stable node identity. Conservative under id
-     collisions (keeps the node), never frees a protected node. *)
-  let protects_sorted s n = mem_id s (N.id n)
-
-  (* --- the scan set: reusable id hash set (production path) --------------- *)
-
   type scan_set = Qs_util.Int_set.t
 
   (* Preallocated for the full N·K population: at steady state a snapshot
      never triggers a rehash, so the scan path performs zero allocation. *)
   let scan_set t = Qs_util.Int_set.create ~capacity:(Array.length t.slots * t.k) ()
 
-  (* Snapshot all N×K slots into the hash set (same raciness as
-     {!snapshot}). [Int_set.reset] is an O(1) generation bump, so the whole
-     snapshot is O(N·K) with no allocation. *)
+  (* Snapshot all N×K slots into the hash set. Reads are racy by design: a
+     hazard pointer whose store is still sitting in its writer's store
+     buffer is missed — that is the hole deferred reclamation closes.
+     [Int_set.reset] is an O(1) generation bump, so the whole snapshot is
+     O(N·K) with no allocation. *)
   let snapshot_into t s =
     Qs_util.Int_set.reset s;
     let dummy = t.dummy in

@@ -12,8 +12,7 @@
      [Active Cnil]; leaving claims the whole cell back to [Inactive] with
      a CAS and walks the chain it captured.
    - Retired nodes accumulate in a handle-local open batch (capacity =
-     [bag_capacity] under [limbo_bags], else 1 — the element-wise
-     reference for the bag/vec differential tests). Sealing a batch runs
+     [bag_capacity], clamped to [>= 1]). Sealing a batch runs
      the insertion protocol: for every slot currently [Active], push one
      reference to the batch onto that slot's chain (CAS; a failure means
      the owner left concurrently and is compensated), counting each
@@ -118,7 +117,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     { cfg;
       free;
       free_bulk;
-      capacity = (if cfg.limbo_bags then max 1 cfg.bag_capacity else 1);
+      capacity = max 1 cfg.bag_capacity;
       dummy;
       slots = Array.init cfg.n_processes (fun _ -> R.atomic_padded Inactive);
       registry = Stdlib.Atomic.make [];

@@ -12,17 +12,15 @@
    the global epoch and with it all reclamation — the failure mode QSense's
    fallback path exists to survive.
 
-   Hot-path discipline: limbo lists are batched bags by default
-   ({!Qs_util.Bag} via the {!Qs_util.Limbo} switch) — [retire] is an
-   allocation-free array store into the open block and an expired epoch
-   returns to the arena one whole bag per [free_bulk] call; the vec
-   reference stays available behind [config.limbo_bags = false]. The
-   free/flush callbacks are preallocated per handle so no closure is built
-   on a reclamation path. Per-process epoch slots are cache-line padded
+   Hot-path discipline: limbo lists are batched bags ({!Qs_util.Bag}) —
+   [retire] is an allocation-free array store into the open block and an
+   expired epoch returns to the arena one whole bag per [free_bulk] call.
+   The free/flush callbacks are preallocated per handle so no closure is
+   built on a reclamation path. Per-process epoch slots are cache-line padded
    ([R.atomic_padded]) because each is written by its owner and read by
    everyone. *)
 
-module Limbo = Qs_util.Limbo
+module Bag = Qs_util.Bag
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   type node = N.t
@@ -35,7 +33,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     locals : int R.atomic array;
     dummy : node;
     handles : handle option array;
-    orphans : node Limbo.t array Orphan_pool.t;
+    orphans : node Bag.t array Orphan_pool.t;
         (* limbo triples donated by departed processes; bag chains travel
            intact (sealed by the donor, spliced by the adopter) *)
     departed : bool array;
@@ -53,8 +51,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   and handle = {
     owner : t;
     pid : int;
-    mutable lsrc : node Limbo.source;
-    mutable limbo : node Limbo.Triple.t; (* one limbo list per epoch *)
+    mutable lsrc : node Bag.source;
+    mutable limbo : node Bag.Triple.t; (* one limbo list per epoch *)
     mutable joined : bool;
         (* false only for a handle re-registered into a vacated slot,
            until its first [manage_state] announces an epoch *)
@@ -64,12 +62,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     mutable epoch_advances : int;
     mutable retired_peak : int;
     (* reclamation callbacks, preallocated so scans/drains build no
-       closures; the [flush_*] pair skips event emission (teardown may run
+       closures; [flush_bag] skips event emission (teardown may run
        outside process context, where the emit effect is illegal on the
        simulator — and teardown frees are not reclamation events) *)
-    free_node : node -> unit;
     free_bag : node array -> int -> unit;
-    flush_node : node -> unit;
     flush_bag : node array -> int -> unit;
   }
 
@@ -99,8 +95,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       legacy_epoch_advances = 0;
       legacy_retired_peak = 0 }
 
-  let limbo_source t =
-    Limbo.source ~bags:t.cfg.limbo_bags ~capacity:t.cfg.bag_capacity t.dummy
+  let limbo_source t = Bag.source ~capacity:t.cfg.bag_capacity t.dummy
 
   let register t ~pid =
     let lsrc = limbo_source t in
@@ -108,33 +103,24 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       { owner = t;
         pid;
         lsrc;
-        limbo = Limbo.Triple.create lsrc;
+        limbo = Bag.Triple.create lsrc;
         joined = not t.departed.(pid);
         ops = 0;
         retires = 0;
         frees = 0;
         epoch_advances = 0;
         retired_peak = 0;
-        free_node =
-          (fun n ->
-            t.free n;
-            h.frees <- h.frees + 1;
-            (* no timestamps in QSBR: age recovered offline from Ev_retire *)
-            R.emit Qs_intf.Runtime_intf.Ev_free (N.id n) (-1));
         free_bag =
           (fun data count ->
             t.free_bulk data count;
             h.frees <- h.frees + count;
-            (* one tracing check per bag instead of one dead emit per node *)
+            (* one tracing check per bag instead of one dead emit per node;
+               no timestamps in QSBR: age recovered offline from Ev_retire *)
             if R.tracing () then
               for i = 0 to count - 1 do
                 R.emit Qs_intf.Runtime_intf.Ev_free (N.id data.(i)) (-1)
               done;
             R.emit Qs_intf.Runtime_intf.Ev_bag_free count (-1));
-        flush_node =
-          (fun n ->
-            t.free n;
-            h.frees <- h.frees + 1);
         flush_bag =
           (fun data count ->
             t.free_bulk data count;
@@ -146,8 +132,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let free_epoch ?(emit = true) h e =
     let v = h.limbo.(e) in
-    if emit then Limbo.drain v ~free_node:h.free_node ~free_bag:h.free_bag
-    else Limbo.drain v ~free_node:h.flush_node ~free_bag:h.flush_bag
+    Bag.drain v ~free_bag:(if emit then h.free_bag else h.flush_bag)
 
   (* A negative local epoch is the "absent" sentinel written by
      {!unregister}: the slot no longer gates epoch advancement. Same
@@ -175,7 +160,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       | None -> ()
       | Some e ->
         Array.iter
-          (fun v -> Limbo.splice_into ~src:v ~dst:h.limbo.(eg))
+          (fun v -> Bag.splice_into ~src:v ~dst:h.limbo.(eg))
           e.Orphan_pool.payload;
         R.emit Qs_intf.Runtime_intf.Ev_adopt e.Orphan_pool.nodes
           e.Orphan_pool.donor
@@ -216,7 +201,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let assign_hp _ ~slot:_ _ = ()
   let clear_hps _ = ()
-  let total_limbo h = Limbo.Triple.total h.limbo
+  let total_limbo h = Bag.Triple.total h.limbo
 
   let retire h n =
     R.hook Qs_intf.Runtime_intf.Hook_retire;
@@ -225,7 +210,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
        epoch is the -1 sentinel; park the node in epoch 0 — it is freed
        only by this handle's own later adoptions, behind a full cycle *)
     let e = if e < 0 then 0 else e in
-    let sealed = Limbo.push h.limbo.(e) n in
+    let sealed = Bag.push h.limbo.(e) n in
     h.retires <- h.retires + 1;
     let total = total_limbo h in
     if total > h.retired_peak then h.retired_peak <- total;
@@ -244,7 +229,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     let donated = total_limbo h in
     let old = h.limbo in
     h.lsrc <- limbo_source t;
-    h.limbo <- Limbo.Triple.create h.lsrc;
+    h.limbo <- Bag.Triple.create h.lsrc;
     h.joined <- true (* dead handle: never join again *);
     R.set t.locals.(h.pid) (-1);
     Orphan_pool.donate t.orphans ~donor:h.pid ~nodes:donated old;
@@ -271,11 +256,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       (fun (e : _ Orphan_pool.entry) ->
         Array.iter
           (fun v ->
-            Limbo.drain v
-              ~free_node:(fun n ->
-                t.free n;
-                t.legacy_frees <- t.legacy_frees + 1)
-              ~free_bag:(fun data count ->
+            Bag.drain v ~free_bag:(fun data count ->
                 t.free_bulk data count;
                 t.legacy_frees <- t.legacy_frees + count))
           e.Orphan_pool.payload)

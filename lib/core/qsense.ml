@@ -28,19 +28,18 @@
    freeing filters through the hazard-pointer + age check instead of freeing
    unconditionally.
 
-   Hot-path discipline: limbo lists are timestamped bags by default
-   ({!Qs_util.Bag.Ts} via the {!Qs_util.Limbo.Ts} switch; the vec
-   reference behind [config.limbo_bags = false]). The QSBR fast path
-   frees a whole expired epoch bag-by-bag in bulk arena calls; fallback
-   scans walk sealed bags oldest-first against a reusable sorted-id
-   hazard-pointer snapshot, paying one age check per bag and filtering
+   Hot-path discipline: limbo lists are timestamped bags
+   ({!Qs_util.Bag.Ts}). The QSBR fast path frees a whole expired epoch
+   bag-by-bag in bulk arena calls; fallback scans walk sealed bags
+   oldest-first against a reusable hash-set hazard-pointer snapshot
+   ({!Hp_array.snapshot_into}), paying one age check per bag and filtering
    survivors into fresh bags — the fallback HP scan shrinks to bag
    granularity. Eviction seizes a victim's bag chains intact (donation is
    pointer splicing). The per-process cells written by their owner and
    read by everyone (epoch slots, presence and eviction flags) are
    cache-line padded. *)
 
-module Limbo = Qs_util.Limbo
+module Bag = Qs_util.Bag
 
 module type PUBLICATION = sig
   val scheme_name : string
@@ -82,7 +81,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
            [enter_fastpath] CAS, so there is no lost-update race) *)
     dummy : node;
     handles : handle option array;
-    orphans : node Limbo.Ts.t array Orphan_pool.t;
+    orphans : node Bag.Ts.t array Orphan_pool.t;
         (* each entry is an arbitrary-length array of timestamped limbo
            lists: the three epochs (+ adopted list) of a departed or
            evicted process; bag chains travel intact *)
@@ -100,12 +99,12 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
   and handle = {
     owner : t;
     pid : int;
-    mutable lsrc : node Limbo.Ts.source;
-    mutable limbo : node Limbo.Ts.Triple.t;
+    mutable lsrc : node Bag.Ts.source;
+    mutable limbo : node Bag.Ts.Triple.t;
         (* one limbo list per epoch, as in QSBR; replaced wholesale (with
            a fresh block source) when the lists are donated (unregister)
            or seized (eviction) *)
-    mutable adopted : node Limbo.Ts.t;
+    mutable adopted : node Bag.Ts.t;
         (* orphaned nodes adopted from the pool. NEVER freed by the
            unconditional grace-period path: Lemma 3 does not apply to
            orphans (we know nothing about when their donor retired them
@@ -115,7 +114,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
         (* [Stdlib.Atomic], deliberately outside the simulated memory
            model (same reasoning as {!Orphan_pool}): set once by an
            evictor that donated this handle's lists out from under it.
-           The owner, on observing it, installs fresh vectors and resets
+           The owner, on observing it, installs fresh lists and resets
            it. Checked at points with no runtime effect between check and
            list use, so on the simulator the handoff is race-free. *)
     eviction_on : bool; (* cfg.eviction_timeout <> None, precomputed *)
@@ -135,13 +134,11 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     mutable scan_now : int;
         (* the scan's single [now_coarse] read, hoisted into the handle so
            the preallocated filter closures capture no per-scan state *)
-    vec_filter : node -> int -> bool;
     age_ok : int -> bool;
     keep : node -> bool;
     free_bag : node array -> int array -> int -> int -> unit;
-    (* the unconditional (grace-period) epoch-free pair: no clock read, so
-       ages are reported as -1 and recovered offline from Ev_retire *)
-    uncond_node : node -> int -> unit;
+    (* the unconditional (grace-period) epoch free: no clock read, so ages
+       are reported as -1 and recovered offline from Ev_retire *)
     uncond_bag : node array -> int array -> int -> int -> unit;
   }
 
@@ -189,9 +186,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       legacy_evictions = 0;
       legacy_retired_peak = 0 }
 
-  let limbo_source t =
-    Limbo.Ts.source ~bags:t.cfg.limbo_bags ~capacity:t.cfg.bag_capacity
-      t.dummy
+  let limbo_source t = Bag.Ts.source ~capacity:t.cfg.bag_capacity t.dummy
 
   let register t ~pid =
     let lsrc = limbo_source t in
@@ -200,8 +195,8 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       { owner = t;
         pid;
         lsrc;
-        limbo = Limbo.Ts.Triple.create lsrc;
-        adopted = Limbo.Ts.create lsrc;
+        limbo = Bag.Ts.Triple.create lsrc;
+        adopted = Bag.Ts.create lsrc;
         seized = Atomic.make false;
         eviction_on = t.cfg.eviction_timeout <> None;
         scan_set = Hp.scan_set t.hp;
@@ -218,25 +213,15 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
         evictions = 0;
         retired_peak = 0;
         scan_now = 0;
-        vec_filter =
-          (fun n ts ->
-            if
-              h.scan_now - ts >= age && not (Hp.protects_set h.scan_set n)
-            then begin
-              t.free n;
-              h.frees <- h.frees + 1;
-              (* the exact [now - ts] the age check passed on *)
-              R.emit Qs_intf.Runtime_intf.Ev_free (N.id n) (h.scan_now - ts);
-              false
-            end
-            else true);
         age_ok = (fun stamp -> h.scan_now - stamp >= age);
         keep = (fun n -> Hp.protects_set h.scan_set n);
         free_bag =
           (fun data ts count stamp ->
             t.free_bulk data count;
             h.frees <- h.frees + count;
-            (* one tracing check per bag instead of one dead emit per node *)
+            (* one tracing check per bag instead of one dead emit per
+               node; Ev_free.b is the exact [now - ts] the age check
+               passed on *)
             if R.tracing () then
               for i = 0 to count - 1 do
                 R.emit Qs_intf.Runtime_intf.Ev_free (N.id data.(i))
@@ -244,18 +229,13 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
               done;
             R.emit Qs_intf.Runtime_intf.Ev_bag_free count
               (h.scan_now - stamp));
-        uncond_node =
-          (fun n _ts ->
-            t.free n;
-            h.frees <- h.frees + 1;
-            (* no clock read on the unconditional path (reading it would
-               charge virtual time and perturb seeded schedules): the age
-               is recovered offline from the node's Ev_retire *)
-            R.emit Qs_intf.Runtime_intf.Ev_free (N.id n) (-1));
         uncond_bag =
           (fun data _ts count _stamp ->
             t.free_bulk data count;
             h.frees <- h.frees + count;
+            (* no clock read on the unconditional path (reading it would
+               charge virtual time and perturb seeded schedules): the age
+               is recovered offline from the node's Ev_retire *)
             if R.tracing () then
               for i = 0 to count - 1 do
                 R.emit Qs_intf.Runtime_intf.Ev_free (N.id data.(i)) (-1)
@@ -265,7 +245,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     t.handles.(pid) <- Some h;
     h
 
-  let total_limbo h = Limbo.Ts.Triple.total h.limbo
+  let total_limbo h = Bag.Ts.Triple.total h.limbo
 
   (* Hazard pointers are maintained in BOTH modes, without fences — this is
      what makes the fast path fast and the switch sound (see §4.1). The
@@ -282,8 +262,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
      that are old enough and unprotected, keep the rest. The caller must
      have refreshed [h.scan_set] and [h.scan_now]. *)
   let scan_limbo h v =
-    Limbo.Ts.scan v ~vec_filter:h.vec_filter ~age_ok:h.age_ok ~keep:h.keep
-      ~free_bag:h.free_bag
+    Bag.Ts.scan v ~age_ok:h.age_ok ~keep:h.keep ~free_bag:h.free_bag
 
   let scan_epoch h e = scan_limbo h h.limbo.(e)
 
@@ -303,7 +282,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       | None -> ()
       | Some e ->
         Array.iter
-          (fun v -> Limbo.Ts.splice_into ~src:v ~dst:h.adopted)
+          (fun v -> Bag.Ts.splice_into ~src:v ~dst:h.adopted)
           e.Orphan_pool.payload;
         R.emit Qs_intf.Runtime_intf.Ev_adopt e.Orphan_pool.nodes
           e.Orphan_pool.donor
@@ -312,7 +291,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
      into [scan_all] instead). Gated on emptiness: non-churn runs perform
      no extra effects here. *)
   let reclaim_adopted h =
-    if Limbo.Ts.length h.adopted > 0 then begin
+    if Bag.Ts.length h.adopted > 0 then begin
       let t = h.owner in
       h.scan_now <- R.now_coarse ();
       Hp.snapshot_into t.hp h.scan_set;
@@ -325,7 +304,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     R.hook Qs_intf.Runtime_intf.Hook_scan;
     adopt_orphans h;
     h.scans <- h.scans + 1;
-    let before = total_limbo h + Limbo.Ts.length h.adopted in
+    let before = total_limbo h + Bag.Ts.length h.adopted in
     R.emit Qs_intf.Runtime_intf.Ev_scan_begin before (-1);
     h.scan_now <- R.now_coarse ();
     Hp.snapshot_into h.owner.hp h.scan_set;
@@ -334,7 +313,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     done;
     (* effect-free when empty: the filter walk is plain OCaml *)
     scan_limbo h h.adopted;
-    let kept = total_limbo h + Limbo.Ts.length h.adopted in
+    let kept = total_limbo h + Bag.Ts.length h.adopted in
     R.emit Qs_intf.Runtime_intf.Ev_scan_end (before - kept) kept
 
   (* Free an adopted epoch's limbo list. Unconditional in the common case
@@ -353,8 +332,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     else
       (* unconditional: the grace period (Lemma 3) covers every node in
          the epoch, bags included — no age check, no clock read *)
-      Limbo.Ts.drain h.limbo.(e) ~free_node:h.uncond_node
-        ~free_bag:h.uncond_bag
+      Bag.Ts.drain h.limbo.(e) ~free_bag:h.uncond_bag
 
   (* Top-level recursion, as in {!Qsbr}: an inner [let rec] closure here
      would allocate on the fast-path quiescence round. *)
@@ -447,8 +425,8 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     (* fresh block source too: the seized lists keep the old one, and the
        adopter recycles their blocks into its own — never into ours *)
     h.lsrc <- limbo_source t;
-    h.limbo <- Limbo.Ts.Triple.create h.lsrc;
-    h.adopted <- Limbo.Ts.create h.lsrc;
+    h.limbo <- Bag.Ts.Triple.create h.lsrc;
+    h.adopted <- Bag.Ts.create h.lsrc;
     Atomic.set h.seized false
 
   let check_seized h =
@@ -471,7 +449,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
                  they sat in the dead handle until teardown). The list
                  references are captured BEFORE the seize flag is raised:
                  a victim that is merely slow — not dead — installs fresh
-                 vectors when it observes the flag, so donating the
+                 lists when it observes the flag, so donating the
                  captured ones cannot race with its later retires.
                  Adopters reclaim them under the HP + age filter, which
                  honours the hazards of an evicted-but-alive victim. *)
@@ -481,7 +459,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
                 let limbo = hv.limbo and adopted = hv.adopted in
                 if Atomic.compare_and_set hv.seized false true then begin
                   let nodes =
-                    Limbo.Ts.Triple.total limbo + Limbo.Ts.length adopted
+                    Bag.Ts.Triple.total limbo + Bag.Ts.length adopted
                   in
                   Orphan_pool.donate t.orphans ~donor:pid' ~nodes
                     [| limbo.(0); limbo.(1); limbo.(2); adopted |]
@@ -530,10 +508,10 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     let ts = R.now_coarse () in
     (* seize check immediately before the push, with no runtime effect in
        between: on the simulator the check + push pair is atomic w.r.t.
-       other processes, so a node can never land in a vector that has
+       other processes, so a node can never land in a list that has
        already been donated and adopted *)
     if h.eviction_on then check_seized h;
-    let sealed = Limbo.Ts.push h.limbo.(e) n ts in
+    let sealed = Bag.Ts.push h.limbo.(e) n ts in
     h.retires <- h.retires + 1;
     let total = total_limbo h in
     if total > h.retired_peak then h.retired_peak <- total;
@@ -567,11 +545,11 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     check_seized h;
     if R.cas t.evicted.(h.pid) 0 1 then
       ignore (R.fetch_and_add t.evicted_count 1);
-    let donated = total_limbo h + Limbo.Ts.length h.adopted in
+    let donated = total_limbo h + Bag.Ts.length h.adopted in
     let old_limbo = h.limbo and old_adopted = h.adopted in
     h.lsrc <- limbo_source t;
-    h.limbo <- Limbo.Ts.Triple.create h.lsrc;
-    h.adopted <- Limbo.Ts.create h.lsrc;
+    h.limbo <- Bag.Ts.Triple.create h.lsrc;
+    h.adopted <- Bag.Ts.create h.lsrc;
     Orphan_pool.donate t.orphans ~donor:h.pid ~nodes:donated
       [| old_limbo.(0); old_limbo.(1); old_limbo.(2); old_adopted |];
     t.legacy_retires <- t.legacy_retires + h.retires;
@@ -600,27 +578,19 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
        here too would double-free; start from the fresh ones *)
     check_seized h;
     let t = h.owner in
-    let flush_node n _ts =
-      t.free n;
-      h.frees <- h.frees + 1
-    in
     let flush_bag data _ts count _stamp =
       t.free_bulk data count;
       h.frees <- h.frees + count
     in
     for e = 0 to 2 do
-      Limbo.Ts.drain h.limbo.(e) ~free_node:flush_node ~free_bag:flush_bag
+      Bag.Ts.drain h.limbo.(e) ~free_bag:flush_bag
     done;
-    Limbo.Ts.drain h.adopted ~free_node:flush_node ~free_bag:flush_bag;
+    Bag.Ts.drain h.adopted ~free_bag:flush_bag;
     List.iter
       (fun (e : _ Orphan_pool.entry) ->
         Array.iter
           (fun v ->
-            Limbo.Ts.drain v
-              ~free_node:(fun n _ts ->
-                t.free n;
-                t.legacy_frees <- t.legacy_frees + 1)
-              ~free_bag:(fun data _ts count _stamp ->
+            Bag.Ts.drain v ~free_bag:(fun data _ts count _stamp ->
                 t.free_bulk data count;
                 t.legacy_frees <- t.legacy_frees + count))
           e.Orphan_pool.payload)
@@ -632,7 +602,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       0 t.handles
 
   let retired_count t =
-    fold t (fun h -> total_limbo h + Limbo.Ts.length h.adopted)
+    fold t (fun h -> total_limbo h + Bag.Ts.length h.adopted)
     + Orphan_pool.node_count t.orphans
 
   let stats t =

@@ -22,8 +22,8 @@ module type NODE = sig
       lifetime (across arena reuse too — it identifies the {e object}, not
       the allocation). Used by the hazard-pointer membership set
       ({!Hp_array}) in place of physical-equality list scans: a snapshot
-      becomes a sorted [int] array with O(log N·K) membership and zero
-      per-scan allocation. Collisions are {e safe} — a node sharing an id
+      becomes an open-addressing hash set of ids with O(1) expected
+      membership and zero per-scan allocation. Collisions are {e safe} — a node sharing an id
       with a protected node is merely kept one scan longer — but hurt
       reclamation latency, so ids should be unique in practice (the data
       structures stamp each node from a per-structure counter at creation).
@@ -75,17 +75,13 @@ type config = {
           process never recovers. [None] disables eviction (the paper's
           published behaviour: a crashed process pins QSense in fallback
           mode forever). *)
-  limbo_bags : bool;
-      (** Limbo-list representation: [true] (default) uses DEBRA-style
-          batched bags ({!Qs_util.Bag}) — stamp once per sealed bag,
-          oldest-bag-first walks, bulk frees; [false] keeps the
-          element-wise {!Qs_util.Vec} reference, used by the bag-vs-vec
-          differential tests and as an escape hatch. *)
   bag_capacity : int;
-      (** Nodes per limbo bag (clamped [>= 1]); only read when
-          [limbo_bags] is on. Larger bags amortise the stamp check and the
-          arena free over more nodes but delay reclamation of a bag's
-          oldest node by up to one bag-fill. *)
+      (** Nodes per limbo bag (clamped [>= 1]). Every scheme keeps its
+          limbo lists as DEBRA-style batched bags ({!Qs_util.Bag}): stamp
+          once per sealed bag, oldest-bag-first walks, bulk frees. Larger
+          bags amortise the stamp check and the arena free over more nodes
+          but delay reclamation of a bag's oldest node by up to one
+          bag-fill. *)
 }
 
 let default_config ~n_processes ~hp_per_process =
@@ -99,7 +95,6 @@ let default_config ~n_processes ~hp_per_process =
     switch_threshold = 0;
     removes_per_op_max = 1;
     eviction_timeout = None;
-    limbo_bags = true;
     bag_capacity = 64 }
 
 (** The effective scan threshold under adaptive scan scheduling:

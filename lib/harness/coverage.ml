@@ -85,9 +85,8 @@ let mutations (c : Explorer.case) : Explorer.case list =
     (* Bag boundaries move with the block capacity; sealing needs blocks
        small enough to fill within the run's retire budget. *)
     match c.Explorer.bags with
-    | 0 -> [ { c with Explorer.bags = 4 } ]
-    | 4 -> [ { c with Explorer.bags = 1 }; { c with Explorer.bags = 0 } ]
-    | _ -> [ { c with Explorer.bags = 4 }; { c with Explorer.bags = 0 } ]
+    | 4 -> [ { c with Explorer.bags = 1 } ]
+    | _ -> [ { c with Explorer.bags = 4 } ]
   in
   seeds @ depth @ bags
 

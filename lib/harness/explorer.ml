@@ -33,7 +33,7 @@ type case = {
   capacity : int;  (** arena capacity; 0 = unbounded *)
   switch : int;  (** QSense C; 0 = smallest legal (Property 4) *)
   evict : int;  (** QSense eviction timeout dt (§5.2); 0 = eviction off *)
-  bags : int;  (** limbo representation: 0 = vec reference, >0 = bag capacity *)
+  bags : int;  (** limbo bag capacity; values below 1 run as 1 *)
   strategy : strategy;
   faults : Scheduler.fault list;
   seed : int;
@@ -227,8 +227,7 @@ let of_string line : (case, string) result =
         Some switch,
         Some seed ) ->
       (* [bags] and [evict] are optional so older corpus/repro lines keep
-         parsing; absent means the default bag representation / no
-         eviction *)
+         parsing; absent means 64-node bags / no eviction *)
       let bags = Option.value (int_field "bags") ~default:64 in
       let evict = Option.value (int_field "evict") ~default:0 in
       Ok
@@ -367,8 +366,7 @@ let run_one ?sink (c : case) : outcome =
       epsilon = (if needs_roosters then epsilon else 0);
       switch_threshold = c.switch;
       eviction_timeout = (if c.evict > 0 then Some c.evict else None);
-      limbo_bags = c.bags > 0;
-      bag_capacity = (if c.bags > 0 then c.bags else 64) }
+      bag_capacity = c.bags }
   in
   let set_cfg =
     { Qs_ds.Set_intf.scheme = c.scheme;

@@ -49,10 +49,11 @@ type case = {
           an optional [evict=] field (absent = 0), so pre-eviction case
           lines keep parsing. *)
   bags : int;
-      (** limbo-list representation: [0] = the {!Qs_util.Vec} reference,
-          [> 0] = {!Qs_util.Bag} with that block capacity. Serialized as an
-          optional [bags=] field (absent = 64) so pre-bag case lines keep
-          parsing. *)
+      (** {!Qs_util.Bag} block capacity of every limbo list. Values below 1
+          run as 1 (the block source clamps), so old [bags=0] lines, which
+          once selected an element-wise reference, replay on capacity-1
+          bags. Serialized as an optional [bags=] field (absent = 64) so
+          pre-bag case lines keep parsing. *)
   strategy : strategy;
   faults : Scheduler.fault list;
   seed : int;

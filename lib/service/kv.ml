@@ -171,9 +171,34 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let outstanding t = sum Table.outstanding Index.outstanding t
   let retired_count t = sum Table.retired_count Index.retired_count t
 
+  (* Every shard and the index run their own scheme instance, so the
+     service-wide scheme counters are sums (see [report] in kv.mli). *)
+  let add_smr (a : Qs_smr.Smr_intf.stats) (b : Qs_smr.Smr_intf.stats) :
+      Qs_smr.Smr_intf.stats =
+    { retires = a.retires + b.retires;
+      frees = a.frees + b.frees;
+      scans = a.scans + b.scans;
+      epoch_advances = a.epoch_advances + b.epoch_advances;
+      fallback_switches = a.fallback_switches + b.fallback_switches;
+      fastpath_switches = a.fastpath_switches + b.fastpath_switches;
+      fallback_entries = a.fallback_entries + b.fallback_entries;
+      fallback_exits = a.fallback_exits + b.fallback_exits;
+      fallback_ticks = a.fallback_ticks + b.fallback_ticks;
+      fallback_since =
+        (match (a.fallback_since, b.fallback_since) with
+        | Some x, Some y -> Some (min x y)
+        | (Some _ as s), None | None, (Some _ as s) -> s
+        | None, None -> None);
+      evictions = a.evictions + b.evictions;
+      neutralizations = a.neutralizations + b.neutralizations;
+      retired_now = a.retired_now + b.retired_now;
+      retired_peak = a.retired_peak + b.retired_peak;
+      scan_threshold_eff = max a.scan_threshold_eff b.scan_threshold_eff;
+      mode = (if a.mode = Fallback then Fallback else b.mode) }
+
   let report t : Qs_ds.Set_intf.report =
     let add (a : Qs_ds.Set_intf.report) (b : Qs_ds.Set_intf.report) =
-      { a with
+      { Qs_ds.Set_intf.smr = add_smr a.smr b.smr;
         allocations = a.allocations + b.allocations;
         frees = a.frees + b.frees;
         outstanding = a.outstanding + b.outstanding;

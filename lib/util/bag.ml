@@ -3,8 +3,8 @@
    Structures: There has to be a Better Way", PODC'15; Hyaline makes the
    same amortisation argument with reference batches).
 
-   The vec-based limbo lists ({!Vec}/{!Vec.Ts}) pay the epoch/age check and
-   the arena free once per node on every scan. Bags amortise both: nodes
+   Element-wise limbo lists pay the epoch/age check and the arena free
+   once per node on every scan. Bags amortise both: nodes
    are pushed into a fixed-capacity open block; when the block fills it is
    {e sealed} — stamped once with the coarse timestamp of its newest
    element — and appended to the deque's sealed chain. Because every
@@ -15,7 +15,7 @@
    arena in one bulk call, and the emptied block goes back to a per-process
    free-block cache, so steady-state retire/scan allocates nothing.
 
-   Two flavours mirror {!Vec}:
+   Two flavours:
 
    - {!t} — plain bags (no timestamps) for the schemes that never age-check
      individual nodes: QSBR/EBR free whole epochs, classic HP filters by
@@ -25,7 +25,7 @@
      filtering of the still-open block) plus the seal stamp driving the
      oldest-first walk.
 
-   Single-owner like {!Vec}: each deque belongs to one process; donation
+   Single-owner: each deque belongs to one process; donation
    moves whole chains through {!splice_into} (pure pointer splicing — the
    orphan pool hands sealed bags over intact).
 
@@ -262,8 +262,7 @@ let scan t ~keep ~free_bag =
    non-empty) and splice the sealed chain onto [dst]'s tail — pure pointer
    operations, the bags travel intact. [src] is left empty but alive (it
    draws a fresh open block from its own cache): a racing owner that still
-   pushes into it merely strands that node in an unreferenced block, the
-   same benign race the vec-based donation had. *)
+   pushes into it merely strands that node in an unreferenced block. *)
 let splice_into ~src ~dst =
   if src.cur.len > 0 then begin
     append_sealed src src.cur;
@@ -284,6 +283,15 @@ let splice_into ~src ~dst =
     src.tail <- src.src.nil;
     src.sealed_len <- 0
   end
+
+(* Three limbo lists indexed by epoch mod 3, the shape QSBR/EBR/DEBRA+
+   share. *)
+module Triple = struct
+  type nonrec 'a t = 'a t array
+
+  let create src = [| create src; create src; create src |]
+  let total a = length a.(0) + length a.(1) + length a.(2)
+end
 
 (* The timestamped variant for Cadence/QSense. Blocks carry a parallel
    per-node [ts] array plus [stamp], the seal-time timestamp of the block's
@@ -435,8 +443,8 @@ module Ts = struct
      remainder, preserving the chain's oldest-first order.
 
      The still-open block is filtered per node (its nodes are the newest;
-     a per-node check there is what keeps bag semantics aligned with the
-     vec reference for small limbo sizes): a node is dropped only if
+     a per-node check there makes limbo lists smaller than one block
+     decide exactly as an element-wise filter): a node is dropped only if
      [age_ok] holds for its own timestamp AND [keep] rejects it. Dropped
      open-block nodes are staged in a scratch block so they also reach the
      arena through one bulk call.
@@ -588,4 +596,11 @@ module Ts = struct
       src.tail <- src.src.nil;
       src.sealed_len <- 0
     end
+
+  module Triple = struct
+    type nonrec 'a t = 'a t array
+
+    let create src = [| create src; create src; create src |]
+    let total a = length a.(0) + length a.(1) + length a.(2)
+  end
 end

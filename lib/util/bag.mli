@@ -3,7 +3,7 @@
     fills; reclamation walks sealed bags oldest-first and frees a whole
     bag's nodes in one bulk call, stopping at the first bag that is still
     unreclaimable. Emptied blocks return to a per-process cache, so
-    steady-state retire/scan is allocation-free. Single-owner, like {!Vec};
+    steady-state retire/scan is allocation-free. Single-owner;
     donation moves sealed chains intact via {!splice_into}. *)
 
 type 'a source
@@ -51,6 +51,14 @@ val splice_into : src:'a t -> dst:'a t -> unit
     pointer surgery — bags travel intact, O(1) in the number of nodes.
     [src] is left empty but alive. *)
 
+(** Three epoch-indexed limbo lists, the shape QSBR/EBR/DEBRA+ share. *)
+module Triple : sig
+  type nonrec 'a t = 'a t array
+
+  val create : 'a source -> 'a t
+  val total : 'a t -> int
+end
+
 (** The timestamped variant for Cadence/QSense: blocks carry a parallel
     per-node timestamp array (exact age-at-free; per-node filtering of the
     open block) plus a seal [stamp] — the newest, hence by clock
@@ -97,7 +105,15 @@ module Ts : sig
       the rest are freed wholesale. The open block is filtered per node: a
       node is dropped only if [age_ok] holds for its own timestamp and
       [keep] rejects it — for limbo sizes below one block this makes bag
-      scans decide exactly as the vec reference. *)
+      scans decide exactly as an element-wise filter. *)
 
   val splice_into : src:'a t -> dst:'a t -> unit
+
+  (** Three epoch-indexed timestamped lists (QSense). *)
+  module Triple : sig
+    type nonrec 'a t = 'a t array
+
+    val create : 'a source -> 'a t
+    val total : 'a t -> int
+  end
 end

@@ -1,23 +1,11 @@
-(* Growable vectors for the reclamation hot paths.
+(* Growable vector backing the arena's per-process free lists.
 
-   The seed implementation kept limbo/removed-nodes lists as [node list]:
-   every [retire] consed a fresh cell and every scan rebuilt the list with
-   [List.filter] + [List.length]. These vectors make [retire] an amortised
-   allocation-free array store and let scans compact in place, touching each
-   element exactly once and freeing nothing on the OCaml heap.
-
-   Two flavours:
-
-   - {!t} — a plain growable vector of ['a], parameterised by a [dummy]
-     element used to blank vacated slots (so the vector never keeps freed
-     nodes alive for the GC);
-   - {!Ts} — the timestamped variant used by Cadence/QSense: a vector of
-     ['a] with a parallel [int] array of retire timestamps, avoiding a
-     per-entry wrapper record on the retire path.
-
-   Capacity only grows (doubling); it is retained across {!clear} so that a
-   steady-state workload stops allocating entirely. Not thread-safe: every
-   vector is owned by exactly one process (per-process limbo lists). *)
+   A [node list] free list would cons a cell on every free; this vector
+   makes [push] an amortised allocation-free array store and [pop] a LIFO
+   read, so the most-recently-freed (cache-warm) node is reused first.
+   Vacated slots are blanked with [dummy] so the vector never keeps freed
+   nodes alive for the GC. Capacity only grows (doubling). Not
+   thread-safe: every vector is owned by exactly one process. *)
 
 type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
 
@@ -26,7 +14,6 @@ let create ?(capacity = 16) dummy =
 
 let length t = t.len
 let is_empty t = t.len = 0
-let capacity t = Array.length t.data
 
 let grow t =
   let data = Array.make (2 * Array.length t.data) t.dummy in
@@ -38,124 +25,9 @@ let push t x =
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Vec.get";
-  t.data.(i)
-
-(* LIFO pop, blanking the vacated slot: the arena's free lists want the
-   most-recently-freed (cache-warm) node first, with no cons per free. *)
 let pop t =
   if t.len = 0 then invalid_arg "Vec.pop";
   t.len <- t.len - 1;
   let x = t.data.(t.len) in
   t.data.(t.len) <- t.dummy;
   x
-
-let clear t =
-  Array.fill t.data 0 t.len t.dummy;
-  t.len <- 0
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
-
-let fold_left f acc t =
-  let acc = ref acc in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
-
-(* In-place compaction: keep elements satisfying [f] (preserving order),
-   drop the rest. [f] is called exactly once per element, in order, so it
-   may perform the "free" side effect for dropped elements. Vacated tail
-   slots are blanked with the dummy. *)
-let filter_in_place t f =
-  let j = ref 0 in
-  for i = 0 to t.len - 1 do
-    let x = t.data.(i) in
-    if f x then begin
-      t.data.(!j) <- x;
-      incr j
-    end
-  done;
-  for i = !j to t.len - 1 do
-    t.data.(i) <- t.dummy
-  done;
-  t.len <- !j
-
-let to_list t = List.rev (fold_left (fun acc x -> x :: acc) [] t)
-
-module Ts = struct
-  type 'a t = {
-    mutable data : 'a array;
-    mutable ts : int array;
-    mutable len : int;
-    dummy : 'a;
-  }
-
-  let create ?(capacity = 16) dummy =
-    let capacity = max 1 capacity in
-    { data = Array.make capacity dummy; ts = Array.make capacity 0; len = 0; dummy }
-
-  let length t = t.len
-  let is_empty t = t.len = 0
-  let capacity t = Array.length t.data
-
-  let grow t =
-    let cap = 2 * Array.length t.data in
-    let data = Array.make cap t.dummy in
-    let ts = Array.make cap 0 in
-    Array.blit t.data 0 data 0 t.len;
-    Array.blit t.ts 0 ts 0 t.len;
-    t.data <- data;
-    t.ts <- ts
-
-  let push t x stamp =
-    if t.len = Array.length t.data then grow t;
-    t.data.(t.len) <- x;
-    t.ts.(t.len) <- stamp;
-    t.len <- t.len + 1
-
-  let get t i =
-    if i < 0 || i >= t.len then invalid_arg "Vec.Ts.get";
-    t.data.(i)
-
-  let ts_of t i =
-    if i < 0 || i >= t.len then invalid_arg "Vec.Ts.ts_of";
-    t.ts.(i)
-
-  let clear t =
-    Array.fill t.data 0 t.len t.dummy;
-    t.len <- 0
-
-  let iter f t =
-    for i = 0 to t.len - 1 do
-      f t.data.(i) t.ts.(i)
-    done
-
-  (* In-place compaction over (element, timestamp) pairs; see
-     {!Vec.filter_in_place}. *)
-  let filter_in_place t f =
-    let j = ref 0 in
-    for i = 0 to t.len - 1 do
-      let x = t.data.(i) and s = t.ts.(i) in
-      if f x s then begin
-        t.data.(!j) <- x;
-        t.ts.(!j) <- s;
-        incr j
-      end
-    done;
-    for i = !j to t.len - 1 do
-      t.data.(i) <- t.dummy
-    done;
-    t.len <- !j
-
-  let to_list t =
-    let acc = ref [] in
-    for i = t.len - 1 downto 0 do
-      acc := (t.data.(i), t.ts.(i)) :: !acc
-    done;
-    !acc
-end

@@ -1,8 +1,7 @@
-(** Growable vectors for the reclamation hot paths (limbo / removed-nodes
-    lists). [retire] becomes an amortised allocation-free array store;
-    scans compact in place instead of rebuilding a list. Capacity doubles
-    on demand and is retained across {!clear}, so a steady-state workload
-    performs no heap allocation at all. Single-owner: not thread-safe. *)
+(** Growable vector backing {!Arena}'s per-process free lists. [push] is an
+    amortised allocation-free array store and [pop] is LIFO, so a recycling
+    workload allocates nothing once capacity has been reached. Capacity
+    doubles on demand and never shrinks. Single-owner: not thread-safe. *)
 
 type 'a t
 
@@ -12,54 +11,10 @@ val create : ?capacity:int -> 'a -> 'a t
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
-val capacity : 'a t -> int
 
 val push : 'a t -> 'a -> unit
 (** Amortised O(1), allocation-free once capacity has been reached. *)
 
-val get : 'a t -> int -> 'a
-(** Raises [Invalid_argument] out of bounds. *)
-
 val pop : 'a t -> 'a
 (** Remove and return the last element (LIFO), blanking its slot.
     Allocation-free. Raises [Invalid_argument] on an empty vector. *)
-
-val clear : 'a t -> unit
-(** Drops all elements (blanking slots); capacity is retained. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-
-val filter_in_place : 'a t -> ('a -> bool) -> unit
-(** [filter_in_place t f] keeps (in order) the elements satisfying [f] and
-    drops the rest, compacting in place with zero allocation. [f] is called
-    exactly once per element, in order — it may free dropped elements as a
-    side effect. *)
-
-val to_list : 'a t -> 'a list
-(** Debug/test helper (allocates). *)
-
-(** The timestamped variant used by Cadence/QSense: a parallel [int] array
-    of retire timestamps replaces the seed's per-entry wrapper record. *)
-module Ts : sig
-  type 'a t
-
-  val create : ?capacity:int -> 'a -> 'a t
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
-  val capacity : 'a t -> int
-
-  val push : 'a t -> 'a -> int -> unit
-  (** [push t x ts] appends [x] with retire timestamp [ts]. *)
-
-  val get : 'a t -> int -> 'a
-  val ts_of : 'a t -> int -> int
-  val clear : 'a t -> unit
-  val iter : ('a -> int -> unit) -> 'a t -> unit
-
-  val filter_in_place : 'a t -> ('a -> int -> bool) -> unit
-  (** As {!Vec.filter_in_place}, over (element, timestamp) pairs. *)
-
-  val to_list : 'a t -> ('a * int) list
-  (** Debug/test helper (allocates). *)
-end

@@ -6,14 +6,15 @@
    - model-based differentials: both bag flavours against independent
      list models of the documented semantics, on random workloads and
      block capacities;
-   - scheme-level bag-vs-vec differentials on the simulator: the same
-     explorer case run with the vec reference ([bags=0]), capacity-1 bags
-     and default bags must agree — exactly (verdict, ops, steps, freed-id
-     multiset) wherever the representations are semantically identical,
-     and on the safety verdict everywhere else;
+   - scheme-level bag-capacity differentials on the simulator: the same
+     explorer case run with [bags=0] (old corpus lines, clamped to
+     capacity 1), capacity-1 bags and default bags. [bags=0] and
+     [bags=1] must agree exactly (verdict, ops, steps, freed-id
+     multiset); capacity 64 must agree on the safety verdict and the op
+     budget;
    - exact-zero [Gc.minor_words] pins: the batched retire path of all
      five schemes, and the HP / QSense-fallback filtering scan, allocate
-     nothing in steady state — on bags and on the vec reference. *)
+     nothing in steady state. *)
 
 module Bag = Qs_util.Bag
 
@@ -230,7 +231,7 @@ let prop_ts_scan_matches_model =
       List.sort compare (ts_to_list t) = List.sort compare m_kept
       && Bag.Ts.length t = List.length m_kept)
 
-(* --- scheme-level bag-vs-vec differential on the simulator --------------- *)
+(* --- scheme-level bag-capacity differential on the simulator ------------- *)
 
 module Explorer = Qs_harness.Explorer
 module Tracer = Qs_obs.Tracer
@@ -286,63 +287,49 @@ let check_identical name (a : Explorer.outcome) fa (b : Explorer.outcome) fb =
   checki (name ^ ": same steps") a.Explorer.steps b.Explorer.steps;
   checkl (name ^ ": same freed-id multiset") fa fb
 
-(* QSBR / EBR / HP never age-check individual nodes, so bags are
-   semantically identical to the vec reference: whole-epoch drains and
-   hazard filters free the same sets at the same scans. With capacity-1
-   bags every bulk free covers one node, so even the simulated schedule
-   is bit-identical — the runs must be indistinguishable (verdict, ops,
-   scheduler steps, freed-id multiset) under every schedule, fault plan
-   and churn. At capacity 64 the bulk free performs ONE routing effect
-   ([R.self]) per bag instead of per node — the batching win itself — so
-   the simulated schedule legitimately diverges after the first sealed
-   bag is freed; there the safety verdict and the op budget are pinned,
-   and the corpus replay covers the rest. *)
+(* Every case runs three times: [bags=0], [bags=1] and [bags=64]. An old
+   corpus or repro line with [bags=0] once selected an element-wise
+   reference; it now runs on capacity-1 bags, so it must be
+   indistinguishable from its [bags=1] twin (verdict, ops, scheduler
+   steps, freed-id multiset) under every schedule, fault plan and churn —
+   that pins the meaning of the old lines. Capacity-1 bags seal on every
+   push, so every bulk free covers one node. At capacity 64 the bulk free
+   performs ONE routing effect ([R.self]) per bag instead of per node —
+   the batching win itself — so the simulated schedule legitimately
+   diverges after the first sealed bag is freed; there the safety verdict
+   is pinned, and the corpus replay covers the rest. *)
+let run_capacities scheme (vname, strategy, faults) =
+  let name = Printf.sprintf "%s/%s" (Scheme.to_string scheme) vname in
+  let run bags = run_traced (diff_case ~scheme ~strategy ~faults ~bags) in
+  let o_b0, f_b0 = run 0 in
+  let o_b1, f_b1 = run 1 in
+  let o_b64, _ = run 64 in
+  check_identical (name ^ " bags=0 = bags=1") o_b0 f_b0 o_b1 f_b1;
+  check_pass (name ^ " cap64") o_b64;
+  (name, o_b1, o_b64)
+
+(* QSBR / EBR / HP never age-check individual nodes: whole-epoch drains
+   and hazard filters free the same sets at the same scans whatever the
+   capacity, so capacity 64 also completes the same op budget. *)
 let test_differential_exact () =
   List.iter
     (fun scheme ->
       List.iter
-        (fun (vname, strategy, faults) ->
-          let name =
-            Printf.sprintf "%s/%s" (Scheme.to_string scheme) vname
-          in
-          let run bags = run_traced (diff_case ~scheme ~strategy ~faults ~bags) in
-          let o_vec, f_vec = run 0 in
-          let o_b1, f_b1 = run 1 in
-          let o_b64, _ = run 64 in
-          check_identical (name ^ " vec=cap1") o_vec f_vec o_b1 f_b1;
-          check_pass (name ^ " cap64") o_b64;
-          checki (name ^ " cap64: same ops") o_vec.Explorer.ops
+        (fun variant ->
+          let name, o_b1, o_b64 = run_capacities scheme variant in
+          checki (name ^ " cap64: same ops") o_b1.Explorer.ops
             o_b64.Explorer.ops)
         schedule_variants)
     [ Scheme.Qsbr; Scheme.Ebr; Scheme.Hp ]
 
-(* Cadence / QSense age-check per BAG (one stamp per block), so exact
-   equivalence with the vec reference holds for capacity-1 bags as long as
-   stamps stay monotone — i.e. without adoption seams. Under churn the
-   walk may stop early at a seam (a bounded reclamation delay, never a
-   safety issue), so only the safety verdict is pinned there, as it is for
-   capacity-64 bags (whose open-block filter defers nothing only while
-   limbo stays under one block). *)
+(* Cadence / QSense age-check per BAG (one stamp per block), so a
+   capacity-64 walk may defer nodes a capacity-1 walk frees; only the
+   safety verdict is pinned across capacities. *)
 let test_differential_timestamped () =
   List.iter
     (fun scheme ->
       List.iter
-        (fun (vname, strategy, faults) ->
-          let name =
-            Printf.sprintf "%s/%s" (Scheme.to_string scheme) vname
-          in
-          let run bags = run_traced (diff_case ~scheme ~strategy ~faults ~bags) in
-          let o_vec, f_vec = run 0 in
-          let o_b1, f_b1 = run 1 in
-          let o_b64, _ = run 64 in
-          check_pass (name ^ " cap64") o_b64;
-          if vname <> "churn" then
-            check_identical (name ^ " vec=cap1") o_vec f_vec o_b1 f_b1
-          else begin
-            check_pass (name ^ " vec") o_vec;
-            check_pass (name ^ " cap1") o_b1;
-            checki (name ^ ": same ops") o_vec.Explorer.ops o_b1.Explorer.ops
-          end)
+        (fun variant -> ignore (run_capacities scheme variant))
         schedule_variants)
     [ Scheme.Cadence; Scheme.Qsense ]
 
@@ -364,15 +351,14 @@ module Ebr_s = Qs_smr.Ebr.Make (R) (N)
 module Cadence_s = Qs_smr.Cadence.Make (R) (N)
 module Qsense_s = Qs_smr.Qsense.Make (R) (N)
 
-let base_cfg ~bags =
+let base_cfg =
   { (Qs_smr.Smr_intf.default_config ~n_processes:2 ~hp_per_process:2) with
     Qs_smr.Smr_intf.quiescence_threshold = 1_000_000;
     scan_threshold = 1_000_000;
     switch_threshold = 1_000_000;
     scan_factor = 0.;
     rooster_interval = max_int;
-    epsilon = 0;
-    limbo_bags = bags }
+    epsilon = 0 }
 
 let warmup = 20_000
 let count = 10_000
@@ -425,7 +411,7 @@ let test_bag_retire_exact_zero () =
   let free n = n.freed <- n.freed + 1 in
   let node = { fid = 1; freed = 0 } in
   let nothing () = () in
-  let cfg = base_cfg ~bags:true in
+  let cfg = base_cfg in
   (let t = Qsbr_s.create cfg ~dummy ~free in
    let h = Qsbr_s.register t ~pid:0 in
    check_exact_zero "qsbr bag retire"
@@ -465,11 +451,9 @@ let test_bag_retire_exact_zero () =
 (* The filtering scan paths — the HP scan and QSense's fallback scan,
    where hazard-protected survivors must be carried across each scan —
    with scans actually firing inside the measured window (every 256th
-   retire). Covers both representations: bags (survivor compaction into
-   recycled blocks) and the vec reference (the preallocated-closure
-   [filter_in_place] path the bags replaced). *)
-let scan_cfg ~bags =
-  { (base_cfg ~bags) with
+   retire): survivors are compacted into recycled blocks. *)
+let scan_cfg =
+  { base_cfg with
     Qs_smr.Smr_intf.scan_threshold = 256;
     rooster_interval = 0 (* age check passes immediately: T + eps = 0 *) }
 
@@ -477,61 +461,47 @@ let test_hp_scan_exact_zero () =
   let dummy = { fid = -1; freed = 0 } in
   let free n = n.freed <- n.freed + 1 in
   let pool = Array.init 512 (fun i -> { fid = i; freed = 0 }) in
-  List.iter
-    (fun bags ->
-      let label = if bags then "bags" else "vec" in
-      let t = Hp_s.create (scan_cfg ~bags) ~dummy ~free in
-      let h = Hp_s.register t ~pid:0 in
-      let protected_ = Array.init 2 (fun i -> { fid = 1_000 + i; freed = 0 }) in
-      let seed_protected () =
-        Array.iteri
-          (fun slot n ->
-            Hp_s.assign_hp h ~slot n;
-            Hp_s.retire h n)
-          protected_
-      in
-      check_exact_zero
-        (Printf.sprintf "hp scan (%s)" label)
-        ~rewarm:true
-        ~warm:(fun i -> Hp_s.retire h pool.(i mod 512))
-        ~flush:(fun () -> Hp_s.flush h)
-        ~prep:seed_protected
-        ~step:(fun i -> Hp_s.retire h pool.(i mod 512))
-        ())
-    [ true; false ]
+  let t = Hp_s.create scan_cfg ~dummy ~free in
+  let h = Hp_s.register t ~pid:0 in
+  let protected_ = Array.init 2 (fun i -> { fid = 1_000 + i; freed = 0 }) in
+  let seed_protected () =
+    Array.iteri
+      (fun slot n ->
+        Hp_s.assign_hp h ~slot n;
+        Hp_s.retire h n)
+      protected_
+  in
+  check_exact_zero "hp scan" ~rewarm:true
+    ~warm:(fun i -> Hp_s.retire h pool.(i mod 512))
+    ~flush:(fun () -> Hp_s.flush h)
+    ~prep:seed_protected
+    ~step:(fun i -> Hp_s.retire h pool.(i mod 512))
+    ()
 
 let test_qsense_fallback_scan_exact_zero () =
   let dummy = { fid = -1; freed = 0 } in
   let free n = n.freed <- n.freed + 1 in
   let pool = Array.init 512 (fun i -> { fid = i; freed = 0 }) in
-  List.iter
-    (fun bags ->
-      let label = if bags then "bags" else "vec" in
-      (* a small switch threshold sends the scheme into fallback during
-         warm-up; with nobody announcing quiescence it stays there, so the
-         measured window exercises exactly the fallback filtering scan *)
-      let cfg =
-        { (scan_cfg ~bags) with Qs_smr.Smr_intf.switch_threshold = 64 }
-      in
-      let t = Qsense_s.create cfg ~dummy ~free in
-      let h = Qsense_s.register t ~pid:0 in
-      let protected_ = Array.init 2 (fun i -> { fid = 1_000 + i; freed = 0 }) in
-      let seed_protected () =
-        Array.iteri
-          (fun slot n ->
-            Qsense_s.assign_hp h ~slot n;
-            Qsense_s.retire h n)
-          protected_
-      in
-      check_exact_zero
-        (Printf.sprintf "qsense fallback scan (%s)" label)
-        ~rewarm:true
-        ~warm:(fun i -> Qsense_s.retire h pool.(i mod 512))
-        ~flush:(fun () -> Qsense_s.flush h)
-        ~prep:seed_protected
-        ~step:(fun i -> Qsense_s.retire h pool.(i mod 512))
-        ())
-    [ true; false ]
+  (* a small switch threshold sends the scheme into fallback during
+     warm-up; with nobody announcing quiescence it stays there, so the
+     measured window exercises exactly the fallback filtering scan *)
+  let cfg = { scan_cfg with Qs_smr.Smr_intf.switch_threshold = 64 } in
+  let t = Qsense_s.create cfg ~dummy ~free in
+  let h = Qsense_s.register t ~pid:0 in
+  let protected_ = Array.init 2 (fun i -> { fid = 1_000 + i; freed = 0 }) in
+  let seed_protected () =
+    Array.iteri
+      (fun slot n ->
+        Qsense_s.assign_hp h ~slot n;
+        Qsense_s.retire h n)
+      protected_
+  in
+  check_exact_zero "qsense fallback scan" ~rewarm:true
+    ~warm:(fun i -> Qsense_s.retire h pool.(i mod 512))
+    ~flush:(fun () -> Qsense_s.flush h)
+    ~prep:seed_protected
+    ~step:(fun i -> Qsense_s.retire h pool.(i mod 512))
+    ()
 
 let suite =
   [ Alcotest.test_case "bag seal boundaries + partial final bag" `Quick
@@ -546,9 +516,9 @@ let suite =
       test_ts_splice_half_sealed;
     QCheck_alcotest.to_alcotest prop_plain_scan_matches_model;
     QCheck_alcotest.to_alcotest prop_ts_scan_matches_model;
-    Alcotest.test_case "bag-vs-vec differential: qsbr/ebr/hp exact" `Quick
+    Alcotest.test_case "bag capacity differential: qsbr/ebr/hp exact" `Quick
       test_differential_exact;
-    Alcotest.test_case "bag-vs-vec differential: cadence/qsense" `Quick
+    Alcotest.test_case "bag capacity differential: cadence/qsense" `Quick
       test_differential_timestamped;
     Alcotest.test_case "bag retire path allocates exactly zero" `Quick
       test_bag_retire_exact_zero;

@@ -2,14 +2,10 @@
    retire/scan:
 
    - the production hash scan set ([Hp_array.snapshot_into] /
-     [protects_set]) agrees with BOTH references — the list-based
-     [snapshot]/[protects] and the sorted-id
-     [snapshot_into_sorted]/[protects_sorted], kept precisely for this
-     three-way differential — on random hazard-pointer assignments;
+     [protects_set]) agrees with a list model (read every slot, test
+     membership with [List.memq]) on random hazard-pointer assignments;
    - [Qs_util.Int_set] agrees with a [Set.Make(Int)] model under random
      add/mem/reset sequences, including negative keys and growth;
-   - [Vec.filter_in_place] / [Vec.Ts.filter_in_place] free exactly the
-     same elements, in the same order, as the seed's [List.filter] path;
    - retire is allocation-free in steady state for all five schemes, and
      so is the scan membership path (snapshot + probes), both measured
      with [Gc.minor_words] on the real runtime after a warm-up. *)
@@ -26,10 +22,23 @@ end
 
 module Hp = Qs_smr.Hp_array.Make (R) (N)
 
-(* --- membership set vs list reference ------------------------------------ *)
+(* --- membership set vs list model ----------------------------------------- *)
+
+(* The list model: every non-dummy slot, read the same way the production
+   snapshot reads it. Membership is physical equality, so the model does
+   not depend on node ids at all. *)
+let list_snapshot (hp : Hp.t) =
+  Array.fold_left
+    (fun acc row ->
+      Array.fold_left
+        (fun acc slot ->
+          let n = R.read slot in
+          if n != hp.Hp.dummy then n :: acc else acc)
+        acc row)
+    [] hp.Hp.slots
 
 (* A random HP table: n x k slots, each either the dummy or a pool node
-   (duplicates across slots allowed). Both snapshot flavours are taken and
+   (duplicates across slots allowed). The hash set and the list model are
    compared on every pool node. *)
 let prop_scan_set_matches_reference =
   let gen =
@@ -50,19 +59,13 @@ let prop_scan_set_matches_reference =
           let node = if choice < 0 then dummy else pool.(choice) in
           Hp.assign hp ~pid ~slot node)
         assignments;
-      let reference = Hp.snapshot hp in
-      let sorted = Hp.sorted_set hp in
-      Hp.snapshot_into_sorted hp sorted;
+      let model = list_snapshot hp in
       let set = Hp.scan_set hp in
       Hp.snapshot_into hp set;
       Array.for_all
-        (fun node ->
-          let expected = Hp.protects reference node in
-          Hp.protects_set set node = expected
-          && Hp.protects_sorted sorted node = expected)
+        (fun node -> Hp.protects_set set node = List.memq node model)
         pool
-      && (not (Hp.protects_set set dummy))
-      && not (Hp.protects_sorted sorted dummy))
+      && not (Hp.protects_set set dummy))
 
 (* Clearing a process's row removes its nodes from the next snapshot. *)
 let prop_clear_removes_from_set =
@@ -134,58 +137,6 @@ let prop_int_set_reset_forgets =
         (fun k -> List.mem k second || not (Qs_util.Int_set.mem s k))
         first)
 
-(* --- Vec.filter_in_place vs List.filter ---------------------------------- *)
-
-let prop_vec_filter_matches_list_filter =
-  QCheck.Test.make
-    ~name:"Vec.filter_in_place = List.filter (same keeps, same order)"
-    ~count:500
-    QCheck.(pair (list small_int) (int_range 1 5))
-    (fun (xs, m) ->
-      let pred x = x mod m <> 0 in
-      let v = Qs_util.Vec.create 0 in
-      List.iter (Qs_util.Vec.push v) xs;
-      let visited = ref [] in
-      Qs_util.Vec.filter_in_place v (fun x ->
-          visited := x :: !visited;
-          pred x);
-      (* every element visited exactly once, in order *)
-      List.rev !visited = xs
-      && Qs_util.Vec.to_list v = List.filter pred xs)
-
-let prop_ts_filter_matches_list_filter =
-  QCheck.Test.make
-    ~name:"Vec.Ts.filter_in_place = List.filter over (elt, stamp) pairs"
-    ~count:500
-    QCheck.(pair (list (pair small_int small_int)) (int_range 1 5))
-    (fun (pairs, m) ->
-      let pred x ts = (x + ts) mod m <> 0 in
-      let v = Qs_util.Vec.Ts.create 0 in
-      List.iter (fun (x, ts) -> Qs_util.Vec.Ts.push v x ts) pairs;
-      Qs_util.Vec.Ts.filter_in_place v pred;
-      Qs_util.Vec.Ts.to_list v
-      = List.filter (fun (x, ts) -> pred x ts) pairs)
-
-(* The "frees exactly the same nodes" differential: drive a limbo-style
-   compaction where the dropped elements are freed as a side effect, and
-   check the freed multiset matches the List.filter complement. *)
-let prop_vec_filter_frees_complement =
-  QCheck.Test.make ~name:"filter_in_place frees exactly the dropped elements"
-    ~count:500
-    QCheck.(pair (list small_int) (int_range 1 5))
-    (fun (xs, m) ->
-      let keep x = x mod m <> 0 in
-      let v = Qs_util.Vec.create 0 in
-      List.iter (Qs_util.Vec.push v) xs;
-      let freed = ref [] in
-      Qs_util.Vec.filter_in_place v (fun x ->
-          if keep x then true
-          else begin
-            freed := x :: !freed;
-            false
-          end);
-      List.rev !freed = List.filter (fun x -> not (keep x)) xs)
-
 (* --- steady-state allocation-freedom of retire ---------------------------- *)
 
 module Hp_s = Qs_smr.Hazard_pointers.Make (R) (N)
@@ -209,8 +160,8 @@ let warmup = 20_000
 let count = 10_000
 
 (* Words of minor-heap allocation during [count] retires, measured after a
-   warm-up that grows the limbo vector past [count] and a flush that keeps
-   the capacity. *)
+   warm-up that stocks the limbo bags' block cache past [count] and a
+   flush that returns the blocks to it. *)
 let measure_retire ~retire ~flush =
   let node = { fid = 1; freed = 0 } in
   for _ = 1 to warmup do
@@ -304,9 +255,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_clear_removes_from_set;
     QCheck_alcotest.to_alcotest prop_int_set_matches_model;
     QCheck_alcotest.to_alcotest prop_int_set_reset_forgets;
-    QCheck_alcotest.to_alcotest prop_vec_filter_matches_list_filter;
-    QCheck_alcotest.to_alcotest prop_ts_filter_matches_list_filter;
-    QCheck_alcotest.to_alcotest prop_vec_filter_frees_complement;
     Alcotest.test_case "retire is allocation-free in steady state" `Quick
       test_retire_alloc_free;
     Alcotest.test_case "scan membership path is allocation-free" `Quick

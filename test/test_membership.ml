@@ -30,7 +30,7 @@ let dummy = { id = -1; freed = 0 }
 let mk id = { id; freed = 0 }
 
 let cfg ?(n = 2) ?(k = 2) ?(q = 4) ?(r = 4) ?(t = 1_000) ?(eps = 100) ?(c = 0)
-    ?eviction ?(bags = true) ?(bag_cap = 64) () =
+    ?eviction ?(bag_cap = 64) () =
   { Smr.n_processes = n;
     hp_per_process = k;
     quiescence_threshold = q;
@@ -41,7 +41,6 @@ let cfg ?(n = 2) ?(k = 2) ?(q = 4) ?(r = 4) ?(t = 1_000) ?(eps = 100) ?(c = 0)
     switch_threshold = c;
     removes_per_op_max = 1;
     eviction_timeout = eviction;
-    limbo_bags = bags;
     bag_capacity = bag_cap }
 
 let sched ?(n_cores = 2) ?(seed = 3) ?(rooster = Some 1_000) () =

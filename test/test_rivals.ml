@@ -6,10 +6,10 @@
      membership churn — and must reach the same verdict class (Pass, which
      carries the arena's use-after-free and double-free oracles and, where
      not gated, linearizability), with coherent monotone stats;
-   - bag-vs-vec differential, mirroring [Test_bags]: neither rival
-     age-checks individual nodes, so the capacity-1 bag runs must be
-     bit-identical (verdict, ops, scheduler steps, freed-id multiset) to
-     the element-wise reference;
+   - bag-capacity differential, mirroring [Test_bags]: [bags=0] runs
+     (clamped to capacity 1) must be bit-identical (verdict, ops,
+     scheduler steps, freed-id multiset) to [bags=1] runs, and
+     capacity-64 runs must pass with the same op budget;
    - positive controls: a Targeted mid-operation stall (the victim frozen
      while pinned, at its own retire hook) OOMs QSBR and EBR but is
      survived by DEBRA+ — neutralization fires, the epoch advances past
@@ -159,17 +159,17 @@ let test_battery () =
         [ Cset.List; Cset.Bst ])
     schedule_variants
 
-(* --- bag-vs-vec differential --------------------------------------------- *)
+(* --- bag-capacity differential -------------------------------------------- *)
 
-(* Neither rival age-checks individual nodes (DEBRA+ drains whole epochs,
-   Hyaline drops whole batches at the last dereference), so — exactly as
-   for QSBR/EBR/HP in [Test_bags] — capacity-1 bags are semantically
-   identical to the element-wise reference and the runs must be
-   bit-identical under every schedule variant, churn included. Capacity-64
-   bags legitimately diverge in schedule (bulk frees batch their routing
-   effects; Hyaline seals 64x less often), so only the safety verdict and
-   the op budget are pinned there. *)
-let test_bag_vec_differential () =
+(* As for QSBR/EBR/HP in [Test_bags]: an old [bags=0] line runs on
+   capacity-1 bags, so it must be bit-identical to its [bags=1] twin
+   under every schedule variant, churn included. Neither rival
+   age-checks individual nodes (DEBRA+ drains whole epochs, Hyaline
+   drops whole batches at the last dereference), so capacity-64 runs
+   free the same nodes, but their schedule legitimately diverges (bulk
+   frees batch their routing effects; Hyaline seals 64x less often):
+   only the safety verdict and the op budget are pinned there. *)
+let test_bag_capacity_differential () =
   List.iter
     (fun scheme ->
       List.iter
@@ -181,12 +181,12 @@ let test_bag_vec_differential () =
             in
             (o, freed)
           in
-          let o_vec, f_vec = run 0 in
+          let o_b0, f_b0 = run 0 in
           let o_b1, f_b1 = run 1 in
           let o_b64, _ = run 64 in
-          check_identical (name ^ " vec=cap1") o_vec f_vec o_b1 f_b1;
+          check_identical (name ^ " bags=0 = bags=1") o_b0 f_b0 o_b1 f_b1;
           check_pass (name ^ " cap64") o_b64;
-          checki (name ^ " cap64: same ops") o_vec.Explorer.ops
+          checki (name ^ " cap64: same ops") o_b1.Explorer.ops
             o_b64.Explorer.ops)
         schedule_variants)
     rivals
@@ -349,7 +349,7 @@ let test_debra_plus_retire_exact_zero () =
   let dummy = { fid = -1; freed = 0 } in
   let free n = n.freed <- n.freed + 1 in
   let node = { fid = 1; freed = 0 } in
-  let cfg = Test_bags.base_cfg ~bags:true in
+  let cfg = Test_bags.base_cfg in
   let t = Debra_s.create cfg ~dummy ~free in
   let h = Debra_s.register t ~pid:0 in
   Test_bags.check_exact_zero "debra-plus bag retire"
@@ -369,7 +369,7 @@ let test_hyaline_retire_exact_zero () =
   let free n = n.freed <- n.freed + 1 in
   let node = { fid = 1; freed = 0 } in
   let cfg =
-    { (Test_bags.base_cfg ~bags:true) with
+    { (Test_bags.base_cfg) with
       Qs_smr.Smr_intf.bag_capacity = 1 lsl 16 }
   in
   let t = Hy_s.create cfg ~dummy ~free in
@@ -390,7 +390,7 @@ let test_hyaline_enter_leave_exact_zero () =
   let dummy = { fid = -1; freed = 0 } in
   let free n = n.freed <- n.freed + 1 in
   let node = { fid = 1; freed = 0 } in
-  let t = Hy_s.create (Test_bags.base_cfg ~bags:true) ~dummy ~free in
+  let t = Hy_s.create (Test_bags.base_cfg) ~dummy ~free in
   let h = Hy_s.register t ~pid:0 in
   Test_bags.check_exact_zero "hyaline enter/leave"
     ~warm:(fun _ ->
@@ -417,8 +417,8 @@ let test_hyaline_enter_leave_exact_zero () =
 
 let suite =
   [ Alcotest.test_case "differential battery vs incumbents" `Quick test_battery;
-    Alcotest.test_case "bag-vs-vec differential: rivals exact" `Quick
-      test_bag_vec_differential;
+    Alcotest.test_case "bag capacity differential: debra+/hyaline" `Quick
+      test_bag_capacity_differential;
     Alcotest.test_case "mid-op stall OOMs qsbr and ebr" `Quick
       test_pinned_stall_ooms_epoch_schemes;
     Alcotest.test_case "debra+ survives the mid-op stall (neutralization)"

@@ -14,7 +14,9 @@
    - Shard routing: tenant-prefixed keys must spread across shards even
      though tenants only differ in high key bits.
    - The get path allocates exactly zero minor words on the real
-     runtime — the pin the bench service observatory gates on. *)
+     runtime — the pin the bench service observatory gates on.
+   - [report] sums the scheme counters of every shard and the index, not
+     the index's alone. *)
 
 module Ksp = Qs_workload.Kv_spec
 module Kg = Qs_workload.Kv_gen
@@ -221,6 +223,30 @@ let test_get_zero_alloc () =
   let per_op = (Gc.minor_words () -. w0) /. float_of_int n in
   Alcotest.(check (float 0.0)) "get allocates zero minor words" 0.0 per_op
 
+(* --- service-wide report ------------------------------------------------------ *)
+
+(* Under the leaky baseline nothing is ever freed, so every retire in every
+   shard and in the index is still retired at the end: the report's
+   [smr.retires] must equal [retired_count], which sums all instances. *)
+let test_report_sums_shards () =
+  Qs_real.Real_runtime.register_self 0;
+  let cfg =
+    Qs_ds.Set_intf.default_config ~n_processes:1 ~scheme:Qs_smr.Scheme.None_
+  in
+  let svc = Kr.create ~n_shards:4 cfg in
+  let ctx = Kr.register svc ~pid:0 in
+  let keys = List.init 64 (fun k -> 3 * k) in
+  List.iter (fun k -> ignore (Kr.put ctx k)) keys;
+  List.iter (fun k -> ignore (Kr.del ctx k)) keys;
+  let shards =
+    List.sort_uniq compare (List.map (Kr.shard_index svc) keys)
+  in
+  Alcotest.(check bool) "deletes span >= 2 shards" true (List.length shards >= 2);
+  let retired = Kr.retired_count svc in
+  Alcotest.(check bool) "deletes retired nodes" true (retired > 0);
+  Alcotest.(check int) "report.smr.retires = retired_count" retired
+    (Kr.report svc).Qs_ds.Set_intf.smr.retires
+
 let suite =
   [ Alcotest.test_case "zipfian census matches analytic mass" `Quick
       test_zipf_census;
@@ -235,4 +261,6 @@ let suite =
     Alcotest.test_case "tenant-prefixed keys spread across shards" `Quick
       test_shard_distribution;
     Alcotest.test_case "get path allocates exactly zero" `Quick
-      test_get_zero_alloc ]
+      test_get_zero_alloc;
+    Alcotest.test_case "report sums scheme counters over every shard" `Quick
+      test_report_sums_shards ]

@@ -23,7 +23,7 @@ let dummy = { id = -1; freed = 0 }
 let mk id = { id; freed = 0 }
 
 let cfg ?(n = 2) ?(k = 2) ?(q = 4) ?(r = 4) ?(t = 1_000) ?(eps = 100) ?(c = 0)
-    ?eviction ?(bags = true) ?(bag_cap = 64) () =
+    ?eviction ?(bag_cap = 64) () =
   { Qs_smr.Smr_intf.n_processes = n;
     hp_per_process = k;
     quiescence_threshold = q;
@@ -31,14 +31,14 @@ let cfg ?(n = 2) ?(k = 2) ?(q = 4) ?(r = 4) ?(t = 1_000) ?(eps = 100) ?(c = 0)
     (* These unit tests pin exact scan timing (e.g. "retire #r scans and
        frees"), so adaptive scan scheduling is disabled. The default bag
        capacity (64) exceeds every limbo depth these tests reach, so the
-       open-block per-node filter keeps timing identical to the vec path. *)
+       open-block per-node filter decides each node on its own, exactly
+       as an element-wise filter would. *)
     scan_factor = 0.;
     rooster_interval = t;
     epsilon = eps;
     switch_threshold = c;
     removes_per_op_max = 1;
     eviction_timeout = eviction;
-    limbo_bags = bags;
     bag_capacity = bag_cap }
 
 let sched ?(n_cores = 2) ?(seed = 3) ?(rooster = Some 1_000) () =
