@@ -1214,8 +1214,8 @@ end
 
 (* --- JSON report (schema 10) ---------------------------------------------- *)
 
-(* Consumed by CI (regression guards), by [bench/trend.exe] (committed
-   BENCH_HISTORY.jsonl diffing) and by EXPERIMENTS.md readers.
+(* Consumed by [bench/trend.exe] (the bench gate, and the committed
+   BENCH_HISTORY.jsonl) and by EXPERIMENTS.md readers.
    Schema 10 = schema 9 without the settled A/B comparisons against
    deleted reference paths: "retire_scan" rows carry only the production
    bag path's ns/retire, "bags" only its capacity and the retire-path
@@ -1226,172 +1226,123 @@ end
    churned-throughput row, and one sim row per {scheme × key
    distribution} — requests, violations, churn events, leak check,
    per-op-kind p50/p99/p999 in virtual ticks, and the whole-run p999
-   spike attribution. The last row is the QSense stall scenario; CI
-   gates its attribution ≥ 80%. The "latency" section is as in schema 8
-   (the [--latency] observatory; its last row's attribution is gated the
-   same way). The "explorer" section is emitted as [null] here;
+   spike attribution. The last row is the QSense stall scenario; the
+   gate requires its attribution ≥ 80%. The "latency" section is as in
+   schema 8 (the [--latency] observatory; its last row's attribution is
+   gated the same way). The "explorer" section is emitted as [null] here;
    [explore.exe profile --out out/BENCH_RESULTS.json] fills it in (the
    numbers belong to the explorer binary, which owns the representative
    case mix). *)
+module Json = Qs_util.Json
+
+let int n = Json.Num (float_of_int n)
+let str s = Json.Str s
+let scheme k = str (Qs_smr.Scheme.to_string k)
+
+(* The p999 spike attribution of one latency or service row. *)
+let attr_fields (a : Qs_obs.Metrics.attribution) =
+  [ ("p999_samples", int a.Qs_obs.Metrics.attr_total);
+    ("attr_pct", Json.Num (Qs_obs.Metrics.attributed_pct a));
+    ("attr",
+     Json.Obj
+       (List.map
+          (fun (c, k) -> (Qs_obs.Metrics.cause_name c, int k))
+          a.Qs_obs.Metrics.attr_counts)) ]
+
+let e2e_json (r : E2e.result) =
+  Json.Obj
+    [ ("ds", str (Qs_harness.Cset.kind_to_string r.ds)); ("scheme", scheme r.scheme);
+      ("domains", int r.n_domains); ("throughput_mops", Json.Num r.throughput_mops);
+      ("retired_peak", int r.retired_peak); ("reuse_ratio", Json.Num r.reuse_ratio);
+      ("violations", int r.violations); ("failed", Json.Bool r.failed);
+      ("churn_events", int r.churn_events) ]
+
+let trace_json (t : Observatory.overhead) =
+  Json.Obj
+    [ ("alloc_words_per_event_disabled", Json.Num t.alloc_disabled);
+      ("alloc_words_per_event_enabled", Json.Num t.alloc_enabled);
+      ("real_mops_sink_off", Json.Num t.mops_sink_off);
+      ("real_mops_sink_on", Json.Num t.mops_sink_on);
+      ("events_recorded_sink_on", int t.events_on) ]
+
+let latency_json (rep : Latency_obs.report) =
+  let row (r : Latency_obs.row) =
+    Json.Obj
+      ([ ("ds", str (Qs_harness.Cset.kind_to_string r.ds)); ("scheme", scheme r.scheme);
+         ("procs", int r.n); ("stall", Json.Bool r.stall); ("ops", int r.ops);
+         ("p50", int r.p50); ("p99", int r.p99); ("p999", int r.p999); ("max", int r.lmax) ]
+      @ attr_fields r.attr)
+  in
+  Json.Obj
+    [ ("alloc_words_per_record", Json.Num rep.alloc_words);
+      ("real_mops_recorder_off", Json.Num rep.mops_off);
+      ("real_mops_recorder_on", Json.Num rep.mops_on);
+      ("overhead_pct", Json.Num (Latency_obs.overhead_pct rep));
+      ("ops_recorded_on", int rep.recorded_on);
+      ("rows", Json.Arr (List.map row rep.lat_rows)) ]
+
+let service_json (rep : Service_obs.report) =
+  let rr = rep.real in
+  let kind (name, (k : Service_obs.kind_row)) =
+    ( name,
+      Json.Obj
+        [ ("ops", int k.kops); ("p50", int k.kp50); ("p99", int k.kp99);
+          ("p999", int k.kp999) ] )
+  in
+  let row (r : Service_obs.row) =
+    Json.Obj
+      ([ ("scheme", scheme r.scheme); ("dist", str (Service_obs.dist_name r.dist));
+         ("stall", Json.Bool r.stall); ("ops", int r.ops); ("violations", int r.violations);
+         ("churn_events", int r.churn_events); ("leak_ok", Json.Bool r.leak_ok);
+         ("p999", int r.p999) ]
+      @ attr_fields r.attr
+      @ [ ("kinds", Json.Obj (List.map kind r.kinds)) ])
+  in
+  Json.Obj
+    [ ("get_alloc_words_per_op", Json.Num rep.get_alloc_words);
+      ("real",
+       Json.Obj
+         [ ("scheme", scheme rr.r_scheme); ("domains", int rr.r_domains);
+           ("ops", int rr.r_ops); ("throughput_mops", Json.Num rr.r_mops);
+           ("violations", int rr.r_violations); ("failed", Json.Bool rr.r_failed);
+           ("churn_events", int rr.r_churn) ]);
+      ("rows", Json.Arr (List.map row rep.svc_rows)) ]
+
 let emit_json ~path ~quick ~churn ~retire_scan ~bag_alloc_words ~e2e ~rivals
-    ~(trace : Observatory.overhead)
-    ~(latency : Latency_obs.report option)
-    ~(service : Service_obs.report option) =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": 10,\n";
-  Printf.fprintf oc "  \"explorer\": null,\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" quick;
-  Printf.fprintf oc "  \"churn\": %b,\n" churn;
-  Printf.fprintf oc "  \"n_processes\": %d,\n" Micro.n_processes;
-  Printf.fprintf oc "  \"hp_per_process\": %d,\n" Micro.hp_per_process;
-  Printf.fprintf oc "  \"retire_scan\": [\n";
-  let n = List.length retire_scan in
-  List.iteri
-    (fun i (r : Micro.result) ->
-      Printf.fprintf oc
-        "    {\"scenario\": \"%s\", \"limbo\": %d, \"bag_ns_per_op\": %.2f}%s\n"
-        (Micro.scenario_name r.scenario)
-        r.limbo r.bag_ns
-        (if i = n - 1 then "" else ","))
-    retire_scan;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"bags\": {\n";
-  Printf.fprintf oc "    \"capacity\": %d,\n"
+    ~trace ~latency ~service =
+  let retire_scan_row (r : Micro.result) =
+    Json.Obj
+      [ ("scenario", str (Micro.scenario_name r.scenario));
+        ("limbo", int r.limbo);
+        ("bag_ns_per_op", Json.Num r.bag_ns) ]
+  in
+  let bag_capacity =
     (Qs_smr.Smr_intf.default_config ~n_processes:Micro.n_processes
        ~hp_per_process:Micro.hp_per_process)
-      .Qs_smr.Smr_intf.bag_capacity;
-  Printf.fprintf oc "    \"retire_alloc_words\": %.1f\n" bag_alloc_words;
-  Printf.fprintf oc "  },\n";
-  let emit_e2e_rows rows =
-    let n = List.length rows in
-    List.iteri
-      (fun i (r : E2e.result) ->
-        Printf.fprintf oc
-          "    {\"ds\": \"%s\", \"scheme\": \"%s\", \"domains\": %d, \
-           \"throughput_mops\": %.4f, \"retired_peak\": %d, \"reuse_ratio\": \
-           %.4f, \"violations\": %d, \"failed\": %b, \"churn_events\": %d}%s\n"
-          (Qs_harness.Cset.kind_to_string r.ds)
-          (Qs_smr.Scheme.to_string r.scheme)
-          r.n_domains r.throughput_mops r.retired_peak r.reuse_ratio
-          r.violations r.failed r.churn_events
-          (if i = n - 1 then "" else ","))
-      rows
+      .Qs_smr.Smr_intf.bag_capacity
   in
-  Printf.fprintf oc "  \"e2e\": [\n";
-  emit_e2e_rows e2e;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"rivals\": [\n";
-  emit_e2e_rows rivals;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"trace\": {\n";
-  Printf.fprintf oc "    \"alloc_words_per_event_disabled\": %.4f,\n"
-    trace.Observatory.alloc_disabled;
-  Printf.fprintf oc "    \"alloc_words_per_event_enabled\": %.4f,\n"
-    trace.Observatory.alloc_enabled;
-  Printf.fprintf oc "    \"real_mops_sink_off\": %.4f,\n"
-    trace.Observatory.mops_sink_off;
-  Printf.fprintf oc "    \"real_mops_sink_on\": %.4f,\n"
-    trace.Observatory.mops_sink_on;
-  Printf.fprintf oc "    \"events_recorded_sink_on\": %d\n"
-    trace.Observatory.events_on;
-  Printf.fprintf oc "  },\n";
-  (match latency with
-  | None -> Printf.fprintf oc "  \"latency\": null,\n"
-  | Some rep ->
-    Printf.fprintf oc "  \"latency\": {\n";
-    Printf.fprintf oc "    \"alloc_words_per_record\": %.4f,\n"
-      rep.Latency_obs.alloc_words;
-    Printf.fprintf oc "    \"real_mops_recorder_off\": %.4f,\n"
-      rep.Latency_obs.mops_off;
-    Printf.fprintf oc "    \"real_mops_recorder_on\": %.4f,\n"
-      rep.Latency_obs.mops_on;
-    Printf.fprintf oc "    \"overhead_pct\": %.2f,\n"
-      (Latency_obs.overhead_pct rep);
-    Printf.fprintf oc "    \"ops_recorded_on\": %d,\n"
-      rep.Latency_obs.recorded_on;
-    Printf.fprintf oc "    \"rows\": [\n";
-    let n = List.length rep.Latency_obs.lat_rows in
-    List.iteri
-      (fun i (r : Latency_obs.row) ->
-        let attr_fields =
-          String.concat ", "
-            (List.map
-               (fun (c, k) ->
-                 Printf.sprintf "\"%s\": %d" (Qs_obs.Metrics.cause_name c) k)
-               r.attr.Qs_obs.Metrics.attr_counts)
-        in
-        Printf.fprintf oc
-          "      {\"ds\": \"%s\", \"scheme\": \"%s\", \"procs\": %d, \
-           \"stall\": %b, \"ops\": %d, \"p50\": %d, \"p99\": %d, \
-           \"p999\": %d, \"max\": %d, \"p999_samples\": %d, \
-           \"attr_pct\": %.2f, \"attr\": {%s}}%s\n"
-          (Qs_harness.Cset.kind_to_string r.ds)
-          (Qs_smr.Scheme.to_string r.scheme)
-          r.n r.stall r.ops r.p50 r.p99 r.p999 r.lmax
-          r.attr.Qs_obs.Metrics.attr_total
-          (Qs_obs.Metrics.attributed_pct r.attr)
-          attr_fields
-          (if i = n - 1 then "" else ","))
-      rep.Latency_obs.lat_rows;
-    Printf.fprintf oc "    ]\n";
-    Printf.fprintf oc "  },\n");
-  (match service with
-  | None -> Printf.fprintf oc "  \"service\": null\n"
-  | Some rep ->
-    Printf.fprintf oc "  \"service\": {\n";
-    Printf.fprintf oc "    \"get_alloc_words_per_op\": %.4f,\n"
-      rep.Service_obs.get_alloc_words;
-    let rr = rep.Service_obs.real in
-    Printf.fprintf oc
-      "    \"real\": {\"scheme\": \"%s\", \"domains\": %d, \"ops\": %d, \
-       \"throughput_mops\": %.4f, \"violations\": %d, \"failed\": %b, \
-       \"churn_events\": %d},\n"
-      (Qs_smr.Scheme.to_string rr.Service_obs.r_scheme)
-      rr.Service_obs.r_domains rr.Service_obs.r_ops rr.Service_obs.r_mops
-      rr.Service_obs.r_violations rr.Service_obs.r_failed
-      rr.Service_obs.r_churn;
-    Printf.fprintf oc "    \"rows\": [\n";
-    let n = List.length rep.Service_obs.svc_rows in
-    List.iteri
-      (fun i (r : Service_obs.row) ->
-        let kinds_json =
-          String.concat ", "
-            (List.map
-               (fun (name, (k : Service_obs.kind_row)) ->
-                 Printf.sprintf
-                   "\"%s\": {\"ops\": %d, \"p50\": %d, \"p99\": %d, \
-                    \"p999\": %d}"
-                   name k.Service_obs.kops k.Service_obs.kp50
-                   k.Service_obs.kp99 k.Service_obs.kp999)
-               r.Service_obs.kinds)
-        in
-        let attr_fields =
-          String.concat ", "
-            (List.map
-               (fun (c, k) ->
-                 Printf.sprintf "\"%s\": %d" (Qs_obs.Metrics.cause_name c) k)
-               r.Service_obs.attr.Qs_obs.Metrics.attr_counts)
-        in
-        Printf.fprintf oc
-          "      {\"scheme\": \"%s\", \"dist\": \"%s\", \"stall\": %b, \
-           \"ops\": %d, \"violations\": %d, \"churn_events\": %d, \
-           \"leak_ok\": %b, \"p999\": %d, \"p999_samples\": %d, \
-           \"attr_pct\": %.2f, \"attr\": {%s}, \"kinds\": {%s}}%s\n"
-          (Qs_smr.Scheme.to_string r.Service_obs.scheme)
-          (Service_obs.dist_name r.Service_obs.dist)
-          r.Service_obs.stall r.Service_obs.ops r.Service_obs.violations
-          r.Service_obs.churn_events r.Service_obs.leak_ok
-          r.Service_obs.p999
-          r.Service_obs.attr.Qs_obs.Metrics.attr_total
-          (Qs_obs.Metrics.attributed_pct r.Service_obs.attr)
-          attr_fields kinds_json
-          (if i = n - 1 then "" else ","))
-      rep.Service_obs.svc_rows;
-    Printf.fprintf oc "    ]\n";
-    Printf.fprintf oc "  }\n");
-  Printf.fprintf oc "}\n";
-  close_out oc;
+  let optional f = function None -> Json.Null | Some rep -> f rep in
+  let doc =
+    Json.Obj
+      [ ("schema", int 10);
+        ("explorer", Json.Null);
+        ("quick", Json.Bool quick);
+        ("churn", Json.Bool churn);
+        ("n_processes", int Micro.n_processes);
+        ("hp_per_process", int Micro.hp_per_process);
+        ("retire_scan", Json.Arr (List.map retire_scan_row retire_scan));
+        ("bags",
+         Json.Obj
+           [ ("capacity", int bag_capacity);
+             ("retire_alloc_words", Json.Num bag_alloc_words) ]);
+        ("e2e", Json.Arr (List.map e2e_json e2e));
+        ("rivals", Json.Arr (List.map e2e_json rivals));
+        ("trace", trace_json trace);
+        ("latency", optional latency_json latency);
+        ("service", optional service_json service) ]
+  in
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (Json.to_string doc));
   Printf.printf "wrote %s\n%!" path
 
 let () =

@@ -1,24 +1,25 @@
-(* Bench trend tracking over the committed BENCH_HISTORY.jsonl.
+(* The bench gate, and trend tracking over the committed
+   BENCH_HISTORY.jsonl (one line per accepted bench run).
 
-   BENCH_HISTORY.jsonl is an append-only record, one compact JSON line
-   per accepted bench run, committed to the repo so CI can diff the
-   current run against where the numbers have historically been:
-
-   - [trend.exe --append]: summarize the current out/BENCH_RESULTS.json
-     into one history line and append it. Run locally when landing a
-     change that intentionally moves the numbers, and commit the file.
-   - [trend.exe --check]: gate the current out/BENCH_RESULTS.json.
-     Structural invariants, the exact-zero allocation pins and the hard
-     safety bits (violations/failed, stall-row attribution) always gate;
-     throughput-ish ratios are compared against the history median with
-     deliberately wide tolerances (4x/8x) so shared CI runners never
-     flake the build — the history exists to catch order-of-magnitude
-     rot, not 10% noise. An empty or missing history passes the
-     comparison step with a note (the current-run gates still apply).
+   - [trend.exe --check]: gate out/BENCH_RESULTS.json as the CI sequence
+     leaves it (the bench command, then [explore.exe profile --out]).
+     Current-run gates need no history: every section present, complete
+     rival and service matrices, churn that actually happened, the
+     exact-zero allocation pins, the safety bits, ordered percentiles,
+     attributed stall rows, and the sim-core bounds. They gate on pins,
+     safety bits and relative order, never on absolute CI numbers. Ratio
+     gates then compare against the median of the same --quick flavour of
+     history with deliberately wide tolerances (4x/8x): the history
+     catches order-of-magnitude rot, not runner noise. An empty or
+     missing history skips them with a note.
+   - [trend.exe --append]: if the run passes the current-run gates,
+     append its summary line to the history. Run locally when a change
+     intentionally moves the numbers, and commit the file.
 
    Flags: [--results PATH] (default out/BENCH_RESULTS.json),
    [--history PATH] (default BENCH_HISTORY.jsonl). Exit 1 on any failed
-   gate, with one "TREND FAIL:" line per violation. *)
+   gate, with one "TREND FAIL:" line per violation; on success, one OK
+   line per section. *)
 
 module Json = Qs_util.Json
 
@@ -42,132 +43,67 @@ let rec parse_flags acc = function
     Printf.eprintf "trend.exe: unknown argument %s\n" a;
     usage ()
 
-(* --- tiny JSON accessors -------------------------------------------------- *)
+(* --- JSON accessors -------------------------------------------------------- *)
 
-let num j k =
-  match Json.member k j with Some (Json.Num f) -> Some f | _ -> None
+(* A missing or mistyped field raises [Missing], which fails the gate
+   section that read it. *)
+exception Missing of string
 
-let bool_ j k =
-  match Json.member k j with Some (Json.Bool b) -> Some b | _ -> None
+let missing k = raise (Missing (Printf.sprintf "field %S" k))
+let get k j = match Json.member k j with Some v -> v | None -> missing k
+let num k j = match get k j with Json.Num f -> f | _ -> missing k
+let flag k j = match get k j with Json.Bool b -> b | _ -> missing k
+let str k j = match get k j with Json.Str s -> s | _ -> missing k
+let obj k j = match get k j with Json.Obj _ as o -> o | _ -> missing k
+let arr k j = match get k j with Json.Arr xs -> xs | _ -> missing k
+let opt f = try Some (f ()) with Missing _ -> None
 
-let arr j k = match Json.member k j with Some a -> Json.to_list a | None -> []
+(* The first stall row of a latency or service section: the QSense stall
+   scenario. *)
+let stall_row rows =
+  match List.filter (flag "stall") rows with
+  | r :: _ -> r
+  | [] -> raise (Missing "stall row")
 
-let require what = function
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "results missing %s" what)
+let unsafe row = num "violations" row <> 0. || flag "failed" row
+let service_unsafe row = num "violations" row <> 0. || not (flag "leak_ok" row)
 
-(* One-line serializer: [Json.to_string] is the two-space pretty printer,
-   but .jsonl needs exactly one line per record. *)
-let rec compact = function
-  | Json.Null -> "null"
-  | Json.Bool b -> string_of_bool b
-  | Json.Num f ->
-    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.6g" f
-  | Json.Str s ->
-    let b = Buffer.create (String.length s + 2) in
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"';
-    Buffer.contents b
-  | Json.Arr xs -> "[" ^ String.concat ", " (List.map compact xs) ^ "]"
-  | Json.Obj fields ->
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (compact v)) fields)
-    ^ "}"
+(* --- summary extraction ---------------------------------------------------- *)
 
-(* --- summary extraction --------------------------------------------------- *)
-
-(* The history line keeps only what --check compares: the pins, the
-   safety bits and the headline ratios. Whole-run detail stays in the
-   (uncommitted) out/BENCH_RESULTS.json artifacts. *)
+(* The history line keeps only what the ratio gates compare, plus the
+   pins and safety bits as a record. Whole-run detail stays in the
+   (uncommitted) out/BENCH_RESULTS.json artifacts. Called only on a run
+   that passed the current-run gates. *)
 let summarize results =
-  let schema = require "schema" (num results "schema") in
-  let bags = require "bags object" (Json.member "bags" results) in
-  let count_bad rows =
-    List.length
-      (List.filter
-         (fun r ->
-           num r "violations" <> Some 0. || bool_ r "failed" <> Some false)
-         rows)
-  in
-  let e2e = arr results "e2e" and rivals = arr results "rivals" in
-  let trace = require "trace object" (Json.member "trace" results) in
+  let n x = Json.Num x in
+  let count p rows = n (float_of_int (List.length (List.filter p rows))) in
+  let e2e = arr "e2e" results and rivals = arr "rivals" results in
+  let trace = obj "trace" results in
   let latency =
-    match Json.member "latency" results with
-    | None | Some Json.Null -> Json.Null
-    | Some lat ->
-      let stall_row =
-        List.find_opt
-          (fun r -> bool_ r "stall" = Some true)
-          (arr lat "rows")
-      in
-      let stall_p999, stall_attr =
-        match stall_row with
-        | Some r ->
-          ( require "stall p999" (num r "p999"),
-            require "stall attr_pct" (num r "attr_pct") )
-        | None -> (0., 0.)
-      in
-      Json.Obj
-        [ ("alloc_words", Json.Num (require "latency alloc" (num lat "alloc_words_per_record")));
-          ("overhead_pct", Json.Num (require "latency overhead" (num lat "overhead_pct")));
-          ("rows", Json.Num (float_of_int (List.length (arr lat "rows"))));
-          ("stall_p999", Json.Num stall_p999);
-          ("stall_attr_pct", Json.Num stall_attr) ]
+    let lat = obj "latency" results in
+    let rows = arr "rows" lat in
+    let stall = stall_row rows in
+    Json.Obj
+      [ ("alloc_words", n (num "alloc_words_per_record" lat));
+        ("overhead_pct", n (num "overhead_pct" lat));
+        ("rows", n (float_of_int (List.length rows)));
+        ("stall_p999", n (num "p999" stall));
+        ("stall_attr_pct", n (num "attr_pct" stall)) ]
   in
   let service =
-    match Json.member "service" results with
-    | None | Some Json.Null -> Json.Null
-    | Some svc ->
-      let rows = arr svc "rows" in
-      let matrix = List.filter (fun r -> bool_ r "stall" = Some false) rows in
-      let bad =
-        List.length
-          (List.filter
-             (fun r ->
-               num r "violations" <> Some 0. || bool_ r "leak_ok" <> Some true)
-             rows)
-      in
-      let stall_row =
-        List.find_opt (fun r -> bool_ r "stall" = Some true) rows
-      in
-      let stall_p999, stall_attr, stall_fallback =
-        match stall_row with
-        | Some r ->
-          ( require "service stall p999" (num r "p999"),
-            require "service stall attr_pct" (num r "attr_pct"),
-            (match Json.member "attr" r with
-            | Some a -> Option.value ~default:0. (num a "fallback")
-            | None -> 0.) )
-        | None -> (0., 0., 0.)
-      in
-      let real = require "service real row" (Json.member "real" svc) in
-      Json.Obj
-        [ ("get_alloc_words",
-           Json.Num
-             (require "service get alloc" (num svc "get_alloc_words_per_op")));
-          ("matrix_rows", Json.Num (float_of_int (List.length matrix)));
-          ("bad_rows", Json.Num (float_of_int bad));
-          ("stall_p999", Json.Num stall_p999);
-          ("stall_attr_pct", Json.Num stall_attr);
-          ("stall_fallback_spikes", Json.Num stall_fallback);
-          ("real_mops", Json.Num (require "service real mops" (num real "throughput_mops")));
-          ("real_bad",
-           Json.Num
-             (if num real "violations" = Some 0. && bool_ real "failed" = Some false
-              then 0.
-              else 1.)) ]
+    let svc = obj "service" results in
+    let rows = arr "rows" svc in
+    let stall = stall_row rows in
+    let real = obj "real" svc in
+    Json.Obj
+      [ ("get_alloc_words", n (num "get_alloc_words_per_op" svc));
+        ("matrix_rows", count (fun r -> not (flag "stall" r)) rows);
+        ("bad_rows", count service_unsafe rows);
+        ("stall_p999", n (num "p999" stall));
+        ("stall_attr_pct", n (num "attr_pct" stall));
+        ("stall_fallback_spikes", n (num "fallback" (obj "attr" stall)));
+        ("real_mops", n (num "throughput_mops" real));
+        ("real_bad", n (if unsafe real then 1. else 0.)) ]
   in
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   Json.Obj
@@ -176,30 +112,22 @@ let summarize results =
          (Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
             (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
             tm.Unix.tm_sec));
-      ("schema", Json.Num schema);
-      ("quick", Json.Bool (bool_ results "quick" = Some true));
-      ("churn", Json.Bool (bool_ results "churn" = Some true));
-      ("bag_retire_alloc_words",
-       Json.Num (require "bags.retire_alloc_words" (num bags "retire_alloc_words")));
-      ("trace_alloc_disabled",
-       Json.Num (require "trace alloc disabled" (num trace "alloc_words_per_event_disabled")));
-      ("trace_alloc_enabled",
-       Json.Num (require "trace alloc enabled" (num trace "alloc_words_per_event_enabled")));
-      ("e2e_rows", Json.Num (float_of_int (List.length e2e)));
-      ("e2e_bad", Json.Num (float_of_int (count_bad e2e)));
-      ("rival_rows", Json.Num (float_of_int (List.length rivals)));
-      ("rival_bad", Json.Num (float_of_int (count_bad rivals)));
+      ("schema", n (num "schema" results));
+      ("quick", Json.Bool (flag "quick" results));
+      ("churn", Json.Bool (flag "churn" results));
+      ("bag_retire_alloc_words", n (num "retire_alloc_words" (obj "bags" results)));
+      ("trace_alloc_disabled", n (num "alloc_words_per_event_disabled" trace));
+      ("trace_alloc_enabled", n (num "alloc_words_per_event_enabled" trace));
+      ("e2e_rows", n (float_of_int (List.length e2e)));
+      ("e2e_bad", count unsafe e2e);
+      ("rival_rows", n (float_of_int (List.length rivals)));
+      ("rival_bad", count unsafe rivals);
       ("latency", latency);
       ("service", service) ]
 
 (* --- history I/O ----------------------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let load_history path =
   if not (Sys.file_exists path) then []
@@ -215,134 +143,283 @@ let load_history path =
                Printf.eprintf "trend.exe: skipping malformed history line (%s)\n" e;
                None)
 
-(* --- check gates ----------------------------------------------------------- *)
+(* --- gates ------------------------------------------------------------------ *)
 
 let failures : string list ref = ref []
+let oks : string list ref = ref []
 let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt
+
+(* Runs one section's gates; the section's OK line is printed only when
+   the whole run passes. *)
+let section name gate results =
+  match gate results with
+  | ok -> oks := ok :: !oks
+  | exception Missing what -> fail "%s: %s missing or mistyped" name what
+
+let pin name v =
+  if v <> 0. then fail "%s = %g (exact-zero allocation pin)" name v
+
+let label row =
+  String.concat "/"
+    (List.filter_map (fun k -> opt (fun () -> str k row)) [ "ds"; "scheme"; "dist" ])
+
+(* 0 < p50 <= p99 <= p999 [<= max]. *)
+let ordered_percentiles what row keys =
+  let ps = List.map (fun k -> num k row) keys in
+  let rec ordered = function
+    | a :: (b :: _ as rest) -> a <= b && ordered rest
+    | _ -> true
+  in
+  if not (List.hd ps > 0. && ordered ps) then
+    fail "%s percentiles not monotone: %s" what
+      (String.concat ", "
+         (List.map2 (fun k p -> Printf.sprintf "%s %g" k p) keys ps))
+
+(* Under the injected stall, every stall row's p999 spikes must be
+   recorded, >= 80% attributed to a named cause, and at least one charged
+   to the fallback episode (§4). Returns the first stall row. *)
+let gate_stall_rows what rows =
+  List.iter
+    (fun r ->
+      if num "p999_samples" r <= 0. then
+        fail "%s stall row %s recorded no p999 spikes (p999_samples = 0)" what
+          (label r);
+      let pct = num "attr_pct" r in
+      if pct < 80. then
+        fail "%s stall row %s only %.0f%% attributed (attr_pct >= 80 required)"
+          what (label r) pct;
+      if num "fallback" (obj "attr" r) <= 0. then
+        fail "%s stall row %s attributes no spike to fallback dwell (attr.fallback = 0)"
+          what (label r))
+    (List.filter (flag "stall") rows);
+  stall_row rows
+
+(* Sim-core profile. The step-allocation pin is the noise-immune gate: a
+   scheduler step on the fast path stays under 8 minor words (it measures
+   ~5: genuine suspensions allocate their continuation, inline ops
+   nothing). The pool bound is relative and only applies where
+   parallelism exists: >= 4 cores and >= 3 workers. *)
+let gate_explorer results =
+  let ex = obj "explorer" results in
+  let f k = num k ex in
+  let eff = f "effects_per_sec" and solo = f "schedules_per_sec_solo" in
+  ignore (f "schedules_per_sec_pooled");
+  let speedup = f "pool_speedup" and cores = f "cores" and jobs = f "jobs" in
+  let suspended = f "dispatch_ns_per_effect" and corpus = f "dispatch_ns_corpus_cost" in
+  let inline = f "dispatch_ns_inline" and step = f "step_alloc_words" in
+  if step > 8. then
+    fail "explorer.step_alloc_words = %g > 8 minor words per sim step (fast-path regression; was ~5)"
+      step;
+  if inline >= suspended then
+    fail "explorer: inline dispatch not faster than suspended dispatch: %g >= %g ns"
+      inline suspended;
+  if cores >= 4. && jobs >= 3. && speedup < 3. then
+    fail "explorer.pool_speedup = %.2fx on %.0f cores with %.0f jobs (>= 3x required)"
+      speedup cores jobs;
+  Printf.sprintf
+    "explorer OK: %.0f eff/s, %.0f sched/s solo, %s, dispatch %.0f/%.0f/%.0f ns \
+     (suspended/corpus/inline), step alloc %.1f words"
+    eff solo
+    (if cores >= 4. then Printf.sprintf "pool %.2fx/%.0fj" speedup jobs
+     else Printf.sprintf "pool ungated (%.0f cores)" cores)
+    suspended corpus inline step
+
+(* Limbo bags, the real-domain e2e sweep with churn, the rival schemes
+   and the tracer. DEBRA+ and Hyaline must complete the incumbents'
+   {structure} x {domains} matrix; every multi-domain row should churn. *)
+let gate_runs results =
+  if arr "retire_scan" results = [] then
+    fail "retire_scan is empty (retire/scan micro produced no rows)";
+  let bags = obj "bags" results in
+  pin "bags.retire_alloc_words" (num "retire_alloc_words" bags);
+  let e2e = arr "e2e" results and rivals = arr "rivals" results in
+  List.iter
+    (fun (name, rows) ->
+      if rows = [] then fail "%s is empty (bench not run with --e2e?)" name;
+      let bad = List.filter unsafe rows in
+      if bad <> [] then
+        fail "%s: %d row(s) with violations or failures (%s)" name
+          (List.length bad) (String.concat ", " (List.map label bad)))
+    [ ("e2e", e2e); ("rivals", rivals) ];
+  let domains rows = List.sort_uniq compare (List.map (num "domains") rows) in
+  let show ds = String.concat "," (List.map (Printf.sprintf "%.0f") ds) in
+  let want = domains e2e in
+  List.iter
+    (fun (scheme, ds) ->
+      let got =
+        domains (List.filter (fun r -> str "scheme" r = scheme && str "ds" r = ds) rivals)
+      in
+      if got <> want then
+        fail "rival matrix incomplete: %s/%s ran domains [%s], expected [%s]" scheme
+          ds (show got) (show want))
+    [ ("debra-plus", "list"); ("debra-plus", "hashtable"); ("hyaline", "list");
+      ("hyaline", "hashtable") ];
+  if not (flag "churn" results) then fail "churn = false (bench not run with --churn)";
+  if not (List.exists (fun r -> num "churn_events" r > 0.) e2e) then
+    fail "e2e ran with --churn but no row recorded churn_events";
+  let tr = obj "trace" results in
+  pin "trace.alloc_words_per_event_disabled" (num "alloc_words_per_event_disabled" tr);
+  pin "trace.alloc_words_per_event_enabled" (num "alloc_words_per_event_enabled" tr);
+  if num "events_recorded_sink_on" tr <= 0. then
+    fail "trace.events_recorded_sink_on = 0 (traced A/B run recorded no events)";
+  Printf.sprintf
+    "bags OK (retire alloc %.0f words), %d e2e runs safe, %d rival runs safe, \
+     tracing pin 0.0 words/event (sink off %.2f vs on %.2f Mops/s)"
+    (num "retire_alloc_words" bags) (List.length e2e) (List.length rivals)
+    (num "real_mops_sink_off" tr) (num "real_mops_sink_on" tr)
+
+(* Latency observatory: the recording path allocates nothing, every row
+   carries ordered percentiles. Recorder overhead is ratio-gated against
+   the history only. *)
+let gate_latency results =
+  let lat = obj "latency" results in
+  pin "latency.alloc_words_per_record" (num "alloc_words_per_record" lat);
+  if num "ops_recorded_on" lat <= 0. then
+    fail "latency.ops_recorded_on = 0 (recorder-on A/B run recorded no ops)";
+  let rows = arr "rows" lat in
+  if rows = [] then fail "latency.rows is empty";
+  List.iter
+    (fun r ->
+      ordered_percentiles ("latency row " ^ label r) r [ "p50"; "p99"; "p999"; "max" ])
+    rows;
+  let stall = gate_stall_rows "latency" rows in
+  Printf.sprintf
+    "latency OK: %d rows, recorder pin 0.0 words/op, overhead %.1f%% \
+     (off %.2f vs on %.2f Mops/s), stall p999 %.0f ticks %.0f%% attributed"
+    (List.length rows) (num "overhead_pct" lat) (num "real_mops_recorder_off" lat)
+    (num "real_mops_recorder_on" lat) (num "p999" stall) (num "attr_pct" stall)
+
+let service_matrix =
+  List.concat_map
+    (fun scheme -> List.map (fun dist -> (scheme, dist)) [ "uniform"; "zipfian" ])
+    [ "qsbr"; "hp"; "cadence"; "qsense" ]
+
+(* KV service observatory: exactly the {scheme} x {distribution} matrix,
+   no violations or leaks, handler churn under live traffic (sim matrix
+   and real row), ordered per-op-kind percentiles, and a get path that
+   allocates nothing. *)
+let gate_service results =
+  let svc = obj "service" results in
+  pin "service.get_alloc_words_per_op" (num "get_alloc_words_per_op" svc);
+  let rows = arr "rows" svc in
+  let matrix = List.filter (fun r -> not (flag "stall" r)) rows in
+  let pairs = List.sort compare (List.map (fun r -> (str "scheme" r, str "dist" r)) matrix) in
+  if pairs <> List.sort compare service_matrix then
+    fail "service matrix has rows [%s], expected exactly {qsbr,hp,cadence,qsense} x {uniform,zipfian}"
+      (String.concat ", " (List.map (fun (s, d) -> s ^ "/" ^ d) pairs));
+  let bad = List.filter service_unsafe rows in
+  if bad <> [] then
+    fail "service rows with violations or leaks (%s)"
+      (String.concat ", " (List.map label bad));
+  if not (List.exists (fun r -> num "churn_events" r > 0.) matrix) then
+    fail "service matrix: no row recorded handler churn (churn_events = 0)";
+  List.iter
+    (fun r ->
+      match obj "kinds" r with
+      | Json.Obj kinds ->
+        List.iter
+          (fun (kind, k) ->
+            if num "ops" k > 0. then
+              ordered_percentiles
+                (Printf.sprintf "service row %s %s" (label r) kind)
+                k [ "p50"; "p99"; "p999" ])
+          kinds
+      | _ -> ())
+    rows;
+  let stall = gate_stall_rows "service" rows in
+  let real = obj "real" svc in
+  if unsafe real then fail "service.real row has violations or failed";
+  if num "churn_events" real <= 0. then
+    fail "service.real.churn_events = 0 (real-domain row recorded no handler churn)";
+  Printf.sprintf
+    "service OK: %d matrix rows + stall, get pin 0.0 words/op, real %.2f Mops/s \
+     x%.0f (%.0f churns), stall p999 %.0f ticks %.0f%% attributed"
+    (List.length matrix) (num "throughput_mops" real) (num "domains" real)
+    (num "churn_events" real) (num "p999" stall) (num "attr_pct" stall)
 
 let median xs =
   match List.sort compare xs with
   | [] -> None
   | sorted -> Some (List.nth sorted (List.length sorted / 2))
 
-(* Ratio gates compare against the median of the (same --quick flavour)
-   history; a missing metric in old lines just thins the sample. *)
-let history_metric history key section =
-  List.filter_map
-    (fun line ->
-      match Json.member section line with
-      | Some (Json.Obj _ as o) -> num o key
-      | _ -> None)
-    history
+(* Ratio gates: the current run against the median of the history lines;
+   a metric missing from old lines just thins the sample. *)
+let gate_history history results =
+  let vs section key current ~worse msg =
+    let past = List.filter_map (fun l -> opt (fun () -> num key (obj section l))) history in
+    match median past with
+    | Some m when worse current m -> fail msg current m
+    | _ -> ()
+  in
+  let lat = obj "latency" results and svc = obj "service" results in
+  vs "latency" "overhead_pct" (num "overhead_pct" lat)
+    ~worse:(fun c m -> c > Float.max 10. (Float.abs m *. 4.))
+    "latency overhead %.1f%% vs history median %.1f%%";
+  vs "latency" "stall_p999" (num "p999" (stall_row (arr "rows" lat)))
+    ~worse:(fun c m -> m > 0. && c > m *. 8.)
+    "stall p999 %.0f ticks vs history median %.0f (> 8x)";
+  vs "service" "real_mops" (num "throughput_mops" (obj "real" svc))
+    ~worse:(fun c m -> m > 0. && c < m /. 4.)
+    "service real Mops %.3f vs history median %.3f (< 1/4)";
+  vs "service" "stall_p999" (num "p999" (stall_row (arr "rows" svc)))
+    ~worse:(fun c m -> m > 0. && c > m *. 8.)
+    "service stall p999 %.0f ticks vs history median %.0f (> 8x)";
+  Printf.sprintf "trend: compared against %d history line(s)" (List.length history)
+
+let gate_current results =
+  (match opt (fun () -> num "schema" results) with
+  | Some 10. -> ()
+  | Some s -> fail "schema is %g, expected 10" s
+  | None -> fail "schema missing");
+  section "explorer" gate_explorer results;
+  section "runs" gate_runs results;
+  section "latency" gate_latency results;
+  section "service" gate_service results
+
+(* Prints the verdict; true when every gate passed. *)
+let report () =
+  match !failures with
+  | [] ->
+    List.iter print_endline (List.rev !oks);
+    true
+  | fs ->
+    List.iter (fun f -> Printf.printf "TREND FAIL: %s\n" f) (List.rev fs);
+    false
 
 let check ~results_path ~history_path =
   let results = Json.parse_exn (read_file results_path) in
-  let summary = summarize results in
-  (* -- structural + pins + safety: always gate, no history needed -- *)
-  if num results "schema" <> Some 10. then
-    fail "schema is %s, expected 10"
-      (match num results "schema" with
-      | Some f -> Printf.sprintf "%.0f" f
-      | None -> "missing");
-  let pin name v = if v <> Some 0. then
-    fail "%s = %s (exact-zero allocation pin)" name
-      (match v with Some f -> Printf.sprintf "%.4f" f | None -> "missing")
-  in
-  pin "bags.retire_alloc_words" (num summary "bag_retire_alloc_words");
-  pin "trace.alloc_words_per_event_disabled" (num summary "trace_alloc_disabled");
-  pin "trace.alloc_words_per_event_enabled" (num summary "trace_alloc_enabled");
-  if num summary "e2e_bad" <> Some 0. then
-    fail "e2e rows with violations/failures";
-  if num summary "rival_bad" <> Some 0. then
-    fail "rival rows with violations/failures";
-  (match Json.member "latency" summary with
-  | Some (Json.Obj _ as lat) ->
-    pin "latency.alloc_words_per_record" (num lat "alloc_words");
-    let attr = Option.value ~default:0. (num lat "stall_attr_pct") in
-    if attr < 80. then
-      fail "stall-row attribution %.0f%% < 80%%" attr;
-    if Option.value ~default:0. (num lat "stall_p999") <= 0. then
-      fail "stall-row p999 is zero (no tail recorded)"
-  | _ -> ());
-  (match Json.member "service" summary with
-  | Some (Json.Obj _ as svc) ->
-    pin "service.get_alloc_words_per_op" (num svc "get_alloc_words");
-    if num svc "matrix_rows" <> Some 8. then
-      fail "service matrix has %s rows, expected 8 ({qsbr,hp,cadence,qsense} x {uniform,zipfian})"
-        (match num svc "matrix_rows" with
-        | Some f -> Printf.sprintf "%.0f" f
-        | None -> "missing");
-    if num svc "bad_rows" <> Some 0. then
-      fail "service rows with violations or leaks";
-    if num svc "real_bad" <> Some 0. then
-      fail "service real-domain row has violations or failed";
-    let attr = Option.value ~default:0. (num svc "stall_attr_pct") in
-    if attr < 80. then
-      fail "service stall-row attribution %.0f%% < 80%%" attr;
-    if Option.value ~default:0. (num svc "stall_fallback_spikes") <= 0. then
-      fail "service stall row has no fallback-attributed spikes"
-  | _ -> ());
-  (* -- ratio gates vs committed history (wide tolerance) -- *)
+  gate_current results;
   let history =
     let all = load_history history_path in
-    let quick = bool_ summary "quick" in
-    match List.filter (fun l -> bool_ l "quick" = quick) all with
+    let quick = opt (fun () -> flag "quick" results) in
+    match List.filter (fun l -> opt (fun () -> flag "quick" l) = quick) all with
     | [] -> all (* fall back to any flavour rather than no baseline *)
     | same -> same
   in
-  (if history = [] then
-     Printf.printf "trend: no committed history at %s — ratio gates skipped\n"
-       history_path
-   else
-     (match Json.member "latency" summary with
-     | Some (Json.Obj _ as lat) ->
-       let hist_lat key = history_metric history key "latency" in
-       (match (num lat "overhead_pct", median (hist_lat "overhead_pct")) with
-       | Some c, Some m ->
-         if c > Float.max 10. (Float.abs m *. 4.) then
-           fail "latency overhead %.1f%% vs history median %.1f%%" c m
-       | _ -> ());
-       (match (num lat "stall_p999", median (hist_lat "stall_p999")) with
-       | Some c, Some m when m > 0. ->
-         if c > m *. 8. then
-           fail "stall p999 %.0f ticks vs history median %.0f (> 8x)" c m
-       | _ -> ())
-     | _ -> ());
-     (match Json.member "service" summary with
-     | Some (Json.Obj _ as svc) ->
-       let hist_svc key = history_metric history key "service" in
-       (match (num svc "real_mops", median (hist_svc "real_mops")) with
-       | Some c, Some m when m > 0. ->
-         if c < m /. 4. then
-           fail "service real Mops %.3f vs history median %.3f (< 1/4)" c m
-       | _ -> ());
-       (match (num svc "stall_p999", median (hist_svc "stall_p999")) with
-       | Some c, Some m when m > 0. ->
-         if c > m *. 8. then
-           fail "service stall p999 %.0f ticks vs history median %.0f (> 8x)" c m
-       | _ -> ())
-     | _ -> ());
-     Printf.printf "trend: compared against %d history line(s)\n"
-       (List.length history));
-  match !failures with
-  | [] ->
-    Printf.printf "trend OK: %s\n" (compact summary);
+  if history = [] then
+    Printf.printf "trend: no committed history at %s — ratio gates skipped\n"
+      history_path
+  else section "history" (gate_history history) results;
+  if report () then begin
+    Printf.printf "trend OK: %s\n" (Json.to_line (summarize results));
     0
-  | fs ->
-    List.iter (fun f -> Printf.printf "TREND FAIL: %s\n" f) (List.rev fs);
-    1
+  end
+  else 1
 
 let append ~results_path ~history_path =
   let results = Json.parse_exn (read_file results_path) in
-  let summary = summarize results in
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 history_path
-  in
-  output_string oc (compact summary);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "appended to %s: %s\n" history_path (compact summary);
-  0
+  gate_current results;
+  if report () then begin
+    let line = Json.to_line (summarize results) in
+    Out_channel.with_open_gen [ Open_append; Open_creat; Open_wronly ] 0o644
+      history_path (fun oc -> output_string oc (line ^ "\n"));
+    Printf.printf "appended to %s: %s\n" history_path line;
+    0
+  end
+  else begin
+    Printf.printf "trend: run failed its gates; %s left unchanged\n" history_path;
+    1
+  end
 
 let () =
   let flags =

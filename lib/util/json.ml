@@ -251,51 +251,57 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
+(* JSON has no NaN or infinities; [null] keeps the document parseable. *)
 let add_num buf f =
-  if Float.is_integer f && Float.abs f < 1e15 then
+  if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
     Buffer.add_string buf (Printf.sprintf "%.0f" f)
   else Buffer.add_string buf (Printf.sprintf "%.12g" f)
 
-(* Two-space indented printer (BENCH_RESULTS.json is diffed by humans;
-   compact single-line output would bury every change). *)
-let to_string v =
+(* One printer for both layouts: [~pretty] breaks every non-empty array
+   and object over two-space indented lines (BENCH_RESULTS.json is diffed
+   by humans); otherwise everything stays on one line (one .jsonl record
+   per line). *)
+let print ~pretty v =
   let buf = Buffer.create 1024 in
-  let pad n = Buffer.add_string buf (String.make n ' ') in
+  let newline ind =
+    if pretty then begin
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf (String.make ind ' ')
+    end
+  in
   let rec go ind = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Num f -> add_num buf f
     | Str s -> escape_string buf s
     | Arr [] -> Buffer.add_string buf "[]"
-    | Arr xs ->
-      Buffer.add_string buf "[\n";
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          pad (ind + 2);
-          go (ind + 2) x)
-        xs;
-      Buffer.add_char buf '\n';
-      pad ind;
-      Buffer.add_char buf ']'
     | Obj [] -> Buffer.add_string buf "{}"
+    | Arr xs -> seq ind '[' ']' (go (ind + 2)) xs
     | Obj fields ->
-      Buffer.add_string buf "{\n";
-      List.iteri
-        (fun i (k, x) ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          pad (ind + 2);
+      seq ind '{' '}'
+        (fun (k, x) ->
           escape_string buf k;
           Buffer.add_string buf ": ";
           go (ind + 2) x)
-        fields;
-      Buffer.add_char buf '\n';
-      pad ind;
-      Buffer.add_char buf '}'
+        fields
+  and seq : 'a. int -> char -> char -> ('a -> unit) -> 'a list -> unit =
+   fun ind op cl item xs ->
+    Buffer.add_char buf op;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_string buf (if pretty then "," else ", ");
+        newline (ind + 2);
+        item x)
+      xs;
+    newline ind;
+    Buffer.add_char buf cl
   in
   go 0 v;
-  Buffer.add_char buf '\n';
   Buffer.contents buf
+
+let to_string v = print ~pretty:true v ^ "\n"
+let to_line v = print ~pretty:false v
 
 let set_member k v = function
   | Obj fields ->

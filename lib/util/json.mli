@@ -1,9 +1,10 @@
-(** A minimal JSON reader, used to validate the observatory's exporters
-    (Chrome trace-event files, [BENCH_RESULTS.json]) without adding a
-    dependency. It accepts standard JSON (RFC 8259): objects, arrays,
-    strings with the usual escapes ([\uXXXX] included, decoded to UTF-8),
-    numbers, booleans and null. It is a validator-grade parser — good
-    enough for round-trip tests and CI guards, not a streaming API. *)
+(** A minimal JSON reader and printer, used to validate the observatory's
+    exporters (Chrome trace-event files) and to write and gate
+    [BENCH_RESULTS.json] without adding a dependency. It accepts standard
+    JSON (RFC 8259): objects, arrays, strings with the usual escapes
+    ([\uXXXX] included, decoded to UTF-8), numbers, booleans and null. It
+    is a validator-grade parser — good enough for round-trip tests and the
+    bench gate, not a streaming API. *)
 
 type t =
   | Null
@@ -29,7 +30,13 @@ val to_list : t -> t list
 
 val to_string : t -> string
 (** Two-space indented serialization (ends with a newline); parses back to
-    an equal value. Numbers print as integers when integral. *)
+    an equal value, except that non-finite numbers (nan, infinity,
+    neg_infinity), which JSON cannot represent, print as [null]. Numbers
+    print as integers when integral. *)
+
+val to_line : t -> string
+(** Like {!to_string} on a single line with no trailing newline: one
+    record of a [.jsonl] file. *)
 
 val set_member : string -> t -> t -> t
 (** [set_member k v obj] replaces field [k] (or appends it) in an [Obj],

@@ -78,18 +78,19 @@ let test_roosters_stop_latency () =
     (elapsed < 0.25)
 
 let test_domain_pool_generations () =
+  (* Workers only record [R.self ()]; the checks run on this domain, since
+     Alcotest's printer (a shared Format queue) is not domain-safe. *)
   let results =
     Qs_real.Domain_pool.run_generations ~n:2 ~generations:3
-      ~downtime_s:0.002 (fun ~pid ~gen ->
-        Alcotest.(check int) "worker registered under its slot pid" pid
-          (R.self ());
-        (pid, gen))
+      ~downtime_s:0.002 (fun ~pid:_ ~gen -> (R.self (), gen))
   in
   Alcotest.(check int) "one slot per pid" 2 (Array.length results);
   Array.iteri
     (fun pid gens ->
       Alcotest.(check (list (pair int int)))
-        (Printf.sprintf "slot %d ran three generations in order" pid)
+        (Printf.sprintf
+           "slot %d ran three generations in order, each registered under pid %d"
+           pid pid)
         [ (pid, 0); (pid, 1); (pid, 2) ]
         gens)
     results

@@ -199,6 +199,38 @@ let test_json_parse () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing garbage accepted")
 
+(* Both printers must emit documents [parse] accepts, non-finite floats
+   included (JSON has no nan/inf; they print as null). *)
+let test_json_print_round_trip () =
+  let open Qs_util.Json in
+  let v =
+    Obj
+      [ ("a", Arr [ Num 1.; Num 2.5; Num (-0.125); Str "q\"\\\n\t\001" ]);
+        ("b", Obj [ ("c", Bool true); ("d", Null); ("e", Arr []); ("f", Obj []) ]);
+        ("g", Num 1e20) ]
+  in
+  let round name s =
+    match parse s with
+    | Ok v' -> Alcotest.(check bool) (name ^ " round-trips") true (v' = v)
+    | Error e -> Alcotest.failf "%s output does not parse: %s" name e
+  in
+  round "to_string" (to_string v);
+  round "to_line" (to_line v);
+  Alcotest.(check bool) "to_line is one line" false
+    (String.contains (to_line v) '\n');
+  List.iter
+    (fun f ->
+      let doc = Obj [ ("x", Num f) ] in
+      List.iter
+        (fun (name, s) ->
+          match parse s with
+          | Ok v' ->
+            Alcotest.(check bool) (name ^ " prints non-finite as null") true
+              (v' = Obj [ ("x", Null) ])
+          | Error e -> Alcotest.failf "%s of %F does not parse: %s" name f e)
+        [ ("to_string", to_string doc); ("to_line", to_line doc) ])
+    [ nan; infinity; neg_infinity ]
+
 let test_sparkline () =
   Alcotest.(check string) "empty" "" (Histogram.sparkline [||]);
   let s = Histogram.sparkline [| 0.; 1. |] in
@@ -242,6 +274,7 @@ let suite =
     Alcotest.test_case "histogram invalid args" `Quick test_histogram_invalid;
     Alcotest.test_case "histogram edge labels" `Quick test_histogram_edge_labels;
     Alcotest.test_case "json parse" `Quick test_json_parse;
+    Alcotest.test_case "json print round-trip" `Quick test_json_print_round_trip;
     Alcotest.test_case "sparkline" `Quick test_sparkline;
     QCheck_alcotest.to_alcotest qcheck_percentile_bounds;
     QCheck_alcotest.to_alcotest qcheck_prng_int_range
