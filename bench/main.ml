@@ -500,6 +500,22 @@ module E2e = struct
     print_newline ()
 end
 
+(* Real-domain Mops/s of the same cadence/list run bare and with one
+   instrument installed ([instrument] edits the setup): the overhead A/B
+   each observatory's zero-cost claim rests on. *)
+let real_ab ~quick instrument =
+  let base =
+    { (Qs_harness.Real_exp.default_setup ~ds:Qs_harness.Cset.List
+         ~scheme:Qs_smr.Scheme.Cadence ~n_domains:2
+         ~workload:(Qs_workload.Spec.make ~key_range:512 ~update_pct:50))
+      with
+      duration_ms = (if quick then 50 else 200);
+      seed = 42 }
+  in
+  let off = Qs_harness.Real_exp.run base in
+  let on = Qs_harness.Real_exp.run (instrument base) in
+  (off.Qs_harness.Real_exp.throughput_mops, on.Qs_harness.Real_exp.throughput_mops)
+
 (* --- reclamation observatory (--trace) ------------------------------------ *)
 
 (* The tracing subsystem exercised end to end (see DESIGN.md §9 and
@@ -574,14 +590,14 @@ module Observatory = struct
       Printf.printf "min age at free: %d ticks vs floor %d  [%s]\n" min_age
         t_plus_eps
         (if min_age >= t_plus_eps then "ok" else "VIOLATED");
-      match Qs_obs.Metrics.age_histogram ~buckets:12 entries with
+      match Qs_obs.Metrics.age_histogram entries with
       | None -> ()
-      | Some h -> print_string (Qs_util.Histogram.to_ascii h ~width:40)
+      | Some h -> print_string (Qs_obs.Latency.to_ascii h ~width:40)
     end;
     for pid = 0 to 3 do
       let series = Qs_obs.Metrics.limbo_series entries ~pid in
       Printf.printf "limbo depth p%d: %s (max %d)\n" pid
-        (Qs_util.Histogram.sparkline (resample series 48))
+        (Qs_util.Table.sparkline (resample series 48))
         (Qs_obs.Metrics.max_limbo entries ~pid)
     done;
     ignore r.Qs_harness.Sim_exp.ops_total;
@@ -659,27 +675,15 @@ module Observatory = struct
     events_on : int;
   }
 
-  (* Same real-runtime run with and without a sink installed: the off run
-     is the product configuration, the on run bounds what full tracing
-     costs. *)
+  (* The off run is the product configuration, the on run bounds what
+     full tracing costs. *)
   let throughput_ab ~quick =
-    let ds = Qs_harness.Cset.List and scheme = Qs_smr.Scheme.Cadence in
-    let workload = Qs_workload.Spec.make ~key_range:512 ~update_pct:50 in
-    let duration_ms = if quick then 50 else 200 in
-    let base =
-      { (Qs_harness.Real_exp.default_setup ~ds ~scheme ~n_domains:2 ~workload) with
-        duration_ms;
-        seed = 42 }
-    in
-    let off = Qs_harness.Real_exp.run base in
     let tracer = Qs_obs.Tracer.create ~n_processes:2 ~capacity:(1 lsl 16) () in
-    let on =
-      Qs_harness.Real_exp.run
-        { base with sink = Some (Qs_obs.Tracer.sink tracer) }
+    let off, on =
+      real_ab ~quick (fun s ->
+          { s with sink = Some (Qs_obs.Tracer.sink tracer) })
     in
-    ( off.Qs_harness.Real_exp.throughput_mops,
-      on.Qs_harness.Real_exp.throughput_mops,
-      Qs_obs.Tracer.total tracer + Qs_obs.Tracer.total_dropped tracer )
+    (off, on, Qs_obs.Tracer.total tracer + Qs_obs.Tracer.total_dropped tracer)
 
   let overhead ~quick =
     let alloc_disabled = alloc_per_event ~enabled:false in
@@ -711,6 +715,46 @@ module Observatory = struct
     cadence_age ();
     qsense_fallback ()
 end
+
+(* --- observed sim rows (--latency, --service) ----------------------------- *)
+
+(* One simulator run with a latency recorder and a tracer installed, as
+   the latency and service observatories' rows run it (seed 23). A stall
+   row stalls the highest pid from 20k ticks to the end of the run and
+   sets QSense's switch threshold to C = 48, so the scheme enters
+   fallback well inside the run; every row attributes its p999-bucket
+   outliers against the reclamation trace. *)
+let observed_sim_run ~quick ~stall (setup : Qs_harness.Sim_exp.setup) =
+  let module L = Qs_obs.Latency in
+  let n = setup.n_processes in
+  let rec_ =
+    L.recorder ~n_processes:n ~n_kinds:(Qs_harness.Target.n_kinds setup.target) ()
+  in
+  let tracer = Qs_obs.Tracer.create ~n_processes:n ~capacity:(1 lsl 15) () in
+  let duration = if stall then 600_000 else if quick then 150_000 else 400_000 in
+  let r =
+    Qs_harness.Sim_exp.run
+      { setup with
+        duration;
+        seed = 23;
+        latency = Some rec_;
+        sink = Some (Qs_obs.Tracer.sink tracer);
+        faults =
+          (if stall then
+             [ Qs_sim.Scheduler.Stall_at { pid = n - 1; at = 20_000; ticks = duration } ]
+           else []);
+        smr_tweak =
+          (if stall then fun c -> { c with Qs_smr.Smr_intf.switch_threshold = 48 }
+           else Fun.id) }
+  in
+  let merged = L.merged rec_ in
+  let threshold = L.lower_edge (L.percentile_bucket merged 99.9) in
+  let attr =
+    Qs_obs.Metrics.attribute_spikes
+      (Qs_obs.Tracer.to_array tracer)
+      ~outliers:(L.outliers rec_) ~threshold
+  in
+  (r, rec_, merged, attr)
 
 (* --- latency observatory (--latency) -------------------------------------- *)
 
@@ -760,39 +804,14 @@ module Latency_obs = struct
      run, and the never-ending stall leaves the fallback episode open to
      the end of the trace. *)
   let sim_row ~quick ~ds ~scheme ~n ~stall =
-    let rec_ =
-      L.recorder ~n_processes:n ~n_kinds:Qs_workload.Spec.n_kinds ()
-    in
-    let tracer = Qs_obs.Tracer.create ~n_processes:n ~capacity:(1 lsl 15) () in
     let workload =
       Qs_workload.Spec.make
         ~key_range:(if stall then 32 else key_range ds)
         ~update_pct:50
     in
-    let duration =
-      if stall then 600_000 else if quick then 150_000 else 400_000
-    in
-    let setup =
-      { (Qs_harness.Sim_exp.default_setup ~ds ~scheme ~n_processes:n ~workload) with
-        duration;
-        seed = 23;
-        latency = Some rec_;
-        sink = Some (Qs_obs.Tracer.sink tracer);
-        faults =
-          (if stall then
-             [ Qs_sim.Scheduler.Stall_at { pid = n - 1; at = 20_000; ticks = duration } ]
-           else []);
-        smr_tweak =
-          (if stall then fun c -> { c with Qs_smr.Smr_intf.switch_threshold = 48 }
-           else Fun.id) }
-    in
-    let r = Qs_harness.Sim_exp.run setup in
-    let merged = L.merged rec_ in
-    let threshold = L.lower_edge (L.percentile_bucket merged 99.9) in
-    let attr =
-      M.attribute_spikes
-        (Qs_obs.Tracer.to_array tracer)
-        ~outliers:(L.outliers rec_) ~threshold
+    let r, _, merged, attr =
+      observed_sim_run ~quick ~stall
+        (Qs_harness.Sim_exp.default_setup ~ds ~scheme ~n_processes:n ~workload)
     in
     { ds;
       scheme;
@@ -868,27 +887,15 @@ module Latency_obs = struct
     done;
     (Gc.minor_words () -. w0) /. float_of_int n
 
-  (* Same real-domain run with and without the recorder: the off run is
-     the product configuration, the on run bounds what always-on latency
-     recording costs (one coarse-clock read per side of the op plus the
-     histogram increment). *)
+  (* The off run is the product configuration, the on run bounds what
+     always-on latency recording costs (one coarse-clock read per side of
+     the op plus the histogram increment). *)
   let throughput_ab ~quick =
-    let ds = Qs_harness.Cset.List and scheme = Qs_smr.Scheme.Cadence in
-    let workload = Qs_workload.Spec.make ~key_range:512 ~update_pct:50 in
-    let duration_ms = if quick then 50 else 200 in
-    let base =
-      { (Qs_harness.Real_exp.default_setup ~ds ~scheme ~n_domains:2 ~workload) with
-        duration_ms;
-        seed = 42 }
-    in
-    let off = Qs_harness.Real_exp.run base in
     let rec_ =
       L.recorder ~n_processes:2 ~n_kinds:Qs_workload.Spec.n_kinds ()
     in
-    let on = Qs_harness.Real_exp.run { base with latency = Some rec_ } in
-    ( off.Qs_harness.Real_exp.throughput_mops,
-      on.Qs_harness.Real_exp.throughput_mops,
-      L.count (L.merged rec_) )
+    let off, on = real_ab ~quick (fun s -> { s with latency = Some rec_ }) in
+    (off, on, L.count (L.merged rec_))
 
   type report = {
     lat_rows : row list;
@@ -970,7 +977,7 @@ module Service_obs = struct
   module L = Qs_obs.Latency
   module M = Qs_obs.Metrics
   module Ksp = Qs_workload.Kv_spec
-  module Sv = Qs_service.Service_sim
+  module Sx = Qs_harness.Sim_exp
 
   type kind_row = { kops : int; kp50 : int; kp99 : int; kp999 : int }
 
@@ -1017,45 +1024,21 @@ module Service_obs = struct
 
   let sim_row ~quick ~scheme ~dist ~stall =
     let n = 4 in
-    let gen = make_gen ~dist ~stall ~n in
-    let rec_ = L.recorder ~n_processes:n ~n_kinds:Ksp.n_kinds () in
-    let tracer = Qs_obs.Tracer.create ~n_processes:n ~capacity:(1 lsl 15) () in
-    let duration =
-      if stall then 600_000 else if quick then 150_000 else 400_000
+    let target =
+      Qs_harness.Target.Kv { gen = make_gen ~dist ~stall ~n; n_shards = 4 }
     in
-    let setup =
-      { (Sv.default_setup ~scheme ~n_processes:n ~gen) with
-        Sv.duration;
-        seed = 23;
-        n_shards = 4;
-        latency = Some rec_;
-        sink = Some (Qs_obs.Tracer.sink tracer);
-        churn =
-          (if stall then None
-           else Some { Sv.every_ops = 40; downtime = 2_000 });
-        faults =
-          (if stall then
-             [ Qs_sim.Scheduler.Stall_at
-                 { pid = n - 1; at = 20_000; ticks = duration } ]
-           else []);
-        smr_tweak =
-          (if stall then
-             fun c -> { c with Qs_smr.Smr_intf.switch_threshold = 48 }
-           else Fun.id) }
-    in
-    let r = Sv.run setup in
-    let merged = L.merged rec_ in
-    let threshold = L.lower_edge (L.percentile_bucket merged 99.9) in
-    let attr =
-      M.attribute_spikes
-        (Qs_obs.Tracer.to_array tracer)
-        ~outliers:(L.outliers rec_) ~threshold
+    let r, rec_, merged, attr =
+      observed_sim_run ~quick ~stall
+        { (Sx.target_setup ~target ~scheme ~n_processes:n) with
+          churn =
+            (if stall then None
+             else Some { Sx.every_ops = 40; downtime = 2_000 }) }
     in
     let kinds =
       List.init Ksp.n_kinds (fun k ->
           let h = L.merged_kind rec_ ~kind:k in
           ( Ksp.kind_name k,
-            { kops = r.Sv.per_kind_ops.(k);
+            { kops = r.Sx.per_kind_ops.(k);
               kp50 = L.percentile h 50.;
               kp99 = L.percentile h 99.;
               kp999 = L.percentile h 99.9 } ))
@@ -1063,11 +1046,11 @@ module Service_obs = struct
     { scheme;
       dist;
       stall;
-      ops = r.Sv.ops_total;
-      violations = r.Sv.violations;
-      churn_events = r.Sv.churn_events;
+      ops = r.Sx.ops_total;
+      violations = r.Sx.violations;
+      churn_events = r.Sx.churn_events;
       leak_ok =
-        (match r.Sv.leak_check with `Ok | `Skipped -> true | `Leaked _ -> false);
+        (match r.Sx.leak_check with `Ok | `Skipped -> true | `Leaked _ -> false);
       kinds;
       p999 = L.percentile merged 99.9;
       attr }
@@ -1104,7 +1087,7 @@ module Service_obs = struct
      quiescence round, measured over a 200k-request window after warmup.
      Must be exactly 0 — this is the pin CI gates on. *)
   let get_alloc_words () =
-    let module K = Qs_service.Service_real.K in
+    let module K = Qs_service.Kv.Make (Qs_real.Real_runtime) in
     let base =
       { (Qs_ds.Set_intf.default_config ~n_processes:1
            ~scheme:Qs_smr.Scheme.Qsense)
@@ -1145,21 +1128,22 @@ module Service_obs = struct
       Qs_workload.Kv_gen.make spec ~n_processes:n ~ops_per_process:8_192
         ~seed:42
     in
-    let setup =
-      { (Qs_service.Service_real.default_setup
-           ~scheme:Qs_smr.Scheme.Qsense ~n_domains:n ~gen)
-        with
-        Qs_service.Service_real.duration_ms = (if quick then 50 else 200);
-        churn = Some { Qs_service.Service_real.generations = 2; downtime_ms = 2 } }
+    let r =
+      Qs_harness.Real_exp.run
+        { (Qs_harness.Real_exp.target_setup
+             ~target:(Qs_harness.Target.Kv { gen; n_shards = 4 })
+             ~scheme:Qs_smr.Scheme.Qsense ~n_domains:n)
+          with
+          duration_ms = (if quick then 50 else 200);
+          churn = Some { Qs_harness.Real_exp.generations = 2; downtime_ms = 2 } }
     in
-    let r = Qs_service.Service_real.run setup in
     { r_scheme = Qs_smr.Scheme.Qsense;
       r_domains = n;
-      r_ops = r.Qs_service.Service_real.ops_total;
-      r_mops = r.Qs_service.Service_real.throughput_mops;
-      r_violations = r.Qs_service.Service_real.violations;
-      r_failed = r.Qs_service.Service_real.failed;
-      r_churn = r.Qs_service.Service_real.churn_events }
+      r_ops = r.Qs_harness.Real_exp.ops_total;
+      r_mops = r.throughput_mops;
+      r_violations = r.violations;
+      r_failed = r.failed;
+      r_churn = r.churn_events }
 
   type report = {
     svc_rows : row list;  (** matrix rows, stall row last *)

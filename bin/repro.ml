@@ -67,7 +67,7 @@ let sparklines_of_series results =
     (fun (scheme, (r : Qs_harness.Sim_exp.result)) ->
       Printf.printf "%-8s %s%s\n"
         (Qs_smr.Scheme.to_string scheme)
-        (Qs_util.Histogram.sparkline r.series)
+        (Qs_util.Table.sparkline r.series)
         (match r.failed_at with
         | Some t -> Printf.sprintf "   (OUT OF MEMORY at t=%d)" t
         | None -> ""))

@@ -39,7 +39,7 @@ let describe scheme =
               switch_threshold = 24 }) }
   in
   Printf.printf "%-7s | %s\n" (Qs_smr.Scheme.to_string scheme)
-    (Qs_util.Histogram.sparkline r.series);
+    (Qs_util.Table.sparkline r.series);
   Printf.printf "        | ops=%d  fallback switches=%d  recoveries=%d%s\n\n"
     r.ops_total r.report.smr.fallback_switches r.report.smr.fastpath_switches
     (match r.failed_at with

@@ -365,29 +365,33 @@ let latency_table ~seed =
   List.iter
     (fun scheme ->
       let workload = Qs_workload.Spec.make ~key_range:512 ~update_pct:50 in
-      let r =
-        Sim_exp.run
-          { (Sim_exp.default_setup ~ds:Cset.List ~scheme ~n_processes:8
-               ~workload) with
-            seed;
-            duration = 400_000;
-            record_latency = true }
+      let rec_ =
+        Qs_obs.Latency.recorder ~n_processes:8
+          ~n_kinds:Qs_workload.Spec.n_kinds ()
       in
-      let xs = Array.map float_of_int r.latencies in
-      if Array.length xs = 0 then
+      ignore
+        (Sim_exp.run
+           { (Sim_exp.default_setup ~ds:Cset.List ~scheme ~n_processes:8
+                ~workload) with
+             seed;
+             duration = 400_000;
+             latency = Some rec_ });
+      let h = Qs_obs.Latency.merged rec_ in
+      let n = Qs_obs.Latency.count h in
+      if n = 0 then
         Qs_util.Table.add_row tbl
           [ Scheme.to_string scheme; "0"; "-"; "-"; "-"; "-"; "-" ]
       else begin
-        let p q = Qs_util.Stats.percentile xs q in
+        let p q = string_of_int (Qs_obs.Latency.percentile h q) in
         Qs_util.Table.add_row tbl
           [ Scheme.to_string scheme;
-            string_of_int (Array.length xs);
-            Printf.sprintf "%.0f" (Qs_util.Stats.mean xs);
-            Printf.sprintf "%.0f" (p 50.);
-            Printf.sprintf "%.0f" (p 95.);
-            Printf.sprintf "%.0f" (p 99.);
-            Printf.sprintf "%.0f" (snd (Qs_util.Stats.min_max xs))
-          ]
+            string_of_int n;
+            Printf.sprintf "%.0f"
+              (float_of_int (Qs_obs.Latency.sum h) /. float_of_int n);
+            p 50.;
+            p 95.;
+            p 99.;
+            string_of_int (Qs_obs.Latency.max_value h) ]
       end)
     [ Scheme.None_; Scheme.Qsbr; Scheme.Ebr; Scheme.Qsense; Scheme.Cadence; Scheme.Hp ];
   tbl

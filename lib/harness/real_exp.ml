@@ -1,8 +1,10 @@
 (** Experiment runner over real OCaml 5 domains ({!Qs_real.Real_runtime}).
 
-    The shape mirrors {!Sim_exp}: N worker domains run a random operation
-    mix against one structure for a wall-clock duration, with an optional
-    stalled victim. On a machine with enough cores this reproduces the
+    The shape mirrors {!Sim_exp}: N worker domains drive one {!Target} — a
+    set under an operation mix, or the KV service replaying its request
+    streams cyclically (closed loop: arrival times are a simulator
+    concern) — for a wall-clock duration, with an optional stalled
+    victim. On a machine with enough cores this reproduces the
     paper's curves natively; on fewer cores domains timeshare, so use the
     simulator for scalability shapes and this runner for real-fence
     smoke tests and demos. Rooster domains are started automatically for
@@ -11,10 +13,9 @@
 type churn = { generations : int; downtime_ms : int }
 
 type setup = {
-  ds : Cset.kind;
+  target : Target.t;
   scheme : Qs_smr.Scheme.kind;
   n_domains : int;
-  workload : Qs_workload.Spec.t;
   duration_ms : int;
   seed : int;
   capacity : int option;
@@ -38,11 +39,10 @@ type setup = {
   smr_tweak : Qs_smr.Smr_intf.config -> Qs_smr.Smr_intf.config;
 }
 
-let default_setup ~ds ~scheme ~n_domains ~workload =
-  { ds;
+let target_setup ~target ~scheme ~n_domains =
+  { target;
     scheme;
     n_domains;
-    workload;
     duration_ms = 200;
     seed = 1;
     capacity = None;
@@ -52,8 +52,14 @@ let default_setup ~ds ~scheme ~n_domains ~workload =
     sink = None;
     smr_tweak = Fun.id }
 
+let default_setup ~ds ~scheme ~n_domains ~workload =
+  target_setup
+    ~target:(Target.Set { ds; workload; generator = None })
+    ~scheme ~n_domains
+
 type result = {
   ops_total : int;
+  per_kind_ops : int array;
   throughput_mops : float;
   violations : int;
   failed : bool;  (** some domain hit [Arena.Exhausted] *)
@@ -63,14 +69,12 @@ type result = {
 
 let rooster_interval_ns = 2_000_000 (* 2 ms *)
 
-let cset_of : Cset.kind -> (module Cset.S) = function
-  | Cset.List -> (module Qs_ds.Linked_list.Make (Qs_real.Real_runtime))
-  | Cset.Skiplist -> (module Qs_ds.Skiplist.Make (Qs_real.Real_runtime))
-  | Cset.Bst -> (module Qs_ds.Bst.Make (Qs_real.Real_runtime))
-  | Cset.Hashtable -> (module Qs_ds.Hashtable.Make (Qs_real.Real_runtime))
+module T = Target.Make (Qs_real.Real_runtime)
+
+let cset_of = T.cset_of
 
 let run (setup : setup) : result =
-  let module C = (val cset_of setup.ds) in
+  let module D = (val T.driver setup.target) in
   let n = setup.n_domains in
   let base = Qs_ds.Set_intf.default_config ~n_processes:n ~scheme:setup.scheme in
   let cfg =
@@ -82,12 +86,12 @@ let run (setup : setup) : result =
             rooster_interval = rooster_interval_ns;
             epsilon = rooster_interval_ns / 2 } }
   in
-  let set = C.create cfg in
-  let ctxs = Array.init n (fun pid -> C.register set ~pid) in
+  let state = D.create cfg in
+  let ctxs = Array.init n (fun pid -> D.register state ~pid) in
   Qs_real.Real_runtime.register_self 0;
-  let keys = Array.of_list (Qs_workload.Spec.initial_keys setup.workload) in
+  let keys = Array.of_list D.initial_keys in
   Qs_util.Prng.shuffle (Qs_util.Prng.create ~seed:setup.seed) keys;
-  Array.iter (fun k -> ignore (C.insert ctxs.(0) k)) keys;
+  Array.iter (D.fill ctxs.(0)) keys;
   (* Install the trace sink only for the worker phase: the fill above is
      setup, not measured behaviour. *)
   Qs_real.Real_runtime.set_sink setup.sink;
@@ -105,6 +109,8 @@ let run (setup : setup) : result =
   let deadline = t0 +. (float_of_int setup.duration_ms /. 1000.) in
   let master = Qs_util.Prng.create ~seed:(setup.seed + 31) in
   let prngs = Array.init n (fun _ -> Qs_util.Prng.split master) in
+  let n_kinds = Target.n_kinds setup.target in
+  let kind_counts = Array.init n (fun _ -> Array.make n_kinds 0) in
   (* [Unix.gettimeofday] is a syscall-priced clock read; at the
      millions-of-ops/s this loop targets, reading it per operation
      dominates the thing being measured. Check the deadline (and the
@@ -114,6 +120,7 @@ let run (setup : setup) : result =
      throughput divides by the measured elapsed time anyway. *)
   let worker_loop ~pid ~ctx ~until_ =
     let prng = prngs.(pid) in
+    let kinds = kind_counts.(pid) in
     let stall_at =
       match setup.stall_victim_after_ms with
       | Some ms when pid = n - 1 ->
@@ -141,7 +148,6 @@ let run (setup : setup) : result =
               installed OCaml exception handler is push-one-trap-frame
               cheap, so this does not tax the measured loop. *)
            (try
-              let op = Qs_workload.Spec.pick prng setup.workload in
               let ls =
                 (* coarse clock: one atomic load, no boxed float — the
                    recording path must stay at 0 minor words per op *)
@@ -149,17 +155,13 @@ let run (setup : setup) : result =
                 | Some _ -> Qs_real.Real_runtime.now_coarse ()
                 | None -> 0
               in
-              (match op with
-              | Search k -> ignore (C.search ctx k)
-              | Insert k -> ignore (C.insert ctx k)
-              | Delete k -> ignore (C.delete ctx k));
+              let kind = D.step ctx prng ~pid ~i:!count in
               (match setup.latency with
               | Some r ->
-                Qs_obs.Latency.observe r ~pid
-                  ~kind:(Qs_workload.Spec.kind_index op)
-                  ~start:ls
+                Qs_obs.Latency.observe r ~pid ~kind ~start:ls
                   ~dur:(Qs_real.Real_runtime.now_coarse () - ls)
               | None -> ());
+              kinds.(kind) <- kinds.(kind) + 1;
               incr count
             with Qs_intf.Runtime_intf.Neutralized -> ())
          end
@@ -188,7 +190,7 @@ let run (setup : setup) : result =
                the fill for pid 0); later generations join fresh, under the
                same pid slot. *)
             let ctx =
-              if gen = 0 then ctxs.(pid) else C.register set ~pid
+              if gen = 0 then ctxs.(pid) else D.register state ~pid
             in
             let until_ =
               Float.min deadline (t0 +. (slice_s *. float_of_int (gen + 1)))
@@ -196,7 +198,7 @@ let run (setup : setup) : result =
             let count = worker_loop ~pid ~ctx ~until_ in
             (* leave: donate limbo lists to the orphan pool so survivors
                (and successor generations) reclaim them *)
-            if gen < generations - 1 then C.unregister ctx
+            if gen < generations - 1 then D.unregister ctx
             else ctxs.(pid) <- ctx;
             count)
       in
@@ -210,11 +212,16 @@ let run (setup : setup) : result =
   (* The sink is a global on the real runtime: remove it so later runs in
      the same process do not keep feeding this experiment's tracer. *)
   Qs_real.Real_runtime.set_sink None;
-  let report = C.report set in
+  let report = D.report state in
   let ops_total = Array.fold_left ( + ) 0 ops in
+  let per_kind_ops = Array.make n_kinds 0 in
+  Array.iter
+    (Array.iteri (fun k c -> per_kind_ops.(k) <- per_kind_ops.(k) + c))
+    kind_counts;
   { ops_total;
+    per_kind_ops;
     throughput_mops = float_of_int ops_total /. elapsed /. 1e6;
-    violations = C.violations set;
+    violations = D.violations state;
     failed = Atomic.get failed;
     churn_events = !churn_events;
     report }

@@ -1,5 +1,8 @@
 (** Experiment runner over real OCaml 5 domains — the {!Sim_exp} shape on
-    {!Qs_real.Real_runtime}. On a machine with enough cores this reproduces
+    {!Qs_real.Real_runtime}, driving the same {!Target}s. The KV service
+    replays its request streams cyclically, closed loop: on real domains
+    the point is throughput, and the simulator owns exact open-loop
+    latency. On a machine with enough cores this reproduces
     the paper's curves natively; on fewer cores domains timeshare, so use
     the simulator for scalability shapes and this runner for real-fence
     smoke tests and demos. Roosters are started automatically for schemes
@@ -11,10 +14,9 @@ type churn = {
 }
 
 type setup = {
-  ds : Cset.kind;
+  target : Target.t;
   scheme : Qs_smr.Scheme.kind;
   n_domains : int;
-  workload : Qs_workload.Spec.t;
   duration_ms : int;
   seed : int;
   capacity : int option;
@@ -43,15 +45,21 @@ type setup = {
   smr_tweak : Qs_smr.Smr_intf.config -> Qs_smr.Smr_intf.config;
 }
 
+val target_setup :
+  target:Target.t -> scheme:Qs_smr.Scheme.kind -> n_domains:int -> setup
+(** 200 ms, seed 1, no cap, no stall, no churn. *)
+
 val default_setup :
   ds:Cset.kind ->
   scheme:Qs_smr.Scheme.kind ->
   n_domains:int ->
   workload:Qs_workload.Spec.t ->
   setup
+(** {!target_setup} on [Target.Set { ds; workload; generator = None }]. *)
 
 type result = {
   ops_total : int;
+  per_kind_ops : int array;  (** completed ops per op-kind index *)
   throughput_mops : float;
   violations : int;
   failed : bool;  (** some domain hit the arena capacity *)

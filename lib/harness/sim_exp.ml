@@ -1,8 +1,9 @@
 (** Experiment runner over the deterministic simulator.
 
-    One experiment = N worker processes, one per virtual core, running a
-    random mix of set operations for a fixed span of virtual time, with
-    optional delay injection (a chosen victim process sleeping through given
+    One experiment = N worker processes, one per virtual core, driving a
+    {!Target} — a set under a random op mix, or the KV service replaying
+    a request trace — for a fixed span of virtual time, with optional
+    delay injection (a chosen victim process sleeping through given
     windows, as in the paper's §7.2 robustness runs) and an optional arena
     capacity (exceeding it models running out of memory). Throughput is
     operations per million virtual ticks — the analogue of the paper's
@@ -15,11 +16,12 @@ type delays = { victim : int; windows : (int * int) list }
 type churn = { every_ops : int; downtime : int }
 
 type setup = {
-  ds : Cset.kind;
+  target : Target.t;
   scheme : Qs_smr.Scheme.kind;
   n_processes : int;
-  workload : Qs_workload.Spec.t;
   duration : int;
+  ops_limit : int option;
+      (** stop each worker after this many completed operations *)
   seed : int;
   capacity : int option;
   delays : delays option;
@@ -29,15 +31,10 @@ type setup = {
           pool), sits out [downtime] ticks, and re-registers under the same
           pid. Pid 0 stays put so the fill/teardown context stays alive. *)
   sample_every : int;  (** bucket width of the throughput series; 0 = none *)
-  record_latency : bool;  (** collect per-operation latencies (in ticks) *)
   latency : Qs_obs.Latency.recorder option;
       (** per-{pid × op-kind} online histograms + top-K outliers, recorded
           via meta-level clock reads ([Scheduler.clock_of]) so schedules
           are byte-identical with the recorder on or off *)
-  generator : Qs_workload.Generator.t option;
-      (** pre-generated op streams (cyclic, indexed by completed ops) in
-          place of on-line [Spec.pick] draws — the same logical sequence
-          replayable across schemes for latency comparisons *)
   faults : Scheduler.fault list;
       (** injected after the fill, re-armed by the clock reset, so fault
           times are in measured time *)
@@ -48,36 +45,39 @@ type setup = {
   sched_tweak : Scheduler.config -> Scheduler.config;
 }
 
-let default_setup ~ds ~scheme ~n_processes ~workload =
-  { ds;
+let target_setup ~target ~scheme ~n_processes =
+  { target;
     scheme;
     n_processes;
-    workload;
     duration = 300_000;
+    ops_limit = None;
     seed = 1;
     capacity = None;
     delays = None;
     churn = None;
     sample_every = 0;
-    record_latency = false;
     latency = None;
-    generator = None;
     faults = [];
     sink = None;
     smr_tweak = Fun.id;
     sched_tweak = Fun.id }
 
+let default_setup ~ds ~scheme ~n_processes ~workload =
+  target_setup
+    ~target:(Target.Set { ds; workload; generator = None })
+    ~scheme ~n_processes
+
 type result = {
   ops_total : int;
   per_worker_ops : int array;
+  per_kind_ops : int array;
   throughput : float;  (** ops per million virtual ticks *)
   series : float array;  (** ops/Mtick per sample bucket *)
   failed_at : int option;  (** virtual time of memory exhaustion, if any *)
-  latencies : int array;  (** per-operation latencies in ticks, all workers *)
   violations : int;
   report : Qs_ds.Set_intf.report;
-  rooster_fires : int;
   final_size : int;
+  contents : int list;
   churn_events : int;  (** completed leave/rejoin cycles across all workers *)
   leak_check : [ `Ok | `Leaked of int | `Skipped ];
       (** after teardown flush: do outstanding nodes match live nodes? *)
@@ -95,14 +95,12 @@ let base_smr_config ~n_processes =
     rooster_interval = default_rooster_interval;
     epsilon = default_epsilon }
 
-let cset_of : Cset.kind -> (module Cset.S) = function
-  | Cset.List -> (module Qs_ds.Linked_list.Make (Sim_runtime))
-  | Cset.Skiplist -> (module Qs_ds.Skiplist.Make (Sim_runtime))
-  | Cset.Bst -> (module Qs_ds.Bst.Make (Sim_runtime))
-  | Cset.Hashtable -> (module Qs_ds.Hashtable.Make (Sim_runtime))
+module T = Target.Make (Sim_runtime)
+
+let cset_of = T.cset_of
 
 let run (setup : setup) : result =
-  let module C = (val cset_of setup.ds) in
+  let module D = (val T.driver setup.target) in
   let n = setup.n_processes in
   let sched_cfg =
     setup.sched_tweak
@@ -114,21 +112,21 @@ let run (setup : setup) : result =
         rooster_oversleep = default_epsilon / 2 }
   in
   let sched = Scheduler.create sched_cfg in
-  let set_cfg =
+  let cfg =
     { Qs_ds.Set_intf.scheme = setup.scheme;
       smr = setup.smr_tweak (base_smr_config ~n_processes:n);
       capacity = setup.capacity;
       debug_checks = true }
   in
-  let set = C.create set_cfg in
-  let ctxs = Array.init n (fun pid -> C.register set ~pid) in
+  let state = D.create cfg in
+  let ctxs = Array.init n (fun pid -> D.register state ~pid) in
   (* Pre-fill to half the key range from a single process (§7.1). *)
   Scheduler.exec sched ~pid:0 (fun () ->
       (* shuffled so that unbalanced structures (the external BST) do not
          degenerate under an ascending fill *)
-      let keys = Array.of_list (Qs_workload.Spec.initial_keys setup.workload) in
+      let keys = Array.of_list D.initial_keys in
       Qs_util.Prng.shuffle (Qs_util.Prng.create ~seed:setup.seed) keys;
-      Array.iter (fun k -> ignore (C.insert ctxs.(0) k)) keys);
+      Array.iter (D.fill ctxs.(0)) keys);
   (* faults go in after the fill (so they cannot fire during it) and
      before the clock reset, which re-arms them on the measured time base *)
   if setup.faults <> [] then Scheduler.inject sched setup.faults;
@@ -142,14 +140,18 @@ let run (setup : setup) : result =
   in
   let buckets = Array.make (max n_buckets 1) 0 in
   let per_worker_ops = Array.make n 0 in
-  let latency_logs = Array.init n (fun _ -> ref []) in
+  let per_kind_ops = Array.make (Target.n_kinds setup.target) 0 in
   let failed_at = ref None in
   let churn_counts = Array.make n 0 in
   let master = Qs_util.Prng.create ~seed:(setup.seed + 7919) in
   let prngs = Array.init n (fun _ -> Qs_util.Prng.split master) in
+  (* Open loop: op [i] is due at its scheduled arrival. An early worker
+     idles until then; a late one starts at once, and its latency still
+     counts from the arrival, so queueing behind a reclamation pause lands
+     in the tail percentiles. *)
+  let open_loop = D.arrival ~pid:0 ~i:1 > 0 in
   for pid = 0 to n - 1 do
     Scheduler.spawn sched ~pid (fun () ->
-        let prng = prngs.(pid) in
         let ctx = ref ctxs.(pid) in
         let windows =
           match setup.delays with
@@ -169,15 +171,27 @@ let run (setup : setup) : result =
           | Some c when per_worker_ops.(pid) >= !next_churn ->
             (* leave: retire the SMR slot (limbo lists go to the orphan
                pool), sit out, rejoin under the same pid *)
-            C.unregister !ctx;
+            D.unregister !ctx;
             Sim_runtime.sleep_until (Sim_runtime.now () + c.downtime);
-            ctx := C.register set ~pid;
+            ctx := D.register state ~pid;
             ctxs.(pid) <- !ctx;
             churn_counts.(pid) <- churn_counts.(pid) + 1;
             next_churn := !next_churn + c.every_ops
           | _ -> ());
+          let i = per_worker_ops.(pid) in
+          let due = D.arrival ~pid ~i in
           let t = Sim_runtime.now () in
-          if t < setup.duration && !failed_at = None then begin
+          let t =
+            if open_loop && due > t then begin
+              Sim_runtime.sleep_until due;
+              due
+            end
+            else t
+          in
+          let under_limit =
+            match setup.ops_limit with None -> true | Some l -> i < l
+          in
+          if t < setup.duration && under_limit && !failed_at = None then begin
             (match
                List.find_opt (fun (a, b) -> a <= t && t < b) windows
              with
@@ -193,34 +207,18 @@ let run (setup : setup) : result =
                  retried by the loop and not counted. *)
               Scheduler.set_neutralizable sched ~pid true;
               (try
-                 (* Index pre-generated streams by *completed* ops so an
-                    aborted (neutralized) operation is retried, keeping
-                    the logical sequence identical across schemes. *)
-                 let op =
-                   match setup.generator with
-                   | Some g ->
-                     Qs_workload.Generator.op g ~pid ~i:per_worker_ops.(pid)
-                   | None -> Qs_workload.Spec.pick prng setup.workload
-                 in
-                 (match op with
-                 | Search k -> ignore (C.search !ctx k)
-                 | Insert k -> ignore (C.insert !ctx k)
-                 | Delete k -> ignore (C.delete !ctx k));
+                 let kind = D.step !ctx prngs.(pid) ~pid ~i in
                  (match setup.latency with
                  | Some r ->
                    (* [clock_of] is a meta-level read of the core clock —
                       no effect is performed, so recording cannot shift
                       the seeded schedule (same contract as [E_emit]). *)
-                   let t1 = Scheduler.clock_of sched ~pid in
-                   Qs_obs.Latency.observe r ~pid
-                     ~kind:(Qs_workload.Spec.kind_index op)
-                     ~start:t ~dur:(t1 - t)
+                   let start = if open_loop then due else t in
+                   Qs_obs.Latency.observe r ~pid ~kind ~start
+                     ~dur:(Scheduler.clock_of sched ~pid - start)
                  | None -> ());
-                 if setup.record_latency then begin
-                   let log = latency_logs.(pid) in
-                   log := (Sim_runtime.now () - t) :: !log
-                 end;
-                 per_worker_ops.(pid) <- per_worker_ops.(pid) + 1;
+                 per_worker_ops.(pid) <- i + 1;
+                 per_kind_ops.(kind) <- per_kind_ops.(kind) + 1;
                  if setup.sample_every > 0 then begin
                    let b = t / setup.sample_every in
                    if b < Array.length buckets then
@@ -251,31 +249,28 @@ let run (setup : setup) : result =
         (fun c -> float_of_int c /. float_of_int setup.sample_every *. 1e6)
         buckets
   in
-  let violations = C.violations set in
-  let final_size = Scheduler.exec sched ~pid:0 (fun () -> C.size ctxs.(0)) in
+  let violations = D.violations state in
+  let contents = Scheduler.exec sched ~pid:0 (fun () -> D.to_list ctxs.(0)) in
   (* capture statistics before the teardown flush below frees everything *)
-  let report = C.report set in
+  let report = D.report state in
   let leak_check =
     if setup.scheme = Qs_smr.Scheme.None_ then `Skipped
     else begin
-      Scheduler.exec sched ~pid:0 (fun () -> Array.iter C.flush ctxs);
-      let leaked = C.outstanding set - (C.nodes_per_key * final_size) in
+      Scheduler.exec sched ~pid:0 (fun () -> Array.iter D.flush ctxs);
+      let live = Scheduler.exec sched ~pid:0 (fun () -> D.live_nodes ctxs.(0)) in
+      let leaked = D.outstanding state - live in
       if leaked = 0 then `Ok else `Leaked leaked
     end
   in
-  let latencies =
-    Array.of_list
-      (Array.fold_left (fun acc l -> List.rev_append !l acc) [] latency_logs)
-  in
   { ops_total;
     per_worker_ops;
+    per_kind_ops;
     throughput;
     series;
-    latencies;
     failed_at = !failed_at;
     violations;
     report;
-    rooster_fires = Scheduler.rooster_fires sched;
-    final_size;
+    final_size = List.length contents;
+    contents;
     churn_events = Array.fold_left ( + ) 0 churn_counts;
     leak_check }

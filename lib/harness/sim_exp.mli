@@ -1,10 +1,11 @@
 (** Experiment runner over the deterministic simulator.
 
-    One experiment = N worker processes (one per virtual core) running a
-    random operation mix against a freshly filled structure for a span of
-    virtual time, with optional delay injection (the paper's §7.2 setup: a
-    victim process sleeping through given windows) and an optional arena
-    capacity whose exhaustion models running out of memory.
+    One experiment = N worker processes (one per virtual core) driving a
+    {!Target} — a freshly filled set under an operation mix, or the KV
+    service replaying a request trace — for a span of virtual time, with
+    optional delay injection (the paper's §7.2 setup: a victim process
+    sleeping through given windows) and an optional arena capacity whose
+    exhaustion models running out of memory.
 
     Everything is deterministic given [seed]. Throughput is reported in
     operations per million virtual ticks — the analogue of the paper's
@@ -23,11 +24,16 @@ type churn = {
 }
 
 type setup = {
-  ds : Cset.kind;
+  target : Target.t;
   scheme : Qs_smr.Scheme.kind;
   n_processes : int;
-  workload : Qs_workload.Spec.t;
   duration : int;  (** virtual ticks of measured time (after the fill) *)
+  ops_limit : int option;
+      (** stop each worker after this many completed operations (with a
+          [duration] comfortably past the end): every scheme then executes
+          the identical logical trace of a pre-generated target, so final
+          contents are comparable — the differential-test mode. [None] =
+          duration-bounded. *)
   seed : int;
   capacity : int option;  (** arena cap; exceeded => the run "fails" *)
   delays : delays option;
@@ -38,19 +44,15 @@ type setup = {
           same pid — staggered by pid so workers do not all vacate at once.
           Pid 0 never churns, keeping the fill/teardown context alive. *)
   sample_every : int;  (** bucket width of the throughput series; 0 = none *)
-  record_latency : bool;  (** collect per-operation latencies (in ticks) *)
   latency : Qs_obs.Latency.recorder option;
-      (** per-{pid × op-kind} online histograms + top-K outlier buffers.
-          End timestamps come from meta-level clock reads
+      (** per-{pid × op-kind} online histograms + top-K outlier buffers
+          (sized with {!Target.n_kinds}). A latency runs from the op's
+          start — its scheduled arrival, for an open-loop target — to
+          completion. End timestamps come from meta-level clock reads
           ([Scheduler.clock_of]) rather than a [now] effect, so seeded
           schedules are byte-identical with the recorder on or off, and
           outlier windows share the trace's time base (both start at the
           post-fill clock reset) for {!Qs_obs.Metrics.attribute_spikes}. *)
-  generator : Qs_workload.Generator.t option;
-      (** pre-generated operation streams (cyclic, indexed by the worker's
-          completed-op count, so an aborted op is retried) in place of
-          on-line [Spec.pick] draws — the same logical op sequence
-          replayable across schemes. *)
   faults : Scheduler.fault list;
       (** scheduler fault injection (e.g. [Stall_at]), installed after the
           fill and re-armed by the clock reset: fault times are measured
@@ -64,31 +66,37 @@ type setup = {
   sched_tweak : Scheduler.config -> Scheduler.config;
 }
 
+val target_setup :
+  target:Target.t -> scheme:Qs_smr.Scheme.kind -> n_processes:int -> setup
+(** 300k ticks, seed 1, no op limit, no cap, no delays, no churn, no
+    sampling; roosters are configured automatically for schemes that need
+    them. *)
+
 val default_setup :
   ds:Cset.kind ->
   scheme:Qs_smr.Scheme.kind ->
   n_processes:int ->
   workload:Qs_workload.Spec.t ->
   setup
-(** 300k ticks, seed 1, no cap, no delays, no churn, no sampling; roosters
-    are configured automatically for schemes that need them. *)
+(** {!target_setup} on [Target.Set { ds; workload; generator = None }]. *)
 
 type result = {
   ops_total : int;
   per_worker_ops : int array;
+  per_kind_ops : int array;  (** completed ops per op-kind index *)
   throughput : float;  (** ops per million virtual ticks *)
   series : float array;  (** ops/Mtick per sample bucket (if sampling) *)
   failed_at : int option;  (** virtual time of memory exhaustion, if any *)
-  latencies : int array;  (** per-op latencies in ticks (if recording) *)
   violations : int;  (** use-after-free oracle hits — 0 for sound schemes *)
   report : Qs_ds.Set_intf.report;  (** captured before the teardown flush *)
-  rooster_fires : int;
   final_size : int;
+  contents : int list;  (** final authoritative contents, sorted *)
   churn_events : int;
       (** completed leave/rejoin cycles across all workers (0 unless
           [churn] was set) *)
   leak_check : [ `Ok | `Leaked of int | `Skipped ];
-      (** after teardown flush: outstanding nodes vs live nodes *)
+      (** after teardown flush: outstanding nodes vs the target's live
+          nodes *)
 }
 
 val default_rooster_interval : int
@@ -102,6 +110,6 @@ val cset_of : Cset.kind -> (module Cset.S)
 
 val run : setup -> result
 (** Fill to half the key range from process 0 (shuffled), reset the virtual
-    clocks, run all workers to [duration], then collect statistics and
-    perform the teardown leak check. Raises [Failure] if a worker dies of
-    anything other than the modelled memory exhaustion. *)
+    clocks, run all workers to [duration] (or [ops_limit]), then collect
+    statistics and perform the teardown leak check. Raises [Failure] if a
+    worker dies of anything other than the modelled memory exhaustion. *)

@@ -54,16 +54,12 @@ let ages_at_free (es : entry array) =
     !out;
   arr
 
-let age_histogram ?(buckets = 20) es =
+let age_histogram es =
   let ages = ages_at_free es in
   if Array.length ages = 0 then None
   else begin
-    let lo = Array.fold_left min ages.(0) ages in
-    let hi = Array.fold_left max ages.(0) ages in
-    let lo = float_of_int lo and hi = float_of_int hi in
-    let hi = if hi <= lo then lo +. 1. else hi +. 1e-9 in
-    let h = Qs_util.Histogram.create ~lo ~hi ~buckets in
-    Array.iter (fun a -> Qs_util.Histogram.add h (float_of_int a)) ages;
+    let h = Latency.create () in
+    Array.iter (Latency.record h) ages;
     Some h
   end
 

@@ -21,9 +21,9 @@ val ages_at_free : entry array -> int array
     whose reclamation test is not age-based), and skips frees whose retire
     fell out of the ring. *)
 
-val age_histogram : ?buckets:int -> entry array -> Qs_util.Histogram.t option
-(** Histogram over {!ages_at_free} ([None] when no age is recoverable).
-    Buckets default to 20, spanning the observed min/max. *)
+val age_histogram : entry array -> Latency.t option
+(** Log-bucketed histogram over {!ages_at_free} ([None] when no age is
+    recoverable). *)
 
 (** {1 Limbo depth over time} *)
 

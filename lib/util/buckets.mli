@@ -1,7 +1,7 @@
-(** Bucket-edge machinery shared by the offline {!Histogram}, the online
-    log-bucketed {!Qs_obs.Latency} histograms and {!Stats.percentile} —
-    one home for edge-label formatting and rank arithmetic so the three
-    presentations of a distribution cannot drift apart. *)
+(** Bucket-edge machinery shared by the online log-bucketed
+    {!Qs_obs.Latency} histograms and {!Stats.percentile} — one home for
+    edge-label formatting and rank arithmetic so the two presentations of
+    a distribution cannot drift apart. *)
 
 val distinct_labels : float array -> string array
 (** Render bucket edges as decimal labels, right-aligned to a common

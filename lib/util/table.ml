@@ -70,3 +70,22 @@ let save_csv t path =
   let oc = open_out path in
   output_string oc (to_csv t);
   close_out oc
+
+let spark_levels = [| " "; "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83";
+                      "\xe2\x96\x84"; "\xe2\x96\x85"; "\xe2\x96\x86";
+                      "\xe2\x96\x87"; "\xe2\x96\x88" |]
+
+let sparkline xs =
+  if Array.length xs = 0 then ""
+  else begin
+    let lo, hi = Stats.min_max xs in
+    let span = if hi -. lo <= 0. then 1. else hi -. lo in
+    let buf = Buffer.create (Array.length xs * 3) in
+    Array.iter
+      (fun x ->
+        let lvl = int_of_float ((x -. lo) /. span *. 8.) in
+        let lvl = if lvl < 0 then 0 else if lvl > 8 then 8 else lvl in
+        Buffer.add_string buf spark_levels.(lvl))
+      xs;
+    Buffer.contents buf
+  end

@@ -27,3 +27,7 @@ val print : t -> unit
 
 val save_csv : t -> string -> unit
 (** Write the CSV rendering to a file. *)
+
+val sparkline : float array -> string
+(** Renders a series as a one-line unicode sparkline — used for the
+    throughput-over-time figures on a terminal. *)

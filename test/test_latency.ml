@@ -350,28 +350,56 @@ let sim_setup ?latency ?(duration = 150_000) ~sink () =
     sink;
   }
 
+(* The service target, open loop: a bursty two-tenant trace whose arrival
+   times make workers idle and queue, so the recorder's start stamps are
+   scheduled arrivals, not clock reads. *)
+let kv_open_loop_target =
+  let spec =
+    Qs_workload.Kv_spec.make ~tenants:2 ~keys_per_tenant:256
+      ~mix:{ get_pct = 60; put_pct = 20; del_pct = 10; scan_pct = 10 }
+      ~base_gap:2_000
+      ~burst:{ every = 64; len = 8; factor = 4 }
+      ()
+  in
+  Target.Kv
+    { gen =
+        Qs_workload.Kv_gen.make spec ~n_processes:4 ~ops_per_process:1_024
+          ~seed:23;
+      n_shards = 4 }
+
 let test_sim_recording_schedule_neutral () =
   (* The recorder must be invisible to the seeded schedule: byte-equal
      traces and identical op counts with it on or off — recording reads
-     [Scheduler.clock_of], never performs a [now] effect. *)
-  let run latency =
-    let tracer = Tracer.create ~n_processes:4 ~capacity:(1 lsl 14) () in
-    let r = Sim_exp.run (sim_setup ?latency ~sink:(Some (Tracer.sink tracer)) ()) in
-    (r, Export.csv tracer)
-  in
-  let r_off, trace_off = run None in
-  let rec_ = Latency.recorder ~n_processes:4 ~n_kinds:Qs_workload.Spec.n_kinds () in
-  let r_on, trace_on = run (Some rec_) in
-  checkb "byte-equal traces" true (String.equal trace_off trace_on);
-  checki "identical ops" r_off.Sim_exp.ops_total r_on.Sim_exp.ops_total;
-  check
-    Alcotest.(array int)
-    "identical per-worker ops" r_off.Sim_exp.per_worker_ops
-    r_on.Sim_exp.per_worker_ops;
-  checki "one sample per completed op" r_on.Sim_exp.ops_total
-    (Latency.count (Latency.merged rec_));
-  checkb "durations are positive virtual time" true
-    (Latency.percentile (Latency.merged rec_) 50. > 0)
+     [Scheduler.clock_of], never performs a [now] effect. Checked for a
+     set and for the open-loop KV service. *)
+  List.iter
+    (fun (name, base) ->
+      let run latency =
+        let tracer = Tracer.create ~n_processes:4 ~capacity:(1 lsl 14) () in
+        let r =
+          Sim_exp.run { base with latency; sink = Some (Tracer.sink tracer) }
+        in
+        (r, Export.csv tracer)
+      in
+      let r_off, trace_off = run None in
+      let rec_ =
+        Latency.recorder ~n_processes:4
+          ~n_kinds:(Target.n_kinds base.Sim_exp.target) ()
+      in
+      let r_on, trace_on = run (Some rec_) in
+      checkb (name ^ ": byte-equal traces") true (String.equal trace_off trace_on);
+      checki (name ^ ": identical ops") r_off.Sim_exp.ops_total
+        r_on.Sim_exp.ops_total;
+      check
+        Alcotest.(array int)
+        (name ^ ": identical per-worker ops") r_off.Sim_exp.per_worker_ops
+        r_on.Sim_exp.per_worker_ops;
+      checki (name ^ ": one sample per completed op") r_on.Sim_exp.ops_total
+        (Latency.count (Latency.merged rec_));
+      checkb (name ^ ": durations are positive virtual time") true
+        (Latency.percentile (Latency.merged rec_) 50. > 0))
+    [ ("set", sim_setup ~sink:None ());
+      ("kv open loop", { (sim_setup ~sink:None ()) with target = kv_open_loop_target }) ]
 
 let test_sim_generator_replay () =
   (* The same pre-generated stream under two different schemes must
@@ -390,7 +418,11 @@ let test_sim_generator_replay () =
       {
         (sim_setup ~latency:rec_ ~sink:None ()) with
         Sim_exp.scheme;
-        generator = Some gen;
+        target =
+          Target.Set
+            { ds = Cset.List;
+              workload = Qs_workload.Spec.make ~key_range:64 ~update_pct:50;
+              generator = Some gen };
       }
     in
     let r = Sim_exp.run setup in

@@ -158,7 +158,7 @@ let test_cadence_age_floor () =
     (min_age >= t_plus_eps);
   (match Metrics.age_histogram es with
   | Some h -> checki "histogram covers every age" (Array.length ages)
-                (Qs_util.Histogram.count h)
+                (Qs_obs.Latency.count h)
   | None -> Alcotest.fail "age_histogram None despite frees");
   (* The trace agrees with the scheme's own counters (frees in the trace
      happen during measured time; the report adds none after the sink is

@@ -235,7 +235,11 @@ let naive_hybrid_run ~scheme ~seed =
     { (base ~scheme) with
       seed;
       duration = 1_500_000;
-      workload = Spec.make ~key_range:8 ~update_pct:40;
+      target =
+        Target.Set
+          { ds = Cset.List;
+            workload = Spec.make ~key_range:8 ~update_pct:40;
+            generator = None };
       delays =
         Some
           { victim = 3;
@@ -287,7 +291,11 @@ let dead_rooster_run ~seed ~kill =
     { (base ~scheme:Qs_smr.Scheme.Cadence) with
       seed;
       duration = 1_000_000;
-      workload = Spec.make ~key_range:16 ~update_pct:20;
+      target =
+        Target.Set
+          { ds = Cset.List;
+            workload = Spec.make ~key_range:16 ~update_pct:20;
+            generator = None };
       smr_tweak =
         (fun c ->
           { c with
@@ -335,7 +343,11 @@ let oversleep_run ~seed ~oversleep_min ~smr_epsilon =
     { (base ~scheme:Qs_smr.Scheme.Cadence) with
       seed;
       duration = 1_000_000;
-      workload = Spec.make ~key_range:16 ~update_pct:20;
+      target =
+        Target.Set
+          { ds = Cset.List;
+            workload = Spec.make ~key_range:16 ~update_pct:20;
+            generator = None };
       smr_tweak =
         (fun c ->
           { c with

@@ -10,7 +10,8 @@
      authoritative contents (the scheme reclaims memory; it must never
      change what the store says).
    - Churn smoke: handler churn (unregister / re-register under live
-     concurrent traffic) stays violation- and leak-free.
+     concurrent traffic) stays violation- and leak-free, on the simulator
+     and across domain generations on the real runtime.
    - Shard routing: tenant-prefixed keys must spread across shards even
      though tenants only differ in high key bits.
    - The get path allocates exactly zero minor words on the real
@@ -20,7 +21,10 @@
 
 module Ksp = Qs_workload.Kv_spec
 module Kg = Qs_workload.Kv_gen
-module Sv = Qs_service.Service_sim
+module Sx = Qs_harness.Sim_exp
+module Rx = Qs_harness.Real_exp
+module Ks = Qs_service.Kv.Make (Qs_sim.Sim_runtime)
+module Kr = Qs_service.Kv.Make (Qs_real.Real_runtime)
 
 let mix = { Ksp.get_pct = 50; put_pct = 25; del_pct = 15; scan_pct = 10 }
 
@@ -111,25 +115,27 @@ let test_service_differential () =
     List.map
       (fun scheme ->
         let setup =
-          { (Sv.default_setup ~scheme ~n_processes:1 ~gen) with
-            Sv.duration = max_int / 2;
-            ops_limit = Some 3_000;
-            n_shards = 4 }
+          { (Sx.target_setup
+               ~target:(Qs_harness.Target.Kv { gen; n_shards = 4 })
+               ~scheme ~n_processes:1)
+            with
+            duration = max_int / 2;
+            ops_limit = Some 3_000 }
         in
-        let r = Sv.run setup in
+        let r = Sx.run setup in
         Alcotest.(check int)
           (Qs_smr.Scheme.to_string scheme ^ " violations")
-          0 r.Sv.violations;
+          0 r.Sx.violations;
         Alcotest.(check int)
           (Qs_smr.Scheme.to_string scheme ^ " completed the trace")
-          3_000 r.Sv.ops_total;
-        (match r.Sv.leak_check with
+          3_000 r.Sx.ops_total;
+        (match r.Sx.leak_check with
         | `Ok | `Skipped -> ()
         | `Leaked n ->
           Alcotest.failf "%s leaked %d nodes"
             (Qs_smr.Scheme.to_string scheme)
             n);
-        (scheme, r.Sv.contents))
+        (scheme, r.Sx.contents))
       schemes
   in
   match runs with
@@ -156,21 +162,47 @@ let test_service_churn_smoke () =
          (~2k/request): every worker must cross the churn threshold a few
          times inside the duration budget. *)
       let setup =
-        { (Sv.default_setup ~scheme ~n_processes:4 ~gen) with
-          Sv.duration = 150_000;
-          churn = Some { Sv.every_ops = 20; downtime = 1_000 } }
+        { (Sx.target_setup
+             ~target:(Qs_harness.Target.Kv { gen; n_shards = 4 })
+             ~scheme ~n_processes:4)
+          with
+          duration = 150_000;
+          churn = Some { Sx.every_ops = 20; downtime = 1_000 } }
       in
-      let r = Sv.run setup in
+      let r = Sx.run setup in
       let name = Qs_smr.Scheme.to_string scheme in
-      Alcotest.(check int) (name ^ " violations") 0 r.Sv.violations;
-      Alcotest.(check bool) (name ^ " made progress") true (r.Sv.ops_total > 0);
+      Alcotest.(check int) (name ^ " violations") 0 r.Sx.violations;
+      Alcotest.(check bool) (name ^ " made progress") true (r.Sx.ops_total > 0);
       Alcotest.(check bool)
         (name ^ " churned under live traffic")
-        true (r.Sv.churn_events > 0);
-      match r.Sv.leak_check with
+        true (r.Sx.churn_events > 0);
+      match r.Sx.leak_check with
       | `Ok | `Skipped -> ()
       | `Leaked n -> Alcotest.failf "%s leaked %d nodes" name n)
     schemes
+
+(* The same service on real domains: QSense workers replay their streams
+   across two domain generations per pid slot, so each slot's first
+   generation unregisters (donating its limbo) under live traffic. *)
+let test_service_real_churn () =
+  let spec =
+    Ksp.make ~tenants:2 ~dist:(Ksp.Zipfian 0.9) ~keys_per_tenant:256 ~mix ()
+  in
+  let gen = Kg.make spec ~n_processes:2 ~ops_per_process:2_048 ~seed:42 in
+  let r =
+    Rx.run
+      { (Rx.target_setup
+           ~target:(Qs_harness.Target.Kv { gen; n_shards = 4 })
+           ~scheme:Qs_smr.Scheme.Qsense ~n_domains:2)
+        with
+        duration_ms = 40;
+        churn = Some { Rx.generations = 2; downtime_ms = 2 } }
+  in
+  Alcotest.(check int) "violations" 0 r.Rx.violations;
+  Alcotest.(check bool) "did not fail" false r.Rx.failed;
+  Alcotest.(check bool) "churned" true (r.Rx.churn_events > 0);
+  Alcotest.(check int) "per-kind ops sum to the total" r.Rx.ops_total
+    (Array.fold_left ( + ) 0 r.Rx.per_kind_ops)
 
 (* --- shard routing --------------------------------------------------------- *)
 
@@ -178,12 +210,12 @@ let test_shard_distribution () =
   let cfg =
     Qs_ds.Set_intf.default_config ~n_processes:1 ~scheme:Qs_smr.Scheme.Qsbr
   in
-  let svc = Sv.K.create ~n_shards:8 cfg in
+  let svc = Ks.create ~n_shards:8 cfg in
   let spec = Ksp.make ~tenants:16 ~keys_per_tenant:64 ~mix () in
   let counts = Array.make 8 0 in
   for tenant = 0 to 15 do
     for local = 0 to 63 do
-      let s = Sv.K.shard_index svc (Ksp.key_of spec ~tenant ~local) in
+      let s = Ks.shard_index svc (Ksp.key_of spec ~tenant ~local) in
       counts.(s) <- counts.(s) + 1
     done
   done;
@@ -197,8 +229,6 @@ let test_shard_distribution () =
     counts
 
 (* --- get-path allocation pin ----------------------------------------------- *)
-
-module Kr = Qs_service.Service_real.K
 
 let test_get_zero_alloc () =
   Qs_real.Real_runtime.register_self 0;
@@ -258,6 +288,8 @@ let suite =
       test_service_differential;
     Alcotest.test_case "handler churn under live traffic" `Slow
       test_service_churn_smoke;
+    Alcotest.test_case "real-domain handler churn across generations" `Quick
+      test_service_real_churn;
     Alcotest.test_case "tenant-prefixed keys spread across shards" `Quick
       test_shard_distribution;
     Alcotest.test_case "get path allocates exactly zero" `Quick

@@ -125,58 +125,23 @@ let test_table_save_csv () =
   Alcotest.(check string) "header" "a,b" l1;
   Alcotest.(check string) "row" "1,2" l2
 
-let test_histogram_ascii () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~buckets:2 in
-  List.iter (Histogram.add h) [ 1.; 2.; 8. ];
-  let s = Histogram.to_ascii h ~width:10 in
-  Alcotest.(check bool) "two lines" true
-    (List.length (String.split_on_char '\n' (String.trim s)) = 2);
-  Alcotest.(check bool) "bars present" true (String.contains s '#')
-
-let test_histogram_invalid () =
-  Alcotest.check_raises "zero buckets"
-    (Invalid_argument "Histogram.create: buckets must be positive") (fun () ->
-      ignore (Histogram.create ~lo:0. ~hi:1. ~buckets:0));
-  Alcotest.check_raises "bad range"
-    (Invalid_argument "Histogram.create: hi must exceed lo") (fun () ->
-      ignore (Histogram.create ~lo:1. ~hi:1. ~buckets:4))
-
-let test_histogram_basic () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~buckets:10 in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 1.6; 9.5; 100.; -5. ];
-  let counts = Histogram.bucket_counts h in
-  Alcotest.(check int) "total" 6 (Histogram.count h);
-  Alcotest.(check int) "bucket0 (incl. underflow)" 2 counts.(0);
-  Alcotest.(check int) "bucket1" 2 counts.(1);
-  Alcotest.(check int) "bucket9 (incl. overflow)" 2 counts.(9)
-
 let test_histogram_edge_labels () =
-  (* Narrow range: the old fixed "%10.2f" collapsed adjacent edges of a
+  (* Narrow range: a fixed "%10.2f" collapses adjacent edges of a
      [0, 0.01) histogram to the same label. Labels must stay pairwise
      distinct and right-aligned to one common width. *)
-  let h = Histogram.create ~lo:0. ~hi:0.01 ~buckets:4 in
-  List.iter (Histogram.add h) [ 0.001; 0.004; 0.009 ];
-  let s = Histogram.to_ascii h ~width:10 in
   let labels =
-    List.filter_map
-      (fun line ->
-        match String.index_opt line '|' with
-        | Some i -> Some (String.sub line 0 i)
-        | None -> None)
-      (String.split_on_char '\n' (String.trim s))
+    Array.to_list (Buckets.distinct_labels [| 0.; 0.0025; 0.005; 0.0075 |])
   in
-  Alcotest.(check int) "one label per bucket" 4 (List.length labels);
   Alcotest.(check int) "labels distinct" 4
     (List.length (List.sort_uniq compare labels));
   let w = String.length (List.hd labels) in
   Alcotest.(check bool) "labels aligned" true
     (List.for_all (fun l -> String.length l = w) labels);
   (* Wide integer-stepped range: no noise decimals. *)
-  let h2 = Histogram.create ~lo:0. ~hi:4000. ~buckets:4 in
-  Histogram.add h2 1.;
-  let s2 = Histogram.to_ascii h2 ~width:10 in
   Alcotest.(check bool) "integer edges carry no decimal point" true
-    (not (String.contains s2 '.'))
+    (Array.for_all
+       (fun l -> not (String.contains l '.'))
+       (Buckets.distinct_labels [| 0.; 1000.; 2000.; 3000. |]))
 
 let test_json_parse () =
   let open Qs_util.Json in
@@ -232,8 +197,8 @@ let test_json_print_round_trip () =
     [ nan; infinity; neg_infinity ]
 
 let test_sparkline () =
-  Alcotest.(check string) "empty" "" (Histogram.sparkline [||]);
-  let s = Histogram.sparkline [| 0.; 1. |] in
+  Alcotest.(check string) "empty" "" (Table.sparkline [||]);
+  let s = Table.sparkline [| 0.; 1. |] in
   Alcotest.(check bool) "two glyphs" true (String.length s > 0)
 
 let qcheck_percentile_bounds =
@@ -268,10 +233,7 @@ let suite =
     Alcotest.test_case "table ascii" `Quick test_table_ascii;
     Alcotest.test_case "table width mismatch" `Quick test_table_width_mismatch;
     Alcotest.test_case "table csv quoting" `Quick test_table_csv_quoting;
-    Alcotest.test_case "histogram buckets" `Quick test_histogram_basic;
     Alcotest.test_case "table csv file" `Quick test_table_save_csv;
-    Alcotest.test_case "histogram ascii" `Quick test_histogram_ascii;
-    Alcotest.test_case "histogram invalid args" `Quick test_histogram_invalid;
     Alcotest.test_case "histogram edge labels" `Quick test_histogram_edge_labels;
     Alcotest.test_case "json parse" `Quick test_json_parse;
     Alcotest.test_case "json print round-trip" `Quick test_json_print_round_trip;

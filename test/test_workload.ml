@@ -131,18 +131,21 @@ let test_spec_even_pct_unchanged () =
   done
 
 let test_latency_recording () =
+  let rec_ = Qs_obs.Latency.recorder ~n_processes:2 ~n_kinds:Spec.n_kinds () in
   let r =
     Qs_harness.Sim_exp.run
       { (Qs_harness.Sim_exp.default_setup ~ds:Qs_harness.Cset.List
            ~scheme:Qs_smr.Scheme.Qsense ~n_processes:2
            ~workload:(Spec.updates_50 ~key_range:64)) with
         duration = 60_000;
-        record_latency = true }
+        latency = Some rec_ }
   in
-  Alcotest.(check int) "one latency per op" r.ops_total (Array.length r.latencies);
-  Array.iter
-    (fun l -> if l <= 0 then Alcotest.fail "non-positive latency")
-    r.latencies
+  let h = Qs_obs.Latency.merged rec_ in
+  Alcotest.(check int) "one latency per op" r.ops_total (Qs_obs.Latency.count h);
+  (* the 0th percentile is the smallest sample's bucket: bucket 0 holds
+     exactly the value 0 (and clamped negatives) *)
+  if Qs_obs.Latency.percentile h 0. <= 0 then
+    Alcotest.fail "non-positive latency"
 
 let suite =
   [ Alcotest.test_case "spec validation" `Quick test_spec_validation;
