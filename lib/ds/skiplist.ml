@@ -1,25 +1,50 @@
 (* Lock-free skip-list set (Fraser-style, as in ASCYLIB, which the paper
    uses; the paper notes it needs up to 35 hazard pointers per process —
-   two per level, which is what this implementation uses).
+   two per level plus one, which is what this implementation uses).
 
    Structure: full-height head/tail sentinels; each node owns an array of
    per-level links; level-0 membership is authoritative. Links are immutable
    [Ptr] values compared by physical identity in CAS, so a link object can
    never be reused — stale CASes fail rather than resurrect unlinked nodes.
 
-   Deletion marks the victim's links from the top level down to level 0;
-   the process that wins the level-0 mark owns the removal. Physical
-   unlinking is done cooperatively by [find] passes (any traversal snips
-   marked links it meets). The owner then repeats [find] until a full pass
-   no longer encounters the victim at any level — only then is the node
-   unreachable and retired (rule 3). This "sweep until unseen" is what makes
-   the retire point sound in the presence of in-flight inserts that may
-   still hold pre-marking references to the victim.
+   Traversal: [find ctx key] walks every level from the top and stops, per
+   level, at the first node with key >= [key] whose own link there is
+   unmarked, snipping every marked node it meets and restarting from the
+   head when a snip or a validation fails. A completed pass therefore left
+   no marked node standing between the head and its stop at any level.
+
+   Deletion: mark the victim's links from its top level down to level 0;
+   the process that wins the level-0 mark owns the removal and makes the
+   node unreachable in one of two ways, then retires it (rule 3):
+   - fast: when the positioning pass met the node at every one of its
+     levels (its inserter had finished linking), swing each level's
+     predecessor past it, top down, with a CAS whose witness is that
+     pass's link. Every predecessor is still protected at slot [2*level],
+     and a witness can only still hold if nothing was linked in between.
+   - otherwise, or at the first witness that moved: one [find] pass for
+     [key + 1]. Stopping past [key] rather than at it matters: an insert
+     of the same key may have stacked a new node in front of the victim at
+     an upper level (its positioning pass ran before the victim's link
+     there was marked), and a pass for [key] would stop at the newcomer and
+     never see the victim behind it. Since the victim's links are all
+     marked, the pass snips it wherever it is linked, so one pass is
+     enough.
+
+   The inserter: links are set bottom-up, so an insert still linking can
+   link its node at an upper level after the deleter's pass went by. The
+   inserter therefore publishes its own node in one extra hazard-pointer
+   slot before the bottom CAS makes it reachable (it cannot be freed and
+   recycled mid-link), re-reads the node's level-0 link after every upper
+   link, and, if it is marked, runs the same [key + 1] pass itself before
+   returning: every link made after the deleter's pass is undone by the
+   inserter's own pass.
 
    Hazard-pointer discipline: slot [2*level] protects the predecessor and
    slot [2*level + 1] the current node at that level; descending a level
    re-protects the carried-over predecessor before it is dereferenced, so
-   protection is continuous (Condition 1). *)
+   protection is continuous (Condition 1). The last slot is the inserter's
+   own node. The traversals are top-level recursions over [ctx], so a
+   search or a range count allocates nothing. *)
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let max_level = 15 (* enough for the paper's 20k-element skip list *)
@@ -80,9 +105,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     preds : node array;
     succs : node array;
     pred_links : link array; (* physical link values, the CAS witnesses *)
+    mutable fresh : node;
+        (* the insert's not-yet-published node; [set.tail] when none *)
   }
 
-  let hp_per_process = 2 * (max_level + 1)
+  (* slots [0, own_slot): two per level; [own_slot]: the inserter's node *)
+  let own_slot = 2 * (max_level + 1)
+  let hp_per_process = own_slot + 1
 
   let create (cfg : Set_intf.config) =
     let smr_cfg =
@@ -128,196 +157,242 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       prng = Qs_util.Prng.create ~seed:(31 + (977 * pid));
       preds = Array.make (max_level + 1) t.head;
       succs = Array.make (max_level + 1) t.tail;
-      pred_links = Array.make (max_level + 1) Null }
+      pred_links = Array.make (max_level + 1) Null;
+      fresh = t.tail }
 
   let touch ctx n = if ctx.set.debug_checks then Arena.touch ctx.arena_h n
 
-  let random_level ctx =
-    let rec go lvl =
-      if lvl < max_level && Qs_util.Prng.bool ctx.prng then go (lvl + 1) else lvl
-    in
-    go 0
+  let rec random_level prng lvl =
+    if lvl < max_level && Qs_util.Prng.bool prng then random_level prng (lvl + 1)
+    else lvl
 
-  (* One full traversal pass. Fills ctx.preds/succs/pred_links for levels
-     [0, max_level]; snips marked links it encounters; returns whether
-     [watch] (if any) was encountered at any level — still (partially)
-     reachable. Restarts internally on CAS interference. *)
-  let rec find ctx ?watch key =
-    let saw = ref false in
-    let watched n = match watch with Some w -> w == n | None -> false in
-    let t = ctx.set in
-    let rec level_walk pred level =
-      ctx.smr_h.assign_hp ~slot:(2 * level) pred;
-      let pred_link = R.get pred.next.(level) in
-      touch ctx pred;
-      match pred_link with
-      | Null | Ptr { marked = true; _ } ->
-        (* pred is being removed at this level: restart from the head *)
-        None
-      | Ptr { dest = curr; marked = false } ->
-        ctx.smr_h.assign_hp ~slot:((2 * level) + 1) curr;
-        if R.get pred.next.(level) != pred_link then None
-        else begin
-          touch ctx curr;
-          if watched curr then saw := true;
-          let curr_link = R.get curr.next.(level) in
-          touch ctx curr;
-          match curr_link with
-          | Ptr { dest = succ; marked = true } ->
-            (* snip the marked node out of this level *)
-            if
-              R.cas pred.next.(level) pred_link
-                (Ptr { dest = succ; marked = false })
-            then level_walk pred level
-            else None
-          | Null | Ptr { marked = false; _ } ->
-            if curr.key < key then level_walk curr level
-            else begin
-              ctx.preds.(level) <- pred;
-              ctx.succs.(level) <- curr;
-              ctx.pred_links.(level) <- pred_link;
-              if level = 0 then Some ()
-              else
-                (* descend: pred stays protected by slot 2*level until
-                   level_walk for level-1 re-protects it at slot 2*(level-1) *)
-                level_walk pred (level - 1)
-            end
-        end
-    in
-    match level_walk t.head max_level with
-    | Some () -> !saw
-    | None -> find ctx ?watch key
+  let is_marked n =
+    match R.get n.next.(0) with Ptr { marked; _ } -> marked | Null -> false
+
+  (* The pass of [find] from [pred] at [level] down to level 0: fills
+     ctx.preds/succs/pred_links and returns true, or returns false when the
+     pass must restart from the head (a predecessor being removed, a failed
+     validation or snip). *)
+  let rec level_walk ctx key pred level =
+    ctx.smr_h.assign_hp ~slot:(2 * level) pred;
+    let pred_link = R.get pred.next.(level) in
+    touch ctx pred;
+    match pred_link with
+    | Null | Ptr { marked = true; _ } -> false
+    | Ptr { dest = curr; marked = false } ->
+      ctx.smr_h.assign_hp ~slot:((2 * level) + 1) curr;
+      if R.get pred.next.(level) != pred_link then false
+      else begin
+        touch ctx curr;
+        let curr_link = R.get curr.next.(level) in
+        touch ctx curr;
+        match curr_link with
+        | Ptr { dest = succ; marked = true } ->
+          (* snip the marked node out of this level *)
+          R.cas pred.next.(level) pred_link (Ptr { dest = succ; marked = false })
+          && level_walk ctx key pred level
+        | Null | Ptr { marked = false; _ } ->
+          if curr.key < key then level_walk ctx key curr level
+          else begin
+            ctx.preds.(level) <- pred;
+            ctx.succs.(level) <- curr;
+            ctx.pred_links.(level) <- pred_link;
+            (* descend: pred stays protected by slot 2*level until the walk
+               of level-1 re-protects it at slot 2*(level-1) *)
+            level = 0 || level_walk ctx key pred (level - 1)
+          end
+      end
+
+  (* One full traversal pass (see the header), retried until complete. *)
+  let rec find ctx key =
+    if not (level_walk ctx key ctx.set.head max_level) then find ctx key
+
+  (* Recovery after a neutralization signal aborted an update past its
+     point of no return: re-pin, then the [key + 1] pass that unlinks every
+     marked node holding [key] (see the header), until one completes. *)
+  let rec sweep ctx key =
+    match
+      ctx.smr_h.manage_state ();
+      find ctx (key + 1)
+    with
+    | () -> ()
+    | exception Qs_intf.Runtime_intf.Neutralized -> sweep ctx key
 
   let found ctx key = ctx.succs.(0).key = key
 
   let search ctx key =
     ctx.smr_h.manage_state ();
-    ignore (find ctx key);
+    find ctx key;
     let res = found ctx key in
     ctx.smr_h.clear_hps ();
     res
 
-  (* Link the new node at levels 1..top; abandoned as soon as the node is
-     observed marked (a concurrent delete owns it from then on). Only the
+  (* Link the new node at levels [level..top]; abandoned as soon as the node
+     is observed marked (a concurrent delete owns it from then on). Only the
      inserter writes a node's upper links and only deleters mark them, so a
-     failed CAS on [n.next] means "being deleted" — stop. *)
-  let rec link_upper ctx n level =
+     failed CAS on [n.next] means "being deleted" — stop. A link that lands
+     after the deleter's pass is undone here (see the header). *)
+  let rec link_upper ctx key n level =
     if level <= n.top then begin
-      let succ = ctx.succs.(level) in
       let cur = R.get n.next.(level) in
       match cur with
       | Ptr { marked = true; _ } -> () (* being deleted: stop linking *)
       | Null | Ptr { marked = false; _ } ->
-        if not (R.cas n.next.(level) cur (Ptr { dest = succ; marked = false }))
-        then ()
-        else if
-          R.cas ctx.preds.(level).next.(level) ctx.pred_links.(level)
-            (Ptr { dest = n; marked = false })
-        then link_upper ctx n (level + 1)
-        else begin
-          (* interference: recompute witnesses and retry this level, unless
-             n was deleted in the meantime *)
-          ignore (find ctx n.key);
-          match R.get n.next.(0) with
-          | Ptr { marked = true; _ } -> ()
-          | Null | Ptr { marked = false; _ } -> link_upper ctx n level
-        end
+        if R.cas n.next.(level) cur (Ptr { dest = ctx.succs.(level); marked = false })
+        then
+          if
+            R.cas ctx.preds.(level).next.(level) ctx.pred_links.(level)
+              (Ptr { dest = n; marked = false })
+          then
+            if is_marked n then find ctx (key + 1)
+            else link_upper ctx key n (level + 1)
+          else begin
+            (* interference: recompute witnesses and retry this level,
+               unless n was deleted in the meantime *)
+            find ctx key;
+            if not (is_marked n) then link_upper ctx key n level
+          end
     end
 
+  let rec insert_attempt ctx key =
+    find ctx key;
+    if found ctx key then begin
+      if ctx.fresh != ctx.set.tail then begin
+        Arena.free ctx.arena_h ctx.fresh;
+        ctx.fresh <- ctx.set.tail
+      end;
+      ctx.smr_h.clear_hps ();
+      false
+    end
+    else begin
+      if ctx.fresh == ctx.set.tail then begin
+        let n = Arena.alloc ctx.arena_h in
+        n.key <- key;
+        n.top <- random_level ctx.prng 0;
+        (* protected before the bottom CAS publishes it *)
+        ctx.smr_h.assign_hp ~slot:own_slot n;
+        ctx.fresh <- n
+      end;
+      let n = ctx.fresh in
+      (* prepare all levels before the bottom CAS publishes the node *)
+      for i = 0 to n.top do
+        R.set n.next.(i) (Ptr { dest = ctx.succs.(i); marked = false })
+      done;
+      if
+        R.cas ctx.preds.(0).next.(0) ctx.pred_links.(0)
+          (Ptr { dest = n; marked = false })
+      then begin
+        ctx.fresh <- ctx.set.tail;
+        n.state <- Qs_arena.Node_state.Reachable;
+        link_upper ctx key n 1;
+        ctx.smr_h.clear_hps ();
+        true
+      end
+      else insert_attempt ctx key
+    end
+
+  (* The not-yet-published node lives in [ctx.fresh] (reset the moment the
+     bottom-level CAS wins) so a neutralization signal aborting this
+     operation returns it to the arena instead of leaking it; simulator
+     delivery replaces a pending effect, so it cannot land between the CAS
+     executing and the meta-level reset. Aborted after publication, the
+     insert may have linked its node at an upper level behind a deleter's
+     pass, so it sweeps the key before giving up. *)
   let insert ctx key =
     ctx.smr_h.manage_state ();
-    (* The not-yet-published node lives in [fresh] (cleared the moment the
-       bottom-level CAS wins) so a neutralization signal aborting this
-       operation returns it to the arena instead of leaking it; simulator
-       delivery replaces a pending effect, so it cannot land between the
-       CAS executing and the meta-level clear. *)
-    let fresh = ref None in
-    let rec attempt () =
-      ignore (find ctx key);
-      if found ctx key then begin
-        (match !fresh with Some n -> Arena.free ctx.arena_h n | None -> ());
-        fresh := None;
-        ctx.smr_h.clear_hps ();
-        false
+    match insert_attempt ctx key with
+    | res -> res
+    | exception (Qs_intf.Runtime_intf.Neutralized as e) ->
+      if ctx.fresh != ctx.set.tail then begin
+        Arena.free ctx.arena_h ctx.fresh;
+        ctx.fresh <- ctx.set.tail
       end
-      else begin
-        let n =
-          match !fresh with
-          | Some n -> n
-          | None ->
-            let n = Arena.alloc ctx.arena_h in
-            n.key <- key;
-            n.top <- random_level ctx;
-            fresh := Some n;
-            n
-        in
-        (* prepare all levels before the bottom CAS publishes the node *)
-        for i = 0 to n.top do
-          R.set n.next.(i) (Ptr { dest = ctx.succs.(i); marked = false })
-        done;
-        if
-          R.cas ctx.preds.(0).next.(0) ctx.pred_links.(0)
-            (Ptr { dest = n; marked = false })
-        then begin
-          fresh := None;
-          n.state <- Qs_arena.Node_state.Reachable;
-          link_upper ctx n 1;
-          ctx.smr_h.clear_hps ();
-          true
-        end
-        else attempt ()
-      end
-    in
-    try attempt ()
-    with Qs_intf.Runtime_intf.Neutralized as e ->
-      (match !fresh with
-      | Some n -> Arena.free ctx.arena_h n
-      | None -> ());
+      else sweep ctx key;
       raise e
+
+  (* Mark [n]'s link at [level]; true when this call set the mark. *)
+  let rec mark n level =
+    match R.get n.next.(level) with
+    | Ptr { dest; marked = false } as l ->
+      R.cas n.next.(level) l (Ptr { dest; marked = true }) || mark n level
+    | Null | Ptr { marked = true; _ } -> false
+
+  let rec linked_everywhere ctx n level =
+    level < 0 || (ctx.succs.(level) == n && linked_everywhere ctx n (level - 1))
+
+  (* The fast unlink (see the header): false at the first moved witness. *)
+  let rec unlink_fast ctx n level =
+    level < 0
+    ||
+    match R.get n.next.(level) with
+    | Ptr { dest; marked = true } ->
+      R.cas ctx.preds.(level).next.(level) ctx.pred_links.(level)
+        (Ptr { dest; marked = false })
+      && unlink_fast ctx n (level - 1)
+    | Null | Ptr { marked = false; _ } -> false
+
+  let rec delete_attempt ctx key =
+    find ctx key;
+    if not (found ctx key) then begin
+      ctx.smr_h.clear_hps ();
+      false
+    end
+    else begin
+      let n = ctx.succs.(0) in
+      for level = n.top downto 1 do
+        ignore (mark n level)
+      done;
+      (* level 0 decides ownership; a loser retries to settle the outcome *)
+      if not (mark n 0) then delete_attempt ctx key
+      else begin
+        n.state <- Qs_arena.Node_state.Removed;
+        (* past the point of no return: a neutralization signal must not
+           leave the node linked or unretired *)
+        (match
+           if not (linked_everywhere ctx n n.top && unlink_fast ctx n n.top)
+           then find ctx (key + 1)
+         with
+        | () -> ()
+        | exception Qs_intf.Runtime_intf.Neutralized -> sweep ctx key);
+        ctx.smr_h.retire n;
+        ctx.smr_h.clear_hps ();
+        true
+      end
+    end
 
   let delete ctx key =
     ctx.smr_h.manage_state ();
-    let rec attempt () =
-      ignore (find ctx key);
-      if not (found ctx key) then begin
-        ctx.smr_h.clear_hps ();
-        false
-      end
-      else begin
-        let n = ctx.succs.(0) in
-        (* mark from the top level down to 1 *)
-        for level = n.top downto 1 do
-          let rec mark () =
-            match R.get n.next.(level) with
-            | Ptr { dest; marked = false } as l ->
-              if not (R.cas n.next.(level) l (Ptr { dest; marked = true }))
-              then mark ()
-            | Null | Ptr { marked = true; _ } -> ()
-          in
-          mark ()
-        done;
-        (* level 0 decides ownership *)
-        let rec mark_bottom () =
-          match R.get n.next.(0) with
-          | Ptr { dest; marked = false } as l ->
-            if R.cas n.next.(0) l (Ptr { dest; marked = true }) then `Won
-            else mark_bottom ()
-          | Null | Ptr { marked = true; _ } -> `Lost
-        in
-        match mark_bottom () with
-        | `Lost -> attempt () (* another deleter owns it; settle the outcome *)
-        | `Won ->
-          n.state <- Qs_arena.Node_state.Removed;
-          (* sweep until a full pass no longer meets the node anywhere *)
-          while find ctx ~watch:n key do
-            ()
-          done;
-          ctx.smr_h.retire n;
-          ctx.smr_h.clear_hps ();
-          true
-      end
-    in
-    attempt ()
+    delete_attempt ctx key
+
+  (* The level-0 walk of [range_count] from [node] (protected at [slot]):
+     the count, or -1 when the scan must restart. *)
+  let rec range_walk ctx hi count slot node =
+    if node == ctx.set.tail || node.key > hi then count
+    else begin
+      let link = R.get node.next.(0) in
+      (* the read above is the access hazard: re-check the oracle *)
+      touch ctx node;
+      match link with
+      | Null -> count
+      | Ptr { dest; marked } ->
+        (* an unmarked link means [node] is still a member *)
+        let count = if marked then count else count + 1 in
+        let slot' = 1 - slot in
+        ctx.smr_h.assign_hp ~slot:slot' dest;
+        (* Validation read: if node.next.(0) changed, dest may already be
+           snipped out (and, without protection, freed) — restart. *)
+        if R.get node.next.(0) != link then -1
+        else begin
+          touch ctx dest;
+          range_walk ctx hi count slot' dest
+        end
+    end
+
+  let rec range_scan ctx lo hi =
+    find ctx lo;
+    (* succs.(0): first node with key >= lo, protected at slot 1 *)
+    let count = range_walk ctx hi 0 1 ctx.succs.(0) in
+    if count < 0 then range_scan ctx lo hi else count
 
   (* Count the keys present in [lo, hi] — the KV service's range scan.
      Positions with a full [find] pass (which leaves the first candidate
@@ -326,43 +401,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
      hand and its successor: the successor is published, then the link is
      re-read to validate it still hangs off the protected node (Condition
      1), and the whole scan restarts on interference. Marked nodes are
-     traversed but not counted. A scan pins nodes for the whole walk, so
-     it holds hazard pointers far longer than a point operation — exactly
-     the pressure the service workload wants to put on reclamation. *)
+     traversed but not counted. A scan pins nodes for the whole walk, so it
+     holds hazard pointers far longer than a point operation — exactly the
+     pressure the service workload wants to put on reclamation. *)
   let range_count ctx ~lo ~hi =
     if hi < lo then invalid_arg "Skiplist.range_count: hi < lo";
     ctx.smr_h.manage_state ();
-    let t = ctx.set in
-    let rec scan () =
-      ignore (find ctx lo);
-      (* succs.(0): first node with key >= lo, protected at slot 1 *)
-      let rec walk count slot node =
-        if node == t.tail || node.key > hi then Some count
-        else begin
-          let link = R.get node.next.(0) in
-          (* the read above is the access hazard: re-check the oracle *)
-          touch ctx node;
-          match link with
-          | Null -> Some count
-          | Ptr { dest; marked } ->
-            (* an unmarked link means [node] is still a member *)
-            let count = if marked then count else count + 1 in
-            let slot' = 1 - slot in
-            ctx.smr_h.assign_hp ~slot:slot' dest;
-            (* Validation read: if node.next.(0) changed, dest may already
-               be snipped out (and, without protection, freed) — restart. *)
-            if R.get node.next.(0) != link then None
-            else begin
-              touch ctx dest;
-              walk count slot' dest
-            end
-        end
-      in
-      match walk 0 1 ctx.succs.(0) with
-      | Some count -> count
-      | None -> scan ()
-    in
-    let res = scan () in
+    let res = range_scan ctx lo hi in
     ctx.smr_h.clear_hps ();
     res
 

@@ -1,12 +1,14 @@
 (** Lock-free skip-list set (Fraser-style, as in ASCYLIB) — the second of
     the paper's evaluation structures, and the one that stresses
-    hazard-pointer maintenance hardest: two hazard pointers per level
-    (K = 32 here; the paper quotes up to 35), which is why the paper's
-    QSense-vs-QSBR gap is widest on the skip list.
+    hazard-pointer maintenance hardest: two hazard pointers per level plus
+    one for the inserter's own node (K = 33 here; the paper quotes up to
+    35), which is why the paper's QSense-vs-QSBR gap is widest on the skip
+    list.
 
     Level-0 membership is authoritative; deletion marks top-down and the
-    level-0 mark winner owns the removal, retiring the node only after a
-    full traversal pass no longer meets it at any level. *)
+    level-0 mark winner owns the removal: it unlinks the node level by level
+    on its positioning pass's witnesses, or with one traversal pass, and
+    then retires it. Search and range counts allocate nothing. *)
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
   type t
@@ -16,7 +18,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
   val max_level : int
 
   val hp_per_process : int
-  (** K = 2 × (max_level + 1). *)
+  (** K = 2 × (max_level + 1) + 1: two per level, plus the inserter's own
+      node. *)
 
   val nodes_per_key : int
 

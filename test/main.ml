@@ -21,5 +21,6 @@ let () =
       ("properties", Test_properties.suite);
       ("real", Test_real.suite);
       ("service", Test_service.suite);
-      ("rivals", Test_rivals.suite)
+      ("rivals", Test_rivals.suite);
+      ("skiplist", Test_skiplist.suite)
     ]

@@ -324,7 +324,7 @@ let test_injected_neutralization_safe () =
               checkb (name ^ ": lin gated under neutralization") true
                 (o.Explorer.lin = Explorer.Lin_skipped_faults))
             [ 3; 23 ])
-        [ Cset.List; Cset.Bst ])
+        [ Cset.List; Cset.Bst; Cset.Skiplist; Cset.Hashtable ])
     (incumbents @ rivals)
 
 (* --- exact-zero allocation pins ------------------------------------------ *)

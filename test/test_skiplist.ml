@@ -1,0 +1,153 @@
+(* The skip list's own pins, beyond the shared set battery:
+
+   - search and range counts allocate exactly zero minor words on the real
+     runtime (QSense, debug checks off, after a warm-up) — the traversal is
+     top-level recursion over the context, with no per-call closures;
+   - on the simulator a sequential, uncontended delete costs at most 1.5x
+     the virtual ticks of the matching insert: one positioning pass and a
+     level-by-level unlink, not a positioning pass plus repeated sweeps;
+   - churn during a stall (QSense in fallback, C = 96, handlers leaving and
+     rejoining while the victim is frozen) finishes, safe and leak-free. An
+     insert of a key whose old node is still being deleted once stacked
+     its new node in front of the old one at an upper level, hiding it
+     from the deleter's sweep; the old node was retired while linked,
+     freed, recycled, and the level looped forever. A livelock fails the
+     run at a virtual-time bound instead of hanging the suite. *)
+
+module Sr = Qs_ds.Skiplist.Make (Qs_real.Real_runtime)
+module Ss = Qs_ds.Skiplist.Make (Qs_sim.Sim_runtime)
+module S = Qs_sim.Scheduler
+
+(* --- exact-zero allocation pins ------------------------------------------ *)
+
+(* 1,024 keys (every other key of [0, 2048)) behind a warmed-up context. *)
+let warm_real_set () =
+  Qs_real.Real_runtime.register_self 0;
+  let cfg =
+    { (Qs_ds.Set_intf.default_config ~n_processes:1
+         ~scheme:Qs_smr.Scheme.Qsense)
+      with Qs_ds.Set_intf.debug_checks = false }
+  in
+  let ctx = Sr.register (Sr.create cfg) ~pid:0 in
+  for k = 0 to 1_023 do
+    ignore (Sr.insert ctx (2 * k))
+  done;
+  ctx
+
+let check_zero name step =
+  for i = 1 to 4_096 do
+    step i
+  done;
+  let n = 100_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    step i
+  done;
+  let per_op = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check (float 0.0)) (name ^ " allocates zero minor words") 0.0 per_op
+
+let test_search_zero_alloc () =
+  let ctx = warm_real_set () in
+  check_zero "search" (fun i -> ignore (Sr.search ctx (i land 2_047)))
+
+let test_range_count_zero_alloc () =
+  let ctx = warm_real_set () in
+  check_zero "range_count" (fun i ->
+      let lo = i land 2_047 in
+      ignore (Sr.range_count ctx ~lo ~hi:(lo + 16)))
+
+(* --- simulator cost of a delete ------------------------------------------ *)
+
+(* Sequential insert/delete pairs of the odd keys in [1, 512) against a set
+   prefilled with the even ones; one process, no jitter or random stalls,
+   so every tick is the operation's own. *)
+let test_delete_cost () =
+  let sched =
+    S.create
+      { (S.default_config ~n_cores:1 ~seed:1) with
+        cost = { S.default_cost with jitter = 0; stall_prob = 0. } }
+  in
+  let cfg =
+    Qs_ds.Set_intf.default_config ~n_processes:1 ~scheme:Qs_smr.Scheme.Qsense
+  in
+  let set = Ss.create cfg in
+  let ctx = Ss.register set ~pid:0 in
+  let timed f =
+    let t0 = S.clock_of sched ~pid:0 in
+    if not (f ()) then Alcotest.fail "update had no effect";
+    S.clock_of sched ~pid:0 - t0
+  in
+  let ins, del =
+    S.exec sched ~pid:0 (fun () ->
+        for k = 0 to 255 do
+          ignore (Ss.insert ctx (2 * k))
+        done;
+        let ins = ref 0 and del = ref 0 in
+        for k = 0 to 255 do
+          let key = (2 * k) + 1 in
+          ins := !ins + timed (fun () -> Ss.insert ctx key);
+          del := !del + timed (fun () -> Ss.delete ctx key)
+        done;
+        (!ins, !del))
+  in
+  let ratio = float_of_int del /. float_of_int ins in
+  if ratio > 1.5 then
+    Alcotest.failf "delete costs %.2fx insert (%d vs %d ticks over 256 pairs)"
+      ratio del ins
+
+(* --- churn during a stall ------------------------------------------------- *)
+
+exception Livelock of int
+
+let duration = 21_000_000
+
+(* 512 keys at 100% updates: the same-key insert/delete races of the
+   defect above are frequent, and the upper levels sparse enough that a
+   hidden node can stay linked until it is freed. *)
+let churn_during_stall ~seed =
+  (* Roosters keep firing on a spinning core, so a sink that sees virtual
+     time run far past the end of the run ends a livelock. *)
+  let bound = 2 * duration in
+  let sink =
+    { Qs_intf.Runtime_intf.record =
+        (fun ~pid:_ ~time ~ev:_ ~a:_ ~b:_ ->
+          if time > bound then raise (Livelock time)) }
+  in
+  Qs_harness.Sim_exp.run
+    { (Qs_harness.Sim_exp.default_setup ~ds:Qs_harness.Cset.Skiplist
+         ~scheme:Qs_smr.Scheme.Qsense ~n_processes:4
+         ~workload:(Qs_workload.Spec.make ~key_range:512 ~update_pct:100))
+      with
+      duration;
+      seed;
+      churn = Some { every_ops = 1_000; downtime = 2_000 };
+      faults = [ S.Stall_at { pid = 3; at = 6_000_000; ticks = 4_000_000 } ];
+      sink = Some sink;
+      smr_tweak = (fun c -> { c with switch_threshold = 96 }) }
+
+let test_churn_during_stall () =
+  List.iter
+    (fun seed ->
+      match churn_during_stall ~seed with
+      | exception Livelock t ->
+        Alcotest.failf "seed %d: livelock, virtual time %d past the run" seed t
+      | r ->
+        let name = Printf.sprintf "seed %d: " seed in
+        Alcotest.(check int) (name ^ "no use-after-free") 0 r.violations;
+        Alcotest.(check bool) (name ^ "leak check") true (r.leak_check = `Ok);
+        Alcotest.(check bool) (name ^ "fallback entered") true
+          (r.report.smr.fallback_entries >= 1);
+        Alcotest.(check bool) (name ^ "handlers churned") true
+          (r.churn_events > 0))
+    (* 129 livelocked the sweep-until-unseen delete *)
+    [ 129 ]
+
+let suite =
+  [ Alcotest.test_case "search allocates exactly zero" `Quick
+      test_search_zero_alloc;
+    Alcotest.test_case "range_count allocates exactly zero" `Quick
+      test_range_count_zero_alloc;
+    Alcotest.test_case "sim delete costs at most 1.5x insert" `Quick
+      test_delete_cost;
+    Alcotest.test_case "churn during a stall finishes" `Quick
+      test_churn_during_stall ]
