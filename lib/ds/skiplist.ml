@@ -269,9 +269,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         let n = Arena.alloc ctx.arena_h in
         n.key <- key;
         n.top <- random_level ctx.prng 0;
+        ctx.fresh <- n;
         (* protected before the bottom CAS publishes it *)
-        ctx.smr_h.assign_hp ~slot:own_slot n;
-        ctx.fresh <- n
+        ctx.smr_h.assign_hp ~slot:own_slot n
       end;
       let n = ctx.fresh in
       (* prepare all levels before the bottom CAS publishes the node *)
