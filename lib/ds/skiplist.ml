@@ -254,13 +254,16 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
           end
     end
 
+  (* An insert's node that was never published goes straight back to the
+     arena. *)
+  let drop_fresh ctx =
+    Arena.free ctx.arena_h ctx.fresh;
+    ctx.fresh <- ctx.set.tail
+
   let rec insert_attempt ctx key =
     find ctx key;
     if found ctx key then begin
-      if ctx.fresh != ctx.set.tail then begin
-        Arena.free ctx.arena_h ctx.fresh;
-        ctx.fresh <- ctx.set.tail
-      end;
+      if ctx.fresh != ctx.set.tail then drop_fresh ctx;
       ctx.smr_h.clear_hps ();
       false
     end
@@ -303,11 +306,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     match insert_attempt ctx key with
     | res -> res
     | exception (Qs_intf.Runtime_intf.Neutralized as e) ->
-      if ctx.fresh != ctx.set.tail then begin
-        Arena.free ctx.arena_h ctx.fresh;
-        ctx.fresh <- ctx.set.tail
-      end
-      else sweep ctx key;
+      if ctx.fresh != ctx.set.tail then drop_fresh ctx else sweep ctx key;
       raise e
 
   (* Mark [n]'s link at [level]; true when this call set the mark. *)
