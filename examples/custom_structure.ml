@@ -7,7 +7,10 @@
 
      rule 1: call manage_qsense_state in states where you hold no shared
              references — typically at the top of each operation.
-             (Treiber_stack.push/pop call [smr.manage_state] first thing.)
+             (Treiber_stack.push/pop call [D.manage_state ctx.smr] first
+             thing, where [D] is the stack's reclamation domain, an
+             [Smr_domain.Make] over its node type, and [ctx.smr] the
+             caller's handle on it.)
 
      rule 2: before dereferencing a node you read from shared memory,
              publish a hazard pointer to it and RE-VALIDATE the read —
@@ -16,7 +19,7 @@
 
                match R.get stack.top with
                | Ptr n as old ->
-                 smr.assign_hp ~slot:0 n;            (* plain store! *)
+                 D.assign_hp ctx.smr ~slot:0 n;      (* plain store! *)
                  if R.get stack.top != old then retry ()
                  else ... safe to use n ...
 
@@ -24,7 +27,7 @@
              unlinked node, call free_node_later (retire) instead:
 
                if R.cas stack.top old n.next then begin
-                 smr.retire n;          (* NOT Arena.free! *)
+                 D.retire ctx.smr n;    (* NOT D.free! *)
                  ...
 
    This file demonstrates the payoff: with reclamation None the stack leaks

@@ -247,7 +247,10 @@ module type S = sig
   val stats : t -> stats
 end
 
-(** What a scheme functor looks like; {!Qs_ds} applies these to its node
-    types via first-class modules. *)
+(** What a scheme functor looks like. {!Scheme.Dispatch} applies the one
+    a config names to a structure's node type; each structure's
+    reclamation domain ([Qs_ds.Smr_domain]) keeps the result as a
+    first-class module packed with its instance and per-process handles,
+    and calls it directly. *)
 module type MAKER = functor (R : Qs_intf.Runtime_intf.RUNTIME) (N : NODE) ->
   S with type node = N.t

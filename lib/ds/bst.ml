@@ -81,7 +81,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let uid_counter = Atomic.make 0
   let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
-  module Node_impl = struct
+  module D = Smr_domain.Make (R) (struct
     type t = node
 
     let create () =
@@ -97,24 +97,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     let get_state n = n.state
     let set_state n s = n.state <- s
     let bump_birth n = n.birth <- n.birth + 1
-  end
-
-  module Arena = Qs_arena.Arena.Make (Node_impl)
-
-  module Glue = Smr_glue.Make (R) (struct
-    type t = node
-
     let id n = n.uid
   end)
 
-  type t = {
-    root : node;
-    smr : Glue.ops;
-    arena : Arena.t;
-    debug_checks : bool;
-  }
-
-  type ctx = { set : t; smr_h : Glue.handle; arena_h : Arena.handle }
+  type t = { root : node; dom : D.t }
+  type ctx = { set : t; smr : D.ctx }
 
   let hp_per_process = 6
 
@@ -129,7 +116,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       birth = 0 }
 
   let create (cfg : Set_intf.config) =
-    let smr_cfg = { cfg.smr with hp_per_process; removes_per_op_max = 2 } in
     let root =
       { uid = fresh_uid ();
         key = inf2;
@@ -140,27 +126,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         state = Qs_arena.Node_state.Reachable;
         birth = 0 }
     in
-    let arena =
-      Arena.create ?capacity:cfg.capacity ~n_processes:smr_cfg.n_processes ()
-    in
-    let arena_handles =
-      Array.init smr_cfg.n_processes (fun pid -> Arena.register arena ~pid)
-    in
-    let free n = Arena.free arena_handles.(R.self ()) n in
-    (* bulk-return path for whole limbo bags: one outstanding-counter
-       update per bag instead of one per node *)
-    let free_bulk data count =
-      Arena.free_many arena_handles.(R.self ()) data count
-    in
-    let smr = Glue.make ~free_bulk cfg.scheme smr_cfg ~dummy:root ~free in
-    { root; smr; arena; debug_checks = cfg.debug_checks }
+    { root;
+      dom = D.create cfg ~hp_per_process ~removes_per_op_max:2 ~dummy:root }
 
-  let register t ~pid =
-    { set = t;
-      smr_h = t.smr.register ~pid;
-      arena_h = Arena.register t.arena ~pid }
-
-  let touch ctx n = if ctx.set.debug_checks then Arena.touch ctx.arena_h n
+  let register t ~pid = { set = t; smr = D.register t.dom ~pid }
+  let touch ctx n = D.touch ctx.smr n
 
   type found = {
     gp : node;
@@ -217,7 +187,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         | Nil -> locate ctx key (* transient; restart *)
         | Child { dest = l'; marked } ->
           let sl' = sgp in
-          ctx.smr_h.assign_hp ~slot:sl' l';
+          D.assign_hp ctx.smr ~slot:sl' l';
           if marked then begin
             (* p' removed: edges poisoned. Normally the mark's owner (or a
                helper that found the DFlag/Mark) swings the grandparent
@@ -288,7 +258,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     | DFlag op ->
       (* Found on op.dgp (caller-protected); op.dp is some child of it, not
          necessarily on the caller's path: protect and re-validate. *)
-      ctx.smr_h.assign_hp ~slot:3 op.dp;
+      D.assign_hp ctx.smr ~slot:3 op.dp;
       (match R.get op.dgp.upd with
       | DFlag o when o == op -> ignore (help_delete op)
       | _ -> ())
@@ -296,15 +266,15 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   (* --- public operations ------------------------------------------------ *)
 
   let search ctx key =
-    ctx.smr_h.manage_state ();
+    D.manage_state ctx.smr;
     let s = locate ctx key in
     touch ctx s.l;
     let res = s.l.key = key in
-    ctx.smr_h.clear_hps ();
+    D.clear_hps ctx.smr;
     res
 
   let alloc_leaf ctx key =
-    let n = Arena.alloc ctx.arena_h in
+    let n = D.alloc ctx.smr in
     n.key <- key;
     n.is_leaf <- true;
     R.set n.left Nil;
@@ -314,7 +284,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   let insert ctx key =
     if key > max_real_key then invalid_arg "Bst.insert: key too large";
-    ctx.smr_h.manage_state ();
+    D.manage_state ctx.smr;
     (* The not-yet-published pair lives in [fresh] (cleared the moment the
        IFlag CAS wins — from then on helpers may splice the nodes in) so a
        neutralization signal aborting this operation returns both to the
@@ -328,11 +298,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       if s.l.key = key then begin
         (match !fresh with
         | Some (nleaf, nint) ->
-          Arena.free ctx.arena_h nleaf;
-          Arena.free ctx.arena_h nint
+          D.free ctx.smr nleaf;
+          D.free ctx.smr nint
         | None -> ());
         fresh := None;
-        ctx.smr_h.clear_hps ();
+        D.clear_hps ctx.smr;
         false
       end
       else begin
@@ -369,7 +339,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
             help_insert op;
             nleaf.state <- Qs_arena.Node_state.Reachable;
             nint.state <- Qs_arena.Node_state.Reachable;
-            ctx.smr_h.clear_hps ();
+            D.clear_hps ctx.smr;
             true
           end
           else attempt ()
@@ -382,18 +352,18 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     with Qs_intf.Runtime_intf.Neutralized as e ->
       (match !fresh with
       | Some (nleaf, nint) ->
-        Arena.free ctx.arena_h nleaf;
-        Arena.free ctx.arena_h nint
+        D.free ctx.smr nleaf;
+        D.free ctx.smr nint
       | None -> ());
       raise e
 
   let delete ctx key =
-    ctx.smr_h.manage_state ();
+    D.manage_state ctx.smr;
     let rec attempt () =
       let s = locate ctx key in
       touch ctx s.l;
       if s.l.key <> key then begin
-        ctx.smr_h.clear_hps ();
+        D.clear_hps ctx.smr;
         false
       end
       else begin
@@ -425,15 +395,15 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
                    banked nothing). *)
                 let entered_l = ref false in
                 (try
-                   ctx.smr_h.retire s.p;
+                   D.retire ctx.smr s.p;
                    entered_l := true;
-                   ctx.smr_h.retire s.l
+                   D.retire ctx.smr s.l
                  with Qs_intf.Runtime_intf.Neutralized as e ->
                    if not !entered_l then (
-                     try ctx.smr_h.retire s.l
+                     try D.retire ctx.smr s.l
                      with Qs_intf.Runtime_intf.Neutralized -> ());
                    raise e);
-                ctx.smr_h.clear_hps ();
+                D.clear_hps ctx.smr;
                 true
               end
               else attempt ()
@@ -492,22 +462,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     if List.length sorted <> List.length keys then failwith "bst: duplicate keys";
     if sorted <> keys then failwith "bst: in-order traversal not sorted"
 
-  let unregister ctx = ctx.smr_h.unregister ()
+  let unregister ctx = D.unregister ctx.smr
 
-  let flush ctx = ctx.smr_h.flush ()
+  let flush ctx = D.flush ctx.smr
 
-  let report t : Set_intf.report =
-    { smr = t.smr.stats ();
-      allocations = Arena.allocations t.arena;
-      frees = Arena.frees t.arena;
-      outstanding = Arena.outstanding t.arena;
-      fresh_nodes = Arena.fresh_nodes t.arena;
-      violations = Arena.violations t.arena;
-      double_frees = Arena.double_frees t.arena }
-
-  let retired_count t = t.smr.retired_count ()
-  let violations t = Arena.violations t.arena
-  let outstanding t = Arena.outstanding t.arena
+  let report t = D.report t.dom
+  let retired_count t = D.retired_count t.dom
+  let violations t = D.violations t.dom
+  let outstanding t = D.outstanding t.dom
   let nodes_per_key = 2
-  let scheme_name t = t.smr.scheme_name
 end

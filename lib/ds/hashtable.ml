@@ -87,5 +87,4 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let violations t = L.violations t.list
   let outstanding t = L.outstanding t.list
   let nodes_per_key = L.nodes_per_key
-  let scheme_name t = L.scheme_name t.list
 end

@@ -32,7 +32,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let uid_counter = Atomic.make 0
   let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
-  module Node_impl = struct
+  module D = Smr_domain.Make (R) (struct
     type t = node
 
     let create () =
@@ -45,34 +45,21 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     let get_state n = n.state
     let set_state n s = n.state <- s
     let bump_birth n = n.birth <- n.birth + 1
-  end
-
-  module Arena = Qs_arena.Arena.Make (Node_impl)
-
-  module Glue = Smr_glue.Make (R) (struct
-    type t = node
-
     let id n = n.uid
   end)
 
-  type t = {
-    head : node;
-    tail : node;
-    smr : Glue.ops;
-    arena : Arena.t;
-    debug_checks : bool;
-  }
+  type t = { head : node; tail : node; dom : D.t }
 
-  type ctx = { set : t; smr_h : Glue.handle; arena_h : Arena.handle }
+  type ctx = {
+    set : t;
+    smr : D.ctx;
+    mutable fresh : node;
+        (* the insert's not-yet-published node; [set.tail] when none *)
+  }
 
   let hp_per_process = 2
 
   let create (cfg : Set_intf.config) =
-    let smr_cfg =
-      { cfg.smr with
-        hp_per_process;
-        removes_per_op_max = 1 }
-    in
     let tail =
       { uid = fresh_uid ();
         key = max_int;
@@ -87,29 +74,14 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         state = Qs_arena.Node_state.Reachable;
         birth = 0 }
     in
-    let arena =
-      Arena.create ?capacity:cfg.capacity ~n_processes:smr_cfg.n_processes ()
-    in
-    let arena_handles =
-      Array.init smr_cfg.n_processes (fun pid -> Arena.register arena ~pid)
-    in
-    (* The freeing process is whichever process runs the scan, so route the
-       node to that process's free list. *)
-    let free n = Arena.free arena_handles.(R.self ()) n in
-    (* bulk-return path for whole limbo bags: one outstanding-counter
-       update per bag instead of one per node *)
-    let free_bulk data count =
-      Arena.free_many arena_handles.(R.self ()) data count
-    in
-    let smr = Glue.make ~free_bulk cfg.scheme smr_cfg ~dummy:tail ~free in
-    { head; tail; smr; arena; debug_checks = cfg.debug_checks }
+    { head;
+      tail;
+      dom = D.create cfg ~hp_per_process ~removes_per_op_max:1 ~dummy:tail }
 
   let register t ~pid =
-    { set = t;
-      smr_h = t.smr.register ~pid;
-      arena_h = Arena.register t.arena ~pid }
+    { set = t; smr = D.register t.dom ~pid; fresh = t.tail }
 
-  let touch ctx n = if ctx.set.debug_checks then Arena.touch ctx.arena_h n
+  let touch ctx n = D.touch ctx.smr n
 
   (* Find the first node with key >= [key] starting from [head] (the list's
      own head, or a hash-table bucket's), cleaning up marked nodes on the
@@ -126,7 +98,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         (* pred itself was removed or is being removed: restart from head *)
         find ctx head key
       | Ptr { dest = curr; marked = false } ->
-        ctx.smr_h.assign_hp ~slot:1 curr;
+        D.assign_hp ctx.smr ~slot:1 curr;
         (* Validation read: if pred.next changed since we read it, curr may
            already be unlinked (and, without protection, freed) — restart.
            The hazard pointer published above makes the success case safe. *)
@@ -143,14 +115,14 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
             if R.cas pred.next pred_link (Ptr { dest = succ; marked = false })
             then begin
               curr.state <- Qs_arena.Node_state.Removed;
-              ctx.smr_h.retire curr;
+              D.retire ctx.smr curr;
               walk pred
             end
             else find ctx head key
           | Null | Ptr { marked = false; _ } ->
             if curr.key >= key then (pred, pred_link, curr)
             else begin
-              ctx.smr_h.assign_hp ~slot:0 curr;
+              D.assign_hp ctx.smr ~slot:0 curr;
               (* Re-validate: curr must still be pred's successor, otherwise
                  the slot-0 protection could cover an already-freed node. *)
               if R.get pred.next != pred_link then find ctx head key else walk curr
@@ -160,11 +132,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     walk head
 
   let search_in ctx ~bucket key =
-    ctx.smr_h.manage_state ();
+    D.manage_state ctx.smr;
     let _, _, curr = find ctx bucket key in
     touch ctx curr;
     let res = curr.key = key in
-    ctx.smr_h.clear_hps ();
+    D.clear_hps ctx.smr;
     res
 
   (* Read-only membership probe: walks the chain by key order without
@@ -182,13 +154,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
      picked up by the next mutating [find] through the bucket. *)
   let rec probe_walk ctx bucket key slot node =
     if node.key > key then begin
-      ctx.smr_h.clear_hps ();
+      D.clear_hps ctx.smr;
       false
     end
     else if node.key = key then begin
       let link = R.get node.next in
       touch ctx node;
-      ctx.smr_h.clear_hps ();
+      D.clear_hps ctx.smr;
       match link with
       | Null -> true
       | Ptr { marked; _ } -> not marked
@@ -198,11 +170,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       touch ctx node;
       match link with
       | Null ->
-        ctx.smr_h.clear_hps ();
+        D.clear_hps ctx.smr;
         false
       | Ptr { dest; marked = _ } ->
         let slot' = 1 - slot in
-        ctx.smr_h.assign_hp ~slot:slot' dest;
+        D.assign_hp ctx.smr ~slot:slot' dest;
         (* Validation read: if node.next changed since we read it, dest
            may already be unlinked (and freed) — restart from the head. *)
         if R.get node.next != link then probe_restart ctx bucket key
@@ -217,62 +189,57 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     probe_walk ctx bucket key 1 bucket
 
   let search_ro_in ctx ~bucket key =
-    ctx.smr_h.manage_state ();
+    D.manage_state ctx.smr;
     probe_restart ctx bucket key
 
+  (* An insert's node that was never published goes straight back to the
+     arena (paper: "free the node directly"). *)
+  let drop_fresh ctx =
+    D.free ctx.smr ctx.fresh;
+    ctx.fresh <- ctx.set.tail
+
+  let rec insert_attempt ctx bucket key =
+    let pred, pred_link, curr = find ctx bucket key in
+    if curr.key = key then begin
+      if ctx.fresh != ctx.set.tail then drop_fresh ctx;
+      D.clear_hps ctx.smr;
+      false
+    end
+    else begin
+      if ctx.fresh == ctx.set.tail then begin
+        let n = D.alloc ctx.smr in
+        n.key <- key;
+        ctx.fresh <- n
+      end;
+      let n = ctx.fresh in
+      R.set n.next (Ptr { dest = curr; marked = false });
+      if R.cas pred.next pred_link (Ptr { dest = n; marked = false }) then begin
+        ctx.fresh <- ctx.set.tail;
+        n.state <- Qs_arena.Node_state.Reachable;
+        D.clear_hps ctx.smr;
+        true
+      end
+      else insert_attempt ctx bucket key
+    end
+
+  (* The not-yet-published node lives in [ctx.fresh] (reset the moment the
+     publishing CAS wins) so that a neutralization signal aborting this
+     operation can return it to the arena instead of leaking it: in the
+     simulator, delivery replaces a pending effect — it can never land
+     between the CAS executing and the meta-level reset. *)
   let insert_in ctx ~bucket key =
-    ctx.smr_h.manage_state ();
-    (* The not-yet-published node lives in [fresh] (cleared the moment the
-       publishing CAS wins) so that a neutralization signal aborting this
-       operation can return it to the arena instead of leaking it: in the
-       simulator, delivery replaces a pending effect — it can never land
-       between the CAS executing and the meta-level clear below. *)
-    let fresh = ref None in
-    let rec attempt () =
-      let pred, pred_link, curr = find ctx bucket key in
-      if curr.key = key then begin
-        (* Already present; a node allocated by an earlier attempt was never
-           linked, so it is freed directly (paper: "free the node directly"). *)
-        (match !fresh with
-        | Some n -> Arena.free ctx.arena_h n
-        | None -> ());
-        fresh := None;
-        ctx.smr_h.clear_hps ();
-        false
-      end
-      else begin
-        let n =
-          match !fresh with
-          | Some n -> n
-          | None ->
-            let n = Arena.alloc ctx.arena_h in
-            n.key <- key;
-            fresh := Some n;
-            n
-        in
-        R.set n.next (Ptr { dest = curr; marked = false });
-        if R.cas pred.next pred_link (Ptr { dest = n; marked = false }) then begin
-          fresh := None;
-          n.state <- Qs_arena.Node_state.Reachable;
-          ctx.smr_h.clear_hps ();
-          true
-        end
-        else attempt ()
-      end
-    in
-    try attempt ()
+    D.manage_state ctx.smr;
+    try insert_attempt ctx bucket key
     with Qs_intf.Runtime_intf.Neutralized as e ->
-      (match !fresh with
-      | Some n -> Arena.free ctx.arena_h n
-      | None -> ());
+      if ctx.fresh != ctx.set.tail then drop_fresh ctx;
       raise e
 
   let delete_in ctx ~bucket key =
-    ctx.smr_h.manage_state ();
+    D.manage_state ctx.smr;
     let rec attempt () =
       let pred, pred_link, curr = find ctx bucket key in
       if curr.key <> key then begin
-        ctx.smr_h.clear_hps ();
+        D.clear_hps ctx.smr;
         false
       end
       else begin
@@ -281,7 +248,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         match curr_link0 with
         | Null ->
           (* curr is the tail sentinel; impossible since tail.key = max_int *)
-          ctx.smr_h.clear_hps ();
+          D.clear_hps ctx.smr;
           false
         | Ptr { dest = succ; marked = false } as curr_link ->
           if R.cas curr.next curr_link (Ptr { dest = succ; marked = true })
@@ -289,12 +256,12 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
             (* Logical delete succeeded — we own the removal. *)
             curr.state <- Qs_arena.Node_state.Removed;
             (if R.cas pred.next pred_link (Ptr { dest = succ; marked = false })
-             then ctx.smr_h.retire curr
+             then D.retire ctx.smr curr
              else
                (* physical unlink lost a race; a find pass cleans up and
                   retires on our behalf *)
                ignore (find ctx bucket key));
-            ctx.smr_h.clear_hps ();
+            D.clear_hps ctx.smr;
             true
           end
           else attempt ()
@@ -363,24 +330,15 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
      different rates call this on the idle ones so that epoch-based
      schemes never see a registered-but-silent process (which would block
      reclamation exactly like a stalled thread). *)
-  let heartbeat ctx = ctx.smr_h.manage_state ()
+  let heartbeat ctx = D.manage_state ctx.smr
 
-  let unregister ctx = ctx.smr_h.unregister ()
+  let unregister ctx = D.unregister ctx.smr
 
-  let flush ctx = ctx.smr_h.flush ()
+  let flush ctx = D.flush ctx.smr
 
-  let report t : Set_intf.report =
-    { smr = t.smr.stats ();
-      allocations = Arena.allocations t.arena;
-      frees = Arena.frees t.arena;
-      outstanding = Arena.outstanding t.arena;
-      fresh_nodes = Arena.fresh_nodes t.arena;
-      violations = Arena.violations t.arena;
-      double_frees = Arena.double_frees t.arena }
-
-  let retired_count t = t.smr.retired_count ()
-  let violations t = Arena.violations t.arena
-  let outstanding t = Arena.outstanding t.arena
+  let report t = D.report t.dom
+  let retired_count t = D.retired_count t.dom
+  let violations t = D.violations t.dom
+  let outstanding t = D.outstanding t.dom
   let nodes_per_key = 1
-  let scheme_name t = t.smr.scheme_name
 end

@@ -79,7 +79,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
   val retired_count : t -> int
   val violations : t -> int
   val outstanding : t -> int
-  val scheme_name : t -> string
 
   val validate : ctx -> unit
   (** Check structural invariants; raises [Failure] on corruption.

@@ -25,7 +25,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let uid_counter = Atomic.make 0
   let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
-  module Node_impl = struct
+  module D = Smr_domain.Make (R) (struct
     type t = node
 
     let create () =
@@ -38,31 +38,22 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     let get_state n = n.state
     let set_state n s = n.state <- s
     let bump_birth n = n.birth <- n.birth + 1
-  end
-
-  module Arena = Qs_arena.Arena.Make (Node_impl)
-  module Glue = Smr_glue.Make (R) (struct
-    type t = node
-
     let id n = n.uid
   end)
 
   type t = {
     head : link R.atomic; (* always Ptr dummy *)
     tail : link R.atomic;
-    smr : Glue.ops;
-    arena : Arena.t;
-    debug_checks : bool;
+    dom : D.t;
   }
 
-  type ctx = { queue : t; smr_h : Glue.handle; arena_h : Arena.handle }
+  type ctx = { queue : t; smr : D.ctx }
 
   let hp_per_process = 2
 
   let dest = function Ptr n -> n | Null -> assert false
 
   let create (cfg : Set_intf.config) =
-    let smr_cfg = { cfg.smr with hp_per_process; removes_per_op_max = 1 } in
     let sentinel =
       (* never retired; fills unused hazard-pointer slots *)
       { uid = fresh_uid ();
@@ -71,40 +62,22 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         state = Qs_arena.Node_state.Reachable;
         birth = 0 }
     in
-    let arena =
-      Arena.create ?capacity:cfg.capacity ~n_processes:smr_cfg.n_processes ()
+    let dom =
+      D.create cfg ~hp_per_process ~removes_per_op_max:1 ~dummy:sentinel
     in
-    let arena_handles =
-      Array.init smr_cfg.n_processes (fun pid -> Arena.register arena ~pid)
-    in
-    let free n = Arena.free arena_handles.(R.self ()) n in
-    (* bulk-return path for whole limbo bags: one outstanding-counter
-       update per bag instead of one per node *)
-    let free_bulk data count =
-      Arena.free_many arena_handles.(R.self ()) data count
-    in
-    let smr = Glue.make ~free_bulk cfg.scheme smr_cfg ~dummy:sentinel ~free in
     (* The initial dummy is arena-allocated: the first dequeue retires it,
        and the books must balance. *)
-    let dummy = Arena.alloc arena_handles.(0) in
+    let dummy = D.alloc_initial dom in
     dummy.state <- Qs_arena.Node_state.Reachable;
-    { head = R.atomic (Ptr dummy);
-      tail = R.atomic (Ptr dummy);
-      smr;
-      arena;
-      debug_checks = cfg.debug_checks }
+    { head = R.atomic (Ptr dummy); tail = R.atomic (Ptr dummy); dom }
 
-  let register t ~pid =
-    { queue = t;
-      smr_h = t.smr.register ~pid;
-      arena_h = Arena.register t.arena ~pid }
-
-  let touch ctx n = if ctx.queue.debug_checks then Arena.touch ctx.arena_h n
+  let register t ~pid = { queue = t; smr = D.register t.dom ~pid }
+  let touch ctx n = D.touch ctx.smr n
 
   let enqueue ctx value =
-    ctx.smr_h.manage_state ();
+    D.manage_state ctx.smr;
     let t = ctx.queue in
-    let n = Arena.alloc ctx.arena_h in
+    let n = D.alloc ctx.smr in
     n.value <- value;
     (* [published] flips (meta-level, no effect in between) right after the
        linking CAS wins, so a neutralization signal aborting this operation
@@ -113,7 +86,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     let rec attempt () =
       let tail_link = R.get t.tail in
       let tl = dest tail_link in
-      ctx.smr_h.assign_hp ~slot:1 tl;
+      D.assign_hp ctx.smr ~slot:1 tl;
       if R.get t.tail != tail_link then attempt ()
       else begin
         touch ctx tl;
@@ -134,17 +107,17 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     in
     (try R.set n.next Null; attempt ()
      with Qs_intf.Runtime_intf.Neutralized as e ->
-       if not !published then Arena.free ctx.arena_h n;
+       if not !published then D.free ctx.smr n;
        raise e);
-    ctx.smr_h.clear_hps ()
+    D.clear_hps ctx.smr
 
   let dequeue ctx =
-    ctx.smr_h.manage_state ();
+    D.manage_state ctx.smr;
     let t = ctx.queue in
     let rec attempt () =
       let head_link = R.get t.head in
       let h = dest head_link in
-      ctx.smr_h.assign_hp ~slot:0 h;
+      D.assign_hp ctx.smr ~slot:0 h;
       if R.get t.head != head_link then attempt ()
       else begin
         touch ctx h;
@@ -153,10 +126,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         touch ctx h;
         match next_link with
         | Null ->
-          ctx.smr_h.clear_hps ();
+          D.clear_hps ctx.smr;
           None
         | Ptr next ->
-          ctx.smr_h.assign_hp ~slot:1 next;
+          D.assign_hp ctx.smr ~slot:1 next;
           if R.get t.head != head_link then attempt ()
           else if dest tail_link == h then begin
             (* non-empty but tail still points at the dummy: help *)
@@ -170,8 +143,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
             let v = next.value in
             if R.cas t.head head_link (Ptr next) then begin
               h.state <- Qs_arena.Node_state.Removed;
-              ctx.smr_h.retire h;
-              ctx.smr_h.clear_hps ();
+              D.retire ctx.smr h;
+              D.clear_hps ctx.smr;
               Some v
             end
             else attempt ()
@@ -189,9 +162,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     go [] (dest (R.get ctx.queue.head))
 
   let length ctx = List.length (to_list ctx)
-  let unregister ctx = ctx.smr_h.unregister ()
+  let unregister ctx = D.unregister ctx.smr
 
-  let flush ctx = ctx.smr_h.flush ()
+  let flush ctx = D.flush ctx.smr
 
   let validate ctx =
     (* the tail anchor must point at the last node (or its predecessor,
@@ -206,15 +179,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     if dest (R.get t.tail) != final then
       failwith "msqueue: tail anchor is not the last node"
 
-  let report t : Set_intf.report =
-    { smr = t.smr.stats ();
-      allocations = Arena.allocations t.arena;
-      frees = Arena.frees t.arena;
-      outstanding = Arena.outstanding t.arena;
-      fresh_nodes = Arena.fresh_nodes t.arena;
-      violations = Arena.violations t.arena;
-      double_frees = Arena.double_frees t.arena }
-
-  let violations t = Arena.violations t.arena
-  let outstanding t = Arena.outstanding t.arena
+  let report t = D.report t.dom
+  let violations t = D.violations t.dom
+  let outstanding t = D.outstanding t.dom
 end

@@ -63,7 +63,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let uid_counter = Atomic.make 0
   let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
-  module Node_impl = struct
+  module D = Smr_domain.Make (R) (struct
     type t = node
 
     (* Nodes are allocated at full height and reused at any level: a
@@ -79,28 +79,14 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     let get_state n = n.state
     let set_state n s = n.state <- s
     let bump_birth n = n.birth <- n.birth + 1
-  end
-
-  module Arena = Qs_arena.Arena.Make (Node_impl)
-
-  module Glue = Smr_glue.Make (R) (struct
-    type t = node
-
     let id n = n.uid
   end)
 
-  type t = {
-    head : node;
-    tail : node;
-    smr : Glue.ops;
-    arena : Arena.t;
-    debug_checks : bool;
-  }
+  type t = { head : node; tail : node; dom : D.t }
 
   type ctx = {
     set : t;
-    smr_h : Glue.handle;
-    arena_h : Arena.handle;
+    smr : D.ctx;
     prng : Qs_util.Prng.t; (* for level selection *)
     preds : node array;
     succs : node array;
@@ -114,9 +100,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let hp_per_process = own_slot + 1
 
   let create (cfg : Set_intf.config) =
-    let smr_cfg =
-      { cfg.smr with hp_per_process; removes_per_op_max = 1 }
-    in
     let tail =
       { uid = fresh_uid ();
         key = max_int;
@@ -135,32 +118,20 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         state = Qs_arena.Node_state.Reachable;
         birth = 0 }
     in
-    let arena =
-      Arena.create ?capacity:cfg.capacity ~n_processes:smr_cfg.n_processes ()
-    in
-    let arena_handles =
-      Array.init smr_cfg.n_processes (fun pid -> Arena.register arena ~pid)
-    in
-    let free n = Arena.free arena_handles.(R.self ()) n in
-    (* bulk-return path for whole limbo bags: one outstanding-counter
-       update per bag instead of one per node *)
-    let free_bulk data count =
-      Arena.free_many arena_handles.(R.self ()) data count
-    in
-    let smr = Glue.make ~free_bulk cfg.scheme smr_cfg ~dummy:tail ~free in
-    { head; tail; smr; arena; debug_checks = cfg.debug_checks }
+    { head;
+      tail;
+      dom = D.create cfg ~hp_per_process ~removes_per_op_max:1 ~dummy:tail }
 
   let register t ~pid =
     { set = t;
-      smr_h = t.smr.register ~pid;
-      arena_h = Arena.register t.arena ~pid;
+      smr = D.register t.dom ~pid;
       prng = Qs_util.Prng.create ~seed:(31 + (977 * pid));
       preds = Array.make (max_level + 1) t.head;
       succs = Array.make (max_level + 1) t.tail;
       pred_links = Array.make (max_level + 1) Null;
       fresh = t.tail }
 
-  let touch ctx n = if ctx.set.debug_checks then Arena.touch ctx.arena_h n
+  let touch ctx n = D.touch ctx.smr n
 
   let rec random_level prng lvl =
     if lvl < max_level && Qs_util.Prng.bool prng then random_level prng (lvl + 1)
@@ -174,13 +145,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
      pass must restart from the head (a predecessor being removed, a failed
      validation or snip). *)
   let rec level_walk ctx key pred level =
-    ctx.smr_h.assign_hp ~slot:(2 * level) pred;
+    D.assign_hp ctx.smr ~slot:(2 * level) pred;
     let pred_link = R.get pred.next.(level) in
     touch ctx pred;
     match pred_link with
     | Null | Ptr { marked = true; _ } -> false
     | Ptr { dest = curr; marked = false } ->
-      ctx.smr_h.assign_hp ~slot:((2 * level) + 1) curr;
+      D.assign_hp ctx.smr ~slot:((2 * level) + 1) curr;
       if R.get pred.next.(level) != pred_link then false
       else begin
         touch ctx curr;
@@ -212,7 +183,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
      marked node holding [key] (see the header), until one completes. *)
   let rec sweep ctx key =
     match
-      ctx.smr_h.manage_state ();
+      D.manage_state ctx.smr;
       find ctx (key + 1)
     with
     | () -> ()
@@ -221,10 +192,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let found ctx key = ctx.succs.(0).key = key
 
   let search ctx key =
-    ctx.smr_h.manage_state ();
+    D.manage_state ctx.smr;
     find ctx key;
     let res = found ctx key in
-    ctx.smr_h.clear_hps ();
+    D.clear_hps ctx.smr;
     res
 
   (* Link the new node at levels [level..top]; abandoned as soon as the node
@@ -257,24 +228,24 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   (* An insert's node that was never published goes straight back to the
      arena. *)
   let drop_fresh ctx =
-    Arena.free ctx.arena_h ctx.fresh;
+    D.free ctx.smr ctx.fresh;
     ctx.fresh <- ctx.set.tail
 
   let rec insert_attempt ctx key =
     find ctx key;
     if found ctx key then begin
       if ctx.fresh != ctx.set.tail then drop_fresh ctx;
-      ctx.smr_h.clear_hps ();
+      D.clear_hps ctx.smr;
       false
     end
     else begin
       if ctx.fresh == ctx.set.tail then begin
-        let n = Arena.alloc ctx.arena_h in
+        let n = D.alloc ctx.smr in
         n.key <- key;
         n.top <- random_level ctx.prng 0;
         ctx.fresh <- n;
         (* protected before the bottom CAS publishes it *)
-        ctx.smr_h.assign_hp ~slot:own_slot n
+        D.assign_hp ctx.smr ~slot:own_slot n
       end;
       let n = ctx.fresh in
       (* prepare all levels before the bottom CAS publishes the node *)
@@ -288,7 +259,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         ctx.fresh <- ctx.set.tail;
         n.state <- Qs_arena.Node_state.Reachable;
         link_upper ctx key n 1;
-        ctx.smr_h.clear_hps ();
+        D.clear_hps ctx.smr;
         true
       end
       else insert_attempt ctx key
@@ -302,7 +273,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
      insert may have linked its node at an upper level behind a deleter's
      pass, so it sweeps the key before giving up. *)
   let insert ctx key =
-    ctx.smr_h.manage_state ();
+    D.manage_state ctx.smr;
     match insert_attempt ctx key with
     | res -> res
     | exception (Qs_intf.Runtime_intf.Neutralized as e) ->
@@ -333,7 +304,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let rec delete_attempt ctx key =
     find ctx key;
     if not (found ctx key) then begin
-      ctx.smr_h.clear_hps ();
+      D.clear_hps ctx.smr;
       false
     end
     else begin
@@ -353,14 +324,14 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
          with
         | () -> ()
         | exception Qs_intf.Runtime_intf.Neutralized -> sweep ctx key);
-        ctx.smr_h.retire n;
-        ctx.smr_h.clear_hps ();
+        D.retire ctx.smr n;
+        D.clear_hps ctx.smr;
         true
       end
     end
 
   let delete ctx key =
-    ctx.smr_h.manage_state ();
+    D.manage_state ctx.smr;
     delete_attempt ctx key
 
   (* The level-0 walk of [range_count] from [node] (protected at [slot]):
@@ -377,7 +348,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         (* an unmarked link means [node] is still a member *)
         let count = if marked then count else count + 1 in
         let slot' = 1 - slot in
-        ctx.smr_h.assign_hp ~slot:slot' dest;
+        D.assign_hp ctx.smr ~slot:slot' dest;
         (* Validation read: if node.next.(0) changed, dest may already be
            snipped out (and, without protection, freed) — restart. *)
         if R.get node.next.(0) != link then -1
@@ -405,9 +376,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
      pressure the service workload wants to put on reclamation. *)
   let range_count ctx ~lo ~hi =
     if hi < lo then invalid_arg "Skiplist.range_count: hi < lo";
-    ctx.smr_h.manage_state ();
+    D.manage_state ctx.smr;
     let res = range_scan ctx lo hi in
-    ctx.smr_h.clear_hps ();
+    D.clear_hps ctx.smr;
     res
 
   (* Sequential-context helpers. *)
@@ -466,24 +437,15 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   (* See {!Linked_list.heartbeat}: scheme bookkeeping without an
      operation, so composite services keep idle instances' epochs moving. *)
-  let heartbeat ctx = ctx.smr_h.manage_state ()
+  let heartbeat ctx = D.manage_state ctx.smr
 
-  let unregister ctx = ctx.smr_h.unregister ()
+  let unregister ctx = D.unregister ctx.smr
 
-  let flush ctx = ctx.smr_h.flush ()
+  let flush ctx = D.flush ctx.smr
 
-  let report t : Set_intf.report =
-    { smr = t.smr.stats ();
-      allocations = Arena.allocations t.arena;
-      frees = Arena.frees t.arena;
-      outstanding = Arena.outstanding t.arena;
-      fresh_nodes = Arena.fresh_nodes t.arena;
-      violations = Arena.violations t.arena;
-      double_frees = Arena.double_frees t.arena }
-
-  let retired_count t = t.smr.retired_count ()
-  let violations t = Arena.violations t.arena
-  let outstanding t = Arena.outstanding t.arena
+  let report t = D.report t.dom
+  let retired_count t = D.retired_count t.dom
+  let violations t = D.violations t.dom
+  let outstanding t = D.outstanding t.dom
   let nodes_per_key = 1
-  let scheme_name t = t.smr.scheme_name
 end

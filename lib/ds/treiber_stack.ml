@@ -28,7 +28,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let uid_counter = Atomic.make 0
   let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
-  module Node_impl = struct
+  module D = Smr_domain.Make (R) (struct
     type t = node
 
     let create () =
@@ -41,31 +41,15 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     let get_state n = n.state
     let set_state n s = n.state <- s
     let bump_birth n = n.birth <- n.birth + 1
-  end
-
-  module Arena = Qs_arena.Arena.Make (Node_impl)
-  module Glue = Smr_glue.Make (R) (struct
-    type t = node
-
     let id n = n.uid
   end)
 
-  type t = {
-    top : link R.atomic;
-    dummy : node;
-    smr : Glue.ops;
-    arena : Arena.t;
-    debug_checks : bool;
-  }
-
-  type ctx = { stack : t; smr_h : Glue.handle; arena_h : Arena.handle }
+  type t = { top : link R.atomic; dom : D.t }
+  type ctx = { stack : t; smr : D.ctx }
 
   let hp_per_process = 1
 
   let create (cfg : Set_intf.config) =
-    let smr_cfg =
-      { cfg.smr with hp_per_process; removes_per_op_max = 1 }
-    in
     let dummy =
       { uid = fresh_uid ();
         value = 0;
@@ -73,31 +57,15 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         state = Qs_arena.Node_state.Reachable;
         birth = 0 }
     in
-    let arena =
-      Arena.create ?capacity:cfg.capacity ~n_processes:smr_cfg.n_processes ()
-    in
-    let arena_handles =
-      Array.init smr_cfg.n_processes (fun pid -> Arena.register arena ~pid)
-    in
-    let free n = Arena.free arena_handles.(R.self ()) n in
-    (* bulk-return path for whole limbo bags: one outstanding-counter
-       update per bag instead of one per node *)
-    let free_bulk data count =
-      Arena.free_many arena_handles.(R.self ()) data count
-    in
-    let smr = Glue.make ~free_bulk cfg.scheme smr_cfg ~dummy ~free in
-    { top = R.atomic Null; dummy; smr; arena; debug_checks = cfg.debug_checks }
+    let dom = D.create cfg ~hp_per_process ~removes_per_op_max:1 ~dummy in
+    { top = R.atomic Null; dom }
 
-  let register t ~pid =
-    { stack = t;
-      smr_h = t.smr.register ~pid;
-      arena_h = Arena.register t.arena ~pid }
-
-  let touch ctx n = if ctx.stack.debug_checks then Arena.touch ctx.arena_h n
+  let register t ~pid = { stack = t; smr = D.register t.dom ~pid }
+  let touch ctx n = D.touch ctx.smr n
 
   let push ctx value =
-    ctx.smr_h.manage_state ();
-    let n = Arena.alloc ctx.arena_h in
+    D.manage_state ctx.smr;
+    let n = D.alloc ctx.smr in
     n.value <- value;
     (* [published] flips (meta-level, no effect in between) right after the
        publishing CAS wins, so a neutralization signal aborting this
@@ -114,20 +82,20 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     in
     (try attempt ()
      with Qs_intf.Runtime_intf.Neutralized as e ->
-       if not !published then Arena.free ctx.arena_h n;
+       if not !published then D.free ctx.smr n;
        raise e);
     (* end-of-operation hook: drops protections / unpins epoch schemes *)
-    ctx.smr_h.clear_hps ()
+    D.clear_hps ctx.smr
 
   let pop ctx =
-    ctx.smr_h.manage_state ();
+    D.manage_state ctx.smr;
     let rec attempt () =
       match R.get ctx.stack.top with
       | Null ->
-        ctx.smr_h.clear_hps ();
+        D.clear_hps ctx.smr;
         None
       | Ptr n as old ->
-        ctx.smr_h.assign_hp ~slot:0 n;
+        D.assign_hp ctx.smr ~slot:0 n;
         (* re-validate: n is still the top, hence not yet retired *)
         if R.get ctx.stack.top != old then attempt ()
         else begin
@@ -137,8 +105,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
           if R.cas ctx.stack.top old next then begin
             let v = n.value in
             n.state <- Qs_arena.Node_state.Removed;
-            ctx.smr_h.retire n;
-            ctx.smr_h.clear_hps ();
+            D.retire ctx.smr n;
+            D.clear_hps ctx.smr;
             Some v
           end
           else attempt ()
@@ -156,19 +124,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     go [] (R.get ctx.stack.top)
 
   let length ctx = List.length (to_list ctx)
-  let unregister ctx = ctx.smr_h.unregister ()
+  let unregister ctx = D.unregister ctx.smr
 
-  let flush ctx = ctx.smr_h.flush ()
+  let flush ctx = D.flush ctx.smr
 
-  let report t : Set_intf.report =
-    { smr = t.smr.stats ();
-      allocations = Arena.allocations t.arena;
-      frees = Arena.frees t.arena;
-      outstanding = Arena.outstanding t.arena;
-      fresh_nodes = Arena.fresh_nodes t.arena;
-      violations = Arena.violations t.arena;
-      double_frees = Arena.double_frees t.arena }
-
-  let violations t = Arena.violations t.arena
-  let outstanding t = Arena.outstanding t.arena
+  let report t = D.report t.dom
+  let violations t = D.violations t.dom
+  let outstanding t = D.outstanding t.dom
 end

@@ -29,7 +29,6 @@ module type S = sig
   val violations : t -> int
   val retired_count : t -> int
   val outstanding : t -> int
-  val scheme_name : t -> string
 
   val nodes_per_key : int
   (** Arena nodes per live key: 1 for the lists and the skip list, 2 for the

@@ -311,6 +311,19 @@ module type RUNTIME = sig
       back to acknowledgment — poison, and let the victim unpin itself at
       its next check. *)
 
+  val set_neutralizable : bool -> bool
+  (** Allow ([true]) or hold back ([false]) delivery of neutralization
+      signals to the calling process; returns the previous setting, for
+      the caller to restore. A held-back signal stays pending, like a
+      masked POSIX signal. [Qs_ds.Smr_domain] holds delivery back while
+      a scheme's [manage_state], [clear_hps] or [retire] runs, so a
+      restart never unwinds a scheme half-way through its bookkeeping —
+      a retired node not yet banked in limbo would leak (DEBRA+ likewise
+      runs reclamation code as if quiescent). Simulator: the flag
+      [Qs_sim.Scheduler.set_neutralizable] sets; meta-level, free and
+      schedule-neutral. Real runtime: nothing is delivered asynchronously,
+      so this is a no-op returning [false]. *)
+
   val tracing : unit -> bool
   (** Whether {!emit} currently delivers anywhere — a hint for skipping
       whole per-node emission loops on batched reclamation paths (one

@@ -105,6 +105,10 @@ let tracing () =
 let neutralize ~pid:_ = ()
 let neutralize_is_preemptive = false
 
+(* Nothing is ever delivered asynchronously here, so there is nothing to
+   hold back. *)
+let set_neutralizable _ = false
+
 (* The sink check comes first so the pid lookup ([Domain.DLS.get]) is only
    paid when a sink is actually attached — retire/free emit on every node,
    so with tracing off this must really be one atomic load and a branch. *)

@@ -209,6 +209,4 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     Array.fold_left
       (fun acc s -> add acc (Table.report s))
       (Index.report t.index) t.shards
-
-  let scheme_name t = Index.scheme_name t.index
 end

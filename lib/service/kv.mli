@@ -65,6 +65,4 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
       [Fallback] if any instance is in fallback. [smr.retired_peak] is the
       sum of the per-instance peaks, which need not coincide in time: an
       upper bound on the service-wide peak. *)
-
-  val scheme_name : t -> string
 end

@@ -325,6 +325,7 @@ type _ Effect.t +=
   | E_hook : Qs_intf.Runtime_intf.hook -> unit Effect.t
   | E_emit : Qs_intf.Runtime_intf.event * int * int -> unit Effect.t
   | E_neutralize : int -> unit Effect.t
+  | E_set_neutralizable : bool -> bool Effect.t
 
 let hook_index : Qs_intf.Runtime_intf.hook -> int = function
   | Hook_retire -> 0
@@ -780,6 +781,12 @@ let run_fiber (t : t) (p : proc) f =
                target happens at ITS next dispatch (see [step]). *)
             post_poison t target;
             (Obj.magic sync_handler : ((a, unit) continuation -> unit) option)
+          | E_set_neutralizable v ->
+            (* Synchronous and meta-level, like [E_neutralize]; only the
+               slow path (no live dispatch) comes here. *)
+            let prev = p.neutralizable in
+            p.neutralizable <- v;
+            Some (fun k -> continue k prev)
           | E_self ->
             p.r_tag <- rt_self;
             (Obj.magic p.h_defer : ((a, unit) continuation -> unit) option)
@@ -1222,6 +1229,16 @@ let op_neutralize (target : int) : unit =
     post_poison t target
   end
   else Effect.perform (E_neutralize target)
+
+let op_set_neutralizable (v : bool) : bool =
+  let cur = my_cursor () in
+  if cur.live then begin
+    let p : proc = Obj.obj cur.cur_p in
+    let prev = p.neutralizable in
+    p.neutralizable <- v;
+    prev
+  end
+  else Effect.perform (E_set_neutralizable v)
 
 let active p = match p.state with Ready | Sleeping _ -> true | _ -> false
 

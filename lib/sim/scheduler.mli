@@ -207,6 +207,7 @@ type _ Effect.t +=
   | E_hook : Qs_intf.Runtime_intf.hook -> unit Effect.t
   | E_emit : Qs_intf.Runtime_intf.event * int * int -> unit Effect.t
   | E_neutralize : int -> unit Effect.t
+  | E_set_neutralizable : bool -> bool Effect.t
 
 (** {1 Trace sink} *)
 
@@ -262,6 +263,12 @@ val op_neutralize : int -> unit
     delivery to the target happens at its next dispatch inside an
     interruptible region. Posting to a finished/crashed/unspawned process
     is a no-op. *)
+
+val op_set_neutralizable : bool -> bool
+(** {!set_neutralizable} for the calling process, returning the previous
+    setting (what {!Qs_intf.Runtime_intf.RUNTIME.set_neutralizable}
+    performs on the simulator). Meta-level: no virtual time, no PRNG draw,
+    not a preemption point. *)
 
 val exec : t -> pid:int -> (unit -> 'a) -> 'a
 (** [exec t ~pid f] runs [f] as process [pid]'s fiber to completion, alone,

@@ -55,6 +55,10 @@ let neutralize ~pid = Scheduler.op_neutralize pid
    victim's protection on its behalf — the full DEBRA+ signal model. *)
 let neutralize_is_preemptive = true
 
+(* Hold back or allow delivery to the caller: the same meta-level flag the
+   worker loops set around each operation. *)
+let set_neutralizable v = Scheduler.op_set_neutralizable v
+
 (* Simulator extras, not part of RUNTIME. *)
 
 let sleep_until target = Effect.perform (Scheduler.E_sleep_until target)

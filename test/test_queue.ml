@@ -133,6 +133,65 @@ let test_concurrent scheme () =
   concurrent_run ~scheme ~seed:5;
   concurrent_run ~scheme ~seed:91
 
+(* Neutralization signals land mid-operation ([Neutralize_at], a dense
+   plan on every worker); workers retry aborted ops. An aborted enqueue
+   may or may not have linked its node, so values are not conserved, but
+   the arena must still balance: an enqueue aborted before its linking CAS
+   returns its node to the arena, and a dequeue past its head swing has
+   retired the old dummy, so after the flush every outstanding node is in
+   the chain or is the dummy. *)
+let neutralized_run ~scheme ~seed =
+  let n = 4 and per_worker = 600 and gap = 1_500 in
+  let s = sched ~n_cores:n ~seed () in
+  Scheduler.inject s
+    (List.init n (fun pid ->
+         List.init 60 (fun i ->
+             Scheduler.Neutralize_at { pid; at = ((i + 1) * gap) + (pid * 97) }))
+    |> List.concat);
+  let q = Q.create (queue_cfg ~scheme ~n ()) in
+  let ctxs = Array.init n (fun pid -> Q.register q ~pid) in
+  let aborted_enqueues = ref 0 in
+  for pid = 0 to n - 1 do
+    Scheduler.spawn s ~pid (fun () ->
+        let prng = Qs_util.Prng.create ~seed:(seed + (31 * pid)) in
+        let ctx = ctxs.(pid) in
+        let rec retry op =
+          Scheduler.set_neutralizable s ~pid true;
+          match op () with
+          | () -> Scheduler.set_neutralizable s ~pid false
+          | exception Qs_intf.Runtime_intf.Neutralized ->
+            Scheduler.set_neutralizable s ~pid false;
+            retry op
+        in
+        for i = 1 to per_worker do
+          if Qs_util.Prng.percent prng < 55 then
+            retry (fun () ->
+                try Q.enqueue ctx i
+                with Qs_intf.Runtime_intf.Neutralized as e ->
+                  incr aborted_enqueues;
+                  raise e)
+          else retry (fun () -> ignore (Q.dequeue ctx))
+        done)
+  done;
+  Scheduler.run_all s;
+  (match Scheduler.failures s with
+  | [] -> ()
+  | (pid, e) :: _ -> Alcotest.failf "worker %d died: %s" pid (Printexc.to_string e));
+  Alcotest.(check bool) "enqueues were aborted" true (!aborted_enqueues > 0);
+  Alcotest.(check int) "no use-after-free" 0 (Q.violations q);
+  let remaining =
+    Scheduler.exec s ~pid:0 (fun () -> Q.validate ctxs.(0); Q.length ctxs.(0))
+  in
+  Scheduler.exec s ~pid:0 (fun () -> Array.iter Q.flush ctxs);
+  let r = Q.report q in
+  Alcotest.(check int) "no double frees" 0 r.double_frees;
+  Alcotest.(check int) "outstanding = remaining + dummy" (remaining + 1)
+    r.outstanding
+
+let test_neutralized scheme () =
+  neutralized_run ~scheme ~seed:13;
+  neutralized_run ~scheme ~seed:58
+
 let suite =
   [ Alcotest.test_case "fifo order" `Quick test_fifo;
     Alcotest.test_case "sequential model" `Quick test_sequential_model;
@@ -142,3 +201,10 @@ let suite =
     Alcotest.test_case "concurrent ebr" `Quick (test_concurrent Qs_smr.Scheme.Ebr);
     Alcotest.test_case "concurrent cadence" `Quick (test_concurrent Qs_smr.Scheme.Cadence)
   ]
+  @ List.map
+      (fun scheme ->
+        Alcotest.test_case
+          (Printf.sprintf "neutralized enqueue/dequeue %s"
+             (Qs_smr.Scheme.to_string scheme))
+          `Quick (test_neutralized scheme))
+      Qs_smr.Scheme.[ Qsense; Hp; Qsbr; Ebr; Cadence; Debra_plus; Hyaline ]

@@ -106,6 +106,63 @@ let test_concurrent scheme () =
   concurrent_run ~scheme ~seed:9;
   concurrent_run ~scheme ~seed:77
 
+(* Neutralization signals land mid-operation ([Neutralize_at], a dense
+   plan on every worker); workers retry aborted ops. An aborted push may
+   or may not have published its node, so values are not conserved, but
+   the arena must still balance: a push aborted before its publishing CAS
+   returns its node to the arena, and a pop past its unlinking CAS has
+   retired its node, so after the flush every outstanding node is on the
+   stack. *)
+let neutralized_run ~scheme ~seed =
+  let n = 4 and per_worker = 600 and gap = 1_500 in
+  let s = sched ~n_cores:n ~seed () in
+  Scheduler.inject s
+    (List.init n (fun pid ->
+         List.init 60 (fun i ->
+             Scheduler.Neutralize_at { pid; at = ((i + 1) * gap) + (pid * 97) }))
+    |> List.concat);
+  let st = S.create (stack_cfg ~scheme ~n ()) in
+  let ctxs = Array.init n (fun pid -> S.register st ~pid) in
+  let aborted_pushes = ref 0 in
+  for pid = 0 to n - 1 do
+    Scheduler.spawn s ~pid (fun () ->
+        let prng = Qs_util.Prng.create ~seed:(seed + pid) in
+        let ctx = ctxs.(pid) in
+        let rec retry op =
+          Scheduler.set_neutralizable s ~pid true;
+          match op () with
+          | () -> Scheduler.set_neutralizable s ~pid false
+          | exception Qs_intf.Runtime_intf.Neutralized ->
+            Scheduler.set_neutralizable s ~pid false;
+            retry op
+        in
+        for i = 1 to per_worker do
+          if Qs_util.Prng.percent prng < 55 then
+            retry (fun () ->
+                try S.push ctx i
+                with Qs_intf.Runtime_intf.Neutralized as e ->
+                  incr aborted_pushes;
+                  raise e)
+          else retry (fun () -> ignore (S.pop ctx))
+        done)
+  done;
+  Scheduler.run_all s;
+  (match Scheduler.failures s with
+  | [] -> ()
+  | (pid, e) :: _ -> Alcotest.failf "worker %d died: %s" pid (Printexc.to_string e));
+  Alcotest.(check bool) "pushes were aborted" true (!aborted_pushes > 0);
+  Alcotest.(check int) "no use-after-free" 0 (S.violations st);
+  let remaining = Scheduler.exec s ~pid:0 (fun () -> S.length ctxs.(0)) in
+  Scheduler.exec s ~pid:0 (fun () -> Array.iter S.flush ctxs);
+  let r = S.report st in
+  Alcotest.(check int) "no double frees" 0 r.double_frees;
+  Alcotest.(check int) "outstanding = nodes still on stack" remaining
+    r.outstanding
+
+let test_neutralized scheme () =
+  neutralized_run ~scheme ~seed:13;
+  neutralized_run ~scheme ~seed:58
+
 let suite =
   [ Alcotest.test_case "lifo order" `Quick test_lifo;
     Alcotest.test_case "sequential model" `Quick test_push_pop_interleaved_sequential;
@@ -114,3 +171,10 @@ let suite =
     Alcotest.test_case "concurrent qsbr" `Quick (test_concurrent Qs_smr.Scheme.Qsbr);
     Alcotest.test_case "concurrent cadence" `Quick (test_concurrent Qs_smr.Scheme.Cadence)
   ]
+  @ List.map
+      (fun scheme ->
+        Alcotest.test_case
+          (Printf.sprintf "neutralized push/pop %s"
+             (Qs_smr.Scheme.to_string scheme))
+          `Quick (test_neutralized scheme))
+      Qs_smr.Scheme.[ Qsense; Hp; Qsbr; Ebr; Cadence; Debra_plus; Hyaline ]
