@@ -59,6 +59,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     pid : int;
     mutable lsrc : node Bag.Ts.source;
     mutable rlist : node Bag.Ts.t;
+    hp_row : node R.plain array; (* this process's row of [hp] *)
     scan_set : Hp.scan_set;
     mutable retires : int;
     mutable until_scan : int;
@@ -112,6 +113,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         pid;
         lsrc;
         rlist = Bag.Ts.create lsrc;
+        hp_row = Hp.row t.hp ~pid;
         scan_set = Hp.scan_set t.hp;
         retires = 0;
         until_scan = t.scan_threshold_eff;
@@ -146,7 +148,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   let manage_state _ = ()
 
   (* No memory barrier here — the point of the scheme. *)
-  let assign_hp h ~slot n = Hp.assign h.owner.hp ~pid:h.pid ~slot n
+  let assign_hp h ~slot n = R.write h.hp_row.(slot) n
 
   let clear_hps h = Hp.clear h.owner.hp ~pid:h.pid
 

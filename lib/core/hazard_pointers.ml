@@ -59,6 +59,7 @@ struct
     pid : int;
     mutable lsrc : node Bag.source;
     mutable rlist : node Bag.t;
+    hp_row : node R.plain array; (* this process's row of [hp] *)
     scan_set : Hp.scan_set;
     mutable retires : int;
     mutable frees : int;
@@ -105,6 +106,7 @@ struct
         pid;
         lsrc;
         rlist = Bag.create lsrc;
+        hp_row = Hp.row t.hp ~pid;
         scan_set = Hp.scan_set t.hp;
         retires = 0;
         frees = 0;
@@ -134,7 +136,7 @@ struct
   let manage_state _ = ()
 
   let assign_hp h ~slot n =
-    Hp.assign h.owner.hp ~pid:h.pid ~slot n;
+    R.write h.hp_row.(slot) n;
     if P.fenced then R.fence ()
 
   let clear_hps h = Hp.clear h.owner.hp ~pid:h.pid

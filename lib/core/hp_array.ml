@@ -3,9 +3,11 @@
    *plain* cells — publishing is a cheap store whose visibility is bounded
    only by fences (classic HP) or rooster context switches (Cadence/QSense).
    Unused slots hold the data structure's dummy node rather than an option,
-   keeping the traversal path allocation-free. Each process's row of slots
-   is padded against false sharing: rows are written by different processes
-   on every traversal step.
+   keeping the traversal path allocation-free. Every slot is its own
+   padded cell ([R.plain_padded]), so no two slots share a cache line:
+   rows are written by different processes on every traversal step, and a
+   scan's reads of one slot never contend with the owner's writes to its
+   neighbours.
 
    Scans use a reusable {e scan set}: the N×K slots are snapshotted into a
    per-handle open-addressing hash set of node ids ({!Smr_intf.NODE.id},
@@ -22,7 +24,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       dummy;
       k }
 
-  let assign t ~pid ~slot n = R.write t.slots.(pid).(slot) n
+  (* A process's own row: its handle keeps it, so a publish is one
+     [R.write] to [row.(slot)] with no call through this module. *)
+  let row t ~pid = t.slots.(pid)
 
   let clear t ~pid =
     let row = t.slots.(pid) in

@@ -118,6 +118,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
            it. Checked at points with no runtime effect between check and
            list use, so on the simulator the handoff is race-free. *)
     eviction_on : bool; (* cfg.eviction_timeout <> None, precomputed *)
+    hp_row : node R.plain array; (* this process's row of [hp] *)
     scan_set : Hp.scan_set;
     mutable call_count : int;
     mutable fnl_count : int;
@@ -199,6 +200,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
         adopted = Bag.Ts.create lsrc;
         seized = Atomic.make false;
         eviction_on = t.cfg.eviction_timeout <> None;
+        hp_row = Hp.row t.hp ~pid;
         scan_set = Hp.scan_set t.hp;
         call_count = 0;
         fnl_count = 0;
@@ -251,9 +253,9 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
      what makes the fast path fast and the switch sound (see §4.1). The
      [false] branch is the rejected naive design, kept for demonstration. *)
   let assign_hp h ~slot n =
-    if P.always_publish then Hp.assign h.owner.hp ~pid:h.pid ~slot n
+    if P.always_publish then R.write h.hp_row.(slot) n
     else if R.get h.owner.fallback_flag = 1 then begin
-      Hp.assign h.owner.hp ~pid:h.pid ~slot n;
+      R.write h.hp_row.(slot) n;
       R.fence ()
     end
   let clear_hps h = Hp.clear h.owner.hp ~pid:h.pid

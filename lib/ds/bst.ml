@@ -130,7 +130,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       dom = D.create cfg ~hp_per_process ~removes_per_op_max:2 ~dummy:root }
 
   let register t ~pid = { set = t; smr = D.register t.dom ~pid }
-  let touch ctx n = D.touch ctx.smr n
+  (* the oracle, pre-filtered on [Free] (see {!Smr_domain.Make.touch}) *)
+  let touch ctx n =
+    match n.state with
+    | Qs_arena.Node_state.Free -> D.touch ctx.smr n
+    | Allocated | Reachable | Removed | Retired -> ()
 
   type found = {
     gp : node;

@@ -55,6 +55,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     smr : D.ctx;
     mutable fresh : node;
         (* the insert's not-yet-published node; [set.tail] when none *)
+    mutable pred : node; (* [find]'s result: see there *)
+    mutable pred_link : link;
+    mutable curr : node;
   }
 
   let hp_per_process = 2
@@ -79,61 +82,76 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       dom = D.create cfg ~hp_per_process ~removes_per_op_max:1 ~dummy:tail }
 
   let register t ~pid =
-    { set = t; smr = D.register t.dom ~pid; fresh = t.tail }
+    { set = t;
+      smr = D.register t.dom ~pid;
+      fresh = t.tail;
+      pred = t.head;
+      pred_link = Null;
+      curr = t.tail }
 
-  let touch ctx n = D.touch ctx.smr n
+  (* the oracle, pre-filtered on [Free] (see {!Smr_domain.Make.touch}) *)
+  let touch ctx n =
+    match n.state with
+    | Qs_arena.Node_state.Free -> D.touch ctx.smr n
+    | Allocated | Reachable | Removed | Retired -> ()
 
   (* Find the first node with key >= [key] starting from [head] (the list's
      own head, or a hash-table bucket's), cleaning up marked nodes on the
-     way. Returns [(pred, pred_link, curr)] where [pred_link] is the
-     physical link value [Ptr {dest = curr; marked = false}] read from
-     [pred.next] — the CAS witness for both insertion and physical
-     deletion. *)
-  let rec find ctx head key =
-    let rec walk pred =
-      let pred_link = R.get pred.next in
-      touch ctx pred;
-      match pred_link with
-      | Null | Ptr { marked = true; _ } ->
-        (* pred itself was removed or is being removed: restart from head *)
-        find ctx head key
-      | Ptr { dest = curr; marked = false } ->
-        D.assign_hp ctx.smr ~slot:1 curr;
-        (* Validation read: if pred.next changed since we read it, curr may
-           already be unlinked (and, without protection, freed) — restart.
-           The hazard pointer published above makes the success case safe. *)
-        if R.get pred.next != pred_link then find ctx head key
-        else begin
-          touch ctx curr;
-          let curr_link = R.get curr.next in
-          (* the read above is the access hazard: re-check the oracle *)
-          touch ctx curr;
-          match curr_link with
-          | Ptr { dest = succ; marked = true } ->
-            (* curr is logically deleted: attempt the physical unlink; the
-               winner of this CAS retires the node (free_node_later). *)
-            if R.cas pred.next pred_link (Ptr { dest = succ; marked = false })
-            then begin
-              curr.state <- Qs_arena.Node_state.Removed;
-              D.retire ctx.smr curr;
-              walk pred
-            end
-            else find ctx head key
-          | Null | Ptr { marked = false; _ } ->
-            if curr.key >= key then (pred, pred_link, curr)
-            else begin
-              D.assign_hp ctx.smr ~slot:0 curr;
-              (* Re-validate: curr must still be pred's successor, otherwise
-                 the slot-0 protection could cover an already-freed node. *)
-              if R.get pred.next != pred_link then find ctx head key else walk curr
-            end
-        end
-    in
-    walk head
+     way. Leaves [pred], [pred_link] and [curr] in the ctx, where
+     [pred_link] is the physical link value [Ptr {dest = curr; marked =
+     false}] read from [pred.next] — the CAS witness for both insertion and
+     physical deletion. Top-level recursion over the ctx, with the result
+     in its fields rather than a tuple, so a pass allocates nothing. *)
+  let rec find ctx head key = walk ctx head key head
+
+  and walk ctx head key pred =
+    let pred_link = R.get pred.next in
+    touch ctx pred;
+    match pred_link with
+    | Null | Ptr { marked = true; _ } ->
+      (* pred itself was removed or is being removed: restart from head *)
+      find ctx head key
+    | Ptr { dest = curr; marked = false } ->
+      D.assign_hp ctx.smr ~slot:1 curr;
+      (* Validation read: if pred.next changed since we read it, curr may
+         already be unlinked (and, without protection, freed) — restart.
+         The hazard pointer published above makes the success case safe. *)
+      if R.get pred.next != pred_link then find ctx head key
+      else begin
+        touch ctx curr;
+        let curr_link = R.get curr.next in
+        (* the read above is the access hazard: re-check the oracle *)
+        touch ctx curr;
+        match curr_link with
+        | Ptr { dest = succ; marked = true } ->
+          (* curr is logically deleted: attempt the physical unlink; the
+             winner of this CAS retires the node (free_node_later). *)
+          if R.cas pred.next pred_link (Ptr { dest = succ; marked = false })
+          then begin
+            curr.state <- Qs_arena.Node_state.Removed;
+            D.retire ctx.smr curr;
+            walk ctx head key pred
+          end
+          else find ctx head key
+        | Null | Ptr { marked = false; _ } ->
+          if curr.key >= key then begin
+            ctx.pred <- pred;
+            ctx.pred_link <- pred_link;
+            ctx.curr <- curr
+          end
+          else begin
+            D.assign_hp ctx.smr ~slot:0 curr;
+            (* Re-validate: curr must still be pred's successor, otherwise
+               the slot-0 protection could cover an already-freed node. *)
+            if R.get pred.next != pred_link then find ctx head key
+            else walk ctx head key curr
+          end
+      end
 
   let search_in ctx ~bucket key =
     D.manage_state ctx.smr;
-    let _, _, curr = find ctx bucket key in
+    find ctx bucket key;
+    let curr = ctx.curr in
     touch ctx curr;
     let res = curr.key = key in
     D.clear_hps ctx.smr;
@@ -147,11 +165,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
      with the usual validation re-read, restarting from the bucket head
      on interference.
 
-     Deliberately written as top-level recursion with no result tuple:
-     unlike [search_in] (whose [find] allocates a closure and a triple
-     per call), this path allocates nothing — it is the KV service's
-     pinned-at-zero get path. The cleanup duty read-only probes skip is
-     picked up by the next mutating [find] through the bucket. *)
+     Like [find], top-level recursion that allocates nothing — it is the
+     KV service's pinned-at-zero get path. Unlike [find], it publishes
+     once per node rather than twice and never writes the chain. The
+     cleanup duty read-only probes skip is picked up by the next mutating
+     [find] through the bucket. *)
   let rec probe_walk ctx bucket key slot node =
     if node.key > key then begin
       D.clear_hps ctx.smr;
@@ -199,7 +217,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     ctx.fresh <- ctx.set.tail
 
   let rec insert_attempt ctx bucket key =
-    let pred, pred_link, curr = find ctx bucket key in
+    find ctx bucket key;
+    let pred = ctx.pred and pred_link = ctx.pred_link and curr = ctx.curr in
     if curr.key = key then begin
       if ctx.fresh != ctx.set.tail then drop_fresh ctx;
       D.clear_hps ctx.smr;
@@ -234,43 +253,44 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       if ctx.fresh != ctx.set.tail then drop_fresh ctx;
       raise e
 
-  let delete_in ctx ~bucket key =
-    D.manage_state ctx.smr;
-    let rec attempt () =
-      let pred, pred_link, curr = find ctx bucket key in
-      if curr.key <> key then begin
+  let rec delete_attempt ctx bucket key =
+    find ctx bucket key;
+    let pred = ctx.pred and pred_link = ctx.pred_link and curr = ctx.curr in
+    if curr.key <> key then begin
+      D.clear_hps ctx.smr;
+      false
+    end
+    else begin
+      let curr_link0 = R.get curr.next in
+      touch ctx curr;
+      match curr_link0 with
+      | Null ->
+        (* curr is the tail sentinel; impossible since tail.key = max_int *)
         D.clear_hps ctx.smr;
         false
-      end
-      else begin
-        let curr_link0 = R.get curr.next in
-        touch ctx curr;
-        match curr_link0 with
-        | Null ->
-          (* curr is the tail sentinel; impossible since tail.key = max_int *)
+      | Ptr { dest = succ; marked = false } as curr_link ->
+        if R.cas curr.next curr_link (Ptr { dest = succ; marked = true })
+        then begin
+          (* Logical delete succeeded — we own the removal. *)
+          curr.state <- Qs_arena.Node_state.Removed;
+          (if R.cas pred.next pred_link (Ptr { dest = succ; marked = false })
+           then D.retire ctx.smr curr
+           else
+             (* physical unlink lost a race; a find pass cleans up and
+                retires on our behalf *)
+             find ctx bucket key);
           D.clear_hps ctx.smr;
-          false
-        | Ptr { dest = succ; marked = false } as curr_link ->
-          if R.cas curr.next curr_link (Ptr { dest = succ; marked = true })
-          then begin
-            (* Logical delete succeeded — we own the removal. *)
-            curr.state <- Qs_arena.Node_state.Removed;
-            (if R.cas pred.next pred_link (Ptr { dest = succ; marked = false })
-             then D.retire ctx.smr curr
-             else
-               (* physical unlink lost a race; a find pass cleans up and
-                  retires on our behalf *)
-               ignore (find ctx bucket key));
-            D.clear_hps ctx.smr;
-            true
-          end
-          else attempt ()
-        | Ptr { marked = true; _ } ->
-          (* someone else is deleting it; retry to settle the outcome *)
-          attempt ()
-      end
-    in
-    attempt ()
+          true
+        end
+        else delete_attempt ctx bucket key
+      | Ptr { marked = true; _ } ->
+        (* someone else is deleting it; retry to settle the outcome *)
+        delete_attempt ctx bucket key
+    end
+
+  let delete_in ctx ~bucket key =
+    D.manage_state ctx.smr;
+    delete_attempt ctx bucket key
 
   (* Public single-list operations. *)
 

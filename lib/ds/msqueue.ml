@@ -72,7 +72,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     { head = R.atomic (Ptr dummy); tail = R.atomic (Ptr dummy); dom }
 
   let register t ~pid = { queue = t; smr = D.register t.dom ~pid }
-  let touch ctx n = D.touch ctx.smr n
+  (* the oracle, pre-filtered on [Free] (see {!Smr_domain.Make.touch}) *)
+  let touch ctx n =
+    match n.state with
+    | Qs_arena.Node_state.Free -> D.touch ctx.smr n
+    | Allocated | Reachable | Removed | Retired -> ()
 
   let enqueue ctx value =
     D.manage_state ctx.smr;

@@ -131,7 +131,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       pred_links = Array.make (max_level + 1) Null;
       fresh = t.tail }
 
-  let touch ctx n = D.touch ctx.smr n
+  (* the oracle, pre-filtered on [Free] (see {!Smr_domain.Make.touch}) *)
+  let touch ctx n =
+    match n.state with
+    | Qs_arena.Node_state.Free -> D.touch ctx.smr n
+    | Allocated | Reachable | Removed | Retired -> ()
 
   let rec random_level prng lvl =
     if lvl < max_level && Qs_util.Prng.bool prng then random_level prng (lvl + 1)

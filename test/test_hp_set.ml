@@ -57,7 +57,7 @@ let prop_scan_set_matches_reference =
         (fun i choice ->
           let pid = i mod n and slot = i / n mod k in
           let node = if choice < 0 then dummy else pool.(choice) in
-          Hp.assign hp ~pid ~slot node)
+          R.write (Hp.row hp ~pid).(slot) node)
         assignments;
       let model = list_snapshot hp in
       let set = Hp.scan_set hp in
@@ -78,7 +78,7 @@ let prop_clear_removes_from_set =
       let node = { fid = 7; freed = 0 } in
       for pid = 0 to n - 1 do
         for slot = 0 to k - 1 do
-          Hp.assign hp ~pid ~slot node
+          R.write (Hp.row hp ~pid).(slot) node
         done
       done;
       for pid = 0 to n - 1 do
@@ -224,7 +224,7 @@ let test_scan_set_alloc_free () =
   let nodes = Array.init (n * k) (fun i -> { fid = i; freed = 0 }) in
   for pid = 0 to n - 1 do
     for slot = 0 to k - 1 do
-      Hp.assign hp ~pid ~slot nodes.((pid * k) + slot)
+      R.write (Hp.row hp ~pid).(slot) nodes.((pid * k) + slot)
     done
   done;
   let set = Hp.scan_set hp in
