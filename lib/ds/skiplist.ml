@@ -19,8 +19,9 @@
    - fast: when the positioning pass met the node at every one of its
      levels (its inserter had finished linking), swing each level's
      predecessor past it, top down, with a CAS whose witness is that
-     pass's link. Every predecessor is still protected at slot [2*level],
-     and a witness can only still hold if nothing was linked in between.
+     pass's link. Every predecessor is still protected by a slot of its
+     level or a higher one (below), and a witness can only still hold if
+     nothing was linked in between.
    - otherwise, or at the first witness that moved: one [find] pass for
      [key + 1]. Stopping past [key] rather than at it matters: an insert
      of the same key may have stacked a new node in front of the victim at
@@ -39,12 +40,19 @@
    returning: every link made after the deleter's pass is undone by the
    inserter's own pass.
 
-   Hazard-pointer discipline: slot [2*level] protects the predecessor and
-   slot [2*level + 1] the current node at that level; descending a level
-   re-protects the carried-over predecessor before it is dereferenced, so
-   protection is continuous (Condition 1). The last slot is the inserter's
-   own node. The traversals are top-level recursions over [ctx], so a
-   search or a range count allocates nothing. *)
+   Hazard-pointer discipline: level l owns slots [2*l] and [2*l + 1], and
+   a step publishes once. [curr] goes into the slot of the level that does
+   not hold [pred] and is validated by re-reading [pred]'s link; moving on,
+   [curr] becomes the next [pred], already protected. Descending, [pred] is
+   not published again: it stays in the slot of the level where it was
+   reached. A level's slots are written only while walking that level, so
+   protection is continuous (Condition 1), and after a completed pass
+   every [preds.(l)] and [succs.(l)] is held by a slot of a level >= l —
+   what the fast unlink and the inserter's upper links rely on. The pass
+   records which level-0 slot holds [succs.(0)], where a range count
+   starts its alternation. The last slot is the inserter's own node. The
+   traversals are top-level recursions over [ctx], so a search or a range
+   count allocates nothing. *)
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let max_level = 15 (* enough for the paper's 20k-element skip list *)
@@ -91,6 +99,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     preds : node array;
     succs : node array;
     pred_links : link array; (* physical link values, the CAS witnesses *)
+    mutable succ_slot : int; (* the level-0 slot that holds [succs.(0)] *)
     mutable fresh : node;
         (* the insert's not-yet-published node; [set.tail] when none *)
   }
@@ -129,6 +138,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       preds = Array.make (max_level + 1) t.head;
       succs = Array.make (max_level + 1) t.tail;
       pred_links = Array.make (max_level + 1) Null;
+      succ_slot = 1;
       fresh = t.tail }
 
   (* the oracle, pre-filtered on [Free] (see {!Smr_domain.Make.touch}) *)
@@ -145,17 +155,18 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     match R.get n.next.(0) with Ptr { marked; _ } -> marked | Null -> false
 
   (* The pass of [find] from [pred] at [level] down to level 0: fills
-     ctx.preds/succs/pred_links and returns true, or returns false when the
-     pass must restart from the head (a predecessor being removed, a failed
-     validation or snip). *)
-  let rec level_walk ctx key pred level =
-    D.assign_hp ctx.smr ~slot:(2 * level) pred;
+     ctx.preds/succs/pred_links/succ_slot and returns true, or returns false
+     when the pass must restart from the head (a predecessor being removed,
+     a failed validation or snip). [slot] is the slot of [level] that
+     [curr] goes into; [pred] is held by the other one, by a slot of a
+     higher level, or is the head. *)
+  let rec level_walk ctx key pred slot level =
     let pred_link = R.get pred.next.(level) in
     touch ctx pred;
     match pred_link with
     | Null | Ptr { marked = true; _ } -> false
     | Ptr { dest = curr; marked = false } ->
-      D.assign_hp ctx.smr ~slot:((2 * level) + 1) curr;
+      D.assign_hp ctx.smr ~slot curr;
       if R.get pred.next.(level) != pred_link then false
       else begin
         touch ctx curr;
@@ -165,22 +176,27 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         | Ptr { dest = succ; marked = true } ->
           (* snip the marked node out of this level *)
           R.cas pred.next.(level) pred_link (Ptr { dest = succ; marked = false })
-          && level_walk ctx key pred level
+          && level_walk ctx key pred slot level
         | Null | Ptr { marked = false; _ } ->
-          if curr.key < key then level_walk ctx key curr level
+          if curr.key < key then level_walk ctx key curr (slot lxor 1) level
           else begin
             ctx.preds.(level) <- pred;
             ctx.succs.(level) <- curr;
             ctx.pred_links.(level) <- pred_link;
-            (* descend: pred stays protected by slot 2*level until the walk
-               of level-1 re-protects it at slot 2*(level-1) *)
-            level = 0 || level_walk ctx key pred (level - 1)
+            if level = 0 then begin
+              ctx.succ_slot <- slot;
+              true
+            end
+            else
+              (* descend: pred keeps the slot it is in *)
+              level_walk ctx key pred ((2 * level) - 1) (level - 1)
           end
       end
 
   (* One full traversal pass (see the header), retried until complete. *)
   let rec find ctx key =
-    if not (level_walk ctx key ctx.set.head max_level) then find ctx key
+    if not (level_walk ctx key ctx.set.head ((2 * max_level) + 1) max_level)
+    then find ctx key
 
   (* Recovery after a neutralization signal aborted an update past its
      point of no return: re-pin, then the [key + 1] pass that unlinks every
@@ -364,13 +380,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   let rec range_scan ctx lo hi =
     find ctx lo;
-    (* succs.(0): first node with key >= lo, protected at slot 1 *)
-    let count = range_walk ctx hi 0 1 ctx.succs.(0) in
+    (* succs.(0): first node with key >= lo, protected at succ_slot *)
+    let count = range_walk ctx hi 0 ctx.succ_slot ctx.succs.(0) in
     if count < 0 then range_scan ctx lo hi else count
 
   (* Count the keys present in [lo, hi] — the KV service's range scan.
      Positions with a full [find] pass (which leaves the first candidate
-     protected at slot 1), then walks the authoritative level-0 chain,
+     protected at a level-0 slot, [succ_slot]), then walks the authoritative level-0 chain,
      alternating the two bottom hazard-pointer slots between the node in
      hand and its successor: the successor is published, then the link is
      re-read to validate it still hangs off the protected node (Condition
