@@ -22,5 +22,6 @@ let () =
       ("real", Test_real.suite);
       ("service", Test_service.suite);
       ("rivals", Test_rivals.suite);
-      ("skiplist", Test_skiplist.suite)
+      ("skiplist", Test_skiplist.suite);
+      ("hashtable", Test_hashtable.suite)
     ]

@@ -6,6 +6,9 @@
    - on the simulator a sequential, uncontended delete costs at most 1.5x
      the virtual ticks of the matching insert: one positioning pass and a
      level-by-level unlink, not a positioning pass plus repeated sweeps;
+   - on the simulator an uncontended search under classic HP costs at most
+     4.5x the same search under the leaky baseline: one fenced publish per
+     traversal step, not two;
    - churn during a stall (QSense in fallback, C = 96, handlers leaving and
      rejoining while the victim is frozen) finishes, safe and leak-free. An
      insert of a key whose old node is still being deleted once stacked
@@ -95,6 +98,40 @@ let test_delete_cost () =
     Alcotest.failf "delete costs %.2fx insert (%d vs %d ticks over 256 pairs)"
       ratio del ins
 
+(* --- simulator cost of a search under hazard pointers ---------------------- *)
+
+(* Virtual ticks of sequential searches for every key of [0, 512) on a set
+   prefilled with the even ones, one process, no jitter or random stalls. *)
+let search_ticks scheme =
+  let sched =
+    S.create
+      { (S.default_config ~n_cores:1 ~seed:1) with
+        cost = { S.default_cost with jitter = 0; stall_prob = 0. } }
+  in
+  let set = Ss.create (Qs_ds.Set_intf.default_config ~n_processes:1 ~scheme) in
+  let ctx = Ss.register set ~pid:0 in
+  S.exec sched ~pid:0 (fun () ->
+      for k = 0 to 255 do
+        ignore (Ss.insert ctx (2 * k))
+      done;
+      let t0 = S.clock_of sched ~pid:0 in
+      for key = 0 to 511 do
+        ignore (Ss.search ctx key)
+      done;
+      S.clock_of sched ~pid:0 - t0)
+
+(* A pass publishes each node it enters once, and classic HP fences every
+   publish, so the HP search's cost over the leaky one is the per-step
+   publish count. One publish per step measures 3.60x; publishing [pred]
+   again on every step measured 6.14x. *)
+let test_hp_search_cost () =
+  let hp = search_ticks Qs_smr.Scheme.Hp
+  and none = search_ticks Qs_smr.Scheme.None_ in
+  let ratio = float_of_int hp /. float_of_int none in
+  if ratio > 4.5 then
+    Alcotest.failf "HP search costs %.2fx the leaky search (%d vs %d ticks)"
+      ratio hp none
+
 (* --- churn during a stall ------------------------------------------------- *)
 
 exception Livelock of int
@@ -149,5 +186,7 @@ let suite =
       test_range_count_zero_alloc;
     Alcotest.test_case "sim delete costs at most 1.5x insert" `Quick
       test_delete_cost;
+    Alcotest.test_case "sim HP search costs at most 4.5x leaky" `Quick
+      test_hp_search_cost;
     Alcotest.test_case "churn during a stall finishes" `Quick
       test_churn_during_stall ]
