@@ -3,11 +3,10 @@
    *plain* cells — publishing is a cheap store whose visibility is bounded
    only by fences (classic HP) or rooster context switches (Cadence/QSense).
    Unused slots hold the data structure's dummy node rather than an option,
-   keeping the traversal path allocation-free. Every slot is its own
-   padded cell ([R.plain_padded]), so no two slots share a cache line:
-   rows are written by different processes on every traversal step, and a
-   scan's reads of one slot never contend with the owner's writes to its
-   neighbours.
+   keeping the traversal path allocation-free. Every slot, not just every
+   row, is its own padded cell ([R.plain_padded]), so no two slots share a
+   cache line: rows are written by different processes on every traversal
+   step.
 
    Scans use a reusable {e scan set}: the N×K slots are snapshotted into a
    per-handle open-addressing hash set of node ids ({!Smr_intf.NODE.id},

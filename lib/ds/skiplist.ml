@@ -386,11 +386,12 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   (* Count the keys present in [lo, hi] — the KV service's range scan.
      Positions with a full [find] pass (which leaves the first candidate
-     protected at a level-0 slot, [succ_slot]), then walks the authoritative level-0 chain,
-     alternating the two bottom hazard-pointer slots between the node in
-     hand and its successor: the successor is published, then the link is
-     re-read to validate it still hangs off the protected node (Condition
-     1), and the whole scan restarts on interference. Marked nodes are
+     protected at the level-0 slot [succ_slot]), then walks the
+     authoritative level-0 chain, alternating the two bottom hazard-pointer
+     slots between the node in hand and its successor: the successor is
+     published, then the link is re-read to validate it still hangs off the
+     protected node (Condition 1), and the whole scan restarts on
+     interference. Marked nodes are
      traversed but not counted. A scan pins nodes for the whole walk, so it
      holds hazard pointers far longer than a point operation — exactly the
      pressure the service workload wants to put on reclamation. *)
