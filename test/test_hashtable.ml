@@ -21,17 +21,7 @@ let warm_real_table () =
   done;
   ctx
 
-let check_zero name step =
-  for i = 1 to 4_096 do
-    step i
-  done;
-  let n = 100_000 in
-  let w0 = Gc.minor_words () in
-  for i = 1 to n do
-    step i
-  done;
-  let per_op = (Gc.minor_words () -. w0) /. float_of_int n in
-  Alcotest.(check (float 0.0)) (name ^ " allocates zero minor words") 0.0 per_op
+let check_zero = Test_skiplist.check_zero
 
 let test_search_zero_alloc () =
   let ctx = warm_real_table () in
