@@ -101,6 +101,9 @@ let cases =
     ("service null", set [ "service" ] Json.Null, "field \"service\"");
     ("service get alloc", set [ "service"; "get_alloc_words_per_op" ] (num 1.),
      "service.get_alloc_words_per_op");
+    ("service put+del alloc",
+     set [ "service"; "put_del_alloc_words_per_op" ] (num 39.),
+     "service.put_del_alloc_words_per_op");
     ("service pair duplicated",
      rows [ "service"; "rows" ]
        (fun r -> is_str "scheme" "qsbr" r && is_str "dist" "zipfian" r)

@@ -1082,31 +1082,43 @@ module Service_obs = struct
       (Latency_obs.top_cause stall.attr);
     matrix @ [ stall ]
 
-  (* Minor words per [Kv.get]: the shard route (Fibonacci multiply +
-     shift), the read-only bucket probe and the scheme's amortized
-     quiescence round, measured over a 200k-request window after warmup.
-     Must be exactly 0 — this is the pin CI gates on. *)
-  let get_alloc_words () =
-    let module K = Qs_service.Kv.Make (Qs_real.Real_runtime) in
+  module Kr = Qs_service.Kv.Make (Qs_real.Real_runtime)
+
+  (* Minor words per [step] on a warmed-up real QSense service holding the
+     even keys of [0, 1024), measured over 200k steps after 4,096 warm-up
+     steps. Must be exactly 0 — these are pins CI gates on. *)
+  let alloc_words step =
     let base =
       { (Qs_ds.Set_intf.default_config ~n_processes:1
            ~scheme:Qs_smr.Scheme.Qsense)
         with Qs_ds.Set_intf.debug_checks = false }
     in
-    let svc = K.create ~n_shards:4 base in
-    let c = K.register svc ~pid:0 in
+    let c = Kr.register (Kr.create ~n_shards:4 base) ~pid:0 in
     for k = 0 to 511 do
-      ignore (K.put c (2 * k))
+      ignore (Kr.put c (2 * k))
     done;
     for i = 1 to 4_096 do
-      ignore (K.get c (i land 1023))
+      step c i
     done;
     let nops = 200_000 in
     let w0 = Gc.minor_words () in
     for i = 1 to nops do
-      ignore (K.get c (i land 1023))
+      step c i
     done;
     (Gc.minor_words () -. w0) /. float_of_int nops
+
+  (* [Kv.get]: the shard route (Fibonacci multiply + shift), the read-only
+     bucket probe and the scheme's amortized quiescence round. *)
+  let get_alloc_words () =
+    alloc_words (fun c i -> ignore (Kr.get c (i land 1023)))
+
+  (* A [Kv.put] of an absent (odd) key and the [Kv.del] of it: an insert
+     and a delete in a shard table and in the index, with the retired
+     nodes freed by QSense scans and recycled by the arena. *)
+  let put_del_alloc_words () =
+    alloc_words (fun c i ->
+        let k = (2 * (i land 511)) + 1 in
+        ignore (Kr.put c k && Kr.del c k))
 
   type real_row = {
     r_scheme : Qs_smr.Scheme.kind;
@@ -1149,13 +1161,15 @@ module Service_obs = struct
     svc_rows : row list;  (** matrix rows, stall row last *)
     real : real_row;
     get_alloc_words : float;
+    put_del_alloc_words : float;
   }
 
   let run ~quick =
     let svc_rows = rows ~quick in
     let real = real_row ~quick in
     let get_alloc_words = get_alloc_words () in
-    { svc_rows; real; get_alloc_words }
+    let put_del_alloc_words = put_del_alloc_words () in
+    { svc_rows; real; get_alloc_words; put_del_alloc_words }
 
   let print_tables rep =
     let tbl =
@@ -1185,6 +1199,9 @@ module Service_obs = struct
       [ "minor words per get (real, qsense)";
         Printf.sprintf "%.4f" rep.get_alloc_words ];
     Qs_util.Table.add_row ov
+      [ "minor words per put+del pair (real, qsense)";
+        Printf.sprintf "%.4f" rep.put_del_alloc_words ];
+    Qs_util.Table.add_row ov
       [ Printf.sprintf "real %s x%d Mops/s (churned)"
           (Qs_smr.Scheme.to_string rep.real.r_scheme)
           rep.real.r_domains;
@@ -1206,7 +1223,8 @@ end
    allocation pin, and the "membership" section is gone. The "e2e",
    "rivals", "trace" sections and the "churn" flag are as in schema 8.
    The "service" section ([null] unless the bench ran with [--service])
-   holds the KV service's get-path zero-alloc pin, a real-domain
+   holds the KV service's zero-alloc pins (minor words per get, and per
+   put+del pair of an absent key), a real-domain
    churned-throughput row, and one sim row per {scheme × key
    distribution} — requests, violations, churn events, leak check,
    per-op-kind p50/p99/p999 in virtual ticks, and the whole-run p999
@@ -1284,6 +1302,7 @@ let service_json (rep : Service_obs.report) =
   in
   Json.Obj
     [ ("get_alloc_words_per_op", Json.Num rep.get_alloc_words);
+      ("put_del_alloc_words_per_op", Json.Num rep.put_del_alloc_words);
       ("real",
        Json.Obj
          [ ("scheme", scheme rr.r_scheme); ("domains", int rr.r_domains);

@@ -97,6 +97,7 @@ let summarize results =
     let real = obj "real" svc in
     Json.Obj
       [ ("get_alloc_words", n (num "get_alloc_words_per_op" svc));
+        ("put_del_alloc_words", n (num "put_del_alloc_words_per_op" svc));
         ("matrix_rows", count (fun r -> not (flag "stall" r)) rows);
         ("bad_rows", count service_unsafe rows);
         ("stall_p999", n (num "p999" stall));
@@ -296,11 +297,12 @@ let service_matrix =
 
 (* KV service observatory: exactly the {scheme} x {distribution} matrix,
    no violations or leaks, handler churn under live traffic (sim matrix
-   and real row), ordered per-op-kind percentiles, and a get path that
-   allocates nothing. *)
+   and real row), ordered per-op-kind percentiles, and a get path and a
+   put+del pair that allocate nothing. *)
 let gate_service results =
   let svc = obj "service" results in
   pin "service.get_alloc_words_per_op" (num "get_alloc_words_per_op" svc);
+  pin "service.put_del_alloc_words_per_op" (num "put_del_alloc_words_per_op" svc);
   let rows = arr "rows" svc in
   let matrix = List.filter (fun r -> not (flag "stall" r)) rows in
   let pairs = List.sort compare (List.map (fun r -> (str "scheme" r, str "dist" r)) matrix) in
@@ -332,8 +334,9 @@ let gate_service results =
   if num "churn_events" real <= 0. then
     fail "service.real.churn_events = 0 (real-domain row recorded no handler churn)";
   Printf.sprintf
-    "service OK: %d matrix rows + stall, get pin 0.0 words/op, real %.2f Mops/s \
-     x%.0f (%.0f churns), stall p999 %.0f ticks %.0f%% attributed"
+    "service OK: %d matrix rows + stall, get and put+del pins 0.0 words/op, \
+     real %.2f Mops/s x%.0f (%.0f churns), stall p999 %.0f ticks %.0f%% \
+     attributed"
     (List.length matrix) (num "throughput_mops" real) (num "domains" real)
     (num "churn_events" real) (num "p999" stall) (num "attr_pct" stall)
 

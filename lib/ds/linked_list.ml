@@ -6,10 +6,41 @@
    Deletion is two-phase: a CAS marks the victim's [next] link (logical
    delete), then a CAS on the predecessor unlinks it (physical delete). The
    process whose CAS physically unlinks the node is the unique caller of
-   [retire] for it. Links are immutable [Ptr] values, so CAS compares
-   physical identity of the link object — a link can never be reused, which
-   rules out ABA on the links themselves; reclaimed nodes are protected by
-   the SMR scheme under test.
+   [retire] for it.
+
+   Canonical links: a link value depends only on (dest, mark), so every
+   node carries its two link values, [ulink] (unmarked) and [mlink]
+   (marked), built once when the node is created; the arena recycles
+   nodes, so they are paid for once per node, not once per CAS, and no
+   insert or delete allocates. CAS compares physical identity, which here
+   means comparing (dest, mark) — the tagged word of the paper's ASCYLIB
+   code. A link value can therefore leave a cell and come back, and ABA
+   safety rests on reclamation, as in C: a node held by a hazard pointer
+   (or inside the epoch that reached it) is never recycled, so the same
+   (dest, mark) in a cell means the same node in the same place. Per CAS
+   site (slot 0 = predecessor, slot 1 = current; under epoch schemes the
+   operation's epoch plays both roles):
+   - [walk]'s snip, [pred.next]: (curr, unmarked) -> (succ, unmarked).
+     [curr] is in slot 1, published and validated. If the witness still
+     holds, [curr] is still [pred]'s unmarked successor — possibly again,
+     after a node was inserted in front of it and deleted, which leaves
+     the same state. [succ] needs no slot: [curr]'s link is marked, so it
+     is frozen, and [succ] stays linked for as long as [curr] is.
+   - insert's publish, [pred.next]: (curr, unmarked) -> (n, unmarked).
+     Same witness, [curr] in slot 1; [n] is not yet shared.
+   - delete's mark, [curr.next]: (succ, unmarked) -> (succ, marked).
+     [curr] is in slot 1, but [succ] is unprotected: between the read and
+     the CAS it may be unlinked, freed, recycled and linked behind [curr]
+     again. That ABA is benign: the CAS writes the marked form of exactly
+     the link it found, so it sets the mark and keeps whatever successor
+     is there now — the atomic mark the algorithm asks for.
+   - delete's unlink, [pred.next]: (curr, unmarked) -> (succ, unmarked).
+     [curr] in slot 1; [succ] is the successor our own mark froze.
+   No CAS site is left with an unprotected witness that is not benign, so
+   no site builds a fresh link. The validation reads ([R.get pred.next !=
+   pred_link]) compare the same way: an equal re-read means the published
+   node is linked there now, hence not yet retired, which is all that
+   Condition 1 asks.
 
    Hazard-pointer discipline (K = 2): slot 0 protects the predecessor, slot
    1 the current node. Each is published before the validation read
@@ -20,6 +51,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     uid : int; (* stable identity for the SMR membership set *)
     mutable key : int;
     next : link R.atomic;
+    ulink : link; (* [Ptr {dest = self; marked = false}] *)
+    mlink : link; (* [Ptr {dest = self; marked = true}] *)
     mutable state : Qs_arena.Node_state.t;
     mutable birth : int;
   }
@@ -32,15 +65,25 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let uid_counter = Atomic.make 0
   let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
+  (* A node with its two canonical links (see the header). *)
+  let make_node ~key ~next ~state =
+    let uid = fresh_uid () in
+    let rec n =
+      { uid;
+        key;
+        next;
+        ulink = Ptr { dest = n; marked = false };
+        mlink = Ptr { dest = n; marked = true };
+        state;
+        birth = 0 }
+    in
+    n
+
   module D = Smr_domain.Make (R) (struct
     type t = node
 
     let create () =
-      { uid = fresh_uid ();
-        key = 0;
-        next = R.atomic Null;
-        state = Qs_arena.Node_state.Free;
-        birth = 0 }
+      make_node ~key:0 ~next:(R.atomic Null) ~state:Qs_arena.Node_state.Free
 
     let get_state n = n.state
     let set_state n s = n.state <- s
@@ -64,18 +107,12 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   let create (cfg : Set_intf.config) =
     let tail =
-      { uid = fresh_uid ();
-        key = max_int;
-        next = R.atomic Null;
-        state = Qs_arena.Node_state.Reachable;
-        birth = 0 }
+      make_node ~key:max_int ~next:(R.atomic Null)
+        ~state:Qs_arena.Node_state.Reachable
     in
     let head =
-      { uid = fresh_uid ();
-        key = min_int;
-        next = R.atomic (Ptr { dest = tail; marked = false });
-        state = Qs_arena.Node_state.Reachable;
-        birth = 0 }
+      make_node ~key:min_int ~next:(R.atomic tail.ulink)
+        ~state:Qs_arena.Node_state.Reachable
     in
     { head;
       tail;
@@ -98,9 +135,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   (* Find the first node with key >= [key] starting from [head] (the list's
      own head, or a hash-table bucket's), cleaning up marked nodes on the
      way. Leaves [pred], [pred_link] and [curr] in the ctx, where
-     [pred_link] is the physical link value [Ptr {dest = curr; marked =
-     false}] read from [pred.next] — the CAS witness for both insertion and
-     physical deletion. Top-level recursion over the ctx, with the result
+     [pred_link] is the link value read from [pred.next], [curr.ulink] —
+     the CAS witness for both insertion and physical deletion. Top-level recursion over the ctx, with the result
      in its fields rather than a tuple, so a pass allocates nothing. *)
   let rec find ctx head key = walk ctx head key head
 
@@ -126,8 +162,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         | Ptr { dest = succ; marked = true } ->
           (* curr is logically deleted: attempt the physical unlink; the
              winner of this CAS retires the node (free_node_later). *)
-          if R.cas pred.next pred_link (Ptr { dest = succ; marked = false })
-          then begin
+          if R.cas pred.next pred_link succ.ulink then begin
             curr.state <- Qs_arena.Node_state.Removed;
             D.retire ctx.smr curr;
             walk ctx head key pred
@@ -231,8 +266,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         ctx.fresh <- n
       end;
       let n = ctx.fresh in
-      R.set n.next (Ptr { dest = curr; marked = false });
-      if R.cas pred.next pred_link (Ptr { dest = n; marked = false }) then begin
+      R.set n.next curr.ulink;
+      if R.cas pred.next pred_link n.ulink then begin
         ctx.fresh <- ctx.set.tail;
         n.state <- Qs_arena.Node_state.Reachable;
         D.clear_hps ctx.smr;
@@ -269,12 +304,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         D.clear_hps ctx.smr;
         false
       | Ptr { dest = succ; marked = false } as curr_link ->
-        if R.cas curr.next curr_link (Ptr { dest = succ; marked = true })
-        then begin
+        if R.cas curr.next curr_link succ.mlink then begin
           (* Logical delete succeeded — we own the removal. *)
           curr.state <- Qs_arena.Node_state.Removed;
-          (if R.cas pred.next pred_link (Ptr { dest = succ; marked = false })
-           then D.retire ctx.smr curr
+          (if R.cas pred.next pred_link succ.ulink then D.retire ctx.smr curr
            else
              (* physical unlink lost a race; a find pass cleans up and
                 retires on our behalf *)
@@ -301,11 +334,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   (* A fresh head sentinel chained to the shared tail — hash-table buckets.
      Never reclaimed. *)
   let new_bucket t =
-    { uid = fresh_uid ();
-      key = min_int;
-      next = R.atomic (Ptr { dest = t.tail; marked = false });
-      state = Qs_arena.Node_state.Reachable;
-      birth = 0 }
+    make_node ~key:min_int ~next:(R.atomic t.tail.ulink)
+      ~state:Qs_arena.Node_state.Reachable
 
   (* Sequential-context helpers (no concurrent mutators). *)
 

@@ -5,8 +5,16 @@
     Two hazard pointers per process (slot 0 = predecessor, slot 1 =
     current), published before the validation read per Condition 1.
     Deletion marks the victim's link (logical) then unlinks it (physical);
-    the winner of the physical unlink CAS retires the node. Links are
-    immutable values CASed by physical identity, which rules out ABA.
+    the winner of the physical unlink CAS retires the node.
+
+    Links are canonical: each node carries its unmarked and marked link
+    values, built once when the node is created, so insert and delete
+    allocate nothing. A CAS compares (dest, mark), and ABA safety rests on
+    reclamation: every CAS's witness names a node held by a hazard pointer
+    (or the operation's epoch), which cannot be recycled. The one
+    unprotected witness, the successor in delete's mark CAS, is benign:
+    that CAS writes the marked form of exactly the link it found. The
+    implementation's header argues each CAS site.
 
     Also the building block of {!Hashtable}: the [_in] operations run on an
     explicit bucket head sharing this list's arena, reclamation scheme and

@@ -3,9 +3,7 @@
    two per level plus one, which is what this implementation uses).
 
    Structure: full-height head/tail sentinels; each node owns an array of
-   per-level links; level-0 membership is authoritative. Links are immutable
-   [Ptr] values compared by physical identity in CAS, so a link object can
-   never be reused — stale CASes fail rather than resurrect unlinked nodes.
+   per-level links; level-0 membership is authoritative.
 
    Traversal: [find ctx key] walks every level from the top and stops, per
    level, at the first node with key >= [key] whose own link there is
@@ -52,7 +50,46 @@
    records which level-0 slot holds [succs.(0)], where a range count
    starts its alternation. The last slot is the inserter's own node. The
    traversals are top-level recursions over [ctx], so a search or a range
-   count allocates nothing. *)
+   count allocates nothing.
+
+   Canonical links: a link value depends only on (dest, mark), not on the
+   level, so each node carries its two link values, [ulink] and [mlink],
+   built once when the node is created and shared by all its levels. No
+   insert or delete allocates. CAS compares physical identity, which here
+   means comparing (dest, mark), so a link value can leave a cell and come
+   back; ABA safety rests on reclamation, as in the paper's C code: a node
+   held by a hazard pointer (or inside the epoch that reached it) is never
+   recycled. Per CAS site:
+   - [level_walk]'s snip, [pred.next.(l)]: (curr, unmarked) -> (succ,
+     unmarked). [curr] is in the slot of level [l] just published and
+     validated. A witness that still holds means [curr] is still [pred]'s
+     unmarked successor (again, perhaps, after a node was inserted in
+     front of it and deleted: the same state). [succ] is [curr]'s frozen
+     successor at [l] — a marked link is never CASed — so it stays linked
+     at [l] as long as [curr] is.
+   - insert's bottom CAS, [preds.(0).next.(0)]: (succs.(0), unmarked) ->
+     (n, unmarked). [succs.(0)] is at [succ_slot].
+   - [link_upper]'s CAS on [n.next.(l)]: cur -> (succs.(l), unmarked).
+     [n] is in the inserter's own slot. [cur]'s dest (a stale successor)
+     is unprotected, but no ABA is possible: [n] is not linked at [l]
+     yet, so only a deleter's mark can move the cell, and a mark is never
+     undone.
+   - [link_upper]'s CAS on [preds.(l).next.(l)]: (succs.(l), unmarked) ->
+     (n, unmarked). [succs.(l)] is held by a slot of a level >= [l].
+   - [mark], [n.next.(l)]: (dest, unmarked) -> (dest, marked). [n] is
+     [succs.(0)], at [succ_slot]; [dest] is unprotected and may be
+     recycled and relinked behind [n] between the read and the CAS. That
+     ABA is benign: the CAS writes the marked form of exactly the link it
+     found, so it sets the mark and keeps whatever successor is there now.
+   - [unlink_fast], [preds.(l).next.(l)]: (n, unmarked) -> (dest,
+     unmarked). [n] is at [succ_slot] and [preds.(l)] at a slot of a level
+     >= [l]; [dest] is the successor frozen by our mark. A witness that
+     holds means [n] is still linked behind [preds.(l)] at [l], whatever
+     was linked and unlinked in between.
+   No site is left with an unprotected witness that is not benign, so no
+   site builds a fresh link. The validation reads compare the same way:
+   an equal re-read means the published node is linked there now, hence
+   not yet retired. *)
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let max_level = 15 (* enough for the paper's 20k-element skip list *)
@@ -62,6 +99,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     mutable key : int;
     mutable top : int; (* index of this node's highest level *)
     next : link R.atomic array; (* length top+1; sentinels are full height *)
+    ulink : link; (* [Ptr {dest = self; marked = false}], every level *)
+    mlink : link; (* [Ptr {dest = self; marked = true}] *)
     mutable state : Qs_arena.Node_state.t;
     mutable birth : int;
   }
@@ -71,18 +110,31 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let uid_counter = Atomic.make 0
   let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
+  (* A node with its two canonical links (see the header). *)
+  let make_node ~key ~top ~next ~state =
+    let uid = fresh_uid () in
+    let rec n =
+      { uid;
+        key;
+        top;
+        next;
+        ulink = Ptr { dest = n; marked = false };
+        mlink = Ptr { dest = n; marked = true };
+        state;
+        birth = 0 }
+    in
+    n
+
+  let null_links () = Array.init (max_level + 1) (fun _ -> R.atomic Null)
+
   module D = Smr_domain.Make (R) (struct
     type t = node
 
     (* Nodes are allocated at full height and reused at any level: a
        recycled node just uses a prefix of its link array. *)
     let create () =
-      { uid = fresh_uid ();
-        key = 0;
-        top = 0;
-        next = Array.init (max_level + 1) (fun _ -> R.atomic Null);
-        state = Qs_arena.Node_state.Free;
-        birth = 0 }
+      make_node ~key:0 ~top:0 ~next:(null_links ())
+        ~state:Qs_arena.Node_state.Free
 
     let get_state n = n.state
     let set_state n s = n.state <- s
@@ -110,22 +162,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   let create (cfg : Set_intf.config) =
     let tail =
-      { uid = fresh_uid ();
-        key = max_int;
-        top = max_level;
-        next = Array.init (max_level + 1) (fun _ -> R.atomic Null);
-        state = Qs_arena.Node_state.Reachable;
-        birth = 0 }
+      make_node ~key:max_int ~top:max_level ~next:(null_links ())
+        ~state:Qs_arena.Node_state.Reachable
     in
     let head =
-      { uid = fresh_uid ();
-        key = min_int;
-        top = max_level;
-        next =
-          Array.init (max_level + 1) (fun _ ->
-              R.atomic (Ptr { dest = tail; marked = false }));
-        state = Qs_arena.Node_state.Reachable;
-        birth = 0 }
+      make_node ~key:min_int ~top:max_level
+        ~next:(Array.init (max_level + 1) (fun _ -> R.atomic tail.ulink))
+        ~state:Qs_arena.Node_state.Reachable
     in
     { head;
       tail;
@@ -175,7 +218,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         match curr_link with
         | Ptr { dest = succ; marked = true } ->
           (* snip the marked node out of this level *)
-          R.cas pred.next.(level) pred_link (Ptr { dest = succ; marked = false })
+          R.cas pred.next.(level) pred_link succ.ulink
           && level_walk ctx key pred slot level
         | Null | Ptr { marked = false; _ } ->
           if curr.key < key then level_walk ctx key curr (slot lxor 1) level
@@ -229,11 +272,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       match cur with
       | Ptr { marked = true; _ } -> () (* being deleted: stop linking *)
       | Null | Ptr { marked = false; _ } ->
-        if R.cas n.next.(level) cur (Ptr { dest = ctx.succs.(level); marked = false })
-        then
-          if
-            R.cas ctx.preds.(level).next.(level) ctx.pred_links.(level)
-              (Ptr { dest = n; marked = false })
+        if R.cas n.next.(level) cur ctx.succs.(level).ulink then
+          if R.cas ctx.preds.(level).next.(level) ctx.pred_links.(level) n.ulink
           then
             if is_marked n then find ctx (key + 1)
             else link_upper ctx key n (level + 1)
@@ -270,12 +310,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       let n = ctx.fresh in
       (* prepare all levels before the bottom CAS publishes the node *)
       for i = 0 to n.top do
-        R.set n.next.(i) (Ptr { dest = ctx.succs.(i); marked = false })
+        R.set n.next.(i) ctx.succs.(i).ulink
       done;
-      if
-        R.cas ctx.preds.(0).next.(0) ctx.pred_links.(0)
-          (Ptr { dest = n; marked = false })
-      then begin
+      if R.cas ctx.preds.(0).next.(0) ctx.pred_links.(0) n.ulink then begin
         ctx.fresh <- ctx.set.tail;
         n.state <- Qs_arena.Node_state.Reachable;
         link_upper ctx key n 1;
@@ -304,7 +341,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let rec mark n level =
     match R.get n.next.(level) with
     | Ptr { dest; marked = false } as l ->
-      R.cas n.next.(level) l (Ptr { dest; marked = true }) || mark n level
+      R.cas n.next.(level) l dest.mlink || mark n level
     | Null | Ptr { marked = true; _ } -> false
 
   let rec linked_everywhere ctx n level =
@@ -316,8 +353,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     ||
     match R.get n.next.(level) with
     | Ptr { dest; marked = true } ->
-      R.cas ctx.preds.(level).next.(level) ctx.pred_links.(level)
-        (Ptr { dest; marked = false })
+      R.cas ctx.preds.(level).next.(level) ctx.pred_links.(level) dest.ulink
       && unlink_fast ctx n (level - 1)
     | Null | Ptr { marked = false; _ } -> false
 

@@ -2,8 +2,11 @@
    debug checks off, after a warm-up) a search, an insert of a key already
    present and a delete of an absent key allocate no minor words. Each is
    one [Linked_list.find] pass through a bucket plus the scheme calls, so
-   these pin the list's [find] as closure- and tuple-free. (The mutating
-   outcomes allocate their new links; they are not pinned.) *)
+   these pin the list's [find] as closure- and tuple-free. The mutating
+   outcomes are pinned too: an insert of an absent key paired with the
+   delete of that key allocates nothing either — the new node comes from
+   the arena and every link it is CASed with is one of the canonical links
+   its nodes were created with. *)
 
 module Hr = Qs_ds.Hashtable.Make (Qs_real.Real_runtime)
 
@@ -39,10 +42,21 @@ let test_delete_absent_zero_alloc () =
       if Hr.delete ctx ((2 * (i land 1_023)) + 1) then
         Alcotest.fail "delete of an absent key succeeded")
 
+(* Each step inserts an odd (absent) key and deletes it again: the node is
+   retired, freed by a QSense scan and recycled by a later insert. *)
+let test_insert_delete_zero_alloc () =
+  let ctx = warm_real_table () in
+  check_zero "insert+delete pair" (fun i ->
+      let k = (2 * (i land 1_023)) + 1 in
+      if not (Hr.insert ctx k && Hr.delete ctx k) then
+        Alcotest.fail "insert+delete of an absent key had no effect")
+
 let suite =
   [ Alcotest.test_case "search allocates exactly zero" `Quick
       test_search_zero_alloc;
     Alcotest.test_case "insert of a present key allocates exactly zero" `Quick
       test_insert_present_zero_alloc;
     Alcotest.test_case "delete of an absent key allocates exactly zero" `Quick
-      test_delete_absent_zero_alloc ]
+      test_delete_absent_zero_alloc;
+    Alcotest.test_case "insert+delete pair allocates exactly zero" `Quick
+      test_insert_delete_zero_alloc ]

@@ -14,8 +14,9 @@
      and across domain generations on the real runtime.
    - Shard routing: tenant-prefixed keys must spread across shards even
      though tenants only differ in high key bits.
-   - The get path allocates exactly zero minor words on the real
-     runtime — the pin the bench service observatory gates on.
+   - The get path, and a put+del pair of an absent key, allocate exactly
+     zero minor words on the real runtime — the pins the bench service
+     observatory gates on.
    - [report] sums the scheme counters of every shard and the index, not
      the index's alone. *)
 
@@ -228,30 +229,34 @@ let test_shard_distribution () =
       if c > 256 then Alcotest.failf "shard %d holds %d of 1024 keys" i c)
     counts
 
-(* --- get-path allocation pin ----------------------------------------------- *)
+(* --- allocation pins --------------------------------------------------------- *)
 
-let test_get_zero_alloc () =
+(* 512 keys (the even keys of [0, 1024)) on a 4-shard QSense service. *)
+let warm_real_service () =
   Qs_real.Real_runtime.register_self 0;
   let cfg =
     { (Qs_ds.Set_intf.default_config ~n_processes:1
          ~scheme:Qs_smr.Scheme.Qsense)
       with Qs_ds.Set_intf.debug_checks = false }
   in
-  let svc = Kr.create ~n_shards:4 cfg in
-  let ctx = Kr.register svc ~pid:0 in
+  let ctx = Kr.register (Kr.create ~n_shards:4 cfg) ~pid:0 in
   for k = 0 to 511 do
     ignore (Kr.put ctx (2 * k))
   done;
-  for i = 1 to 4_096 do
-    ignore (Kr.get ctx (i land 1023))
-  done;
-  let n = 100_000 in
-  let w0 = Gc.minor_words () in
-  for i = 1 to n do
-    ignore (Kr.get ctx (i land 1023))
-  done;
-  let per_op = (Gc.minor_words () -. w0) /. float_of_int n in
-  Alcotest.(check (float 0.0)) "get allocates zero minor words" 0.0 per_op
+  ctx
+
+let test_get_zero_alloc () =
+  let ctx = warm_real_service () in
+  Test_skiplist.check_zero "get" (fun i -> ignore (Kr.get ctx (i land 1023)))
+
+(* Each step puts an odd (absent) key and deletes it: one insert and one
+   delete in a shard table and in the index, retired nodes recycled. *)
+let test_put_del_zero_alloc () =
+  let ctx = warm_real_service () in
+  Test_skiplist.check_zero "put+del pair" (fun i ->
+      let k = (2 * (i land 511)) + 1 in
+      if not (Kr.put ctx k && Kr.del ctx k) then
+        Alcotest.fail "put+del of an absent key had no effect")
 
 (* --- service-wide report ------------------------------------------------------ *)
 
@@ -294,5 +299,7 @@ let suite =
       test_shard_distribution;
     Alcotest.test_case "get path allocates exactly zero" `Quick
       test_get_zero_alloc;
+    Alcotest.test_case "put+del pair allocates exactly zero" `Quick
+      test_put_del_zero_alloc;
     Alcotest.test_case "report sums scheme counters over every shard" `Quick
       test_report_sums_shards ]

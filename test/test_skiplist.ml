@@ -1,8 +1,10 @@
 (* The skip list's own pins, beyond the shared set battery:
 
-   - search and range counts allocate exactly zero minor words on the real
-     runtime (QSense, debug checks off, after a warm-up) — the traversal is
-     top-level recursion over the context, with no per-call closures;
+   - search, range counts and insert+delete pairs allocate exactly zero
+     minor words on the real runtime (QSense, debug checks off, after a
+     warm-up) — the traversal is top-level recursion over the context, with
+     no per-call closures, and every link an update CASes in is one of the
+     canonical links its node was created with;
    - on the simulator a sequential, uncontended delete costs at most 1.5x
      the virtual ticks of the matching insert: one positioning pass and a
      level-by-level unlink, not a positioning pass plus repeated sweeps;
@@ -58,6 +60,15 @@ let test_range_count_zero_alloc () =
   check_zero "range_count" (fun i ->
       let lo = i land 2_047 in
       ignore (Sr.range_count ctx ~lo ~hi:(lo + 16)))
+
+(* Each step inserts an odd (absent) key and deletes it again: the node is
+   retired, freed by a QSense scan and recycled by a later insert. *)
+let test_insert_delete_zero_alloc () =
+  let ctx = warm_real_set () in
+  check_zero "insert+delete pair" (fun i ->
+      let k = (2 * (i land 1_023)) + 1 in
+      if not (Sr.insert ctx k && Sr.delete ctx k) then
+        Alcotest.fail "insert+delete of an absent key had no effect")
 
 (* --- simulator cost of a delete ------------------------------------------ *)
 
@@ -184,6 +195,8 @@ let suite =
       test_search_zero_alloc;
     Alcotest.test_case "range_count allocates exactly zero" `Quick
       test_range_count_zero_alloc;
+    Alcotest.test_case "insert+delete pair allocates exactly zero" `Quick
+      test_insert_delete_zero_alloc;
     Alcotest.test_case "sim delete costs at most 1.5x insert" `Quick
       test_delete_cost;
     Alcotest.test_case "sim HP search costs at most 4.5x leaky" `Quick
