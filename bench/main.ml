@@ -257,9 +257,6 @@ module Micro = struct
   let micro_cfg ~scan_threshold ~rooster_interval ~epsilon =
     { (Qs_smr.Smr_intf.default_config ~n_processes ~hp_per_process) with
       scan_threshold;
-      (* exact scan cadence: the scenarios are defined by scans firing at
-         precisely the configured threshold *)
-      scan_factor = 0.;
       rooster_interval;
       epsilon }
 
@@ -571,9 +568,8 @@ module Observatory = struct
       traced_sim ~ds:Qs_harness.Cset.List ~scheme:Qs_smr.Scheme.Cadence
         ~n_processes:4 ~duration:800_000 ~delays:None ~key_range:64
         (* scans must actually fire within the run for frees to appear:
-           drop the adaptive scan threshold to every 16 retires *)
-        ~smr_tweak:(fun c ->
-          { c with Qs_smr.Smr_intf.scan_threshold = 16; scan_factor = 0. })
+           scan every 16 retires *)
+        ~smr_tweak:(fun c -> { c with Qs_smr.Smr_intf.scan_threshold = 16 })
         ()
     in
     let entries = Qs_obs.Tracer.to_array tracer in

@@ -69,7 +69,12 @@ let sparklines_of_series results =
         (Qs_smr.Scheme.to_string scheme)
         (Qs_util.Table.sparkline r.series)
         (match r.failed_at with
-        | Some t -> Printf.sprintf "   (OUT OF MEMORY at t=%d)" t
+        | Some t ->
+          (* workers stop at the failure, so the report is the state that
+             filled memory: live nodes versus the reclamation backlog *)
+          let retired = r.report.smr.retired_now in
+          Printf.sprintf "   (OUT OF MEMORY at t=%d: %d live + %d retired)" t
+            (r.report.outstanding - retired) retired
         | None -> ""))
     results;
   print_newline ()

@@ -31,8 +31,7 @@ let run scheme =
                 (fun c ->
                   { c with
                     quiescence_threshold = 4;
-                    scan_threshold = 1;
-                    scan_factor = 0.; (* scan every retire: the bug window is per-scan *)
+                    scan_threshold = 1; (* scan every retire: the bug window is per-scan *)
                     rooster_interval = 2_000;
                     epsilon = 300 });
               sched_tweak =

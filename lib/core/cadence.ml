@@ -40,7 +40,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   type t = {
     cfg : Smr_intf.config;
-    scan_threshold_eff : int; (* adaptive: max(R, ceil(scan_factor * N * K)) *)
+    scan_threshold : int; (* R, clamped to >= 1 *)
     hp : Hp.t;
     free : node -> unit;
     free_bulk : node array -> int -> unit;
@@ -91,7 +91,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
           done
     in
     { cfg;
-      scan_threshold_eff = Smr_intf.effective_scan_threshold cfg;
+      scan_threshold = Smr_intf.effective_scan_threshold cfg;
       hp = Hp.create ~n:cfg.n_processes ~k:cfg.hp_per_process ~dummy;
       free;
       free_bulk;
@@ -116,7 +116,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         hp_row = Hp.row t.hp ~pid;
         scan_set = Hp.scan_set t.hp;
         retires = 0;
-        until_scan = t.scan_threshold_eff;
+        until_scan = t.scan_threshold;
         frees = 0;
         scans = 0;
         retired_peak = 0;
@@ -193,7 +193,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     if sealed > 0 then R.emit Qs_intf.Runtime_intf.Ev_bag_seal sealed (-1);
     h.until_scan <- h.until_scan - 1;
     if h.until_scan = 0 then begin
-      h.until_scan <- h.owner.scan_threshold_eff;
+      h.until_scan <- h.owner.scan_threshold;
       scan h
     end
 
@@ -249,6 +249,5 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       scans = fold t (fun h -> h.scans) + t.legacy_scans;
       retired_now = retired_count t;
       retired_peak =
-        fold t (fun h -> h.retired_peak) + t.legacy_retired_peak;
-      scan_threshold_eff = t.scan_threshold_eff }
+        fold t (fun h -> h.retired_peak) + t.legacy_retired_peak }
 end

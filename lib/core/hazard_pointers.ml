@@ -15,12 +15,10 @@
    ({!Qs_util.Bag}; allocation-free [retire], drops freed one whole bag
    per arena call, survivors compacted into fresh bags); a scan snapshots
    the N×K hazard slots into a reusable id hash set (expected-O(1)
-   membership, zero allocation). The scan threshold adapts to the deployment:
-   effective R = max(cfg.scan_threshold, ceil(scan_factor * N * K)),
-   computed once at creation — a scan costs O(N·K + limbo) and keeps at
-   most N·K protected nodes, so every scan frees at least
-   (scan_factor - 1)·N·K nodes and scan work is amortised O(1) per retire
-   however many processes or hazard pointers the system runs. *)
+   membership, zero allocation). A scan fires every R = cfg.scan_threshold
+   retires and costs O(N·K + limbo); it keeps at most N·K protected nodes,
+   so R >= N·K makes scan work amortised O(1) per retire, and a smaller R
+   tightens the retired-node bound instead. *)
 
 module Bag = Qs_util.Bag
 
@@ -40,7 +38,7 @@ struct
 
   type t = {
     cfg : Smr_intf.config;
-    scan_threshold_eff : int; (* adaptive: max(R, ceil(scan_factor * N * K)) *)
+    scan_threshold : int; (* R, clamped to >= 1 *)
     hp : Hp.t;
     free : node -> unit;
     free_bulk : node array -> int -> unit;
@@ -85,7 +83,7 @@ struct
           done
     in
     { cfg;
-      scan_threshold_eff = Smr_intf.effective_scan_threshold cfg;
+      scan_threshold = Smr_intf.effective_scan_threshold cfg;
       hp = Hp.create ~n:cfg.n_processes ~k:cfg.hp_per_process ~dummy;
       free;
       free_bulk;
@@ -180,7 +178,7 @@ struct
     if rcount > h.retired_peak then h.retired_peak <- rcount;
     R.emit Qs_intf.Runtime_intf.Ev_retire (N.id n) rcount;
     if sealed > 0 then R.emit Qs_intf.Runtime_intf.Ev_bag_seal sealed (-1);
-    if rcount >= h.owner.scan_threshold_eff then scan h
+    if rcount >= h.owner.scan_threshold then scan h
 
   (* Dynamic membership: clear the slot's hazard pointers (with a fence so
      the cleared slots are globally visible before any survivor scans),
@@ -231,8 +229,7 @@ struct
       scans = fold t (fun h -> h.scans) + t.legacy_scans;
       retired_now = retired_count t;
       retired_peak =
-        fold t (fun h -> h.retired_peak) + t.legacy_retired_peak;
-      scan_threshold_eff = t.scan_threshold_eff }
+        fold t (fun h -> h.retired_peak) + t.legacy_retired_peak }
 end
 
 module Make = Make_gen (struct

@@ -12,8 +12,7 @@
    per-handle open-addressing hash set of node ids ({!Smr_intf.NODE.id},
    {!Qs_util.Int_set}), giving expected-O(1) membership per retired node
    and zero allocation per scan — Michael's original hash-set scan, which
-   together with the adaptive scan threshold makes scan work amortised O(1)
-   per retire. *)
+   makes scan work amortised O(1) per retire once R >= N·K. *)
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   type t = { slots : N.t R.plain array array; dummy : N.t; k : int }

@@ -60,7 +60,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
   type t = {
     cfg : Smr_intf.config;
     c_threshold : int;
-    scan_threshold_eff : int; (* adaptive: max(R, ceil(scan_factor * N * K)) *)
+    scan_threshold : int; (* R, clamped to >= 1 *)
     hp : Hp.t;
     free : node -> unit;
     free_bulk : node array -> int -> unit;
@@ -161,7 +161,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     in
     { cfg;
       c_threshold = c;
-      scan_threshold_eff = Smr_intf.effective_scan_threshold cfg;
+      scan_threshold = Smr_intf.effective_scan_threshold cfg;
       hp = Hp.create ~n:cfg.n_processes ~k:cfg.hp_per_process ~dummy;
       free;
       free_bulk;
@@ -522,7 +522,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     let fallback = R.get t.fallback_flag = 1 in
     if fallback then begin
       h.fnl_count <- h.fnl_count + 1;
-      if h.fnl_count mod t.scan_threshold_eff = 0 then scan_all h;
+      if h.fnl_count mod t.scan_threshold = 0 then scan_all h;
       h.prev_fallback <- true
     end
     else if h.prev_fallback then begin
@@ -631,7 +631,6 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       retired_now = retired_count t;
       retired_peak =
         fold t (fun h -> h.retired_peak) + t.legacy_retired_peak;
-      scan_threshold_eff = t.scan_threshold_eff;
       mode = t.mode_shadow }
 end
 

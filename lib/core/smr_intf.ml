@@ -37,25 +37,9 @@ type config = {
   quiescence_threshold : int;
       (** Q — operations batched per declared quiescent state (§3.1) *)
   scan_threshold : int;
-      (** R — retires between hazard-pointer scans. Scans cannot be
-          disabled through this knob: the effective threshold is clamped to
-          [>= 1] ({!effective_scan_threshold}), so [scan_threshold <= 0]
-          simply means "scan on every retire". (Earlier docs claimed
-          [<= 0] disables scanning — it never did; before the clamp it
-          crashed the schemes that schedule scans with [mod].) *)
-  scan_factor : float;
-      (** Adaptive scan scheduling: the {e effective} scan threshold of the
-          hazard-pointer schemes is
-          [max scan_threshold (ceil (scan_factor * N * K))], computed once
-          at registration ({!effective_scan_threshold}). A scan touches all
-          N·K slots and at most N·K retired nodes survive it (only
-          protected nodes are kept), so with [scan_factor > 1] every scan
-          frees at least [(scan_factor - 1) * N * K] nodes for O(N·K +
-          limbo) work — amortised O(1) per retire regardless of
-          process/HP count. [<= 0] disables the adaptation and uses
-          [scan_threshold] (clamped to [>= 1]) verbatim — the tests
-          pinning exact scan timing do this. Does not apply to the
-          deferred schemes' age check, only to when scans fire. *)
+      (** R — retires between hazard-pointer scans, used as written.
+          Clamped to [>= 1] ({!effective_scan_threshold}), so
+          [scan_threshold <= 0] means "scan on every retire". *)
   rooster_interval : int;
       (** T — rooster sleep interval, in [RUNTIME.now] units. The runtime
           must actually run roosters at this interval (simulator config /
@@ -89,7 +73,6 @@ let default_config ~n_processes ~hp_per_process =
     hp_per_process;
     quiescence_threshold = 64;
     scan_threshold = 64;
-    scan_factor = 2.0;
     rooster_interval = 5_000;
     epsilon = 500;
     switch_threshold = 0;
@@ -97,25 +80,11 @@ let default_config ~n_processes ~hp_per_process =
     eviction_timeout = None;
     bag_capacity = 64 }
 
-(** The effective scan threshold under adaptive scan scheduling:
-    [max scan_threshold (ceil (scan_factor * N * K))], or [scan_threshold]
-    when [scan_factor <= 0] — in both cases clamped to [>= 1]: the
-    schemes that schedule scans with [count mod threshold] would raise
-    [Division_by_zero] on a degenerate config ([scan_threshold <= 0] with
-    [scan_factor <= 0]), and a threshold of 1 ("scan on every retire") is
-    the closest legal reading of such a config. Computed once per scheme
-    instance and surfaced in {!stats.scan_threshold_eff}. *)
-let effective_scan_threshold cfg =
-  let raw =
-    if cfg.scan_factor <= 0. then cfg.scan_threshold
-    else
-      max cfg.scan_threshold
-        (int_of_float
-           (Float.ceil
-              (cfg.scan_factor
-              *. float_of_int (cfg.n_processes * cfg.hp_per_process))))
-  in
-  max 1 raw
+(** R clamped to [>= 1]: the schemes that schedule scans with
+    [count mod threshold] would raise [Division_by_zero] on
+    [scan_threshold <= 0], and a threshold of 1 ("scan on every retire")
+    is the closest legal reading of such a config. *)
+let effective_scan_threshold cfg = max 1 cfg.scan_threshold
 
 (** The smallest legal fallback-switch threshold per Property 4:
     [C > max (m*Q) (N*K + T) ((K + T + R) / 2)]. *)
@@ -125,7 +94,7 @@ let legal_switch_threshold cfg =
   and n = cfg.n_processes
   and k = cfg.hp_per_process
   and t = cfg.rooster_interval
-  and r = cfg.scan_threshold in
+  and r = effective_scan_threshold cfg in
   1 + max (m * q) (max ((n * k) + t) ((k + t + r) / 2))
 
 type mode = Fast | Fallback
@@ -164,10 +133,6 @@ type stats = {
           folded into the instance at {!S.unregister}. *)
   retired_now : int;  (** removed-but-unfreed nodes at this instant *)
   retired_peak : int;
-  scan_threshold_eff : int;
-      (** The effective scan threshold chosen at creation under adaptive
-          scan scheduling ({!effective_scan_threshold}); 0 for schemes
-          that never scan hazard pointers. *)
   mode : mode;
 }
 
@@ -186,7 +151,6 @@ let zero_stats =
     neutralizations = 0;
     retired_now = 0;
     retired_peak = 0;
-    scan_threshold_eff = 0;
     mode = Fast }
 
 module type S = sig

@@ -361,7 +361,6 @@ let run_one ?sink (c : case) : outcome =
     { (Qs_smr.Smr_intf.default_config ~n_processes:n ~hp_per_process:2) with
       quiescence_threshold = 8;
       scan_threshold = 2;
-      scan_factor = 0.;
       rooster_interval = (if needs_roosters then t_rooster else 0);
       epsilon = (if needs_roosters then epsilon else 0);
       switch_threshold = c.switch;

@@ -321,8 +321,7 @@ let ablation_epsilon ~seed =
           smr_tweak =
             (fun c ->
               { c with
-                scan_threshold = 1;
-                scan_factor = 0.; (* scan every retire: epsilon sensitivity needs it *)
+                scan_threshold = 1; (* scan every retire: epsilon sensitivity needs it *)
                 rooster_interval = 200;
                 epsilon = eps });
           sched_tweak =

@@ -193,7 +193,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       neutralizations = a.neutralizations + b.neutralizations;
       retired_now = a.retired_now + b.retired_now;
       retired_peak = a.retired_peak + b.retired_peak;
-      scan_threshold_eff = max a.scan_threshold_eff b.scan_threshold_eff;
       mode = (if a.mode = Fallback then Fallback else b.mode) }
 
   let report t : Qs_ds.Set_intf.report =

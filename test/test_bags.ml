@@ -356,7 +356,6 @@ let base_cfg =
     Qs_smr.Smr_intf.quiescence_threshold = 1_000_000;
     scan_threshold = 1_000_000;
     switch_threshold = 1_000_000;
-    scan_factor = 0.;
     rooster_interval = max_int;
     epsilon = 0 }
 

@@ -145,8 +145,7 @@ let violations_with ~scheme ~seeds =
           smr =
             { base.smr with
               quiescence_threshold = 4;
-              scan_threshold = 1;
-              scan_factor = 0.; (* scan on EVERY retire — exact timing *)
+              scan_threshold = 1; (* scan on EVERY retire — exact timing *)
               (* tiny deferral so even Cadence-style aging cannot mask HP bugs *)
               rooster_interval = 0;
               epsilon = 0 } }

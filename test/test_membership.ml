@@ -35,7 +35,6 @@ let cfg ?(n = 2) ?(k = 2) ?(q = 4) ?(r = 4) ?(t = 1_000) ?(eps = 100) ?(c = 0)
     hp_per_process = k;
     quiescence_threshold = q;
     scan_threshold = r;
-    scan_factor = 0.;
     rooster_interval = t;
     epsilon = eps;
     switch_threshold = c;
@@ -410,8 +409,6 @@ let test_degenerate_scan_threshold () =
       Alcotest.(check int)
         (Printf.sprintf "hp frees under threshold %d" r)
         5 (List.length !freed);
-      Alcotest.(check int) "stats surface the clamped threshold" 1
-        (Hp.stats t).Smr.scan_threshold_eff;
       let s2 = sched ~rooster:(Some 1_000) () in
       let t2 = Cadence.create c ~dummy ~free:(fun _ -> ()) in
       let h2 = Cadence.register t2 ~pid:0 in
@@ -435,16 +432,6 @@ let test_degenerate_scan_threshold () =
       Alcotest.(check bool) "qsense survives a degenerate config" true
         ((Qsense.stats t3).Smr.mode = Smr.Fallback))
     [ 0; -4 ]
-
-(* scan_factor interacts with the clamp too: a tiny factor over a tiny
-   HP population must still yield a legal threshold *)
-let test_scan_factor_clamp () =
-  let c = { (cfg ~n:1 ~k:1 ~r:0 ()) with Smr.scan_factor = 0.01 } in
-  Alcotest.(check int) "ceil(0.01 * 1) clamps through max" 1
-    (Smr.effective_scan_threshold c);
-  let c' = { (cfg ~n:4 ~k:2 ~r:0 ()) with Smr.scan_factor = 2. } in
-  Alcotest.(check int) "factor-driven threshold" 16
-    (Smr.effective_scan_threshold c')
 
 (* --- stats monotonicity across repeated churn ----------------------------- *)
 
@@ -529,7 +516,6 @@ let suite =
       test_qsense_switch_race_balanced;
     Alcotest.test_case "degenerate scan thresholds don't divide by zero"
       `Quick test_degenerate_scan_threshold;
-    Alcotest.test_case "scan factor clamp" `Quick test_scan_factor_clamp;
     Alcotest.test_case "stats monotone across churn" `Quick
       test_stats_monotone_across_churn;
     Alcotest.test_case "sim churn e2e: safe, leak-free" `Slow

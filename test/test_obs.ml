@@ -132,7 +132,7 @@ let traced_run ?(duration = 400_000) ?(key_range = 64) ?delays
   (tracer, r)
 
 let frequent_scans c =
-  { c with Qs_smr.Smr_intf.scan_threshold = 16; scan_factor = 0. }
+  { c with Qs_smr.Smr_intf.scan_threshold = 16 }
 
 let test_seeded_trace_bit_identical () =
   let csv_of () =

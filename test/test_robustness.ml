@@ -169,12 +169,15 @@ let test_eviction_then_rejoin () =
 let test_cadence_retired_bound () =
   List.iter
     (fun seed ->
-      let r =
-        Sim_exp.run { (base ~scheme:Qs_smr.Scheme.Cadence) with seed; delays = stall }
+      let setup = { (base ~scheme:Qs_smr.Scheme.Cadence) with seed; delays = stall } in
+      let r = Sim_exp.run setup in
+      (* the config the run used: N, K, R, T and epsilon all come from it *)
+      let cfg =
+        setup.smr_tweak (Sim_exp.base_smr_config ~n_processes:setup.n_processes)
       in
-      let cfg = Sim_exp.base_smr_config ~n_processes:4 in
+      let n = cfg.n_processes and k = cfg.hp_per_process in
       let bound =
-        4 * ((4 * 2) + cfg.rooster_interval + cfg.epsilon + 16 (* R *))
+        n * (k + cfg.rooster_interval + cfg.epsilon + cfg.scan_threshold)
       in
       Alcotest.(check bool)
         (Printf.sprintf "retired peak %d within bound %d (seed %d)"
@@ -250,8 +253,7 @@ let naive_hybrid_run ~scheme ~seed =
         (fun c ->
           { c with
             quiescence_threshold = 4;
-            scan_threshold = 1;
-            scan_factor = 0.; (* scan every fallback retire: maximise switch-window exposure *)
+            scan_threshold = 1; (* scan every fallback retire: maximise switch-window exposure *)
             (* short deferral so fast-path references outlive it *)
             rooster_interval = 500;
             epsilon = 100;
@@ -300,8 +302,7 @@ let dead_rooster_run ~seed ~kill =
         (fun c ->
           { c with
             quiescence_threshold = 4;
-            scan_threshold = 1;
-            scan_factor = 0.; (* scan every retire: tightest exposure to dead roosters *)
+            scan_threshold = 1; (* scan every retire: tightest exposure to dead roosters *)
             rooster_interval = 500;
             epsilon = 50 });
       sched_tweak =
@@ -353,7 +354,6 @@ let oversleep_run ~seed ~oversleep_min ~smr_epsilon =
           { c with
             quiescence_threshold = 4;
             scan_threshold = 1;
-            scan_factor = 0.;
             rooster_interval = 500;
             epsilon = smr_epsilon });
       sched_tweak =
@@ -391,6 +391,32 @@ let test_oversleep_beyond_epsilon_breaks_cadence () =
   in
   Alcotest.(check int) "epsilon >= oversleep keeps cadence safe" 0 control
 
+(* --- Figure 5 bottom at quick scale (§7.2) ---------------------------- *)
+
+(* The paper's claim on each structure: under bounded memory and one
+   process delayed in alternating windows, QSBR runs out of memory in the
+   first window while QSense and HP survive the whole run. The first
+   window is quick-scale seconds [10, 20) of 20,000 ticks each. *)
+let test_fig5_bottom_quick () =
+  let first_window = (10 * 20_000, 20 * 20_000) in
+  List.iter
+    (fun ds ->
+      let name = Cset.kind_to_string ds in
+      let _, results = Figures.fig5_bottom ~scale:Quick ~seed:1 ~ds in
+      let failed_at s = (List.assoc s results : Sim_exp.result).failed_at in
+      (match failed_at Qs_smr.Scheme.Qsbr with
+      | Some t ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: qsbr OOM at t=%d is in the first window" name t)
+          true
+          (fst first_window <= t && t < snd first_window)
+      | None -> Alcotest.failf "%s: qsbr should run out of memory" name);
+      Alcotest.(check (option int)) (name ^ ": qsense survives") None
+        (failed_at Qs_smr.Scheme.Qsense);
+      Alcotest.(check (option int)) (name ^ ": hp survives") None
+        (failed_at Qs_smr.Scheme.Hp))
+    [ Cset.List; Cset.Skiplist; Cset.Bst ]
+
 let suite =
   [ Alcotest.test_case "qsbr OOMs under a stalled process" `Quick test_qsbr_oom_under_delay;
     Alcotest.test_case "qsbr fine without delays" `Quick test_qsbr_fine_without_delay;
@@ -408,5 +434,7 @@ let suite =
     Alcotest.test_case "naive hybrid unsafe at switch (§4.1)" `Quick test_naive_hybrid_unsafe;
     Alcotest.test_case "dead roosters break cadence" `Quick test_dead_roosters_break_cadence;
     Alcotest.test_case "oversleep beyond epsilon breaks cadence" `Quick
-      test_oversleep_beyond_epsilon_breaks_cadence
+      test_oversleep_beyond_epsilon_breaks_cadence;
+    Alcotest.test_case "fig5 bottom (quick): qsbr OOMs, qsense and hp survive"
+      `Quick test_fig5_bottom_quick
   ]

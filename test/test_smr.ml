@@ -27,13 +27,11 @@ let cfg ?(n = 2) ?(k = 2) ?(q = 4) ?(r = 4) ?(t = 1_000) ?(eps = 100) ?(c = 0)
   { Qs_smr.Smr_intf.n_processes = n;
     hp_per_process = k;
     quiescence_threshold = q;
-    scan_threshold = r;
     (* These unit tests pin exact scan timing (e.g. "retire #r scans and
-       frees"), so adaptive scan scheduling is disabled. The default bag
-       capacity (64) exceeds every limbo depth these tests reach, so the
-       open-block per-node filter decides each node on its own, exactly
-       as an element-wise filter would. *)
-    scan_factor = 0.;
+       frees"). The default bag capacity (64) exceeds every limbo depth
+       these tests reach, so the open-block per-node filter decides each
+       node on its own, exactly as an element-wise filter would. *)
+    scan_threshold = r;
     rooster_interval = t;
     epsilon = eps;
     switch_threshold = c;
