@@ -295,9 +295,7 @@ module Micro = struct
       micro_cfg ~scan_threshold:limbo ~rooster_interval:0 ~epsilon:0
 
   (* Bulk free, as the data structures wire it ([Arena.free_many]): one
-     callback per freed bag instead of one closure call per node. *)
-  let free_one n = n.freed <- n.freed + 1
-
+     callback per freed bag. *)
   let free_many data count =
     for i = 0 to count - 1 do
       let n = data.(i) in
@@ -307,7 +305,7 @@ module Micro = struct
   (* Returns best-round ns per retire (scan cost amortized in). *)
   let run_cadence scenario ~limbo ~rounds =
     let cfg = cfg_of_scenario scenario ~limbo in
-    let t = Cad.create cfg ~free_bulk:free_many ~dummy ~free:free_one in
+    let t = Cad.create cfg ~dummy ~free_bulk:free_many in
     let handles = Array.init n_processes (fun pid -> Cad.register t ~pid) in
     fill_hps (fun ~pid ~slot n -> Cad.assign_hp handles.(pid) ~slot n);
     let nodes = pool limbo in
@@ -333,7 +331,7 @@ module Micro = struct
     let cfg =
       micro_cfg ~scan_threshold:max_int ~rooster_interval:max_int ~epsilon:0
     in
-    let t = Cad.create cfg ~free_bulk:free_many ~dummy ~free:free_one in
+    let t = Cad.create cfg ~dummy ~free_bulk:free_many in
     let h = Cad.register t ~pid:0 in
     let node = { id = 0; freed = 0 } in
     for _i = 1 to limbo do

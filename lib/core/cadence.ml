@@ -14,17 +14,16 @@
 
    Hot-path discipline: [retire] is allocation- and syscall-free — the
    timestamp comes from the runtime's coarse clock ([R.now_coarse], an
-   atomic load refreshed by the roosters) and the node lands in a
-   timestamped limbo bag ({!Qs_util.Bag.Ts}). A bag is stamped once when
-   it seals —
-   with its newest timestamp, the bag's maximum under the monotone coarse
-   clock — so a scan walks sealed bags oldest-first, pays ONE age check
-   per bag, stops at the first too-young bag, and returns each expired
-   bag to the arena in one bulk call, filtering only hazard-protected
-   survivors into fresh bags. The coarse timestamp understates the
-   removal time by at most one rooster period; DESIGN.md ("Hot-path
-   discipline") gives the accounting that keeps the deferral sound, and
-   DESIGN.md §11 the bag-walk argument.
+   atomic load refreshed by the roosters) and the node lands, with that
+   timestamp, in a limbo bag ({!Qs_util.Bag}). A bag is stamped once when
+   it seals — with its newest timestamp, the bag's maximum under the
+   monotone coarse clock — so a scan walks sealed bags oldest-first,
+   pays ONE age check per bag, stops at the first too-young bag, and
+   returns each expired bag to the arena in one bulk call, filtering
+   only hazard-protected survivors into fresh bags. The coarse timestamp
+   understates the removal time by at most one rooster period; DESIGN.md
+   ("Hot-path discipline") gives the accounting that keeps the deferral
+   sound, and DESIGN.md §11 the bag-walk argument.
 
    Cadence is usable stand-alone (this module) and as QSense's fallback
    path ({!Qsense} re-implements the merged version over the limbo lists).
@@ -42,11 +41,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     cfg : Smr_intf.config;
     scan_threshold : int; (* R, clamped to >= 1 *)
     hp : Hp.t;
-    free : node -> unit;
     free_bulk : node array -> int -> unit;
     dummy : node;
     handles : handle option array;
-    orphans : node Bag.Ts.t Orphan_pool.t;
+    orphans : node Bag.t Orphan_pool.t;
     mutable legacy_retires : int;
     mutable legacy_frees : int;
     mutable legacy_scans : int;
@@ -57,8 +55,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   and handle = {
     owner : t;
     pid : int;
-    mutable lsrc : node Bag.Ts.source;
-    mutable rlist : node Bag.Ts.t;
+    mutable lsrc : node Bag.source;
+    mutable rlist : node Bag.t;
     hp_row : node R.plain array; (* this process's row of [hp] *)
     scan_set : Hp.scan_set;
     mutable retires : int;
@@ -80,20 +78,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let name = "cadence"
 
-  let create ?free_bulk (cfg : Smr_intf.config) ~dummy ~free =
-    let free_bulk =
-      match free_bulk with
-      | Some f -> f
-      | None ->
-        fun data count ->
-          for i = 0 to count - 1 do
-            free data.(i)
-          done
-    in
+  let create (cfg : Smr_intf.config) ~dummy ~free_bulk =
     { cfg;
       scan_threshold = Smr_intf.effective_scan_threshold cfg;
       hp = Hp.create ~n:cfg.n_processes ~k:cfg.hp_per_process ~dummy;
-      free;
       free_bulk;
       dummy;
       handles = Array.make cfg.n_processes None;
@@ -103,7 +91,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       legacy_scans = 0;
       legacy_retired_peak = 0 }
 
-  let limbo_source t = Bag.Ts.source ~capacity:t.cfg.bag_capacity t.dummy
+  let limbo_source t = Bag.source ~capacity:t.cfg.bag_capacity t.dummy
 
   let register t ~pid =
     let lsrc = limbo_source t in
@@ -112,7 +100,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       { owner = t;
         pid;
         lsrc;
-        rlist = Bag.Ts.create lsrc;
+        rlist = Bag.create lsrc;
         hp_row = Hp.row t.hp ~pid;
         scan_set = Hp.scan_set t.hp;
         retires = 0;
@@ -166,7 +154,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       match Orphan_pool.take t.orphans with
       | None -> ()
       | Some e ->
-        Bag.Ts.splice_into ~src:e.Orphan_pool.payload ~dst:h.rlist;
+        Bag.splice_into ~src:e.Orphan_pool.payload ~dst:h.rlist;
         R.emit Qs_intf.Runtime_intf.Ev_adopt e.Orphan_pool.nodes
           e.Orphan_pool.donor
 
@@ -175,19 +163,19 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     adopt_orphans h;
     let t = h.owner in
     h.scans <- h.scans + 1;
-    let before = Bag.Ts.length h.rlist in
+    let before = Bag.length h.rlist in
     R.emit Qs_intf.Runtime_intf.Ev_scan_begin before (-1);
     h.scan_now <- R.now_coarse ();
     Hp.snapshot_into t.hp h.scan_set;
-    Bag.Ts.scan h.rlist ~age_ok:h.age_ok ~keep:h.keep ~free_bag:h.free_bag;
-    let kept = Bag.Ts.length h.rlist in
+    Bag.scan h.rlist ~age_ok:h.age_ok ~keep:h.keep ~free_bag:h.free_bag;
+    let kept = Bag.length h.rlist in
     R.emit Qs_intf.Runtime_intf.Ev_scan_end (before - kept) kept
 
   let retire h n =
     R.hook Qs_intf.Runtime_intf.Hook_retire;
-    let sealed = Bag.Ts.push h.rlist n (R.now_coarse ()) in
+    let sealed = Bag.push h.rlist n (R.now_coarse ()) in
     h.retires <- h.retires + 1;
-    let rcount = Bag.Ts.length h.rlist in
+    let rcount = Bag.length h.rlist in
     if rcount > h.retired_peak then h.retired_peak <- rcount;
     R.emit Qs_intf.Runtime_intf.Ev_retire (N.id n) rcount;
     if sealed > 0 then R.emit Qs_intf.Runtime_intf.Ev_bag_seal sealed (-1);
@@ -206,10 +194,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     let t = h.owner in
     Hp.clear t.hp ~pid:h.pid;
     R.fence ();
-    let donated = Bag.Ts.length h.rlist in
+    let donated = Bag.length h.rlist in
     let old = h.rlist in
     h.lsrc <- limbo_source t;
-    h.rlist <- Bag.Ts.create h.lsrc;
+    h.rlist <- Bag.create h.lsrc;
     Orphan_pool.donate t.orphans ~donor:h.pid ~nodes:donated old;
     t.legacy_retires <- t.legacy_retires + h.retires;
     t.legacy_frees <- t.legacy_frees + h.frees;
@@ -224,10 +212,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let flush h =
     let t = h.owner in
-    Bag.Ts.drain h.rlist ~free_bag:h.flush_bag;
+    Bag.drain h.rlist ~free_bag:h.flush_bag;
     List.iter
       (fun (e : _ Orphan_pool.entry) ->
-        Bag.Ts.drain e.Orphan_pool.payload
+        Bag.drain e.Orphan_pool.payload
           ~free_bag:(fun data _ts count _stamp ->
             t.free_bulk data count;
             t.legacy_frees <- t.legacy_frees + count))
@@ -239,7 +227,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       0 t.handles
 
   let retired_count t =
-    fold t (fun h -> Bag.Ts.length h.rlist)
+    fold t (fun h -> Bag.length h.rlist)
     + Orphan_pool.node_count t.orphans
 
   let stats t =

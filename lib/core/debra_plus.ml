@@ -41,11 +41,11 @@
 
    Hot-path discipline: [retire] performs {e no} runtime reads — the
    pinned epoch is cached in a plain handle field by [manage_state], so
-   the push is one limbo append plus counters (allocation-free, and in the
-   simulator delivery-atomic: no effect between the push and the poisoned
-   check). Poisoned flags live in [Stdlib.Atomic] cells: meta-level for
-   the simulator (reading one is not a schedule point) and correctly
-   synchronized on real domains. *)
+   the push is one limbo append ({!Qs_util.Bag}, constant stamp 0) plus
+   counters (allocation-free, and in the simulator delivery-atomic: no
+   effect between the push and the poisoned check). Poisoned flags live
+   in [Stdlib.Atomic] cells: meta-level for the simulator (reading one is
+   not a schedule point) and correctly synchronized on real domains. *)
 
 module Bag = Qs_util.Bag
 
@@ -60,7 +60,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   type t = {
     cfg : Smr_intf.config;
-    free : node -> unit;
     free_bulk : node array -> int -> unit;
     global : int R.atomic;
     (* local.(pid): -1 when inactive, else the epoch pinned by the
@@ -107,24 +106,14 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     mutable epoch_advances : int;
     mutable neutralizations : int;
     mutable retired_peak : int;
-    free_bag : node array -> int -> unit;
-    flush_bag : node array -> int -> unit;
+    free_bag : node array -> int array -> int -> int -> unit;
+    flush_bag : node array -> int array -> int -> int -> unit;
   }
 
   let name = "debra-plus"
 
-  let create ?free_bulk (cfg : Smr_intf.config) ~dummy ~free =
-    let free_bulk =
-      match free_bulk with
-      | Some f -> f
-      | None ->
-        fun data count ->
-          for i = 0 to count - 1 do
-            free data.(i)
-          done
-    in
+  let create (cfg : Smr_intf.config) ~dummy ~free_bulk =
     { cfg;
-      free;
       free_bulk;
       global = R.atomic_padded 0;
       locals = Array.init cfg.n_processes (fun _ -> R.atomic_padded (-1));
@@ -157,7 +146,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         neutralizations = 0;
         retired_peak = 0;
         free_bag =
-          (fun data count ->
+          (fun data _ts count _stamp ->
             t.free_bulk data count;
             h.frees <- h.frees + count;
             if R.tracing () then
@@ -166,7 +155,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
               done;
             R.emit Qs_intf.Runtime_intf.Ev_bag_free count (-1));
         flush_bag =
-          (fun data count ->
+          (fun data _ts count _stamp ->
             t.free_bulk data count;
             h.frees <- h.frees + count) }
     in
@@ -342,7 +331,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       else if h.last_epoch >= 0 then h.last_epoch
       else 0
     in
-    let sealed = Bag.push h.limbo.(e) n in
+    let sealed = Bag.push h.limbo.(e) n 0 in
     R.hook Qs_intf.Runtime_intf.Hook_retire;
     h.retires <- h.retires + 1;
     let total = total_limbo h in
@@ -383,7 +372,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       (fun (e : _ Orphan_pool.entry) ->
         Array.iter
           (fun v ->
-            Bag.drain v ~free_bag:(fun data count ->
+            Bag.drain v ~free_bag:(fun data _ts count _stamp ->
                 t.free_bulk data count;
                 t.legacy_frees <- t.legacy_frees + count))
           e.Orphan_pool.payload)

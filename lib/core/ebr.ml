@@ -16,7 +16,8 @@
    protection) = leave it.
 
    Hot-path discipline: batched-bag limbo lists ({!Qs_util.Bag};
-   allocation-free [retire], whole-bag frees on epoch expiry); padded
+   allocation-free [retire] with the constant stamp 0 — no clock read —
+   and whole-bag frees on epoch expiry); padded
    per-process epoch slots —
    [clear_hps] writes the slot on every single operation, making it the
    most false-sharing-sensitive cell in the scheme. *)
@@ -28,7 +29,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   type t = {
     cfg : Smr_intf.config;
-    free : node -> unit;
     free_bulk : node array -> int -> unit;
     global : int R.atomic;
     (* local.(pid): -1 when inactive, else the epoch pinned by the
@@ -57,24 +57,14 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     mutable retired_peak : int;
     (* preallocated reclamation callbacks; [flush_bag] skips event
        emission (teardown may run outside process context) *)
-    free_bag : node array -> int -> unit;
-    flush_bag : node array -> int -> unit;
+    free_bag : node array -> int array -> int -> int -> unit;
+    flush_bag : node array -> int array -> int -> int -> unit;
   }
 
   let name = "ebr"
 
-  let create ?free_bulk (cfg : Smr_intf.config) ~dummy ~free =
-    let free_bulk =
-      match free_bulk with
-      | Some f -> f
-      | None ->
-        fun data count ->
-          for i = 0 to count - 1 do
-            free data.(i)
-          done
-    in
+  let create (cfg : Smr_intf.config) ~dummy ~free_bulk =
     { cfg;
-      free;
       free_bulk;
       global = R.atomic_padded 0;
       locals = Array.init cfg.n_processes (fun _ -> R.atomic_padded (-1));
@@ -102,7 +92,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         epoch_advances = 0;
         retired_peak = 0;
         free_bag =
-          (fun data count ->
+          (fun data _ts count _stamp ->
             t.free_bulk data count;
             h.frees <- h.frees + count;
             (* one tracing check per bag instead of one dead emit per node *)
@@ -112,7 +102,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
               done;
             R.emit Qs_intf.Runtime_intf.Ev_bag_free count (-1));
         flush_bag =
-          (fun data count ->
+          (fun data _ts count _stamp ->
             t.free_bulk data count;
             h.frees <- h.frees + count) }
     in
@@ -190,7 +180,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       | -1 -> R.get h.owner.global (* retire outside an operation *)
       | e -> e
     in
-    let sealed = Bag.push h.limbo.(e) n in
+    let sealed = Bag.push h.limbo.(e) n 0 in
     h.retires <- h.retires + 1;
     let total = total_limbo h in
     if total > h.retired_peak then h.retired_peak <- total;
@@ -229,7 +219,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       (fun (e : _ Orphan_pool.entry) ->
         Array.iter
           (fun v ->
-            Bag.drain v ~free_bag:(fun data count ->
+            Bag.drain v ~free_bag:(fun data _ts count _stamp ->
                 t.free_bulk data count;
                 t.legacy_frees <- t.legacy_frees + count))
           e.Orphan_pool.payload)

@@ -13,7 +13,9 @@
 
    Hot-path discipline: the removed list is a batched bag deque
    ({!Qs_util.Bag}; allocation-free [retire], drops freed one whole bag
-   per arena call, survivors compacted into fresh bags); a scan snapshots
+   per arena call, survivors compacted into fresh bags). Classic HP never
+   ages nodes: it pushes the constant stamp 0 (no clock read) and scans
+   with an always-true age predicate, which walks every bag; a scan snapshots
    the N×K hazard slots into a reusable id hash set (expected-O(1)
    membership, zero allocation). A scan fires every R = cfg.scan_threshold
    retires and costs O(N·K + limbo); it keeps at most N·K protected nodes,
@@ -21,6 +23,11 @@
    tightens the retired-node bound instead. *)
 
 module Bag = Qs_util.Bag
+
+(* The scan's age predicate: every node is old enough, so [Bag.scan]
+   walks every sealed bag and filters by hazard pointer alone. Top-level,
+   so the scan builds no closure. *)
+let always_old _ = true
 
 module type PARAMS = sig
   val scheme_name : string
@@ -40,7 +47,6 @@ struct
     cfg : Smr_intf.config;
     scan_threshold : int; (* R, clamped to >= 1 *)
     hp : Hp.t;
-    free : node -> unit;
     free_bulk : node array -> int -> unit;
     dummy : node;
     handles : handle option array;
@@ -66,26 +72,16 @@ struct
     (* preallocated scan/flush callbacks: the per-scan closure state is
        hoisted into the handle so a scan builds nothing on the heap *)
     keep : node -> bool;
-    free_bag : node array -> int -> unit;
-    flush_bag : node array -> int -> unit;
+    free_bag : node array -> int array -> int -> int -> unit;
+    flush_bag : node array -> int array -> int -> int -> unit;
   }
 
   let name = P.scheme_name
 
-  let create ?free_bulk (cfg : Smr_intf.config) ~dummy ~free =
-    let free_bulk =
-      match free_bulk with
-      | Some f -> f
-      | None ->
-        fun data count ->
-          for i = 0 to count - 1 do
-            free data.(i)
-          done
-    in
+  let create (cfg : Smr_intf.config) ~dummy ~free_bulk =
     { cfg;
       scan_threshold = Smr_intf.effective_scan_threshold cfg;
       hp = Hp.create ~n:cfg.n_processes ~k:cfg.hp_per_process ~dummy;
-      free;
       free_bulk;
       dummy;
       handles = Array.make cfg.n_processes None;
@@ -112,7 +108,7 @@ struct
         retired_peak = 0;
         keep = (fun n -> Hp.protects_set h.scan_set n);
         free_bag =
-          (fun data count ->
+          (fun data _ts count _stamp ->
             t.free_bulk data count;
             h.frees <- h.frees + count;
             (* one tracing check per bag instead of one dead emit per node;
@@ -124,7 +120,7 @@ struct
               done;
             R.emit Qs_intf.Runtime_intf.Ev_bag_free count (-1));
         flush_bag =
-          (fun data count ->
+          (fun data _ts count _stamp ->
             t.free_bulk data count;
             h.frees <- h.frees + count) }
     in
@@ -166,13 +162,13 @@ struct
     let before = Bag.length h.rlist in
     R.emit Qs_intf.Runtime_intf.Ev_scan_begin before (-1);
     Hp.snapshot_into t.hp h.scan_set;
-    Bag.scan h.rlist ~keep:h.keep ~free_bag:h.free_bag;
+    Bag.scan h.rlist ~age_ok:always_old ~keep:h.keep ~free_bag:h.free_bag;
     let kept = Bag.length h.rlist in
     R.emit Qs_intf.Runtime_intf.Ev_scan_end (before - kept) kept
 
   let retire h n =
     R.hook Qs_intf.Runtime_intf.Hook_retire;
-    let sealed = Bag.push h.rlist n in
+    let sealed = Bag.push h.rlist n 0 in
     h.retires <- h.retires + 1;
     let rcount = Bag.length h.rlist in
     if rcount > h.retired_peak then h.retired_peak <- rcount;
@@ -208,7 +204,8 @@ struct
     Bag.drain h.rlist ~free_bag:h.flush_bag;
     List.iter
       (fun (e : _ Orphan_pool.entry) ->
-        Bag.drain e.Orphan_pool.payload ~free_bag:(fun data count ->
+        Bag.drain e.Orphan_pool.payload
+          ~free_bag:(fun data _ts count _stamp ->
             t.free_bulk data count;
             t.legacy_frees <- t.legacy_frees + count))
       (Orphan_pool.drain t.orphans)

@@ -70,7 +70,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   type t = {
     cfg : Smr_intf.config;
-    free : node -> unit;
     free_bulk : node array -> int -> unit;
     capacity : int;
     dummy : node;  (** fills fresh open-batch arrays *)
@@ -104,18 +103,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let name = "hyaline"
 
-  let create ?free_bulk (cfg : Smr_intf.config) ~dummy ~free =
-    let free_bulk =
-      match free_bulk with
-      | Some f -> f
-      | None ->
-        fun data count ->
-          for i = 0 to count - 1 do
-            free data.(i)
-          done
-    in
+  let create (cfg : Smr_intf.config) ~dummy ~free_bulk =
     { cfg;
-      free;
       free_bulk;
       capacity = max 1 cfg.bag_capacity;
       dummy;
@@ -307,22 +296,20 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
      handles. No slot access (no process context required). *)
   let flush h =
     let t = h.owner in
-    for i = 0 to h.open_count - 1 do
-      t.free h.open_data.(i);
-      h.frees <- h.frees + 1;
-      meta_add t.outstanding (-1)
-    done;
-    h.open_count <- 0;
+    if h.open_count > 0 then begin
+      t.free_bulk h.open_data h.open_count;
+      h.frees <- h.frees + h.open_count;
+      meta_add t.outstanding (-h.open_count);
+      h.open_count <- 0
+    end;
     List.iter (fun b -> free_batch ~emit:false h b)
       (Stdlib.Atomic.get t.registry);
     List.iter
       (fun (e : _ Orphan_pool.entry) ->
-        Array.iter
-          (fun n ->
-            t.free n;
-            t.legacy_frees <- t.legacy_frees + 1;
-            meta_add t.outstanding (-1))
-          e.Orphan_pool.payload)
+        let n = Array.length e.Orphan_pool.payload in
+        t.free_bulk e.Orphan_pool.payload n;
+        t.legacy_frees <- t.legacy_frees + n;
+        meta_add t.outstanding (-n))
       (Orphan_pool.drain t.orphans)
 
   let fold t f =

@@ -13,7 +13,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let name = "none"
 
-  let create ?free_bulk:_ (cfg : Smr_intf.config) ~dummy:_ ~free:_ =
+  let create (cfg : Smr_intf.config) ~dummy:_ ~free_bulk:_ =
     { handles = Array.init cfg.n_processes (fun _ -> { retires = 0 }) }
 
   let register t ~pid = t.handles.(pid)

@@ -13,8 +13,10 @@
    fallback path exists to survive.
 
    Hot-path discipline: limbo lists are batched bags ({!Qs_util.Bag}) —
-   [retire] is an allocation-free array store into the open block and an
-   expired epoch returns to the arena one whole bag per [free_bulk] call.
+   [retire] is an allocation-free array store into the open block (with
+   the constant stamp 0: QSBR never ages a node, so it reads no clock)
+   and an expired epoch returns to the arena one whole bag per
+   [free_bulk] call.
    The free/flush callbacks are preallocated per handle so no closure is
    built on a reclamation path. Per-process epoch slots are cache-line padded
    ([R.atomic_padded]) because each is written by its owner and read by
@@ -27,7 +29,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   type t = {
     cfg : Smr_intf.config;
-    free : node -> unit;
     free_bulk : node array -> int -> unit;
     global : int R.atomic;
     locals : int R.atomic array;
@@ -65,24 +66,14 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
        closures; [flush_bag] skips event emission (teardown may run
        outside process context, where the emit effect is illegal on the
        simulator — and teardown frees are not reclamation events) *)
-    free_bag : node array -> int -> unit;
-    flush_bag : node array -> int -> unit;
+    free_bag : node array -> int array -> int -> int -> unit;
+    flush_bag : node array -> int array -> int -> int -> unit;
   }
 
   let name = "qsbr"
 
-  let create ?free_bulk (cfg : Smr_intf.config) ~dummy ~free =
-    let free_bulk =
-      match free_bulk with
-      | Some f -> f
-      | None ->
-        fun data count ->
-          for i = 0 to count - 1 do
-            free data.(i)
-          done
-    in
+  let create (cfg : Smr_intf.config) ~dummy ~free_bulk =
     { cfg;
-      free;
       free_bulk;
       global = R.atomic_padded 0;
       locals = Array.init cfg.n_processes (fun _ -> R.atomic_padded 0);
@@ -111,7 +102,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         epoch_advances = 0;
         retired_peak = 0;
         free_bag =
-          (fun data count ->
+          (fun data _ts count _stamp ->
             t.free_bulk data count;
             h.frees <- h.frees + count;
             (* one tracing check per bag instead of one dead emit per node;
@@ -122,7 +113,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
               done;
             R.emit Qs_intf.Runtime_intf.Ev_bag_free count (-1));
         flush_bag =
-          (fun data count ->
+          (fun data _ts count _stamp ->
             t.free_bulk data count;
             h.frees <- h.frees + count) }
     in
@@ -210,7 +201,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
        epoch is the -1 sentinel; park the node in epoch 0 — it is freed
        only by this handle's own later adoptions, behind a full cycle *)
     let e = if e < 0 then 0 else e in
-    let sealed = Bag.push h.limbo.(e) n in
+    let sealed = Bag.push h.limbo.(e) n 0 in
     h.retires <- h.retires + 1;
     let total = total_limbo h in
     if total > h.retired_peak then h.retired_peak <- total;
@@ -256,7 +247,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       (fun (e : _ Orphan_pool.entry) ->
         Array.iter
           (fun v ->
-            Bag.drain v ~free_bag:(fun data count ->
+            Bag.drain v ~free_bag:(fun data _ts count _stamp ->
                 t.free_bulk data count;
                 t.legacy_frees <- t.legacy_frees + count))
           e.Orphan_pool.payload)

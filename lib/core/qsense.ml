@@ -28,13 +28,13 @@
    freeing filters through the hazard-pointer + age check instead of freeing
    unconditionally.
 
-   Hot-path discipline: limbo lists are timestamped bags
-   ({!Qs_util.Bag.Ts}). The QSBR fast path frees a whole expired epoch
-   bag-by-bag in bulk arena calls; fallback scans walk sealed bags
-   oldest-first against a reusable hash-set hazard-pointer snapshot
-   ({!Hp_array.snapshot_into}), paying one age check per bag and filtering
-   survivors into fresh bags — the fallback HP scan shrinks to bag
-   granularity. Eviction seizes a victim's bag chains intact (donation is
+   Hot-path discipline: limbo lists are bags ({!Qs_util.Bag}) holding
+   each node with its retire timestamp. The QSBR fast path frees a whole
+   expired epoch bag-by-bag in bulk arena calls; fallback scans walk
+   sealed bags oldest-first against a reusable hash-set hazard-pointer
+   snapshot ({!Hp_array.snapshot_into}), paying one age check per bag and
+   filtering survivors into fresh bags — the fallback HP scan shrinks to
+   bag granularity. Eviction seizes a victim's bag chains intact (donation is
    pointer splicing). The per-process cells written by their owner and
    read by everyone (epoch slots, presence and eviction flags) are
    cache-line padded. *)
@@ -62,7 +62,6 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     c_threshold : int;
     scan_threshold : int; (* R, clamped to >= 1 *)
     hp : Hp.t;
-    free : node -> unit;
     free_bulk : node array -> int -> unit;
     global : int R.atomic;
     locals : int R.atomic array;
@@ -81,7 +80,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
            [enter_fastpath] CAS, so there is no lost-update race) *)
     dummy : node;
     handles : handle option array;
-    orphans : node Bag.Ts.t array Orphan_pool.t;
+    orphans : node Bag.t array Orphan_pool.t;
         (* each entry is an arbitrary-length array of timestamped limbo
            lists: the three epochs (+ adopted list) of a departed or
            evicted process; bag chains travel intact *)
@@ -99,12 +98,12 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
   and handle = {
     owner : t;
     pid : int;
-    mutable lsrc : node Bag.Ts.source;
-    mutable limbo : node Bag.Ts.Triple.t;
+    mutable lsrc : node Bag.source;
+    mutable limbo : node Bag.Triple.t;
         (* one limbo list per epoch, as in QSBR; replaced wholesale (with
            a fresh block source) when the lists are donated (unregister)
            or seized (eviction) *)
-    mutable adopted : node Bag.Ts.t;
+    mutable adopted : node Bag.t;
         (* orphaned nodes adopted from the pool. NEVER freed by the
            unconditional grace-period path: Lemma 3 does not apply to
            orphans (we know nothing about when their donor retired them
@@ -145,16 +144,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
 
   let name = P.scheme_name
 
-  let create ?free_bulk (cfg : Smr_intf.config) ~dummy ~free =
-    let free_bulk =
-      match free_bulk with
-      | Some f -> f
-      | None ->
-        fun data count ->
-          for i = 0 to count - 1 do
-            free data.(i)
-          done
-    in
+  let create (cfg : Smr_intf.config) ~dummy ~free_bulk =
     let c =
       if cfg.switch_threshold > 0 then cfg.switch_threshold
       else Smr_intf.legal_switch_threshold cfg
@@ -163,7 +153,6 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       c_threshold = c;
       scan_threshold = Smr_intf.effective_scan_threshold cfg;
       hp = Hp.create ~n:cfg.n_processes ~k:cfg.hp_per_process ~dummy;
-      free;
       free_bulk;
       global = R.atomic_padded 0;
       locals = Array.init cfg.n_processes (fun _ -> R.atomic_padded 0);
@@ -187,7 +176,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       legacy_evictions = 0;
       legacy_retired_peak = 0 }
 
-  let limbo_source t = Bag.Ts.source ~capacity:t.cfg.bag_capacity t.dummy
+  let limbo_source t = Bag.source ~capacity:t.cfg.bag_capacity t.dummy
 
   let register t ~pid =
     let lsrc = limbo_source t in
@@ -196,8 +185,8 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       { owner = t;
         pid;
         lsrc;
-        limbo = Bag.Ts.Triple.create lsrc;
-        adopted = Bag.Ts.create lsrc;
+        limbo = Bag.Triple.create lsrc;
+        adopted = Bag.create lsrc;
         seized = Atomic.make false;
         eviction_on = t.cfg.eviction_timeout <> None;
         hp_row = Hp.row t.hp ~pid;
@@ -247,7 +236,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     t.handles.(pid) <- Some h;
     h
 
-  let total_limbo h = Bag.Ts.Triple.total h.limbo
+  let total_limbo h = Bag.Triple.total h.limbo
 
   (* Hazard pointers are maintained in BOTH modes, without fences — this is
      what makes the fast path fast and the switch sound (see §4.1). The
@@ -264,7 +253,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
      that are old enough and unprotected, keep the rest. The caller must
      have refreshed [h.scan_set] and [h.scan_now]. *)
   let scan_limbo h v =
-    Bag.Ts.scan v ~age_ok:h.age_ok ~keep:h.keep ~free_bag:h.free_bag
+    Bag.scan v ~age_ok:h.age_ok ~keep:h.keep ~free_bag:h.free_bag
 
   let scan_epoch h e = scan_limbo h h.limbo.(e)
 
@@ -284,7 +273,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       | None -> ()
       | Some e ->
         Array.iter
-          (fun v -> Bag.Ts.splice_into ~src:v ~dst:h.adopted)
+          (fun v -> Bag.splice_into ~src:v ~dst:h.adopted)
           e.Orphan_pool.payload;
         R.emit Qs_intf.Runtime_intf.Ev_adopt e.Orphan_pool.nodes
           e.Orphan_pool.donor
@@ -293,7 +282,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
      into [scan_all] instead). Gated on emptiness: non-churn runs perform
      no extra effects here. *)
   let reclaim_adopted h =
-    if Bag.Ts.length h.adopted > 0 then begin
+    if Bag.length h.adopted > 0 then begin
       let t = h.owner in
       h.scan_now <- R.now_coarse ();
       Hp.snapshot_into t.hp h.scan_set;
@@ -306,7 +295,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     R.hook Qs_intf.Runtime_intf.Hook_scan;
     adopt_orphans h;
     h.scans <- h.scans + 1;
-    let before = total_limbo h + Bag.Ts.length h.adopted in
+    let before = total_limbo h + Bag.length h.adopted in
     R.emit Qs_intf.Runtime_intf.Ev_scan_begin before (-1);
     h.scan_now <- R.now_coarse ();
     Hp.snapshot_into h.owner.hp h.scan_set;
@@ -315,7 +304,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     done;
     (* effect-free when empty: the filter walk is plain OCaml *)
     scan_limbo h h.adopted;
-    let kept = total_limbo h + Bag.Ts.length h.adopted in
+    let kept = total_limbo h + Bag.length h.adopted in
     R.emit Qs_intf.Runtime_intf.Ev_scan_end (before - kept) kept
 
   (* Free an adopted epoch's limbo list. Unconditional in the common case
@@ -334,7 +323,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     else
       (* unconditional: the grace period (Lemma 3) covers every node in
          the epoch, bags included — no age check, no clock read *)
-      Bag.Ts.drain h.limbo.(e) ~free_bag:h.uncond_bag
+      Bag.drain h.limbo.(e) ~free_bag:h.uncond_bag
 
   (* Top-level recursion, as in {!Qsbr}: an inner [let rec] closure here
      would allocate on the fast-path quiescence round. *)
@@ -427,8 +416,8 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     (* fresh block source too: the seized lists keep the old one, and the
        adopter recycles their blocks into its own — never into ours *)
     h.lsrc <- limbo_source t;
-    h.limbo <- Bag.Ts.Triple.create h.lsrc;
-    h.adopted <- Bag.Ts.create h.lsrc;
+    h.limbo <- Bag.Triple.create h.lsrc;
+    h.adopted <- Bag.create h.lsrc;
     Atomic.set h.seized false
 
   let check_seized h =
@@ -461,7 +450,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
                 let limbo = hv.limbo and adopted = hv.adopted in
                 if Atomic.compare_and_set hv.seized false true then begin
                   let nodes =
-                    Bag.Ts.Triple.total limbo + Bag.Ts.length adopted
+                    Bag.Triple.total limbo + Bag.length adopted
                   in
                   Orphan_pool.donate t.orphans ~donor:pid' ~nodes
                     [| limbo.(0); limbo.(1); limbo.(2); adopted |]
@@ -513,7 +502,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
        other processes, so a node can never land in a list that has
        already been donated and adopted *)
     if h.eviction_on then check_seized h;
-    let sealed = Bag.Ts.push h.limbo.(e) n ts in
+    let sealed = Bag.push h.limbo.(e) n ts in
     h.retires <- h.retires + 1;
     let total = total_limbo h in
     if total > h.retired_peak then h.retired_peak <- total;
@@ -547,11 +536,11 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     check_seized h;
     if R.cas t.evicted.(h.pid) 0 1 then
       ignore (R.fetch_and_add t.evicted_count 1);
-    let donated = total_limbo h + Bag.Ts.length h.adopted in
+    let donated = total_limbo h + Bag.length h.adopted in
     let old_limbo = h.limbo and old_adopted = h.adopted in
     h.lsrc <- limbo_source t;
-    h.limbo <- Bag.Ts.Triple.create h.lsrc;
-    h.adopted <- Bag.Ts.create h.lsrc;
+    h.limbo <- Bag.Triple.create h.lsrc;
+    h.adopted <- Bag.create h.lsrc;
     Orphan_pool.donate t.orphans ~donor:h.pid ~nodes:donated
       [| old_limbo.(0); old_limbo.(1); old_limbo.(2); old_adopted |];
     t.legacy_retires <- t.legacy_retires + h.retires;
@@ -585,14 +574,14 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       h.frees <- h.frees + count
     in
     for e = 0 to 2 do
-      Bag.Ts.drain h.limbo.(e) ~free_bag:flush_bag
+      Bag.drain h.limbo.(e) ~free_bag:flush_bag
     done;
-    Bag.Ts.drain h.adopted ~free_bag:flush_bag;
+    Bag.drain h.adopted ~free_bag:flush_bag;
     List.iter
       (fun (e : _ Orphan_pool.entry) ->
         Array.iter
           (fun v ->
-            Bag.Ts.drain v ~free_bag:(fun data _ts count _stamp ->
+            Bag.drain v ~free_bag:(fun data _ts count _stamp ->
                 t.free_bulk data count;
                 t.legacy_frees <- t.legacy_frees + count))
           e.Orphan_pool.payload)
@@ -604,7 +593,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       0 t.handles
 
   let retired_count t =
-    fold t (fun h -> total_limbo h + Bag.Ts.length h.adopted)
+    fold t (fun h -> total_limbo h + Bag.length h.adopted)
     + Orphan_pool.node_count t.orphans
 
   let stats t =

@@ -60,9 +60,11 @@ type config = {
           published behaviour: a crashed process pins QSense in fallback
           mode forever). *)
   bag_capacity : int;
-      (** Nodes per limbo bag (clamped [>= 1]). Every scheme keeps its
-          limbo lists as DEBRA-style batched bags ({!Qs_util.Bag}): stamp
-          once per sealed bag, oldest-bag-first walks, bulk frees. Larger
+      (** Nodes per limbo bag (clamped [>= 1]). QSBR, EBR, DEBRA+, HP,
+          Cadence and QSense keep their limbo lists as DEBRA-style batched
+          bags ({!Qs_util.Bag}): stamp once per sealed bag,
+          oldest-bag-first walks, bulk frees. Hyaline sizes its own
+          reference-counted batches with it; Leaky keeps no limbo. Larger
           bags amortise the stamp check and the arena free over more nodes
           but delay reclamation of a bag's oldest node by up to one
           bag-fill. *)
@@ -161,18 +163,14 @@ module type S = sig
   val name : string
 
   val create :
-    ?free_bulk:(node array -> int -> unit) ->
-    config ->
-    dummy:node ->
-    free:(node -> unit) ->
-    t
-  (** [dummy] fills unused hazard-pointer slots (avoiding [option] boxing on
-      the traversal fast path); [free] is the arena's reclamation function,
-      invoked exactly once per node handed to {!retire} that the scheme
-      decides is safe. [free_bulk data count] frees the first [count]
-      elements of [data] in one call — the batched-bag reclamation path
-      uses it to return a whole bag to the arena at once (the callee must
-      not retain [data]). Defaults to a loop over [free]. *)
+    config -> dummy:node -> free_bulk:(node array -> int -> unit) -> t
+  (** [dummy] fills unused hazard-pointer slots and blank limbo-bag slots
+      (avoiding [option] boxing on the traversal fast path).
+      [free_bulk data count] is the arena's reclamation function: it frees
+      the first [count] elements of [data] in one call, and every node
+      handed to {!retire} that the scheme decides is safe reaches it
+      exactly once — a whole bag at a time (the callee must not retain
+      [data]). *)
 
   val register : t -> pid:int -> handle
   (** Per-process handle; [pid] must be in [0, n_processes) and not

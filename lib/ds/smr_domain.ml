@@ -38,14 +38,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : NODE) = struct
       Arena.create ?capacity:cfg.capacity ~n_processes:smr_cfg.n_processes ()
     in
     (* The freeing process is whichever process runs the scan, so route the
-       node to that process's free list; whole limbo bags go back in one
+       nodes to that process's free list; whole limbo bags go back in one
        outstanding-counter update. *)
-    let free n = Arena.free (Arena.register arena ~pid:(R.self ())) n in
     let free_bulk data count =
       Arena.free_many (Arena.register arena ~pid:(R.self ())) data count
     in
     let (module M) = Dispatch.make cfg.scheme in
-    let scheme = S ((module M), M.create ~free_bulk smr_cfg ~dummy ~free) in
+    let scheme = S ((module M), M.create smr_cfg ~dummy ~free_bulk) in
     { arena; scheme; debug_checks = cfg.debug_checks }
 
   let register t ~pid =

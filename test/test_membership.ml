@@ -46,9 +46,12 @@ let sched ?(n_cores = 2) ?(seed = 3) ?(rooster = Some 1_000) () =
   Scheduler.create
     { (Scheduler.default_config ~n_cores ~seed) with rooster_interval = rooster }
 
-let track_frees freed_log n =
-  n.freed <- n.freed + 1;
-  freed_log := n.id :: !freed_log
+let track_frees freed_log data count =
+  for i = 0 to count - 1 do
+    let n = data.(i) in
+    n.freed <- n.freed + 1;
+    freed_log := n.id :: !freed_log
+  done
 
 let check_freed freed ids =
   List.iter
@@ -102,7 +105,7 @@ let test_orphan_pool () =
 let test_qsbr_unregister_adopt () =
   let s = sched () in
   let freed = ref [] in
-  let t = Qsbr.create (cfg ~q:1 ()) ~dummy ~free:(track_frees freed) in
+  let t = Qsbr.create (cfg ~q:1 ()) ~dummy ~free_bulk:(track_frees freed) in
   let h0 = Qsbr.register t ~pid:0 in
   let h1 = Qsbr.register t ~pid:1 in
   Scheduler.exec s ~pid:1 (fun () ->
@@ -140,7 +143,7 @@ let test_qsbr_unregister_adopt () =
 let test_ebr_unregister_adopt () =
   let s = sched () in
   let freed = ref [] in
-  let t = Ebr.create (cfg ~q:1 ()) ~dummy ~free:(track_frees freed) in
+  let t = Ebr.create (cfg ~q:1 ()) ~dummy ~free_bulk:(track_frees freed) in
   let h0 = Ebr.register t ~pid:0 in
   let h1 = Ebr.register t ~pid:1 in
   Scheduler.exec s ~pid:1 (fun () ->
@@ -165,7 +168,7 @@ let test_ebr_unregister_adopt () =
 let test_hp_unregister_adopt () =
   let s = sched () in
   let freed = ref [] in
-  let t = Hp.create (cfg ~r:3 ()) ~dummy ~free:(track_frees freed) in
+  let t = Hp.create (cfg ~r:3 ()) ~dummy ~free_bulk:(track_frees freed) in
   let h0 = Hp.register t ~pid:0 in
   let h1 = Hp.register t ~pid:1 in
   let a = mk 201 in
@@ -201,7 +204,7 @@ let test_cadence_unregister_preserves_ages () =
   let freed = ref [] in
   let t =
     Cadence.create (cfg ~r:1 ~t:1_000 ~eps:100 ()) ~dummy
-      ~free:(track_frees freed)
+      ~free_bulk:(track_frees freed)
   in
   let h0 = Cadence.register t ~pid:0 in
   let h1 = Cadence.register t ~pid:1 in
@@ -227,7 +230,7 @@ let test_qsense_unregister_adopt () =
   let s = sched ~rooster:(Some 1_000) () in
   let freed = ref [] in
   let t =
-    Qsense.create (cfg ~q:1 ~r:2 ~c:50 ()) ~dummy ~free:(track_frees freed)
+    Qsense.create (cfg ~q:1 ~r:2 ~c:50 ()) ~dummy ~free_bulk:(track_frees freed)
   in
   let h0 = Qsense.register t ~pid:0 in
   let h1 = Qsense.register t ~pid:1 in
@@ -272,7 +275,7 @@ let test_qsense_eviction_frees_victim_limbo () =
   let t =
     Qsense.create
       (cfg ~q:2 ~r:2 ~c:5 ~eviction:2_000 ())
-      ~dummy ~free:(track_frees freed)
+      ~dummy ~free_bulk:(track_frees freed)
   in
   let h0 = Qsense.register t ~pid:0 in
   let h1 = Qsense.register t ~pid:1 in
@@ -338,7 +341,7 @@ let test_qsense_switch_race_balanced () =
       let freed = ref [] in
       let t =
         Qsense.create (cfg ~q:2 ~r:2 ~c:5 ()) ~dummy
-          ~free:(track_frees freed)
+          ~free_bulk:(track_frees freed)
       in
       let h0 = Qsense.register t ~pid:0 in
       let h1 = Qsense.register t ~pid:1 in
@@ -397,7 +400,7 @@ let test_degenerate_scan_threshold () =
          must not raise Division_by_zero *)
       let s = sched () in
       let freed = ref [] in
-      let t = Hp.create c ~dummy ~free:(track_frees freed) in
+      let t = Hp.create c ~dummy ~free_bulk:(track_frees freed) in
       let h = Hp.register t ~pid:0 in
       Scheduler.exec s ~pid:0 (fun () ->
           for i = 1 to 5 do
@@ -410,7 +413,7 @@ let test_degenerate_scan_threshold () =
         (Printf.sprintf "hp frees under threshold %d" r)
         5 (List.length !freed);
       let s2 = sched ~rooster:(Some 1_000) () in
-      let t2 = Cadence.create c ~dummy ~free:(fun _ -> ()) in
+      let t2 = Cadence.create c ~dummy ~free_bulk:(fun _ _ -> ()) in
       let h2 = Cadence.register t2 ~pid:0 in
       Scheduler.exec s2 ~pid:0 (fun () ->
           for i = 1 to 5 do
@@ -422,7 +425,7 @@ let test_degenerate_scan_threshold () =
          where the scan cadence [fnl_count mod threshold] is exercised
          immediately ([switch_threshold <= 0] falls back on the legal
          default instead, so it cannot force the path) *)
-      let t3 = Qsense.create { c with Smr.switch_threshold = 1 } ~dummy ~free:(fun _ -> ()) in
+      let t3 = Qsense.create { c with Smr.switch_threshold = 1 } ~dummy ~free_bulk:(fun _ _ -> ()) in
       let h3 = Qsense.register t3 ~pid:0 in
       Scheduler.exec s3 ~pid:0 (fun () ->
           for i = 1 to 5 do
@@ -440,7 +443,7 @@ let test_stats_monotone_across_churn () =
   let freed = ref [] in
   (* r high enough that nothing scans: every retired node becomes an
      orphan on departure *)
-  let t = Hp.create (cfg ~r:100 ()) ~dummy ~free:(track_frees freed) in
+  let t = Hp.create (cfg ~r:100 ()) ~dummy ~free_bulk:(track_frees freed) in
   for g = 1 to 3 do
     let h = Hp.register t ~pid:1 in
     Scheduler.exec s ~pid:1 (fun () ->

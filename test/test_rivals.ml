@@ -347,10 +347,9 @@ module Hy_s = Qs_smr.Hyaline.Make (R) (N)
    plain field). Same harness as the incumbents' pins in [Test_bags]. *)
 let test_debra_plus_retire_exact_zero () =
   let dummy = { fid = -1; freed = 0 } in
-  let free n = n.freed <- n.freed + 1 in
   let node = { fid = 1; freed = 0 } in
   let cfg = Test_bags.base_cfg in
-  let t = Debra_s.create cfg ~dummy ~free in
+  let t = Debra_s.create cfg ~dummy ~free_bulk:Test_bags.free_bulk in
   let h = Debra_s.register t ~pid:0 in
   Test_bags.check_exact_zero "debra-plus bag retire"
     ~warm:(fun _ -> Debra_s.retire h node)
@@ -366,13 +365,12 @@ let test_debra_plus_retire_exact_zero () =
    path: a capacity larger than the whole measured window.) *)
 let test_hyaline_retire_exact_zero () =
   let dummy = { fid = -1; freed = 0 } in
-  let free n = n.freed <- n.freed + 1 in
   let node = { fid = 1; freed = 0 } in
   let cfg =
     { (Test_bags.base_cfg) with
       Qs_smr.Smr_intf.bag_capacity = 1 lsl 16 }
   in
-  let t = Hy_s.create cfg ~dummy ~free in
+  let t = Hy_s.create cfg ~dummy ~free_bulk:Test_bags.free_bulk in
   let h = Hy_s.register t ~pid:0 in
   Test_bags.check_exact_zero "hyaline open-batch retire"
     ~warm:(fun _ -> Hy_s.retire h node)
@@ -388,9 +386,8 @@ let test_hyaline_retire_exact_zero () =
    count never reaches the zero-crossing inside the window. *)
 let test_hyaline_enter_leave_exact_zero () =
   let dummy = { fid = -1; freed = 0 } in
-  let free n = n.freed <- n.freed + 1 in
   let node = { fid = 1; freed = 0 } in
-  let t = Hy_s.create (Test_bags.base_cfg) ~dummy ~free in
+  let t = Hy_s.create (Test_bags.base_cfg) ~dummy ~free_bulk:Test_bags.free_bulk in
   let h = Hy_s.register t ~pid:0 in
   Test_bags.check_exact_zero "hyaline enter/leave"
     ~warm:(fun _ ->

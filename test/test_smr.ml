@@ -43,16 +43,19 @@ let sched ?(n_cores = 2) ?(seed = 3) ?(rooster = Some 1_000) () =
   Scheduler.create
     { (Scheduler.default_config ~n_cores ~seed) with rooster_interval = rooster }
 
-let track_frees freed_log n =
-  n.freed <- n.freed + 1;
-  freed_log := n.id :: !freed_log
+let track_frees freed_log data count =
+  for i = 0 to count - 1 do
+    let n = data.(i) in
+    n.freed <- n.freed + 1;
+    freed_log := n.id :: !freed_log
+  done
 
 (* --- hazard pointers ---------------------------------------------------- *)
 
 let test_hp_protection () =
   let s = sched () in
   let freed = ref [] in
-  let t = Hp.create (cfg ~r:2 ()) ~dummy ~free:(track_frees freed) in
+  let t = Hp.create (cfg ~r:2 ()) ~dummy ~free_bulk:(track_frees freed) in
   let h0 = Hp.register t ~pid:0 in
   let h1 = Hp.register t ~pid:1 in
   Scheduler.exec s ~pid:1 (fun () ->
@@ -81,7 +84,7 @@ let test_hp_protection () =
 let test_hp_flush () =
   let s = sched () in
   let freed = ref [] in
-  let t = Hp.create (cfg ~r:100 ()) ~dummy ~free:(track_frees freed) in
+  let t = Hp.create (cfg ~r:100 ()) ~dummy ~free_bulk:(track_frees freed) in
   let h0 = Hp.register t ~pid:0 in
   Scheduler.exec s ~pid:0 (fun () ->
       Hp.retire h0 (mk 1);
@@ -105,7 +108,7 @@ let test_algorithm2_unfenced () =
         rooster_interval = None (* no roosters: nothing flushes PR's buffer *) }
   in
   let freed = ref [] in
-  let t = Unsafe.create (cfg ~r:1 ()) ~dummy ~free:(track_frees freed) in
+  let t = Unsafe.create (cfg ~r:1 ()) ~dummy ~free_bulk:(track_frees freed) in
   let pr = Unsafe.register t ~pid:0 in
   let pd = Unsafe.register t ~pid:1 in
   let n = mk 1 in
@@ -135,7 +138,7 @@ let test_algorithm2_fenced () =
       { (Scheduler.default_config ~n_cores:2 ~seed:1) with rooster_interval = None }
   in
   let freed = ref [] in
-  let t = Hp.create (cfg ~r:1 ()) ~dummy ~free:(track_frees freed) in
+  let t = Hp.create (cfg ~r:1 ()) ~dummy ~free_bulk:(track_frees freed) in
   let pr = Hp.register t ~pid:0 in
   let pd = Hp.register t ~pid:1 in
   let n = mk 1 in
@@ -156,7 +159,7 @@ let test_algorithm2_fenced () =
 let test_qsbr_grace_period () =
   let s = sched () in
   let freed = ref [] in
-  let t = Qsbr.create (cfg ~q:1 ()) ~dummy ~free:(track_frees freed) in
+  let t = Qsbr.create (cfg ~q:1 ()) ~dummy ~free_bulk:(track_frees freed) in
   let h0 = Qsbr.register t ~pid:0 in
   let h1 = Qsbr.register t ~pid:1 in
   Scheduler.exec s ~pid:0 (fun () -> Qsbr.retire h0 (mk 1));
@@ -177,7 +180,7 @@ let test_qsbr_grace_period () =
 let test_qsbr_blocks_on_delay () =
   let s = sched () in
   let freed = ref [] in
-  let t = Qsbr.create (cfg ~q:1 ()) ~dummy ~free:(track_frees freed) in
+  let t = Qsbr.create (cfg ~q:1 ()) ~dummy ~free_bulk:(track_frees freed) in
   let h0 = Qsbr.register t ~pid:0 in
   let _h1 = Qsbr.register t ~pid:1 in
   (* process 1 never declares quiescence: nothing is ever freed *)
@@ -196,7 +199,7 @@ let test_qsbr_blocks_on_delay () =
 let test_ebr_tolerates_idle_process () =
   let s = sched () in
   let freed = ref [] in
-  let t = Ebr.create (cfg ~q:1 ()) ~dummy ~free:(track_frees freed) in
+  let t = Ebr.create (cfg ~q:1 ()) ~dummy ~free_bulk:(track_frees freed) in
   let h0 = Ebr.register t ~pid:0 in
   let _h1 = Ebr.register t ~pid:1 (* registered, never runs an op *) in
   Scheduler.exec s ~pid:0 (fun () ->
@@ -213,7 +216,7 @@ let test_ebr_tolerates_idle_process () =
 let test_ebr_blocks_mid_operation () =
   let s = sched () in
   let freed = ref [] in
-  let t = Ebr.create (cfg ~q:1 ()) ~dummy ~free:(track_frees freed) in
+  let t = Ebr.create (cfg ~q:1 ()) ~dummy ~free_bulk:(track_frees freed) in
   let h0 = Ebr.register t ~pid:0 in
   let h1 = Ebr.register t ~pid:1 in
   (* p1 enters an operation and stalls there *)
@@ -242,7 +245,7 @@ let test_ebr_blocks_mid_operation () =
 let test_cadence_deferral () =
   let s = sched ~rooster:(Some 1_000) () in
   let freed = ref [] in
-  let t = Cadence.create (cfg ~r:1 ~t:1_000 ~eps:100 ()) ~dummy ~free:(track_frees freed) in
+  let t = Cadence.create (cfg ~r:1 ~t:1_000 ~eps:100 ()) ~dummy ~free_bulk:(track_frees freed) in
   let h0 = Cadence.register t ~pid:0 in
   Scheduler.exec s ~pid:0 (fun () ->
       Cadence.retire h0 (mk 1);
@@ -259,7 +262,7 @@ let test_cadence_deferral () =
 let test_cadence_respects_hp () =
   let s = sched ~rooster:(Some 1_000) () in
   let freed = ref [] in
-  let t = Cadence.create (cfg ~r:1 ~t:1_000 ~eps:100 ()) ~dummy ~free:(track_frees freed) in
+  let t = Cadence.create (cfg ~r:1 ~t:1_000 ~eps:100 ()) ~dummy ~free_bulk:(track_frees freed) in
   let h0 = Cadence.register t ~pid:0 in
   let h1 = Cadence.register t ~pid:1 in
   let n = mk 1 in
@@ -284,7 +287,7 @@ let test_cadence_respects_hp () =
 let test_qsense_fallback_switch () =
   let s = sched ~rooster:(Some 1_000) () in
   let freed = ref [] in
-  let t = Qsense.create (cfg ~q:2 ~r:2 ~c:5 ()) ~dummy ~free:(track_frees freed) in
+  let t = Qsense.create (cfg ~q:2 ~r:2 ~c:5 ()) ~dummy ~free_bulk:(track_frees freed) in
   let h0 = Qsense.register t ~pid:0 in
   let _h1 = Qsense.register t ~pid:1 in
   (* process 1 is silent: quiescence is impossible; once process 0 has
@@ -309,7 +312,7 @@ let test_qsense_fallback_switch () =
 let test_qsense_switch_back () =
   let s = sched ~rooster:(Some 1_000) () in
   let freed = ref [] in
-  let t = Qsense.create (cfg ~q:2 ~r:2 ~c:5 ()) ~dummy ~free:(track_frees freed) in
+  let t = Qsense.create (cfg ~q:2 ~r:2 ~c:5 ()) ~dummy ~free_bulk:(track_frees freed) in
   let h0 = Qsense.register t ~pid:0 in
   let h1 = Qsense.register t ~pid:1 in
   Scheduler.exec s ~pid:0 (fun () ->
@@ -334,7 +337,7 @@ let test_qsense_eviction () =
   let freed = ref [] in
   let t =
     Qsense.create (cfg ~q:2 ~r:2 ~c:5 ~eviction:2_000 ())
-      ~dummy ~free:(track_frees freed)
+      ~dummy ~free_bulk:(track_frees freed)
   in
   let h0 = Qsense.register t ~pid:0 in
   let _h1 = Qsense.register t ~pid:1 in
@@ -359,7 +362,7 @@ let test_qsense_eviction () =
 
 let test_qsense_no_eviction_without_timeout () =
   let s = sched ~rooster:(Some 1_000) () in
-  let t = Qsense.create (cfg ~q:2 ~r:2 ~c:5 ()) ~dummy ~free:(fun _ -> ()) in
+  let t = Qsense.create (cfg ~q:2 ~r:2 ~c:5 ()) ~dummy ~free_bulk:(fun _ _ -> ()) in
   let h0 = Qsense.register t ~pid:0 in
   let _h1 = Qsense.register t ~pid:1 in
   Scheduler.exec s ~pid:0 (fun () ->
