@@ -4,7 +4,10 @@
 
    - "primitives":   the cost model the paper's argument rests on — a plain
                      store (Cadence's HP publication) vs an SC store vs a
-                     full fence (classic HP's publication) vs CAS.
+                     full fence (classic HP's publication) vs CAS. The
+                     plain store is an [int] store, exactly what a publish
+                     does: hazard-pointer slots hold node ids, so a publish
+                     pays no GC write barrier ([caml_modify]).
    - "fig3-*":       per-operation cost of the Figure 3 configuration
                      (linked list, 10% updates) under each scheme.
    - "fig5top-*":    per-operation cost of the Figure 5 top-row

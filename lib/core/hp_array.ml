@@ -2,34 +2,39 @@
    multi-reader slots, used by classic HP, Cadence and QSense. Slots are TSO
    *plain* cells — publishing is a cheap store whose visibility is bounded
    only by fences (classic HP) or rooster context switches (Cadence/QSense).
-   Unused slots hold the data structure's dummy node rather than an option,
-   keeping the traversal path allocation-free. Every slot, not just every
-   row, is its own padded cell ([R.plain_padded]), so no two slots share a
-   cache line: rows are written by different processes on every traversal
-   step.
+   A slot holds the protected node's id ({!Smr_intf.NODE.id}), not the
+   node: an [int] store has no GC write barrier, where a pointer store in
+   OCaml is a [caml_modify] call, so a publish costs one machine store.
+   Unused slots hold the id of the data structure's dummy node, which
+   snapshots skip, so publishing the dummy still reads as empty. Every
+   slot, not just every row, is its own padded cell ([R.plain_padded]), so
+   no two slots share a cache line: rows are written by different
+   processes on every traversal step.
 
    Scans use a reusable {e scan set}: the N×K slots are snapshotted into a
-   per-handle open-addressing hash set of node ids ({!Smr_intf.NODE.id},
-   {!Qs_util.Int_set}), giving expected-O(1) membership per retired node
-   and zero allocation per scan — Michael's original hash-set scan, which
-   makes scan work amortised O(1) per retire once R >= N·K. *)
+   per-handle open-addressing hash set of node ids ({!Qs_util.Int_set}),
+   giving expected-O(1) membership per retired node and zero allocation
+   per scan — Michael's original hash-set scan, which makes scan work
+   amortised O(1) per retire once R >= N·K. *)
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
-  type t = { slots : N.t R.plain array array; dummy : N.t; k : int }
+  type t = { slots : R.plain array array; dummy_id : int; k : int }
 
   let create ~n ~k ~dummy =
-    { slots = Array.init n (fun _ -> Array.init k (fun _ -> R.plain_padded dummy));
-      dummy;
+    let dummy_id = N.id dummy in
+    { slots = Array.init n (fun _ -> Array.init k (fun _ -> R.plain_padded dummy_id));
+      dummy_id;
       k }
 
   (* A process's own row: its handle keeps it, so a publish is one
-     [R.write] to [row.(slot)] with no call through this module. *)
+     [R.write] of [N.id n] to [row.(slot)] with no call through this
+     module. *)
   let row t ~pid = t.slots.(pid)
 
   let clear t ~pid =
     let row = t.slots.(pid) in
     for i = 0 to t.k - 1 do
-      R.write row.(i) t.dummy
+      R.write row.(i) t.dummy_id
     done
 
   type scan_set = Qs_util.Int_set.t
@@ -45,12 +50,12 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
      O(N·K) with no allocation. *)
   let snapshot_into t s =
     Qs_util.Int_set.reset s;
-    let dummy = t.dummy in
+    let dummy_id = t.dummy_id in
     for pid = 0 to Array.length t.slots - 1 do
       let row = t.slots.(pid) in
       for i = 0 to t.k - 1 do
-        let n = R.read row.(i) in
-        if n != dummy then Qs_util.Int_set.add s (N.id n)
+        let id = R.read row.(i) in
+        if id <> dummy_id then Qs_util.Int_set.add s id
       done
     done
 

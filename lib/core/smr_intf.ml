@@ -20,15 +20,19 @@ module type NODE = sig
   val id : t -> int
   (** A stable identity for the node, constant for the node's whole
       lifetime (across arena reuse too — it identifies the {e object}, not
-      the allocation). Used by the hazard-pointer membership set
-      ({!Hp_array}) in place of physical-equality list scans: a snapshot
-      becomes an open-addressing hash set of ids with O(1) expected
-      membership and zero per-scan allocation. Collisions are {e safe} — a node sharing an id
-      with a protected node is merely kept one scan longer — but hurt
-      reclamation latency, so ids should be unique in practice (the data
-      structures stamp each node from a per-structure counter at creation).
-      Physical equality on OCaml objects cannot be hashed or ordered
-      directly (the GC moves objects), hence this explicit identity. *)
+      the allocation). It is also the value a hazard pointer publishes:
+      the slots of {!Hp_array} are [int] cells, so [assign_hp] stores
+      [id n] with no GC write barrier, and a snapshot reads ids straight
+      into an open-addressing hash set with O(1) expected membership and
+      zero per-scan allocation, in place of physical-equality list scans.
+      Collisions are {e safe} — a node sharing an id with a protected
+      node is merely kept one scan longer — but hurt reclamation latency,
+      so ids should be unique in practice (the data structures stamp each
+      node from a per-structure counter at creation). The one exception
+      is the dummy's id, which marks an empty slot: no retired node may
+      carry it. Physical equality on OCaml objects cannot be hashed or
+      ordered directly (the GC moves objects), hence this explicit
+      identity. *)
 end
 
 type config = {
@@ -164,8 +168,9 @@ module type S = sig
 
   val create :
     config -> dummy:node -> free_bulk:(node array -> int -> unit) -> t
-  (** [dummy] fills unused hazard-pointer slots and blank limbo-bag slots
-      (avoiding [option] boxing on the traversal fast path).
+  (** [dummy]'s id fills unused hazard-pointer slots and [dummy] fills
+      blank limbo-bag slots (avoiding [option] boxing on the traversal
+      fast path).
       [free_bulk data count] is the arena's reclamation function: it frees
       the first [count] elements of [data] in one call, and every node
       handed to {!retire} that the scheme decides is safe reaches it
@@ -196,7 +201,7 @@ module type S = sig
   val manage_state : handle -> unit
   val assign_hp : handle -> slot:int -> node -> unit
   val clear_hps : handle -> unit
-  (** Reset all of the caller's hazard pointers to the dummy (rule 2's
+  (** Reset all of the caller's hazard pointers to the dummy's id (rule 2's
       "release reference" at the end of an operation). *)
 
   val retire : handle -> node -> unit

@@ -17,30 +17,34 @@
    code. A link value can therefore leave a cell and come back, and ABA
    safety rests on reclamation, as in C: a node held by a hazard pointer
    (or inside the epoch that reached it) is never recycled, so the same
-   (dest, mark) in a cell means the same node in the same place. Per CAS
-   site (slot 0 = predecessor, slot 1 = current; under epoch schemes the
-   operation's epoch plays both roles):
-   - [walk]'s snip, [pred.next]: (curr, unmarked) -> (succ, unmarked).
-     [curr] is in slot 1, published and validated. If the witness still
-     holds, [curr] is still [pred]'s unmarked successor — possibly again,
-     after a node was inserted in front of it and deleted, which leaves
-     the same state. [succ] needs no slot: [curr]'s link is marked, so it
-     is frozen, and [succ] stays linked for as long as [curr] is.
-   - insert's publish, [pred.next]: (curr, unmarked) -> (n, unmarked).
-     Same witness, [curr] in slot 1; [n] is not yet shared.
-   - delete's mark, [curr.next]: (succ, unmarked) -> (succ, marked).
-     [curr] is in slot 1, but [succ] is unprotected: between the read and
-     the CAS it may be unlinked, freed, recycled and linked behind [curr]
-     again. That ABA is benign: the CAS writes the marked form of exactly
-     the link it found, so it sets the mark and keeps whatever successor
-     is there now — the atomic mark the algorithm asks for.
-   - delete's unlink, [pred.next]: (curr, unmarked) -> (succ, unmarked).
-     [curr] in slot 1; [succ] is the successor our own mark froze.
+   (dest, mark) in a cell means the same node in the same place. Since
+   every unmarked link in a cell is physically its [dest.ulink], a witness
+   is named rather than stored: [find] leaves [pred] and [curr], and the
+   CAS compares against [curr.ulink]. Per CAS site (slot 0 = predecessor,
+   slot 1 = current; under epoch schemes the operation's epoch plays both
+   roles):
+   - [walk]'s snip, [pred.next]: [curr.ulink] -> [succ.ulink]. [curr] is
+     in slot 1, published and validated. If the witness still holds,
+     [curr] is still [pred]'s unmarked successor — possibly again, after
+     a node was inserted in front of it and deleted, which leaves the
+     same state. [succ] needs no slot: [curr]'s link is marked, so it is
+     frozen, and [succ] stays linked for as long as [curr] is.
+   - insert's publish, [pred.next]: [curr.ulink] -> [n.ulink]. Same
+     witness, [curr] in slot 1; [n] is not yet shared.
+   - delete's mark, [curr.next]: [succ.ulink] -> [succ.mlink]. [curr] is
+     in slot 1, but [succ] is unprotected: between the read and the CAS
+     it may be unlinked, freed, recycled and linked behind [curr] again.
+     That ABA is benign: the CAS writes the marked form of exactly the
+     link it found, so it sets the mark and keeps whatever successor is
+     there now — the atomic mark the algorithm asks for.
+   - delete's unlink, [pred.next]: [curr.ulink] -> [succ.ulink]. [curr]
+     in slot 1; [succ] is the successor our own mark froze.
    No CAS site is left with an unprotected witness that is not benign, so
    no site builds a fresh link. The validation reads ([R.get pred.next !=
-   pred_link]) compare the same way: an equal re-read means the published
-   node is linked there now, hence not yet retired, which is all that
-   Condition 1 asks.
+   pred_link], where [pred_link] is [curr.ulink]) compare the same way:
+   an equal re-read means the published node is linked there now, hence
+   not yet retired, which is all that Condition 1 asks. [validate_in]
+   checks that every link is canonical.
 
    Hazard-pointer discipline (K = 2): slot 0 protects the predecessor, slot
    1 the current node. Each is published before the validation read
@@ -99,7 +103,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     mutable fresh : node;
         (* the insert's not-yet-published node; [set.tail] when none *)
     mutable pred : node; (* [find]'s result: see there *)
-    mutable pred_link : link;
     mutable curr : node;
   }
 
@@ -123,7 +126,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       smr = D.register t.dom ~pid;
       fresh = t.tail;
       pred = t.head;
-      pred_link = Null;
       curr = t.tail }
 
   (* the oracle, pre-filtered on [Free] (see {!Smr_domain.Make.touch}) *)
@@ -134,10 +136,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   (* Find the first node with key >= [key] starting from [head] (the list's
      own head, or a hash-table bucket's), cleaning up marked nodes on the
-     way. Leaves [pred], [pred_link] and [curr] in the ctx, where
-     [pred_link] is the link value read from [pred.next], [curr.ulink] —
-     the CAS witness for both insertion and physical deletion. Top-level recursion over the ctx, with the result
-     in its fields rather than a tuple, so a pass allocates nothing. *)
+     way. Leaves [pred] and [curr] in the ctx; the link read from
+     [pred.next] was [curr.ulink] (see the header), the CAS witness for
+     both insertion and physical deletion. Top-level recursion over the
+     ctx, with the result in its fields rather than a tuple, so a pass
+     allocates nothing. *)
   let rec find ctx head key = walk ctx head key head
 
   and walk ctx head key pred =
@@ -171,7 +174,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         | Null | Ptr { marked = false; _ } ->
           if curr.key >= key then begin
             ctx.pred <- pred;
-            ctx.pred_link <- pred_link;
             ctx.curr <- curr
           end
           else begin
@@ -253,7 +255,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   let rec insert_attempt ctx bucket key =
     find ctx bucket key;
-    let pred = ctx.pred and pred_link = ctx.pred_link and curr = ctx.curr in
+    let pred = ctx.pred and curr = ctx.curr in
     if curr.key = key then begin
       if ctx.fresh != ctx.set.tail then drop_fresh ctx;
       D.clear_hps ctx.smr;
@@ -267,7 +269,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       end;
       let n = ctx.fresh in
       R.set n.next curr.ulink;
-      if R.cas pred.next pred_link n.ulink then begin
+      if R.cas pred.next curr.ulink n.ulink then begin
         ctx.fresh <- ctx.set.tail;
         n.state <- Qs_arena.Node_state.Reachable;
         D.clear_hps ctx.smr;
@@ -290,7 +292,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   let rec delete_attempt ctx bucket key =
     find ctx bucket key;
-    let pred = ctx.pred and pred_link = ctx.pred_link and curr = ctx.curr in
+    let pred = ctx.pred and curr = ctx.curr in
     if curr.key <> key then begin
       D.clear_hps ctx.smr;
       false
@@ -307,7 +309,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         if R.cas curr.next curr_link succ.mlink then begin
           (* Logical delete succeeded — we own the removal. *)
           curr.state <- Qs_arena.Node_state.Removed;
-          (if R.cas pred.next pred_link succ.ulink then D.retire ctx.smr curr
+          (if R.cas pred.next curr.ulink succ.ulink then D.retire ctx.smr curr
            else
              (* physical unlink lost a race; a find pass cleans up and
                 retires on our behalf *)
@@ -352,16 +354,19 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let to_list ctx = to_list_in ctx ~bucket:ctx.set.head
 
   (* Structural invariant check (sequential context): the chain from the
-     bucket head reaches the shared tail and node keys strictly increase
+     bucket head reaches the shared tail, node keys strictly increase
      (marked nodes keep their position in Harris's algorithm, so the check
-     covers them too). *)
+     covers them too), and every link is canonical — physically
+     [dest.ulink] or [dest.mlink] — which the CAS witnesses rely on. *)
   let validate_in ctx ~bucket =
     let rec go last n hops =
       if hops > 1_000_000 then failwith "list: cycle suspected";
       match R.get n.next with
       | Null ->
         if n != ctx.set.tail then failwith "list: chain does not end at tail"
-      | Ptr { dest; _ } ->
+      | Ptr { dest; marked } as l ->
+        if l != (if marked then dest.mlink else dest.ulink) then
+          failwith "list: link is not canonical";
         if dest != ctx.set.tail then begin
           if dest.key <= last then failwith "list: keys not strictly increasing";
           go dest.key dest (hops + 1)

@@ -59,37 +59,39 @@
    means comparing (dest, mark), so a link value can leave a cell and come
    back; ABA safety rests on reclamation, as in the paper's C code: a node
    held by a hazard pointer (or inside the epoch that reached it) is never
-   recycled. Per CAS site:
-   - [level_walk]'s snip, [pred.next.(l)]: (curr, unmarked) -> (succ,
-     unmarked). [curr] is in the slot of level [l] just published and
-     validated. A witness that still holds means [curr] is still [pred]'s
-     unmarked successor (again, perhaps, after a node was inserted in
-     front of it and deleted: the same state). [succ] is [curr]'s frozen
-     successor at [l] — a marked link is never CASed — so it stays linked
-     at [l] as long as [curr] is.
-   - insert's bottom CAS, [preds.(0).next.(0)]: (succs.(0), unmarked) ->
-     (n, unmarked). [succs.(0)] is at [succ_slot].
-   - [link_upper]'s CAS on [n.next.(l)]: cur -> (succs.(l), unmarked).
-     [n] is in the inserter's own slot. [cur]'s dest (a stale successor)
-     is unprotected, but no ABA is possible: [n] is not linked at [l]
-     yet, so only a deleter's mark can move the cell, and a mark is never
-     undone.
-   - [link_upper]'s CAS on [preds.(l).next.(l)]: (succs.(l), unmarked) ->
-     (n, unmarked). [succs.(l)] is held by a slot of a level >= [l].
-   - [mark], [n.next.(l)]: (dest, unmarked) -> (dest, marked). [n] is
+   recycled. Since every unmarked link in a cell is physically its
+   [dest.ulink], no witness is stored: a pass leaves [preds] and [succs],
+   and each CAS names its witness by a [ulink]. Per CAS site:
+   - [level_walk]'s snip, [pred.next.(l)]: [curr.ulink] -> [succ.ulink].
+     [curr] is in the slot of level [l] just published and validated. A
+     witness that still holds means [curr] is still [pred]'s unmarked
+     successor (again, perhaps, after a node was inserted in front of it
+     and deleted: the same state). [succ] is [curr]'s frozen successor at
+     [l] — a marked link is never CASed — so it stays linked at [l] as
+     long as [curr] is.
+   - insert's bottom CAS, [preds.(0).next.(0)]: [succs.(0).ulink] ->
+     [n.ulink]. [succs.(0)] is at [succ_slot].
+   - [link_upper]'s CAS on [n.next.(l)]: cur -> [succs.(l).ulink]. [n] is
+     in the inserter's own slot. [cur]'s dest (a stale successor) is
+     unprotected, but no ABA is possible: [n] is not linked at [l] yet, so
+     only a deleter's mark can move the cell, and a mark is never undone.
+   - [link_upper]'s CAS on [preds.(l).next.(l)]: [succs.(l).ulink] ->
+     [n.ulink]. [succs.(l)] is held by a slot of a level >= [l].
+   - [mark], [n.next.(l)]: [dest.ulink] -> [dest.mlink]. [n] is
      [succs.(0)], at [succ_slot]; [dest] is unprotected and may be
      recycled and relinked behind [n] between the read and the CAS. That
      ABA is benign: the CAS writes the marked form of exactly the link it
      found, so it sets the mark and keeps whatever successor is there now.
-   - [unlink_fast], [preds.(l).next.(l)]: (n, unmarked) -> (dest,
-     unmarked). [n] is at [succ_slot] and [preds.(l)] at a slot of a level
-     >= [l]; [dest] is the successor frozen by our mark. A witness that
-     holds means [n] is still linked behind [preds.(l)] at [l], whatever
-     was linked and unlinked in between.
+   - [unlink_fast], [preds.(l).next.(l)]: [n.ulink] -> [dest.ulink], where
+     [linked_everywhere] has checked [succs.(l) == n]. [n] is at
+     [succ_slot] and [preds.(l)] at a slot of a level >= [l]; [dest] is
+     the successor frozen by our mark. A witness that holds means [n] is
+     still linked behind [preds.(l)] at [l], whatever was linked and
+     unlinked in between.
    No site is left with an unprotected witness that is not benign, so no
    site builds a fresh link. The validation reads compare the same way:
    an equal re-read means the published node is linked there now, hence
-   not yet retired. *)
+   not yet retired. [validate] checks that every link is canonical. *)
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let max_level = 15 (* enough for the paper's 20k-element skip list *)
@@ -150,7 +152,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     prng : Qs_util.Prng.t; (* for level selection *)
     preds : node array;
     succs : node array;
-    pred_links : link array; (* physical link values, the CAS witnesses *)
     mutable succ_slot : int; (* the level-0 slot that holds [succs.(0)] *)
     mutable fresh : node;
         (* the insert's not-yet-published node; [set.tail] when none *)
@@ -180,7 +181,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       prng = Qs_util.Prng.create ~seed:(31 + (977 * pid));
       preds = Array.make (max_level + 1) t.head;
       succs = Array.make (max_level + 1) t.tail;
-      pred_links = Array.make (max_level + 1) Null;
       succ_slot = 1;
       fresh = t.tail }
 
@@ -198,7 +198,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     match R.get n.next.(0) with Ptr { marked; _ } -> marked | Null -> false
 
   (* The pass of [find] from [pred] at [level] down to level 0: fills
-     ctx.preds/succs/pred_links/succ_slot and returns true, or returns false
+     ctx.preds/succs/succ_slot and returns true, or returns false
      when the pass must restart from the head (a predecessor being removed,
      a failed validation or snip). [slot] is the slot of [level] that
      [curr] goes into; [pred] is held by the other one, by a slot of a
@@ -225,7 +225,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
           else begin
             ctx.preds.(level) <- pred;
             ctx.succs.(level) <- curr;
-            ctx.pred_links.(level) <- pred_link;
             if level = 0 then begin
               ctx.succ_slot <- slot;
               true
@@ -272,9 +271,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       match cur with
       | Ptr { marked = true; _ } -> () (* being deleted: stop linking *)
       | Null | Ptr { marked = false; _ } ->
-        if R.cas n.next.(level) cur ctx.succs.(level).ulink then
-          if R.cas ctx.preds.(level).next.(level) ctx.pred_links.(level) n.ulink
-          then
+        let succ_link = ctx.succs.(level).ulink in
+        if R.cas n.next.(level) cur succ_link then
+          if R.cas ctx.preds.(level).next.(level) succ_link n.ulink then
             if is_marked n then find ctx (key + 1)
             else link_upper ctx key n (level + 1)
           else begin
@@ -312,7 +311,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       for i = 0 to n.top do
         R.set n.next.(i) ctx.succs.(i).ulink
       done;
-      if R.cas ctx.preds.(0).next.(0) ctx.pred_links.(0) n.ulink then begin
+      if R.cas ctx.preds.(0).next.(0) ctx.succs.(0).ulink n.ulink then begin
         ctx.fresh <- ctx.set.tail;
         n.state <- Qs_arena.Node_state.Reachable;
         link_upper ctx key n 1;
@@ -353,7 +352,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     ||
     match R.get n.next.(level) with
     | Ptr { dest; marked = true } ->
-      R.cas ctx.preds.(level).next.(level) ctx.pred_links.(level) dest.ulink
+      R.cas ctx.preds.(level).next.(level) n.ulink dest.ulink
       && unlink_fast ctx n (level - 1)
     | Null | Ptr { marked = false; _ } -> false
 
@@ -455,14 +454,19 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   (* Structural invariants (sequential context): every chain is strictly
      sorted; every unmarked node linked at an upper level is present
-     (unmarked) in the level-0 chain. *)
+     (unmarked) in the level-0 chain; every link is canonical — physically
+     [dest.ulink] or [dest.mlink] — which the CAS witnesses rely on. *)
   let validate ctx =
     let t = ctx.set in
     let level_nodes level =
       let rec go acc n =
         match R.get n.next.(level) with
         | Null -> List.rev acc
-        | Ptr { dest; marked } ->
+        | Ptr { dest; marked } as l ->
+          if l != (if marked then dest.mlink else dest.ulink) then
+            failwith
+              (Printf.sprintf "skiplist: link at level %d is not canonical"
+                 level);
           if dest == t.tail then List.rev acc
           else go (if marked then acc else dest :: acc) dest
       in

@@ -24,8 +24,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : NODE) : sig
     t
   (** Builds the arena, then the scheme instance with the structure's K
       ([hp_per_process]) and m ([removes_per_op_max]) in place of the
-      config's. [dummy] is a never-reclaimed sentinel that fills unused
-      hazard-pointer slots. Freed nodes go to the free list of the process
+      config's. [dummy] is a never-reclaimed sentinel whose id fills
+      unused hazard-pointer slots. Freed nodes go to the free list of the process
       running the scan. *)
 
   val register : t -> pid:int -> ctx

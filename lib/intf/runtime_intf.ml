@@ -21,8 +21,9 @@
     - {e atomics} are sequentially consistent locations used for data
       structure links, epochs and flags. CAS and SC stores drain the
       issuer's store buffer (as the x86 [lock] prefix does).
-    - {e plain} cells are single-writer multi-reader locations used for
-      hazard pointers. A plain write is cheap but its visibility to other
+    - {e plain} cells are single-writer multi-reader [int] locations used
+      for hazard pointers, which publish node ids. A plain write is cheap
+      (no fence, and no GC write barrier) but its visibility to other
       processes is delayed — bounded only by fences, context switches
       (rooster processes!) and buffer capacity. *)
 
@@ -210,24 +211,30 @@ module type RUNTIME = sig
   (** Atomic fetch-and-add on an integer location. Drains the store
       buffer. *)
 
-  (** {1 TSO plain cells} *)
+  (** {1 TSO plain cells}
 
-  type 'a plain
+      Plain cells hold an [int]: a hazard-pointer slot publishes a node's
+      id ({!Qs_smr.Smr_intf.NODE.id}), not the node. An [int] store needs
+      no GC write barrier, so on real domains a publish compiles to one
+      machine store, as the paper's fence-free [assign_HP] assumes; a
+      pointer store in OCaml is a [caml_modify] call. *)
 
-  val plain : 'a -> 'a plain
+  type plain
+
+  val plain : int -> plain
   (** Allocate a plain location. Safe to call outside process context. *)
 
-  val plain_padded : 'a -> 'a plain
+  val plain_padded : int -> plain
   (** Like {!plain}, with the false-sharing isolation of {!atomic_padded}.
       Use for single-writer cells that sit next to other processes' cells,
       e.g. the rows of the shared hazard-pointer array. *)
 
-  val read : 'a plain -> 'a
+  val read : plain -> int
   (** Reads the issuer's own latest buffered write if any (store-to-load
       forwarding), otherwise the committed value — which may be stale with
       respect to other processes' buffered writes. *)
 
-  val write : 'a plain -> 'a -> unit
+  val write : plain -> int -> unit
   (** Buffered store: enqueued in the issuer's store buffer; other processes
       cannot observe it until the buffer drains. *)
 

@@ -1,12 +1,13 @@
 (* RUNTIME over real OCaml 5 domains.
 
-   Atomics are [Stdlib.Atomic]. Plain cells are single mutable fields; a
-   cross-domain plain read is racy but memory-safe under the OCaml memory
-   model and may observe a stale value — exactly the TSO store-buffer window
-   the paper's Cadence closes with rooster processes and deferred
-   reclamation. [fence] is an atomic exchange on a domain-local cell: on
-   x86-64 this compiles to a [lock]-prefixed instruction, the same cost class
-   as the [mfence] classic hazard pointers pay per traversed node. *)
+   Atomics are [Stdlib.Atomic]. Plain cells are single mutable [int]
+   fields; a cross-domain plain read is racy but memory-safe under the
+   OCaml memory model and may observe a stale value — exactly the TSO
+   store-buffer window the paper's Cadence closes with rooster processes
+   and deferred reclamation. [fence] is an atomic exchange on a
+   domain-local cell: on x86-64 this compiles to a [lock]-prefixed
+   instruction, the same cost class as the [mfence] classic hazard
+   pointers pay per traversed node. *)
 
 type 'a atomic = 'a Atomic.t
 
@@ -16,7 +17,8 @@ let set = Atomic.set
 let cas = Atomic.compare_and_set
 let fetch_and_add = Atomic.fetch_and_add
 
-type 'a plain = { mutable v : 'a }
+(* An immediate field: [write] is one store with no [caml_modify]. *)
+type plain = { mutable v : int }
 
 let plain v = { v }
 let read c = c.v

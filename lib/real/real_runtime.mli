@@ -1,7 +1,8 @@
 (** The {!Qs_intf.Runtime_intf.RUNTIME} instance over real OCaml 5 domains.
 
     Atomics map to [Stdlib.Atomic]; plain cells are racy-but-memory-safe
-    mutable fields (stale reads possible, as under hardware TSO); [fence] is
+    mutable [int] fields (stale reads possible, as under hardware TSO; a
+    write is one store with no GC write barrier); [fence] is
     an atomic exchange — the cost analogue of x86 [mfence]; [now] is
     wall-clock nanoseconds. *)
 

@@ -5,7 +5,7 @@
    anywhere. *)
 
 type 'a atomic = 'a Cell.t
-type 'a plain = 'a Cell.t
+type plain = int Cell.t
 
 let atomic v = Cell.make v
 let plain v = Cell.make v

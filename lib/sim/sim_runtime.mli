@@ -3,7 +3,7 @@
     inside a fiber started with {!Scheduler.exec} or {!Scheduler.spawn};
     elsewhere they raise [Effect.Unhandled]. *)
 
-include Qs_intf.Runtime_intf.RUNTIME with type 'a atomic = 'a Cell.t and type 'a plain = 'a Cell.t
+include Qs_intf.Runtime_intf.RUNTIME with type 'a atomic = 'a Cell.t and type plain = int Cell.t
 
 val sleep_until : int -> unit
 (** Block the calling process until its core clock reaches the target tick.

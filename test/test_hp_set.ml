@@ -2,8 +2,10 @@
    retire/scan:
 
    - the production hash scan set ([Hp_array.snapshot_into] /
-     [protects_set]) agrees with a list model (read every slot, test
-     membership with [List.memq]) on random hazard-pointer assignments;
+     [protects_set]) agrees with a list model (read every slot's id, test
+     membership with [List.mem]) on random hazard-pointer assignments,
+     holds exactly the published non-dummy ids, and [clear] resets a row
+     to the dummy's id;
    - [Qs_util.Int_set] agrees with a [Set.Make(Int)] model under random
      add/mem/reset sequences, including negative keys and growth;
    - the scan membership path (snapshot + probes) is allocation-free in
@@ -26,47 +28,95 @@ module Hp = Qs_smr.Hp_array.Make (R) (N)
 (* --- membership set vs list model ----------------------------------------- *)
 
 (* The list model: every non-dummy slot, read the same way the production
-   snapshot reads it. Membership is physical equality, so the model does
-   not depend on node ids at all. *)
+   snapshot reads it. Slots hold node ids, so the model is the list of ids
+   read, and membership is [List.mem] on a node's id. *)
 let list_snapshot (hp : Hp.t) =
   Array.fold_left
     (fun acc row ->
       Array.fold_left
         (fun acc slot ->
-          let n = R.read slot in
-          if n != hp.Hp.dummy then n :: acc else acc)
+          let id = R.read slot in
+          if id <> hp.Hp.dummy_id then id :: acc else acc)
         acc row)
     [] hp.Hp.slots
 
 (* A random HP table: n x k slots, each either the dummy or a pool node
-   (duplicates across slots allowed). The hash set and the list model are
-   compared on every pool node. *)
+   (duplicates across slots allowed), published the way the schemes'
+   [assign_hp] does it. *)
+let table_gen =
+  QCheck.Gen.(
+    triple (int_range 1 8) (int_range 1 8)
+      (list_size (int_range 0 80) (int_range (-1) 31)))
+
+let dummy = { fid = -42; freed = 0 }
+let pool = Array.init 32 (fun i -> { fid = 100 + i; freed = 0 })
+
+(* Publishes [assignments] and returns the table with, per slot, the node
+   last published there (the dummy when none). *)
+let publish_random (n, k, assignments) =
+  let hp = Hp.create ~n ~k ~dummy in
+  let last = Array.make_matrix n k dummy in
+  List.iteri
+    (fun i choice ->
+      let pid = i mod n and slot = i / n mod k in
+      let node = if choice < 0 then dummy else pool.(choice) in
+      R.write (Hp.row hp ~pid).(slot) (N.id node);
+      last.(pid).(slot) <- node)
+    assignments;
+  (hp, last)
+
+(* The hash set and the list model are compared on every pool node. *)
 let prop_scan_set_matches_reference =
-  let gen =
-    QCheck.Gen.(
-      triple (int_range 1 8) (int_range 1 8)
-        (list_size (int_range 0 80) (int_range (-1) 31)))
-  in
   QCheck.Test.make ~name:"scan set agrees with list snapshot/protects"
     ~count:500
-    (QCheck.make gen)
-    (fun (n, k, assignments) ->
-      let dummy = { fid = -42; freed = 0 } in
-      let pool = Array.init 32 (fun i -> { fid = 100 + i; freed = 0 }) in
-      let hp = Hp.create ~n ~k ~dummy in
-      List.iteri
-        (fun i choice ->
-          let pid = i mod n and slot = i / n mod k in
-          let node = if choice < 0 then dummy else pool.(choice) in
-          R.write (Hp.row hp ~pid).(slot) node)
-        assignments;
+    (QCheck.make table_gen)
+    (fun table ->
+      let hp, _ = publish_random table in
       let model = list_snapshot hp in
       let set = Hp.scan_set hp in
       Hp.snapshot_into hp set;
       Array.for_all
-        (fun node -> Hp.protects_set set node = List.memq node model)
+        (fun node -> Hp.protects_set set node = List.mem (N.id node) model)
         pool
       && not (Hp.protects_set set dummy))
+
+(* The snapshot holds exactly the ids of the non-dummy nodes last
+   published in each slot: publishing the dummy reads as empty. *)
+let prop_snapshot_is_published_ids =
+  QCheck.Test.make ~name:"snapshot holds exactly the published non-dummy ids"
+    ~count:500
+    (QCheck.make table_gen)
+    (fun table ->
+      let hp, last = publish_random table in
+      let expected =
+        Array.fold_left
+          (Array.fold_left (fun acc node ->
+               if node == dummy then acc else N.id node :: acc))
+          [] last
+        |> List.sort_uniq compare
+      in
+      let set = Hp.scan_set hp in
+      Hp.snapshot_into hp set;
+      Qs_util.Int_set.to_list set = expected)
+
+(* [clear] leaves the cleared row reading the dummy's id in every slot and
+   leaves the other rows as they were. *)
+let prop_clear_reads_dummy =
+  QCheck.Test.make ~name:"clear leaves the row reading the dummy id"
+    ~count:200
+    (QCheck.make QCheck.Gen.(pair table_gen small_nat))
+    (fun (((n, k, _) as table), victim) ->
+      let hp, last = publish_random table in
+      let victim = victim mod n in
+      Hp.clear hp ~pid:victim;
+      let ok = ref true in
+      for pid = 0 to n - 1 do
+        for slot = 0 to k - 1 do
+          let expected = if pid = victim then dummy else last.(pid).(slot) in
+          if R.read (Hp.row hp ~pid).(slot) <> N.id expected then ok := false
+        done
+      done;
+      !ok)
 
 (* Clearing a process's row removes its nodes from the next snapshot. *)
 let prop_clear_removes_from_set =
@@ -74,12 +124,11 @@ let prop_clear_removes_from_set =
     ~count:200
     QCheck.(pair (int_range 1 8) (int_range 1 8))
     (fun (n, k) ->
-      let dummy = { fid = -42; freed = 0 } in
       let hp = Hp.create ~n ~k ~dummy in
       let node = { fid = 7; freed = 0 } in
       for pid = 0 to n - 1 do
         for slot = 0 to k - 1 do
-          R.write (Hp.row hp ~pid).(slot) node
+          R.write (Hp.row hp ~pid).(slot) (N.id node)
         done
       done;
       for pid = 0 to n - 1 do
@@ -152,7 +201,7 @@ let test_scan_set_alloc_free () =
   let nodes = Array.init (n * k) (fun i -> { fid = i; freed = 0 }) in
   for pid = 0 to n - 1 do
     for slot = 0 to k - 1 do
-      R.write (Hp.row hp ~pid).(slot) nodes.((pid * k) + slot)
+      R.write (Hp.row hp ~pid).(slot) (N.id nodes.((pid * k) + slot))
     done
   done;
   let set = Hp.scan_set hp in
@@ -180,6 +229,8 @@ let test_scan_set_alloc_free () =
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_scan_set_matches_reference;
+    QCheck_alcotest.to_alcotest prop_snapshot_is_published_ids;
+    QCheck_alcotest.to_alcotest prop_clear_reads_dummy;
     QCheck_alcotest.to_alcotest prop_clear_removes_from_set;
     QCheck_alcotest.to_alcotest prop_int_set_matches_model;
     QCheck_alcotest.to_alcotest prop_int_set_reset_forgets;
