@@ -34,13 +34,13 @@ let out_path name =
 
 (* --- primitives ---------------------------------------------------------- *)
 
-let plain_cell = R.plain 0
+let plain_cell = R.plain 1 0
 let atomic_cell = R.atomic 0
 
 let primitives =
   [ Test.make ~name:"plain-write (cadence HP publish)"
-      (Staged.stage (fun () -> R.write plain_cell 42));
-    Test.make ~name:"plain-read" (Staged.stage (fun () -> ignore (R.read plain_cell)));
+      (Staged.stage (fun () -> R.write plain_cell 0 42));
+    Test.make ~name:"plain-read" (Staged.stage (fun () -> ignore (R.read plain_cell 0)));
     Test.make ~name:"atomic-get" (Staged.stage (fun () -> ignore (R.get atomic_cell)));
     Test.make ~name:"atomic-set" (Staged.stage (fun () -> R.set atomic_cell 42));
     Test.make ~name:"fence (classic HP publish)" (Staged.stage (fun () -> R.fence ()));

@@ -57,7 +57,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     pid : int;
     mutable lsrc : node Bag.source;
     mutable rlist : node Bag.t;
-    hp_row : R.plain array; (* this process's row of [hp] *)
+    hp_row : R.plain; (* this process's row of [hp] *)
     scan_set : Hp.scan_set;
     mutable retires : int;
     mutable until_scan : int;
@@ -136,7 +136,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   let manage_state _ = ()
 
   (* No memory barrier here — the point of the scheme. *)
-  let assign_hp h ~slot n = R.write h.hp_row.(slot) (N.id n)
+  let assign_hp h ~slot n = R.write h.hp_row slot (N.id n)
 
   let clear_hps h = Hp.clear h.owner.hp ~pid:h.pid
 

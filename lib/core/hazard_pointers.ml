@@ -63,7 +63,7 @@ struct
     pid : int;
     mutable lsrc : node Bag.source;
     mutable rlist : node Bag.t;
-    hp_row : R.plain array; (* this process's row of [hp] *)
+    hp_row : R.plain; (* this process's row of [hp] *)
     scan_set : Hp.scan_set;
     mutable retires : int;
     mutable frees : int;
@@ -130,7 +130,7 @@ struct
   let manage_state _ = ()
 
   let assign_hp h ~slot n =
-    R.write h.hp_row.(slot) (N.id n);
+    R.write h.hp_row slot (N.id n);
     if P.fenced then R.fence ()
 
   let clear_hps h = Hp.clear h.owner.hp ~pid:h.pid

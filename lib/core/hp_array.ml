@@ -1,15 +1,17 @@
 (* The shared hazard-pointer array: N processes × K single-writer
    multi-reader slots, used by classic HP, Cadence and QSense. Slots are TSO
-   *plain* cells — publishing is a cheap store whose visibility is bounded
+   *plain* slots — publishing is a cheap store whose visibility is bounded
    only by fences (classic HP) or rooster context switches (Cadence/QSense).
    A slot holds the protected node's id ({!Smr_intf.NODE.id}), not the
    node: an [int] store has no GC write barrier, where a pointer store in
    OCaml is a [caml_modify] call, so a publish costs one machine store.
    Unused slots hold the id of the data structure's dummy node, which
-   snapshots skip, so publishing the dummy still reads as empty. Every
-   slot, not just every row, is its own padded cell ([R.plain_padded]), so
-   no two slots share a cache line: rows are written by different
-   processes on every traversal step.
+   snapshots skip, so publishing the dummy still reads as empty. A
+   process's K slots are one plain row ([R.plain]), padded as a whole, not
+   per slot: on real domains the row is one flat block whose K slots share
+   lines with each other (one writer) but not with the next process's row
+   (rows are written by different processes on every traversal step), and
+   [clear] is a contiguous fill.
 
    Scans use a reusable {e scan set}: the N×K slots are snapshotted into a
    per-handle open-addressing hash set of node ids ({!Qs_util.Int_set}),
@@ -18,23 +20,20 @@
    amortised O(1) per retire once R >= N·K. *)
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
-  type t = { slots : R.plain array array; dummy_id : int; k : int }
+  type t = { slots : R.plain array; dummy_id : int; k : int }
 
   let create ~n ~k ~dummy =
     let dummy_id = N.id dummy in
-    { slots = Array.init n (fun _ -> Array.init k (fun _ -> R.plain_padded dummy_id));
-      dummy_id;
-      k }
+    { slots = Array.init n (fun _ -> R.plain k dummy_id); dummy_id; k }
 
   (* A process's own row: its handle keeps it, so a publish is one
-     [R.write] of [N.id n] to [row.(slot)] with no call through this
-     module. *)
+     [R.write row slot (N.id n)] with no call through this module. *)
   let row t ~pid = t.slots.(pid)
 
   let clear t ~pid =
     let row = t.slots.(pid) in
     for i = 0 to t.k - 1 do
-      R.write row.(i) t.dummy_id
+      R.write row i t.dummy_id
     done
 
   type scan_set = Qs_util.Int_set.t
@@ -54,7 +53,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     for pid = 0 to Array.length t.slots - 1 do
       let row = t.slots.(pid) in
       for i = 0 to t.k - 1 do
-        let id = R.read row.(i) in
+        let id = R.read row i in
         if id <> dummy_id then Qs_util.Int_set.add s id
       done
     done

@@ -117,7 +117,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
            it. Checked at points with no runtime effect between check and
            list use, so on the simulator the handoff is race-free. *)
     eviction_on : bool; (* cfg.eviction_timeout <> None, precomputed *)
-    hp_row : R.plain array; (* this process's row of [hp] *)
+    hp_row : R.plain; (* this process's row of [hp] *)
     scan_set : Hp.scan_set;
     mutable call_count : int;
     mutable fnl_count : int;
@@ -242,9 +242,9 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
      what makes the fast path fast and the switch sound (see §4.1). The
      [false] branch is the rejected naive design, kept for demonstration. *)
   let assign_hp h ~slot n =
-    if P.always_publish then R.write h.hp_row.(slot) (N.id n)
+    if P.always_publish then R.write h.hp_row slot (N.id n)
     else if R.get h.owner.fallback_flag = 1 then begin
-      R.write h.hp_row.(slot) (N.id n);
+      R.write h.hp_row slot (N.id n);
       R.fence ()
     end
   let clear_hps h = Hp.clear h.owner.hp ~pid:h.pid

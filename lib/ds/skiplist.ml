@@ -2,8 +2,12 @@
    uses; the paper notes it needs up to 35 hazard pointers per process —
    two per level plus one, which is what this implementation uses).
 
-   Structure: full-height head/tail sentinels; each node owns an array of
-   per-level links; level-0 membership is authoritative.
+   Structure: full-height head/tail sentinels; each node owns one atomic
+   array of per-level links ([R.atomic_array]), which on real domains is a
+   single block holding the links inline, as ASCYLIB's node holds its
+   [next] array: a link read loads the element itself, with no per-level
+   box to chase.
+   Level-0 membership is authoritative.
 
    Traversal: [find ctx key] walks every level from the top and stops, per
    level, at the first node with key >= [key] whose own link there is
@@ -61,28 +65,29 @@
    held by a hazard pointer (or inside the epoch that reached it) is never
    recycled. Since every unmarked link in a cell is physically its
    [dest.ulink], no witness is stored: a pass leaves [preds] and [succs],
-   and each CAS names its witness by a [ulink]. Per CAS site:
-   - [level_walk]'s snip, [pred.next.(l)]: [curr.ulink] -> [succ.ulink].
+   and each CAS names its witness by a [ulink]. Per CAS site, writing
+   [x.next[l]] for element [l] of [x]'s link array:
+   - [level_walk]'s snip, [pred.next[l]]: [curr.ulink] -> [succ.ulink].
      [curr] is in the slot of level [l] just published and validated. A
      witness that still holds means [curr] is still [pred]'s unmarked
      successor (again, perhaps, after a node was inserted in front of it
      and deleted: the same state). [succ] is [curr]'s frozen successor at
      [l] — a marked link is never CASed — so it stays linked at [l] as
      long as [curr] is.
-   - insert's bottom CAS, [preds.(0).next.(0)]: [succs.(0).ulink] ->
+   - insert's bottom CAS, [preds.(0).next[0]]: [succs.(0).ulink] ->
      [n.ulink]. [succs.(0)] is at [succ_slot].
-   - [link_upper]'s CAS on [n.next.(l)]: cur -> [succs.(l).ulink]. [n] is
+   - [link_upper]'s CAS on [n.next[l]]: cur -> [succs.(l).ulink]. [n] is
      in the inserter's own slot. [cur]'s dest (a stale successor) is
      unprotected, but no ABA is possible: [n] is not linked at [l] yet, so
      only a deleter's mark can move the cell, and a mark is never undone.
-   - [link_upper]'s CAS on [preds.(l).next.(l)]: [succs.(l).ulink] ->
+   - [link_upper]'s CAS on [preds.(l).next[l]]: [succs.(l).ulink] ->
      [n.ulink]. [succs.(l)] is held by a slot of a level >= [l].
-   - [mark], [n.next.(l)]: [dest.ulink] -> [dest.mlink]. [n] is
+   - [mark], [n.next[l]]: [dest.ulink] -> [dest.mlink]. [n] is
      [succs.(0)], at [succ_slot]; [dest] is unprotected and may be
      recycled and relinked behind [n] between the read and the CAS. That
      ABA is benign: the CAS writes the marked form of exactly the link it
      found, so it sets the mark and keeps whatever successor is there now.
-   - [unlink_fast], [preds.(l).next.(l)]: [n.ulink] -> [dest.ulink], where
+   - [unlink_fast], [preds.(l).next[l]]: [n.ulink] -> [dest.ulink], where
      [linked_everywhere] has checked [succs.(l) == n]. [n] is at
      [succ_slot] and [preds.(l)] at a slot of a level >= [l]; [dest] is
      the successor frozen by our mark. A witness that holds means [n] is
@@ -100,7 +105,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     uid : int; (* stable identity for the SMR membership set *)
     mutable key : int;
     mutable top : int; (* index of this node's highest level *)
-    next : link R.atomic array; (* length top+1; sentinels are full height *)
+    next : link R.atomic_array; (* per-level links; full height *)
     ulink : link; (* [Ptr {dest = self; marked = false}], every level *)
     mlink : link; (* [Ptr {dest = self; marked = true}] *)
     mutable state : Qs_arena.Node_state.t;
@@ -127,7 +132,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     in
     n
 
-  let null_links () = Array.init (max_level + 1) (fun _ -> R.atomic Null)
+  let null_links () = R.atomic_array (max_level + 1) (fun _ -> Null)
 
   module D = Smr_domain.Make (R) (struct
     type t = node
@@ -168,7 +173,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     in
     let head =
       make_node ~key:min_int ~top:max_level
-        ~next:(Array.init (max_level + 1) (fun _ -> R.atomic tail.ulink))
+        ~next:(R.atomic_array (max_level + 1) (fun _ -> tail.ulink))
         ~state:Qs_arena.Node_state.Reachable
     in
     { head;
@@ -195,7 +200,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     else lvl
 
   let is_marked n =
-    match R.get n.next.(0) with Ptr { marked; _ } -> marked | Null -> false
+    match R.aget n.next 0 with Ptr { marked; _ } -> marked | Null -> false
 
   (* The pass of [find] from [pred] at [level] down to level 0: fills
      ctx.preds/succs/succ_slot and returns true, or returns false
@@ -204,21 +209,21 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
      [curr] goes into; [pred] is held by the other one, by a slot of a
      higher level, or is the head. *)
   let rec level_walk ctx key pred slot level =
-    let pred_link = R.get pred.next.(level) in
+    let pred_link = R.aget pred.next level in
     touch ctx pred;
     match pred_link with
     | Null | Ptr { marked = true; _ } -> false
     | Ptr { dest = curr; marked = false } ->
       D.assign_hp ctx.smr ~slot curr;
-      if R.get pred.next.(level) != pred_link then false
+      if R.aget pred.next level != pred_link then false
       else begin
         touch ctx curr;
-        let curr_link = R.get curr.next.(level) in
+        let curr_link = R.aget curr.next level in
         touch ctx curr;
         match curr_link with
         | Ptr { dest = succ; marked = true } ->
           (* snip the marked node out of this level *)
-          R.cas pred.next.(level) pred_link succ.ulink
+          R.acas pred.next level pred_link succ.ulink
           && level_walk ctx key pred slot level
         | Null | Ptr { marked = false; _ } ->
           if curr.key < key then level_walk ctx key curr (slot lxor 1) level
@@ -267,13 +272,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
      after the deleter's pass is undone here (see the header). *)
   let rec link_upper ctx key n level =
     if level <= n.top then begin
-      let cur = R.get n.next.(level) in
+      let cur = R.aget n.next level in
       match cur with
       | Ptr { marked = true; _ } -> () (* being deleted: stop linking *)
       | Null | Ptr { marked = false; _ } ->
         let succ_link = ctx.succs.(level).ulink in
-        if R.cas n.next.(level) cur succ_link then
-          if R.cas ctx.preds.(level).next.(level) succ_link n.ulink then
+        if R.acas n.next level cur succ_link then
+          if R.acas ctx.preds.(level).next level succ_link n.ulink then
             if is_marked n then find ctx (key + 1)
             else link_upper ctx key n (level + 1)
           else begin
@@ -309,9 +314,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       let n = ctx.fresh in
       (* prepare all levels before the bottom CAS publishes the node *)
       for i = 0 to n.top do
-        R.set n.next.(i) ctx.succs.(i).ulink
+        R.aset n.next i ctx.succs.(i).ulink
       done;
-      if R.cas ctx.preds.(0).next.(0) ctx.succs.(0).ulink n.ulink then begin
+      if R.acas ctx.preds.(0).next 0 ctx.succs.(0).ulink n.ulink then begin
         ctx.fresh <- ctx.set.tail;
         n.state <- Qs_arena.Node_state.Reachable;
         link_upper ctx key n 1;
@@ -338,9 +343,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   (* Mark [n]'s link at [level]; true when this call set the mark. *)
   let rec mark n level =
-    match R.get n.next.(level) with
+    match R.aget n.next level with
     | Ptr { dest; marked = false } as l ->
-      R.cas n.next.(level) l dest.mlink || mark n level
+      R.acas n.next level l dest.mlink || mark n level
     | Null | Ptr { marked = true; _ } -> false
 
   let rec linked_everywhere ctx n level =
@@ -350,9 +355,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let rec unlink_fast ctx n level =
     level < 0
     ||
-    match R.get n.next.(level) with
+    match R.aget n.next level with
     | Ptr { dest; marked = true } ->
-      R.cas ctx.preds.(level).next.(level) n.ulink dest.ulink
+      R.acas ctx.preds.(level).next level n.ulink dest.ulink
       && unlink_fast ctx n (level - 1)
     | Null | Ptr { marked = false; _ } -> false
 
@@ -394,7 +399,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let rec range_walk ctx hi count slot node =
     if node == ctx.set.tail || node.key > hi then count
     else begin
-      let link = R.get node.next.(0) in
+      let link = R.aget node.next 0 in
       (* the read above is the access hazard: re-check the oracle *)
       touch ctx node;
       match link with
@@ -404,9 +409,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         let count = if marked then count else count + 1 in
         let slot' = 1 - slot in
         D.assign_hp ctx.smr ~slot:slot' dest;
-        (* Validation read: if node.next.(0) changed, dest may already be
+        (* Validation read: if node's level-0 link changed, dest may already be
            snipped out (and, without protection, freed) — restart. *)
-        if R.get node.next.(0) != link then -1
+        if R.aget node.next 0 != link then -1
         else begin
           touch ctx dest;
           range_walk ctx hi count slot' dest
@@ -442,7 +447,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let to_list ctx =
     let t = ctx.set in
     let rec go acc n =
-      match R.get n.next.(0) with
+      match R.aget n.next 0 with
       | Null -> List.rev acc
       | Ptr { dest; marked } ->
         if dest == t.tail then List.rev acc
@@ -460,7 +465,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     let t = ctx.set in
     let level_nodes level =
       let rec go acc n =
-        match R.get n.next.(level) with
+        match R.aget n.next level with
         | Null -> List.rev acc
         | Ptr { dest; marked } as l ->
           if l != (if marked then dest.mlink else dest.ulink) then

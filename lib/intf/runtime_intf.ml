@@ -11,19 +11,21 @@
       the reordering bug of the paper's Algorithm 2 and is the substrate for
       all figure reproductions.
     - {!Qs_real.Real_runtime} — real OCaml 5 domains. Atomics map to
-      [Stdlib.Atomic]; plain cells map to racy-but-memory-safe mutable
-      fields; [fence] maps to an atomic exchange (the cost analogue of
-      x86 [mfence]).
+      [Stdlib.Atomic]; atomic arrays and plain rows are flat blocks whose
+      elements sit inline; [fence] maps to an atomic exchange (the cost
+      analogue of x86 [mfence]).
 
     The two cell kinds mirror the distinction the paper's performance
     argument rests on:
 
     - {e atomics} are sequentially consistent locations used for data
       structure links, epochs and flags. CAS and SC stores drain the
-      issuer's store buffer (as the x86 [lock] prefix does).
-    - {e plain} cells are single-writer multi-reader [int] locations used
-      for hazard pointers, which publish node ids. A plain write is cheap
-      (no fence, and no GC write barrier) but its visibility to other
+      issuer's store buffer (as the x86 [lock] prefix does). An
+      {e atomic array} is a row of such locations, e.g. a skip-list
+      node's per-level links.
+    - {e plain} rows are single-writer multi-reader rows of [int] slots
+      used for hazard pointers, which publish node ids. A plain write is
+      cheap (no fence, and no GC write barrier) but its visibility to other
       processes is delayed — bounded only by fences, context switches
       (rooster processes!) and buffer capacity. *)
 
@@ -191,11 +193,13 @@ module type RUNTIME = sig
 
   val atomic_padded : 'a -> 'a atomic
   (** Like {!atomic}, but the location is isolated against false sharing:
-      on the real runtime the cell is allocated with cache-line slack so
-      that adjacent per-process cells (epoch slots, presence flags) do not
-      ping-pong one line between cores; on the simulator it is {!atomic}
-      (the simulator's coherence model is per-cell already). Use for the
-      elements of per-process arrays written by different processes. *)
+      on the real runtime the cell is one cache line wide (the block
+      carries its own padding, so the isolation survives promotion to the
+      major heap) and adjacent per-process cells (epoch slots, presence
+      flags) do not ping-pong one line between cores; on the simulator it
+      is {!atomic} (the simulator's coherence model is per-cell already).
+      Use for the elements of per-process arrays written by different
+      processes. *)
 
   val get : 'a atomic -> 'a
 
@@ -211,32 +215,59 @@ module type RUNTIME = sig
   (** Atomic fetch-and-add on an integer location. Drains the store
       buffer. *)
 
-  (** {1 TSO plain cells}
+  (** {1 Atomic arrays}
 
-      Plain cells hold an [int]: a hazard-pointer slot publishes a node's
-      id ({!Qs_smr.Smr_intf.NODE.id}), not the node. An [int] store needs
-      no GC write barrier, so on real domains a publish compiles to one
-      machine store, as the paper's fence-free [assign_HP] assumes; a
-      pointer store in OCaml is a [caml_modify] call. *)
+      A fixed-length row of sequentially consistent locations with the
+      semantics of {!get}/{!set}/{!cas} per element. Simulator: an array
+      of cells, each op the same effect as on one {!atomic}, so a
+      structure ported from ['a atomic array] keeps its schedules. Real
+      runtime: one block holding the elements inline, so an element load
+      is a bounds check plus one load — no per-element box to chase. *)
+
+  type 'a atomic_array
+
+  val atomic_array : int -> (int -> 'a) -> 'a atomic_array
+  (** [atomic_array n f] allocates [n] locations, element [i] holding
+      [f i]. Safe to call outside process context. *)
+
+  val aget : 'a atomic_array -> int -> 'a
+  (** {!get} on element [i]. Raises [Invalid_argument] out of bounds. *)
+
+  val aset : 'a atomic_array -> int -> 'a -> unit
+  (** {!set} on element [i]. Real runtime: a read/CAS loop, meant for
+      preparing a row before it is published. *)
+
+  val acas : 'a atomic_array -> int -> 'a -> 'a -> bool
+  (** {!cas} on element [i]: physical equality on the expected value.
+      Raises [Invalid_argument] out of bounds. *)
+
+  (** {1 TSO plain rows}
+
+      A plain row is [k] single-writer slots, each holding an [int]: a
+      hazard-pointer slot publishes a node's id
+      ({!Qs_smr.Smr_intf.NODE.id}), not the node. An [int] store needs no
+      GC write barrier, so on real domains a publish compiles to one
+      machine store into the row, as the paper's fence-free [assign_HP]
+      assumes; a pointer store in OCaml is a [caml_modify] call. A row is
+      padded as a whole against false sharing with whatever is allocated
+      after it (the next process's row): its own slots share lines, which
+      is harmless since one process writes them all. *)
 
   type plain
 
-  val plain : int -> plain
-  (** Allocate a plain location. Safe to call outside process context. *)
+  val plain : int -> int -> plain
+  (** [plain k v] allocates a row of [k] slots, each holding [v]. Safe to
+      call outside process context. *)
 
-  val plain_padded : int -> plain
-  (** Like {!plain}, with the false-sharing isolation of {!atomic_padded}.
-      Use for single-writer cells that sit next to other processes' cells,
-      e.g. the rows of the shared hazard-pointer array. *)
+  val read : plain -> int -> int
+  (** [read r i] reads slot [i]: the issuer's own latest buffered write if
+      any (store-to-load forwarding), otherwise the committed value — which
+      may be stale with respect to other processes' buffered writes. *)
 
-  val read : plain -> int
-  (** Reads the issuer's own latest buffered write if any (store-to-load
-      forwarding), otherwise the committed value — which may be stale with
-      respect to other processes' buffered writes. *)
-
-  val write : plain -> int -> unit
-  (** Buffered store: enqueued in the issuer's store buffer; other processes
-      cannot observe it until the buffer drains. *)
+  val write : plain -> int -> int -> unit
+  (** [write r i v] is a buffered store to slot [i]: enqueued in the
+      issuer's store buffer; other processes cannot observe it until the
+      buffer drains. *)
 
   (** {1 Ordering, time, identity} *)
 

@@ -1,10 +1,15 @@
-(* RUNTIME over real OCaml 5 domains.
+(* RUNTIME over real OCaml 5 domains, on x86-64.
 
-   Atomics are [Stdlib.Atomic]. Plain cells are single mutable [int]
-   fields; a cross-domain plain read is racy but memory-safe under the
-   OCaml memory model and may observe a stale value — exactly the TSO
-   store-buffer window the paper's Cadence closes with rooster processes
-   and deferred reclamation. [fence] is an atomic exchange on a
+   Atomics are [Stdlib.Atomic]. Atomic arrays and plain rows are flat
+   blocks that hold their elements inline, and an element load is an
+   ordinary load. The OCaml memory model makes a racy load memory-safe
+   and returns a value some store or CAS wrote, but does not give it the
+   ordering of [Atomic.get]. On x86-64 nothing is lost: [Atomic.get]
+   compiles to the same [mov], and TSO keeps loads in order. A port to a
+   weaker architecture would need acquire loads for [aget]. A
+   cross-domain plain read may observe a stale value — exactly
+   the TSO store-buffer window the paper's Cadence closes with rooster
+   processes and deferred reclamation. [fence] is an atomic exchange on a
    domain-local cell: on x86-64 this compiles to a [lock]-prefixed
    instruction, the same cost class as the [mfence] classic hazard
    pointers pay per traversed node. *)
@@ -17,35 +22,68 @@ let set = Atomic.set
 let cas = Atomic.compare_and_set
 let fetch_and_add = Atomic.fetch_and_add
 
-(* An immediate field: [write] is one store with no [caml_modify]. *)
-type plain = { mutable v : int }
+(* Cache-line isolation that survives promotion. Field 0 is the cell and
+   every [Atomic] operation touches field 0 only; the seven other fields
+   make the block itself 64 B wide, so two padded cells are >= one line
+   apart wherever the GC places them (padding with separate dummy blocks
+   does not: those die at the first minor collection and the survivors
+   are packed next to each other). OCaml >= 5.2 offers the same as
+   [Atomic.make_contended]. *)
+type 'a padded_cell = {
+  mutable v : 'a;
+  p1 : int;
+  p2 : int;
+  p3 : int;
+  p4 : int;
+  p5 : int;
+  p6 : int;
+  p7 : int;
+}
 
-let plain v = { v }
-let read c = c.v
-let write c x = c.v <- x
+let atomic_padded v : 'a Atomic.t =
+  Obj.magic { v; p1 = 0; p2 = 0; p3 = 0; p4 = 0; p5 = 0; p6 = 0; p7 = 0 }
 
-(* Best-effort false-sharing isolation. OCaml gives no control over object
-   placement, but minor-heap allocation is sequential: surrounding a small
-   cell with dummy blocks puts >= one cache line (64 B = 8 words) of slack
-   between it and the cells allocated before/after it, so per-process epoch
-   slots, presence flags and hazard-pointer rows allocated in a loop do not
-   share lines. [Sys.opaque_identity] keeps the padding allocations from
-   being optimised away; the pads themselves become garbage immediately,
-   costing nothing after the next minor collection beyond the (one-time,
-   creation-path) bump allocations. *)
-let pad () = ignore (Sys.opaque_identity (Array.make 8 0))
+(* Atomic arrays: one block of elements, typed as an array of a variant
+   with an argument so that the compiler knows it is not a float array.
+   An element get then compiles to a bounds check plus one load, with no
+   float-array tag test and no boxing path; OCaml 5.1's [Atomic] has no
+   array form. The block is built from an immediate, so it is never a flat
+   float array whatever ['a] is. *)
+type elt = Elt of int
+type 'a atomic_array = elt array
 
-let atomic_padded v =
-  pad ();
-  let c = Atomic.make v in
-  pad ();
-  c
+(* The 5.1 runtime's [caml_atomic_cas_field], write barrier included,
+   exposed as a primitive (multicore-magic's [Atomic_array] uses it too).
+   It performs no bounds check. *)
+external cas_field : elt array -> int -> elt -> elt -> bool
+  = "caml_obj_compare_and_swap"
 
-let plain_padded v =
-  pad ();
-  let c = { v } in
-  pad ();
-  c
+let atomic_array n f =
+  let a = Array.make n (Elt 0) in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (Obj.magic (f i) : elt)
+  done;
+  a
+
+let aget (a : 'a atomic_array) i : 'a = Obj.magic a.(i)
+
+let acas (a : 'a atomic_array) i (expected : 'a) (desired : 'a) =
+  if i < 0 || i >= Array.length a then invalid_arg "index out of bounds";
+  cas_field a i (Obj.magic expected) (Obj.magic desired)
+
+let rec aset a i v = if not (acas a i (aget a i) v) then aset a i v
+
+(* A plain row: [k] slots, then a pad of one cache line (8 words), so the
+   slots of the next row allocated, before or after promotion, are >= 64 B
+   away. Slots are immediate: [write] is one store with no [caml_modify].
+   The pad is never read; an index into it is a caller bug that the
+   bounds check does not catch. *)
+type plain = int array
+
+let row_pad = 8
+let plain k v = Array.make (k + row_pad) v
+let read (r : plain) i = r.(i)
+let write (r : plain) i x = r.(i) <- x
 
 let fence_cell : int Atomic.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Atomic.make 0)

@@ -1,10 +1,15 @@
-(** The {!Qs_intf.Runtime_intf.RUNTIME} instance over real OCaml 5 domains.
+(** The {!Qs_intf.Runtime_intf.RUNTIME} instance over real OCaml 5 domains,
+    on x86-64.
 
-    Atomics map to [Stdlib.Atomic]; plain cells are racy-but-memory-safe
-    mutable [int] fields (stale reads possible, as under hardware TSO; a
-    write is one store with no GC write barrier); [fence] is
-    an atomic exchange — the cost analogue of x86 [mfence]; [now] is
-    wall-clock nanoseconds. *)
+    Atomics map to [Stdlib.Atomic]; [atomic_padded] cells are one cache
+    line wide. Atomic arrays are one block with the elements inline: an
+    element read is a plain load, which on x86-64 is the same [mov] as
+    [Atomic.get], and a CAS is the runtime's [caml_atomic_cas_field] (with
+    the write barrier). Plain rows are [int] arrays padded by one cache
+    line at the end, read racily but memory-safely (stale reads possible,
+    as under hardware TSO; a write is one store with no GC write barrier);
+    [fence] is an atomic exchange — the cost analogue of x86 [mfence];
+    [now] is wall-clock nanoseconds. *)
 
 include Qs_intf.Runtime_intf.RUNTIME
 

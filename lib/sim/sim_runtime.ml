@@ -5,20 +5,28 @@
    anywhere. *)
 
 type 'a atomic = 'a Cell.t
-type plain = int Cell.t
+type 'a atomic_array = 'a Cell.t array
+type plain = int Cell.t array
 
 let atomic v = Cell.make v
-let plain v = Cell.make v
 
 (* The simulator models coherence per cell, so padding is a no-op. *)
 let atomic_padded v = atomic v
-let plain_padded v = plain v
 let get c = Scheduler.op_get c
 let set c v = Scheduler.op_set c v
 let cas c expected desired = Scheduler.op_cas c expected desired
 let fetch_and_add c n = Scheduler.op_faa c n
-let read c = Scheduler.op_read c
-let write c v = Scheduler.op_write c v
+
+(* Rows are arrays of cells: an element op is the same effect on the same
+   kind of cell as on a lone atomic or plain cell, so rows change no
+   schedule. *)
+let atomic_array n f = Array.init n (fun i -> Cell.make (f i))
+let aget a i = Scheduler.op_get a.(i)
+let aset a i v = Scheduler.op_set a.(i) v
+let acas a i expected desired = Scheduler.op_cas a.(i) expected desired
+let plain k v = Array.init k (fun _ -> Cell.make v)
+let read r i = Scheduler.op_read r.(i)
+let write r i v = Scheduler.op_write r.(i) v
 let fence () = Scheduler.op_fence ()
 let now () = Scheduler.op_now ()
 

@@ -3,7 +3,11 @@
     inside a fiber started with {!Scheduler.exec} or {!Scheduler.spawn};
     elsewhere they raise [Effect.Unhandled]. *)
 
-include Qs_intf.Runtime_intf.RUNTIME with type 'a atomic = 'a Cell.t and type plain = int Cell.t
+include
+  Qs_intf.Runtime_intf.RUNTIME
+    with type 'a atomic = 'a Cell.t
+     and type 'a atomic_array = 'a Cell.t array
+     and type plain = int Cell.t array
 
 val sleep_until : int -> unit
 (** Block the calling process until its core clock reaches the target tick.

@@ -33,11 +33,12 @@ module Hp = Qs_smr.Hp_array.Make (R) (N)
 let list_snapshot (hp : Hp.t) =
   Array.fold_left
     (fun acc row ->
-      Array.fold_left
+      List.fold_left
         (fun acc slot ->
-          let id = R.read slot in
+          let id = R.read row slot in
           if id <> hp.Hp.dummy_id then id :: acc else acc)
-        acc row)
+        acc
+        (List.init hp.Hp.k Fun.id))
     [] hp.Hp.slots
 
 (* A random HP table: n x k slots, each either the dummy or a pool node
@@ -60,7 +61,7 @@ let publish_random (n, k, assignments) =
     (fun i choice ->
       let pid = i mod n and slot = i / n mod k in
       let node = if choice < 0 then dummy else pool.(choice) in
-      R.write (Hp.row hp ~pid).(slot) (N.id node);
+      R.write (Hp.row hp ~pid) slot (N.id node);
       last.(pid).(slot) <- node)
     assignments;
   (hp, last)
@@ -113,7 +114,7 @@ let prop_clear_reads_dummy =
       for pid = 0 to n - 1 do
         for slot = 0 to k - 1 do
           let expected = if pid = victim then dummy else last.(pid).(slot) in
-          if R.read (Hp.row hp ~pid).(slot) <> N.id expected then ok := false
+          if R.read (Hp.row hp ~pid) slot <> N.id expected then ok := false
         done
       done;
       !ok)
@@ -128,7 +129,7 @@ let prop_clear_removes_from_set =
       let node = { fid = 7; freed = 0 } in
       for pid = 0 to n - 1 do
         for slot = 0 to k - 1 do
-          R.write (Hp.row hp ~pid).(slot) (N.id node)
+          R.write (Hp.row hp ~pid) slot (N.id node)
         done
       done;
       for pid = 0 to n - 1 do
@@ -201,7 +202,7 @@ let test_scan_set_alloc_free () =
   let nodes = Array.init (n * k) (fun i -> { fid = i; freed = 0 }) in
   for pid = 0 to n - 1 do
     for slot = 0 to k - 1 do
-      R.write (Hp.row hp ~pid).(slot) (N.id nodes.((pid * k) + slot))
+      R.write (Hp.row hp ~pid) slot (N.id nodes.((pid * k) + slot))
     done
   done;
   let set = Hp.scan_set hp in

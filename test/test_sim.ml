@@ -17,12 +17,12 @@ let cfg ?(n_cores = 2) ?(seed = 1) ?rooster_interval ?(capacity = 1024)
 (* A plain write is invisible to the other process until a fence. *)
 let test_tso_staleness () =
   let s = Scheduler.create (cfg ()) in
-  let x = R.plain 0 in
+  let x = R.plain 1 0 in
   let seen_before_fence = ref (-1) in
   let seen_after_fence = ref (-1) in
   let flag = R.atomic false in
   Scheduler.spawn s ~pid:0 (fun () ->
-      R.write x 1;
+      R.write x 0 1;
       (* let process 1 observe before we fence *)
       for _ = 1 to 50 do
         R.yield ();
@@ -32,12 +32,12 @@ let test_tso_staleness () =
       R.set flag true);
   Scheduler.spawn s ~pid:1 (fun () ->
       R.charge 20;
-      seen_before_fence := R.read x;
+      seen_before_fence := R.read x 0;
       (* wait for the fence *)
       while not (R.get flag) do
         R.charge 5
       done;
-      seen_after_fence := R.read x);
+      seen_after_fence := R.read x 0);
   Scheduler.run_all s;
   Alcotest.(check (list (pair int reject))) "no failures" [] (Scheduler.failures s);
   Alcotest.(check int) "stale before fence" 0 !seen_before_fence;
@@ -46,58 +46,58 @@ let test_tso_staleness () =
 (* Store-to-load forwarding: the writer reads its own buffered store. *)
 let test_store_to_load_forwarding () =
   let s = Scheduler.create (cfg ~n_cores:1 ()) in
-  let x = R.plain 0 in
+  let x = R.plain 1 0 in
   let v =
     Scheduler.exec s ~pid:0 (fun () ->
-        R.write x 42;
-        R.read x)
+        R.write x 0 42;
+        R.read x 0)
   in
   Alcotest.(check int) "own store visible" 42 v;
-  Alcotest.(check int) "still buffered" 1 (Cell.pending_count x)
+  Alcotest.(check int) "still buffered" 1 (Cell.pending_count x.(0))
 
 (* Atomic ops by the writer drain its own buffer (x86 lock semantics). *)
 let test_atomic_drains_buffer () =
   let s = Scheduler.create (cfg ~n_cores:1 ()) in
-  let x = R.plain 0 in
+  let x = R.plain 1 0 in
   let a = R.atomic 0 in
   Scheduler.exec s ~pid:0 (fun () ->
-      R.write x 7;
+      R.write x 0 7;
       R.set a 1);
-  Alcotest.(check int) "committed" 7 (Cell.read_committed x)
+  Alcotest.(check int) "committed" 7 (Cell.read_committed x.(0))
 
 (* Buffer capacity: oldest store commits when the buffer overflows. *)
 let test_capacity_overflow () =
   let s = Scheduler.create (cfg ~n_cores:1 ~capacity:4 ()) in
-  let cells = Array.init 10 (fun _ -> R.plain 0) in
+  let cells = Array.init 10 (fun _ -> R.plain 1 0) in
   Scheduler.exec s ~pid:0 (fun () ->
-      Array.iteri (fun i c -> R.write c (i + 1)) cells);
+      Array.iteri (fun i c -> R.write c 0 (i + 1)) cells);
   (* 10 writes, capacity 4: the 6 oldest must have committed *)
   for i = 0 to 5 do
     Alcotest.(check int) (Printf.sprintf "cell %d committed" i) (i + 1)
-      (Cell.read_committed cells.(i))
+      (Cell.read_committed cells.(i).(0))
   done;
-  Alcotest.(check int) "newest still pending" 0 (Cell.read_committed cells.(9))
+  Alcotest.(check int) "newest still pending" 0 (Cell.read_committed cells.(9).(0))
 
 (* Roosters flush the worker's buffer within T (+ oversleep + switch). *)
 let test_rooster_flush () =
   let s = Scheduler.create (cfg ~n_cores:1 ~rooster_interval:100 ()) in
-  let x = R.plain 0 in
+  let x = R.plain 1 0 in
   Scheduler.exec s ~pid:0 (fun () ->
-      R.write x 5;
+      R.write x 0 5;
       R.charge 500);
   Alcotest.(check bool) "rooster fired" true (Scheduler.rooster_fires s > 0);
-  Alcotest.(check int) "flushed by rooster" 5 (Cell.read_committed x)
+  Alcotest.(check int) "flushed by rooster" 5 (Cell.read_committed x.(0))
 
 let test_kill_roosters () =
   let s =
     Scheduler.create (cfg ~n_cores:1 ~rooster_interval:100 ~kill_roosters_at:50 ())
   in
-  let x = R.plain 0 in
+  let x = R.plain 1 0 in
   Scheduler.exec s ~pid:0 (fun () ->
-      R.write x 5;
+      R.write x 0 5;
       R.charge 500);
   Alcotest.(check int) "no rooster fired" 0 (Scheduler.rooster_fires s);
-  Alcotest.(check int) "still buffered" 0 (Cell.read_committed x)
+  Alcotest.(check int) "still buffered" 0 (Cell.read_committed x.(0))
 
 let test_cas_semantics () =
   let s = Scheduler.create (cfg ~n_cores:1 ()) in
@@ -127,9 +127,9 @@ let test_faa () =
    same work finish at roughly the same virtual time as one core. *)
 let test_parallel_virtual_time () =
   let work () =
-    let a = R.plain 0 in
+    let a = R.plain 1 0 in
     for i = 1 to 1000 do
-      R.write a i
+      R.write a 0 i
     done
   in
   let t1 =
@@ -196,11 +196,11 @@ let test_sleep_until () =
 (* A sleeping process's buffer is still flushed by its core's rooster. *)
 let test_rooster_flushes_sleeper () =
   let s = Scheduler.create (cfg ~n_cores:1 ~rooster_interval:1_000 ()) in
-  let x = R.plain 0 in
+  let x = R.plain 1 0 in
   Scheduler.exec s ~pid:0 (fun () ->
-      R.write x 9;
+      R.write x 0 9;
       R.sleep_until 20_000);
-  Alcotest.(check int) "flushed during sleep" 9 (Cell.read_committed x)
+  Alcotest.(check int) "flushed during sleep" 9 (Cell.read_committed x.(0))
 
 (* Exceptions in workers are recorded, not propagated by run_all. *)
 let test_failure_recorded () =
@@ -223,17 +223,17 @@ let test_exec_reraises () =
 let run_det seed =
   let s = Scheduler.create (cfg ~n_cores:4 ~seed ()) in
   let shared = R.atomic 0 in
-  let accum = R.plain 0 in
+  let accum = R.plain 1 0 in
   for pid = 0 to 3 do
     Scheduler.spawn s ~pid (fun () ->
         for _ = 1 to 200 do
           let v = R.get shared in
-          if R.cas shared v (v + 1) then R.write accum (R.read accum + 1);
+          if R.cas shared v (v + 1) then R.write accum 0 (R.read accum 0 + 1);
           R.fence ()
         done)
   done;
   Scheduler.run_all s;
-  (Scheduler.max_clock s, Scheduler.steps s, Cell.read_committed shared, Cell.read_committed accum)
+  (Scheduler.max_clock s, Scheduler.steps s, Cell.read_committed shared, Cell.read_committed accum.(0))
 
 let test_determinism () =
   let a = run_det 99 and b = run_det 99 in
@@ -241,17 +241,50 @@ let test_determinism () =
   let c = run_det 100 in
   Alcotest.(check bool) "different seed differs" true (a <> c)
 
+(* To the simulator an atomic array is an array of cells: the same
+   operations on one, and on an array of lone atomics, take the same steps
+   and time and leave the same memory. *)
+let run_row ~get ~set ~cas ~committed =
+  let s = Scheduler.create (cfg ~n_cores:4 ~seed:7 ()) in
+  for pid = 0 to 3 do
+    Scheduler.spawn s ~pid (fun () ->
+        for i = 1 to 100 do
+          let j = (pid + i) mod 4 in
+          let v = get j in
+          if not (cas j v (v + pid + 1)) then set ((j + 1) mod 4) i
+        done)
+  done;
+  Scheduler.run_all s;
+  (Scheduler.max_clock s, Scheduler.steps s, List.init 4 committed)
+
+let test_atomic_array_matches_cells () =
+  let row = R.atomic_array 4 Fun.id in
+  let cells = Array.init 4 R.atomic in
+  let ((_, steps, _) as a) =
+    run_row ~get:(R.aget row) ~set:(R.aset row) ~cas:(R.acas row)
+      ~committed:(fun i -> Cell.read_committed row.(i))
+  in
+  let b =
+    run_row
+      ~get:(fun i -> R.get cells.(i))
+      ~set:(fun i -> R.set cells.(i))
+      ~cas:(fun i -> R.cas cells.(i))
+      ~committed:(fun i -> Cell.read_committed cells.(i))
+  in
+  Alcotest.(check bool) "ran" true (steps > 0);
+  Alcotest.(check bool) "same clock, steps and memory" true (a = b)
+
 (* The drain policy eventually commits buffered stores without fences. *)
 let test_prob_drain () =
   let s = Scheduler.create (cfg ~n_cores:1 ~drain:(Scheduler.Prob 0.5) ()) in
-  let x = R.plain 0 in
+  let x = R.plain 1 0 in
   Scheduler.exec s ~pid:0 (fun () ->
-      R.write x 3;
+      R.write x 0 3;
       for _ = 1 to 200 do
         R.charge 1;
         R.yield ()
       done);
-  Alcotest.(check int) "drained probabilistically" 3 (Cell.read_committed x)
+  Alcotest.(check int) "drained probabilistically" 3 (Cell.read_committed x.(0))
 
 (* Remote-access cost: ping-pong on one cell costs more than local reuse. *)
 let test_contention_cost () =
@@ -276,14 +309,14 @@ let test_contention_cost () =
 (* reset_clocks: clocks restart at zero, buffers drain, roosters reschedule *)
 let test_reset_clocks () =
   let s = Scheduler.create (cfg ~n_cores:2 ~rooster_interval:500 ()) in
-  let x = R.plain 0 in
+  let x = R.plain 1 0 in
   Scheduler.exec s ~pid:0 (fun () ->
       R.charge 10_000;
-      R.write x 3);
+      R.write x 0 3);
   Alcotest.(check bool) "clock advanced" true (Scheduler.clock_of s ~pid:0 >= 10_000);
   Scheduler.reset_clocks s;
   Alcotest.(check int) "clock reset" 0 (Scheduler.clock_of s ~pid:0);
-  Alcotest.(check int) "buffer drained" 3 (Cell.read_committed x);
+  Alcotest.(check int) "buffer drained" 3 (Cell.read_committed x.(0));
   (* roosters fire again on the fresh timeline *)
   let fires_before = Scheduler.rooster_fires s in
   Scheduler.exec s ~pid:0 (fun () -> R.charge 2_000);
@@ -292,11 +325,11 @@ let test_reset_clocks () =
 
 let test_counters () =
   let s = Scheduler.create (cfg ~n_cores:1 ()) in
-  let x = R.plain 0 in
+  let x = R.plain 1 0 in
   Scheduler.exec s ~pid:0 (fun () ->
-      R.write x 1;
+      R.write x 0 1;
       R.fence ();
-      R.write x 2;
+      R.write x 0 2;
       R.fence ());
   Alcotest.(check bool) "steps counted" true (Scheduler.steps s >= 4);
   Alcotest.(check bool) "flushes counted" true (Scheduler.flush_count s ~pid:0 >= 2)
@@ -313,9 +346,9 @@ let test_atomic_load_cost () =
     Scheduler.clock_of s ~pid:0
   in
   let a = R.atomic 0 in
-  let p = R.plain 0 in
+  let p = R.plain 1 0 in
   let atomic_cost = cost_of (fun () -> for _ = 1 to 100 do ignore (R.get a) done) in
-  let plain_cost = cost_of (fun () -> for _ = 1 to 100 do ignore (R.read p) done) in
+  let plain_cost = cost_of (fun () -> for _ = 1 to 100 do ignore (R.read p 0) done) in
   Alcotest.(check bool)
     (Printf.sprintf "atomic load (%d) dearer than plain read (%d)" atomic_cost plain_cost)
     true
@@ -327,10 +360,10 @@ let test_trace_ring () =
     Scheduler.create
       { (cfg ~n_cores:1 ~rooster_interval:300 ()) with trace_capacity = 8 }
   in
-  let x = R.plain 0 in
+  let x = R.plain 1 0 in
   let a = R.atomic 0 in
   Scheduler.exec s ~pid:0 (fun () ->
-      R.write x 1;
+      R.write x 0 1;
       ignore (R.get a);
       ignore (R.cas a 0 1);
       R.fence ();
@@ -349,7 +382,7 @@ let test_trace_ring () =
   Alcotest.(check bool) "clock-ordered" true (monotone 0 events);
   (* disabled by default *)
   let s2 = Scheduler.create (cfg ~n_cores:1 ()) in
-  Scheduler.exec s2 ~pid:0 (fun () -> R.write x 2);
+  Scheduler.exec s2 ~pid:0 (fun () -> R.write x 0 2);
   Alcotest.(check (list reject)) "disabled: empty" []
     (List.map (fun _ -> ()) (Scheduler.recent_events s2))
 
@@ -360,10 +393,10 @@ let test_trace_ring () =
 let test_inject_stall () =
   let s = Scheduler.create (cfg ~n_cores:2 ()) in
   Scheduler.inject s [ Scheduler.Stall_at { pid = 1; at = 500; ticks = 100_000 } ];
-  let x = R.plain 0 in
+  let x = R.plain 1 0 in
   let stale = ref (-1) in
   Scheduler.spawn s ~pid:1 (fun () ->
-      R.write x 1;
+      R.write x 0 1;
       for _ = 1 to 40 do
         R.charge 50
       done);
@@ -371,7 +404,7 @@ let test_inject_stall () =
       while R.now () < 2_000 do
         R.charge 50
       done;
-      stale := R.read x);
+      stale := R.read x 0);
   Scheduler.run_all s;
   Alcotest.(check (list (pair int reject))) "no failures" [] (Scheduler.failures s);
   Alcotest.(check bool) "victim clock jumped past the stall" true
@@ -385,10 +418,10 @@ let test_inject_stall () =
 let test_inject_crash () =
   let s = Scheduler.create (cfg ~n_cores:2 ()) in
   Scheduler.inject s [ Scheduler.Crash_at { pid = 1; at = 500 } ];
-  let x = R.plain 0 in
+  let x = R.plain 1 0 in
   let progress = ref 0 in
   Scheduler.spawn s ~pid:1 (fun () ->
-      R.write x 7;
+      R.write x 0 7;
       for _ = 1 to 1_000 do
         R.charge 50;
         incr progress
@@ -398,7 +431,7 @@ let test_inject_crash () =
   Alcotest.(check int) "one crash fired" 1 (Scheduler.crashes s);
   Alcotest.(check bool) "victim crashed" true (Scheduler.crashed s ~pid:1);
   Alcotest.(check bool) "other process alive" false (Scheduler.crashed s ~pid:0);
-  Alcotest.(check int) "buffer drained at crash" 7 (Cell.read_committed x);
+  Alcotest.(check int) "buffer drained at crash" 7 (Cell.read_committed x.(0));
   Alcotest.(check bool)
     (Printf.sprintf "victim stopped early (%d/1000 iterations)" !progress)
     true
@@ -408,12 +441,12 @@ let test_inject_crash () =
 let test_oversleep_spike () =
   let s = Scheduler.create (cfg ~n_cores:1 ~rooster_interval:100 ()) in
   Scheduler.inject s [ Scheduler.Oversleep_spike { pid = 0; at = 0; extra = 10_000 } ];
-  let x = R.plain 0 in
+  let x = R.plain 1 0 in
   Scheduler.exec s ~pid:0 (fun () ->
-      R.write x 5;
+      R.write x 0 5;
       R.charge 500);
   Alcotest.(check int) "wake-up delayed past the run" 0 (Scheduler.rooster_fires s);
-  Alcotest.(check int) "nothing flushed" 0 (Cell.read_committed x)
+  Alcotest.(check int) "nothing flushed" 0 (Cell.read_committed x.(0))
 
 (* Skew_burst: [now] reads ahead inside the window, normal outside it. *)
 let test_skew_burst () =
@@ -516,20 +549,20 @@ let test_pct_flushes_on_deschedule () =
     Scheduler.create
       { (cfg ~n_cores:2 ()) with strategy = Scheduler.Pct { depth = 2; seed = 7 } }
   in
-  let x = R.plain 0 in
+  let x = R.plain 1 0 in
   let seen = ref (-1) in
   Scheduler.spawn s ~pid:0 (fun () ->
-      R.write x 1;
+      R.write x 0 1;
       for _ = 1 to 100 do
         R.charge 5;
         R.yield ()
       done);
   Scheduler.spawn s ~pid:1 (fun () ->
       (* no fence anywhere: only a context-switch flush can make x visible *)
-      while R.read x = 0 do
+      while R.read x 0 = 0 do
         R.charge 5
       done;
-      seen := R.read x);
+      seen := R.read x 0);
   Scheduler.run_all s;
   Alcotest.(check (list (pair int reject))) "no failures" [] (Scheduler.failures s);
   Alcotest.(check int) "descheduling drained the buffer" 1 !seen
@@ -544,11 +577,11 @@ let test_oversleep_min_constant () =
         { (cfg ~n_cores:1 ~rooster_interval:100 ()) with
           rooster_oversleep_min = min_ }
     in
-    let x = R.plain 0 in
+    let x = R.plain 1 0 in
     Scheduler.exec s ~pid:0 (fun () ->
-        R.write x 5;
+        R.write x 0 5;
         R.charge 249);
-    (Scheduler.rooster_fires s, Cell.read_committed x)
+    (Scheduler.rooster_fires s, Cell.read_committed x.(0))
   in
   let fires0, x0 = run 0 in
   Alcotest.(check bool) "baseline wakes within T" true (fires0 > 0);
@@ -566,6 +599,8 @@ let suite =
     Alcotest.test_case "killed roosters stop flushing" `Quick test_kill_roosters;
     Alcotest.test_case "cas semantics" `Quick test_cas_semantics;
     Alcotest.test_case "fetch-and-add" `Quick test_faa;
+    Alcotest.test_case "atomic array matches lone cells" `Quick
+      test_atomic_array_matches_cells;
     Alcotest.test_case "parallel virtual time" `Quick test_parallel_virtual_time;
     Alcotest.test_case "self and now" `Quick test_self_and_now;
     Alcotest.test_case "clock skew bounded" `Quick test_clock_skew_bounded;
