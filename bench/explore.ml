@@ -44,6 +44,15 @@
      time, re-checked here independently — CI runs it on the committed
      file).
 
+   - [fingerprint [--check] [--out PATH] [--jobs N]] — run every
+     deterministic output (each [repro all] section at quick scale, seed 1;
+     the committed corpus' witness counts and each case's verdict and step
+     count; [smoke --seeds 3]; the sim-stall benchmark's p50/p99/p999 and
+     retired peak at seeds 1-3) and write one line per section — name,
+     MD5 digest, line count — to PATH (default FINGERPRINTS). With
+     [--check], compare against PATH instead, name every moved section
+     and exit 1 if any moved. Run from the repository root.
+
    Everything is deterministic: equal case lines give equal verdicts, solo
    or pooled, whatever the job count. *)
 
@@ -68,7 +77,8 @@ let usage () =
     \       explore.exe replay PATH [--trace OUT]\n\
     \       explore.exe profile [--jobs N] [--repeat N] [--out PATH]\n\
     \       explore.exe grow OUT [--target N] [--jobs N] [--budget N] [--base PATH]\n\
-    \       explore.exe coverage PATH [--jobs N]";
+    \       explore.exe coverage PATH [--jobs N]\n\
+    \       explore.exe fingerprint [--check] [--out PATH] [--jobs N]";
   exit 2
 
 (* Flag values are validated here: a typo'd [--seeds x2] or [--jobs 0] gets
@@ -285,9 +295,8 @@ let fallback_round_trip () =
 
 (* --- subcommands --------------------------------------------------------- *)
 
-let smoke args =
-  let f = parse args in
-  Printf.printf "== explorer smoke (seed budget %d, %d jobs) ==\n%!" f.seeds f.jobs;
+(* Every smoke check, printing one verdict line each; true if all pass. *)
+let smoke_checks (f : flags) =
   let ok_unsafe =
     positive_control ~name:"unsafe-hp" ~mk:unsafe_hp_case ~seeds:f.seeds ~jobs:f.jobs
   in
@@ -297,11 +306,14 @@ let smoke args =
   let ok_clean = clean_sweep ~seeds:f.seeds ~jobs:f.jobs ~repro_out:f.repro_out in
   let ok_churn = churn_sweep ~seeds:f.seeds ~jobs:f.jobs ~repro_out:f.repro_out in
   let ok_fb = fallback_round_trip () in
-  if ok_unsafe && ok_leaky && ok_clean && ok_churn && ok_fb then begin
-    print_endline "explorer smoke: all checks passed";
-    0
-  end
-  else 1
+  let ok = ok_unsafe && ok_leaky && ok_clean && ok_churn && ok_fb in
+  if ok then print_endline "explorer smoke: all checks passed";
+  ok
+
+let smoke args =
+  let f = parse args in
+  Printf.printf "== explorer smoke (seed budget %d, %d jobs) ==\n%!" f.seeds f.jobs;
+  if smoke_checks f then 0 else 1
 
 let corpus path args =
   let f = parse args in
@@ -704,6 +716,149 @@ let coverage path args =
     0
   end
 
+(* --- fingerprint: one digest per deterministic output ------------------ *)
+
+(* Run [f] with the process's stdout redirected to a temporary file and
+   return its result together with everything it printed. The redirection
+   is at the descriptor level, so it catches output from any module. *)
+let capture f =
+  flush stdout;
+  let path = Filename.temp_file "fingerprint" ".out" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stdout in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  let restore () =
+    flush stdout;
+    Unix.dup2 saved Unix.stdout;
+    Unix.close saved
+  in
+  let r = Fun.protect ~finally:restore f in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (r, text)
+
+type section = { name : string; digest : string; lines : int }
+
+let section name text =
+  { name;
+    digest = Digest.to_hex (Digest.string text);
+    lines = String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 text }
+
+let fingerprint_corpus = Filename.concat "test" "explorer.corpus"
+
+(* The deterministic outputs a schedule-neutral change must leave alone:
+   every [repro all] section (quick scale, seed 1), the committed corpus'
+   rare-class witness counts and each case's verdict and step count, the
+   smoke run at 3 seeds, and the sim-stall benchmark's tails. *)
+let fingerprint_sections (f : flags) =
+  let repro =
+    List.map
+      (fun (title, render) -> section ("repro " ^ title) (render ()))
+      (Figures.all ~scale:Figures.Quick ~seed:1)
+  in
+  let cases = Array.of_list (Explorer.load_corpus fingerprint_corpus) in
+  let results = Explorer_pool.map ~jobs:f.jobs Coverage.run_covered cases in
+  let class_counts = Array.make Coverage.n_events 0 in
+  let corpus =
+    List.mapi
+      (fun i r ->
+        let text =
+          match r with
+          | None -> "no result\n"
+          | Some ((o : Explorer.outcome), cov) ->
+            if Explorer.same_class o.verdict Explorer.Pass then
+              List.iter
+                (fun (_, j) ->
+                  if Coverage.covers cov j then
+                    class_counts.(j) <- class_counts.(j) + 1)
+                Coverage.rare_classes;
+            Printf.sprintf "%s steps=%d\n"
+              (Explorer.verdict_to_string o.verdict)
+              o.steps
+        in
+        section (Printf.sprintf "corpus case %03d" (i + 1)) text)
+      (Array.to_list results)
+  in
+  let witnesses =
+    section "coverage witnesses"
+      (String.concat ""
+         (List.map
+            (fun (name, j) -> Printf.sprintf "%s %d\n" name class_counts.(j))
+            Coverage.rare_classes))
+  in
+  let _, smoke_text = capture (fun () -> smoke_checks { f with seeds = 3 }) in
+  let stall_workload = Option.get (Perfbench.Workloads.find "sim-stall") in
+  let stall seed =
+    let (o : Perfbench.Report.outcome), _ =
+      capture (fun () ->
+          Perfbench.Sim.run stall_workload ~seed ~seconds:1 ~traced:false)
+    in
+    section
+      (Printf.sprintf "sim-stall seed %d" seed)
+      (String.concat ""
+         (List.map
+            (fun k -> Printf.sprintf "%s %.17g\n" k (List.assoc k o.values))
+            [ "p50"; "p99"; "p999"; "retired_peak" ]))
+  in
+  repro @ [ witnesses ] @ corpus
+  @ [ section "smoke" smoke_text ]
+  @ List.map stall [ 1; 2; 3 ]
+
+let fingerprint_header =
+  "# Schedule fingerprints: one line per deterministic output section\n\
+   # (name, MD5 of its text, line count). Regenerate with\n\
+   #   dune exec bench/explore.exe -- fingerprint\n\
+   # and compare a build against this file with --check.\n"
+
+let read_fingerprints path =
+  In_channel.with_open_text path In_channel.input_lines
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  |> List.map (fun l ->
+         match List.rev (String.split_on_char ' ' l) with
+         | lines :: digest :: rev_name ->
+           { name = String.concat " " (List.rev rev_name);
+             digest;
+             lines = int_of_string lines }
+         | _ -> failwith ("malformed fingerprint line: " ^ l))
+
+let fingerprint args =
+  let check = List.mem "--check" args in
+  let f = parse (List.filter (fun a -> a <> "--check") args) in
+  let path = Option.value f.out ~default:"FINGERPRINTS" in
+  let t0 = wall_s () in
+  let sections = fingerprint_sections f in
+  let dt = wall_s () -. t0 in
+  if check then begin
+    let committed = read_fingerprints path in
+    let moved =
+      List.filter (fun s -> not (List.mem s committed)) sections
+      @ List.filter
+          (fun c -> not (List.exists (fun s -> s.name = c.name) sections))
+          committed
+    in
+    List.iter
+      (fun s ->
+        Printf.printf "moved: %s%s\n" s.name
+          (if List.exists (fun c -> c.name = s.name) committed then ""
+           else if List.mem s committed then " (missing from this run)"
+           else " (not in the committed file)"))
+      moved;
+    Printf.printf "fingerprint: %d sections, %d moved (%.1f s)\n%!"
+      (List.length sections) (List.length moved) dt;
+    if moved = [] then 0 else 1
+  end
+  else begin
+    Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc fingerprint_header;
+        List.iter
+          (fun s -> Printf.fprintf oc "%s %s %d\n" s.name s.digest s.lines)
+          sections);
+    Printf.printf "fingerprint: %d sections -> %s (%.1f s)\n%!"
+      (List.length sections) path dt;
+    0
+  end
+
 let () =
   match Array.to_list Sys.argv with
   | _ :: "smoke" :: args -> exit (smoke args)
@@ -712,4 +867,5 @@ let () =
   | _ :: "profile" :: args -> exit (profile args)
   | _ :: "grow" :: out :: args -> exit (grow out args)
   | _ :: "coverage" :: path :: args -> exit (coverage path args)
+  | _ :: "fingerprint" :: args -> exit (fingerprint args)
   | _ -> usage ()

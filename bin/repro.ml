@@ -62,23 +62,6 @@ let emit ?csv title tbl =
     Printf.printf "(csv written to %s)\n%!" path
   | None -> ()
 
-let sparklines_of_series results =
-  List.iter
-    (fun (scheme, (r : Qs_harness.Sim_exp.result)) ->
-      Printf.printf "%-8s %s%s\n"
-        (Qs_smr.Scheme.to_string scheme)
-        (Qs_util.Table.sparkline r.series)
-        (match r.failed_at with
-        | Some t ->
-          (* workers stop at the failure, so the report is the state that
-             filled memory: live nodes versus the reclamation backlog *)
-          let retired = r.report.smr.retired_now in
-          Printf.sprintf "   (OUT OF MEMORY at t=%d: %d live + %d retired)" t
-            (r.report.outstanding - retired) retired
-        | None -> ""))
-    results;
-  print_newline ()
-
 let fig3_cmd =
   let run scale seed csv =
     let tbl, _ = F.fig3 ~scale ~seed in
@@ -110,7 +93,8 @@ let fig5_bottom_cmd =
           windows; throughput over time (ops/Mtick)"
          (Cset.kind_to_string ds))
       tbl;
-    sparklines_of_series results
+    print_string (F.sparklines results);
+    print_newline ()
   in
   Cmd.v
     (Cmd.info "fig5-bottom" ~doc:"Reproduce Figure 5, bottom row.")
@@ -254,27 +238,12 @@ let latency_cmd =
 
 let all_cmd =
   let run scale seed =
-    let tbl, _ = F.fig3 ~scale ~seed in
-    emit "Figure 3" tbl;
     List.iter
-      (fun ds ->
-        let tbl, _ = F.fig5_top ~scale ~seed ~ds in
-        emit (Printf.sprintf "Figure 5 top (%s)" (Cset.kind_to_string ds)) tbl)
-      [ Cset.List; Cset.Skiplist; Cset.Bst ];
-    List.iter
-      (fun ds ->
-        let tbl, results = F.fig5_bottom ~scale ~seed ~ds in
-        emit (Printf.sprintf "Figure 5 bottom (%s)" (Cset.kind_to_string ds)) tbl;
-        sparklines_of_series results)
-      [ Cset.List; Cset.Skiplist; Cset.Bst ];
-    let tbl, _, _ = F.overheads ~scale ~seed in
-    emit "Overheads (§7.3)" tbl;
-    emit "Ablation T" (F.ablation_rooster ~seed);
-    emit "Ablation Q" (F.ablation_quiescence ~seed);
-    emit "Ablation C" (F.ablation_switch_threshold ~seed);
-    emit "Ablation epsilon" (F.ablation_epsilon ~seed);
-    emit "Ablation update mix" (F.ablation_update_mix ~seed);
-    emit "Latency distribution" (F.latency_table ~seed)
+      (fun (title, render) ->
+        Printf.printf "== %s ==\n%!" title;
+        print_string (render ());
+        print_newline ())
+      (F.all ~scale ~seed)
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Run every figure and ablation.")

@@ -441,3 +441,49 @@ let ablation_update_mix ~seed =
        updates grow — §3.2's effect) *)
     [ (Cset.List, 512); (Cset.Hashtable, 2_048) ];
   tbl
+
+(* --- the whole evaluation, section by section --------------------------- *)
+
+let sparklines results =
+  String.concat ""
+    (List.map
+       (fun (scheme, (r : Sim_exp.result)) ->
+         Printf.sprintf "%-8s %s%s\n" (Scheme.to_string scheme)
+           (Qs_util.Table.sparkline r.series)
+           (match r.failed_at with
+           | Some t ->
+             (* workers stop at the failure, so the report is the state
+                that filled memory: live nodes versus the reclamation
+                backlog *)
+             let retired = r.report.smr.retired_now in
+             Printf.sprintf "   (OUT OF MEMORY at t=%d: %d live + %d retired)" t
+               (r.report.outstanding - retired) retired
+           | None -> ""))
+       results)
+
+let all ~scale ~seed =
+  let table = Qs_util.Table.to_ascii in
+  let structures = [ Cset.List; Cset.Skiplist; Cset.Bst ] in
+  [ ("Figure 3", fun () -> table (fst (fig3 ~scale ~seed))) ]
+  @ List.map
+      (fun ds ->
+        ( Printf.sprintf "Figure 5 top (%s)" (Cset.kind_to_string ds),
+          fun () -> table (fst (fig5_top ~scale ~seed ~ds)) ))
+      structures
+  @ List.map
+      (fun ds ->
+        ( Printf.sprintf "Figure 5 bottom (%s)" (Cset.kind_to_string ds),
+          fun () ->
+            let tbl, results = fig5_bottom ~scale ~seed ~ds in
+            table tbl ^ "\n" ^ sparklines results ))
+      structures
+  @ [ ( "Overheads (§7.3)",
+        fun () ->
+          let tbl, _, _ = overheads ~scale ~seed in
+          table tbl );
+      ("Ablation T", fun () -> table (ablation_rooster ~seed));
+      ("Ablation Q", fun () -> table (ablation_quiescence ~seed));
+      ("Ablation C", fun () -> table (ablation_switch_threshold ~seed));
+      ("Ablation epsilon", fun () -> table (ablation_epsilon ~seed));
+      ("Ablation update mix", fun () -> table (ablation_update_mix ~seed));
+      ("Latency distribution", fun () -> table (latency_table ~seed)) ]

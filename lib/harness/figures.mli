@@ -69,3 +69,12 @@ val ablation_update_mix : seed:int -> Qs_util.Table.t
 val latency_table : seed:int -> Qs_util.Table.t
 (** Extra analysis: per-operation latency distribution per scheme — hazard
     pointers tax the median, epoch/limbo schemes spike the tail. *)
+
+val sparklines : (Qs_smr.Scheme.kind * Sim_exp.result) list -> string
+(** One line per scheme: its throughput series as a sparkline, plus the
+    out-of-memory point and backlog when the run failed. *)
+
+val all : scale:scale -> seed:int -> (string * (unit -> string)) list
+(** Every section of the evaluation in [repro all] order: a title and a
+    thunk rendering the text printed under it. Rendering is deferred so a
+    caller can run, time or digest the sections one at a time. *)
