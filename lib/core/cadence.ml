@@ -45,11 +45,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     dummy : node;
     handles : handle option array;
     orphans : node Bag.t Orphan_pool.t;
-    mutable legacy_retires : int;
-    mutable legacy_frees : int;
-    mutable legacy_scans : int;
-    mutable legacy_retired_peak : int;
-        (* counters folded out of handles destroyed by {!unregister} *)
+    departed : Counters.t;
   }
 
   and handle = {
@@ -59,14 +55,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     mutable rlist : node Bag.t;
     hp_row : R.plain; (* this process's row of [hp] *)
     scan_set : Hp.scan_set;
-    mutable retires : int;
+    c : Counters.t;
     mutable until_scan : int;
         (* retires left before the next threshold scan — a countdown so the
            per-retire check is a decrement, not a [mod] (64-bit division)
            on the hot path *)
-    mutable frees : int;
-    mutable scans : int;
-    mutable retired_peak : int;
     mutable scan_now : int;
         (* the scan's single [now_coarse] read, hoisted into the handle so
            the preallocated filter closures capture no per-scan state *)
@@ -86,10 +79,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       dummy;
       handles = Array.make cfg.n_processes None;
       orphans = Orphan_pool.create ();
-      legacy_retires = 0;
-      legacy_frees = 0;
-      legacy_scans = 0;
-      legacy_retired_peak = 0 }
+      departed = Counters.create () }
 
   let limbo_source t = Bag.source ~capacity:t.cfg.bag_capacity t.dummy
 
@@ -103,18 +93,15 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         rlist = Bag.create lsrc;
         hp_row = Hp.row t.hp ~pid;
         scan_set = Hp.scan_set t.hp;
-        retires = 0;
+        c = Counters.create ();
         until_scan = t.scan_threshold;
-        frees = 0;
-        scans = 0;
-        retired_peak = 0;
         scan_now = 0;
         age_ok = (fun stamp -> h.scan_now - stamp >= age);
         keep = (fun n -> Hp.protects_set h.scan_set n);
         free_bag =
           (fun data ts count stamp ->
             t.free_bulk data count;
-            h.frees <- h.frees + count;
+            h.c.frees <- h.c.frees + count;
             (* one tracing check per bag instead of one dead emit per
                node; Ev_free.b is the node's exact age at free, the
                paper's T + epsilon floor observed empirically *)
@@ -128,7 +115,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         flush_bag =
           (fun data _ts count _stamp ->
             t.free_bulk data count;
-            h.frees <- h.frees + count) }
+            h.c.frees <- h.c.frees + count) }
     in
     t.handles.(pid) <- Some h;
     h
@@ -162,7 +149,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     R.hook Qs_intf.Runtime_intf.Hook_scan;
     adopt_orphans h;
     let t = h.owner in
-    h.scans <- h.scans + 1;
+    h.c.scans <- h.c.scans + 1;
     let before = Bag.length h.rlist in
     R.emit Qs_intf.Runtime_intf.Ev_scan_begin before (-1);
     h.scan_now <- R.now_coarse ();
@@ -174,9 +161,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   let retire h n =
     R.hook Qs_intf.Runtime_intf.Hook_retire;
     let sealed = Bag.push h.rlist n (R.now_coarse ()) in
-    h.retires <- h.retires + 1;
     let rcount = Bag.length h.rlist in
-    if rcount > h.retired_peak then h.retired_peak <- rcount;
+    Counters.retired h.c rcount;
     R.emit Qs_intf.Runtime_intf.Ev_retire (N.id n) rcount;
     if sealed > 0 then R.emit Qs_intf.Runtime_intf.Ev_bag_seal sealed (-1);
     h.until_scan <- h.until_scan - 1;
@@ -199,14 +185,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     h.lsrc <- limbo_source t;
     h.rlist <- Bag.create h.lsrc;
     Orphan_pool.donate t.orphans ~donor:h.pid ~nodes:donated old;
-    t.legacy_retires <- t.legacy_retires + h.retires;
-    t.legacy_frees <- t.legacy_frees + h.frees;
-    t.legacy_scans <- t.legacy_scans + h.scans;
-    t.legacy_retired_peak <- t.legacy_retired_peak + h.retired_peak;
-    h.retires <- 0;
-    h.frees <- 0;
-    h.scans <- 0;
-    h.retired_peak <- 0;
+    Counters.absorb ~into:t.departed h.c;
     t.handles.(h.pid) <- None;
     R.emit Qs_intf.Runtime_intf.Ev_unregister h.pid donated
 
@@ -218,7 +197,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         Bag.drain e.Orphan_pool.payload
           ~free_bag:(fun data _ts count _stamp ->
             t.free_bulk data count;
-            t.legacy_frees <- t.legacy_frees + count))
+            t.departed.frees <- t.departed.frees + count))
       (Orphan_pool.drain t.orphans)
 
   let fold t f =
@@ -231,11 +210,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     + Orphan_pool.node_count t.orphans
 
   let stats t =
-    { Smr_intf.zero_stats with
-      retires = fold t (fun h -> h.retires) + t.legacy_retires;
-      frees = fold t (fun h -> h.frees) + t.legacy_frees;
-      scans = fold t (fun h -> h.scans) + t.legacy_scans;
-      retired_now = retired_count t;
-      retired_peak =
-        fold t (fun h -> h.retired_peak) + t.legacy_retired_peak }
+    Counters.to_stats
+      (Counters.sum t.departed (fun h -> h.c) t.handles)
+      ~retired_now:(retired_count t)
 end

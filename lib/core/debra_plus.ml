@@ -60,6 +60,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   type t = {
     cfg : Smr_intf.config;
+    q : int; (* Q, clamped to >= 1 *)
     free_bulk : node array -> int -> unit;
     global : int R.atomic;
     (* local.(pid): -1 when inactive, else the epoch pinned by the
@@ -74,12 +75,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     dummy : node;
     handles : handle option array;
     orphans : node Bag.t array Orphan_pool.t;
-    mutable legacy_retires : int;
-    mutable legacy_frees : int;
-    mutable legacy_epoch_advances : int;
-    mutable legacy_neutralizations : int;
-    mutable legacy_retired_peak : int;
-        (* counters folded out of handles destroyed by {!unregister} *)
+    departed : Counters.t;
   }
 
   and handle = {
@@ -98,14 +94,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
            {e later} within the same 3-epoch cycle, never earlier. Under
            cooperative delivery only the owner writes the slot, so the
            cache never goes stale. *)
-    mutable ops : int;
+    mutable until_q : int; (* operations left before the next Q boundary *)
     mutable advance_fails : int;
         (* consecutive Q-boundaries where the epoch could not advance *)
-    mutable retires : int;
-    mutable frees : int;
-    mutable epoch_advances : int;
-    mutable neutralizations : int;
-    mutable retired_peak : int;
+    c : Counters.t;
     free_bag : node array -> int array -> int -> int -> unit;
     flush_bag : node array -> int array -> int -> int -> unit;
   }
@@ -114,6 +106,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let create (cfg : Smr_intf.config) ~dummy ~free_bulk =
     { cfg;
+      q = Smr_intf.effective_quiescence_threshold cfg;
       free_bulk;
       global = R.atomic_padded 0;
       locals = Array.init cfg.n_processes (fun _ -> R.atomic_padded (-1));
@@ -121,11 +114,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       dummy;
       handles = Array.make cfg.n_processes None;
       orphans = Orphan_pool.create ();
-      legacy_retires = 0;
-      legacy_frees = 0;
-      legacy_epoch_advances = 0;
-      legacy_neutralizations = 0;
-      legacy_retired_peak = 0 }
+      departed = Counters.create () }
 
   let limbo_source t = Bag.source ~capacity:t.cfg.bag_capacity t.dummy
 
@@ -138,17 +127,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         limbo = Bag.Triple.create lsrc;
         last_epoch = -1;
         pinned = -1;
-        ops = 0;
+        until_q = t.q;
         advance_fails = 0;
-        retires = 0;
-        frees = 0;
-        epoch_advances = 0;
-        neutralizations = 0;
-        retired_peak = 0;
+        c = Counters.create ();
         free_bag =
           (fun data _ts count _stamp ->
             t.free_bulk data count;
-            h.frees <- h.frees + count;
+            h.c.frees <- h.c.frees + count;
             if R.tracing () then
               for i = 0 to count - 1 do
                 R.emit Qs_intf.Runtime_intf.Ev_free (N.id data.(i)) (-1)
@@ -157,7 +142,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         flush_bag =
           (fun data _ts count _stamp ->
             t.free_bulk data count;
-            h.frees <- h.frees + count) }
+            h.c.frees <- h.c.frees + count) }
     in
     (* a pid slot may be re-registered after churn; a stale poison demand
        aimed at the departed incumbent must not restart the newcomer *)
@@ -237,14 +222,14 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
             Stdlib.Atomic.set t.poisoned.(v) true;
             R.neutralize ~pid:v;
             if R.cas t.locals.(v) l (-1) then begin
-              h.neutralizations <- h.neutralizations + 1;
+              h.c.neutralizations <- h.c.neutralizations + 1;
               R.emit Qs_intf.Runtime_intf.Ev_neutralize v l
             end
             else R.emit Qs_intf.Runtime_intf.Ev_neutralize v (-1)
           end
           else if not (Stdlib.Atomic.exchange t.poisoned.(v) true) then begin
             R.neutralize ~pid:v;
-            h.neutralizations <- h.neutralizations + 1;
+            h.c.neutralizations <- h.c.neutralizations + 1;
             R.emit Qs_intf.Runtime_intf.Ev_neutralize v l
           end
       end
@@ -252,7 +237,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let try_advance h eg =
     if R.cas h.owner.global eg ((eg + 1) mod 3) then begin
-      h.epoch_advances <- h.epoch_advances + 1;
+      h.c.epoch_advances <- h.c.epoch_advances + 1;
       R.emit Qs_intf.Runtime_intf.Ev_epoch_advance ((eg + 1) mod 3) (-1)
     end
 
@@ -273,8 +258,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       free_epoch h eg;
       adopt_orphans h eg
     end;
-    h.ops <- h.ops + 1;
-    if h.ops mod t.cfg.quiescence_threshold = 0 then
+    h.until_q <- h.until_q - 1;
+    if h.until_q = 0 then begin
+      h.until_q <- t.q;
       if all_on t eg then begin
         h.advance_fails <- 0;
         try_advance h eg
@@ -287,6 +273,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
           if all_on t eg then try_advance h eg
         end
       end
+    end
 
   let clear_hps h =
     h.pinned <- -1;
@@ -333,9 +320,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     in
     let sealed = Bag.push h.limbo.(e) n 0 in
     R.hook Qs_intf.Runtime_intf.Hook_retire;
-    h.retires <- h.retires + 1;
     let total = total_limbo h in
-    if total > h.retired_peak then h.retired_peak <- total;
+    Counters.retired h.c total;
     R.emit Qs_intf.Runtime_intf.Ev_retire (N.id n) total;
     if sealed > 0 then R.emit Qs_intf.Runtime_intf.Ev_bag_seal sealed (-1);
     if Stdlib.Atomic.get h.owner.poisoned.(h.pid) then ack_restart h
@@ -350,16 +336,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     R.set t.locals.(h.pid) (-1);
     Stdlib.Atomic.set t.poisoned.(h.pid) false;
     Orphan_pool.donate t.orphans ~donor:h.pid ~nodes:donated old;
-    t.legacy_retires <- t.legacy_retires + h.retires;
-    t.legacy_frees <- t.legacy_frees + h.frees;
-    t.legacy_epoch_advances <- t.legacy_epoch_advances + h.epoch_advances;
-    t.legacy_neutralizations <- t.legacy_neutralizations + h.neutralizations;
-    t.legacy_retired_peak <- t.legacy_retired_peak + h.retired_peak;
-    h.retires <- 0;
-    h.frees <- 0;
-    h.epoch_advances <- 0;
-    h.neutralizations <- 0;
-    h.retired_peak <- 0;
+    Counters.absorb ~into:t.departed h.c;
     t.handles.(h.pid) <- None;
     R.emit Qs_intf.Runtime_intf.Ev_unregister h.pid donated
 
@@ -374,7 +351,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
           (fun v ->
             Bag.drain v ~free_bag:(fun data _ts count _stamp ->
                 t.free_bulk data count;
-                t.legacy_frees <- t.legacy_frees + count))
+                t.departed.frees <- t.departed.frees + count))
           e.Orphan_pool.payload)
       (Orphan_pool.drain t.orphans)
 
@@ -386,14 +363,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   let retired_count t = fold t total_limbo + Orphan_pool.node_count t.orphans
 
   let stats t =
-    { Smr_intf.zero_stats with
-      retires = fold t (fun h -> h.retires) + t.legacy_retires;
-      frees = fold t (fun h -> h.frees) + t.legacy_frees;
-      epoch_advances =
-        fold t (fun h -> h.epoch_advances) + t.legacy_epoch_advances;
-      neutralizations =
-        fold t (fun h -> h.neutralizations) + t.legacy_neutralizations;
-      retired_now = retired_count t;
-      retired_peak =
-        fold t (fun h -> h.retired_peak) + t.legacy_retired_peak }
+    Counters.to_stats
+      (Counters.sum t.departed (fun h -> h.c) t.handles)
+      ~retired_now:(retired_count t)
 end

@@ -29,6 +29,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   type t = {
     cfg : Smr_intf.config;
+    q : int; (* Q, clamped to >= 1 *)
     free_bulk : node array -> int -> unit;
     global : int R.atomic;
     (* local.(pid): -1 when inactive, else the epoch pinned by the
@@ -37,11 +38,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     dummy : node;
     handles : handle option array;
     orphans : node Bag.t array Orphan_pool.t;
-    mutable legacy_retires : int;
-    mutable legacy_frees : int;
-    mutable legacy_epoch_advances : int;
-    mutable legacy_retired_peak : int;
-        (* counters folded out of handles destroyed by {!unregister} *)
+    departed : Counters.t;
   }
 
   and handle = {
@@ -50,11 +47,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     mutable lsrc : node Bag.source;
     mutable limbo : node Bag.Triple.t;
     mutable last_epoch : int; (* last epoch this process was pinned to *)
-    mutable ops : int;
-    mutable retires : int;
-    mutable frees : int;
-    mutable epoch_advances : int;
-    mutable retired_peak : int;
+    mutable until_q : int; (* operations left before the next Q boundary *)
+    c : Counters.t;
     (* preallocated reclamation callbacks; [flush_bag] skips event
        emission (teardown may run outside process context) *)
     free_bag : node array -> int array -> int -> int -> unit;
@@ -65,16 +59,14 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let create (cfg : Smr_intf.config) ~dummy ~free_bulk =
     { cfg;
+      q = Smr_intf.effective_quiescence_threshold cfg;
       free_bulk;
       global = R.atomic_padded 0;
       locals = Array.init cfg.n_processes (fun _ -> R.atomic_padded (-1));
       dummy;
       handles = Array.make cfg.n_processes None;
       orphans = Orphan_pool.create ();
-      legacy_retires = 0;
-      legacy_frees = 0;
-      legacy_epoch_advances = 0;
-      legacy_retired_peak = 0 }
+      departed = Counters.create () }
 
   let limbo_source t = Bag.source ~capacity:t.cfg.bag_capacity t.dummy
 
@@ -86,15 +78,12 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         lsrc;
         limbo = Bag.Triple.create lsrc;
         last_epoch = -1;
-        ops = 0;
-        retires = 0;
-        frees = 0;
-        epoch_advances = 0;
-        retired_peak = 0;
+        until_q = t.q;
+        c = Counters.create ();
         free_bag =
           (fun data _ts count _stamp ->
             t.free_bulk data count;
-            h.frees <- h.frees + count;
+            h.c.frees <- h.c.frees + count;
             (* one tracing check per bag instead of one dead emit per node *)
             if R.tracing () then
               for i = 0 to count - 1 do
@@ -104,7 +93,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         flush_bag =
           (fun data _ts count _stamp ->
             t.free_bulk data count;
-            h.frees <- h.frees + count) }
+            h.c.frees <- h.c.frees + count) }
     in
     t.handles.(pid) <- Some h;
     h
@@ -159,12 +148,15 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       free_epoch h eg;
       adopt_orphans h eg
     end;
-    h.ops <- h.ops + 1;
-    if h.ops mod t.cfg.quiescence_threshold = 0 && all_on t eg then
-      if R.cas t.global eg ((eg + 1) mod 3) then begin
-        h.epoch_advances <- h.epoch_advances + 1;
-        R.emit Qs_intf.Runtime_intf.Ev_epoch_advance ((eg + 1) mod 3) (-1)
-      end
+    h.until_q <- h.until_q - 1;
+    if h.until_q = 0 then begin
+      h.until_q <- t.q;
+      if all_on t eg then
+        if R.cas t.global eg ((eg + 1) mod 3) then begin
+          h.c.epoch_advances <- h.c.epoch_advances + 1;
+          R.emit Qs_intf.Runtime_intf.Ev_epoch_advance ((eg + 1) mod 3) (-1)
+        end
+    end
 
   (* Leave the critical region (called where HP schemes drop protection). *)
   let clear_hps h = R.set h.owner.locals.(h.pid) (-1)
@@ -181,9 +173,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       | e -> e
     in
     let sealed = Bag.push h.limbo.(e) n 0 in
-    h.retires <- h.retires + 1;
     let total = total_limbo h in
-    if total > h.retired_peak then h.retired_peak <- total;
+    Counters.retired h.c total;
     R.emit Qs_intf.Runtime_intf.Ev_retire (N.id n) total;
     if sealed > 0 then R.emit Qs_intf.Runtime_intf.Ev_bag_seal sealed (-1)
 
@@ -199,14 +190,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     h.limbo <- Bag.Triple.create h.lsrc;
     R.set t.locals.(h.pid) (-1);
     Orphan_pool.donate t.orphans ~donor:h.pid ~nodes:donated old;
-    t.legacy_retires <- t.legacy_retires + h.retires;
-    t.legacy_frees <- t.legacy_frees + h.frees;
-    t.legacy_epoch_advances <- t.legacy_epoch_advances + h.epoch_advances;
-    t.legacy_retired_peak <- t.legacy_retired_peak + h.retired_peak;
-    h.retires <- 0;
-    h.frees <- 0;
-    h.epoch_advances <- 0;
-    h.retired_peak <- 0;
+    Counters.absorb ~into:t.departed h.c;
     t.handles.(h.pid) <- None;
     R.emit Qs_intf.Runtime_intf.Ev_unregister h.pid donated
 
@@ -221,7 +205,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
           (fun v ->
             Bag.drain v ~free_bag:(fun data _ts count _stamp ->
                 t.free_bulk data count;
-                t.legacy_frees <- t.legacy_frees + count))
+                t.departed.frees <- t.departed.frees + count))
           e.Orphan_pool.payload)
       (Orphan_pool.drain t.orphans)
 
@@ -233,12 +217,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   let retired_count t = fold t total_limbo + Orphan_pool.node_count t.orphans
 
   let stats t =
-    { Smr_intf.zero_stats with
-      retires = fold t (fun h -> h.retires) + t.legacy_retires;
-      frees = fold t (fun h -> h.frees) + t.legacy_frees;
-      epoch_advances =
-        fold t (fun h -> h.epoch_advances) + t.legacy_epoch_advances;
-      retired_now = retired_count t;
-      retired_peak =
-        fold t (fun h -> h.retired_peak) + t.legacy_retired_peak }
+    Counters.to_stats
+      (Counters.sum t.departed (fun h -> h.c) t.handles)
+      ~retired_now:(retired_count t)
 end

@@ -51,11 +51,7 @@ struct
     dummy : node;
     handles : handle option array;
     orphans : node Bag.t Orphan_pool.t;
-    mutable legacy_retires : int;
-    mutable legacy_frees : int;
-    mutable legacy_scans : int;
-    mutable legacy_retired_peak : int;
-        (* counters folded out of handles destroyed by {!unregister} *)
+    departed : Counters.t;
   }
 
   and handle = {
@@ -65,10 +61,7 @@ struct
     mutable rlist : node Bag.t;
     hp_row : R.plain; (* this process's row of [hp] *)
     scan_set : Hp.scan_set;
-    mutable retires : int;
-    mutable frees : int;
-    mutable scans : int;
-    mutable retired_peak : int;
+    c : Counters.t;
     (* preallocated scan/flush callbacks: the per-scan closure state is
        hoisted into the handle so a scan builds nothing on the heap *)
     keep : node -> bool;
@@ -86,10 +79,7 @@ struct
       dummy;
       handles = Array.make cfg.n_processes None;
       orphans = Orphan_pool.create ();
-      legacy_retires = 0;
-      legacy_frees = 0;
-      legacy_scans = 0;
-      legacy_retired_peak = 0 }
+      departed = Counters.create () }
 
   let limbo_source t = Bag.source ~capacity:t.cfg.bag_capacity t.dummy
 
@@ -102,15 +92,12 @@ struct
         rlist = Bag.create lsrc;
         hp_row = Hp.row t.hp ~pid;
         scan_set = Hp.scan_set t.hp;
-        retires = 0;
-        frees = 0;
-        scans = 0;
-        retired_peak = 0;
+        c = Counters.create ();
         keep = (fun n -> Hp.protects_set h.scan_set n);
         free_bag =
           (fun data _ts count _stamp ->
             t.free_bulk data count;
-            h.frees <- h.frees + count;
+            h.c.frees <- h.c.frees + count;
             (* one tracing check per bag instead of one dead emit per node;
                classic HP has no timestamps: age recovered offline by
                joining against the node's Ev_retire *)
@@ -122,7 +109,7 @@ struct
         flush_bag =
           (fun data _ts count _stamp ->
             t.free_bulk data count;
-            h.frees <- h.frees + count) }
+            h.c.frees <- h.c.frees + count) }
     in
     t.handles.(pid) <- Some h;
     h
@@ -158,7 +145,7 @@ struct
     R.hook Qs_intf.Runtime_intf.Hook_scan;
     adopt_orphans h;
     let t = h.owner in
-    h.scans <- h.scans + 1;
+    h.c.scans <- h.c.scans + 1;
     let before = Bag.length h.rlist in
     R.emit Qs_intf.Runtime_intf.Ev_scan_begin before (-1);
     Hp.snapshot_into t.hp h.scan_set;
@@ -169,9 +156,8 @@ struct
   let retire h n =
     R.hook Qs_intf.Runtime_intf.Hook_retire;
     let sealed = Bag.push h.rlist n 0 in
-    h.retires <- h.retires + 1;
     let rcount = Bag.length h.rlist in
-    if rcount > h.retired_peak then h.retired_peak <- rcount;
+    Counters.retired h.c rcount;
     R.emit Qs_intf.Runtime_intf.Ev_retire (N.id n) rcount;
     if sealed > 0 then R.emit Qs_intf.Runtime_intf.Ev_bag_seal sealed (-1);
     if rcount >= h.owner.scan_threshold then scan h
@@ -188,14 +174,7 @@ struct
     h.lsrc <- limbo_source t;
     h.rlist <- Bag.create h.lsrc;
     Orphan_pool.donate t.orphans ~donor:h.pid ~nodes:donated old;
-    t.legacy_retires <- t.legacy_retires + h.retires;
-    t.legacy_frees <- t.legacy_frees + h.frees;
-    t.legacy_scans <- t.legacy_scans + h.scans;
-    t.legacy_retired_peak <- t.legacy_retired_peak + h.retired_peak;
-    h.retires <- 0;
-    h.frees <- 0;
-    h.scans <- 0;
-    h.retired_peak <- 0;
+    Counters.absorb ~into:t.departed h.c;
     t.handles.(h.pid) <- None;
     R.emit Qs_intf.Runtime_intf.Ev_unregister h.pid donated
 
@@ -207,7 +186,7 @@ struct
         Bag.drain e.Orphan_pool.payload
           ~free_bag:(fun data _ts count _stamp ->
             t.free_bulk data count;
-            t.legacy_frees <- t.legacy_frees + count))
+            t.departed.frees <- t.departed.frees + count))
       (Orphan_pool.drain t.orphans)
 
   let fold t f =
@@ -220,13 +199,9 @@ struct
     + Orphan_pool.node_count t.orphans
 
   let stats t =
-    { Smr_intf.zero_stats with
-      retires = fold t (fun h -> h.retires) + t.legacy_retires;
-      frees = fold t (fun h -> h.frees) + t.legacy_frees;
-      scans = fold t (fun h -> h.scans) + t.legacy_scans;
-      retired_now = retired_count t;
-      retired_peak =
-        fold t (fun h -> h.retired_peak) + t.legacy_retired_peak }
+    Counters.to_stats
+      (Counters.sum t.departed (fun h -> h.c) t.handles)
+      ~retired_now:(retired_count t)
 end
 
 module Make = Make_gen (struct

@@ -87,8 +87,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         (* open (unsealed) nodes donated by departing handles; adopters
            re-batch them — sealed batches need no donation, they already
            free themselves through the reference counts *)
-    mutable legacy_retires : int;
-    mutable legacy_frees : int;
+    departed : Counters.t;
   }
 
   and handle = {
@@ -97,8 +96,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     active_nil : slot;  (** preallocated [Active Cnil]; see the slot note *)
     mutable open_data : node array;
     mutable open_count : int;
-    mutable retires : int;
-    mutable frees : int;
+    c : Counters.t;
   }
 
   let name = "hyaline"
@@ -114,8 +112,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       peak = Stdlib.Atomic.make 0;
       handles = Array.make cfg.n_processes None;
       orphans = Orphan_pool.create ();
-      legacy_retires = 0;
-      legacy_frees = 0 }
+      departed = Counters.create () }
 
   let register t ~pid =
     let h =
@@ -124,8 +121,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         active_nil = Active Cnil;
         open_data = Array.make t.capacity t.dummy;
         open_count = 0;
-        retires = 0;
-        frees = 0 }
+        c = Counters.create () }
     in
     t.handles.(pid) <- Some h;
     h
@@ -155,7 +151,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   let free_batch ?(emit = true) h b =
     if Stdlib.Atomic.compare_and_set b.freed false true then begin
       h.owner.free_bulk b.data b.count;
-      h.frees <- h.frees + b.count;
+      h.c.frees <- h.c.frees + b.count;
       meta_add h.owner.outstanding (-b.count);
       if emit then begin
         if R.tracing () then
@@ -264,7 +260,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let retire h n =
     R.hook Qs_intf.Runtime_intf.Hook_retire;
-    h.retires <- h.retires + 1;
+    h.c.retires <- h.c.retires + 1;
     meta_add h.owner.outstanding 1;
     let now = Stdlib.Atomic.get h.owner.outstanding in
     meta_max h.owner.peak now;
@@ -283,10 +279,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     let nodes = Array.sub h.open_data 0 h.open_count in
     h.open_count <- 0;
     Orphan_pool.donate t.orphans ~donor:h.pid ~nodes:donated nodes;
-    t.legacy_retires <- t.legacy_retires + h.retires;
-    t.legacy_frees <- t.legacy_frees + h.frees;
-    h.retires <- 0;
-    h.frees <- 0;
+    Counters.absorb ~into:t.departed h.c;
     t.handles.(h.pid) <- None;
     R.emit Qs_intf.Runtime_intf.Ev_unregister h.pid donated
 
@@ -298,7 +291,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     let t = h.owner in
     if h.open_count > 0 then begin
       t.free_bulk h.open_data h.open_count;
-      h.frees <- h.frees + h.open_count;
+      h.c.frees <- h.c.frees + h.open_count;
       meta_add t.outstanding (-h.open_count);
       h.open_count <- 0
     end;
@@ -308,19 +301,14 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       (fun (e : _ Orphan_pool.entry) ->
         let n = Array.length e.Orphan_pool.payload in
         t.free_bulk e.Orphan_pool.payload n;
-        t.legacy_frees <- t.legacy_frees + n;
+        t.departed.frees <- t.departed.frees + n;
         meta_add t.outstanding (-n))
       (Orphan_pool.drain t.orphans)
 
-  let fold t f =
-    Array.fold_left
-      (fun acc -> function None -> acc | Some h -> acc + f h)
-      0 t.handles
-
   let stats t =
-    { Smr_intf.zero_stats with
-      retires = fold t (fun h -> h.retires) + t.legacy_retires;
-      frees = fold t (fun h -> h.frees) + t.legacy_frees;
-      retired_now = retired_count t;
+    { (Counters.to_stats
+         (Counters.sum t.departed (fun h -> h.c) t.handles)
+         ~retired_now:(retired_count t))
+      with
       retired_peak = Stdlib.Atomic.get t.peak }
 end

@@ -29,6 +29,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   type t = {
     cfg : Smr_intf.config;
+    q : int; (* Q, clamped to >= 1 *)
     free_bulk : node array -> int -> unit;
     global : int R.atomic;
     locals : int R.atomic array;
@@ -37,16 +38,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     orphans : node Bag.t array Orphan_pool.t;
         (* limbo triples donated by departed processes; bag chains travel
            intact (sealed by the donor, spliced by the adopter) *)
-    departed : bool array;
+    vacated : bool array;
         (* meta-level: pid slots vacated by {!unregister}; a later
            {!register} into such a slot must re-join the epoch protocol
            (its [locals] cell is the -1 "absent" sentinel) *)
-    mutable legacy_retires : int;
-    mutable legacy_frees : int;
-    mutable legacy_epoch_advances : int;
-    mutable legacy_retired_peak : int;
-        (* counters folded out of handles destroyed by {!unregister}, so
-           [stats] stays monotone across worker churn *)
+    departed : Counters.t;
   }
 
   and handle = {
@@ -57,11 +53,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     mutable joined : bool;
         (* false only for a handle re-registered into a vacated slot,
            until its first [manage_state] announces an epoch *)
-    mutable ops : int;
-    mutable retires : int;
-    mutable frees : int;
-    mutable epoch_advances : int;
-    mutable retired_peak : int;
+    mutable until_q : int; (* operations left before the next Q boundary *)
+    c : Counters.t;
     (* reclamation callbacks, preallocated so scans/drains build no
        closures; [flush_bag] skips event emission (teardown may run
        outside process context, where the emit effect is illegal on the
@@ -74,17 +67,15 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let create (cfg : Smr_intf.config) ~dummy ~free_bulk =
     { cfg;
+      q = Smr_intf.effective_quiescence_threshold cfg;
       free_bulk;
       global = R.atomic_padded 0;
       locals = Array.init cfg.n_processes (fun _ -> R.atomic_padded 0);
       dummy;
       handles = Array.make cfg.n_processes None;
       orphans = Orphan_pool.create ();
-      departed = Array.make cfg.n_processes false;
-      legacy_retires = 0;
-      legacy_frees = 0;
-      legacy_epoch_advances = 0;
-      legacy_retired_peak = 0 }
+      vacated = Array.make cfg.n_processes false;
+      departed = Counters.create () }
 
   let limbo_source t = Bag.source ~capacity:t.cfg.bag_capacity t.dummy
 
@@ -95,16 +86,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         pid;
         lsrc;
         limbo = Bag.Triple.create lsrc;
-        joined = not t.departed.(pid);
-        ops = 0;
-        retires = 0;
-        frees = 0;
-        epoch_advances = 0;
-        retired_peak = 0;
+        joined = not t.vacated.(pid);
+        until_q = t.q;
+        c = Counters.create ();
         free_bag =
           (fun data _ts count _stamp ->
             t.free_bulk data count;
-            h.frees <- h.frees + count;
+            h.c.frees <- h.c.frees + count;
             (* one tracing check per bag instead of one dead emit per node;
                no timestamps in QSBR: age recovered offline from Ev_retire *)
             if R.tracing () then
@@ -115,9 +103,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         flush_bag =
           (fun data _ts count _stamp ->
             t.free_bulk data count;
-            h.frees <- h.frees + count) }
+            h.c.frees <- h.c.frees + count) }
     in
-    t.departed.(pid) <- false;
+    t.vacated.(pid) <- false;
     t.handles.(pid) <- Some h;
     h
 
@@ -170,7 +158,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       R.emit Qs_intf.Runtime_intf.Ev_quiesce eg 0;
       if all_current t eg then
         if R.cas t.global eg ((eg + 1) mod 3) then begin
-          h.epoch_advances <- h.epoch_advances + 1;
+          h.c.epoch_advances <- h.c.epoch_advances + 1;
           R.emit Qs_intf.Runtime_intf.Ev_epoch_advance ((eg + 1) mod 3) (-1)
         end
     end
@@ -187,8 +175,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let manage_state h =
     if not h.joined then join h;
-    h.ops <- h.ops + 1;
-    if h.ops mod h.owner.cfg.quiescence_threshold = 0 then quiescent_state h
+    h.until_q <- h.until_q - 1;
+    if h.until_q = 0 then begin
+      h.until_q <- h.owner.q;
+      quiescent_state h
+    end
 
   let assign_hp _ ~slot:_ _ = ()
   let clear_hps _ = ()
@@ -202,9 +193,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
        only by this handle's own later adoptions, behind a full cycle *)
     let e = if e < 0 then 0 else e in
     let sealed = Bag.push h.limbo.(e) n 0 in
-    h.retires <- h.retires + 1;
     let total = total_limbo h in
-    if total > h.retired_peak then h.retired_peak <- total;
+    Counters.retired h.c total;
     R.emit Qs_intf.Runtime_intf.Ev_retire (N.id n) total;
     if sealed > 0 then R.emit Qs_intf.Runtime_intf.Ev_bag_seal sealed (-1)
 
@@ -213,8 +203,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
      Fresh (empty) lists — over a fresh block source, so the adopter's
      splicing never races this handle's cache — are installed *before*
      donating so the nodes are never owned twice; counters fold into the
-     scheme-level legacy accumulators so [stats] stays monotone across
-     churn. *)
+     scheme's departed counters so [stats] stays monotone across churn. *)
   let unregister h =
     let t = h.owner in
     let donated = total_limbo h in
@@ -224,16 +213,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     h.joined <- true (* dead handle: never join again *);
     R.set t.locals.(h.pid) (-1);
     Orphan_pool.donate t.orphans ~donor:h.pid ~nodes:donated old;
-    t.legacy_retires <- t.legacy_retires + h.retires;
-    t.legacy_frees <- t.legacy_frees + h.frees;
-    t.legacy_epoch_advances <- t.legacy_epoch_advances + h.epoch_advances;
-    t.legacy_retired_peak <- t.legacy_retired_peak + h.retired_peak;
-    h.retires <- 0;
-    h.frees <- 0;
-    h.epoch_advances <- 0;
-    h.retired_peak <- 0;
+    Counters.absorb ~into:t.departed h.c;
     t.handles.(h.pid) <- None;
-    t.departed.(h.pid) <- true;
+    t.vacated.(h.pid) <- true;
     R.emit Qs_intf.Runtime_intf.Ev_unregister h.pid donated
 
   let flush h =
@@ -249,7 +231,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
           (fun v ->
             Bag.drain v ~free_bag:(fun data _ts count _stamp ->
                 t.free_bulk data count;
-                t.legacy_frees <- t.legacy_frees + count))
+                t.departed.frees <- t.departed.frees + count))
           e.Orphan_pool.payload)
       (Orphan_pool.drain t.orphans)
 
@@ -261,12 +243,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   let retired_count t = fold t total_limbo + Orphan_pool.node_count t.orphans
 
   let stats t =
-    { Smr_intf.zero_stats with
-      retires = fold t (fun h -> h.retires) + t.legacy_retires;
-      frees = fold t (fun h -> h.frees) + t.legacy_frees;
-      epoch_advances =
-        fold t (fun h -> h.epoch_advances) + t.legacy_epoch_advances;
-      retired_now = retired_count t;
-      retired_peak =
-        fold t (fun h -> h.retired_peak) + t.legacy_retired_peak }
+    Counters.to_stats
+      (Counters.sum t.departed (fun h -> h.c) t.handles)
+      ~retired_now:(retired_count t)
 end

@@ -60,6 +60,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
   type t = {
     cfg : Smr_intf.config;
     c_threshold : int;
+    q : int; (* Q, clamped to >= 1 *)
     scan_threshold : int; (* R, clamped to >= 1 *)
     hp : Hp.t;
     free_bulk : node array -> int -> unit;
@@ -84,15 +85,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
         (* each entry is an arbitrary-length array of timestamped limbo
            lists: the three epochs (+ adopted list) of a departed or
            evicted process; bag chains travel intact *)
-    mutable legacy_retires : int;
-    mutable legacy_frees : int;
-    mutable legacy_scans : int;
-    mutable legacy_epoch_advances : int;
-    mutable legacy_fallback_switches : int;
-    mutable legacy_fastpath_switches : int;
-    mutable legacy_evictions : int;
-    mutable legacy_retired_peak : int;
-        (* counters folded out of handles destroyed by {!unregister} *)
+    departed : Counters.t;
   }
 
   and handle = {
@@ -119,18 +112,11 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     eviction_on : bool; (* cfg.eviction_timeout <> None, precomputed *)
     hp_row : R.plain; (* this process's row of [hp] *)
     scan_set : Hp.scan_set;
-    mutable call_count : int;
-    mutable fnl_count : int;
+    mutable until_q : int; (* operations left before the next Q boundary *)
+    mutable until_scan : int; (* fallback retires left before the next scan *)
     mutable prev_fallback : bool; (* prev_seen_fallback_flag of Algorithm 5 *)
     mutable rejoin_guard : int;
-    mutable retires : int;
-    mutable frees : int;
-    mutable scans : int;
-    mutable epoch_advances : int;
-    mutable fallback_switches : int;
-    mutable fastpath_switches : int;
-    mutable evictions : int;
-    mutable retired_peak : int;
+    c : Counters.t;
     mutable scan_now : int;
         (* the scan's single [now_coarse] read, hoisted into the handle so
            the preallocated filter closures capture no per-scan state *)
@@ -151,6 +137,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     in
     { cfg;
       c_threshold = c;
+      q = Smr_intf.effective_quiescence_threshold cfg;
       scan_threshold = Smr_intf.effective_scan_threshold cfg;
       hp = Hp.create ~n:cfg.n_processes ~k:cfg.hp_per_process ~dummy;
       free_bulk;
@@ -167,14 +154,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       dummy;
       handles = Array.make cfg.n_processes None;
       orphans = Orphan_pool.create ();
-      legacy_retires = 0;
-      legacy_frees = 0;
-      legacy_scans = 0;
-      legacy_epoch_advances = 0;
-      legacy_fallback_switches = 0;
-      legacy_fastpath_switches = 0;
-      legacy_evictions = 0;
-      legacy_retired_peak = 0 }
+      departed = Counters.create () }
 
   let limbo_source t = Bag.source ~capacity:t.cfg.bag_capacity t.dummy
 
@@ -191,25 +171,18 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
         eviction_on = t.cfg.eviction_timeout <> None;
         hp_row = Hp.row t.hp ~pid;
         scan_set = Hp.scan_set t.hp;
-        call_count = 0;
-        fnl_count = 0;
+        until_q = t.q;
+        until_scan = t.scan_threshold;
         prev_fallback = false;
         rejoin_guard = 0;
-        retires = 0;
-        frees = 0;
-        scans = 0;
-        epoch_advances = 0;
-        fallback_switches = 0;
-        fastpath_switches = 0;
-        evictions = 0;
-        retired_peak = 0;
+        c = Counters.create ();
         scan_now = 0;
         age_ok = (fun stamp -> h.scan_now - stamp >= age);
         keep = (fun n -> Hp.protects_set h.scan_set n);
         free_bag =
           (fun data ts count stamp ->
             t.free_bulk data count;
-            h.frees <- h.frees + count;
+            h.c.frees <- h.c.frees + count;
             (* one tracing check per bag instead of one dead emit per
                node; Ev_free.b is the exact [now - ts] the age check
                passed on *)
@@ -223,7 +196,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
         uncond_bag =
           (fun data _ts count _stamp ->
             t.free_bulk data count;
-            h.frees <- h.frees + count;
+            h.c.frees <- h.c.frees + count;
             (* no clock read on the unconditional path (reading it would
                charge virtual time and perturb seeded schedules): the age
                is recovered offline from the node's Ev_retire *)
@@ -294,7 +267,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
   let scan_all h =
     R.hook Qs_intf.Runtime_intf.Hook_scan;
     adopt_orphans h;
-    h.scans <- h.scans + 1;
+    h.c.scans <- h.c.scans + 1;
     let before = total_limbo h + Bag.length h.adopted in
     R.emit Qs_intf.Runtime_intf.Ev_scan_begin before (-1);
     h.scan_now <- R.now_coarse ();
@@ -349,7 +322,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       R.emit Qs_intf.Runtime_intf.Ev_quiesce eg 0;
       if all_current t eg then
         if R.cas t.global eg ((eg + 1) mod 3) then begin
-          h.epoch_advances <- h.epoch_advances + 1;
+          h.c.epoch_advances <- h.c.epoch_advances + 1;
           R.emit Qs_intf.Runtime_intf.Ev_epoch_advance ((eg + 1) mod 3) (-1)
         end
     end
@@ -382,7 +355,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       R.emit Qs_intf.Runtime_intf.Ev_fallback_enter (total_limbo h) (-1);
       reset_presence t;
       R.set t.presence.(h.pid) 1;
-      h.fallback_switches <- h.fallback_switches + 1;
+      h.c.fallback_entries <- h.c.fallback_entries + 1;
       h.prev_fallback <- true;
       scan_all h
     end
@@ -401,7 +374,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       (* the episode's dwell is the exiting winner's sole responsibility *)
       t.fallback_ticks_acc <- t.fallback_ticks_acc + dwell;
       R.emit Qs_intf.Runtime_intf.Ev_fallback_exit dwell (-1);
-      h.fastpath_switches <- h.fastpath_switches + 1
+      h.c.fallback_exits <- h.c.fallback_exits + 1
     end;
     (* winner or loser, the system is on the fast path now *)
     h.prev_fallback <- false;
@@ -433,7 +406,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
           (fun pid' p ->
             if pid' <> h.pid && R.get p = 0 && R.cas t.evicted.(pid') 0 1 then begin
               ignore (R.fetch_and_add t.evicted_count 1);
-              h.evictions <- h.evictions + 1;
+              h.c.evictions <- h.c.evictions + 1;
               R.emit Qs_intf.Runtime_intf.Ev_evict pid' (-1);
               (* Route the victim's limbo lists through the orphan pool so
                  a crashed process no longer leaks them (before this layer
@@ -474,9 +447,10 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
 
   (* Algorithm 5, manage_qsense_state. *)
   let manage_state h =
-    h.call_count <- h.call_count + 1;
-    if h.call_count mod h.owner.cfg.quiescence_threshold = 0 then begin
+    h.until_q <- h.until_q - 1;
+    if h.until_q = 0 then begin
       let t = h.owner in
+      h.until_q <- t.q;
       if R.get t.evicted.(h.pid) = 1 then rejoin h;
       R.set t.presence.(h.pid) 1;
       let fallback = R.get t.fallback_flag = 1 in
@@ -503,15 +477,17 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
        already been donated and adopted *)
     if h.eviction_on then check_seized h;
     let sealed = Bag.push h.limbo.(e) n ts in
-    h.retires <- h.retires + 1;
     let total = total_limbo h in
-    if total > h.retired_peak then h.retired_peak <- total;
+    Counters.retired h.c total;
     R.emit Qs_intf.Runtime_intf.Ev_retire (N.id n) total;
     if sealed > 0 then R.emit Qs_intf.Runtime_intf.Ev_bag_seal sealed (-1);
     let fallback = R.get t.fallback_flag = 1 in
     if fallback then begin
-      h.fnl_count <- h.fnl_count + 1;
-      if h.fnl_count mod t.scan_threshold = 0 then scan_all h;
+      h.until_scan <- h.until_scan - 1;
+      if h.until_scan = 0 then begin
+        h.until_scan <- t.scan_threshold;
+        scan_all h
+      end;
       h.prev_fallback <- true
     end
     else if h.prev_fallback then begin
@@ -543,24 +519,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     h.adopted <- Bag.create h.lsrc;
     Orphan_pool.donate t.orphans ~donor:h.pid ~nodes:donated
       [| old_limbo.(0); old_limbo.(1); old_limbo.(2); old_adopted |];
-    t.legacy_retires <- t.legacy_retires + h.retires;
-    t.legacy_frees <- t.legacy_frees + h.frees;
-    t.legacy_scans <- t.legacy_scans + h.scans;
-    t.legacy_epoch_advances <- t.legacy_epoch_advances + h.epoch_advances;
-    t.legacy_fallback_switches <-
-      t.legacy_fallback_switches + h.fallback_switches;
-    t.legacy_fastpath_switches <-
-      t.legacy_fastpath_switches + h.fastpath_switches;
-    t.legacy_evictions <- t.legacy_evictions + h.evictions;
-    t.legacy_retired_peak <- t.legacy_retired_peak + h.retired_peak;
-    h.retires <- 0;
-    h.frees <- 0;
-    h.scans <- 0;
-    h.epoch_advances <- 0;
-    h.fallback_switches <- 0;
-    h.fastpath_switches <- 0;
-    h.evictions <- 0;
-    h.retired_peak <- 0;
+    Counters.absorb ~into:t.departed h.c;
     t.handles.(h.pid) <- None;
     R.emit Qs_intf.Runtime_intf.Ev_unregister h.pid donated
 
@@ -571,7 +530,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     let t = h.owner in
     let flush_bag data _ts count _stamp =
       t.free_bulk data count;
-      h.frees <- h.frees + count
+      h.c.frees <- h.c.frees + count
     in
     for e = 0 to 2 do
       Bag.drain h.limbo.(e) ~free_bag:flush_bag
@@ -583,7 +542,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
           (fun v ->
             Bag.drain v ~free_bag:(fun data _ts count _stamp ->
                 t.free_bulk data count;
-                t.legacy_frees <- t.legacy_frees + count))
+                t.departed.frees <- t.departed.frees + count))
           e.Orphan_pool.payload)
       (Orphan_pool.drain t.orphans)
 
@@ -597,29 +556,15 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     + Orphan_pool.node_count t.orphans
 
   let stats t =
-    { Smr_intf.retires = fold t (fun h -> h.retires) + t.legacy_retires;
-      frees = fold t (fun h -> h.frees) + t.legacy_frees;
-      scans = fold t (fun h -> h.scans) + t.legacy_scans;
-      epoch_advances =
-        fold t (fun h -> h.epoch_advances) + t.legacy_epoch_advances;
-      fallback_switches =
-        fold t (fun h -> h.fallback_switches) + t.legacy_fallback_switches;
-      fastpath_switches =
-        fold t (fun h -> h.fastpath_switches) + t.legacy_fastpath_switches;
-      fallback_entries =
-        fold t (fun h -> h.fallback_switches) + t.legacy_fallback_switches;
-      fallback_exits =
-        fold t (fun h -> h.fastpath_switches) + t.legacy_fastpath_switches;
+    { (Counters.to_stats
+         (Counters.sum t.departed (fun h -> h.c) t.handles)
+         ~retired_now:(retired_count t))
+      with
       fallback_ticks = t.fallback_ticks_acc;
       fallback_since =
         (match t.mode_shadow with
         | Smr_intf.Fallback -> Some t.fallback_since_shadow
         | Smr_intf.Fast -> None);
-      evictions = fold t (fun h -> h.evictions) + t.legacy_evictions;
-      neutralizations = 0;
-      retired_now = retired_count t;
-      retired_peak =
-        fold t (fun h -> h.retired_peak) + t.legacy_retired_peak;
       mode = t.mode_shadow }
 end
 

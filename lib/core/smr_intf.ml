@@ -86,17 +86,22 @@ let default_config ~n_processes ~hp_per_process =
     eviction_timeout = None;
     bag_capacity = 64 }
 
-(** R clamped to [>= 1]: the schemes that schedule scans with
-    [count mod threshold] would raise [Division_by_zero] on
-    [scan_threshold <= 0], and a threshold of 1 ("scan on every retire")
-    is the closest legal reading of such a config. *)
+(** R clamped to [>= 1]: Cadence and QSense count retires down from R to
+    schedule their scans, and a countdown from [R <= 0] would never fire;
+    a threshold of 1 ("scan on every retire") is the closest legal
+    reading of such a config. *)
 let effective_scan_threshold cfg = max 1 cfg.scan_threshold
+
+(** Q clamped to [>= 1], the way R is: the schemes count operations down
+    from Q, a countdown from [Q <= 0] would never fire, and quiescing on
+    every operation is the closest legal reading of such a config. *)
+let effective_quiescence_threshold cfg = max 1 cfg.quiescence_threshold
 
 (** The smallest legal fallback-switch threshold per Property 4:
     [C > max (m*Q) (N*K + T) ((K + T + R) / 2)]. *)
 let legal_switch_threshold cfg =
   let m = cfg.removes_per_op_max
-  and q = cfg.quiescence_threshold
+  and q = effective_quiescence_threshold cfg
   and n = cfg.n_processes
   and k = cfg.hp_per_process
   and t = cfg.rooster_interval
