@@ -78,3 +78,17 @@ let drain t =
   let es = Atomic.exchange t.pool [] in
   List.iter (fun e -> ignore (Atomic.fetch_and_add t.node_count (-e.nodes))) es;
   es
+
+(* Teardown only: free every pooled limbo list without safety checks,
+   counting the frees among the departed handles' (no live handle owns
+   them). *)
+let free_all t ~free_bulk (departed : Counters.t) =
+  List.iter
+    (fun e ->
+      Array.iter
+        (fun v ->
+          Qs_util.Bag.drain v ~free_bag:(fun data _ts count _stamp ->
+              free_bulk data count;
+              departed.frees <- departed.frees + count))
+        e.payload)
+    (drain t)

@@ -9,4 +9,5 @@
 module Make = Hazard_pointers.Make_gen (struct
   let scheme_name = "unsafe-hp"
   let fenced = false
+  let deferred = false
 end)
