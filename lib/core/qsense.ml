@@ -28,14 +28,26 @@
    freeing filters through the hazard-pointer + age check instead of freeing
    unconditionally.
 
+   Built on the two engines. The hazard engine ({!Hazard_pointers}, with
+   Cadence's policy) holds the lists, the scan state, adoption, donation,
+   flush and the counters: a QSense handle is a hazard-engine handle with
+   four lists — the three epoch lists and the adopted orphans. The epoch
+   engine ({!Ebr}) supplies the grace-period free and the epoch advance.
+   What remains here is QSense's own logic: the fast-path quiescence
+   round (which skips evicted processes), the switch, presence, eviction,
+   seizure and rejoin.
+
    Hot-path discipline: limbo lists are bags ({!Qs_util.Bag}) holding
    each node with its retire timestamp. The QSBR fast path frees a whole
    expired epoch bag-by-bag in bulk arena calls; fallback scans walk
    sealed bags oldest-first against a reusable hash-set hazard-pointer
-   snapshot ({!Hp_array.snapshot_into}), paying one age check per bag and
-   filtering survivors into fresh bags — the fallback HP scan shrinks to
-   bag granularity. Eviction seizes a victim's bag chains intact (donation is
-   pointer splicing). The per-process cells written by their owner and
+   snapshot, paying one age check per bag and filtering survivors into
+   fresh bags. Eviction seizes a victim's bag chains intact (donation is
+   pointer splicing). No per-operation function ([assign_hp],
+   [clear_hps], [manage_state], [retire]) calls into an engine directly:
+   such a call goes through a functor argument, which is never inlined,
+   so the engines are reached through local wrappers on the amortised
+   paths only. The per-process cells written by their owner and
    read by everyone (epoch slots, presence and eviction flags) are
    cache-line padded. *)
 
@@ -55,15 +67,31 @@ end
 module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   type node = N.t
 
-  module Hp = Hp_array.Make (R) (N)
+  (* The fallback path is Cadence: unfenced, deferred by T + epsilon. *)
+  module Hz =
+    Hazard_pointers.Make_gen
+      (struct
+        let scheme_name = P.scheme_name
+        let fenced = false
+        let deferred = true
+      end)
+      (R)
+      (N)
+
+  module Ep =
+    Ebr.Make_gen
+      (struct
+        let scheme_name = P.scheme_name
+        let per_operation = false
+        let neutralize = false
+      end)
+      (R)
+      (N)
 
   type t = {
-    cfg : Smr_intf.config;
+    engine : Hz.t; (* hazard array, orphan pool, departed counters *)
     c_threshold : int;
     q : int; (* Q, clamped to >= 1 *)
-    scan_threshold : int; (* R, clamped to >= 1 *)
-    hp : Hp.t;
-    free_bulk : node array -> int -> unit;
     global : int R.atomic;
     locals : int R.atomic array;
     fallback_flag : int R.atomic; (* 0 = fast path, 1 = fallback path *)
@@ -79,29 +107,20 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
         (* total time spent in completed fallback episodes (stats only;
            written exclusively by the process that wins the
            [enter_fastpath] CAS, so there is no lost-update race) *)
-    dummy : node;
-    handles : handle option array;
-    orphans : node Bag.t array Orphan_pool.t;
-        (* each entry is an arbitrary-length array of timestamped limbo
-           lists: the three epochs (+ adopted list) of a departed or
-           evicted process; bag chains travel intact *)
-    departed : Counters.t;
+    handles : handle option array; (* for eviction *)
   }
 
   and handle = {
     owner : t;
     pid : int;
-    mutable lsrc : node Bag.source;
-    mutable limbo : node Bag.Triple.t;
-        (* one limbo list per epoch, as in QSBR; replaced wholesale (with
-           a fresh block source) when the lists are donated (unregister)
-           or seized (eviction) *)
-    mutable adopted : node Bag.t;
-        (* orphaned nodes adopted from the pool. NEVER freed by the
-           unconditional grace-period path: Lemma 3 does not apply to
-           orphans (we know nothing about when their donor retired them
-           relative to our epochs), so this list is reclaimed exclusively
-           through the Cadence-style HP + age filter. *)
+    hz : Hz.handle;
+        (* lists 0-2: one limbo list per epoch, as in QSBR; list 3: the
+           orphans adopted from the pool. The adopted list is NEVER freed
+           by the unconditional grace-period path: Lemma 3 does not apply
+           to orphans (we know nothing about when their donor retired them
+           relative to our epochs), so it is reclaimed exclusively through
+           the Cadence-style HP + age filter. *)
+    hp_row : R.plain; (* this process's row of the hazard array *)
     seized : bool Atomic.t;
         (* [Stdlib.Atomic], deliberately outside the simulated memory
            model (same reasoning as {!Orphan_pool}): set once by an
@@ -110,22 +129,11 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
            it. Checked at points with no runtime effect between check and
            list use, so on the simulator the handoff is race-free. *)
     eviction_on : bool; (* cfg.eviction_timeout <> None, precomputed *)
-    hp_row : R.plain; (* this process's row of [hp] *)
-    scan_set : Hp.scan_set;
     mutable until_q : int; (* operations left before the next Q boundary *)
-    mutable until_scan : int; (* fallback retires left before the next scan *)
     mutable prev_fallback : bool; (* prev_seen_fallback_flag of Algorithm 5 *)
     mutable rejoin_guard : int;
-    c : Counters.t;
-    mutable scan_now : int;
-        (* the scan's single [now_coarse] read, hoisted into the handle so
-           the preallocated filter closures capture no per-scan state *)
-    age_ok : int -> bool;
-    keep : node -> bool;
-    free_bag : node array -> int array -> int -> int -> unit;
-    (* the unconditional (grace-period) epoch free: no clock read, so ages
-       are reported as -1 and recovered offline from Ev_retire *)
-    uncond_bag : node array -> int array -> int -> int -> unit;
+    expired_bag : node array -> int array -> int -> int -> unit;
+        (* the unconditional (grace-period) epoch free *)
   }
 
   let name = P.scheme_name
@@ -135,12 +143,9 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       if cfg.switch_threshold > 0 then cfg.switch_threshold
       else Smr_intf.legal_switch_threshold cfg
     in
-    { cfg;
+    { engine = Hz.create cfg ~dummy ~free_bulk;
       c_threshold = c;
       q = Smr_intf.effective_quiescence_threshold cfg;
-      scan_threshold = Smr_intf.effective_scan_threshold cfg;
-      hp = Hp.create ~n:cfg.n_processes ~k:cfg.hp_per_process ~dummy;
-      free_bulk;
       global = R.atomic_padded 0;
       locals = Array.init cfg.n_processes (fun _ -> R.atomic_padded 0);
       fallback_flag = R.atomic_padded 0;
@@ -151,65 +156,28 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       mode_shadow = Smr_intf.Fast;
       fallback_since_shadow = 0;
       fallback_ticks_acc = 0;
-      dummy;
-      handles = Array.make cfg.n_processes None;
-      orphans = Orphan_pool.create ();
-      departed = Counters.create () }
-
-  let limbo_source t = Bag.source ~capacity:t.cfg.bag_capacity t.dummy
+      handles = Array.make cfg.n_processes None }
 
   let register t ~pid =
-    let lsrc = limbo_source t in
-    let age = t.cfg.rooster_interval + t.cfg.epsilon in
-    let rec h =
+    let hz = Hz.attach t.engine ~pid ~lists:4 in
+    let h =
       { owner = t;
         pid;
-        lsrc;
-        limbo = Bag.Triple.create lsrc;
-        adopted = Bag.create lsrc;
+        hz;
+        hp_row = hz.hp_row;
         seized = Atomic.make false;
-        eviction_on = t.cfg.eviction_timeout <> None;
-        hp_row = Hp.row t.hp ~pid;
-        scan_set = Hp.scan_set t.hp;
+        eviction_on = t.engine.cfg.eviction_timeout <> None;
         until_q = t.q;
-        until_scan = t.scan_threshold;
         prev_fallback = false;
         rejoin_guard = 0;
-        c = Counters.create ();
-        scan_now = 0;
-        age_ok = (fun stamp -> h.scan_now - stamp >= age);
-        keep = (fun n -> Hp.protects_set h.scan_set n);
-        free_bag =
-          (fun data ts count stamp ->
-            t.free_bulk data count;
-            h.c.frees <- h.c.frees + count;
-            (* one tracing check per bag instead of one dead emit per
-               node; Ev_free.b is the exact [now - ts] the age check
-               passed on *)
-            if R.tracing () then
-              for i = 0 to count - 1 do
-                R.emit Qs_intf.Runtime_intf.Ev_free (N.id data.(i))
-                  (h.scan_now - ts.(i))
-              done;
-            R.emit Qs_intf.Runtime_intf.Ev_bag_free count
-              (h.scan_now - stamp));
-        uncond_bag =
-          (fun data _ts count _stamp ->
-            t.free_bulk data count;
-            h.c.frees <- h.c.frees + count;
-            (* no clock read on the unconditional path (reading it would
-               charge virtual time and perturb seeded schedules): the age
-               is recovered offline from the node's Ev_retire *)
-            if R.tracing () then
-              for i = 0 to count - 1 do
-                R.emit Qs_intf.Runtime_intf.Ev_free (N.id data.(i)) (-1)
-              done;
-            R.emit Qs_intf.Runtime_intf.Ev_bag_free count (-1)) }
+        expired_bag = Ep.expired_bag ~free_bulk:t.engine.free_bulk hz.c }
     in
     t.handles.(pid) <- Some h;
     h
 
-  let total_limbo h = Bag.Triple.total h.limbo
+  let total_limbo h =
+    let l = h.hz.lists in
+    Bag.length l.(0) + Bag.length l.(1) + Bag.length l.(2)
 
   (* Hazard pointers are maintained in BOTH modes, without fences — this is
      what makes the fast path fast and the switch sound (see §4.1). The
@@ -220,65 +188,22 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       R.write h.hp_row slot (N.id n);
       R.fence ()
     end
-  let clear_hps h = Hp.clear h.owner.hp ~pid:h.pid
 
-  (* Cadence-style filtered reclamation of one limbo list: free entries
-     that are old enough and unprotected, keep the rest. The caller must
-     have refreshed [h.scan_set] and [h.scan_now]. *)
-  let scan_limbo h v =
-    Bag.scan v ~age_ok:h.age_ok ~keep:h.keep ~free_bag:h.free_bag
+  let clear_hps h = Hz.Hp.clear h.owner.engine.hp ~pid:h.pid
 
-  let scan_epoch h e = scan_limbo h h.limbo.(e)
-
-  (* Adoption: splice one orphaned batch (limbo triple + adopted list of a
-     departed or evicted process) into [h.adopted], original retire
-     timestamps preserved. Adopted nodes are reclaimed exclusively through
-     the HP + age filter — the one safety argument that holds with no
-     assumption about the donor's epochs (Lemma 3 does not apply to
-     orphans): any hazard that could protect an orphaned node was
-     published before its removal and is visible within T + epsilon of
-     the preserved retire timestamp. Gated on the meta-level emptiness
-     hint so runs without churn perform no extra runtime effects. *)
-  let adopt_orphans h =
-    let t = h.owner in
-    if not (Orphan_pool.is_empty t.orphans) then
-      match Orphan_pool.take t.orphans with
-      | None -> ()
-      | Some e ->
-        Array.iter
-          (fun v -> Bag.splice_into ~src:v ~dst:h.adopted)
-          e.Orphan_pool.payload;
-        R.emit Qs_intf.Runtime_intf.Ev_adopt e.Orphan_pool.nodes
-          e.Orphan_pool.donor
+  (* Algorithm 5 lines 45-47: in fallback mode all three epochs are scanned
+     (plus the adopted orphans, under the same filter). *)
+  let[@inline never] scan_all h = Hz.scan h.hz
 
   (* Fast-path reclamation of the adopted list (the fallback path folds it
      into [scan_all] instead). Gated on emptiness: non-churn runs perform
      no extra effects here. *)
   let reclaim_adopted h =
-    if Bag.length h.adopted > 0 then begin
-      let t = h.owner in
-      h.scan_now <- R.now_coarse ();
-      Hp.snapshot_into t.hp h.scan_set;
-      scan_limbo h h.adopted
+    let adopted = h.hz.lists.(3) in
+    if Bag.length adopted > 0 then begin
+      Hz.snapshot h.hz;
+      Hz.sweep h.hz adopted
     end
-
-  (* Algorithm 5 lines 45-47: in fallback mode all three epochs are scanned
-     (plus the adopted orphans, under the same filter). *)
-  let scan_all h =
-    R.hook Qs_intf.Runtime_intf.Hook_scan;
-    adopt_orphans h;
-    h.c.scans <- h.c.scans + 1;
-    let before = total_limbo h + Bag.length h.adopted in
-    R.emit Qs_intf.Runtime_intf.Ev_scan_begin before (-1);
-    h.scan_now <- R.now_coarse ();
-    Hp.snapshot_into h.owner.hp h.scan_set;
-    for e = 0 to 2 do
-      scan_epoch h e
-    done;
-    (* effect-free when empty: the filter walk is plain OCaml *)
-    scan_limbo h h.adopted;
-    let kept = total_limbo h + Bag.length h.adopted in
-    R.emit Qs_intf.Runtime_intf.Ev_scan_end (before - kept) kept
 
   (* Free an adopted epoch's limbo list. Unconditional in the common case
      (grace period passed, Lemma 3); filtered through the HP + age check
@@ -289,23 +214,20 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     let filtered = R.get t.evicted_count > 0 || h.rejoin_guard > 0 in
     if h.rejoin_guard > 0 then h.rejoin_guard <- h.rejoin_guard - 1;
     if filtered then begin
-      h.scan_now <- R.now_coarse ();
-      Hp.snapshot_into t.hp h.scan_set;
-      scan_epoch h e
+      Hz.snapshot h.hz;
+      Hz.sweep h.hz h.hz.lists.(e)
     end
     else
       (* unconditional: the grace period (Lemma 3) covers every node in
          the epoch, bags included — no age check, no clock read *)
-      Bag.drain h.limbo.(e) ~free_bag:h.uncond_bag
+      Bag.drain h.hz.lists.(e) ~free_bag:h.expired_bag
 
-  (* Top-level recursion, as in {!Qsbr}: an inner [let rec] closure here
-     would allocate on the fast-path quiescence round. *)
-  let rec all_current_from t eg n i =
-    i >= n
+  (* Top-level recursion: an inner [let rec] closure here would allocate
+     on the fast-path quiescence round. *)
+  let rec all_current t eg i =
+    i >= Array.length t.locals
     || ((R.get t.evicted.(i) = 1 || R.get t.locals.(i) = eg)
-       && all_current_from t eg n (i + 1))
-
-  let all_current t eg = all_current_from t eg (Array.length t.locals) 0
+       && all_current t eg (i + 1))
 
   let quiescent_state h =
     R.hook Qs_intf.Runtime_intf.Hook_quiesce;
@@ -315,24 +237,21 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       R.set t.locals.(h.pid) eg;
       R.emit Qs_intf.Runtime_intf.Ev_quiesce eg 1;
       free_adopted_epoch h eg;
-      adopt_orphans h;
+      (* adopted orphans pass only the HP + age filter: any hazard that
+         could protect one was published before its removal and is
+         visible within T + epsilon of its preserved retire stamp *)
+      Hz.adopt_orphans h.hz;
       reclaim_adopted h
     end
     else begin
       R.emit Qs_intf.Runtime_intf.Ev_quiesce eg 0;
-      if all_current t eg then
-        if R.cas t.global eg ((eg + 1) mod 3) then begin
-          h.c.epoch_advances <- h.c.epoch_advances + 1;
-          R.emit Qs_intf.Runtime_intf.Ev_epoch_advance ((eg + 1) mod 3) (-1)
-        end
+      if all_current t eg 0 then Ep.advance t.global h.hz.c eg
     end
 
-  let rec all_active_from t n i =
-    i >= n
+  let rec all_active t i =
+    i >= Array.length t.presence
     || ((R.get t.evicted.(i) = 1 || R.get t.presence.(i) = 1)
-       && all_active_from t n (i + 1))
-
-  let all_active t = all_active_from t (Array.length t.presence) 0
+       && all_active t (i + 1))
 
   let reset_presence t =
     Array.iter (fun p -> R.set p 0) t.presence
@@ -355,7 +274,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       R.emit Qs_intf.Runtime_intf.Ev_fallback_enter (total_limbo h) (-1);
       reset_presence t;
       R.set t.presence.(h.pid) 1;
-      h.c.fallback_entries <- h.c.fallback_entries + 1;
+      h.hz.c.fallback_entries <- h.hz.c.fallback_entries + 1;
       h.prev_fallback <- true;
       scan_all h
     end
@@ -374,7 +293,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       (* the episode's dwell is the exiting winner's sole responsibility *)
       t.fallback_ticks_acc <- t.fallback_ticks_acc + dwell;
       R.emit Qs_intf.Runtime_intf.Ev_fallback_exit dwell (-1);
-      h.c.fallback_exits <- h.c.fallback_exits + 1
+      h.hz.c.fallback_exits <- h.hz.c.fallback_exits + 1
     end;
     (* winner or loser, the system is on the fast path now *)
     h.prev_fallback <- false;
@@ -385,12 +304,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
      observing the flag. [seized] can only be set again after a full
      rejoin + re-eviction cycle, so resetting it here is race-free. *)
   let renew_seized_lists h =
-    let t = h.owner in
-    (* fresh block source too: the seized lists keep the old one, and the
-       adopter recycles their blocks into its own — never into ours *)
-    h.lsrc <- limbo_source t;
-    h.limbo <- Bag.Triple.create h.lsrc;
-    h.adopted <- Bag.create h.lsrc;
+    Hz.renew h.hz;
     Atomic.set h.seized false
 
   let check_seized h =
@@ -398,7 +312,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
 
   let maybe_evict h =
     let t = h.owner in
-    match t.cfg.eviction_timeout with
+    match t.engine.cfg.eviction_timeout with
     | None -> ()
     | Some dt ->
       if R.now () - R.get t.fallback_since > dt then
@@ -406,7 +320,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
           (fun pid' p ->
             if pid' <> h.pid && R.get p = 0 && R.cas t.evicted.(pid') 0 1 then begin
               ignore (R.fetch_and_add t.evicted_count 1);
-              h.c.evictions <- h.c.evictions + 1;
+              h.hz.c.evictions <- h.hz.c.evictions + 1;
               R.emit Qs_intf.Runtime_intf.Ev_evict pid' (-1);
               (* Route the victim's limbo lists through the orphan pool so
                  a crashed process no longer leaks them (before this layer
@@ -420,13 +334,12 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
               match t.handles.(pid') with
               | None -> () (* slot already unregistered: donated by owner *)
               | Some hv ->
-                let limbo = hv.limbo and adopted = hv.adopted in
+                let lists = hv.hz.lists in
                 if Atomic.compare_and_set hv.seized false true then begin
                   let nodes =
-                    Bag.Triple.total limbo + Bag.length adopted
+                    Array.fold_left (fun n v -> n + Bag.length v) 0 lists
                   in
-                  Orphan_pool.donate t.orphans ~donor:pid' ~nodes
-                    [| limbo.(0); limbo.(1); limbo.(2); adopted |]
+                  Orphan_pool.donate t.engine.orphans ~donor:pid' ~nodes lists
                 end
             end)
           t.presence
@@ -460,7 +373,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       end
       else begin
         maybe_evict h;
-        if all_active t then enter_fastpath h else h.prev_fallback <- true
+        if all_active t 0 then enter_fastpath h else h.prev_fallback <- true
       end
     end
 
@@ -476,16 +389,20 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
        other processes, so a node can never land in a list that has
        already been donated and adopted *)
     if h.eviction_on then check_seized h;
-    let sealed = Bag.push h.limbo.(e) n ts in
+    let sealed = Bag.push h.hz.lists.(e) n ts in
     let total = total_limbo h in
-    Counters.retired h.c total;
+    (* [Counters.retired], written out: a call to another module is a
+       closure call when it is not inlined, and this runs on every retire *)
+    let c = h.hz.c in
+    c.retires <- c.retires + 1;
+    if total > c.retired_peak then c.retired_peak <- total;
     R.emit Qs_intf.Runtime_intf.Ev_retire (N.id n) total;
     if sealed > 0 then R.emit Qs_intf.Runtime_intf.Ev_bag_seal sealed (-1);
     let fallback = R.get t.fallback_flag = 1 in
     if fallback then begin
-      h.until_scan <- h.until_scan - 1;
-      if h.until_scan = 0 then begin
-        h.until_scan <- t.scan_threshold;
+      h.hz.until_scan <- h.hz.until_scan - 1;
+      if h.hz.until_scan = 0 then begin
+        h.hz.until_scan <- t.engine.scan_threshold;
         scan_all h
       end;
       h.prev_fallback <- true
@@ -507,59 +424,24 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
      through the ordinary [rejoin] path at its first quiescence boundary. *)
   let unregister h =
     let t = h.owner in
-    Hp.clear t.hp ~pid:h.pid;
+    Hz.Hp.clear t.engine.hp ~pid:h.pid;
     R.fence ();
     check_seized h;
     if R.cas t.evicted.(h.pid) 0 1 then
       ignore (R.fetch_and_add t.evicted_count 1);
-    let donated = total_limbo h + Bag.length h.adopted in
-    let old_limbo = h.limbo and old_adopted = h.adopted in
-    h.lsrc <- limbo_source t;
-    h.limbo <- Bag.Triple.create h.lsrc;
-    h.adopted <- Bag.create h.lsrc;
-    Orphan_pool.donate t.orphans ~donor:h.pid ~nodes:donated
-      [| old_limbo.(0); old_limbo.(1); old_limbo.(2); old_adopted |];
-    Counters.absorb ~into:t.departed h.c;
     t.handles.(h.pid) <- None;
-    R.emit Qs_intf.Runtime_intf.Ev_unregister h.pid donated
+    Hz.release h.hz
 
+  (* a seized handle's old lists belong to the pool now — freeing them
+     here too would double-free; start from the fresh ones *)
   let flush h =
-    (* a seized handle's old lists belong to the pool now — freeing them
-       here too would double-free; start from the fresh ones *)
     check_seized h;
-    let t = h.owner in
-    let flush_bag data _ts count _stamp =
-      t.free_bulk data count;
-      h.c.frees <- h.c.frees + count
-    in
-    for e = 0 to 2 do
-      Bag.drain h.limbo.(e) ~free_bag:flush_bag
-    done;
-    Bag.drain h.adopted ~free_bag:flush_bag;
-    List.iter
-      (fun (e : _ Orphan_pool.entry) ->
-        Array.iter
-          (fun v ->
-            Bag.drain v ~free_bag:(fun data _ts count _stamp ->
-                t.free_bulk data count;
-                t.departed.frees <- t.departed.frees + count))
-          e.Orphan_pool.payload)
-      (Orphan_pool.drain t.orphans)
+    Hz.flush h.hz
 
-  let fold t f =
-    Array.fold_left
-      (fun acc -> function None -> acc | Some h -> acc + f h)
-      0 t.handles
-
-  let retired_count t =
-    fold t (fun h -> total_limbo h + Bag.length h.adopted)
-    + Orphan_pool.node_count t.orphans
+  let retired_count t = Hz.retired_count t.engine
 
   let stats t =
-    { (Counters.to_stats
-         (Counters.sum t.departed (fun h -> h.c) t.handles)
-         ~retired_now:(retired_count t))
-      with
+    { (Hz.stats t.engine) with
       fallback_ticks = t.fallback_ticks_acc;
       fallback_since =
         (match t.mode_shadow with
