@@ -622,8 +622,8 @@ module Observatory = struct
     let entries = Qs_obs.Tracer.to_array tracer in
     let episodes = Qs_obs.Metrics.fallback_episodes entries in
     Printf.printf "fallback/fast switches: %d/%d; episodes seen in trace: %d\n"
-      r.Qs_harness.Sim_exp.report.smr.fallback_switches
-      r.Qs_harness.Sim_exp.report.smr.fastpath_switches
+      r.Qs_harness.Sim_exp.report.smr.fallback_entries
+      r.Qs_harness.Sim_exp.report.smr.fallback_exits
       (List.length episodes);
     List.iter
       (fun (e : Qs_obs.Metrics.episode) ->

@@ -207,7 +207,7 @@ let run_cmd =
     add "frees" (string_of_int r.report.smr.frees);
     add "epoch advances" (string_of_int r.report.smr.epoch_advances);
     add "fallback / fast-path switches"
-      (Printf.sprintf "%d / %d" r.report.smr.fallback_switches r.report.smr.fastpath_switches);
+      (Printf.sprintf "%d / %d" r.report.smr.fallback_entries r.report.smr.fallback_exits);
     add "mode at end"
       (match r.report.smr.mode with Qs_smr.Smr_intf.Fast -> "fast" | _ -> "fallback");
     add "use-after-free" (string_of_int r.violations);

@@ -41,7 +41,7 @@ let describe scheme =
   Printf.printf "%-7s | %s\n" (Qs_smr.Scheme.to_string scheme)
     (Qs_util.Table.sparkline r.series);
   Printf.printf "        | ops=%d  fallback switches=%d  recoveries=%d%s\n\n"
-    r.ops_total r.report.smr.fallback_switches r.report.smr.fastpath_switches
+    r.ops_total r.report.smr.fallback_entries r.report.smr.fallback_exits
     (match r.failed_at with
     | Some t ->
       Printf.sprintf "  ** OUT OF MEMORY at t=%d (second %d) **" t (t / sim_second)

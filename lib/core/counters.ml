@@ -73,8 +73,6 @@ let to_stats c ~retired_now =
     frees = c.frees;
     scans = c.scans;
     epoch_advances = c.epoch_advances;
-    fallback_switches = c.fallback_entries;
-    fastpath_switches = c.fallback_exits;
     fallback_entries = c.fallback_entries;
     fallback_exits = c.fallback_exits;
     evictions = c.evictions;

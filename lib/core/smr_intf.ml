@@ -1,9 +1,11 @@
 (** The common interface of all safe-memory-reclamation (SMR) schemes.
 
-    Every scheme — Leaky (the paper's "None"), classic hazard pointers,
-    QSBR, Cadence and QSense — implements {!module-type:S}, functorised over
-    the {!Qs_intf.Runtime_intf.RUNTIME} it executes on and the node type it
-    protects. Data structures interact with reclamation exclusively through
+    Every scheme implements {!module-type:S}, functorised over the
+    {!Qs_intf.Runtime_intf.RUNTIME} it executes on and the node type it
+    protects: Leaky (the paper's "None"); the hazard engine's classic
+    hazard pointers, unfenced hazard pointers and Cadence; the epoch
+    engine's QSBR, EBR and DEBRA+; Hyaline; and QSense with its naive
+    variant, built on both engines ({!Scheme.kind} lists them). Data structures interact with reclamation exclusively through
     the paper's three-function interface plus registration:
 
     - {!S.manage_state} — the paper's [manage_qsense_state] (rule 1): call
@@ -39,11 +41,17 @@ type config = {
   n_processes : int;  (** N — worker processes *)
   hp_per_process : int;  (** K — hazard pointers per process *)
   quiescence_threshold : int;
-      (** Q — operations batched per declared quiescent state (§3.1) *)
+      (** Q — operations batched per declared quiescent state (§3.1), or
+          between epoch-advance attempts. Clamped to [>= 1]
+          ({!effective_quiescence_threshold}), so [<= 0] means "every
+          operation". *)
   scan_threshold : int;
-      (** R — retires between hazard-pointer scans, used as written.
-          Clamped to [>= 1] ({!effective_scan_threshold}), so
-          [scan_threshold <= 0] means "scan on every retire". *)
+      (** R — the hazard-pointer scan trigger: classic and unfenced HP
+          scan whenever a retire leaves >= R nodes in the removed list;
+          Cadence and QSense's fallback path, whose young nodes survive a
+          scan, scan every R retires. Clamped to [>= 1]
+          ({!effective_scan_threshold}), so [scan_threshold <= 0] means
+          "scan on every retire". *)
   rooster_interval : int;
       (** T — rooster sleep interval, in [RUNTIME.now] units. The runtime
           must actually run roosters at this interval (simulator config /
@@ -114,14 +122,12 @@ type stats = {
   retires : int;
   frees : int;
   scans : int;  (** hazard-pointer scans performed *)
-  epoch_advances : int;  (** global-epoch increments (QSBR / QSense) *)
-  fallback_switches : int;
-  fastpath_switches : int;
+  epoch_advances : int;
+      (** global-epoch increments (QSBR, EBR, DEBRA+ and QSense) *)
   fallback_entries : int;
-      (** Completed fast-path → fallback transitions (equals
-          [fallback_switches] for the hybrid schemes; 0 elsewhere). Exposed
-          separately so robustness tests assert mode round-trips directly
-          instead of inferring them from reclamation counts. *)
+      (** Completed fast-path → fallback transitions (the hybrid schemes;
+          0 elsewhere), so robustness tests assert mode round-trips
+          directly instead of inferring them from reclamation counts. *)
   fallback_exits : int;
       (** Completed fallback → fast-path transitions (presence flags
           refilled, or eviction). *)
@@ -152,8 +158,6 @@ let zero_stats =
     frees = 0;
     scans = 0;
     epoch_advances = 0;
-    fallback_switches = 0;
-    fastpath_switches = 0;
     fallback_entries = 0;
     fallback_exits = 0;
     fallback_ticks = 0;

@@ -293,7 +293,7 @@ let ablation_switch_threshold ~seed =
       Qs_util.Table.add_row tbl
         [ string_of_int c_thr;
           Printf.sprintf "%.1f" r.throughput;
-          string_of_int r.report.smr.fallback_switches;
+          string_of_int r.report.smr.fallback_entries;
           string_of_int r.report.smr.retired_peak
         ])
     [ 8; 32; 128; 1_024 ];

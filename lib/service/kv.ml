@@ -179,8 +179,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       frees = a.frees + b.frees;
       scans = a.scans + b.scans;
       epoch_advances = a.epoch_advances + b.epoch_advances;
-      fallback_switches = a.fallback_switches + b.fallback_switches;
-      fastpath_switches = a.fastpath_switches + b.fastpath_switches;
       fallback_entries = a.fallback_entries + b.fallback_entries;
       fallback_exits = a.fallback_exits + b.fallback_exits;
       fallback_ticks = a.fallback_ticks + b.fallback_ticks;

@@ -16,7 +16,8 @@
      budget;
    - exact-zero [Gc.minor_words] pins: the batched retire path of QSBR,
      EBR, HP, Cadence and QSense (DEBRA+ and Hyaline: [Test_rivals]),
-     and the HP / QSense-fallback filtering scan, allocate nothing in
+     the HP / QSense-fallback filtering scan, and every scheme's
+     [manage_state] + [clear_hps] across Q boundaries allocate nothing in
      steady state. *)
 
 module Bag = Qs_util.Bag
@@ -494,6 +495,35 @@ let test_qsense_fallback_scan_exact_zero () =
     ~step:(fun i -> Qsense_s.retire h pool.(i mod 512))
     ()
 
+(* The per-operation entry and exit of every scheme, across Q
+   boundaries: with Q = 4, every fourth [manage_state] announces
+   quiescence or attempts the epoch advance, and with one process the
+   epochs cycle, so each boundary also runs the grace-period free of an
+   (empty) epoch list. *)
+let test_manage_state_exact_zero () =
+  let dummy = { fid = -1; freed = 0 } in
+  let cfg =
+    { base_cfg with
+      Qs_smr.Smr_intf.n_processes = 1;
+      quiescence_threshold = 4 }
+  in
+  let module D = Qs_smr.Scheme.Dispatch (R) (N) in
+  List.iter
+    (fun kind ->
+      let (module S) = D.make kind in
+      let t = S.create cfg ~dummy ~free_bulk in
+      let h = S.register t ~pid:0 in
+      let step _ =
+        S.manage_state h;
+        S.clear_hps h
+      in
+      check_exact_zero
+        (Qs_smr.Scheme.to_string kind ^ " manage_state + clear_hps")
+        ~warm:step
+        ~flush:(fun () -> S.flush h)
+        ~prep:ignore ~step ())
+    Qs_smr.Scheme.all
+
 let suite =
   [ Alcotest.test_case "bag seal boundaries + partial final bag" `Quick
       test_plain_boundaries;
@@ -515,5 +545,8 @@ let suite =
     Alcotest.test_case "hp filtering scan allocates exactly zero" `Quick
       test_hp_scan_exact_zero;
     Alcotest.test_case "qsense fallback scan allocates exactly zero" `Quick
-      test_qsense_fallback_scan_exact_zero
+      test_qsense_fallback_scan_exact_zero;
+    Alcotest.test_case
+      "manage_state + clear_hps allocate exactly zero across Q boundaries"
+      `Quick test_manage_state_exact_zero
   ]

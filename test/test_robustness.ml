@@ -64,7 +64,7 @@ let test_qsense_survives_stall () =
   Alcotest.(check (option int)) "no failure" None r.failed_at;
   Alcotest.(check int) "no use-after-free" 0 r.violations;
   Alcotest.(check bool) "switched to fallback" true
-    (r.report.smr.fallback_switches >= 1);
+    (r.report.smr.fallback_entries >= 1);
   Alcotest.(check bool) "ends in fallback mode (victim still stalled)" true
     (r.report.smr.mode = Qs_smr.Smr_intf.Fallback);
   Alcotest.(check bool) "kept reclaiming in fallback" true (r.report.smr.frees > 0)
@@ -79,9 +79,9 @@ let test_qsense_recovers () =
         capacity = cap }
   in
   Alcotest.(check (option int)) "no failure" None r.failed_at;
-  Alcotest.(check bool) "fell back" true (r.report.smr.fallback_switches >= 1);
+  Alcotest.(check bool) "fell back" true (r.report.smr.fallback_entries >= 1);
   Alcotest.(check bool) "switched back to the fast path" true
-    (r.report.smr.fastpath_switches >= 1);
+    (r.report.smr.fallback_exits >= 1);
   Alcotest.(check bool) "ends on the fast path" true
     (r.report.smr.mode = Qs_smr.Smr_intf.Fast)
 

@@ -18,6 +18,7 @@ module Qsbr = Qs_smr.Qsbr.Make (R) (N)
 module Cadence = Qs_smr.Cadence.Make (R) (N)
 module Qsense = Qs_smr.Qsense.Make (R) (N)
 module Ebr = Qs_smr.Ebr.Make (R) (N)
+module Debra = Qs_smr.Debra_plus.Make (R) (N)
 
 let dummy = { id = -1; freed = 0 }
 let mk id = { id; freed = 0 }
@@ -300,7 +301,7 @@ let test_qsense_fallback_switch () =
       Alcotest.(check bool) "switched to fallback" true
         ((Qsense.stats t).mode = Qs_smr.Smr_intf.Fallback);
       Alcotest.(check bool) "switch counted" true
-        ((Qsense.stats t).fallback_switches >= 1);
+        ((Qsense.stats t).fallback_entries >= 1);
       (* in fallback mode, old unprotected nodes get freed despite the
          silent process *)
       Sim_runtime.charge 3_000;
@@ -330,7 +331,7 @@ let test_qsense_switch_back () =
   Alcotest.(check bool) "back on the fast path" true
     ((Qsense.stats t).mode = Qs_smr.Smr_intf.Fast);
   Alcotest.(check bool) "switch back counted" true
-    ((Qsense.stats t).fastpath_switches >= 1)
+    ((Qsense.stats t).fallback_exits >= 1)
 
 let test_qsense_eviction () =
   let s = sched ~rooster:(Some 1_000) () in
@@ -382,6 +383,35 @@ let test_qsense_no_eviction_without_timeout () =
 
 (* --- config ------------------------------------------------------------- *)
 
+(* Q <= 0 is clamped to 1, the way R is: every operation then announces
+   quiescence (or, per-operation, attempts the epoch advance), exactly as
+   at Q = 1 — where the period check used to divide by Q. *)
+let test_q_zero_quiesces_every_op () =
+  let advances (module S : Qs_smr.Smr_intf.S with type node = fake) q =
+    let s = sched () in
+    let t = S.create (cfg ~n:1 ~q ()) ~dummy ~free_bulk:(fun _ _ -> ()) in
+    let h = S.register t ~pid:0 in
+    Scheduler.exec s ~pid:0 (fun () ->
+        for _ = 1 to 12 do
+          S.manage_state h;
+          S.clear_hps h
+        done);
+    (S.stats t).epoch_advances
+  in
+  List.iter
+    (fun (name, m) ->
+      let every_op = advances m 1 in
+      Alcotest.(check bool)
+        (name ^ ": Q = 1 advances more often than Q = 2")
+        true
+        (every_op > advances m 2);
+      Alcotest.(check int) (name ^ ": Q = 0 acts as Q = 1") every_op
+        (advances m 0))
+    [ ("qsbr", (module Qsbr : Qs_smr.Smr_intf.S with type node = fake));
+      ("ebr", (module Ebr));
+      ("debra-plus", (module Debra));
+      ("qsense", (module Qsense)) ]
+
 let test_legal_threshold () =
   let c = Qs_smr.Smr_intf.legal_switch_threshold (cfg ~n:4 ~k:2 ~q:10 ~r:8 ~t:100 ()) in
   (* max (m*Q = 10) (N*K + T = 108) ((K+T+R)/2 = 55) + 1 *)
@@ -420,6 +450,8 @@ let suite =
     Alcotest.test_case "qsense eviction extension" `Quick test_qsense_eviction;
     Alcotest.test_case "qsense stays fallen back without eviction" `Quick
       test_qsense_no_eviction_without_timeout;
+    Alcotest.test_case "Q <= 0 quiesces on every operation" `Quick
+      test_q_zero_quiesces_every_op;
     Alcotest.test_case "legal switch threshold" `Quick test_legal_threshold;
     Alcotest.test_case "scheme name round-trip" `Quick test_scheme_names;
     Alcotest.test_case "scheme predicates" `Quick test_scheme_predicates
