@@ -50,8 +50,9 @@
      count; [smoke --seeds 3]; the sim-stall benchmark's p50/p99/p999 and
      retired peak at seeds 1-3) and write one line per section — name,
      MD5 digest, line count — to PATH (default FINGERPRINTS). With
-     [--check], compare against PATH instead, name every moved section
-     and exit 1 if any moved. Run from the repository root.
+     [--check], compare against PATH instead, name every section that
+     moved, is new or is missing, and exit 1 if any did. Run from the
+     repository root.
 
    Everything is deterministic: equal case lines give equal verdicts, solo
    or pooled, whatever the job count. *)
@@ -831,22 +832,21 @@ let fingerprint args =
   let dt = wall_s () -. t0 in
   if check then begin
     let committed = read_fingerprints path in
-    let moved =
-      List.filter (fun s -> not (List.mem s committed)) sections
-      @ List.filter
-          (fun c -> not (List.exists (fun s -> s.name = c.name) sections))
-          committed
+    let named l s = List.exists (fun c -> c.name = s.name) l in
+    let report label l =
+      List.iter (fun s -> Printf.printf "%s: %s\n" label s.name) l;
+      List.length l
     in
-    List.iter
-      (fun s ->
-        Printf.printf "moved: %s%s\n" s.name
-          (if List.exists (fun c -> c.name = s.name) committed then ""
-           else if List.mem s committed then " (missing from this run)"
-           else " (not in the committed file)"))
-      moved;
+    let changed =
+      report "moved"
+        (List.filter (fun s -> named committed s && not (List.mem s committed)) sections)
+    in
+    let added = report "new" (List.filter (fun s -> not (named committed s)) sections) in
+    let gone = report "missing" (List.filter (fun c -> not (named sections c)) committed) in
+    let moved = changed + added + gone in
     Printf.printf "fingerprint: %d sections, %d moved (%.1f s)\n%!"
-      (List.length sections) (List.length moved) dt;
-    if moved = [] then 0 else 1
+      (List.length sections) moved dt;
+    if moved = 0 then 0 else 1
   end
   else begin
     Out_channel.with_open_text path (fun oc ->

@@ -43,11 +43,11 @@
    sealed bags oldest-first against a reusable hash-set hazard-pointer
    snapshot, paying one age check per bag and filtering survivors into
    fresh bags. Eviction seizes a victim's bag chains intact (donation is
-   pointer splicing). No per-operation function ([assign_hp],
-   [clear_hps], [manage_state], [retire]) calls into an engine directly:
-   such a call goes through a functor argument, which is never inlined,
-   so the engines are reached through local wrappers on the amortised
-   paths only. The per-process cells written by their owner and
+   pointer splicing). The per-operation functions ([assign_hp],
+   [clear_hps], [manage_state], [retire]) call no engine function besides
+   [clear_hps]'s one call to the hazard array: a call into a
+   functor-applied module is never inlined, so the engines are reached
+   through local wrappers on the amortised paths only. The per-process cells written by their owner and
    read by everyone (epoch slots, presence and eviction flags) are
    cache-line padded. *)
 
@@ -120,7 +120,9 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
            to orphans (we know nothing about when their donor retired them
            relative to our epochs), so it is reclaimed exclusively through
            the Cadence-style HP + age filter. *)
-    hp_row : R.plain; (* this process's row of the hazard array *)
+    hp_row : R.plain;
+        (* this process's row of the hazard array, copied out of [hz] so a
+           publish loads one field fewer *)
     seized : bool Atomic.t;
         (* [Stdlib.Atomic], deliberately outside the simulated memory
            model (same reasoning as {!Orphan_pool}): set once by an
@@ -175,9 +177,8 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     t.handles.(pid) <- Some h;
     h
 
-  let total_limbo h =
-    let l = h.hz.lists in
-    Bag.length l.(0) + Bag.length l.(1) + Bag.length l.(2)
+  (* the three epoch lists, not the adopted one *)
+  let total_limbo h = Bag.Triple.total h.hz.lists
 
   (* Hazard pointers are maintained in BOTH modes, without fences — this is
      what makes the fast path fast and the switch sound (see §4.1). The
@@ -192,7 +193,8 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
   let clear_hps h = Hz.Hp.clear h.owner.engine.hp ~pid:h.pid
 
   (* Algorithm 5 lines 45-47: in fallback mode all three epochs are scanned
-     (plus the adopted orphans, under the same filter). *)
+     (plus the adopted orphans, under the same filter). Never inlined, so
+     [retire] makes no call into the engine itself. *)
   let[@inline never] scan_all h = Hz.scan h.hz
 
   (* Fast-path reclamation of the adopted list (the fallback path folds it
