@@ -667,6 +667,20 @@ let grow out args =
 
 (* --- coverage: rare-class witness counts of an existing corpus ----------- *)
 
+(* How many clean cases witness each rare event class. *)
+let witness_counts results =
+  let counts = Array.make Coverage.n_events 0 in
+  Array.iter
+    (function
+      | Some ((o : Explorer.outcome), cov)
+        when Explorer.same_class o.verdict Explorer.Pass ->
+        List.iter
+          (fun (_, j) -> if Coverage.covers cov j then counts.(j) <- counts.(j) + 1)
+          Coverage.rare_classes
+      | _ -> ())
+    results;
+  counts
+
 let coverage path args =
   let f = parse args in
   let cases = Explorer.load_corpus path in
@@ -675,25 +689,19 @@ let coverage path args =
   let results =
     Explorer_pool.map ~jobs:f.jobs Coverage.run_covered (Array.of_list cases)
   in
-  let class_counts = Array.make Coverage.n_events 0 in
+  let class_counts = witness_counts results in
   let failed = ref 0 in
   Array.iteri
     (fun i r ->
       match r with
       | None -> incr failed
-      | Some ((o : Explorer.outcome), cov) ->
+      | Some ((o : Explorer.outcome), _) ->
         if not (Explorer.same_class o.Explorer.verdict Explorer.Pass) then begin
           incr failed;
           Printf.printf "  NOT CLEAN: %s -> %s\n"
             (Explorer.to_string (List.nth cases i))
             (Explorer.verdict_to_string o.Explorer.verdict)
-        end
-        else
-          List.iter
-            (fun (_, j) ->
-              if Coverage.covers cov j then
-                class_counts.(j) <- class_counts.(j) + 1)
-            Coverage.rare_classes)
+        end)
     results;
   List.iter
     (fun (name, i) ->
@@ -760,27 +768,20 @@ let fingerprint_sections (f : flags) =
   in
   let cases = Array.of_list (Explorer.load_corpus fingerprint_corpus) in
   let results = Explorer_pool.map ~jobs:f.jobs Coverage.run_covered cases in
-  let class_counts = Array.make Coverage.n_events 0 in
   let corpus =
     List.mapi
       (fun i r ->
-        let text =
-          match r with
+        section
+          (Printf.sprintf "corpus case %03d" (i + 1))
+          (match r with
           | None -> "no result\n"
-          | Some ((o : Explorer.outcome), cov) ->
-            if Explorer.same_class o.verdict Explorer.Pass then
-              List.iter
-                (fun (_, j) ->
-                  if Coverage.covers cov j then
-                    class_counts.(j) <- class_counts.(j) + 1)
-                Coverage.rare_classes;
+          | Some ((o : Explorer.outcome), _) ->
             Printf.sprintf "%s steps=%d\n"
               (Explorer.verdict_to_string o.verdict)
-              o.steps
-        in
-        section (Printf.sprintf "corpus case %03d" (i + 1)) text)
+              o.steps))
       (Array.to_list results)
   in
+  let class_counts = witness_counts results in
   let witnesses =
     section "coverage witnesses"
       (String.concat ""
