@@ -121,33 +121,6 @@ type event =
   | Ev_poison  (* a neutralization signal was posted to this process *)
   | Ev_neutralized  (* the signal was delivered: operation discontinued *)
 
-let pp_hook fmt (h : Qs_intf.Runtime_intf.hook) =
-  Format.pp_print_string fmt
-    (match h with
-    | Hook_retire -> "retire"
-    | Hook_scan -> "scan"
-    | Hook_quiesce -> "quiesce")
-
-let pp_event fmt = function
-  | Ev_read -> Format.pp_print_string fmt "read"
-  | Ev_write -> Format.pp_print_string fmt "write"
-  | Ev_atomic_get -> Format.pp_print_string fmt "atomic-get"
-  | Ev_atomic_set -> Format.pp_print_string fmt "atomic-set"
-  | Ev_cas ok -> Format.fprintf fmt "cas(%s)" (if ok then "ok" else "fail")
-  | Ev_faa -> Format.pp_print_string fmt "faa"
-  | Ev_fence -> Format.pp_print_string fmt "fence"
-  | Ev_rooster -> Format.pp_print_string fmt "rooster-fire"
-  | Ev_stall n -> Format.fprintf fmt "stall(%d)" n
-  | Ev_sleep target -> Format.fprintf fmt "sleep(until %d)" target
-  | Ev_wake -> Format.pp_print_string fmt "wake"
-  | Ev_hook h -> Format.fprintf fmt "hook(%a)" pp_hook h
-  | Ev_crash -> Format.pp_print_string fmt "crash"
-  | Ev_oversleep n -> Format.fprintf fmt "oversleep-spike(%d)" n
-  | Ev_skew n -> Format.fprintf fmt "skew-burst(%d)" n
-  | Ev_churn n -> Format.fprintf fmt "churn(%d)" n
-  | Ev_poison -> Format.pp_print_string fmt "poison"
-  | Ev_neutralized -> Format.pp_print_string fmt "neutralized"
-
 let default_config ~n_cores ~seed =
   { n_cores;
     seed;
@@ -279,32 +252,26 @@ type t = {
   mutable last_scheduled : int; (* pid of the last process stepped (PCT) *)
   mutable armed_faults : fault list; (* master copy, re-armed by reset_clocks *)
   mutable crashes : int;
-  mutable neutralize_fires : int; (* delivered (not merely posted) signals *)
   mutable rooster_fires : int;
   mutable steps : int;
   mutable failures : (int * exn) list;
   trace : (int * int * event) array; (* ring: (pid, clock, event) *)
   mutable trace_pos : int;
   mutable trace_len : int;
-  mutable pick_best : int;
   mutable pick_lim : int;
   mutable pick_lim_steps : int;
       (* Set by the pick that chose the process about to step: the minimum
          clock among the OTHER active processes (second-min of the scan),
          [max_int] under [exec] (which steps its one process
          unconditionally), [min_int] when inline execution is illegal for
-         the dispatch (PCT, ties, > 62 processes). See the [op_*] fast
-         paths. *) (* scratch for [pick_*]: no per-step allocation *)
-  mutable pick_clock : int;
+         the dispatch (ties, a mid-run [spawn]). See the [op_*] fast
+         paths. *)
   clocks : int array;
-      (* mirror of [procs.(i).clock], updated by [advance_to] /
-         [advance_rooster] / [reset_clocks]: the per-step fair pick scans
-         one flat cache line instead of touching every [proc] record *)
-  mutable active_mask : int;
-      (* bit [pid] set iff the process is Ready or Sleeping; maintained at
-         the (rare) state transitions, used by the (hot) picks. Only
-         trusted when [n_cores <= 62] — beyond that the picks fall back to
-         scanning [procs]. *)
+      (* [procs.(i).clock] while the process is active (Ready or Sleeping),
+         [max_int] otherwise. Written by [advance_to] / [advance_rooster] /
+         [reset_clocks] and at the (rare) state transitions; the per-step
+         picks scan this one flat array instead of every [proc] record, and
+         an inactive process never wins a fair pick. *)
   mutable sink : Qs_intf.Runtime_intf.sink option;
       (* trace sink for E_emit / rooster wake-ups; None = tracing off *)
 }
@@ -344,8 +311,9 @@ let draw_oversleep cfg prng =
 (* In-module copy of {!Qs_util.Prng}'s SplitMix advance — same constants,
    same stream (Prng's stream-identity tests pin the constants; keep in
    sync). The scheduler draws on every accounted step and on fair-pick
-   ties, and without flambda the cross-module [Prng.next] call is never
-   inlined; this local copy is. *)
+   ties, and dune's dev profile compiles with [-opaque], which hides
+   [Prng]'s implementation from this module, so the cross-module
+   [Prng.next] call is never inlined; this local copy is. *)
 let sm_gamma = 0x1E3779B97F4A7C15
 
 let sm_mix_a = 0x2F58476D1CE4E5B9
@@ -371,7 +339,7 @@ type cursor = {
       (* Fast-path clock limit, set per dispatch: the minimum clock of
          every OTHER active process (fair mode), [max_int] under PCT or
          [exec], [min_int] when inline execution is off the table for this
-         dispatch (pending faults, > 62 processes). Nothing can move
+         dispatch (pending faults, a pending signal). Nothing can move
          another process's clock while this fiber runs — only [step] does,
          and only this process is stepping — so [p.clock < lim] is an
          exact strict-minimality test for the whole inline run. A mid-run
@@ -393,9 +361,10 @@ let cursor_key : cursor Domain.DLS.key =
         lim = min_int;
         lim_steps = min_int })
 
-(* [Domain.DLS.get] is a cross-module call (no flambda) plus a growth
-   check — ~10ns on every operation, paid even when the fast path misses.
-   The primitive behind it compiles to a single register read, and a DLS
+(* [Domain.DLS.get] is a cross-module call (never inlined under the dev
+   profile's [-opaque]) plus a growth check — ~10ns on every operation,
+   paid even when the fast path misses. The primitive behind it compiles
+   to a single register read, and a DLS
    key is [(slot_index, initializer)] (pinned by OCaml 5.1, which the
    toolchain image bakes in), so the hot entry points read the slot
    directly. The run drivers ([run_all]/[exec]/[spawn]) still go through
@@ -515,33 +484,24 @@ let create cfg =
     last_scheduled = -1;
     armed_faults = [];
     crashes = 0;
-    neutralize_fires = 0;
     rooster_fires = 0;
     steps = 0;
     failures = [];
     trace = Array.make (max cfg.trace_capacity 1) (0, 0, Ev_read);
     trace_pos = 0;
     trace_len = 0;
-    pick_best = -1;
-      pick_lim = min_int;
-      pick_lim_steps = min_int;
-    pick_clock = 0;
-    clocks = Array.make cfg.n_cores 0;
-    active_mask = 0;
+    pick_lim = min_int;
+    pick_lim_steps = min_int;
+    clocks = Array.make cfg.n_cores max_int;
     sink = None }
 
 let set_sink t s = t.sink <- s
 
-(* Active = Ready or Sleeping (the states [pick_*] may schedule). The mask
-   is maintained at every state transition; transitions between Ready and
-   Sleeping don't change it. Pids above 62 would overflow the bit mask —
-   [pick_fair] scans [procs] directly for such configs, so the mask can
-   simply ignore them. *)
-let[@inline] set_active (t : t) (p : proc) =
-  if p.pid <= 62 then t.active_mask <- t.active_mask lor (1 lsl p.pid)
-
-let[@inline] clear_active (t : t) (p : proc) =
-  if p.pid <= 62 then t.active_mask <- t.active_mask land lnot (1 lsl p.pid)
+(* Active = Ready or Sleeping (the states [pick_*] may schedule). The
+   [clocks] mirror is switched at every transition into or out of them;
+   transitions between Ready and Sleeping don't touch it. *)
+let[@inline] set_active (t : t) (p : proc) = t.clocks.(p.pid) <- p.clock
+let[@inline] clear_active (t : t) (p : proc) = t.clocks.(p.pid) <- max_int
 
 (* Forward a trace event to the installed sink. Stamped with the process's
    raw core clock (no skew): trace timelines should be comparable across
@@ -690,6 +650,82 @@ let[@inline] write_extra (t : t) (p : proc) (c : _ Cell.t) =
   Cell.set_owner c p.pid;
   extra
 
+(* --- operation bodies -----------------------------------------------------
+
+   Each simulated operation's semantics, written once. [run_resume] (the
+   suspended path) and the [op_*] entry points (the inline path) both call
+   these after the step preliminaries (step count, drain roll), so the two
+   paths agree by construction: same accounting draws, same memory update,
+   same trace record, in that order. *)
+
+let[@inline] do_read (t : t) (p : proc) (c : 'a Cell.t) : 'a =
+  account t p (t.c_plain + read_extra t p c);
+  if t.trace_on then record t p Ev_read;
+  Cell.read_own p.pid c
+
+let[@inline] do_write (t : t) (p : proc) (c : 'a Cell.t) (v : 'a) =
+  account t p t.c_plain;
+  buf_push p (Obj.repr c) (Cell.enqueue_write p.pid c v);
+  if p.buf_len > t.buf_capacity then buf_pop_commit p;
+  if t.trace_on then record t p Ev_write
+
+let[@inline] do_get (t : t) (p : proc) (c : 'a Cell.t) : 'a =
+  account t p (t.c_aload + read_extra t p c);
+  if t.trace_on then record t p Ev_atomic_get;
+  Cell.read_committed c
+
+let[@inline] do_set (t : t) (p : proc) (c : 'a Cell.t) (v : 'a) =
+  flush_buffer p;
+  account t p (t.c_astore + write_extra t p c);
+  Cell.write_committed c v;
+  if t.trace_on then record t p Ev_atomic_set
+
+let[@inline] do_cas (t : t) (p : proc) (c : 'a Cell.t) (expected : 'a) desired =
+  flush_buffer p;
+  account t p (t.c_cas + write_extra t p c);
+  let ok = Cell.read_committed c == expected in
+  if ok then Cell.write_committed c desired;
+  if t.trace_on then record t p (Ev_cas ok);
+  ok
+
+let[@inline] do_faa (t : t) (p : proc) (c : int Cell.t) n =
+  flush_buffer p;
+  account t p (t.c_cas + write_extra t p c);
+  let old = Cell.read_committed c in
+  Cell.write_committed c (old + n);
+  if t.trace_on then record t p Ev_faa;
+  old
+
+let[@inline] do_fence (t : t) (p : proc) =
+  flush_buffer p;
+  account t p t.c_fence;
+  if t.trace_on then record t p Ev_fence
+
+let[@inline] do_now (t : t) (p : proc) =
+  account t p t.c_plain;
+  let burst = if p.clock < p.extra_skew_until then p.extra_skew else 0 in
+  p.clock + p.skew + burst
+
+(* A hook is a free annotation — no [account], no PRNG draw, no step — so
+   it must not perturb existing seeded schedules. The only observable
+   action is the [Targeted] stall, which advances the victim's clock in
+   place (as an injected in-core stall would). *)
+let do_hook (t : t) (p : proc) hk =
+  let i = hook_index hk in
+  p.hook_counts.(i) <- p.hook_counts.(i) + 1;
+  if t.trace_on then record t p (Ev_hook hk);
+  match t.cfg.strategy with
+  | Targeted { victim; hook; skip; stall }
+    when victim = p.pid && hook = hk && p.hook_counts.(i) = skip + 1 ->
+    if t.trace_on then record t p (Ev_stall stall);
+    advance_rooster t p (p.clock + stall)
+  | _ -> ()
+
+let[@inline] swap_neutralizable (p : proc) v =
+  let prev = p.neutralizable in
+  p.neutralizable <- v;
+  prev
+
 let run_fiber (t : t) (p : proc) f =
   match_with f ()
     { retc =
@@ -752,21 +788,8 @@ let run_fiber (t : t) (p : proc) f =
             p.r_tag <- rt_fence;
             (Obj.magic p.h_defer : ((a, unit) continuation -> unit) option)
           | E_hook hk ->
-            (* Handled synchronously — no descriptor, no [account], no PRNG
-               draw, no step: a hook is a free annotation and must not
-               perturb existing seeded schedules. The only observable action
-               is the [Targeted] stall, which advances the victim's clock in
-               place (as an injected in-core stall would). *)
-            let i = hook_index hk in
-            p.hook_counts.(i) <- p.hook_counts.(i) + 1;
-            if t.trace_on then record t p (Ev_hook hk);
-            (match t.cfg.strategy with
-            | Targeted { victim; hook; skip; stall }
-              when victim = p.pid && hook = hk && p.hook_counts.(i) = skip + 1
-              ->
-              if t.trace_on then record t p (Ev_stall stall);
-              advance_rooster t p (p.clock + stall)
-            | _ -> ());
+            (* Handled synchronously: no descriptor, no step. *)
+            do_hook t p hk;
             (Obj.magic sync_handler : ((a, unit) continuation -> unit) option)
           | E_emit (ev, pa, pb) ->
             (* Handled synchronously, exactly like [E_hook]: no descriptor,
@@ -784,8 +807,7 @@ let run_fiber (t : t) (p : proc) f =
           | E_set_neutralizable v ->
             (* Synchronous and meta-level, like [E_neutralize]; only the
                slow path (no live dispatch) comes here. *)
-            let prev = p.neutralizable in
-            p.neutralizable <- v;
+            let prev = swap_neutralizable p v in
             Some (fun k -> continue k prev)
           | E_self ->
             p.r_tag <- rt_self;
@@ -804,10 +826,11 @@ let run_fiber (t : t) (p : proc) f =
             (Obj.magic p.h_defer : ((a, unit) continuation -> unit) option)
           | _ -> None) }
 
-(* Execute one suspended effect descriptor. Reentrant: [continue] runs the
-   fiber up to its next effect, which refills the scratch slots (or
-   finishes via retc/exnc) — so every slot must be read into a local
-   before [continue]. The [Obj.obj] casts restore exactly the types the
+(* Execute one suspended effect descriptor: the operation's body, then
+   [continue] with its answer. Reentrant: [continue] runs the fiber up to
+   its next effect, which refills the scratch slots (or finishes via
+   retc/exnc) — so the body, which reads the slots, runs before
+   [continue]. The [Obj.obj] casts restore exactly the types the
    matching [effc] case erased: each tag maps to one effect constructor
    with a fixed answer type (read/aget: the cell's element, erased to
    [Obj.t] on both sides; cas: bool; faa/now/self: int; the rest: unit).
@@ -815,65 +838,30 @@ let run_fiber (t : t) (p : proc) f =
 let run_resume (t : t) (p : proc) tag =
   match tag with
   | 1 (* rt_read *) ->
-    let c : Obj.t Cell.t = Obj.obj p.r_cell in
     let k : (Obj.t, unit) continuation = Obj.obj p.r_k in
-    account t p (t.c_plain + read_extra t p c);
-    if t.trace_on then record t p Ev_read;
-    continue k (Cell.read_own p.pid c)
+    continue k (do_read t p (Obj.obj p.r_cell : Obj.t Cell.t))
   | 2 (* rt_write *) ->
-    let c : Obj.t Cell.t = Obj.obj p.r_cell in
     let k : (unit, unit) continuation = Obj.obj p.r_k in
-    account t p t.c_plain;
-    buf_push p (Obj.repr c) (Cell.enqueue_write p.pid c (Obj.obj p.r_v : Obj.t));
-    if p.buf_len > t.buf_capacity then buf_pop_commit p;
-    if t.trace_on then record t p Ev_write;
-    continue k ()
+    continue k (do_write t p (Obj.obj p.r_cell : Obj.t Cell.t) (Obj.obj p.r_v))
   | 3 (* rt_aget *) ->
-    let c : Obj.t Cell.t = Obj.obj p.r_cell in
     let k : (Obj.t, unit) continuation = Obj.obj p.r_k in
-    account t p (t.c_aload + read_extra t p c);
-    if t.trace_on then record t p Ev_atomic_get;
-    continue k (Cell.read_committed c)
+    continue k (do_get t p (Obj.obj p.r_cell : Obj.t Cell.t))
   | 4 (* rt_aset *) ->
-    let c : Obj.t Cell.t = Obj.obj p.r_cell in
     let k : (unit, unit) continuation = Obj.obj p.r_k in
-    flush_buffer p;
-    account t p (t.c_astore + write_extra t p c);
-    Cell.write_committed c (Obj.obj p.r_v : Obj.t);
-    if t.trace_on then record t p Ev_atomic_set;
-    continue k ()
+    continue k (do_set t p (Obj.obj p.r_cell : Obj.t Cell.t) (Obj.obj p.r_v))
   | 5 (* rt_cas *) ->
-    let c : Obj.t Cell.t = Obj.obj p.r_cell in
     let k : (bool, unit) continuation = Obj.obj p.r_k in
-    let expected : Obj.t = Obj.obj p.r_v2 in
-    let desired : Obj.t = Obj.obj p.r_v in
-    flush_buffer p;
-    account t p (t.c_cas + write_extra t p c);
-    let ok = Cell.read_committed c == expected in
-    if ok then Cell.write_committed c desired;
-    if t.trace_on then record t p (Ev_cas ok);
-    continue k ok
+    continue k
+      (do_cas t p (Obj.obj p.r_cell : Obj.t Cell.t) (Obj.obj p.r_v2) (Obj.obj p.r_v))
   | 6 (* rt_faa *) ->
-    let c : int Cell.t = Obj.obj p.r_cell in
     let k : (int, unit) continuation = Obj.obj p.r_k in
-    let n = p.r_n in
-    flush_buffer p;
-    account t p (t.c_cas + write_extra t p c);
-    let old = Cell.read_committed c in
-    Cell.write_committed c (old + n);
-    if t.trace_on then record t p Ev_faa;
-    continue k old
+    continue k (do_faa t p (Obj.obj p.r_cell : int Cell.t) p.r_n)
   | 7 (* rt_fence *) ->
     let k : (unit, unit) continuation = Obj.obj p.r_k in
-    flush_buffer p;
-    account t p t.c_fence;
-    if t.trace_on then record t p Ev_fence;
-    continue k ()
+    continue k (do_fence t p)
   | 8 (* rt_now *) ->
     let k : (int, unit) continuation = Obj.obj p.r_k in
-    account t p t.c_plain;
-    let burst = if p.clock < p.extra_skew_until then p.extra_skew else 0 in
-    continue k (p.clock + p.skew + burst)
+    continue k (do_now t p)
   | 9 (* rt_self *) ->
     let k : (int, unit) continuation = Obj.obj p.r_k in
     continue k p.pid
@@ -882,8 +870,7 @@ let run_resume (t : t) (p : proc) tag =
     continue k ()
   | 11 (* rt_charge *) ->
     let k : (unit, unit) continuation = Obj.obj p.r_k in
-    account t p p.r_n;
-    continue k ()
+    continue k (account t p p.r_n)
   | _ (* rt_none *) -> ()
 
 (* A sleeping core advances in bounded quanta so that rooster wake-ups fire
@@ -987,7 +974,6 @@ let step (t : t) (cur : cursor) (p : proc) =
          switch. *)
       p.r_tag <- rt_none;
       p.poison_pending <- false;
-      t.neutralize_fires <- t.neutralize_fires + 1;
       if t.trace_on then record t p Ev_neutralized;
       let k : (Obj.t, unit) continuation = Obj.obj p.r_k in
       cur.cur_t <- Obj.repr t;
@@ -1031,164 +1017,85 @@ let step (t : t) (cur : cursor) (p : proc) =
    process. In that case performing the effect, parking the fiber, and
    re-picking is pure overhead (~46ns of fiber switching per operation on
    the reference box), so the [op_*] entry points execute the operation
-   inline instead — replicating [step]'s observable actions exactly (step
-   count, drain roll, accounting draws, trace records, in that order) and
-   skipping only the suspension. Outcomes are bit-identical either way;
-   test/test_sim.ml pins this.
+   inline instead: [step]'s preliminaries ([claim_step]), then the same
+   body [run_resume] would run, skipping only the suspension. Outcomes are
+   bit-identical either way; test/test_sim.ml pins this.
 
-   Guards: Fair-family strategies only (PCT serializes differently and
-   does per-switch flushes), no pending faults on the running process (the
-   step preliminaries would fire them), and a strict (no-tie) minimum so
-   the skipped pick draws nothing. *)
+   Guards: no pending faults on the running process (the step
+   preliminaries would fire them), and a pick proven ahead of time — a
+   strict (no-tie) fair minimum, a PCT step count short of the next change
+   point, or [exec]. *)
 
-let[@inline] fast_ready (cur : cursor) =
-  cur.live
-  && (Obj.obj cur.cur_p : proc).clock < cur.lim
-  && (Obj.obj cur.cur_t : t).steps < cur.lim_steps
+let[@inline] cur_t (cur : cursor) : t = Obj.obj cur.cur_t
+let[@inline] cur_p (cur : cursor) : proc = Obj.obj cur.cur_p
+
+(* [step]'s preliminaries for the running process (step count, drain
+   roll) when its next pick is proven to return it; [false], with nothing
+   done, when the operation must suspend. [live] is read first: on a dead
+   cursor the other fields may not exist (see [my_cursor]). *)
+let[@inline] claim_step (cur : cursor) =
+  if not cur.live then false
+  else
+    let t = cur_t cur and p = cur_p cur in
+    if p.clock < cur.lim && t.steps < cur.lim_steps then begin
+      t.steps <- t.steps + 1;
+      drain_maybe t p;
+      true
+    end
+    else false
 
 let op_read (c : 'a Cell.t) : 'a =
   let cur = my_cursor () in
-  if fast_ready cur then begin
-    let t : t = Obj.obj cur.cur_t in
-    let p : proc = Obj.obj cur.cur_p in
-    t.steps <- t.steps + 1;
-    drain_maybe t p;
-    account t p (t.c_plain + read_extra t p c);
-    if t.trace_on then record t p Ev_read;
-    Cell.read_own p.pid c
-  end
+  if claim_step cur then do_read (cur_t cur) (cur_p cur) c
   else Effect.perform (E_read c)
 
 let op_write (c : 'a Cell.t) (v : 'a) : unit =
   let cur = my_cursor () in
-  if fast_ready cur then begin
-    let t : t = Obj.obj cur.cur_t in
-    let p : proc = Obj.obj cur.cur_p in
-    t.steps <- t.steps + 1;
-    drain_maybe t p;
-    account t p t.c_plain;
-    buf_push p (Obj.repr c) (Cell.enqueue_write p.pid c v);
-    if p.buf_len > t.buf_capacity then buf_pop_commit p;
-    if t.trace_on then record t p Ev_write
-  end
+  if claim_step cur then do_write (cur_t cur) (cur_p cur) c v
   else Effect.perform (E_write (c, v))
 
 let op_get (c : 'a Cell.t) : 'a =
   let cur = my_cursor () in
-  if fast_ready cur then begin
-    let t : t = Obj.obj cur.cur_t in
-    let p : proc = Obj.obj cur.cur_p in
-    t.steps <- t.steps + 1;
-    drain_maybe t p;
-    account t p (t.c_aload + read_extra t p c);
-    if t.trace_on then record t p Ev_atomic_get;
-    Cell.read_committed c
-  end
+  if claim_step cur then do_get (cur_t cur) (cur_p cur) c
   else Effect.perform (E_atomic_get c)
 
 let op_set (c : 'a Cell.t) (v : 'a) : unit =
   let cur = my_cursor () in
-  if fast_ready cur then begin
-    let t : t = Obj.obj cur.cur_t in
-    let p : proc = Obj.obj cur.cur_p in
-    t.steps <- t.steps + 1;
-    drain_maybe t p;
-    flush_buffer p;
-    account t p (t.c_astore + write_extra t p c);
-    Cell.write_committed c v;
-    if t.trace_on then record t p Ev_atomic_set
-  end
+  if claim_step cur then do_set (cur_t cur) (cur_p cur) c v
   else Effect.perform (E_atomic_set (c, v))
 
 let op_cas (c : 'a Cell.t) (expected : 'a) (desired : 'a) : bool =
   let cur = my_cursor () in
-  if fast_ready cur then begin
-    let t : t = Obj.obj cur.cur_t in
-    let p : proc = Obj.obj cur.cur_p in
-    t.steps <- t.steps + 1;
-    drain_maybe t p;
-    flush_buffer p;
-    account t p (t.c_cas + write_extra t p c);
-    let ok = Cell.read_committed c == expected in
-    if ok then Cell.write_committed c desired;
-    if t.trace_on then record t p (Ev_cas ok);
-    ok
-  end
+  if claim_step cur then do_cas (cur_t cur) (cur_p cur) c expected desired
   else Effect.perform (E_cas (c, expected, desired))
 
 let op_faa (c : int Cell.t) (n : int) : int =
   let cur = my_cursor () in
-  if fast_ready cur then begin
-    let t : t = Obj.obj cur.cur_t in
-    let p : proc = Obj.obj cur.cur_p in
-    t.steps <- t.steps + 1;
-    drain_maybe t p;
-    flush_buffer p;
-    account t p (t.c_cas + write_extra t p c);
-    let old = Cell.read_committed c in
-    Cell.write_committed c (old + n);
-    if t.trace_on then record t p Ev_faa;
-    old
-  end
+  if claim_step cur then do_faa (cur_t cur) (cur_p cur) c n
   else Effect.perform (E_faa (c, n))
 
 let op_fence () : unit =
   let cur = my_cursor () in
-  if fast_ready cur then begin
-    let t : t = Obj.obj cur.cur_t in
-    let p : proc = Obj.obj cur.cur_p in
-    t.steps <- t.steps + 1;
-    drain_maybe t p;
-    flush_buffer p;
-    account t p t.c_fence;
-    if t.trace_on then record t p Ev_fence
-  end
+  if claim_step cur then do_fence (cur_t cur) (cur_p cur)
   else Effect.perform E_fence
 
 let op_now () : int =
   let cur = my_cursor () in
-  if fast_ready cur then begin
-    let t : t = Obj.obj cur.cur_t in
-    let p : proc = Obj.obj cur.cur_p in
-    t.steps <- t.steps + 1;
-    drain_maybe t p;
-    account t p t.c_plain;
-    let burst = if p.clock < p.extra_skew_until then p.extra_skew else 0 in
-    p.clock + p.skew + burst
-  end
+  if claim_step cur then do_now (cur_t cur) (cur_p cur)
   else Effect.perform E_now
 
 let op_self () : int =
   let cur = my_cursor () in
-  if fast_ready cur then begin
-    let t : t = Obj.obj cur.cur_t in
-    let p : proc = Obj.obj cur.cur_p in
-    t.steps <- t.steps + 1;
-    drain_maybe t p;
-    p.pid
-  end
-  else Effect.perform E_self
+  if claim_step cur then (cur_p cur).pid else Effect.perform E_self
 
 let op_charge (n : int) : unit =
   let cur = my_cursor () in
-  if fast_ready cur then begin
-    let t : t = Obj.obj cur.cur_t in
-    let p : proc = Obj.obj cur.cur_p in
-    t.steps <- t.steps + 1;
-    drain_maybe t p;
-    account t p n
-  end
+  if claim_step cur then account (cur_t cur) (cur_p cur) n
   else Effect.perform (E_charge n)
 
 let op_yield () : unit =
   let cur = my_cursor () in
-  if fast_ready cur then begin
-    let t : t = Obj.obj cur.cur_t in
-    let p : proc = Obj.obj cur.cur_p in
-    t.steps <- t.steps + 1;
-    drain_maybe t p
-  end
-  else Effect.perform E_yield
+  if claim_step cur then () else Effect.perform E_yield
 
 (* Hooks and trace emissions are not preemption points: their [effc] bodies
    run synchronously, consume no step, no virtual time and no randomness,
@@ -1198,154 +1105,77 @@ let op_yield () : unit =
 
 let op_hook (hk : Qs_intf.Runtime_intf.hook) : unit =
   let cur = my_cursor () in
-  if cur.live then begin
-    let t : t = Obj.obj cur.cur_t in
-    let p : proc = Obj.obj cur.cur_p in
-    let i = hook_index hk in
-    p.hook_counts.(i) <- p.hook_counts.(i) + 1;
-    if t.trace_on then record t p (Ev_hook hk);
-    match t.cfg.strategy with
-    | Targeted { victim; hook; skip; stall }
-      when victim = p.pid && hook = hk && p.hook_counts.(i) = skip + 1 ->
-      if t.trace_on then record t p (Ev_stall stall);
-      advance_rooster t p (p.clock + stall)
-    | _ -> ()
-  end
+  if cur.live then do_hook (cur_t cur) (cur_p cur) hk
   else Effect.perform (E_hook hk)
 
 let op_emit (ev : Qs_intf.Runtime_intf.event) (pa : int) (pb : int) : unit =
   let cur = my_cursor () in
-  if cur.live then begin
-    let t : t = Obj.obj cur.cur_t in
-    let p : proc = Obj.obj cur.cur_p in
-    emit_to_sink t p ev pa pb
-  end
+  if cur.live then emit_to_sink (cur_t cur) (cur_p cur) ev pa pb
   else Effect.perform (E_emit (ev, pa, pb))
 
 let op_neutralize (target : int) : unit =
   let cur = my_cursor () in
-  if cur.live then begin
-    let t : t = Obj.obj cur.cur_t in
-    post_poison t target
-  end
+  if cur.live then post_poison (cur_t cur) target
   else Effect.perform (E_neutralize target)
 
 let op_set_neutralizable (v : bool) : bool =
   let cur = my_cursor () in
-  if cur.live then begin
-    let p : proc = Obj.obj cur.cur_p in
-    let prev = p.neutralizable in
-    p.neutralizable <- v;
-    prev
-  end
+  if cur.live then swap_neutralizable (cur_p cur) v
   else Effect.perform (E_set_neutralizable v)
 
 let active p = match p.state with Ready | Sleeping _ -> true | _ -> false
 
 (* Historical smallest-clock policy: cores advance together in virtual
    time, ties broken by a PRNG coin — true-parallelism modelling. Returns
-   the index of the chosen process, -1 when none is runnable; scratch
-   results live in mutable fields so a pick allocates nothing. *)
-(* Tie-breaking is uniform among the processes at the minimal clock, paid
-   for with a single draw — and only when there IS a tie. (The previous
-   sequential per-comparison coin was biased towards later pids — for three
-   tied processes it picked them with probabilities 1/4, 1/4, 1/2 — and
-   drew once per tied comparison.) A unique minimum consumes no randomness
-   at all, which is what lets the owned-schedule fast path below prove a
-   pick's outcome without running it. *)
-let pick_fair_slow t =
-  t.pick_best <- -1;
-  t.pick_lim <- min_int;
-  t.pick_lim_steps <- min_int;
-  let ties = ref 0 in
-  let procs = t.procs in
-  for i = 0 to Array.length procs - 1 do
-    let p = Array.unsafe_get procs i in
-    if active p then
-      if t.pick_best < 0 || p.clock < t.pick_clock then begin
-        t.pick_best <- i;
-        t.pick_clock <- p.clock;
-        ties := 1
-      end
-      else if p.clock = t.pick_clock then incr ties
-  done;
-  if !ties <= 1 then t.pick_best
-  else begin
-    let k = ref (Qs_util.Prng.int t.prng !ties) in
-    let best = ref t.pick_best in
-    (try
-       for i = 0 to Array.length procs - 1 do
-         let p = Array.unsafe_get procs i in
-         if active p && p.clock = t.pick_clock then begin
-           if !k = 0 then begin
-             best := i;
-             raise_notrace Exit
-           end;
-           decr k
-         end
-       done
-     with Exit -> ());
-    !best
-  end
+   the index of the chosen process, -1 when none is runnable. The scan
+   reads only the flat [clocks] mirror, where an inactive process sits at
+   [max_int] and so never wins. Tie-breaking is uniform among the processes
+   at the minimal clock, paid for with a single draw — and only when there
+   IS a tie. A unique minimum consumes no randomness at all, which is what
+   lets the owned-schedule fast path above prove a pick's outcome without
+   running it. *)
+let rec nth_at (clocks : int array) c k i =
+  if Array.unsafe_get clocks i <> c then nth_at clocks c k (i + 1)
+  else if k = 0 then i
+  else nth_at clocks c (k - 1) (i + 1)
 
-(* Same policy driven by the activity bit mask and the flat clock mirror:
-   the whole scan touches one or two cache lines instead of four-plus
-   [proc] records. *)
 let pick_fair t =
-  let n = Array.length t.procs in
-  if n > 62 then pick_fair_slow t
-  else begin
-    let mask = t.active_mask in
-    if mask = 0 then -1
-    else begin
-      t.pick_best <- -1;
-      let ties = ref 0 in
-      let m2 = ref max_int in
-      let clocks = t.clocks in
-      for i = 0 to n - 1 do
-        if mask land (1 lsl i) <> 0 then begin
-          let c = Array.unsafe_get clocks i in
-          if t.pick_best < 0 || c < t.pick_clock then begin
-            if t.pick_best >= 0 then m2 := t.pick_clock;
-            t.pick_best <- i;
-            t.pick_clock <- c;
-            ties := 1
-          end
-          else begin
-            if c < !m2 then m2 := c;
-            if c = t.pick_clock then incr ties
-          end
-        end
-      done;
-      (* Second-lowest active clock doubles as the inline-execution limit
-         for the chosen process: while its clock stays strictly below every
-         other active clock, re-running this pick would choose it again
-         without drawing. A tie makes [m2] equal the minimum itself, which
-         correctly disables the fast path. *)
-      t.pick_lim <- !m2;
-      t.pick_lim_steps <- max_int;
-      if !ties <= 1 then t.pick_best
-      else begin
-        let k = ref (Qs_util.Prng.int t.prng !ties) in
-        let best = ref t.pick_best in
-        (try
-           for i = 0 to n - 1 do
-             if
-               mask land (1 lsl i) <> 0
-               && Array.unsafe_get clocks i = t.pick_clock
-             then begin
-               if !k = 0 then begin
-                 best := i;
-                 raise_notrace Exit
-               end;
-               decr k
-             end
-           done
-         with Exit -> ());
-        !best
-      end
+  let clocks = t.clocks in
+  let best = ref (-1) and m1 = ref max_int and m2 = ref max_int in
+  let ties = ref 0 in
+  for i = 0 to Array.length clocks - 1 do
+    let c = Array.unsafe_get clocks i in
+    if c < !m1 then begin
+      m2 := !m1;
+      m1 := c;
+      best := i;
+      ties := 1
     end
-  end
+    else begin
+      if c < !m2 then m2 := c;
+      if c = !m1 then incr ties
+    end
+  done;
+  (* Second-lowest active clock doubles as the inline-execution limit for
+     the chosen process: while its clock stays strictly below every other
+     active clock, re-running this pick would choose it again without
+     drawing. A tie makes [m2] equal the minimum itself, which correctly
+     disables the fast path. *)
+  t.pick_lim <- !m2;
+  t.pick_lim_steps <- max_int;
+  if !best < 0 || !ties = 1 then !best
+  else nth_at clocks !m1 (Qs_util.Prng.int t.prng !ties) 0
+
+(* The highest-priority active process, -1 when none. *)
+let pct_argmax t (ps : pct_state) =
+  let best = ref (-1) and top = ref min_int in
+  for i = 0 to Array.length t.clocks - 1 do
+    if Array.unsafe_get t.clocks i < max_int && ps.prio.(i) > !top then begin
+      best := i;
+      top := ps.prio.(i)
+    end
+  done;
+  !best
 
 (* PCT: run the highest-priority runnable process; at each due change
    point, demote it below every priority handed out so far. *)
@@ -1356,44 +1186,28 @@ let pick_pct t (ps : pct_state) =
   t.pick_lim <- max_int;
   t.pick_lim_steps <-
     (match ps.change_points with cp :: _ -> cp | [] -> max_int);
-  let argmax () =
-    t.pick_best <- -1;
-    let n = Array.length t.procs in
-    if n > 62 then begin
-      let procs = t.procs in
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get procs i in
-        if active p && (t.pick_best < 0 || ps.prio.(p.pid) > t.pick_clock)
-        then begin
-          t.pick_best <- i;
-          t.pick_clock <- ps.prio.(p.pid)
-        end
-      done
-    end
-    else begin
-      let mask = t.active_mask in
-      for i = 0 to n - 1 do
-        if
-          mask land (1 lsl i) <> 0
-          && (t.pick_best < 0 || ps.prio.(i) > t.pick_clock)
-        then begin
-          t.pick_best <- i;
-          t.pick_clock <- ps.prio.(i)
-        end
-      done
-    end;
-    t.pick_best
-  in
   (match ps.change_points with
-  | cp :: rest when t.steps >= cp -> (
+  | cp :: rest when t.steps >= cp ->
     ps.change_points <- rest;
-    let i = argmax () in
+    let i = pct_argmax t ps in
     if i >= 0 then begin
-      ps.prio.(t.procs.(i).pid) <- ps.demote_next;
+      ps.prio.(i) <- ps.demote_next;
       ps.demote_next <- ps.demote_next - 1
-    end)
+    end
   | _ -> ());
-  argmax ()
+  let i = pct_argmax t ps in
+  (* The schedule is serialized: when control moves to a different
+     process, the one being descheduled takes a context switch, which
+     drains its store buffer. Without this flush a deprioritized process's
+     HP publication could stay invisible for unbounded virtual time — a
+     behaviour real hardware cannot produce (context switches drain
+     buffers), yielding false-positive UAF reports against schemes whose
+     safety argument (Cadence's!) rests exactly on that drain. *)
+  if i >= 0 && t.last_scheduled <> i then begin
+    if t.last_scheduled >= 0 then flush_buffer t.procs.(t.last_scheduled);
+    t.last_scheduled <- i
+  end;
+  i
 
 let pick t = match t.pct with Some ps -> pick_pct t ps | None -> pick_fair t
 
@@ -1419,49 +1233,18 @@ let spawn t ~pid f =
   t.pick_lim_steps <- min_int;
   cur.live <- saved
 
-let run_all_pct t =
+let run_all t =
   let cur = Domain.DLS.get cursor_key in
-  let pct_mode = match t.pct with Some _ -> true | None -> false in
   let rec loop () =
     let i = pick t in
     if i >= 0 then begin
-      let p = t.procs.(i) in
-      (* Under PCT the schedule is serialized: when control moves to a
-         different process, the one being descheduled takes a context
-         switch, which drains its store buffer. Without this flush a
-         deprioritized process's HP publication could stay invisible for
-         unbounded virtual time — a behaviour real hardware cannot
-         produce (context switches drain buffers), yielding false-positive
-         UAF reports against schemes whose safety argument (Cadence's!)
-         rests exactly on that drain. *)
-      if pct_mode && t.last_scheduled <> p.pid then begin
-        if t.last_scheduled >= 0 then flush_buffer t.procs.(t.last_scheduled);
-        t.last_scheduled <- p.pid
-      end;
-      step t cur p;
+      step t cur (Array.unsafe_get t.procs i);
       loop ()
     end
   in
   loop ();
   (* Commit leftovers so post-run inspection sees final memory. *)
   Array.iter flush_buffer t.procs
-
-let run_all t =
-  match t.pct with
-  | Some _ -> run_all_pct t
-  | None ->
-    (* Fair mode: the tight loop skips the per-step strategy dispatch and
-       the PCT context-switch bookkeeping entirely. *)
-    let cur = Domain.DLS.get cursor_key in
-    let rec loop () =
-      let i = pick_fair t in
-      if i >= 0 then begin
-        step t cur (Array.unsafe_get t.procs i);
-        loop ()
-      end
-    in
-    loop ();
-    Array.iter flush_buffer t.procs
 
 let exec t ~pid f =
   let p = t.procs.(pid) in
@@ -1524,7 +1307,7 @@ let reset_clocks t =
     (fun p ->
       flush_buffer p;
       p.clock <- 0;
-      t.clocks.(p.pid) <- 0;
+      if active p then set_active t p;
       p.extra_skew <- 0;
       p.extra_skew_until <- 0;
       Array.fill p.hook_counts 0 (Array.length p.hook_counts) 0;
@@ -1537,11 +1320,6 @@ let reset_clocks t =
 
 let failures t = List.rev t.failures
 let clock_of t ~pid = t.procs.(pid).clock
-
-let skewed_now t ~pid =
-  let p = t.procs.(pid) in
-  let burst = if p.clock < p.extra_skew_until then p.extra_skew else 0 in
-  p.clock + p.skew + burst
 
 let max_clock t = Array.fold_left (fun acc p -> max acc p.clock) 0 t.procs
 let flush_count t ~pid = t.procs.(pid).flushes
@@ -1567,7 +1345,6 @@ let take_churn t ~pid =
    no effect and costs no virtual time, so worker loops can bracket every
    operation without perturbing seeded schedules. *)
 let set_neutralizable t ~pid v = t.procs.(pid).neutralizable <- v
-let neutralize_fires t = t.neutralize_fires
 let hook_count t ~pid h = t.procs.(pid).hook_counts.(hook_index h)
 
 (* Oldest-first contents of the event ring. *)

@@ -180,9 +180,6 @@ type event =
   | Ev_poison  (** a neutralization signal was posted to this process *)
   | Ev_neutralized  (** delivery: the victim's operation was discontinued *)
 
-val pp_hook : Format.formatter -> Qs_intf.Runtime_intf.hook -> unit
-val pp_event : Format.formatter -> event -> unit
-
 val default_config : n_cores:int -> seed:int -> config
 
 type t
@@ -281,8 +278,9 @@ val spawn : t -> pid:int -> (unit -> unit) -> unit
     be in [0, n_cores). *)
 
 val run_all : t -> unit
-(** Run all spawned processes to completion under the min-clock policy.
-    Worker exceptions are recorded, not re-raised — see {!failures}. *)
+(** Run all spawned processes to completion under the configured
+    {!strategy}, for any number of cores. Worker exceptions are recorded,
+    not re-raised — see {!failures}. *)
 
 val reset_clocks : t -> unit
 (** Zero every core clock and restart rooster schedules; used after a
@@ -294,8 +292,6 @@ val failures : t -> (int * exn) list
 
 val clock_of : t -> pid:int -> int
 (** Core-local virtual clock (without skew). *)
-
-val skewed_now : t -> pid:int -> int
 
 val max_clock : t -> int
 
@@ -328,10 +324,6 @@ val set_neutralizable : t -> pid:int -> bool -> unit
     next opt-in. Plain meta-level state, like {!take_churn}: toggling
     performs no effect and costs no virtual time, so churn-free and
     neutralization-free runs execute bit-identically to older schedules. *)
-
-val neutralize_fires : t -> int
-(** Number of neutralization signals {e delivered} (operations actually
-    discontinued) — posted-but-still-pending signals don't count. *)
 
 val hook_count : t -> pid:int -> Qs_intf.Runtime_intf.hook -> int
 (** How many times this process has performed the given labelled hook since

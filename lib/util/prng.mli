@@ -11,10 +11,10 @@ type t = { mutable state : int }
 (** A mutable PRNG state. Not thread-safe; use one [t] per process/domain.
     The representation is exposed so that the simulator's step accounting —
     which draws on every scheduled step — can inline the SplitMix advance
-    without a cross-module call (no flambda: [next] is not inlined across
-    compilation units). Treat it as abstract everywhere else; the mixing
-    constants live in {!Scheduler} as well and the stream-identity tests
-    pin both. *)
+    without a cross-module call (dune's dev profile compiles with
+    [-opaque], so [next] is not inlined across compilation units). Treat
+    it as abstract everywhere else; the mixing constants live in
+    {!Scheduler} as well and the stream-identity tests pin both. *)
 
 val create : seed:int -> t
 (** [create ~seed] returns a fresh generator determined entirely by [seed]. *)

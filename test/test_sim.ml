@@ -590,6 +590,126 @@ let test_oversleep_min_constant () =
   Alcotest.(check int) "min oversleep delays every wake-up" 0 fires1;
   Alcotest.(check int) "nothing flushed under the oversleep" 0 x1
 
+(* --- inline and suspended dispatch ---------------------------------------- *)
+
+(* Every operation, every hook kind, roosters and the probabilistic drain:
+   the sum of what the process observed. *)
+let mixed_body ~shared ~counter ~row pid () =
+  let seen = ref 0 in
+  for i = 1 to 60 do
+    let v = R.get shared in
+    if R.cas shared v (v + pid + 1) then R.hook Qs_intf.Runtime_intf.Hook_retire;
+    R.write row pid i;
+    seen := !seen + R.read row ((pid + 1) mod 4) + R.self ();
+    seen := !seen + R.fetch_and_add counter 1;
+    if i mod 7 = 0 then begin
+      R.fence ();
+      R.hook Qs_intf.Runtime_intf.Hook_scan
+    end;
+    seen := !seen + R.now ();
+    R.charge (pid + 1);
+    R.yield ();
+    R.hook Qs_intf.Runtime_intf.Hook_quiesce
+  done;
+  !seen
+
+(* A fault that never fires still keeps every operation of its process on
+   the suspended path (see [Scheduler.step]), so [~suspend:true] runs the
+   same program with the inline fast path off. *)
+let run_mixed ~strategy ~suspend ~n_cores seed =
+  let s =
+    Scheduler.create
+      { (cfg ~n_cores ~seed ~rooster_interval:700 ~drain:(Scheduler.Prob 0.05) ()) with
+        trace_capacity = 4096;
+        strategy;
+        pct_horizon = 2_000 }
+  in
+  if suspend then
+    Scheduler.inject s
+      (List.init n_cores (fun pid ->
+           Scheduler.Stall_at { pid; at = max_int; ticks = 0 }));
+  let shared = R.atomic 0 and counter = R.atomic 0 and row = R.plain 4 0 in
+  let seen = Array.make n_cores 0 in
+  let body pid () = seen.(pid) <- mixed_body ~shared ~counter ~row pid () in
+  if n_cores = 1 then Scheduler.exec s ~pid:0 (body 0)
+  else begin
+    for pid = 0 to n_cores - 1 do
+      Scheduler.spawn s ~pid (body pid)
+    done;
+    Scheduler.run_all s
+  end;
+  ( Array.to_list seen,
+    List.init n_cores (fun pid -> Scheduler.clock_of s ~pid),
+    Scheduler.steps s,
+    Cell.read_committed shared :: Cell.read_committed counter
+    :: List.map Cell.read_committed (Array.to_list row),
+    Scheduler.recent_events s )
+
+let test_inline_matches_suspended () =
+  let targeted =
+    Scheduler.Targeted
+      { victim = 1; hook = Qs_intf.Runtime_intf.Hook_scan; skip = 2; stall = 5_000 }
+  in
+  List.iter
+    (fun (name, strategy, n_cores) ->
+      List.iter
+        (fun seed ->
+          let seen, clocks, steps, mem, events =
+            run_mixed ~strategy ~suspend:false ~n_cores seed
+          in
+          let seen', clocks', steps', mem', events' =
+            run_mixed ~strategy ~suspend:true ~n_cores seed
+          in
+          let what s = Printf.sprintf "%s seed %d: %s" name seed s in
+          Alcotest.(check (list int)) (what "observed") seen' seen;
+          Alcotest.(check (list int)) (what "clocks") clocks' clocks;
+          Alcotest.(check int) (what "steps") steps' steps;
+          Alcotest.(check (list int)) (what "memory") mem' mem;
+          Alcotest.(check bool) (what "events nonempty") true (events <> []);
+          Alcotest.(check bool) (what "events") true (events' = events))
+        [ 1; 2; 3; 99 ])
+    [ ("fair", Scheduler.Fair, 4);
+      ("targeted", targeted, 4);
+      ("pct", Scheduler.Pct { depth = 3; seed = 5 }, 4);
+      ("exec", Scheduler.Fair, 1) ]
+
+(* More processes than an int has bits: both picks serve any count. *)
+let run_many strategy =
+  let n = 70 and ops = 20 in
+  let s =
+    Scheduler.create { (cfg ~n_cores:n ~seed:5 ()) with strategy; pct_horizon = 4_000 }
+  in
+  let counter = R.atomic 0 and row = R.plain n 0 in
+  let finished = Array.make n 0 in
+  for pid = 0 to n - 1 do
+    Scheduler.spawn s ~pid (fun () ->
+        for i = 1 to ops do
+          ignore (R.fetch_and_add counter 1);
+          R.write row pid i;
+          if i mod 5 = 0 then R.fence ();
+          finished.(pid) <- i
+        done)
+  done;
+  Scheduler.run_all s;
+  Alcotest.(check (list (pair int reject))) "no failures" [] (Scheduler.failures s);
+  Alcotest.(check int) "every faa landed" (n * ops) (Cell.read_committed counter);
+  Array.iteri
+    (fun pid k ->
+      Alcotest.(check int) (Printf.sprintf "pid %d finished" pid) ops k;
+      Alcotest.(check int)
+        (Printf.sprintf "pid %d last write" pid)
+        ops
+        (Cell.read_committed row.(pid)))
+    finished;
+  (List.init n (fun pid -> Scheduler.clock_of s ~pid), Scheduler.steps s)
+
+let test_many_processes () =
+  List.iter
+    (fun (name, strategy) ->
+      let a = run_many strategy and b = run_many strategy in
+      Alcotest.(check bool) (name ^ ": same seed, same run") true (a = b))
+    [ ("fair", Scheduler.Fair); ("pct", Scheduler.Pct { depth = 3; seed = 11 }) ]
+
 let suite =
   [ Alcotest.test_case "tso staleness until fence" `Quick test_tso_staleness;
     Alcotest.test_case "store-to-load forwarding" `Quick test_store_to_load_forwarding;
@@ -624,5 +744,8 @@ let suite =
     Alcotest.test_case "pct deterministic, differs from fair" `Quick
       test_pct_deterministic_and_differs;
     Alcotest.test_case "pct flushes on deschedule" `Quick test_pct_flushes_on_deschedule;
-    Alcotest.test_case "constant minimum oversleep" `Quick test_oversleep_min_constant
+    Alcotest.test_case "constant minimum oversleep" `Quick test_oversleep_min_constant;
+    Alcotest.test_case "inline and suspended dispatch agree" `Quick
+      test_inline_matches_suspended;
+    Alcotest.test_case "more than 62 processes" `Quick test_many_processes
   ]
