@@ -378,19 +378,16 @@ let wall_s () = float_of_int (Qs_real.Real_runtime.now ()) /. 1e9
    march in lockstep and (almost) every pick is a tie: the owned-schedule
    fast path never applies and the number is the pure suspension-path
    cost. [`Corpus] uses the stall model the explorer's cases run under
-   (stall_prob 0.05, stall_max 600, as in [Explorer.run_one]), whose
-   stalls open the clock gaps that real schedules have — the blended cost
-   of inline and suspended dispatch at a representative mix. *)
+   ([Explorer.stall_cost]), whose stalls open the clock gaps that real
+   schedules have — the blended cost of inline and suspended dispatch at
+   a representative mix. *)
 let raw_dispatch_ns model =
   let open Qs_sim in
   let cfg = Scheduler.default_config ~n_cores:4 ~seed:1 in
   let cfg =
     match model with
     | `Ties -> cfg
-    | `Corpus ->
-      { cfg with
-        Scheduler.cost =
-          { Scheduler.default_cost with stall_prob = 0.05; stall_max = 600 } }
+    | `Corpus -> { cfg with Scheduler.cost = Explorer.stall_cost }
   in
   let sched = Scheduler.create cfg in
   (* Disjoint per-process cell rings: writes spread over cells, as data

@@ -1,10 +1,13 @@
 (* Adversarial schedule exploration over the simulator.
 
    One [case] fully determines one run: data structure, scheme, workload
-   shape, scheduling strategy, fault plan and seed. [run_one] executes it
-   and classifies the result with three oracles — the arena's node-state
-   oracle (use-after-free, double free), memory exhaustion, and per-key
-   linearizability of the recorded operation history. A failing case can be
+   shape, scheduling strategy, fault plan and seed. [run_one] translates it
+   into a [Sim_exp.setup], runs the worker phase through [Sim_exp.measure]
+   (the one simulator loop; no teardown traversal, so the step count and
+   the coverage sink see the workers only) and classifies the result with
+   three oracles — the arena's node-state oracle (use-after-free, double
+   free), memory exhaustion, and per-key linearizability of the operation
+   history [Sim_exp] records. A failing case can be
    [shrink]'d to a smaller one with the same verdict class and round-tripped
    through a one-line repro file, so every CI failure is replayable from the
    artifact alone. *)
@@ -328,12 +331,9 @@ let has_skew faults =
 let has_neutralize faults =
   List.exists (function Scheduler.Neutralize_at _ -> true | _ -> false) faults
 
-(* Scheme-appropriate operating point (mirrors Sim_exp): rooster-dependent
-   schemes get roosters at T with oversleep <= epsilon/2; the others get no
-   roosters and a vacuous age check, the adversarial setting under which
-   fenced HP must still be safe and unfenced HP is not. *)
-let t_rooster = 4_000
-let epsilon = 600
+(* The explorer's cost model: frequent long stalls open the clock gaps
+   that let one process race far ahead of another. *)
+let stall_cost = { Scheduler.default_cost with stall_prob = 0.05; stall_max = 600 }
 
 let scheduler_strategy (c : case) : Scheduler.strategy =
   match c.strategy with
@@ -345,103 +345,41 @@ let scheduler_strategy (c : case) : Scheduler.strategy =
   | Targeted { victim; hook; skip; stall } ->
     Scheduler.Targeted { victim; hook; skip; stall }
 
-let run_one ?sink (c : case) : outcome =
-  let module C = (val Sim_exp.cset_of c.ds) in
-  let n = c.n_processes in
+(* A case is one {!Sim_exp} run at the explorer's operating point: eager
+   quiescence and scans (Q = 8, R = 2) so reclamation runs often within a
+   short case, and for schemes without roosters a vacuous age check (T =
+   epsilon = 0), the adversarial setting under which fenced HP must still
+   be safe and unfenced HP is not. *)
+let setup_of ?sink (c : case) ~workload history : Sim_exp.setup =
   let needs_roosters = Qs_smr.Scheme.needs_roosters c.scheme in
-  let sched_cfg =
-    { (Scheduler.default_config ~n_cores:n ~seed:c.seed) with
-      rooster_interval = (if needs_roosters then Some t_rooster else None);
-      rooster_oversleep = (if needs_roosters then epsilon / 2 else 0);
-      cost = { Scheduler.default_cost with stall_prob = 0.05; stall_max = 600 };
-      strategy = scheduler_strategy c }
-  in
-  let sched = Scheduler.create sched_cfg in
-  let smr =
-    { (Qs_smr.Smr_intf.default_config ~n_processes:n ~hp_per_process:2) with
-      quiescence_threshold = 8;
-      scan_threshold = 2;
-      rooster_interval = (if needs_roosters then t_rooster else 0);
-      epsilon = (if needs_roosters then epsilon else 0);
-      switch_threshold = c.switch;
-      eviction_timeout = (if c.evict > 0 then Some c.evict else None);
-      bag_capacity = c.bags }
-  in
-  let set_cfg =
-    { Qs_ds.Set_intf.scheme = c.scheme;
-      smr;
-      capacity = (if c.capacity > 0 then Some c.capacity else None);
-      debug_checks = true }
-  in
-  let set = C.create set_cfg in
-  let ctxs = Array.init n (fun pid -> C.register set ~pid) in
-  let spec = Spec.make ~key_range:c.key_range ~update_pct:c.update_pct in
-  let initial = Spec.initial_keys spec in
-  Scheduler.exec sched ~pid:0 (fun () ->
-      let keys = Array.of_list initial in
-      Qs_util.Prng.shuffle (Qs_util.Prng.create ~seed:c.seed) keys;
-      Array.iter (fun k -> ignore (C.insert ctxs.(0) k)) keys);
-  Scheduler.reset_clocks sched;
-  Scheduler.inject sched c.faults;
-  (* Tracing (if requested) covers the worker phase only; emission is
-     schedule-neutral, so a traced replay reproduces the verdict exactly. *)
-  Scheduler.set_sink sched sink;
-  let history = Qs_verify.History.create ~n in
-  let per_worker_ops = Array.make n 0 in
-  let failed_at = ref None in
-  let master = Qs_util.Prng.create ~seed:(c.seed + 7919) in
-  let prngs = Array.init n (fun _ -> Qs_util.Prng.split master) in
-  for pid = 0 to n - 1 do
-    Scheduler.spawn sched ~pid (fun () ->
-        let prng = prngs.(pid) in
-        let ctx = ref ctxs.(pid) in
-        let rec loop () =
-          (* Worker churn: the scheduler only queues the request (polling is
-             effect-free); the leave / sit-out / rejoin is ours to perform,
-             because registration belongs to the SMR scheme, not the core. *)
-          (match Scheduler.take_churn sched ~pid with
-          | Some downtime ->
-            C.unregister !ctx;
-            Sim_runtime.sleep_until (Sim_runtime.now () + downtime);
-            ctx := C.register set ~pid;
-            ctxs.(pid) <- !ctx
-          | None -> ());
-          let t = Sim_runtime.now () in
-          if per_worker_ops.(pid) < c.ops_per_proc && t < c.duration && !failed_at = None
-          then begin
-            (* The operation body is the interruptible region: a posted
-               neutralization signal (a [Neutralize_at] fault, or DEBRA+
-               restarting a laggard) is delivered while — and only while —
-               the opt-in flag is up. An aborted operation is retried by
-               the loop and is neither recorded nor counted: it may have
-               half-applied, which is exactly why neutralizing runs skip
-               the linearizability oracle. *)
-            Scheduler.set_neutralizable sched ~pid true;
-            (try
-               let op, key, result =
-                 match Spec.pick prng spec with
-                 | Search k -> (Qs_verify.History.Search, k, C.search !ctx k)
-                 | Insert k -> (Qs_verify.History.Insert, k, C.insert !ctx k)
-                 | Delete k -> (Qs_verify.History.Delete, k, C.delete !ctx k)
-               in
-               let t' = Sim_runtime.now () in
-               Qs_verify.History.record history ~pid ~op ~key ~inv:t ~res:t' ~result;
-               per_worker_ops.(pid) <- per_worker_ops.(pid) + 1
-             with
-             | Qs_arena.Arena.Exhausted ->
-               if !failed_at = None then failed_at := Some t
-             | Qs_intf.Runtime_intf.Neutralized -> ());
-            Scheduler.set_neutralizable sched ~pid false;
-            loop ()
-          end
-        in
-        loop ())
-  done;
-  Scheduler.run_all sched;
-  let ops = Array.fold_left ( + ) 0 per_worker_ops in
-  let report = C.report set in
-  let violations = C.violations set in
-  let worker_failures = Scheduler.failures sched in
+  { (Sim_exp.default_setup ~ds:c.ds ~scheme:c.scheme ~n_processes:c.n_processes
+       ~workload)
+    with
+    duration = c.duration;
+    ops_limit = Some c.ops_per_proc;
+    seed = c.seed;
+    capacity = (if c.capacity > 0 then Some c.capacity else None);
+    faults = c.faults;
+    sink;
+    history = Some history;
+    sched_tweak =
+      (fun cfg -> { cfg with cost = stall_cost; strategy = scheduler_strategy c });
+    smr_tweak =
+      (fun cfg ->
+        { cfg with
+          quiescence_threshold = 8;
+          scan_threshold = 2;
+          rooster_interval = (if needs_roosters then cfg.rooster_interval else 0);
+          epsilon = (if needs_roosters then cfg.epsilon else 0);
+          switch_threshold = c.switch;
+          eviction_timeout = (if c.evict > 0 then Some c.evict else None);
+          bag_capacity = c.bags }) }
+
+let run_one ?sink (c : case) : outcome =
+  let workload = Spec.make ~key_range:c.key_range ~update_pct:c.update_pct in
+  let history = Qs_verify.History.create ~n:c.n_processes in
+  let m = Sim_exp.measure (setup_of ?sink c ~workload history) in
+  let report = m.report in
   (* Neutralization — injected or performed by the scheme itself — aborts
      operations after real effects (a delete may have unlinked and retired
      before the restart), so the recorded history is incomplete and the
@@ -467,14 +405,14 @@ let run_one ?sink (c : case) : outcome =
      real effects; skew bursts break the real-time order the checker
      assumes; exhaustion interrupts operations mid-flight). *)
   let verdict =
-    if violations > 0 then Uaf violations
+    if m.violations > 0 then Uaf m.violations
     else if report.double_frees > 0 then Double_free report.double_frees
     else
-      match worker_failures with
+      match m.failures with
       | (pid, e) :: _ ->
         Worker_exn (Printf.sprintf "pid%d:%s" pid (Printexc.to_string e))
       | [] -> (
-        match !failed_at with
+        match m.failed_at with
         | Some tm ->
           lin := Lin_skipped_oom;
           Oom tm
@@ -482,7 +420,8 @@ let run_one ?sink (c : case) : outcome =
           if lin_blocked_by_faults || lin_blocked_by_strategy then Pass
           else (
             match
-              Qs_verify.Lin_check.check_set ~initial
+              Qs_verify.Lin_check.check_set
+                ~initial:(Spec.initial_keys workload)
                 (Qs_verify.History.entries history)
             with
             | Qs_verify.Lin_check.Ok ->
@@ -496,8 +435,8 @@ let run_one ?sink (c : case) : outcome =
               Pass))
   in
   { verdict;
-    ops;
-    steps = Scheduler.steps sched;
+    ops = m.ops_total;
+    steps = m.steps;
     lin = !lin;
     stats = report.smr;
     report }

@@ -10,10 +10,15 @@
       counters;
     - memory exhaustion against the case's arena capacity;
     - per-key linearizability ({!Qs_verify.Lin_check}) of the recorded
-      operation history (skipped when the fault plan contains crashes or
-      clock-skew bursts, or the strategy is [Pct] — all of which invalidate
-      the completed-operations / real-time-order assumptions the checker
-      rests on).
+      operation history (skipped when the fault plan contains crashes,
+      clock-skew bursts or [Neutralize_at] deliveries, when the scheme
+      neutralized a process on its own, or when the strategy is [Pct] —
+      all of which invalidate the completed-operations / real-time-order
+      assumptions the checker rests on).
+
+    A case runs as one {!Sim_exp.measure} at the explorer's operating
+    point (eager quiescence and scans, the {!stall_cost} model, the case's
+    strategy and faults), with {!Sim_exp} recording the history.
 
     Cases serialize to one-line ["k=v"] strings ({!to_string} /
     {!of_string}); a failing case can be {!shrink}'d and written to a repro
@@ -75,8 +80,9 @@ type verdict =
 type lin_status =
   | Lin_ok  (** the history was actually checked *)
   | Lin_skipped_faults
-      (** not checked: crash / skew faults make it unsound, or a
-          memory-safety oracle already fired *)
+      (** not checked: crash / skew / neutralize faults or a scheme's own
+          neutralizations make it unsound, or a memory-safety oracle
+          already fired *)
   | Lin_skipped_strategy
       (** not checked: PCT priorities decouple execution order from the
           per-process virtual clocks, so recorded intervals misstate the
@@ -123,6 +129,11 @@ val plan : fault_level -> n:int -> duration:int -> seed:int -> Scheduler.fault l
     the case, so repro files never need to re-derive it). *)
 
 (** {1 Running and shrinking} *)
+
+val stall_cost : Scheduler.cost_model
+(** The scheduler cost model every case runs under: {!Scheduler.default_cost}
+    with frequent long stalls (probability 0.05, up to 600 ticks), which
+    open the clock gaps that let one process race far ahead of another. *)
 
 val run_one : ?sink:Qs_intf.Runtime_intf.sink -> case -> outcome
 (** Deterministic: equal cases give equal outcomes — with or without a

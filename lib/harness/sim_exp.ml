@@ -41,6 +41,9 @@ type setup = {
   sink : Qs_intf.Runtime_intf.sink option;
       (** trace sink (e.g. [Qs_obs.Tracer.sink]), installed after the fill
           so the trace covers measured time only; [None] = tracing off *)
+  history : Qs_verify.History.t option;
+      (** per-op invocation/response record of a [Set] target, for the
+          linearizability check; the response stamp is a [now] effect *)
   smr_tweak : Qs_smr.Smr_intf.config -> Qs_smr.Smr_intf.config;
   sched_tweak : Scheduler.config -> Scheduler.config;
 }
@@ -59,6 +62,7 @@ let target_setup ~target ~scheme ~n_processes =
     latency = None;
     faults = [];
     sink = None;
+    history = None;
     smr_tweak = Fun.id;
     sched_tweak = Fun.id }
 
@@ -78,9 +82,21 @@ type result = {
   report : Qs_ds.Set_intf.report;
   final_size : int;
   contents : int list;
-  churn_events : int;  (** completed leave/rejoin cycles across all workers *)
+  churn_events : int;
+      (** completed leave/rejoin cycles across all workers, from [churn]
+          and from [Churn_at] faults *)
   leak_check : [ `Ok | `Leaked of int | `Skipped ];
       (** after teardown flush: do outstanding nodes match live nodes? *)
+}
+
+type measured = {
+  steps : int;
+  failures : (int * exn) list;
+  failed_at : int option;
+  ops_total : int;
+  violations : int;
+  report : Qs_ds.Set_intf.report;
+  teardown : unit -> result;
 }
 
 (* The paper's defaults scaled to simulator ticks: rooster interval T and
@@ -99,9 +115,27 @@ module T = Target.Make (Sim_runtime)
 
 let cset_of = T.cset_of
 
-let run (setup : setup) : result =
-  let module D = (val T.driver setup.target) in
+
+let measure (setup : setup) : measured =
   let n = setup.n_processes in
+  (* invocation time of each process's operation in flight, for [history] *)
+  let inv = Array.make n 0 in
+  let on_op =
+    Option.map
+      (fun h ~pid (op : Qs_workload.Spec.op) result ->
+        (* the response stamp is a [now] effect: runs that record a history
+           have their own schedules *)
+        let res = Sim_runtime.now () in
+        let op, key =
+          match op with
+          | Search k -> (Qs_verify.History.Search, k)
+          | Insert k -> (Qs_verify.History.Insert, k)
+          | Delete k -> (Qs_verify.History.Delete, k)
+        in
+        Qs_verify.History.record h ~pid ~op ~key ~inv:inv.(pid) ~res ~result)
+      setup.history
+  in
+  let module D = (val T.driver ?on_op setup.target) in
   let sched_cfg =
     setup.sched_tweak
       { (Scheduler.default_config ~n_cores:n ~seed:setup.seed) with
@@ -153,6 +187,15 @@ let run (setup : setup) : result =
   for pid = 0 to n - 1 do
     Scheduler.spawn sched ~pid (fun () ->
         let ctx = ref ctxs.(pid) in
+        (* leave: retire the SMR slot (limbo lists go to the orphan pool),
+           sit out, rejoin under the same pid *)
+        let leave downtime =
+          D.unregister !ctx;
+          Sim_runtime.sleep_until (Sim_runtime.now () + downtime);
+          ctx := D.register state ~pid;
+          ctxs.(pid) <- !ctx;
+          churn_counts.(pid) <- churn_counts.(pid) + 1
+        in
         let windows =
           match setup.delays with
           | Some d when d.victim = pid -> d.windows
@@ -167,15 +210,15 @@ let run (setup : setup) : result =
           | _ -> ref max_int
         in
         let rec loop () =
+          (* a fired [Churn_at] fault only queues the request (polling is
+             effect-free); registration belongs to the scheme, so the
+             leave / sit-out / rejoin is the worker's to perform *)
+          (match Scheduler.take_churn sched ~pid with
+          | Some downtime -> leave downtime
+          | None -> ());
           (match setup.churn with
           | Some c when per_worker_ops.(pid) >= !next_churn ->
-            (* leave: retire the SMR slot (limbo lists go to the orphan
-               pool), sit out, rejoin under the same pid *)
-            D.unregister !ctx;
-            Sim_runtime.sleep_until (Sim_runtime.now () + c.downtime);
-            ctx := D.register state ~pid;
-            ctxs.(pid) <- !ctx;
-            churn_counts.(pid) <- churn_counts.(pid) + 1;
+            leave c.downtime;
             next_churn := !next_churn + c.every_ops
           | _ -> ());
           let i = per_worker_ops.(pid) in
@@ -204,7 +247,8 @@ let run (setup : setup) : result =
                  injected [Neutralize_at] fault): delivery only happens
                  while the opt-in flag is up, never during the churn
                  leave/rejoin or the delay sleep. An aborted operation is
-                 retried by the loop and not counted. *)
+                 retried by the loop and neither counted nor recorded. *)
+              inv.(pid) <- t;
               Scheduler.set_neutralizable sched ~pid true;
               (try
                  let kind = D.step !ctx prngs.(pid) ~pid ~i in
@@ -235,42 +279,57 @@ let run (setup : setup) : result =
         loop ())
   done;
   Scheduler.run_all sched;
-  (match Scheduler.failures sched with
+  let ops_total = Array.fold_left ( + ) 0 per_worker_ops in
+  let violations = D.violations state in
+  let teardown () : result =
+    let throughput =
+      float_of_int ops_total /. float_of_int setup.duration *. 1e6
+    in
+    let series =
+      if setup.sample_every = 0 then [||]
+      else
+        Array.map
+          (fun c -> float_of_int c /. float_of_int setup.sample_every *. 1e6)
+          buckets
+    in
+    let contents = Scheduler.exec sched ~pid:0 (fun () -> D.to_list ctxs.(0)) in
+    (* capture statistics before the teardown flush below frees everything *)
+    let report = D.report state in
+    let leak_check =
+      if setup.scheme = Qs_smr.Scheme.None_ then `Skipped
+      else begin
+        Scheduler.exec sched ~pid:0 (fun () -> Array.iter D.flush ctxs);
+        let live = Scheduler.exec sched ~pid:0 (fun () -> D.live_nodes ctxs.(0)) in
+        let leaked = D.outstanding state - live in
+        if leaked = 0 then `Ok else `Leaked leaked
+      end
+    in
+    { ops_total;
+      per_worker_ops;
+      per_kind_ops;
+      throughput;
+      series;
+      failed_at = !failed_at;
+      violations;
+      report;
+      final_size = List.length contents;
+      contents;
+      churn_events = Array.fold_left ( + ) 0 churn_counts;
+      leak_check }
+  in
+  { steps = Scheduler.steps sched;
+    failures = Scheduler.failures sched;
+    failed_at = !failed_at;
+    ops_total;
+    violations;
+    report = D.report state;
+    teardown }
+
+let run (setup : setup) : result =
+  let m = measure setup in
+  (match m.failures with
   | [] -> ()
   | (pid, e) :: _ ->
     failwith
       (Printf.sprintf "sim worker %d died: %s" pid (Printexc.to_string e)));
-  let ops_total = Array.fold_left ( + ) 0 per_worker_ops in
-  let throughput = float_of_int ops_total /. float_of_int setup.duration *. 1e6 in
-  let series =
-    if setup.sample_every = 0 then [||]
-    else
-      Array.map
-        (fun c -> float_of_int c /. float_of_int setup.sample_every *. 1e6)
-        buckets
-  in
-  let violations = D.violations state in
-  let contents = Scheduler.exec sched ~pid:0 (fun () -> D.to_list ctxs.(0)) in
-  (* capture statistics before the teardown flush below frees everything *)
-  let report = D.report state in
-  let leak_check =
-    if setup.scheme = Qs_smr.Scheme.None_ then `Skipped
-    else begin
-      Scheduler.exec sched ~pid:0 (fun () -> Array.iter D.flush ctxs);
-      let live = Scheduler.exec sched ~pid:0 (fun () -> D.live_nodes ctxs.(0)) in
-      let leaked = D.outstanding state - live in
-      if leaked = 0 then `Ok else `Leaked leaked
-    end
-  in
-  { ops_total;
-    per_worker_ops;
-    per_kind_ops;
-    throughput;
-    series;
-    failed_at = !failed_at;
-    violations;
-    report;
-    final_size = List.length contents;
-    contents;
-    churn_events = Array.fold_left ( + ) 0 churn_counts;
-    leak_check }
+  m.teardown ()

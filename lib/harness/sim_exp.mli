@@ -9,7 +9,14 @@
 
     Everything is deterministic given [seed]. Throughput is reported in
     operations per million virtual ticks — the analogue of the paper's
-    Mops/s. *)
+    Mops/s.
+
+    This is the one simulator worker loop: the figures, the bench rows,
+    the tests and the schedule explorer ({!Explorer.run_one}) all run
+    through it. A run has two phases: {!measure} fills, runs the workers
+    and reads the counters as they stand when the last worker stops;
+    its [teardown] then reads the final contents, flushes every process
+    and checks for leaks. {!run} composes the two. *)
 
 open Qs_sim
 
@@ -56,12 +63,19 @@ type setup = {
   faults : Scheduler.fault list;
       (** scheduler fault injection (e.g. [Stall_at]), installed after the
           fill and re-armed by the clock reset: fault times are measured
-          time. [[]] = none. *)
+          time. A fired [Churn_at] makes its worker leave and rejoin as
+          [churn] does, once, between operations. [[]] = none. *)
   sink : Qs_intf.Runtime_intf.sink option;
       (** trace sink (e.g. [Qs_obs.Tracer.sink]); installed after the fill
           so the trace covers measured time only. [None] = tracing off —
           the default, and guaranteed not to change seeded schedules
           either way (see DESIGN.md §9). *)
+  history : Qs_verify.History.t option;
+      (** records each completed operation of a [Set] target — pid, op,
+          key, result, invocation time (the loop's [now] before the op)
+          and response time — for {!Qs_verify.Lin_check}. The response
+          stamp is a [Sim_runtime.now] effect, so a run with a history
+          has a schedule of its own; [None] adds no effect. *)
   smr_tweak : Qs_smr.Smr_intf.config -> Qs_smr.Smr_intf.config;
   sched_tweak : Scheduler.config -> Scheduler.config;
 }
@@ -92,11 +106,25 @@ type result = {
   final_size : int;
   contents : int list;  (** final authoritative contents, sorted *)
   churn_events : int;
-      (** completed leave/rejoin cycles across all workers (0 unless
-          [churn] was set) *)
+      (** completed leave/rejoin cycles across all workers, from [churn]
+          and from [Churn_at] faults *)
   leak_check : [ `Ok | `Leaked of int | `Skipped ];
       (** after teardown flush: outstanding nodes vs the target's live
           nodes *)
+}
+
+(** The worker phase as it stands when {!Scheduler.run_all} returns,
+    before any teardown traversal. *)
+type measured = {
+  steps : int;  (** scheduler steps of the fill and the workers *)
+  failures : (int * exn) list;  (** workers that died, by pid *)
+  failed_at : int option;
+  ops_total : int;
+  violations : int;
+  report : Qs_ds.Set_intf.report;
+  teardown : unit -> result;
+      (** read contents, flush, check for leaks (as pid 0, outside the
+          measured schedule); call at most once *)
 }
 
 val default_rooster_interval : int
@@ -108,8 +136,11 @@ val base_smr_config : n_processes:int -> Qs_smr.Smr_intf.config
 val cset_of : Cset.kind -> (module Cset.S)
 (** The simulator instantiation of each structure. *)
 
-val run : setup -> result
+val measure : setup -> measured
 (** Fill to half the key range from process 0 (shuffled), reset the virtual
-    clocks, run all workers to [duration] (or [ops_limit]), then collect
-    statistics and perform the teardown leak check. Raises [Failure] if a
-    worker dies of anything other than the modelled memory exhaustion. *)
+    clocks, run all workers to [duration] (or [ops_limit]). Worker deaths
+    are returned, not raised. *)
+
+val run : setup -> result
+(** {!measure}, then its [teardown]. Raises [Failure] if a worker dies of
+    anything other than the modelled memory exhaustion. *)

@@ -36,7 +36,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     | Cset.Bst -> (module Qs_ds.Bst.Make (R))
     | Cset.Hashtable -> (module Qs_ds.Hashtable.Make (R))
 
-  let driver : t -> (module DRIVER) = function
+  let driver ?on_op : t -> (module DRIVER) = function
     | Set { ds; workload; generator } ->
       let module C = (val cset_of ds) in
       (module struct
@@ -52,10 +52,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
             | Some g -> Qs_workload.Generator.op g ~pid ~i
             | None -> Qs_workload.Spec.pick prng workload
           in
-          (match op with
-          | Search k -> ignore (C.search ctx k)
-          | Insert k -> ignore (C.insert ctx k)
-          | Delete k -> ignore (C.delete ctx k));
+          let result =
+            match op with
+            | Search k -> C.search ctx k
+            | Insert k -> C.insert ctx k
+            | Delete k -> C.delete ctx k
+          in
+          (match on_op with Some f -> f ~pid op result | None -> ());
           Qs_workload.Spec.kind_index op
 
         let live_nodes ctx = C.nodes_per_key * C.size ctx

@@ -62,8 +62,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
   val cset_of : Cset.kind -> (module Cset.S)
   (** Each structure instantiated on [R]. *)
 
-  val driver : t -> (module DRIVER)
+  val driver :
+    ?on_op:(pid:int -> Qs_workload.Spec.op -> bool -> unit) ->
+    t ->
+    (module DRIVER)
   (** Each call applies the structure functors afresh, so node uids
       restart and a seeded run does not depend on earlier runs in the
-      same process. *)
+      same process. [on_op] sees every completed operation of a [Set]
+      target with its result, inside the operation's process (a [Kv]
+      target ignores it). *)
 end

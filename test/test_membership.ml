@@ -483,6 +483,31 @@ let test_sim_churn_e2e () =
     [ Qs_smr.Scheme.Qsbr; Qs_smr.Scheme.Hp; Qs_smr.Scheme.Cadence;
       Qs_smr.Scheme.Qsense ]
 
+(* Scheduler [Churn_at] faults, with no [churn] field: each fired fault
+   makes its worker leave and rejoin once, as in the explorer's churn
+   plans. *)
+let test_sim_churn_faults () =
+  List.iter
+    (fun scheme ->
+      let name = Qs_smr.Scheme.to_string scheme in
+      let setup =
+        { (Sim_exp.default_setup ~ds:Cset.List ~scheme ~n_processes:4
+             ~workload:(Qs_workload.Spec.make ~key_range:32 ~update_pct:50))
+          with
+          Sim_exp.duration = 200_000;
+          seed = 9;
+          faults =
+            [ Qs_sim.Scheduler.Churn_at { pid = 1; at = 50_000; ticks = 40_000 };
+              Qs_sim.Scheduler.Churn_at { pid = 3; at = 110_000; ticks = 50_000 } ] }
+      in
+      let r = Sim_exp.run setup in
+      Alcotest.(check int) (name ^ ": no use-after-free") 0 r.Sim_exp.violations;
+      Alcotest.(check int) (name ^ ": one leave/rejoin per fault") 2
+        r.Sim_exp.churn_events;
+      Alcotest.(check bool) (name ^ ": teardown leak check clean") true
+        (r.Sim_exp.leak_check = `Ok))
+    [ Qs_smr.Scheme.Hp; Qs_smr.Scheme.Qsense ]
+
 (* Churn runs are as deterministic as everything else on the simulator. *)
 let test_sim_churn_deterministic () =
   let run () =
@@ -523,6 +548,8 @@ let suite =
       test_stats_monotone_across_churn;
     Alcotest.test_case "sim churn e2e: safe, leak-free" `Slow
       test_sim_churn_e2e;
+    Alcotest.test_case "sim Churn_at faults: leave, rejoin, leak-free" `Quick
+      test_sim_churn_faults;
     Alcotest.test_case "sim churn deterministic" `Quick
       test_sim_churn_deterministic
   ]
