@@ -51,8 +51,11 @@
      retired peak at seeds 1-3) and write one line per section — name,
      MD5 digest, line count — to PATH (default FINGERPRINTS). With
      [--check], compare against PATH instead, name every section that
-     moved, is new or is missing, and exit 1 if any did. Run from the
-     repository root.
+     moved, is new or is missing, and exit 1 if any did. Either way it
+     exits 1, naming the culprit, when a smoke check fails, a corpus case
+     is not clean or a rare class has no witness; a regenerating run then
+     writes nothing. This is the one CI step that runs the explorer. Run
+     from the repository root.
 
    Everything is deterministic: equal case lines give equal verdicts, solo
    or pooled, whatever the job count. *)
@@ -678,49 +681,52 @@ let witness_counts results =
     results;
   counts
 
+(* What a replayed corpus fails on, one line each: a case that is not
+   clean (named by its line), a rare class with no witness. *)
+let corpus_failures cases results class_counts =
+  let dirty =
+    List.concat
+      (List.mapi
+         (fun i r ->
+           match r with
+           | Some ((o : Explorer.outcome), _)
+             when Explorer.same_class o.verdict Explorer.Pass ->
+             []
+           | r ->
+             [ Printf.sprintf "corpus case %03d not clean (%s): %s" (i + 1)
+                 (match r with
+                 | Some (o, _) -> Explorer.verdict_to_string o.verdict
+                 | None -> "no result")
+                 (Explorer.to_string cases.(i)) ])
+         (Array.to_list results))
+  in
+  let unwitnessed =
+    List.filter_map
+      (fun (name, j) ->
+        if class_counts.(j) = 0 then Some ("no witness: " ^ name) else None)
+      Coverage.rare_classes
+  in
+  dirty @ unwitnessed
+
 let coverage path args =
   let f = parse args in
-  let cases = Explorer.load_corpus path in
+  let cases = Array.of_list (Explorer.load_corpus path) in
   Printf.printf "== corpus coverage: %d cases from %s (%d jobs) ==\n%!"
-    (List.length cases) path f.jobs;
-  let results =
-    Explorer_pool.map ~jobs:f.jobs Coverage.run_covered (Array.of_list cases)
-  in
+    (Array.length cases) path f.jobs;
+  let results = Explorer_pool.map ~jobs:f.jobs Coverage.run_covered cases in
   let class_counts = witness_counts results in
-  let failed = ref 0 in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | None -> incr failed
-      | Some ((o : Explorer.outcome), _) ->
-        if not (Explorer.same_class o.Explorer.verdict Explorer.Pass) then begin
-          incr failed;
-          Printf.printf "  NOT CLEAN: %s -> %s\n"
-            (Explorer.to_string (List.nth cases i))
-            (Explorer.verdict_to_string o.Explorer.verdict)
-        end)
-    results;
   List.iter
     (fun (name, i) ->
       Printf.printf "  %-15s %d witness%s\n" name class_counts.(i)
         (if class_counts.(i) = 1 then "" else "es"))
     Coverage.rare_classes;
-  let missing =
-    List.filter (fun (_, i) -> class_counts.(i) = 0) Coverage.rare_classes
-  in
-  if !failed > 0 then begin
-    Printf.printf "%d case(s) not clean\n" !failed;
-    1
-  end
-  else if missing <> [] then begin
-    Printf.printf "MISSING witnesses: %s\n"
-      (String.concat ", " (List.map fst missing));
-    1
-  end
-  else begin
+  match corpus_failures cases results class_counts with
+  | [] ->
     print_endline "all rare event classes witnessed";
     0
-  end
+  | failures ->
+    List.iter (Printf.printf "FAIL: %s\n") failures;
+    1
 
 (* --- fingerprint: one digest per deterministic output ------------------ *)
 
@@ -756,7 +762,10 @@ let fingerprint_corpus = Filename.concat "test" "explorer.corpus"
 (* The deterministic outputs a schedule-neutral change must leave alone:
    every [repro all] section (quick scale, seed 1), the committed corpus'
    rare-class witness counts and each case's verdict and step count, the
-   smoke run at 3 seeds, and the sim-stall benchmark's tails. *)
+   smoke run at 3 seeds, and the sim-stall benchmark's tails. Also returns
+   what failed on its own terms, whatever the committed digests say: a
+   failing smoke check, a corpus case that is not clean, a rare class
+   with no witness. *)
 let fingerprint_sections (f : flags) =
   let repro =
     List.map
@@ -786,7 +795,13 @@ let fingerprint_sections (f : flags) =
             (fun (name, j) -> Printf.sprintf "%s %d\n" name class_counts.(j))
             Coverage.rare_classes))
   in
-  let _, smoke_text = capture (fun () -> smoke_checks { f with seeds = 3 }) in
+  let smoke_ok, smoke_text =
+    capture (fun () -> smoke_checks { f with seeds = 3 })
+  in
+  let failures =
+    (if smoke_ok then [] else [ "smoke failed:\n" ^ smoke_text ])
+    @ corpus_failures cases results class_counts
+  in
   let stall_workload = Option.get (Perfbench.Workloads.find "sim-stall") in
   let stall seed =
     let (o : Perfbench.Report.outcome), _ =
@@ -800,9 +815,10 @@ let fingerprint_sections (f : flags) =
             (fun k -> Printf.sprintf "%s %.17g\n" k (List.assoc k o.values))
             [ "p50"; "p99"; "p999"; "retired_peak" ]))
   in
-  repro @ [ witnesses ] @ corpus
-  @ [ section "smoke" smoke_text ]
-  @ List.map stall [ 1; 2; 3 ]
+  ( repro @ [ witnesses ] @ corpus
+    @ [ section "smoke" smoke_text ]
+    @ List.map stall [ 1; 2; 3 ],
+    failures )
 
 let fingerprint_header =
   "# Schedule fingerprints: one line per deterministic output section\n\
@@ -826,8 +842,9 @@ let fingerprint args =
   let f = parse (List.filter (fun a -> a <> "--check") args) in
   let path = Option.value f.out ~default:"FINGERPRINTS" in
   let t0 = wall_s () in
-  let sections = fingerprint_sections f in
+  let sections, failures = fingerprint_sections f in
   let dt = wall_s () -. t0 in
+  List.iter (Printf.printf "FAIL: %s\n") failures;
   if check then begin
     let committed = read_fingerprints path in
     let named l s = List.exists (fun c -> c.name = s.name) l in
@@ -842,9 +859,14 @@ let fingerprint args =
     let added = report "new" (List.filter (fun s -> not (named committed s)) sections) in
     let gone = report "missing" (List.filter (fun c -> not (named sections c)) committed) in
     let moved = changed + added + gone in
-    Printf.printf "fingerprint: %d sections, %d moved (%.1f s)\n%!"
-      (List.length sections) moved dt;
-    if moved = 0 then 0 else 1
+    Printf.printf "fingerprint: %d sections, %d moved, %d failed (%.1f s)\n%!"
+      (List.length sections) moved (List.length failures) dt;
+    if moved = 0 && failures = [] then 0 else 1
+  end
+  else if failures <> [] then begin
+    Printf.printf "fingerprint: %d failed; %s not written (%.1f s)\n%!"
+      (List.length failures) path dt;
+    1
   end
   else begin
     Out_channel.with_open_text path (fun oc ->
