@@ -48,7 +48,8 @@
      deterministic output (each [repro all] section at quick scale, seed 1;
      the committed corpus' witness counts and each case's verdict and step
      count; [smoke --seeds 3]; the sim-stall benchmark's p50/p99/p999 and
-     retired peak at seeds 1-3) and write one line per section — name,
+     retired peak at seeds 1-3; the bench's [--quick] latency.rows and
+     service.rows) and write one line per section — name,
      MD5 digest, line count — to PATH (default FINGERPRINTS). With
      [--check], compare against PATH instead, name every section that
      moved, is new or is missing, and exit 1 if any did. Either way it
@@ -762,7 +763,8 @@ let fingerprint_corpus = Filename.concat "test" "explorer.corpus"
 (* The deterministic outputs a schedule-neutral change must leave alone:
    every [repro all] section (quick scale, seed 1), the committed corpus'
    rare-class witness counts and each case's verdict and step count, the
-   smoke run at 3 seeds, and the sim-stall benchmark's tails. Also returns
+   smoke run at 3 seeds, the sim-stall benchmark's tails, and the bench's
+   latency and service sim rows. Also returns
    what failed on its own terms, whatever the committed digests say: a
    failing smoke check, a corpus case that is not clean, a rare class
    with no witness. *)
@@ -815,9 +817,18 @@ let fingerprint_sections (f : flags) =
             (fun k -> Printf.sprintf "%s %.17g\n" k (List.assoc k o.values))
             [ "p50"; "p99"; "p999"; "retired_peak" ]))
   in
+  (* the bench's sim rows as bench/main.exe --quick writes them *)
+  let bench_rows name rows row_json =
+    let rows, _ = capture (fun () -> rows ~quick:true) in
+    section ("bench " ^ name)
+      (String.concat ""
+         (List.map (fun r -> Qs_util.Json.to_string (row_json r) ^ "\n") rows))
+  in
   ( repro @ [ witnesses ] @ corpus
     @ [ section "smoke" smoke_text ]
-    @ List.map stall [ 1; 2; 3 ],
+    @ List.map stall [ 1; 2; 3 ]
+    @ [ bench_rows "latency.rows" Sim_rows.Latency.rows Sim_rows.Latency.row_json;
+        bench_rows "service.rows" Sim_rows.Service.rows Sim_rows.Service.row_json ],
     failures )
 
 let fingerprint_header =
