@@ -628,6 +628,14 @@ let grow_base () =
   in
   rival_shapes @ breadth @ strategies @ faults @ churn_all @ fallback @ bags
 
+(* Cases witnessing each rare event class, one line per class. *)
+let print_witnesses counts =
+  List.iter
+    (fun (name, i) ->
+      Printf.printf "  %-15s %4d witness%s\n" name counts.(i)
+        (if counts.(i) = 1 then "" else "es"))
+    Coverage.rare_classes
+
 let grow out args =
   let f = parse args in
   let base =
@@ -652,15 +660,11 @@ let grow out args =
   List.iter (fun c -> Printf.fprintf oc "%s\n" (Explorer.to_string c)) cases;
   close_out oc;
   Printf.printf "selected %d cases in %d runs -> %s\n" (List.length cases) g.runs out;
-  let missing =
-    List.filter (fun (_, i) -> g.class_counts.(i) = 0) Coverage.rare_classes
-  in
-  List.iter
-    (fun (name, i) ->
-      Printf.printf "  %-15s %4d cases%s\n" name g.class_counts.(i)
-        (if g.class_counts.(i) = 0 then "  <-- NO WITNESS" else ""))
-    Coverage.rare_classes;
-  if missing = [] && List.length cases >= f.target then begin
+  print_witnesses g.class_counts;
+  if
+    List.for_all (fun (_, i) -> g.class_counts.(i) > 0) Coverage.rare_classes
+    && List.length cases >= f.target
+  then begin
     print_endline "all rare event classes witnessed";
     0
   end
@@ -716,11 +720,7 @@ let coverage path args =
     (Array.length cases) path f.jobs;
   let results = Explorer_pool.map ~jobs:f.jobs Coverage.run_covered cases in
   let class_counts = witness_counts results in
-  List.iter
-    (fun (name, i) ->
-      Printf.printf "  %-15s %d witness%s\n" name class_counts.(i)
-        (if class_counts.(i) = 1 then "" else "es"))
-    Coverage.rare_classes;
+  print_witnesses class_counts;
   match corpus_failures cases results class_counts with
   | [] ->
     print_endline "all rare event classes witnessed";

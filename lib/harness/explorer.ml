@@ -140,34 +140,19 @@ let fault_to_string : Scheduler.fault -> string = function
   | Neutralize_at { pid; at } -> Printf.sprintf "neut:%d:%d" pid at
 
 let fault_of_string s : Scheduler.fault option =
-  let i = int_of_string_opt in
   match String.split_on_char ':' s with
-  | [ "stall"; p; a; t ] -> (
-    match (i p, i a, i t) with
-    | Some pid, Some at, Some ticks -> Some (Stall_at { pid; at; ticks })
-    | _ -> None)
-  | [ "crash"; p; a ] -> (
-    match (i p, i a) with
-    | Some pid, Some at -> Some (Crash_at { pid; at })
-    | _ -> None)
-  | [ "spike"; p; a; e ] -> (
-    match (i p, i a, i e) with
-    | Some pid, Some at, Some extra -> Some (Oversleep_spike { pid; at; extra })
-    | _ -> None)
-  | [ "skew"; p; a; u; e ] -> (
-    match (i p, i a, i u, i e) with
-    | Some pid, Some at, Some until_, Some extra ->
+  | [] -> None
+  | tag :: args -> (
+    match (tag, List.map int_of_string_opt args) with
+    | "stall", [ Some pid; Some at; Some ticks ] -> Some (Stall_at { pid; at; ticks })
+    | "crash", [ Some pid; Some at ] -> Some (Crash_at { pid; at })
+    | "spike", [ Some pid; Some at; Some extra ] ->
+      Some (Oversleep_spike { pid; at; extra })
+    | "skew", [ Some pid; Some at; Some until_; Some extra ] ->
       Some (Skew_burst { pid; at; until_; extra })
+    | "churn", [ Some pid; Some at; Some ticks ] -> Some (Churn_at { pid; at; ticks })
+    | "neut", [ Some pid; Some at ] -> Some (Neutralize_at { pid; at })
     | _ -> None)
-  | [ "churn"; p; a; t ] -> (
-    match (i p, i a, i t) with
-    | Some pid, Some at, Some ticks -> Some (Churn_at { pid; at; ticks })
-    | _ -> None)
-  | [ "neut"; p; a ] -> (
-    match (i p, i a) with
-    | Some pid, Some at -> Some (Neutralize_at { pid; at })
-    | _ -> None)
-  | _ -> None
 
 let faults_to_string = function
   | [] -> "-"
@@ -204,52 +189,49 @@ let of_string line : (case, string) result =
   in
   let find k = List.assoc_opt k fields in
   let int_field k = Option.bind (find k) int_of_string_opt in
-  match
-    ( Option.bind (find "ds") Cset.kind_of_string,
-      Option.bind (find "scheme") Qs_smr.Scheme.of_string,
-      Option.bind (find "strat") strategy_of_string,
-      Option.bind (find "faults") faults_of_string )
-  with
-  | Some ds, Some scheme, Some strategy, Some faults -> (
-    match
-      ( int_field "n",
-        int_field "keys",
-        int_field "upd",
-        int_field "ops",
-        int_field "dur",
-        int_field "cap",
-        int_field "switch",
-        int_field "seed" )
-    with
-    | ( Some n_processes,
-        Some key_range,
-        Some update_pct,
-        Some ops_per_proc,
-        Some duration,
-        Some capacity,
-        Some switch,
-        Some seed ) ->
-      (* [bags] and [evict] are optional so older corpus/repro lines keep
-         parsing; absent means 64-node bags / no eviction *)
-      let bags = Option.value (int_field "bags") ~default:64 in
-      let evict = Option.value (int_field "evict") ~default:0 in
-      Ok
-        { ds;
-          scheme;
-          n_processes;
-          key_range;
-          update_pct;
-          ops_per_proc;
-          duration;
-          capacity;
-          switch;
-          evict;
-          bags;
-          strategy;
-          faults;
-          seed }
-    | _ -> Error (Printf.sprintf "explorer case: bad numeric field in %S" line))
-  | _ -> Error (Printf.sprintf "explorer case: bad ds/scheme/strat/faults in %S" line)
+  let ( let* ) = Option.bind in
+  let kinds =
+    let* ds = Option.bind (find "ds") Cset.kind_of_string in
+    let* scheme = Option.bind (find "scheme") Qs_smr.Scheme.of_string in
+    let* strategy = Option.bind (find "strat") strategy_of_string in
+    let* faults = Option.bind (find "faults") faults_of_string in
+    Some (ds, scheme, strategy, faults)
+  in
+  let case (ds, scheme, strategy, faults) =
+    let* n_processes = int_field "n" in
+    let* key_range = int_field "keys" in
+    let* update_pct = int_field "upd" in
+    let* ops_per_proc = int_field "ops" in
+    let* duration = int_field "dur" in
+    let* capacity = int_field "cap" in
+    let* switch = int_field "switch" in
+    let* seed = int_field "seed" in
+    (* [bags] and [evict] are optional so older corpus/repro lines keep
+       parsing; absent means 64-node bags / no eviction *)
+    let bags = Option.value (int_field "bags") ~default:64 in
+    let evict = Option.value (int_field "evict") ~default:0 in
+    Some
+      { ds;
+        scheme;
+        n_processes;
+        key_range;
+        update_pct;
+        ops_per_proc;
+        duration;
+        capacity;
+        switch;
+        evict;
+        bags;
+        strategy;
+        faults;
+        seed }
+  in
+  match kinds with
+  | None -> Error (Printf.sprintf "explorer case: bad ds/scheme/strat/faults in %S" line)
+  | Some k -> (
+    match case k with
+    | Some c -> Ok c
+    | None -> Error (Printf.sprintf "explorer case: bad numeric field in %S" line))
 
 (* --- fault-plan generation ---------------------------------------------- *)
 
@@ -276,21 +258,21 @@ let plan level ~n ~duration ~seed : Scheduler.fault list =
   let prng = Qs_util.Prng.create ~seed:(seed + 0x5EED) in
   let pid () = Qs_util.Prng.int prng n in
   let at () = duration / 10 + Qs_util.Prng.int prng (max 1 (duration / 2)) in
+  let stall () =
+    Scheduler.Stall_at
+      { pid = pid (); at = at (); ticks = duration / 8 + Qs_util.Prng.int prng (duration / 4) }
+  in
   match level with
   | No_faults -> []
   | Stalls ->
-    List.init 3 (fun _ ->
-        Scheduler.Stall_at
-          { pid = pid (); at = at (); ticks = duration / 8 + Qs_util.Prng.int prng (duration / 4) })
+    List.init 3 (fun _ -> stall ())
   | Victim_stall ->
     (* the paper's robustness scenario: one process freezes early and for
        (effectively) the rest of the run *)
     [ Scheduler.Stall_at { pid = n - 1; at = duration / 8; ticks = 4 * duration } ]
   | Chaos ->
-    [ Scheduler.Stall_at
-        { pid = pid (); at = at (); ticks = duration / 8 + Qs_util.Prng.int prng (duration / 4) };
-      Scheduler.Stall_at
-        { pid = pid (); at = at (); ticks = duration / 8 + Qs_util.Prng.int prng (duration / 4) };
+    [ stall ();
+      stall ();
       Scheduler.Oversleep_spike { pid = pid (); at = at (); extra = 2_000 + Qs_util.Prng.int prng 4_000 };
       Scheduler.Skew_burst
         { pid = pid (); at = at (); until_ = duration; extra = 500 + Qs_util.Prng.int prng 1_000 };
@@ -305,8 +287,7 @@ let plan level ~n ~duration ~seed : Scheduler.fault list =
         { pid = n - 1;
           at = duration / 3;
           ticks = duration / 6 + Qs_util.Prng.int prng (max 1 (duration / 8)) };
-      Scheduler.Stall_at
-        { pid = pid (); at = at (); ticks = duration / 8 + Qs_util.Prng.int prng (duration / 4) } ]
+      stall () ]
   | Neutralize ->
     (* rival-scheme delivery: restart signals land mid-operation (the
        victim's in-flight op is discontinued and retried), plus one long
@@ -317,19 +298,19 @@ let plan level ~n ~duration ~seed : Scheduler.fault list =
        unwind-path leak. *)
     [ Scheduler.Neutralize_at { pid = pid (); at = at () };
       Scheduler.Neutralize_at { pid = pid (); at = at () };
-      Scheduler.Stall_at
-        { pid = pid (); at = at (); ticks = duration / 8 + Qs_util.Prng.int prng (duration / 4) } ]
+      stall () ]
 
 (* --- the runner --------------------------------------------------------- *)
 
-let has_crash faults =
-  List.exists (function Scheduler.Crash_at _ -> true | _ -> false) faults
-
-let has_skew faults =
-  List.exists (function Scheduler.Skew_burst _ -> true | _ -> false) faults
-
-let has_neutralize faults =
-  List.exists (function Scheduler.Neutralize_at _ -> true | _ -> false) faults
+(* Faults that break the checker's premises: a crash or a neutralization
+   leaves half-done operations with real effects, a skew burst breaks the
+   real-time order of the recorded intervals. *)
+let blocks_lin_check faults =
+  List.exists
+    (function
+      | Scheduler.Crash_at _ | Skew_burst _ | Neutralize_at _ -> true
+      | Stall_at _ | Oversleep_spike _ | Churn_at _ -> false)
+    faults
 
 (* The explorer's cost model: frequent long stalls open the clock gaps
    that let one process race far ahead of another. *)
@@ -385,8 +366,7 @@ let run_one ?sink (c : case) : outcome =
      before the restart), so the recorded history is incomplete and the
      check must not run. *)
   let lin_blocked_by_faults =
-    has_crash c.faults || has_skew c.faults || has_neutralize c.faults
-    || report.smr.neutralizations > 0
+    blocks_lin_check c.faults || report.smr.neutralizations > 0
   in
   (* PCT also blocks the check: priorities decouple execution order from
      the per-process virtual clocks, so the recorded intervals no longer
@@ -540,18 +520,8 @@ let parse_lines lines =
         | Error msg -> failwith msg)
     lines
 
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-      close_in ic;
-      List.rev acc
-  in
-  go []
-
-let load_corpus path = parse_lines (read_lines path)
+let load_corpus path =
+  parse_lines (In_channel.with_open_text path In_channel.input_lines)
 
 let load_repro path =
   match load_corpus path with

@@ -115,7 +115,6 @@ module T = Target.Make (Sim_runtime)
 
 let cset_of = T.cset_of
 
-
 let measure (setup : setup) : measured =
   let n = setup.n_processes in
   (* invocation time of each process's operation in flight, for [history] *)
