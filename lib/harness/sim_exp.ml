@@ -115,6 +115,12 @@ module T = Target.Make (Sim_runtime)
 
 let cset_of = T.cset_of
 
+(* End of the delay window [t] falls in, if any. Top-level recursion,
+   not [List.find_opt]: no closure per operation. *)
+let rec window_end t = function
+  | [] -> None
+  | (a, b) :: rest -> if a <= t && t < b then Some b else window_end t rest
+
 let measure (setup : setup) : measured =
   let n = setup.n_processes in
   (* invocation time of each process's operation in flight, for [history] *)
@@ -234,10 +240,8 @@ let measure (setup : setup) : measured =
             match setup.ops_limit with None -> true | Some l -> i < l
           in
           if t < setup.duration && under_limit && !failed_at = None then begin
-            (match
-               List.find_opt (fun (a, b) -> a <= t && t < b) windows
-             with
-            | Some (_, b) ->
+            (match window_end t windows with
+            | Some b ->
               (* clamp: no point sleeping past the end of the experiment *)
               Sim_runtime.sleep_until (min b setup.duration)
             | None ->
