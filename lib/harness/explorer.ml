@@ -491,8 +491,6 @@ let shrink ?(budget = 40) (c : case) (v : verdict) : case * int =
 
 let seeds ~base ~count = List.init count (fun i -> base + (i * 131))
 
-let with_seeds c ss = List.map (fun seed -> { c with seed }) ss
-
 let explore cases =
   List.filter_map
     (fun c ->
@@ -527,9 +525,3 @@ let load_repro path =
   match load_corpus path with
   | c :: _ -> c
   | [] -> failwith (Printf.sprintf "explorer repro %s: no case line" path)
-
-let save_corpus path cases =
-  let oc = open_out path in
-  Printf.fprintf oc "# explorer seed corpus — replayed as a regression test\n";
-  List.iter (fun c -> Printf.fprintf oc "%s\n" (to_string c)) cases;
-  close_out oc

@@ -99,7 +99,6 @@ type outcome = {
   report : Qs_ds.Set_intf.report;
 }
 
-val verdict_class : verdict -> int
 val same_class : verdict -> verdict -> bool
 val verdict_to_string : verdict -> string
 
@@ -151,7 +150,6 @@ val explore : case list -> (case * outcome) list
 (** Run every case; return the failing ones (non-[Pass] verdict class). *)
 
 val seeds : base:int -> count:int -> int list
-val with_seeds : case -> int list -> case list
 
 (** {1 Repro and corpus files} *)
 
@@ -163,8 +161,6 @@ val save_repro : string -> case -> outcome -> unit
 
 val load_repro : string -> case
 (** First case line of a repro file. Raises [Failure] on a malformed file. *)
-
-val save_corpus : string -> case list -> unit
 
 val load_corpus : string -> case list
 (** All case lines ('#' comments and blank lines ignored). Raises [Failure]
