@@ -40,17 +40,17 @@
      if a rare class ends up with no witness.
    - [coverage PATH [--jobs N]] — replay a corpus with the counting sink
      and report how many cases witness each rare event class; exit 1 if
-     any class has no witness (the corpus contract grow enforces at build
-     time, re-checked here independently — CI runs it on the committed
-     file).
+     a case is not clean or any class has no witness (the corpus contract
+     grow enforces at build time, re-checked here independently;
+     [fingerprint] applies the same check to the committed file).
 
    - [fingerprint [--check] [--out PATH] [--jobs N]] — run every
      deterministic output (each [repro all] section at quick scale, seed 1;
      the committed corpus' witness counts and each case's verdict and step
      count; [smoke --seeds 3]; the sim-stall benchmark's p50/p99/p999 and
      retired peak at seeds 1-3; the bench's [--quick] latency.rows and
-     service.rows) and write one line per section — name,
-     MD5 digest, line count — to PATH (default FINGERPRINTS). With
+     service.rows) and write one line per section — name, MD5 digest,
+     line count — to PATH (default FINGERPRINTS). With
      [--check], compare against PATH instead, name every section that
      moved, is new or is missing, and exit 1 if any did. Either way it
      exits 1, naming the culprit, when a smoke check fails, a corpus case
@@ -764,10 +764,9 @@ let fingerprint_corpus = Filename.concat "test" "explorer.corpus"
    every [repro all] section (quick scale, seed 1), the committed corpus'
    rare-class witness counts and each case's verdict and step count, the
    smoke run at 3 seeds, the sim-stall benchmark's tails, and the bench's
-   latency and service sim rows. Also returns
-   what failed on its own terms, whatever the committed digests say: a
-   failing smoke check, a corpus case that is not clean, a rare class
-   with no witness. *)
+   latency and service sim rows. Also returns what failed on its own
+   terms, whatever the committed digests say: a failing smoke check, a
+   corpus case that is not clean, a rare class with no witness. *)
 let fingerprint_sections (f : flags) =
   let repro =
     List.map
