@@ -14,9 +14,13 @@
      differential. Sweeps run through the worker-domain pool ([--jobs],
      default cores-1); shrinking stays on the coordinator. Exit 1 on any
      unexpected outcome.
-   - [corpus PATH [--jobs N] [--repro-out OUT]] — replay a committed corpus
-     of known-clean cases through the pool; on failure, shrink and save a
-     repro. Exit 1 if any case fails.
+   - [corpus PATH [--jobs N] [--repro-out OUT]] — replay a corpus of
+     known-clean cases through the pool with the counting sink and report
+     how many cases witness each rare event class; exit 1 if a case is not
+     clean or any class has no witness (the corpus contract grow enforces
+     at build time, re-checked here independently; [fingerprint] applies
+     the same check to the committed file). The first dirty case is shrunk
+     and its repro saved to OUT.
    - [replay PATH [--trace OUT]] — re-run the first case of a repro/corpus
      file and print the verdict (exit 1 if it is not Pass, so a repro file
      "fails again" visibly). This is the one-liner for reproducing a CI
@@ -36,14 +40,7 @@
      a deterministic frontier (plus [--base] corpus, if given), keeping
      witnesses for every rare event class (fallback entry, eviction-seize,
      unregister, adoption, bag sealing, neutralization); writes the corpus
-     to OUT. Exit 1
-     if a rare class ends up with no witness.
-   - [coverage PATH [--jobs N]] — replay a corpus with the counting sink
-     and report how many cases witness each rare event class; exit 1 if
-     a case is not clean or any class has no witness (the corpus contract
-     grow enforces at build time, re-checked here independently;
-     [fingerprint] applies the same check to the committed file).
-
+     to OUT. Exit 1 if a rare class ends up with no witness.
    - [fingerprint [--check] [--out PATH] [--jobs N]] — run every
      deterministic output (each [repro all] section at quick scale, seed 1;
      the committed corpus' witness counts and each case's verdict and step
@@ -82,7 +79,6 @@ let usage () =
     \       explore.exe replay PATH [--trace OUT]\n\
     \       explore.exe profile [--jobs N] [--repeat N] [--out PATH]\n\
     \       explore.exe grow OUT [--target N] [--jobs N] [--budget N] [--base PATH]\n\
-    \       explore.exe coverage PATH [--jobs N]\n\
     \       explore.exe fingerprint [--check] [--out PATH] [--jobs N]";
   exit 2
 
@@ -319,20 +315,6 @@ let smoke args =
   let f = parse args in
   Printf.printf "== explorer smoke (seed budget %d, %d jobs) ==\n%!" f.seeds f.jobs;
   if smoke_checks f then 0 else 1
-
-let corpus path args =
-  let f = parse args in
-  let cases = Explorer.load_corpus path in
-  Printf.printf "== corpus replay: %d cases from %s (%d jobs) ==\n%!"
-    (List.length cases) path f.jobs;
-  match Explorer_pool.explore ~jobs:f.jobs cases with
-  | [] ->
-    print_endline "corpus clean";
-    0
-  | (c, o) :: _ as failures ->
-    List.iter (fun (c, o) -> show_outcome c o) failures;
-    persist_failure ~repro_out:f.repro_out c o;
-    1
 
 let replay path args =
   let trace_out =
@@ -670,7 +652,7 @@ let grow out args =
   end
   else 1
 
-(* --- coverage: rare-class witness counts of an existing corpus ----------- *)
+(* --- corpus: replay a corpus, with its rare-class witness counts ---------- *)
 
 (* How many clean cases witness each rare event class. *)
 let witness_counts results =
@@ -713,20 +695,30 @@ let corpus_failures cases results class_counts =
   in
   dirty @ unwitnessed
 
-let coverage path args =
+(* Replay a corpus through the pool with the counting sink: witness
+   counts, then the failures. The first dirty case is shrunk and its repro
+   saved. *)
+let corpus path args =
   let f = parse args in
   let cases = Array.of_list (Explorer.load_corpus path) in
-  Printf.printf "== corpus coverage: %d cases from %s (%d jobs) ==\n%!"
+  Printf.printf "== corpus replay: %d cases from %s (%d jobs) ==\n%!"
     (Array.length cases) path f.jobs;
   let results = Explorer_pool.map ~jobs:f.jobs Coverage.run_covered cases in
   let class_counts = witness_counts results in
   print_witnesses class_counts;
   match corpus_failures cases results class_counts with
   | [] ->
-    print_endline "all rare event classes witnessed";
+    print_endline "corpus clean; all rare event classes witnessed";
     0
   | failures ->
     List.iter (Printf.printf "FAIL: %s\n") failures;
+    Seq.zip (Array.to_seq cases) (Array.to_seq results)
+    |> Seq.find_map (function
+         | c, Some ((o : Explorer.outcome), _)
+           when not (Explorer.same_class o.verdict Explorer.Pass) ->
+           Some (c, o)
+         | _ -> None)
+    |> Option.iter (fun (c, o) -> persist_failure ~repro_out:f.repro_out c o);
     1
 
 (* --- fingerprint: one digest per deterministic output ------------------ *)
@@ -896,6 +888,5 @@ let () =
   | _ :: "replay" :: path :: args -> exit (replay path args)
   | _ :: "profile" :: args -> exit (profile args)
   | _ :: "grow" :: out :: args -> exit (grow out args)
-  | _ :: "coverage" :: path :: args -> exit (coverage path args)
   | _ :: "fingerprint" :: args -> exit (fingerprint args)
   | _ -> usage ()

@@ -43,7 +43,7 @@ let any _ = true
 
 (* (name, doctoring, text the TREND FAIL line must contain) *)
 let cases =
-  [ ("schema", set [ "schema" ] (num 9.), "schema is 9, expected 10");
+  [ ("schema", set [ "schema" ] (num 10.), "schema is 10, expected 11");
     ("explorer step alloc", set [ "explorer"; "step_alloc_words" ] (num 9.),
      "explorer.step_alloc_words");
     ("explorer null", set [ "explorer" ] Json.Null, "field \"explorer\"");
@@ -57,25 +57,22 @@ let cases =
        |> set [ "explorer"; "pool_speedup" ] (num 2.)),
      "explorer.pool_speedup");
     ("retire_scan empty", set [ "retire_scan" ] (Json.Arr []), "retire_scan is empty");
-    ("bag retire alloc", set [ "bags"; "retire_alloc_words" ] (num 69.),
-     "bags.retire_alloc_words");
     ("e2e empty", set [ "e2e" ] (Json.Arr []), "e2e is empty");
     ("e2e violation", rows ~first:true [ "e2e" ] any (Json.set_member "violations" (num 1.)),
      "e2e: 1 row(s) with violations");
-    ("rivals empty", set [ "rivals" ] (Json.Arr []), "rivals is empty");
     ("rival cell removed",
-     drop [ "rivals" ] (fun r -> is_str "scheme" "hyaline" r && is_str "ds" "hashtable" r),
-     "rival matrix incomplete: hyaline/hashtable");
+     drop [ "e2e" ] (fun r -> is_str "scheme" "hyaline" r && is_str "ds" "hashtable" r),
+     "e2e matrix incomplete: hyaline/hashtable");
+    ("incumbent cell removed",
+     drop [ "e2e" ] (fun r ->
+         is_str "scheme" "qsense" r && is_str "ds" "list" r && is "domains" (num 1.) r),
+     "e2e matrix incomplete: qsense/list ran domains [2], expected [1,2]");
     ("churn flag off", set [ "churn" ] (Json.Bool false), "churn = false");
     ("e2e never churned", rows [ "e2e" ] any (Json.set_member "churn_events" (num 0.)),
      "no row recorded churn_events");
-    ("tracer alloc", set [ "trace"; "alloc_words_per_event_enabled" ] (num 0.5),
-     "trace.alloc_words_per_event_enabled");
     ("trace recorded nothing", set [ "trace"; "events_recorded_sink_on" ] (num 0.),
      "trace.events_recorded_sink_on");
     ("latency null", set [ "latency" ] Json.Null, "field \"latency\"");
-    ("latency recorder alloc", set [ "latency"; "alloc_words_per_record" ] (num 0.25),
-     "latency.alloc_words_per_record");
     ("latency recorded nothing", set [ "latency"; "ops_recorded_on" ] (num 0.),
      "latency.ops_recorded_on");
     ("latency rows empty", set [ "latency"; "rows" ] (Json.Arr []), "latency.rows is empty");
@@ -99,11 +96,6 @@ let cases =
             a |> Json.set_member "fallback" (num 0.) |> Json.set_member "scan" (num 5.))),
      "latency stall row list/qsense attributes no spike to fallback");
     ("service null", set [ "service" ] Json.Null, "field \"service\"");
-    ("service get alloc", set [ "service"; "get_alloc_words_per_op" ] (num 1.),
-     "service.get_alloc_words_per_op");
-    ("service put+del alloc",
-     set [ "service"; "put_del_alloc_words_per_op" ] (num 39.),
-     "service.put_del_alloc_words_per_op");
     ("service pair duplicated",
      rows [ "service"; "rows" ]
        (fun r -> is_str "scheme" "qsbr" r && is_str "dist" "zipfian" r)

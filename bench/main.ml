@@ -326,30 +326,6 @@ module Micro = struct
     done;
     !best /. float_of_int limbo
 
-  (* Steady-state allocation on the bag retire path, measured exactly like
-     the test-suite pins: warm-up retires grow the block cache, a flush
-     restocks it, and the measured window's retires (every 64th sealing a
-     bag and drawing a fresh block) must then allocate exactly nothing. *)
-  let bag_retire_alloc_words ~limbo =
-    let cfg =
-      micro_cfg ~scan_threshold:max_int ~rooster_interval:max_int ~epsilon:0
-    in
-    let t = Cad.create cfg ~dummy ~free_bulk:free_many in
-    let h = Cad.register t ~pid:0 in
-    let node = { id = 0; freed = 0 } in
-    for _i = 1 to limbo do
-      Cad.retire h node
-    done;
-    Cad.flush h;
-    Gc.minor ();
-    let before = Gc.minor_words () in
-    for _i = 1 to limbo do
-      Cad.retire h node
-    done;
-    let words = Gc.minor_words () -. before in
-    Cad.flush h;
-    words
-
   type result = { scenario : scenario; limbo : int; bag_ns : float }
 
   let run ~sizes ~target_ops =
@@ -378,14 +354,16 @@ end
 (* --- end-to-end multicore sweep ------------------------------------------ *)
 
 (* The whole stack at once, on real OCaml 5 domains via {!Qs_harness.Real_exp}:
-   {qsbr, hp, cadence, qsense} × {list, hashtable} × domain counts. Where the
-   bechamel groups above time single operations on one core, this measures
-   aggregate throughput with reclamation actually feeding the allocator —
-   [reuse_ratio] close to 1 is the proof that retire → scan → free → alloc
-   recycles nodes at steady state, and [retired_peak] bounds the limbo
-   memory. On machines with fewer cores than domains the domains timeshare;
-   the numbers remain a valid safety/recycling check (violations = 0,
-   failed = false) even when the scalability shape flattens. *)
+   {qsbr, hp, cadence, qsense, debra-plus, hyaline} × {list, hashtable} ×
+   domain counts, the incumbents and the rival schemes (DESIGN.md §13) in
+   one matrix. Where the bechamel groups above time single operations on
+   one core, this measures aggregate throughput with reclamation actually
+   feeding the allocator — [reuse_ratio] close to 1 is the proof that
+   retire → scan → free → alloc recycles nodes at steady state, and
+   [retired_peak] bounds the limbo memory. On machines with fewer cores
+   than domains the domains timeshare; the numbers remain a valid
+   safety/recycling check (violations = 0, failed = false) even when the
+   scalability shape flattens. *)
 module E2e = struct
   type result = {
     scheme : Qs_smr.Scheme.kind;
@@ -401,12 +379,7 @@ module E2e = struct
 
   let schemes =
     [ Qs_smr.Scheme.Qsbr; Qs_smr.Scheme.Hp; Qs_smr.Scheme.Cadence;
-      Qs_smr.Scheme.Qsense ]
-
-  (* The rival-scheme zoo (cross-paper comparison, DESIGN.md §13): same
-     matrix, reported in the JSON's separate "rivals" section so the CI
-     guard over the incumbents' numbers is not disturbed. *)
-  let rival_schemes = [ Qs_smr.Scheme.Debra_plus; Qs_smr.Scheme.Hyaline ]
+      Qs_smr.Scheme.Qsense; Qs_smr.Scheme.Debra_plus; Qs_smr.Scheme.Hyaline ]
 
   let structures = [ Qs_harness.Cset.List; Qs_harness.Cset.Hashtable ]
 
@@ -452,7 +425,7 @@ module E2e = struct
       failed = r.failed;
       churn_events = r.churn_events }
 
-  let run_matrix ~quick ~churn schemes =
+  let run ~quick ~churn =
     List.concat_map
       (fun ds ->
         List.concat_map
@@ -471,9 +444,6 @@ module E2e = struct
               (domain_counts ~quick))
           schemes)
       structures
-
-  let run ~quick ~churn = run_matrix ~quick ~churn schemes
-  let run_rivals ~quick ~churn = run_matrix ~quick ~churn rival_schemes
 
   let print_table results =
     let tbl =
@@ -525,13 +495,11 @@ let real_ab ~quick instrument =
      trace-event JSON (Perfetto) and CSV;
    - a traced QSense run with a stalled victim, rendering the fallback
      round-trip (enter → dwell → exit) as a timeline;
-   - the overhead A/B the zero-cost claim rests on: minor words allocated
-     per recorded event (disabled and enabled tracer — both must be 0) and
-     real-runtime throughput with the sink off vs on. The off/on numbers
-     land in the JSON report's "trace" section so CI can watch them. *)
+   - the overhead A/B the zero-cost claim rests on: real-runtime
+     throughput with the sink off vs on. The off/on numbers land in the
+     JSON report's "trace" section so CI can watch them (the tracer's
+     zero-allocation pin is test/test_obs.ml's). *)
 module Observatory = struct
-  open Qs_intf.Runtime_intf
-
   let t_plus_eps =
     Qs_harness.Sim_exp.default_rooster_interval
     + Qs_harness.Sim_exp.default_epsilon
@@ -647,26 +615,7 @@ module Observatory = struct
     Qs_obs.Export.save_chrome tracer (out_path "qsense_fallback.trace.json");
     Printf.printf "wrote out/qsense_fallback.trace.json\n\n%!"
 
-  (* Minor words allocated per recorded event, measured through the sink
-     exactly as the runtimes use it. Must be 0.0 enabled or disabled; the
-     matching hard guard lives in test/test_obs.ml. *)
-  let alloc_per_event ~enabled =
-    let tracer = Qs_obs.Tracer.create ~enabled ~n_processes:1 ~capacity:1024 () in
-    let s = Qs_obs.Tracer.sink tracer in
-    let n = 100_000 in
-    for i = 1 to 64 do
-      s.record ~pid:0 ~time:i ~ev:Ev_retire ~a:i ~b:i
-    done;
-    let w0 = Gc.minor_words () in
-    for i = 1 to n do
-      s.record ~pid:0 ~time:i ~ev:Ev_retire ~a:i ~b:i
-    done;
-    let w1 = Gc.minor_words () in
-    (w1 -. w0) /. float_of_int n
-
   type overhead = {
-    alloc_disabled : float;
-    alloc_enabled : float;
     mops_sink_off : float;
     mops_sink_on : float;
     events_on : int;
@@ -674,28 +623,17 @@ module Observatory = struct
 
   (* The off run is the product configuration, the on run bounds what
      full tracing costs. *)
-  let throughput_ab ~quick =
+  let overhead ~quick =
     let tracer = Qs_obs.Tracer.create ~n_processes:2 ~capacity:(1 lsl 16) () in
-    let off, on =
+    let mops_sink_off, mops_sink_on =
       real_ab ~quick (fun s ->
           { s with sink = Some (Qs_obs.Tracer.sink tracer) })
     in
-    (off, on, Qs_obs.Tracer.total tracer + Qs_obs.Tracer.total_dropped tracer)
-
-  let overhead ~quick =
-    let alloc_disabled = alloc_per_event ~enabled:false in
-    let alloc_enabled = alloc_per_event ~enabled:true in
-    let mops_sink_off, mops_sink_on, events_on = throughput_ab ~quick in
-    { alloc_disabled; alloc_enabled; mops_sink_off; mops_sink_on; events_on }
+    let events_on = Qs_obs.Tracer.total tracer + Qs_obs.Tracer.total_dropped tracer in
+    { mops_sink_off; mops_sink_on; events_on }
 
   let print_overhead o =
     let tbl = Qs_util.Table.create [ "metric"; "value" ] in
-    Qs_util.Table.add_row tbl
-      [ "minor words/event (tracer disabled)";
-        Printf.sprintf "%.4f" o.alloc_disabled ];
-    Qs_util.Table.add_row tbl
-      [ "minor words/event (tracer enabled)";
-        Printf.sprintf "%.4f" o.alloc_enabled ];
     Qs_util.Table.add_row tbl
       [ "real cadence/list Mops/s (sink off)";
         Printf.sprintf "%.2f" o.mops_sink_off ];
@@ -729,27 +667,11 @@ end
      ~150k ticks to the end of the run and the tail of the latency
      distribution IS fallback dwell. The CI gate asserts ≥ 80% of the
      p999-bucket spikes in this row carry a named cause;
-   - the overhead A/B the zero-cost claim rests on: minor words
-     allocated per recorded op (must be exactly 0 — [Latency.observe]
-     is integer arithmetic over flat arrays) and real-runtime
-     throughput with the recorder off vs on. *)
+   - the overhead A/B the zero-cost claim rests on: real-runtime
+     throughput with the recorder off vs on (the recorder's
+     zero-allocation pin is test/test_latency.ml's). *)
 module Latency_obs = struct
   include Sim_rows.Latency
-
-  (* Minor words per recorded op, measured exactly like the test-suite
-     pin: warm the top-K rings first, then a 100k-op window that must
-     allocate literally nothing. *)
-  let alloc_words_per_record () =
-    let r = L.recorder ~n_processes:1 ~n_kinds:Qs_workload.Spec.n_kinds () in
-    for i = 1 to 1_024 do
-      L.observe r ~pid:0 ~kind:(i mod 3) ~start:i ~dur:(i land 4095)
-    done;
-    let n = 100_000 in
-    let w0 = Gc.minor_words () in
-    for i = 1 to n do
-      L.observe r ~pid:0 ~kind:(i mod 3) ~start:i ~dur:(i land 4095)
-    done;
-    (Gc.minor_words () -. w0) /. float_of_int n
 
   (* The off run is the product configuration, the on run bounds what
      always-on latency recording costs (one coarse-clock read per side of
@@ -763,7 +685,6 @@ module Latency_obs = struct
 
   type report = {
     lat_rows : row list;
-    alloc_words : float;
     mops_off : float;
     mops_on : float;
     recorded_on : int;
@@ -775,9 +696,8 @@ module Latency_obs = struct
 
   let run ~quick =
     let lat_rows = rows ~quick in
-    let alloc_words = alloc_words_per_record () in
     let mops_off, mops_on, recorded_on = throughput_ab ~quick in
-    { lat_rows; alloc_words; mops_off; mops_on; recorded_on }
+    { lat_rows; mops_off; mops_on; recorded_on }
 
   let print_tables rep =
     let tbl =
@@ -803,8 +723,6 @@ module Latency_obs = struct
       rep.lat_rows;
     Qs_util.Table.print tbl;
     let ov = Qs_util.Table.create [ "metric"; "value" ] in
-    Qs_util.Table.add_row ov
-      [ "minor words/recorded op"; Printf.sprintf "%.4f" rep.alloc_words ];
     Qs_util.Table.add_row ov
       [ "real cadence/list Mops/s (recorder off)";
         Printf.sprintf "%.2f" rep.mops_off ];
@@ -833,50 +751,12 @@ end
      hot keyspace, closed loop, so the service dwells in fallback and
      the p999 bucket IS fallback dwell. CI gates its attribution ≥ 80%;
    - a real-domain row: wall-clock Mops through the same service with
-     handler churn across domain generations;
-   - the zero-alloc pin: minor words per [Kv.get] on the real runtime —
-     the read-only bucket probe plus scheme quiescence bookkeeping must
-     allocate exactly nothing. *)
+     handler churn across domain generations.
+
+   The get path's and the put+del pair's zero-allocation pins are
+   test/test_service.ml's. *)
 module Service_obs = struct
   include Sim_rows.Service
-
-  module Kr = Qs_service.Kv.Make (Qs_real.Real_runtime)
-
-  (* Minor words per [step] on a warmed-up real QSense service holding the
-     even keys of [0, 1024), measured over 200k steps after 4,096 warm-up
-     steps. Must be exactly 0 — these are pins CI gates on. *)
-  let alloc_words step =
-    let base =
-      { (Qs_ds.Set_intf.default_config ~n_processes:1
-           ~scheme:Qs_smr.Scheme.Qsense)
-        with Qs_ds.Set_intf.debug_checks = false }
-    in
-    let c = Kr.register (Kr.create ~n_shards:4 base) ~pid:0 in
-    for k = 0 to 511 do
-      ignore (Kr.put c (2 * k))
-    done;
-    for i = 1 to 4_096 do
-      step c i
-    done;
-    let nops = 200_000 in
-    let w0 = Gc.minor_words () in
-    for i = 1 to nops do
-      step c i
-    done;
-    (Gc.minor_words () -. w0) /. float_of_int nops
-
-  (* [Kv.get]: the shard route (Fibonacci multiply + shift), the read-only
-     bucket probe and the scheme's amortized quiescence round. *)
-  let get_alloc_words () =
-    alloc_words (fun c i -> ignore (Kr.get c (i land 1023)))
-
-  (* A [Kv.put] of an absent (odd) key and the [Kv.del] of it: an insert
-     and a delete in a shard table and in the index, with the retired
-     nodes freed by QSense scans and recycled by the arena. *)
-  let put_del_alloc_words () =
-    alloc_words (fun c i ->
-        let k = (2 * (i land 511)) + 1 in
-        ignore (Kr.put c k && Kr.del c k))
 
   type real_row = {
     r_scheme : Qs_smr.Scheme.kind;
@@ -918,16 +798,12 @@ module Service_obs = struct
   type report = {
     svc_rows : row list;  (** matrix rows, stall row last *)
     real : real_row;
-    get_alloc_words : float;
-    put_del_alloc_words : float;
   }
 
   let run ~quick =
     let svc_rows = rows ~quick in
     let real = real_row ~quick in
-    let get_alloc_words = get_alloc_words () in
-    let put_del_alloc_words = put_del_alloc_words () in
-    { svc_rows; real; get_alloc_words; put_del_alloc_words }
+    { svc_rows; real }
 
   let print_tables rep =
     let tbl =
@@ -954,12 +830,6 @@ module Service_obs = struct
     Qs_util.Table.print tbl;
     let ov = Qs_util.Table.create [ "metric"; "value" ] in
     Qs_util.Table.add_row ov
-      [ "minor words per get (real, qsense)";
-        Printf.sprintf "%.4f" rep.get_alloc_words ];
-    Qs_util.Table.add_row ov
-      [ "minor words per put+del pair (real, qsense)";
-        Printf.sprintf "%.4f" rep.put_del_alloc_words ];
-    Qs_util.Table.add_row ov
       [ Printf.sprintf "real %s x%d Mops/s (churned)"
           (Qs_smr.Scheme.to_string rep.real.r_scheme)
           rep.real.r_domains;
@@ -971,28 +841,26 @@ module Service_obs = struct
     print_newline ()
 end
 
-(* --- JSON report (schema 10) ---------------------------------------------- *)
+(* --- JSON report (schema 11) ---------------------------------------------- *)
 
 (* Consumed by [bench/trend.exe] (the bench gate, and the committed
-   BENCH_HISTORY.jsonl) and by EXPERIMENTS.md readers.
-   Schema 10 = schema 9 without the settled A/B comparisons against
-   deleted reference paths: "retire_scan" rows carry only the production
-   bag path's ns/retire, "bags" only its capacity and the retire-path
-   allocation pin, and the "membership" section is gone. The "e2e",
-   "rivals", "trace" sections and the "churn" flag are as in schema 8.
-   The "service" section ([null] unless the bench ran with [--service])
-   holds the KV service's zero-alloc pins (minor words per get, and per
-   put+del pair of an absent key), a real-domain
-   churned-throughput row, and one sim row per {scheme × key
-   distribution} — requests, violations, churn events, leak check,
-   per-op-kind p50/p99/p999 in virtual ticks, and the whole-run p999
-   spike attribution. The last row is the QSense stall scenario; the
-   gate requires its attribution ≥ 80%. The "latency" section is as in
-   schema 8 (the [--latency] observatory; its last row's attribution is
-   gated the same way). The "explorer" section is emitted as [null] here;
-   [explore.exe profile --out out/BENCH_RESULTS.json] fills it in (the
-   numbers belong to the explorer binary, which owns the representative
-   case mix). *)
+   BENCH_HISTORY.jsonl) and by EXPERIMENTS.md readers, which lists what
+   each schema number changed. "retire_scan" rows carry the production
+   bag path's ns/retire. "e2e" holds one row per scheme (incumbents and
+   rivals) × {list, hashtable} × domain count. "trace" is the real-domain
+   sink off/on A/B. The "latency" section ([null] unless the bench ran
+   with [--latency]) holds the recorder off/on A/B and one sim row per
+   {scheme × structure × process count} plus the QSense stall row. The
+   "service" section ([null] unless [--service]) holds a real-domain
+   churned-throughput row and one sim row per {scheme × key distribution}
+   — requests, violations, churn events, leak check, per-op-kind
+   p50/p99/p999 in virtual ticks, and the whole-run p999 spike
+   attribution — plus the QSense stall row. The gate requires each stall
+   row's attribution ≥ 80%. No section carries allocation pins: the test
+   suite pins the same code paths. The "explorer" section is emitted as
+   [null] here; [explore.exe profile --out out/BENCH_RESULTS.json] fills
+   it in (the numbers belong to the explorer binary, which owns the
+   representative case mix). *)
 module Json = Qs_util.Json
 
 let int n = Json.Num (float_of_int n)
@@ -1009,16 +877,13 @@ let e2e_json (r : E2e.result) =
 
 let trace_json (t : Observatory.overhead) =
   Json.Obj
-    [ ("alloc_words_per_event_disabled", Json.Num t.alloc_disabled);
-      ("alloc_words_per_event_enabled", Json.Num t.alloc_enabled);
-      ("real_mops_sink_off", Json.Num t.mops_sink_off);
+    [ ("real_mops_sink_off", Json.Num t.mops_sink_off);
       ("real_mops_sink_on", Json.Num t.mops_sink_on);
       ("events_recorded_sink_on", int t.events_on) ]
 
 let latency_json (rep : Latency_obs.report) =
   Json.Obj
-    [ ("alloc_words_per_record", Json.Num rep.alloc_words);
-      ("real_mops_recorder_off", Json.Num rep.mops_off);
+    [ ("real_mops_recorder_off", Json.Num rep.mops_off);
       ("real_mops_recorder_on", Json.Num rep.mops_on);
       ("overhead_pct", Json.Num (Latency_obs.overhead_pct rep));
       ("ops_recorded_on", int rep.recorded_on);
@@ -1027,9 +892,7 @@ let latency_json (rep : Latency_obs.report) =
 let service_json (rep : Service_obs.report) =
   let rr = rep.real in
   Json.Obj
-    [ ("get_alloc_words_per_op", Json.Num rep.get_alloc_words);
-      ("put_del_alloc_words_per_op", Json.Num rep.put_del_alloc_words);
-      ("real",
+    [ ("real",
        Json.Obj
          [ ("scheme", scheme rr.r_scheme); ("domains", int rr.r_domains);
            ("ops", int rr.r_ops); ("throughput_mops", Json.Num rr.r_mops);
@@ -1037,35 +900,24 @@ let service_json (rep : Service_obs.report) =
            ("churn_events", int rr.r_churn) ]);
       ("rows", Json.Arr (List.map Service_obs.row_json rep.svc_rows)) ]
 
-let emit_json ~path ~quick ~churn ~retire_scan ~bag_alloc_words ~e2e ~rivals
-    ~trace ~latency ~service =
+let emit_json ~path ~quick ~churn ~retire_scan ~e2e ~trace ~latency ~service =
   let retire_scan_row (r : Micro.result) =
     Json.Obj
       [ ("scenario", str (Micro.scenario_name r.scenario));
         ("limbo", int r.limbo);
         ("bag_ns_per_op", Json.Num r.bag_ns) ]
   in
-  let bag_capacity =
-    (Qs_smr.Smr_intf.default_config ~n_processes:Micro.n_processes
-       ~hp_per_process:Micro.hp_per_process)
-      .Qs_smr.Smr_intf.bag_capacity
-  in
   let optional f = function None -> Json.Null | Some rep -> f rep in
   let doc =
     Json.Obj
-      [ ("schema", int 10);
+      [ ("schema", int 11);
         ("explorer", Json.Null);
         ("quick", Json.Bool quick);
         ("churn", Json.Bool churn);
         ("n_processes", int Micro.n_processes);
         ("hp_per_process", int Micro.hp_per_process);
         ("retire_scan", Json.Arr (List.map retire_scan_row retire_scan));
-        ("bags",
-         Json.Obj
-           [ ("capacity", int bag_capacity);
-             ("retire_alloc_words", Json.Num bag_alloc_words) ]);
         ("e2e", Json.Arr (List.map e2e_json e2e));
-        ("rivals", Json.Arr (List.map e2e_json rivals));
         ("trace", trace_json trace);
         ("latency", optional latency_json latency);
         ("service", optional service_json service) ]
@@ -1111,9 +963,6 @@ let () =
   let target_ops = if quick then 200_000 else 2_000_000 in
   let results = Micro.run ~sizes ~target_ops in
   Micro.print_table results;
-  let bag_alloc_words = Micro.bag_retire_alloc_words ~limbo:10_000 in
-  Printf.printf "bag retire path steady-state allocation: %.0f words / 10000 retires\n\n%!"
-    bag_alloc_words;
   let e2e_results =
     if e2e then begin
       Printf.printf "== end-to-end sweep on real domains (%s%s) ==\n%!"
@@ -1125,17 +974,8 @@ let () =
     end
     else []
   in
-  let rival_results =
-    if e2e then begin
-      Printf.printf "== rival schemes on real domains (debra-plus, hyaline) ==\n%!";
-      let rs = E2e.run_rivals ~quick ~churn in
-      E2e.print_table rs;
-      rs
-    end
-    else []
-  in
   if trace then Observatory.dashboard ();
-  Printf.printf "== tracing overhead (sink off vs on, alloc per event) ==\n%!";
+  Printf.printf "== tracing overhead (sink off vs on) ==\n%!";
   let trace_overhead = Observatory.overhead ~quick in
   Observatory.print_overhead trace_overhead;
   let latency_report =
@@ -1161,9 +1001,8 @@ let () =
     else None
   in
   emit_json ~path:(out_path "BENCH_RESULTS.json") ~quick ~churn
-    ~retire_scan:results ~bag_alloc_words ~e2e:e2e_results
-    ~rivals:rival_results ~trace:trace_overhead ~latency:latency_report
-    ~service:service_report;
+    ~retire_scan:results ~e2e:e2e_results ~trace:trace_overhead
+    ~latency:latency_report ~service:service_report;
   Qs_real.Roosters.stop roosters;
   (* The multi-core figures come from the simulator: *)
   print_endline "Scalability and robustness figures (multi-core) are produced by the";

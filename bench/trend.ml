@@ -4,10 +4,11 @@
    - [trend.exe --check]: gate out/BENCH_RESULTS.json as the CI sequence
      leaves it (the bench command, then [explore.exe profile --out]).
      Current-run gates need no history: every section present, complete
-     rival and service matrices, churn that actually happened, the
-     exact-zero allocation pins, the safety bits, ordered percentiles,
-     attributed stall rows, and the sim-core bounds. They gate on pins,
-     safety bits and relative order, never on absolute CI numbers. Ratio
+     e2e and service matrices, churn that actually happened, the safety
+     bits, ordered percentiles, attributed stall rows, and the sim-core
+     bounds. They gate on structure, safety bits and relative order, never
+     on absolute CI numbers (the exact-zero allocation pins live in the
+     test suite, which measures the same code paths). Ratio
      gates then compare against the median of the same --quick flavour of
      history with deliberately wide tolerances (4x/8x): the history
      catches order-of-magnitude rot, not runner noise. An empty or
@@ -71,21 +72,19 @@ let service_unsafe row = num "violations" row <> 0. || not (flag "leak_ok" row)
 (* --- summary extraction ---------------------------------------------------- *)
 
 (* The history line keeps only what the ratio gates compare, plus the
-   pins and safety bits as a record. Whole-run detail stays in the
+   row counts and safety bits as a record. Whole-run detail stays in the
    (uncommitted) out/BENCH_RESULTS.json artifacts. Called only on a run
    that passed the current-run gates. *)
 let summarize results =
   let n x = Json.Num x in
   let count p rows = n (float_of_int (List.length (List.filter p rows))) in
-  let e2e = arr "e2e" results and rivals = arr "rivals" results in
-  let trace = obj "trace" results in
+  let e2e = arr "e2e" results in
   let latency =
     let lat = obj "latency" results in
     let rows = arr "rows" lat in
     let stall = stall_row rows in
     Json.Obj
-      [ ("alloc_words", n (num "alloc_words_per_record" lat));
-        ("overhead_pct", n (num "overhead_pct" lat));
+      [ ("overhead_pct", n (num "overhead_pct" lat));
         ("rows", n (float_of_int (List.length rows)));
         ("stall_p999", n (num "p999" stall));
         ("stall_attr_pct", n (num "attr_pct" stall)) ]
@@ -96,9 +95,7 @@ let summarize results =
     let stall = stall_row rows in
     let real = obj "real" svc in
     Json.Obj
-      [ ("get_alloc_words", n (num "get_alloc_words_per_op" svc));
-        ("put_del_alloc_words", n (num "put_del_alloc_words_per_op" svc));
-        ("matrix_rows", count (fun r -> not (flag "stall" r)) rows);
+      [ ("matrix_rows", count (fun r -> not (flag "stall" r)) rows);
         ("bad_rows", count service_unsafe rows);
         ("stall_p999", n (num "p999" stall));
         ("stall_attr_pct", n (num "attr_pct" stall));
@@ -116,13 +113,8 @@ let summarize results =
       ("schema", n (num "schema" results));
       ("quick", Json.Bool (flag "quick" results));
       ("churn", Json.Bool (flag "churn" results));
-      ("bag_retire_alloc_words", n (num "retire_alloc_words" (obj "bags" results)));
-      ("trace_alloc_disabled", n (num "alloc_words_per_event_disabled" trace));
-      ("trace_alloc_enabled", n (num "alloc_words_per_event_enabled" trace));
       ("e2e_rows", n (float_of_int (List.length e2e)));
       ("e2e_bad", count unsafe e2e);
-      ("rival_rows", n (float_of_int (List.length rivals)));
-      ("rival_bad", count unsafe rivals);
       ("latency", latency);
       ("service", service) ]
 
@@ -156,9 +148,6 @@ let section name gate results =
   match gate results with
   | ok -> oks := ok :: !oks
   | exception Missing what -> fail "%s: %s missing or mistyped" name what
-
-let pin name v =
-  if v <> 0. then fail "%s = %g (exact-zero allocation pin)" name v
 
 let label row =
   String.concat "/"
@@ -225,56 +214,53 @@ let gate_explorer results =
      else Printf.sprintf "pool ungated (%.0f cores)" cores)
     suspended corpus inline step
 
-(* Limbo bags, the real-domain e2e sweep with churn, the rival schemes
-   and the tracer. DEBRA+ and Hyaline must complete the incumbents'
-   {structure} x {domains} matrix; every multi-domain row should churn. *)
+let e2e_schemes = [ "qsbr"; "hp"; "cadence"; "qsense"; "debra-plus"; "hyaline" ]
+
+(* The retire/scan micro, the real-domain e2e sweep with churn and the
+   tracer A/B. The e2e matrix must be complete: every scheme x {list,
+   hashtable} cell at every domain count the section ran, each row safe;
+   some row should churn. *)
 let gate_runs results =
   if arr "retire_scan" results = [] then
     fail "retire_scan is empty (retire/scan micro produced no rows)";
-  let bags = obj "bags" results in
-  pin "bags.retire_alloc_words" (num "retire_alloc_words" bags);
-  let e2e = arr "e2e" results and rivals = arr "rivals" results in
-  List.iter
-    (fun (name, rows) ->
-      if rows = [] then fail "%s is empty (bench not run with --e2e?)" name;
-      let bad = List.filter unsafe rows in
-      if bad <> [] then
-        fail "%s: %d row(s) with violations or failures (%s)" name
-          (List.length bad) (String.concat ", " (List.map label bad)))
-    [ ("e2e", e2e); ("rivals", rivals) ];
+  let e2e = arr "e2e" results in
+  if e2e = [] then fail "e2e is empty (bench not run with --e2e?)";
+  let bad = List.filter unsafe e2e in
+  if bad <> [] then
+    fail "e2e: %d row(s) with violations or failures (%s)" (List.length bad)
+      (String.concat ", " (List.map label bad));
   let domains rows = List.sort_uniq compare (List.map (num "domains") rows) in
   let show ds = String.concat "," (List.map (Printf.sprintf "%.0f") ds) in
   let want = domains e2e in
   List.iter
-    (fun (scheme, ds) ->
-      let got =
-        domains (List.filter (fun r -> str "scheme" r = scheme && str "ds" r = ds) rivals)
-      in
-      if got <> want then
-        fail "rival matrix incomplete: %s/%s ran domains [%s], expected [%s]" scheme
-          ds (show got) (show want))
-    [ ("debra-plus", "list"); ("debra-plus", "hashtable"); ("hyaline", "list");
-      ("hyaline", "hashtable") ];
+    (fun scheme ->
+      List.iter
+        (fun ds ->
+          let got =
+            domains (List.filter (fun r -> str "scheme" r = scheme && str "ds" r = ds) e2e)
+          in
+          if got <> want then
+            fail "e2e matrix incomplete: %s/%s ran domains [%s], expected [%s]" scheme
+              ds (show got) (show want))
+        [ "list"; "hashtable" ])
+    e2e_schemes;
   if not (flag "churn" results) then fail "churn = false (bench not run with --churn)";
   if not (List.exists (fun r -> num "churn_events" r > 0.) e2e) then
     fail "e2e ran with --churn but no row recorded churn_events";
   let tr = obj "trace" results in
-  pin "trace.alloc_words_per_event_disabled" (num "alloc_words_per_event_disabled" tr);
-  pin "trace.alloc_words_per_event_enabled" (num "alloc_words_per_event_enabled" tr);
   if num "events_recorded_sink_on" tr <= 0. then
     fail "trace.events_recorded_sink_on = 0 (traced A/B run recorded no events)";
   Printf.sprintf
-    "bags OK (retire alloc %.0f words), %d e2e runs safe, %d rival runs safe, \
-     tracing pin 0.0 words/event (sink off %.2f vs on %.2f Mops/s)"
-    (num "retire_alloc_words" bags) (List.length e2e) (List.length rivals)
+    "e2e OK: %d runs safe (%d schemes x 2 structures x [%s] domains), tracing \
+     sink off %.2f vs on %.2f Mops/s"
+    (List.length e2e) (List.length e2e_schemes) (show want)
     (num "real_mops_sink_off" tr) (num "real_mops_sink_on" tr)
 
-(* Latency observatory: the recording path allocates nothing, every row
+(* Latency observatory: the recorder-on run recorded ops, every row
    carries ordered percentiles. Recorder overhead is ratio-gated against
    the history only. *)
 let gate_latency results =
   let lat = obj "latency" results in
-  pin "latency.alloc_words_per_record" (num "alloc_words_per_record" lat);
   if num "ops_recorded_on" lat <= 0. then
     fail "latency.ops_recorded_on = 0 (recorder-on A/B run recorded no ops)";
   let rows = arr "rows" lat in
@@ -285,7 +271,7 @@ let gate_latency results =
     rows;
   let stall = gate_stall_rows "latency" rows in
   Printf.sprintf
-    "latency OK: %d rows, recorder pin 0.0 words/op, overhead %.1f%% \
+    "latency OK: %d rows, overhead %.1f%% \
      (off %.2f vs on %.2f Mops/s), stall p999 %.0f ticks %.0f%% attributed"
     (List.length rows) (num "overhead_pct" lat) (num "real_mops_recorder_off" lat)
     (num "real_mops_recorder_on" lat) (num "p999" stall) (num "attr_pct" stall)
@@ -297,12 +283,9 @@ let service_matrix =
 
 (* KV service observatory: exactly the {scheme} x {distribution} matrix,
    no violations or leaks, handler churn under live traffic (sim matrix
-   and real row), ordered per-op-kind percentiles, and a get path and a
-   put+del pair that allocate nothing. *)
+   and real row), and ordered per-op-kind percentiles. *)
 let gate_service results =
   let svc = obj "service" results in
-  pin "service.get_alloc_words_per_op" (num "get_alloc_words_per_op" svc);
-  pin "service.put_del_alloc_words_per_op" (num "put_del_alloc_words_per_op" svc);
   let rows = arr "rows" svc in
   let matrix = List.filter (fun r -> not (flag "stall" r)) rows in
   let pairs = List.sort compare (List.map (fun r -> (str "scheme" r, str "dist" r)) matrix) in
@@ -334,9 +317,8 @@ let gate_service results =
   if num "churn_events" real <= 0. then
     fail "service.real.churn_events = 0 (real-domain row recorded no handler churn)";
   Printf.sprintf
-    "service OK: %d matrix rows + stall, get and put+del pins 0.0 words/op, \
-     real %.2f Mops/s x%.0f (%.0f churns), stall p999 %.0f ticks %.0f%% \
-     attributed"
+    "service OK: %d matrix rows + stall, real %.2f Mops/s x%.0f (%.0f churns), \
+     stall p999 %.0f ticks %.0f%% attributed"
     (List.length matrix) (num "throughput_mops" real) (num "domains" real)
     (num "churn_events" real) (num "p999" stall) (num "attr_pct" stall)
 
@@ -371,8 +353,8 @@ let gate_history history results =
 
 let gate_current results =
   (match opt (fun () -> num "schema" results) with
-  | Some 10. -> ()
-  | Some s -> fail "schema is %g, expected 10" s
+  | Some 11. -> ()
+  | Some s -> fail "schema is %g, expected 11" s
   | None -> fail "schema missing");
   section "explorer" gate_explorer results;
   section "runs" gate_runs results;

@@ -79,7 +79,6 @@ type outcome = {
   steps : int;
   lin : lin_status;
   stats : Qs_smr.Smr_intf.stats;
-  report : Qs_ds.Set_intf.report;
 }
 
 let verdict_class = function
@@ -418,8 +417,7 @@ let run_one ?sink (c : case) : outcome =
     ops = m.ops_total;
     steps = m.steps;
     lin = !lin;
-    stats = report.smr;
-    report }
+    stats = report.smr }
 
 (* --- counterexample shrinking ------------------------------------------- *)
 

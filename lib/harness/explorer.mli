@@ -96,7 +96,6 @@ type outcome = {
   steps : int;
   lin : lin_status;
   stats : Qs_smr.Smr_intf.stats;
-  report : Qs_ds.Set_intf.report;
 }
 
 val same_class : verdict -> verdict -> bool

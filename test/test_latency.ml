@@ -1,4 +1,4 @@
-(* The latency observatory (lib/obs/latency.ml, registry.ml + harness wiring):
+(* The latency observatory (lib/obs/latency.ml + harness wiring):
 
    - bucket geometry: exact unit buckets below 32, [bucket_of] inverts
      [lower_edge], edges are strictly monotone, relative quantization
@@ -8,23 +8,16 @@
    - merge is exact: per-shard recording then [merge_into] equals
      recording everything into one histogram (QCheck);
    - top-K outlier buffers retain exactly the K largest durations;
-   - overhead discipline: [record], [observe] and the registry's
-     sharded observe allocate zero minor words per op (the CI pin);
-   - registry: idempotent named lookup, cross-domain shard merging,
-     Prometheus text and JSON exports that parse back;
+   - overhead discipline: [record] and [observe] allocate zero minor
+     words per op;
    - spike attribution on a synthetic timeline: every cause matched by
      its span/instant semantics, priority order, threshold filtering;
    - harness neutrality: a seeded simulator run produces a byte-equal
      trace and identical op counts with the recorder on or off
-     (recording reads meta-level clocks, never performs effects);
-   - registry-in-pool differential: a pooled explorer run with worker
-     domains observing into a shared registry histogram yields
-     bit-identical verdicts, and the merged shards equal the solo run's
-     histogram (QCheck). *)
+     (recording reads meta-level clocks, never performs effects). *)
 
 module RI = Qs_intf.Runtime_intf
 module Latency = Qs_obs.Latency
-module Registry = Qs_obs.Registry
 module Tracer = Qs_obs.Tracer
 module Metrics = Qs_obs.Metrics
 module Export = Qs_obs.Export
@@ -153,110 +146,7 @@ let test_record_allocation_free () =
   check (Alcotest.float 1e-3) "observe: 0 words" 0.
     (words_per_call ~warmup:64 ~n:50_000 (fun i ->
          Latency.observe r ~pid:(i land 1) ~kind:(i mod 3) ~start:i
-           ~dur:(i land 1023)));
-  let reg = Registry.create () in
-  let h = Registry.histogram reg "pin" in
-  check (Alcotest.float 1e-3) "registry observe: 0 words" 0.
-    (words_per_call ~warmup:64 ~n:50_000 (fun i ->
-         Registry.observe h (i land 4095)))
-
-(* --- registry ------------------------------------------------------------- *)
-
-let test_registry_scalars_and_idempotence () =
-  let reg = Registry.create () in
-  let c = Registry.counter reg "ops" in
-  Registry.incr c;
-  Registry.add c 41;
-  checki "counter accumulates" 42 (Registry.counter_value c);
-  checkb "counter lookup idempotent" true (Registry.counter reg "ops" == c);
-  let g = Registry.gauge reg "depth" in
-  Registry.set_gauge g 7;
-  checki "gauge holds last set" 7 (Registry.gauge_value g);
-  let h = Registry.histogram reg "lat" in
-  checkb "histogram lookup idempotent" true (Registry.histogram reg "lat" == h);
-  Registry.observe h 100;
-  checki "observed" 1 (Latency.count (Registry.merged h));
-  Registry.reset reg;
-  checki "reset zeroes counters" 0 (Registry.counter_value c);
-  checki "reset zeroes gauges" 0 (Registry.gauge_value g);
-  checki "reset zeroes shards" 0 (Latency.count (Registry.merged h))
-
-let test_registry_cross_domain_merge () =
-  let reg = Registry.create () in
-  let h = Registry.histogram reg "xdomain" in
-  let per_domain = 10_000 in
-  let worker seed () =
-    for i = 1 to per_domain do
-      Registry.observe h ((i * seed) land 8191)
-    done
-  in
-  let d1 = Domain.spawn (worker 3) and d2 = Domain.spawn (worker 5) in
-  worker 7 ();
-  Domain.join d1;
-  Domain.join d2;
-  let m = Registry.merged h in
-  checki "all three domains' shards merged" (3 * per_domain) (Latency.count m)
-
-let test_registry_exports () =
-  let reg = Registry.create () in
-  let c = Registry.counter reg "frees_total" in
-  Registry.add c 12;
-  let g = Registry.gauge reg "limbo_depth" in
-  Registry.set_gauge g 3;
-  let h = Registry.histogram reg "op_ticks" in
-  List.iter (Registry.observe h) [ 1; 1; 2; 40; 4_000 ];
-  let text = Registry.to_prometheus reg in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  List.iter
-    (fun needle ->
-      checkb (Printf.sprintf "prometheus has %S" needle) true
-        (contains text needle))
-    [
-      "# TYPE frees_total counter";
-      "frees_total 12";
-      "# TYPE limbo_depth gauge";
-      "limbo_depth 3";
-      "# TYPE op_ticks histogram";
-      "op_ticks_bucket{le=\"+Inf\"} 5";
-      "op_ticks_sum 4044";
-      "op_ticks_count 5";
-    ];
-  (* cumulative bucket counts are non-decreasing and end at the total *)
-  let cum =
-    String.split_on_char '\n' text
-    |> List.filter_map (fun l ->
-           if
-             String.length l > 15
-             && String.sub l 0 15 = "op_ticks_bucket"
-           then
-             String.rindex_opt l ' '
-             |> Option.map (fun i ->
-                    int_of_string
-                      (String.sub l (i + 1) (String.length l - i - 1)))
-           else None)
-  in
-  checkb "cumulative non-decreasing" true (List.sort compare cum = cum);
-  checki "last cumulative is the count" 5 (List.nth cum (List.length cum - 1));
-  let j = Registry.to_json reg in
-  let reparsed = Json.parse_exn (Json.to_string j) in
-  (match Json.member "histograms" reparsed with
-  | Some hs ->
-    (match Json.member "op_ticks" hs with
-    | Some ht ->
-      checkb "json count" true (Json.member "count" ht = Some (Json.Num 5.));
-      checkb "json p50" true (Json.member "p50" ht = Some (Json.Num 2.));
-      checkb "json max" true (Json.member "max" ht = Some (Json.Num 4000.))
-    | None -> Alcotest.fail "op_ticks missing from JSON")
-  | None -> Alcotest.fail "histograms missing from JSON");
-  match Json.member "counters" reparsed with
-  | Some cs ->
-    checkb "json counter" true
-      (Json.member "frees_total" cs = Some (Json.Num 12.))
-  | None -> Alcotest.fail "counters missing from JSON"
+           ~dur:(i land 1023)))
 
 (* --- spike attribution ---------------------------------------------------- *)
 
@@ -495,58 +385,6 @@ let test_sim_stall_attribution () =
     true
     (Metrics.attributed_pct a >= 80.)
 
-(* --- registry-in-pool differential (satellite) ---------------------------- *)
-
-let test_pool_registry_differential =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"pooled run with registry: verdicts + merge equal solo"
-       ~count:3
-       QCheck.(int_bound 1_000)
-       (fun base ->
-         let batch =
-           [|
-             Explorer.default_case ~ds:Cset.List ~scheme:Qs_smr.Scheme.Hp
-               ~seed:(base + 1);
-             Explorer.default_case ~ds:Cset.List ~scheme:Qs_smr.Scheme.Cadence
-               ~seed:(base + 2);
-             Explorer.default_case ~ds:Cset.Hashtable
-               ~scheme:Qs_smr.Scheme.Qsense ~seed:(base + 3);
-           |]
-         in
-         let solo = Array.map Explorer.run_one batch in
-         let solo_h = Latency.create () in
-         Array.iter (fun (o : Explorer.outcome) -> Latency.record solo_h o.ops) solo;
-         let reg = Registry.create () in
-         let h = Registry.histogram reg "pool_ops" in
-         let pooled =
-           Explorer_pool.map ~jobs:3
-             (fun c ->
-               let o = Explorer.run_one c in
-               (* observed from the worker domain: lands in its shard *)
-               Registry.observe h o.Explorer.ops;
-               o)
-             batch
-         in
-         Array.iteri
-           (fun i o' ->
-             match o' with
-             | None -> QCheck.Test.fail_reportf "case %d skipped" i
-             | Some (o' : Explorer.outcome) ->
-               if
-                 not
-                   (Explorer.same_class solo.(i).Explorer.verdict
-                      o'.Explorer.verdict)
-                 || solo.(i).Explorer.ops <> o'.Explorer.ops
-                 || solo.(i).Explorer.steps <> o'.Explorer.steps
-               then
-                 QCheck.Test.fail_reportf
-                   "case %d diverged under the registry" i)
-           pooled;
-         let m = Registry.merged h in
-         Latency.bucket_counts m = Latency.bucket_counts solo_h
-         && Latency.count m = Latency.count solo_h
-         && Latency.sum m = Latency.sum solo_h))
-
 let suite =
   [ Alcotest.test_case "bucket geometry" `Quick test_bucket_geometry;
     Alcotest.test_case "percentile extraction" `Quick test_percentiles;
@@ -554,12 +392,6 @@ let suite =
     Alcotest.test_case "top-K outlier buffers" `Quick test_top_k_outliers;
     Alcotest.test_case "recording is allocation-free" `Quick
       test_record_allocation_free;
-    Alcotest.test_case "registry scalars + idempotence" `Quick
-      test_registry_scalars_and_idempotence;
-    Alcotest.test_case "registry cross-domain merge" `Quick
-      test_registry_cross_domain_merge;
-    Alcotest.test_case "registry exports round-trip" `Quick
-      test_registry_exports;
     Alcotest.test_case "attribution semantics" `Quick
       test_attribution_semantics;
     Alcotest.test_case "attribution threshold + pct" `Quick
@@ -569,6 +401,5 @@ let suite =
     Alcotest.test_case "generator replay across schemes" `Slow
       test_sim_generator_replay;
     Alcotest.test_case "stall spikes attribute >= 80%" `Slow
-      test_sim_stall_attribution;
-    test_pool_registry_differential
+      test_sim_stall_attribution
   ]
