@@ -4,9 +4,8 @@ module type NODE = sig
   type t
 
   val create : unit -> t
-  val get_state : t -> Node_state.t
-  val set_state : t -> Node_state.t -> unit
-  val bump_birth : t -> unit
+  val is_free : t -> bool
+  val set_free : t -> bool -> unit
 end
 
 module Make (N : NODE) = struct
@@ -76,15 +75,13 @@ module Make (N : NODE) = struct
     in
     h.allocations <- h.allocations + 1;
     ignore (Atomic.fetch_and_add h.owner.outstanding_now 1);
-    N.set_state n Node_state.Allocated;
-    N.bump_birth n;
+    N.set_free n false;
     n
 
   let free h n =
-    if Node_state.equal (N.get_state n) Node_state.Free then
-      h.double_frees <- h.double_frees + 1
+    if N.is_free n then h.double_frees <- h.double_frees + 1
     else begin
-      N.set_state n Node_state.Free;
+      N.set_free n true;
       h.frees <- h.frees + 1;
       ignore (Atomic.fetch_and_add h.owner.outstanding_now (-1));
       Qs_util.Vec.push h.free_list n
@@ -93,16 +90,15 @@ module Make (N : NODE) = struct
   (* Bulk return for the batched-bag reclamation path: free the first
      [count] elements of [data] with ONE update of the shared outstanding
      counter instead of one per node. The per-node oracle work (double-free
-     detection, state stamping, free-list push) is kept — it is exactly
-     what the node-state checks test against. *)
+     detection, Free bit, free-list push) is kept — it is exactly what the
+     use-after-free and double-free checks test against. *)
   let free_many h data count =
     let freed = ref 0 in
     for i = 0 to count - 1 do
       let n = data.(i) in
-      if Node_state.equal (N.get_state n) Node_state.Free then
-        h.double_frees <- h.double_frees + 1
+      if N.is_free n then h.double_frees <- h.double_frees + 1
       else begin
-        N.set_state n Node_state.Free;
+        N.set_free n true;
         incr freed;
         Qs_util.Vec.push h.free_list n
       end
@@ -112,9 +108,7 @@ module Make (N : NODE) = struct
       ignore (Atomic.fetch_and_add h.owner.outstanding_now (- !freed))
     end
 
-  let touch h n =
-    if Node_state.equal (N.get_state n) Node_state.Free then
-      h.violations <- h.violations + 1
+  let touch h n = if N.is_free n then h.violations <- h.violations + 1
 
   let allocations t = sum t (fun h -> h.allocations)
   let frees t = sum t (fun h -> h.frees)

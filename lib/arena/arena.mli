@@ -4,8 +4,8 @@
     paper the act of "freeing" must be made explicit and observable. The
     arena provides that: [alloc] hands out nodes (recycling previously freed
     ones through per-process free lists, like the ssmem allocator used by
-    ASCYLIB), [free] returns them, and the arena tracks the node-state
-    oracle — detecting use-after-free ([touch] on a Free node), double-free,
+    ASCYLIB), [free] returns them, and one Free bit per node is the
+    oracle — detecting use-after-free ([touch] on a free node), double-free,
     and memory exhaustion (the [outstanding] node count exceeding an
     optional capacity, which models the paper's "the system runs out of
     memory and eventually fails" behaviour of blocked QSBR).
@@ -22,13 +22,15 @@ module type NODE = sig
   type t
 
   val create : unit -> t
-  (** A brand-new node; field initialisation is the caller's business. *)
+  (** A brand-new node; field initialisation is the caller's business
+      ([alloc] clears the Free bit). *)
 
-  val get_state : t -> Node_state.t
-  val set_state : t -> Node_state.t -> unit
-  val bump_birth : t -> unit
-  (** Increment the node's birth stamp; called at every [alloc] so that
-      stale references can detect recycling. *)
+  val is_free : t -> bool
+  val set_free : t -> bool -> unit
+  (** The node's Free bit: set by [free], cleared by [alloc]. The paper's
+      other node states (§2.1) are a reasoning device; the one property
+      checked against them (no process touches a freed node) needs only
+      this bit. *)
 end
 
 module Make (N : NODE) : sig
@@ -43,23 +45,23 @@ module Make (N : NODE) : sig
 
   val alloc : handle -> N.t
   (** Pop the caller's free list, or create a fresh node if the capacity
-      allows. The node comes back in state [Allocated] with a new birth
-      stamp. Raises {!Exhausted} at capacity. *)
+      allows. The node comes back with its Free bit cleared. Raises
+      {!Exhausted} at capacity. *)
 
   val free : handle -> N.t -> unit
-  (** Return a node to the caller's free list and mark it [Free]. A node
-      already [Free] increments the double-free counter instead. *)
+  (** Return a node to the caller's free list and set its Free bit. A node
+      already free increments the double-free counter instead. *)
 
   val free_many : handle -> N.t array -> int -> unit
   (** [free_many h data count] frees [data.(0 .. count-1)] as {!free} does
-      — per-node double-free detection, state stamping and free-list push
+      — per-node double-free detection, Free bit and free-list push
       included — but updates the shared outstanding counter once for the
       whole batch. This is the bulk-return path for whole limbo bags. The
       array is not retained. *)
 
   val touch : handle -> N.t -> unit
-  (** Record a traversal access to the node: if its state is [Free], the
-      access is a use-after-free and increments the violation counter. *)
+  (** Record a traversal access to the node: if it is free, the access is
+      a use-after-free and increments the violation counter. *)
 
   val outstanding : t -> int
   (** Allocated-but-not-freed nodes, across all processes. O(1): a shared

@@ -45,8 +45,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     left : link R.atomic;
     right : link R.atomic;
     upd : ustate R.atomic;
-    mutable state : Qs_arena.Node_state.t;
-    mutable birth : int;
+    mutable free : bool; (* the arena's Free bit *)
   }
 
   and link = Nil | Child of { dest : node; marked : bool }
@@ -91,12 +90,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         left = R.atomic Nil;
         right = R.atomic Nil;
         upd = R.atomic (clean ());
-        state = Qs_arena.Node_state.Free;
-        birth = 0 }
+        free = false }
 
-    let get_state n = n.state
-    let set_state n s = n.state <- s
-    let bump_birth n = n.birth <- n.birth + 1
+    let is_free n = n.free
+    let set_free n b = n.free <- b
     let id n = n.uid
   end)
 
@@ -112,8 +109,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       left = R.atomic Nil;
       right = R.atomic Nil;
       upd = R.atomic (clean ());
-      state = Qs_arena.Node_state.Reachable;
-      birth = 0 }
+      free = false }
 
   let create (cfg : Set_intf.config) =
     let root =
@@ -123,18 +119,14 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         left = R.atomic (Child { dest = mk_leaf inf1; marked = false });
         right = R.atomic (Child { dest = mk_leaf inf2; marked = false });
         upd = R.atomic (clean ());
-        state = Qs_arena.Node_state.Reachable;
-        birth = 0 }
+        free = false }
     in
     { root;
       dom = D.create cfg ~hp_per_process ~removes_per_op_max:2 ~dummy:root }
 
   let register t ~pid = { set = t; smr = D.register t.dom ~pid }
   (* the oracle, pre-filtered on [Free] (see {!Smr_domain.Make.touch}) *)
-  let touch ctx n =
-    match n.state with
-    | Qs_arena.Node_state.Free -> D.touch ctx.smr n
-    | Allocated | Reachable | Removed | Retired -> ()
+  let touch ctx n = if n.free then D.touch ctx.smr n
 
   type found = {
     gp : node;
@@ -341,8 +333,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
           if R.cas s.p.upd s.pu op.iflag then begin
             fresh := None;
             help_insert op;
-            nleaf.state <- Qs_arena.Node_state.Reachable;
-            nint.state <- Qs_arena.Node_state.Reachable;
             D.clear_hps ctx.smr;
             true
           end
@@ -387,8 +377,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
             in
             if R.cas s.gp.upd s.gpu op.dflag then begin
               if help_delete op then begin
-                s.p.state <- Qs_arena.Node_state.Removed;
-                s.l.state <- Qs_arena.Node_state.Removed;
                 (* This delete owns BOTH removals (m = 2); bank the second
                    even if a neutralization signal aborts between the two
                    retire calls. DEBRA+'s retire only raises with its node

@@ -57,8 +57,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     next : link R.atomic;
     ulink : link; (* [Ptr {dest = self; marked = false}] *)
     mlink : link; (* [Ptr {dest = self; marked = true}] *)
-    mutable state : Qs_arena.Node_state.t;
-    mutable birth : int;
+    mutable free : bool; (* the arena's Free bit *)
   }
 
   and link = Null | Ptr of { dest : node; marked : bool }
@@ -70,7 +69,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
   (* A node with its two canonical links (see the header). *)
-  let make_node ~key ~next ~state =
+  let make_node ~key ~next =
     let uid = fresh_uid () in
     let rec n =
       { uid;
@@ -78,20 +77,17 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         next;
         ulink = Ptr { dest = n; marked = false };
         mlink = Ptr { dest = n; marked = true };
-        state;
-        birth = 0 }
+        free = false }
     in
     n
 
   module D = Smr_domain.Make (R) (struct
     type t = node
 
-    let create () =
-      make_node ~key:0 ~next:(R.atomic Null) ~state:Qs_arena.Node_state.Free
+    let create () = make_node ~key:0 ~next:(R.atomic Null)
 
-    let get_state n = n.state
-    let set_state n s = n.state <- s
-    let bump_birth n = n.birth <- n.birth + 1
+    let is_free n = n.free
+    let set_free n b = n.free <- b
     let id n = n.uid
   end)
 
@@ -109,14 +105,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let hp_per_process = 2
 
   let create (cfg : Set_intf.config) =
-    let tail =
-      make_node ~key:max_int ~next:(R.atomic Null)
-        ~state:Qs_arena.Node_state.Reachable
-    in
-    let head =
-      make_node ~key:min_int ~next:(R.atomic tail.ulink)
-        ~state:Qs_arena.Node_state.Reachable
-    in
+    let tail = make_node ~key:max_int ~next:(R.atomic Null) in
+    let head = make_node ~key:min_int ~next:(R.atomic tail.ulink) in
     { head;
       tail;
       dom = D.create cfg ~hp_per_process ~removes_per_op_max:1 ~dummy:tail }
@@ -129,10 +119,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       curr = t.tail }
 
   (* the oracle, pre-filtered on [Free] (see {!Smr_domain.Make.touch}) *)
-  let touch ctx n =
-    match n.state with
-    | Qs_arena.Node_state.Free -> D.touch ctx.smr n
-    | Allocated | Reachable | Removed | Retired -> ()
+  let touch ctx n = if n.free then D.touch ctx.smr n
 
   (* Find the first node with key >= [key] starting from [head] (the list's
      own head, or a hash-table bucket's), cleaning up marked nodes on the
@@ -166,7 +153,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
           (* curr is logically deleted: attempt the physical unlink; the
              winner of this CAS retires the node (free_node_later). *)
           if R.cas pred.next pred_link succ.ulink then begin
-            curr.state <- Qs_arena.Node_state.Removed;
             D.retire ctx.smr curr;
             walk ctx head key pred
           end
@@ -271,7 +257,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       R.set n.next curr.ulink;
       if R.cas pred.next curr.ulink n.ulink then begin
         ctx.fresh <- ctx.set.tail;
-        n.state <- Qs_arena.Node_state.Reachable;
         D.clear_hps ctx.smr;
         true
       end
@@ -308,7 +293,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       | Ptr { dest = succ; marked = false } as curr_link ->
         if R.cas curr.next curr_link succ.mlink then begin
           (* Logical delete succeeded — we own the removal. *)
-          curr.state <- Qs_arena.Node_state.Removed;
           (if R.cas pred.next curr.ulink succ.ulink then D.retire ctx.smr curr
            else
              (* physical unlink lost a race; a find pass cleans up and
@@ -335,9 +319,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   (* A fresh head sentinel chained to the shared tail — hash-table buckets.
      Never reclaimed. *)
-  let new_bucket t =
-    make_node ~key:min_int ~next:(R.atomic t.tail.ulink)
-      ~state:Qs_arena.Node_state.Reachable
+  let new_bucket t = make_node ~key:min_int ~next:(R.atomic t.tail.ulink)
 
   (* Sequential-context helpers (no concurrent mutators). *)
 

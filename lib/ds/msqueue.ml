@@ -16,8 +16,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     uid : int; (* stable identity for the SMR membership set *)
     mutable value : int;
     next : link R.atomic;
-    mutable state : Qs_arena.Node_state.t;
-    mutable birth : int;
+    mutable free : bool; (* the arena's Free bit *)
   }
 
   and link = Null | Ptr of node
@@ -32,12 +31,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       { uid = fresh_uid ();
         value = 0;
         next = R.atomic Null;
-        state = Qs_arena.Node_state.Free;
-        birth = 0 }
+        free = false }
 
-    let get_state n = n.state
-    let set_state n s = n.state <- s
-    let bump_birth n = n.birth <- n.birth + 1
+    let is_free n = n.free
+    let set_free n b = n.free <- b
     let id n = n.uid
   end)
 
@@ -59,8 +56,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       { uid = fresh_uid ();
         value = 0;
         next = R.atomic Null;
-        state = Qs_arena.Node_state.Reachable;
-        birth = 0 }
+        free = false }
     in
     let dom =
       D.create cfg ~hp_per_process ~removes_per_op_max:1 ~dummy:sentinel
@@ -68,15 +64,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     (* The initial dummy is arena-allocated: the first dequeue retires it,
        and the books must balance. *)
     let dummy = D.alloc_initial dom in
-    dummy.state <- Qs_arena.Node_state.Reachable;
     { head = R.atomic (Ptr dummy); tail = R.atomic (Ptr dummy); dom }
 
   let register t ~pid = { queue = t; smr = D.register t.dom ~pid }
   (* the oracle, pre-filtered on [Free] (see {!Smr_domain.Make.touch}) *)
-  let touch ctx n =
-    match n.state with
-    | Qs_arena.Node_state.Free -> D.touch ctx.smr n
-    | Allocated | Reachable | Removed | Retired -> ()
+  let touch ctx n = if n.free then D.touch ctx.smr n
 
   let enqueue ctx value =
     D.manage_state ctx.smr;
@@ -98,7 +90,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         | Null ->
           if R.cas tl.next Null (Ptr n) then begin
             published := true;
-            n.state <- Qs_arena.Node_state.Reachable;
             (* swing the tail; helpers may already have done it *)
             ignore (R.cas t.tail tail_link (Ptr n))
           end
@@ -146,7 +137,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
                (retire-able) dummy *)
             let v = next.value in
             if R.cas t.head head_link (Ptr next) then begin
-              h.state <- Qs_arena.Node_state.Removed;
               D.retire ctx.smr h;
               D.clear_hps ctx.smr;
               Some v

@@ -108,8 +108,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     next : link R.atomic_array; (* per-level links; full height *)
     ulink : link; (* [Ptr {dest = self; marked = false}], every level *)
     mlink : link; (* [Ptr {dest = self; marked = true}] *)
-    mutable state : Qs_arena.Node_state.t;
-    mutable birth : int;
+    mutable free : bool; (* the arena's Free bit *)
   }
 
   and link = Null | Ptr of { dest : node; marked : bool }
@@ -118,7 +117,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
   (* A node with its two canonical links (see the header). *)
-  let make_node ~key ~top ~next ~state =
+  let make_node ~key ~top ~next =
     let uid = fresh_uid () in
     let rec n =
       { uid;
@@ -127,8 +126,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         next;
         ulink = Ptr { dest = n; marked = false };
         mlink = Ptr { dest = n; marked = true };
-        state;
-        birth = 0 }
+        free = false }
     in
     n
 
@@ -139,13 +137,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
     (* Nodes are allocated at full height and reused at any level: a
        recycled node just uses a prefix of its link array. *)
-    let create () =
-      make_node ~key:0 ~top:0 ~next:(null_links ())
-        ~state:Qs_arena.Node_state.Free
+    let create () = make_node ~key:0 ~top:0 ~next:(null_links ())
 
-    let get_state n = n.state
-    let set_state n s = n.state <- s
-    let bump_birth n = n.birth <- n.birth + 1
+    let is_free n = n.free
+    let set_free n b = n.free <- b
     let id n = n.uid
   end)
 
@@ -167,14 +162,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let hp_per_process = own_slot + 1
 
   let create (cfg : Set_intf.config) =
-    let tail =
-      make_node ~key:max_int ~top:max_level ~next:(null_links ())
-        ~state:Qs_arena.Node_state.Reachable
-    in
+    let tail = make_node ~key:max_int ~top:max_level ~next:(null_links ()) in
     let head =
       make_node ~key:min_int ~top:max_level
         ~next:(R.atomic_array (max_level + 1) (fun _ -> tail.ulink))
-        ~state:Qs_arena.Node_state.Reachable
     in
     { head;
       tail;
@@ -190,10 +181,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       fresh = t.tail }
 
   (* the oracle, pre-filtered on [Free] (see {!Smr_domain.Make.touch}) *)
-  let touch ctx n =
-    match n.state with
-    | Qs_arena.Node_state.Free -> D.touch ctx.smr n
-    | Allocated | Reachable | Removed | Retired -> ()
+  let touch ctx n = if n.free then D.touch ctx.smr n
 
   let rec random_level prng lvl =
     if lvl < max_level && Qs_util.Prng.bool prng then random_level prng (lvl + 1)
@@ -318,7 +306,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       done;
       if R.acas ctx.preds.(0).next 0 ctx.succs.(0).ulink n.ulink then begin
         ctx.fresh <- ctx.set.tail;
-        n.state <- Qs_arena.Node_state.Reachable;
         link_upper ctx key n 1;
         D.clear_hps ctx.smr;
         true
@@ -375,7 +362,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       (* level 0 decides ownership; a loser retries to settle the outcome *)
       if not (mark n 0) then delete_attempt ctx key
       else begin
-        n.state <- Qs_arena.Node_state.Removed;
         (* past the point of no return: a neutralization signal must not
            leave the node linked or unretired *)
         (match

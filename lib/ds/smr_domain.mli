@@ -42,9 +42,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : NODE) : sig
   val touch : ctx -> N.t -> unit
   (** Use-after-free oracle on a traversal access; a no-op unless
       [debug_checks]. Callers pre-filter: a structure's own [touch] reads
-      the node's state field itself and calls this only when it reads
-      [Free], so a traversal step pays no call for a live node. This
-      checks again, so the violation count is the same either way. *)
+      the node's Free bit itself and calls this only when it is set, so a
+      traversal step pays no call for a live node. This checks again, so
+      the violation count is the same either way. *)
 
   (** {1 The scheme's handle operations}
 

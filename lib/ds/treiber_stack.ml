@@ -19,8 +19,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     uid : int; (* stable identity for the SMR membership set *)
     mutable value : int;
     mutable next : link; (* written only before the node is published *)
-    mutable state : Qs_arena.Node_state.t;
-    mutable birth : int;
+    mutable free : bool; (* the arena's Free bit *)
   }
 
   and link = Null | Ptr of node
@@ -35,12 +34,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       { uid = fresh_uid ();
         value = 0;
         next = Null;
-        state = Qs_arena.Node_state.Free;
-        birth = 0 }
+        free = false }
 
-    let get_state n = n.state
-    let set_state n s = n.state <- s
-    let bump_birth n = n.birth <- n.birth + 1
+    let is_free n = n.free
+    let set_free n b = n.free <- b
     let id n = n.uid
   end)
 
@@ -54,18 +51,14 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       { uid = fresh_uid ();
         value = 0;
         next = Null;
-        state = Qs_arena.Node_state.Reachable;
-        birth = 0 }
+        free = false }
     in
     let dom = D.create cfg ~hp_per_process ~removes_per_op_max:1 ~dummy in
     { top = R.atomic Null; dom }
 
   let register t ~pid = { stack = t; smr = D.register t.dom ~pid }
   (* the oracle, pre-filtered on [Free] (see {!Smr_domain.Make.touch}) *)
-  let touch ctx n =
-    match n.state with
-    | Qs_arena.Node_state.Free -> D.touch ctx.smr n
-    | Allocated | Reachable | Removed | Retired -> ()
+  let touch ctx n = if n.free then D.touch ctx.smr n
 
   let push ctx value =
     D.manage_state ctx.smr;
@@ -78,10 +71,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     let rec attempt () =
       let old = R.get ctx.stack.top in
       n.next <- old;
-      if R.cas ctx.stack.top old (Ptr n) then begin
-        published := true;
-        n.state <- Qs_arena.Node_state.Reachable
-      end
+      if R.cas ctx.stack.top old (Ptr n) then published := true
       else attempt ()
     in
     (try attempt ()
@@ -108,7 +98,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
           touch ctx n;
           if R.cas ctx.stack.top old next then begin
             let v = n.value in
-            n.state <- Qs_arena.Node_state.Removed;
             D.retire ctx.smr n;
             D.clear_hps ctx.smr;
             Some v

@@ -52,39 +52,89 @@ let prop_runs_are_safe =
 
 (* --- arena invariants ---------------------------------------------------- *)
 
-type anode = { mutable st : Qs_arena.Node_state.t; mutable b : int }
+type anode = { id : int; mutable free : bool }
+
+let anode_ids = ref 0
 
 module A = Qs_arena.Arena.Make (struct
   type t = anode
 
-  let create () = { st = Qs_arena.Node_state.Free; b = 0 }
-  let get_state n = n.st
-  let set_state n s = n.st <- s
-  let bump_birth n = n.b <- n.b + 1
+  let create () =
+    incr anode_ids;
+    { id = !anode_ids; free = false }
+
+  let is_free n = n.free
+  let set_free n b = n.free <- b
 end)
+
+(* A script of allocations, frees and touches, where a free or a touch
+   names any node handed out so far — live or already freed, so double
+   frees and use-after-free touches are in the mix. A model set of freed
+   node ids predicts every counter exactly: a free of a freed node is a
+   double free (and changes nothing else), a touch of a freed node is a
+   violation, and an allocation while freed nodes exist recycles one of
+   them (the most recently freed: the free list is a stack). *)
+type arena_op = Alloc | Free of int | Touch of int
+
+let arena_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, return Alloc);
+        (2, map (fun i -> Free i) (int_bound 1_000));
+        (2, map (fun i -> Touch i) (int_bound 1_000)) ])
+
+let show_arena_op = function
+  | Alloc -> "alloc"
+  | Free i -> Printf.sprintf "free %d" i
+  | Touch i -> Printf.sprintf "touch %d" i
 
 let prop_arena_bookkeeping =
   QCheck.Test.make ~name:"arena: outstanding = allocs - frees; recycling works"
-    ~count:100
-    QCheck.(list_of_size Gen.(int_range 1 200) bool)
+    ~count:200
+    QCheck.(
+      make ~print:(Print.list show_arena_op)
+        Gen.(list_size (int_range 1 200) arena_op_gen))
     (fun script ->
+      let module IS = Set.Make (Int) in
       let a = A.create ~n_processes:1 () in
       let h = A.register a ~pid:0 in
-      let live = ref [] in
+      let seen = ref [||] and freed = ref IS.empty and last_freed = ref [] in
+      let doubles = ref 0 and uafs = ref 0 and recycled_ok = ref true in
+      let pick i = !seen.(i mod Array.length !seen) in
       List.iter
-        (fun alloc ->
-          if alloc then live := A.alloc h :: !live
-          else
-            match !live with
-            | [] -> ()
-            | n :: rest ->
-              A.free h n;
-              live := rest)
+        (function
+          | Alloc ->
+            let n = A.alloc h in
+            (match !last_freed with
+            | m :: rest ->
+              recycled_ok := !recycled_ok && n == m;
+              last_freed := rest
+            | [] ->
+              recycled_ok := !recycled_ok && not (Array.memq n !seen);
+              seen := Array.append !seen [| n |]);
+            freed := IS.remove n.id !freed
+          | Free _ | Touch _ when Array.length !seen = 0 -> ()
+          | Free i ->
+            let n = pick i in
+            if IS.mem n.id !freed then incr doubles
+            else begin
+              freed := IS.add n.id !freed;
+              last_freed := n :: !last_freed
+            end;
+            A.free h n
+          | Touch i ->
+            let n = pick i in
+            if IS.mem n.id !freed then incr uafs;
+            A.touch h n)
         script;
-      A.outstanding a = List.length !live
-      && A.allocations a - A.frees a = A.outstanding a
-      && A.violations a = 0
-      && A.double_frees a = 0)
+      let live = Array.length !seen - IS.cardinal !freed in
+      !recycled_ok
+      && A.outstanding a = live
+      && A.allocations a - A.frees a = live
+      && A.fresh_nodes a = Array.length !seen
+      && A.violations a = !uafs
+      && A.double_frees a = !doubles
+      && Array.for_all (fun n -> n.free = IS.mem n.id !freed) !seen)
 
 let prop_arena_detects_double_free =
   QCheck.Test.make ~name:"arena: double free and UAF detected" ~count:50
@@ -112,7 +162,7 @@ let test_arena_capacity () =
   A.free h n1;
   let n4 = A.alloc h in
   Alcotest.(check bool) "recycled the freed node" true (n1 == n4);
-  Alcotest.(check bool) "birth bumped on recycle" true (n4.b >= 2)
+  Alcotest.(check bool) "recycled node reads live" false n4.free
 
 (* Steady-state recycling: once a working set of nodes has been created,
    alloc/free cycles are served entirely from the free list — [fresh_nodes]
@@ -146,18 +196,6 @@ let test_arena_recycling () =
     (Printf.sprintf "alloc/free cycles allocate (%.0f words / %d cycles)"
        words cycles)
     true (words < 1_000.)
-
-let test_node_state_transitions () =
-  let open Qs_arena.Node_state in
-  Alcotest.(check bool) "free->allocated" true (can_transition Free Allocated);
-  Alcotest.(check bool) "allocated->reachable" true (can_transition Allocated Reachable);
-  Alcotest.(check bool) "reachable->removed" true (can_transition Reachable Removed);
-  Alcotest.(check bool) "removed->free" true (can_transition Removed Free);
-  Alcotest.(check bool) "free->reachable illegal" false (can_transition Free Reachable);
-  Alcotest.(check bool) "reachable->free illegal" false (can_transition Reachable Free);
-  List.iter
-    (fun s -> Alcotest.(check bool) "to_string nonempty" true (to_string s <> ""))
-    [ Allocated; Reachable; Removed; Retired; Free ]
 
 (* --- generated sequential histories are linearizable --------------------- *)
 
@@ -219,7 +257,6 @@ let suite =
     Alcotest.test_case "arena capacity + recycling" `Quick test_arena_capacity;
     Alcotest.test_case "arena steady-state reuse is allocation-free" `Quick
       test_arena_recycling;
-    Alcotest.test_case "node state transitions" `Quick test_node_state_transitions;
     QCheck_alcotest.to_alcotest prop_sequential_histories_linearizable;
     QCheck_alcotest.to_alcotest prop_legal_threshold_dominates
   ]
