@@ -96,30 +96,9 @@ type config = {
   rooster_oversleep_min : int;
   clock_skew : int;
   kill_roosters_at : int option;
-  trace_capacity : int;
   strategy : strategy;
   pct_horizon : int;
 }
-
-type event =
-  | Ev_read
-  | Ev_write
-  | Ev_atomic_get
-  | Ev_atomic_set
-  | Ev_cas of bool
-  | Ev_faa
-  | Ev_fence
-  | Ev_rooster
-  | Ev_stall of int
-  | Ev_sleep of int
-  | Ev_wake
-  | Ev_hook of Qs_intf.Runtime_intf.hook
-  | Ev_crash
-  | Ev_oversleep of int
-  | Ev_skew of int
-  | Ev_churn of int
-  | Ev_poison  (* a neutralization signal was posted to this process *)
-  | Ev_neutralized  (* the signal was delivered: operation discontinued *)
 
 let default_config ~n_cores ~seed =
   { n_cores;
@@ -132,7 +111,6 @@ let default_config ~n_cores ~seed =
     rooster_oversleep_min = 0;
     clock_skew = 0;
     kill_roosters_at = None;
-    trace_capacity = 0;
     strategy = Fair;
     pct_horizon = 200_000 }
 
@@ -232,7 +210,6 @@ type t = {
   procs : proc array;
   prng : Qs_util.Prng.t;
   pct : pct_state option;
-  trace_on : bool; (* cfg.trace_capacity > 0, hoisted off the hot path *)
   (* Flat copies of the hot [cfg.cost] fields: one load instead of three
      ([t] -> [cfg] -> [cost] -> field) on every accounted step. *)
   c_plain : int;
@@ -255,9 +232,6 @@ type t = {
   mutable rooster_fires : int;
   mutable steps : int;
   mutable failures : (int * exn) list;
-  trace : (int * int * event) array; (* ring: (pid, clock, event) *)
-  mutable trace_pos : int;
-  mutable trace_len : int;
   mutable pick_lim : int;
   mutable pick_lim_steps : int;
       (* Set by the pick that chose the process about to step: the minimum
@@ -468,7 +442,6 @@ let create cfg =
     procs = Array.init cfg.n_cores make_proc;
     prng;
     pct;
-    trace_on = cfg.trace_capacity > 0;
     c_plain = cfg.cost.plain_op;
     c_aload = cfg.cost.atomic_load;
     c_astore = cfg.cost.atomic_store;
@@ -487,9 +460,6 @@ let create cfg =
     rooster_fires = 0;
     steps = 0;
     failures = [];
-    trace = Array.make (max cfg.trace_capacity 1) (0, 0, Ev_read);
-    trace_pos = 0;
-    trace_len = 0;
     pick_lim = min_int;
     pick_lim_steps = min_int;
     clocks = Array.make cfg.n_cores max_int;
@@ -512,14 +482,6 @@ let emit_to_sink (t : t) (p : proc) ev a b =
   | None -> ()
   | Some s -> s.record ~pid:p.pid ~time:p.clock ~ev ~a ~b
 
-(* Callers gate on [t.trace_on] so that the [event] argument (some carry a
-   payload and would allocate) is never even constructed on untraced runs —
-   the common case: exploration leaves the debug ring off. *)
-let record (t : t) (p : proc) ev =
-  t.trace.(t.trace_pos) <- (p.pid, p.clock, ev);
-  t.trace_pos <- (t.trace_pos + 1) mod t.cfg.trace_capacity;
-  if t.trace_len < t.cfg.trace_capacity then t.trace_len <- t.trace_len + 1
-
 (* Post a neutralization signal to [pid]. Meta-level state only: no virtual
    time, no PRNG draw, no memory effect — posting is schedule-neutral, like
    [emit]. If the target is the process currently running a fiber, its
@@ -532,7 +494,6 @@ let post_poison (t : t) pid =
     match v.state with
     | Ready | Sleeping _ ->
       v.poison_pending <- true;
-      if t.trace_on then record t v Ev_poison;
       let cur = my_cursor () in
       if cur.live && Obj.repr v == cur.cur_p then begin
         cur.lim <- min_int;
@@ -584,7 +545,6 @@ let rec advance_rooster (t : t) (p : proc) target =
     p.clock <- max p.clock p.next_rooster;
     flush_buffer p;
     t.rooster_fires <- t.rooster_fires + 1;
-    if t.trace_on then record t p Ev_rooster;
     emit_to_sink t p Qs_intf.Runtime_intf.Ev_rooster_wake (-1) (-1);
     p.clock <- p.clock + t.cfg.cost.ctx_switch;
     p.next_rooster <- p.next_rooster + iv + draw_oversleep t.cfg p.prng;
@@ -611,12 +571,12 @@ let[@inline] account (t : t) (p : proc) cost =
        and preemptions: the asynchrony that lets one process race far
        ahead of another. *)
     let d = draw p.prng in
-    if t.stall_thresh >= 0 && d lsr 1 < t.stall_thresh then begin
-      let stall = Qs_util.Prng.int p.prng (t.c_stall_max + 1) in
-      if stall > 0 && t.trace_on then record t p (Ev_stall stall);
-      advance_to t p (p.clock + cost + (d land 1) + stall)
-    end
-    else advance_to t p (p.clock + cost + (d land 1))
+    let stall =
+      if t.stall_thresh >= 0 && d lsr 1 < t.stall_thresh then
+        Qs_util.Prng.int p.prng (t.c_stall_max + 1)
+      else 0
+    in
+    advance_to t p (p.clock + cost + (d land 1) + stall)
   end
   else begin
     let jitter =
@@ -629,7 +589,6 @@ let[@inline] account (t : t) (p : proc) cost =
       then Qs_util.Prng.int p.prng (t.c_stall_max + 1)
       else 0
     in
-    if stall > 0 && t.trace_on then record t p (Ev_stall stall);
     advance_to t p (p.clock + cost + jitter + stall)
   end
 
@@ -655,37 +614,32 @@ let[@inline] write_extra (t : t) (p : proc) (c : _ Cell.t) =
    Each simulated operation's semantics, written once. [run_resume] (the
    suspended path) and the [op_*] entry points (the inline path) both call
    these after the step preliminaries (step count, drain roll), so the two
-   paths agree by construction: same accounting draws, same memory update,
-   same trace record, in that order. *)
+   paths agree by construction: same accounting draws, then the same
+   memory update. *)
 
 let[@inline] do_read (t : t) (p : proc) (c : 'a Cell.t) : 'a =
   account t p (t.c_plain + read_extra t p c);
-  if t.trace_on then record t p Ev_read;
   Cell.read_own p.pid c
 
 let[@inline] do_write (t : t) (p : proc) (c : 'a Cell.t) (v : 'a) =
   account t p t.c_plain;
   buf_push p (Obj.repr c) (Cell.enqueue_write p.pid c v);
-  if p.buf_len > t.buf_capacity then buf_pop_commit p;
-  if t.trace_on then record t p Ev_write
+  if p.buf_len > t.buf_capacity then buf_pop_commit p
 
 let[@inline] do_get (t : t) (p : proc) (c : 'a Cell.t) : 'a =
   account t p (t.c_aload + read_extra t p c);
-  if t.trace_on then record t p Ev_atomic_get;
   Cell.read_committed c
 
 let[@inline] do_set (t : t) (p : proc) (c : 'a Cell.t) (v : 'a) =
   flush_buffer p;
   account t p (t.c_astore + write_extra t p c);
-  Cell.write_committed c v;
-  if t.trace_on then record t p Ev_atomic_set
+  Cell.write_committed c v
 
 let[@inline] do_cas (t : t) (p : proc) (c : 'a Cell.t) (expected : 'a) desired =
   flush_buffer p;
   account t p (t.c_cas + write_extra t p c);
   let ok = Cell.read_committed c == expected in
   if ok then Cell.write_committed c desired;
-  if t.trace_on then record t p (Ev_cas ok);
   ok
 
 let[@inline] do_faa (t : t) (p : proc) (c : int Cell.t) n =
@@ -693,13 +647,11 @@ let[@inline] do_faa (t : t) (p : proc) (c : int Cell.t) n =
   account t p (t.c_cas + write_extra t p c);
   let old = Cell.read_committed c in
   Cell.write_committed c (old + n);
-  if t.trace_on then record t p Ev_faa;
   old
 
 let[@inline] do_fence (t : t) (p : proc) =
   flush_buffer p;
-  account t p t.c_fence;
-  if t.trace_on then record t p Ev_fence
+  account t p t.c_fence
 
 let[@inline] do_now (t : t) (p : proc) =
   account t p t.c_plain;
@@ -713,11 +665,9 @@ let[@inline] do_now (t : t) (p : proc) =
 let do_hook (t : t) (p : proc) hk =
   let i = hook_index hk in
   p.hook_counts.(i) <- p.hook_counts.(i) + 1;
-  if t.trace_on then record t p (Ev_hook hk);
   match t.cfg.strategy with
   | Targeted { victim; hook; skip; stall }
     when victim = p.pid && hook = hk && p.hook_counts.(i) = skip + 1 ->
-    if t.trace_on then record t p (Ev_stall stall);
     advance_rooster t p (p.clock + stall)
   | _ -> ()
 
@@ -816,7 +766,6 @@ let run_fiber (t : t) (p : proc) f =
             p.r_tag <- rt_unit;
             (Obj.magic p.h_defer : ((a, unit) continuation -> unit) option)
           | E_sleep_until target ->
-            if t.trace_on then record t p (Ev_sleep target);
             p.state <- Sleeping target;
             p.r_tag <- rt_unit;
             (Obj.magic p.h_defer : ((a, unit) continuation -> unit) option)
@@ -915,25 +864,18 @@ let apply_faults (t : t) (p : proc) =
     | f :: rest when fault_at f <= p.clock && p.state <> Crashed ->
       p.pending_faults <- rest;
       (match f with
-      | Stall_at { ticks; _ } ->
-        if t.trace_on then record t p (Ev_stall ticks);
-        advance_to t p (p.clock + ticks)
+      | Stall_at { ticks; _ } -> advance_to t p (p.clock + ticks)
       | Crash_at _ ->
         flush_buffer p;
-        if t.trace_on then record t p Ev_crash;
         t.crashes <- t.crashes + 1;
         p.state <- Crashed;
         clear_active t p
       | Oversleep_spike { extra; _ } ->
-        if t.trace_on then record t p (Ev_oversleep extra);
         if p.next_rooster <> max_int then p.next_rooster <- p.next_rooster + extra
       | Skew_burst { until_; extra; _ } ->
-        if t.trace_on then record t p (Ev_skew extra);
         p.extra_skew <- extra;
         p.extra_skew_until <- until_
-      | Churn_at { ticks; _ } ->
-        if t.trace_on then record t p (Ev_churn ticks);
-        p.churn_pending <- p.churn_pending @ [ ticks ]
+      | Churn_at { ticks; _ } -> p.churn_pending <- p.churn_pending @ [ ticks ]
       | Neutralize_at _ ->
         (* The signal lands now; delivery happens in [step]'s Ready branch
            once the process is inside an interruptible region. Observable
@@ -954,10 +896,7 @@ let step (t : t) (cur : cursor) (p : proc) =
   match p.state with
   | Sleeping target ->
     advance_to t p (min target (p.clock + sleep_quantum));
-    if p.clock >= target then begin
-      if t.trace_on then record t p Ev_wake;
-      p.state <- Ready
-    end
+    if p.clock >= target then p.state <- Ready
   | Ready ->
     drain_maybe t p;
     let tag = p.r_tag in
@@ -974,7 +913,6 @@ let step (t : t) (cur : cursor) (p : proc) =
          switch. *)
       p.r_tag <- rt_none;
       p.poison_pending <- false;
-      if t.trace_on then record t p Ev_neutralized;
       let k : (Obj.t, unit) continuation = Obj.obj p.r_k in
       cur.cur_t <- Obj.repr t;
       cur.cur_p <- Obj.repr p;
@@ -1346,9 +1284,3 @@ let take_churn t ~pid =
    operation without perturbing seeded schedules. *)
 let set_neutralizable t ~pid v = t.procs.(pid).neutralizable <- v
 let hook_count t ~pid h = t.procs.(pid).hook_counts.(hook_index h)
-
-(* Oldest-first contents of the event ring. *)
-let recent_events t =
-  let n = t.trace_len in
-  let cap = max t.cfg.trace_capacity 1 in
-  List.init n (fun i -> t.trace.((t.trace_pos - n + i + (2 * cap)) mod cap))

@@ -126,6 +126,8 @@ type fault =
   | Churn_at of { pid : int; at : int; ticks : int }
   | Neutralize_at of { pid : int; at : int }
 
+(** A run's fixed parameters. Tracing is not one of them: events reach the
+    sink installed with {!set_sink}, which cannot perturb the schedule. *)
 type config = {
   n_cores : int;
   seed : int;
@@ -151,34 +153,11 @@ type config = {
   clock_skew : int;  (** per-core constant offset in [0, clock_skew] *)
   kill_roosters_at : int option;
       (** stop firing roosters after this virtual time (fault injection) *)
-  trace_capacity : int;
-      (** keep the last N events in a ring for debugging; 0 disables *)
   strategy : strategy;  (** scheduling policy; default [Fair] *)
   pct_horizon : int;
       (** PCT change points are drawn from [\[0, pct_horizon)] steps;
           should be ≥ the expected step count of the run (default 200_000) *)
 }
-
-(** Events recorded in the debug trace ring (when [trace_capacity] > 0). *)
-type event =
-  | Ev_read
-  | Ev_write
-  | Ev_atomic_get
-  | Ev_atomic_set
-  | Ev_cas of bool  (** success? *)
-  | Ev_faa
-  | Ev_fence
-  | Ev_rooster
-  | Ev_stall of int
-  | Ev_sleep of int
-  | Ev_wake
-  | Ev_hook of Qs_intf.Runtime_intf.hook
-  | Ev_crash
-  | Ev_oversleep of int
-  | Ev_skew of int
-  | Ev_churn of int
-  | Ev_poison  (** a neutralization signal was posted to this process *)
-  | Ev_neutralized  (** delivery: the victim's operation was discontinued *)
 
 val default_config : n_cores:int -> seed:int -> config
 
@@ -210,7 +189,9 @@ type _ Effect.t +=
 
 val set_sink : t -> Qs_intf.Runtime_intf.sink option -> unit
 (** Install (or remove) the trace sink that receives
-    {!Qs_intf.Runtime_intf.RUNTIME.emit} events and rooster wake-ups.
+    {!Qs_intf.Runtime_intf.RUNTIME.emit} events and rooster wake-ups. It is
+    the simulator's one event stream: the scheduler keeps no trace of its
+    own, and a test that wants per-operation events emits them itself.
     Events are stamped with the emitting process's raw core clock (no
     skew), so timelines are comparable across processes. Like hooks,
     emission is handled synchronously — no virtual time, no PRNG draw, no
@@ -328,7 +309,3 @@ val set_neutralizable : t -> pid:int -> bool -> unit
 val hook_count : t -> pid:int -> Qs_intf.Runtime_intf.hook -> int
 (** How many times this process has performed the given labelled hook since
     the last {!reset_clocks} (or since creation). *)
-
-val recent_events : t -> (int * int * event) list
-(** The trace ring's contents, oldest first: (pid, core clock, event).
-    Empty unless [config.trace_capacity] > 0. *)

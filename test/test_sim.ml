@@ -354,37 +354,52 @@ let test_atomic_load_cost () =
     true
     (atomic_cost > 2 * plain_cost)
 
-(* Event-trace ring: records the configured window of events, oldest first. *)
-let test_trace_ring () =
-  let s =
-    Scheduler.create
-      { (cfg ~n_cores:1 ~rooster_interval:300 ()) with trace_capacity = 8 }
+(* A test-local trace sink: each process's events, in emission order, as
+   (time, event, a, b). *)
+let recording_sink n =
+  let log = Array.make n [] in
+  let sink =
+    { Qs_intf.Runtime_intf.record =
+        (fun ~pid ~time ~ev ~a ~b -> log.(pid) <- (time, ev, a, b) :: log.(pid)) }
+  in
+  (sink, fun () -> Array.to_list (Array.map List.rev log))
+
+(* Rooster wake-ups reach the installed trace sink, stamped with the core
+   clock, in clock order; a removed sink receives nothing. *)
+let test_rooster_sink () =
+  let body x a () =
+    R.write x 0 1;
+    ignore (R.get a);
+    ignore (R.cas a 0 1);
+    R.fence ();
+    R.charge 1_000
   in
   let x = R.plain 1 0 in
   let a = R.atomic 0 in
-  Scheduler.exec s ~pid:0 (fun () ->
-      R.write x 0 1;
-      ignore (R.get a);
-      ignore (R.cas a 0 1);
-      R.fence ();
-      R.charge 1_000);
-  let events = Scheduler.recent_events s in
-  Alcotest.(check bool) "bounded by capacity" true (List.length events <= 8);
+  let s = Scheduler.create (cfg ~n_cores:1 ~rooster_interval:300 ()) in
+  let sink, events = recording_sink 1 in
+  Scheduler.set_sink s (Some sink);
+  Scheduler.exec s ~pid:0 (body x a);
+  let events = List.concat (events ()) in
   Alcotest.(check bool) "nonempty" true (events <> []);
-  let kinds = List.map (fun (_, _, e) -> e) events in
   Alcotest.(check bool) "rooster fires recorded" true
-    (List.exists (function Scheduler.Ev_rooster -> true | _ -> false) kinds);
-  (* clocks are non-decreasing per process *)
+    (List.exists (fun (_, ev, _, _) -> ev = Qs_intf.Runtime_intf.Ev_rooster_wake) events);
+  Alcotest.(check int) "one event per rooster fire" (Scheduler.rooster_fires s)
+    (List.length events);
   let rec monotone last = function
     | [] -> true
-    | (_, clock, _) :: rest -> clock >= last && monotone clock rest
+    | (clock, _, _, _) :: rest -> clock >= last && monotone clock rest
   in
   Alcotest.(check bool) "clock-ordered" true (monotone 0 events);
-  (* disabled by default *)
-  let s2 = Scheduler.create (cfg ~n_cores:1 ()) in
-  Scheduler.exec s2 ~pid:0 (fun () -> R.write x 0 2);
-  Alcotest.(check (list reject)) "disabled: empty" []
-    (List.map (fun _ -> ()) (Scheduler.recent_events s2))
+  let s2 = Scheduler.create (cfg ~n_cores:1 ~rooster_interval:300 ()) in
+  let sink2, events2 = recording_sink 1 in
+  Scheduler.set_sink s2 (Some sink2);
+  Scheduler.set_sink s2 None;
+  Scheduler.exec s2 ~pid:0 (body x a);
+  Alcotest.(check bool) "removed sink: roosters fired" true
+    (Scheduler.rooster_fires s2 > 0);
+  Alcotest.(check int) "removed sink: nothing recorded" 0
+    (List.length (List.concat (events2 ())))
 
 (* --- fault injection ----------------------------------------------------- *)
 
@@ -593,22 +608,37 @@ let test_oversleep_min_constant () =
 (* --- inline and suspended dispatch ---------------------------------------- *)
 
 (* Every operation, every hook kind, roosters and the probabilistic drain:
-   the sum of what the process observed. *)
+   the sum of what the process observed. After each operation the body
+   emits a marker, which the trace sink stamps with the process's clock,
+   so two runs compare operation by operation. Emitting costs no step, no
+   virtual time and no PRNG draw on either dispatch path. *)
 let mixed_body ~shared ~counter ~row pid () =
+  let mark i op = R.emit Qs_intf.Runtime_intf.Ev_quiesce i op in
   let seen = ref 0 in
   for i = 1 to 60 do
     let v = R.get shared in
+    mark i 0;
     if R.cas shared v (v + pid + 1) then R.hook Qs_intf.Runtime_intf.Hook_retire;
+    mark i 1;
     R.write row pid i;
-    seen := !seen + R.read row ((pid + 1) mod 4) + R.self ();
+    mark i 2;
+    seen := !seen + R.read row ((pid + 1) mod 4);
+    mark i 3;
+    seen := !seen + R.self ();
+    mark i 4;
     seen := !seen + R.fetch_and_add counter 1;
+    mark i 5;
     if i mod 7 = 0 then begin
       R.fence ();
+      mark i 6;
       R.hook Qs_intf.Runtime_intf.Hook_scan
     end;
     seen := !seen + R.now ();
+    mark i 7;
     R.charge (pid + 1);
+    mark i 8;
     R.yield ();
+    mark i 9;
     R.hook Qs_intf.Runtime_intf.Hook_quiesce
   done;
   !seen
@@ -620,10 +650,11 @@ let run_mixed ~strategy ~suspend ~n_cores seed =
   let s =
     Scheduler.create
       { (cfg ~n_cores ~seed ~rooster_interval:700 ~drain:(Scheduler.Prob 0.05) ()) with
-        trace_capacity = 4096;
         strategy;
         pct_horizon = 2_000 }
   in
+  let sink, events = recording_sink n_cores in
+  Scheduler.set_sink s (Some sink);
   if suspend then
     Scheduler.inject s
       (List.init n_cores (fun pid ->
@@ -643,7 +674,7 @@ let run_mixed ~strategy ~suspend ~n_cores seed =
     Scheduler.steps s,
     Cell.read_committed shared :: Cell.read_committed counter
     :: List.map Cell.read_committed (Array.to_list row),
-    Scheduler.recent_events s )
+    events () )
 
 let test_inline_matches_suspended () =
   let targeted =
@@ -665,7 +696,8 @@ let test_inline_matches_suspended () =
           Alcotest.(check (list int)) (what "clocks") clocks' clocks;
           Alcotest.(check int) (what "steps") steps' steps;
           Alcotest.(check (list int)) (what "memory") mem' mem;
-          Alcotest.(check bool) (what "events nonempty") true (events <> []);
+          Alcotest.(check bool) (what "events nonempty") true
+            (List.for_all (fun e -> e <> []) events);
           Alcotest.(check bool) (what "events") true (events' = events))
         [ 1; 2; 3; 99 ])
     [ ("fair", Scheduler.Fair, 4);
@@ -734,7 +766,7 @@ let suite =
     Alcotest.test_case "reset clocks" `Quick test_reset_clocks;
     Alcotest.test_case "step/flush counters" `Quick test_counters;
     Alcotest.test_case "atomic load cost model" `Quick test_atomic_load_cost;
-    Alcotest.test_case "event trace ring" `Quick test_trace_ring;
+    Alcotest.test_case "rooster wakes reach the trace sink" `Quick test_rooster_sink;
     Alcotest.test_case "inject: stall freezes without draining" `Quick test_inject_stall;
     Alcotest.test_case "inject: crash stops and drains" `Quick test_inject_crash;
     Alcotest.test_case "inject: oversleep spike delays wake-up" `Quick test_oversleep_spike;
