@@ -7,14 +7,13 @@
     its internal parent (m = 2 removals per operation — relevant to
     Property 4's legal C). Removed internal nodes have their child edges
     poisoned before being retired, so traversal validations remain sound
-    under reclamation. Real keys must be at most [max_real_key]. *)
+    under reclamation. Real keys must lie below the two infinity
+    sentinels' keys. *)
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
   type t
   type ctx
   type node
-
-  val max_real_key : int
 
   val hp_per_process : int
   (** K = 6: three rotating traversal slots + one helper slot + slack. *)
@@ -28,7 +27,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
   val search : ctx -> int -> bool
 
   val insert : ctx -> int -> bool
-  (** Raises [Invalid_argument] for keys above [max_real_key]. *)
+  (** Raises [Invalid_argument] for a key that is not below the
+      sentinels'. *)
 
   val delete : ctx -> int -> bool
 

@@ -15,10 +15,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
   type ctx
   type node
 
-  val max_level : int
-
   val hp_per_process : int
-  (** K = 2 × (max_level + 1) + 1: two per level, plus the inserter's own
+  (** K = 2 × 16 + 1: two per level (16 levels), plus the inserter's own
       node. *)
 
   val nodes_per_key : int

@@ -26,16 +26,9 @@ val covers : t -> int -> bool
 val rare_classes : (string * int) list
 (** [(name, event_index)] of the event classes the corpus must witness. *)
 
-val rare_mask : t -> int
-(** Bitmask (by event index) of the rare classes this run reached. *)
-
 val run_covered : Explorer.case -> Explorer.outcome * t
 (** {!Explorer.run_one} with a counting sink installed (schedule-neutral:
     the verdict equals the sink-free run's). *)
-
-val mutations : Explorer.case -> Explorer.case list
-(** The deterministic seed neighborhood of a case: nearby seeds, PCT-style
-    depth mutations, bag-capacity flips. *)
 
 type growth = {
   selected : (Explorer.case * t) list;  (** acceptance order *)
@@ -57,5 +50,6 @@ val grow :
     [batch] cases at a time through {!Explorer_pool.map} with [jobs]
     workers. Failing cases are never selected (the corpus is known-clean by
     construction); cases hitting a rare class whose selected-witness count
-    is below [quota] get their {!mutations} enqueued ahead of the uniform
-    backlog. *)
+    is below [quota] get their deterministic seed neighborhood (nearby
+    seeds, PCT-style depth mutations, bag-capacity flips) enqueued ahead
+    of the uniform backlog. *)

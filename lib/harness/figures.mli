@@ -7,9 +7,6 @@ type scale =
   | Quick  (** scaled-down structure sizes; seconds *)
   | Full  (** the paper's sizes (BST scaled 10x down); minutes *)
 
-val core_counts : scale -> int list
-val range_of : scale -> Cset.kind -> int
-
 val scalability :
   scale:scale ->
   seed:int ->

@@ -68,8 +68,6 @@ type result = {
   report : Qs_ds.Set_intf.report;
 }
 
-val rooster_interval_ns : int
-
 val cset_of : Cset.kind -> (module Cset.S)
 (** The real-runtime instantiation of each structure. *)
 

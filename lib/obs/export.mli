@@ -19,15 +19,11 @@
     1:1 to "µs", which Perfetto renders fine; pass 1000 for real-runtime
     nanoseconds). *)
 
-val chrome_to_buffer : ?ts_div:int -> Tracer.t -> Buffer.t -> unit
-
 val chrome : ?ts_div:int -> Tracer.t -> string
 (** The JSON document as a string. *)
 
 val save_chrome : ?ts_div:int -> Tracer.t -> string -> unit
 (** Write to a file. Conventional suffix: [.trace.json]. *)
-
-val csv_to_buffer : Tracer.t -> Buffer.t -> unit
 
 val csv : Tracer.t -> string
 (** Header [time,pid,event,a,b], one row per retained event, merged

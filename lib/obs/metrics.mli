@@ -71,9 +71,6 @@ type cause =
 
 val cause_name : cause -> string
 
-val all_causes : cause list
-(** In attribution priority order, [Unattributed] last. *)
-
 type attribution = {
   attr_threshold : int;  (** minimum duration considered a spike *)
   attr_total : int;  (** outliers at/above the threshold *)

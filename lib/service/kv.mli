@@ -10,14 +10,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
   type t
   type ctx
 
-  val default_shards : int
-
-  val heartbeat_interval : int
-  (** Requests between bookkeeping rounds across all structures. *)
-
   val create : ?n_shards:int -> Qs_ds.Set_intf.config -> t
-  (** [n_shards] must be a positive power of two (default
-      {!default_shards}). *)
+  (** [n_shards] must be a positive power of two (default 8). *)
 
   val n_shards : t -> int
 

@@ -20,14 +20,9 @@ val interp_rank : n:int -> p:float -> float
     sorted samples: [p / 100 * (n - 1)]. Raises [Invalid_argument] when
     [p] is outside [\[0, 100\]]. *)
 
-val count_rank : total:int -> p:float -> int
-(** The 1-based rank of percentile [p] in a population of [total] counted
-    samples: [max 1 (ceil (p / 100 * total))] — the rank an online
-    histogram walks its cumulative bucket counts up to. Raises
-    [Invalid_argument] when [p] is outside [\[0, 100\]]. *)
-
 val cumulative_index : int array -> p:float -> int
 (** Index of the bucket containing percentile [p] of the counts' total:
-    the first bucket at which the cumulative count reaches
-    [count_rank ~total ~p]. Returns [0] when the total is 0; raises
+    the first bucket at which the cumulative count reaches the 1-based
+    rank [max 1 (ceil (p / 100 * total))]. Returns [0] when the total is
+    0; raises
     [Invalid_argument] when [p] is out of range. *)

@@ -5,26 +5,20 @@
     right shift — reducing with [mod 2^k] keeps the poorly-mixed low end
     (for sequential keys, barely better than the identity). *)
 
-val multiplier : int
-(** floor(2^64 / phi) / 4, odd, within OCaml's immediate range. *)
-
 val hash_bits : int
 (** Number of usable bits in {!hash}'s result (62). *)
 
 val hash : int -> int
-(** [hash key] = [key * multiplier] truncated to {!hash_bits} bits.
+(** [hash key] = [key] times floor(2^64 / phi) / 4 (odd, within OCaml's
+    immediate range), truncated to {!hash_bits} bits.
     A bijection on the 62-bit space; allocation-free. *)
 
 val shift_for : int -> int option
 (** [shift_for n] is [Some (hash_bits - k)] when [n = 2^k] — the shift
-    that turns {!hash} into a uniform index in [0, n) via
-    {!index_pow2} — and [None] for non-power-of-two [n]. *)
-
-val index_pow2 : shift:int -> int -> int
-(** [index_pow2 ~shift key] = [hash key lsr shift]: top-bits bucket index
-    for a power-of-two table whose shift was computed by {!shift_for}. *)
+    that turns {!hash} into a uniform index in [0, n) as
+    [hash key lsr shift] — and [None] for non-power-of-two [n]. *)
 
 val index : n:int -> int -> int
 (** Bucket index in [0, n) for any positive [n]: top-bits shift when [n]
     is a power of two, [mod] fallback otherwise. Prefer precomputing
-    {!shift_for} + {!index_pow2} on hot paths. *)
+    {!shift_for} on hot paths. *)

@@ -37,12 +37,6 @@ let[@inline] int t bound =
 
 let float t bound = bound *. (float_of_int (next t land max_int) /. float_of_int max_int)
 
-(* [chance t p] = [float t 1.0 < p] (same single draw, same decision), but
-   the float comparison happens inside this compilation unit, so without
-   flambda no boxed float crosses the module boundary. The simulator rolls
-   a stall chance on every scheduled step. *)
-let chance t p = float_of_int (next t land max_int) /. float_of_int max_int < p
-
 let[@inline] bool t = next t land 1 = 1
 
 let percent t = int t 100

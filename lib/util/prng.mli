@@ -37,11 +37,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val chance : t -> float -> bool
-(** [chance t p] draws once and is [true] with probability [p] — the exact
-    decision [float t 1.0 < p] would make, without the boxed float return
-    crossing the module boundary (hot in the simulator's step accounting). *)
-
 val bool : t -> bool
 
 val percent : t -> int

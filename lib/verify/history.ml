@@ -21,12 +21,3 @@ let entries t =
   Array.fold_left (fun acc log -> List.rev_append !log acc) [] t.logs
 
 let length t = Array.fold_left (fun acc log -> acc + List.length !log) 0 t.logs
-
-let op_to_string = function
-  | Search -> "search"
-  | Insert -> "insert"
-  | Delete -> "delete"
-
-let pp_entry fmt e =
-  Format.fprintf fmt "[p%d %s(%d)=%b @%d-%d]" e.pid (op_to_string e.op) e.key
-    e.result e.inv e.res

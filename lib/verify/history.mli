@@ -28,5 +28,3 @@ val entries : t -> entry list
 (** All recorded entries, in no particular order. *)
 
 val length : t -> int
-
-val pp_entry : Format.formatter -> entry -> unit

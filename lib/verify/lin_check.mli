@@ -19,7 +19,3 @@ val check_set : initial:int list -> History.entry list -> verdict
 
 val is_linearizable : initial:int list -> History.entry list -> bool
 (** [check_set] as a boolean; [Too_large] raises [Invalid_argument]. *)
-
-val check_key : present0:bool -> History.entry list -> bool
-(** Check a single key's sub-history (every entry must have the same key)
-    against the boolean membership model starting at [present0]. *)
