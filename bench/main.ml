@@ -392,21 +392,19 @@ module E2e = struct
     | Qs_harness.Cset.List -> 512
     | _ -> 4_096
 
-  let run_one ~quick ~churn ~ds ~scheme ~n_domains =
+  let run_one ~quick ~ds ~scheme ~n_domains =
     let workload =
       Qs_workload.Spec.make ~key_range:(key_range ds) ~update_pct:20
     in
     let setup =
       { (Qs_harness.Real_exp.default_setup ~ds ~scheme ~n_domains ~workload) with
         duration_ms = (if quick then 50 else 250);
-        (* --churn: three worker generations per pid slot, each handing its
-           limbo lists to the orphan pool for the survivors to adopt *)
+        (* three worker generations per pid slot, each handing its limbo
+           lists to the orphan pool for the survivors to adopt *)
         churn =
-          (if churn then
-             Some
-               { Qs_harness.Real_exp.generations = 3;
-                 downtime_ms = (if quick then 2 else 10) }
-           else None);
+          Some
+            { Qs_harness.Real_exp.generations = 3;
+              downtime_ms = (if quick then 2 else 10) };
         seed = 42 }
     in
     let r = Qs_harness.Real_exp.run setup in
@@ -425,21 +423,18 @@ module E2e = struct
       failed = r.failed;
       churn_events = r.churn_events }
 
-  let run ~quick ~churn =
+  let run ~quick =
     List.concat_map
       (fun ds ->
         List.concat_map
           (fun scheme ->
             List.map
               (fun n_domains ->
-                let r = run_one ~quick ~churn ~ds ~scheme ~n_domains in
-                Printf.printf "  %-9s %-9s %d domains: %6.2f Mops/s%s\n%!"
+                let r = run_one ~quick ~ds ~scheme ~n_domains in
+                Printf.printf "  %-9s %-9s %d domains: %6.2f Mops/s (%d churn events)\n%!"
                   (Qs_harness.Cset.kind_to_string ds)
                   (Qs_smr.Scheme.to_string scheme)
-                  n_domains r.throughput_mops
-                  (if churn then
-                     Printf.sprintf " (%d churn events)" r.churn_events
-                   else "");
+                  n_domains r.throughput_mops r.churn_events;
                 r)
               (domain_counts ~quick))
           schemes)
@@ -484,7 +479,7 @@ let real_ab ~quick instrument =
   let on = Qs_harness.Real_exp.run (instrument base) in
   (off.Qs_harness.Real_exp.throughput_mops, on.Qs_harness.Real_exp.throughput_mops)
 
-(* --- reclamation observatory (--trace) ------------------------------------ *)
+(* --- reclamation observatory ----------------------------------------------- *)
 
 (* The tracing subsystem exercised end to end (see DESIGN.md §9 and
    EXPERIMENTS.md, "Reclamation observatory"):
@@ -646,12 +641,12 @@ module Observatory = struct
     print_newline ()
 
   let dashboard () =
-    Printf.printf "== reclamation observatory (--trace) ==\n%!";
+    Printf.printf "== reclamation observatory ==\n%!";
     cadence_age ();
     qsense_fallback ()
 end
 
-(* --- latency observatory (--latency) -------------------------------------- *)
+(* --- latency observatory --------------------------------------------------- *)
 
 (* Per-operation latency histograms on both runtimes (DESIGN.md §14):
 
@@ -737,7 +732,7 @@ module Latency_obs = struct
     print_newline ()
 end
 
-(* --- KV service observatory (--service) ----------------------------------- *)
+(* --- KV service observatory ------------------------------------------------ *)
 
 (* The epoch-protected KV service (DESIGN.md §15) measured end to end:
 
@@ -847,12 +842,11 @@ end
    BENCH_HISTORY.jsonl) and by EXPERIMENTS.md readers, which lists what
    each schema number changed. "retire_scan" rows carry the production
    bag path's ns/retire. "e2e" holds one row per scheme (incumbents and
-   rivals) × {list, hashtable} × domain count. "trace" is the real-domain
-   sink off/on A/B. The "latency" section ([null] unless the bench ran
-   with [--latency]) holds the recorder off/on A/B and one sim row per
-   {scheme × structure × process count} plus the QSense stall row. The
-   "service" section ([null] unless [--service]) holds a real-domain
-   churned-throughput row and one sim row per {scheme × key distribution}
+   rivals) × {list, hashtable} × domain count, every run with worker
+   churn ("churn" is always true). "trace" is the real-domain sink off/on
+   A/B. The "latency" section holds the recorder off/on A/B and one sim
+   row per {scheme × structure × process count} plus the QSense stall
+   row. The "service" section holds a real-domain churned-throughput row and one sim row per {scheme × key distribution}
    — requests, violations, churn events, leak check, per-op-kind
    p50/p99/p999 in virtual ticks, and the whole-run p999 spike
    attribution — plus the QSense stall row. The gate requires each stall
@@ -900,27 +894,26 @@ let service_json (rep : Service_obs.report) =
            ("churn_events", int rr.r_churn) ]);
       ("rows", Json.Arr (List.map Service_obs.row_json rep.svc_rows)) ]
 
-let emit_json ~path ~quick ~churn ~retire_scan ~e2e ~trace ~latency ~service =
+let emit_json ~path ~quick ~retire_scan ~e2e ~trace ~latency ~service =
   let retire_scan_row (r : Micro.result) =
     Json.Obj
       [ ("scenario", str (Micro.scenario_name r.scenario));
         ("limbo", int r.limbo);
         ("bag_ns_per_op", Json.Num r.bag_ns) ]
   in
-  let optional f = function None -> Json.Null | Some rep -> f rep in
   let doc =
     Json.Obj
       [ ("schema", int 11);
         ("explorer", Json.Null);
         ("quick", Json.Bool quick);
-        ("churn", Json.Bool churn);
+        ("churn", Json.Bool true);
         ("n_processes", int Micro.n_processes);
         ("hp_per_process", int Micro.hp_per_process);
         ("retire_scan", Json.Arr (List.map retire_scan_row retire_scan));
         ("e2e", Json.Arr (List.map e2e_json e2e));
         ("trace", trace_json trace);
-        ("latency", optional latency_json latency);
-        ("service", optional service_json service) ]
+        ("latency", latency_json latency);
+        ("service", service_json service) ]
   in
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (Json.to_string doc));
@@ -930,11 +923,6 @@ let () =
   let argv = Array.to_list Sys.argv in
   let quick = List.mem "--quick" argv in
   let micro_only = List.mem "--micro-only" argv in
-  let e2e = List.mem "--e2e" argv in
-  let churn = List.mem "--churn" argv in
-  let trace = List.mem "--trace" argv in
-  let latency = List.mem "--latency" argv in
-  let service = List.mem "--service" argv in
   R.register_self 0;
   (* roosters give Cadence/QSense their coarse clock and wake-up guarantee *)
   let roosters = Qs_real.Roosters.start ~interval_ns:2_000_000 ~n:1 in
@@ -963,46 +951,25 @@ let () =
   let target_ops = if quick then 200_000 else 2_000_000 in
   let results = Micro.run ~sizes ~target_ops in
   Micro.print_table results;
-  let e2e_results =
-    if e2e then begin
-      Printf.printf "== end-to-end sweep on real domains (%s%s) ==\n%!"
-        (if quick then "quick" else "full")
-        (if churn then ", with worker churn" else "");
-      let rs = E2e.run ~quick ~churn in
-      E2e.print_table rs;
-      rs
-    end
-    else []
-  in
-  if trace then Observatory.dashboard ();
+  Printf.printf "== end-to-end sweep on real domains (%s, with worker churn) ==\n%!"
+    (if quick then "quick" else "full");
+  let e2e_results = E2e.run ~quick in
+  E2e.print_table e2e_results;
+  Observatory.dashboard ();
   Printf.printf "== tracing overhead (sink off vs on) ==\n%!";
   let trace_overhead = Observatory.overhead ~quick in
   Observatory.print_overhead trace_overhead;
-  let latency_report =
-    if latency then begin
-      Printf.printf
-        "== latency observatory (--latency): per-op histograms + p999 \
-         attribution ==\n%!";
-      let rep = Latency_obs.run ~quick in
-      Latency_obs.print_tables rep;
-      Some rep
-    end
-    else None
-  in
-  let service_report =
-    if service then begin
-      Printf.printf
-        "== KV service observatory (--service): sharded store, open-loop \
-         traces ==\n%!";
-      let rep = Service_obs.run ~quick in
-      Service_obs.print_tables rep;
-      Some rep
-    end
-    else None
-  in
-  emit_json ~path:(out_path "BENCH_RESULTS.json") ~quick ~churn
-    ~retire_scan:results ~e2e:e2e_results ~trace:trace_overhead
-    ~latency:latency_report ~service:service_report;
+  Printf.printf
+    "== latency observatory: per-op histograms + p999 attribution ==\n%!";
+  let latency_report = Latency_obs.run ~quick in
+  Latency_obs.print_tables latency_report;
+  Printf.printf
+    "== KV service observatory: sharded store, open-loop traces ==\n%!";
+  let service_report = Service_obs.run ~quick in
+  Service_obs.print_tables service_report;
+  emit_json ~path:(out_path "BENCH_RESULTS.json") ~quick ~retire_scan:results
+    ~e2e:e2e_results ~trace:trace_overhead ~latency:latency_report
+    ~service:service_report;
   Qs_real.Roosters.stop roosters;
   (* The multi-core figures come from the simulator: *)
   print_endline "Scalability and robustness figures (multi-core) are produced by the";

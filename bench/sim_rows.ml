@@ -1,4 +1,4 @@
-(* The bench's simulator rows (--latency, --service): the latency and KV
+(* The bench's simulator rows: the latency and KV
    service observatories' sim matrices and stall rows, and their JSON.
    Deterministic, so bench/main.exe writes them into BENCH_RESULTS.json and
    bench/explore.exe digests them into the schedule fingerprints. *)

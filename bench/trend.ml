@@ -224,7 +224,7 @@ let gate_runs results =
   if arr "retire_scan" results = [] then
     fail "retire_scan is empty (retire/scan micro produced no rows)";
   let e2e = arr "e2e" results in
-  if e2e = [] then fail "e2e is empty (bench not run with --e2e?)";
+  if e2e = [] then fail "e2e is empty (the end-to-end sweep produced no rows)";
   let bad = List.filter unsafe e2e in
   if bad <> [] then
     fail "e2e: %d row(s) with violations or failures (%s)" (List.length bad)
@@ -244,9 +244,9 @@ let gate_runs results =
               ds (show got) (show want))
         [ "list"; "hashtable" ])
     e2e_schemes;
-  if not (flag "churn" results) then fail "churn = false (bench not run with --churn)";
+  if not (flag "churn" results) then fail "churn = false (e2e sweep ran without worker churn)";
   if not (List.exists (fun r -> num "churn_events" r > 0.) e2e) then
-    fail "e2e ran with --churn but no row recorded churn_events";
+    fail "e2e ran with churn but no row recorded churn_events";
   let tr = obj "trace" results in
   if num "events_recorded_sink_on" tr <= 0. then
     fail "trace.events_recorded_sink_on = 0 (traced A/B run recorded no events)";
