@@ -80,17 +80,19 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let uid_counter = Atomic.make 0
   let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
+  let mk_leaf key =
+    { uid = fresh_uid ();
+      key;
+      is_leaf = true;
+      left = R.atomic Nil;
+      right = R.atomic Nil;
+      upd = R.atomic (clean ());
+      free = false }
+
   module D = Smr_domain.Make (R) (struct
     type t = node
 
-    let create () =
-      { uid = fresh_uid ();
-        key = 0;
-        is_leaf = true;
-        left = R.atomic Nil;
-        right = R.atomic Nil;
-        upd = R.atomic (clean ());
-        free = false }
+    let create () = mk_leaf 0
 
     let is_free n = n.free
     let set_free n b = n.free <- b
@@ -101,15 +103,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   type ctx = { set : t; smr : D.ctx }
 
   let hp_per_process = 6
-
-  let mk_leaf key =
-    { uid = fresh_uid ();
-      key;
-      is_leaf = true;
-      left = R.atomic Nil;
-      right = R.atomic Nil;
-      upd = R.atomic (clean ());
-      free = false }
 
   let create (cfg : Set_intf.config) =
     let root =

@@ -24,14 +24,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let uid_counter = Atomic.make 0
   let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
+  let make_node () =
+    { uid = fresh_uid (); value = 0; next = R.atomic Null; free = false }
+
   module D = Smr_domain.Make (R) (struct
     type t = node
 
-    let create () =
-      { uid = fresh_uid ();
-        value = 0;
-        next = R.atomic Null;
-        free = false }
+    let create = make_node
 
     let is_free n = n.free
     let set_free n b = n.free <- b
@@ -51,13 +50,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let dest = function Ptr n -> n | Null -> assert false
 
   let create (cfg : Set_intf.config) =
-    let sentinel =
-      (* never retired; fills unused hazard-pointer slots *)
-      { uid = fresh_uid ();
-        value = 0;
-        next = R.atomic Null;
-        free = false }
-    in
+    (* never retired; fills unused hazard-pointer slots *)
+    let sentinel = make_node () in
     let dom =
       D.create cfg ~hp_per_process ~removes_per_op_max:1 ~dummy:sentinel
     in

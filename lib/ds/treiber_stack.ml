@@ -27,14 +27,12 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let uid_counter = Atomic.make 0
   let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
+  let make_node () = { uid = fresh_uid (); value = 0; next = Null; free = false }
+
   module D = Smr_domain.Make (R) (struct
     type t = node
 
-    let create () =
-      { uid = fresh_uid ();
-        value = 0;
-        next = Null;
-        free = false }
+    let create = make_node
 
     let is_free n = n.free
     let set_free n b = n.free <- b
@@ -47,12 +45,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let hp_per_process = 1
 
   let create (cfg : Set_intf.config) =
-    let dummy =
-      { uid = fresh_uid ();
-        value = 0;
-        next = Null;
-        free = false }
-    in
+    let dummy = make_node () in
     let dom = D.create cfg ~hp_per_process ~removes_per_op_max:1 ~dummy in
     { top = R.atomic Null; dom }
 
