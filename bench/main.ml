@@ -358,9 +358,12 @@ end
    domain counts, the incumbents and the rival schemes (DESIGN.md §13) in
    one matrix. Where the bechamel groups above time single operations on
    one core, this measures aggregate throughput with reclamation actually
-   feeding the allocator — [reuse_ratio] close to 1 is the proof that
-   retire → scan → free → alloc recycles nodes at steady state, and
-   [retired_peak] bounds the limbo memory. On machines with fewer cores
+   feeding the allocator: [reuse_ratio] is the share of allocations that
+   recycled a freed node, and [retired_peak] bounds the limbo memory. A
+   low or zero [reuse_ratio] is not by itself a fault: these runs are
+   short (50 ms per worker generation at --quick), and a scheme that scans
+   after R retires recycles nothing in a generation that retires fewer
+   than R nodes (HP on the list). On machines with fewer cores
    than domains the domains timeshare; the numbers remain a valid
    safety/recycling check (violations = 0, failed = false) even when the
    scalability shape flattens. *)
@@ -479,7 +482,7 @@ let real_ab ~quick instrument =
   let on = Qs_harness.Real_exp.run (instrument base) in
   (off.Qs_harness.Real_exp.throughput_mops, on.Qs_harness.Real_exp.throughput_mops)
 
-(* --- reclamation observatory ----------------------------------------------- *)
+(* --- reclamation observatory --------------------------------------------- *)
 
 (* The tracing subsystem exercised end to end (see DESIGN.md §9 and
    EXPERIMENTS.md, "Reclamation observatory"):
@@ -646,7 +649,7 @@ module Observatory = struct
     qsense_fallback ()
 end
 
-(* --- latency observatory --------------------------------------------------- *)
+(* --- latency observatory ------------------------------------------------- *)
 
 (* Per-operation latency histograms on both runtimes (DESIGN.md §14):
 
@@ -732,7 +735,7 @@ module Latency_obs = struct
     print_newline ()
 end
 
-(* --- KV service observatory ------------------------------------------------ *)
+(* --- KV service observatory ---------------------------------------------- *)
 
 (* The epoch-protected KV service (DESIGN.md §15) measured end to end:
 
@@ -846,12 +849,13 @@ end
    churn ("churn" is always true). "trace" is the real-domain sink off/on
    A/B. The "latency" section holds the recorder off/on A/B and one sim
    row per {scheme × structure × process count} plus the QSense stall
-   row. The "service" section holds a real-domain churned-throughput row and one sim row per {scheme × key distribution}
-   — requests, violations, churn events, leak check, per-op-kind
-   p50/p99/p999 in virtual ticks, and the whole-run p999 spike
-   attribution — plus the QSense stall row. The gate requires each stall
-   row's attribution ≥ 80%. No section carries allocation pins: the test
-   suite pins the same code paths. The "explorer" section is emitted as
+   row. The "service" section holds a real-domain churned-throughput row
+   and one sim row per {scheme × key distribution} — requests,
+   violations, churn events, leak check, per-op-kind p50/p99/p999 in
+   virtual ticks, and the whole-run p999 spike attribution — plus the
+   QSense stall row. The gate requires each stall row's attribution
+   ≥ 80%. No section carries allocation pins: the test suite pins the
+   same code paths. The "explorer" section is emitted as
    [null] here; [explore.exe profile --out out/BENCH_RESULTS.json] fills
    it in (the numbers belong to the explorer binary, which owns the
    representative case mix). *)

@@ -45,9 +45,13 @@
    accounting that keeps the deferral sound, and DESIGN.md §11 the
    bag-walk argument.
 
-   A handle holds an array of removed lists, scanned together: one for
-   the stand-alone schemes; QSense's three epoch lists plus the list its
-   adopted orphans land in. *)
+   A handle holds an array of removed lists, scanned together, and
+   adopted orphans land in the last one. An undeferred handle has one
+   list: its scan walks every bag. A deferred handle keeps its adopted
+   orphans apart from its own retires, so that its own young head bag
+   cannot stop the age-ordered walk before it reaches older adopted bags:
+   Cadence has two lists, QSense its three epoch lists plus the adopted
+   one. *)
 
 module Bag = Qs_util.Bag
 
@@ -164,7 +168,7 @@ struct
     t.handles.(pid) <- Some h;
     h
 
-  let register t ~pid = attach t ~pid ~lists:1
+  let register t ~pid = attach t ~pid ~lists:(if P.deferred then 2 else 1)
 
   let manage_state _ = ()
 

@@ -224,6 +224,33 @@ let test_cadence_unregister_preserves_ages () =
       check_freed freed [ 301; 302 ];
       check_kept freed [ 304 ])
 
+(* Adopted orphans older than T + epsilon are freed by the first scan after
+   adoption, even when the adopter's own oldest bag is young. With
+   one-node bags every retire seals a bag; the adopter's young bag must
+   not stop the age-ordered walk before it reaches the orphans' bags. *)
+let test_cadence_adopted_orphans_freed () =
+  let s = sched ~rooster:(Some 1_000) () in
+  let freed = ref [] in
+  let t =
+    Cadence.create (cfg ~r:1 ~t:1_000 ~eps:100 ~bag_cap:1 ()) ~dummy
+      ~free_bulk:(track_frees freed)
+  in
+  let h0 = Cadence.register t ~pid:0 in
+  let h1 = Cadence.register t ~pid:1 in
+  Scheduler.exec s ~pid:1 (fun () ->
+      Cadence.retire h1 (mk 401);
+      Cadence.retire h1 (mk 402);
+      Cadence.unregister h1);
+  Alcotest.(check int) "orphans counted" 2 (Cadence.retired_count t);
+  Scheduler.exec s ~pid:0 (fun () ->
+      (* past T + epsilon for the orphans, then one retire: its scan
+         adopts them behind the adopter's own, just-sealed bag *)
+      Sim_runtime.charge 2_000;
+      Cadence.retire h0 (mk 403));
+  check_freed freed [ 401; 402 ];
+  check_kept freed [ 403 ];
+  Alcotest.(check int) "only the young node left" 1 (Cadence.retired_count t)
+
 (* --- QSense: unregister donates, survivors adopt under HP + age ----------- *)
 
 let test_qsense_unregister_adopt () =
@@ -536,6 +563,8 @@ let suite =
       test_hp_unregister_adopt;
     Alcotest.test_case "cadence adoption preserves ages" `Quick
       test_cadence_unregister_preserves_ages;
+    Alcotest.test_case "cadence frees old orphans at the first scan" `Quick
+      test_cadence_adopted_orphans_freed;
     Alcotest.test_case "qsense unregister, adoption under HP+age" `Quick
       test_qsense_unregister_adopt;
     Alcotest.test_case "qsense eviction frees the victim's limbo" `Quick
