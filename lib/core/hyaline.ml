@@ -34,7 +34,8 @@
    leaves would strand its chain) lives at the meta level: every sealed
    batch is pushed onto a [Stdlib.Atomic] registry and carries a [freed]
    claim flag, so teardown ({!flush}) can free stragglers exactly once
-   without racing the reference-count path. *)
+   without racing the reference-count path. Sealing prunes freed batches
+   from the registry once it has doubled since the last prune. *)
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   type node = N.t
@@ -68,16 +69,18 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
      claims it; landing in a later session only defers that batch, never
      frees it early. *)
 
+  (* [kept]: the length the last prune left. *)
+  type roster = { batches : batch list; length : int; kept : int }
+
   type t = {
     cfg : Smr_intf.config;
     free_bulk : node array -> int -> unit;
     capacity : int;
     dummy : node;  (** fills fresh open-batch arrays *)
     slots : slot R.atomic array;
-    registry : batch list Stdlib.Atomic.t;
-        (* append-only roster of sealed-but-not-yet-freed batches for
-           {!flush}; freed batches stay listed (three words each) and are
-           skipped via their claim flag *)
+    registry : roster Stdlib.Atomic.t;
+        (* sealed batches for {!flush}; a freed batch stays listed, skipped
+           via its claim flag, until the next prune drops it *)
     outstanding : int Stdlib.Atomic.t;
         (* retired-not-yet-freed nodes, maintained at the meta level so
            {!retired_count} needs no process context *)
@@ -107,7 +110,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       capacity = max 1 cfg.bag_capacity;
       dummy;
       slots = Array.init cfg.n_processes (fun _ -> R.atomic_padded Inactive);
-      registry = Stdlib.Atomic.make [];
+      registry = Stdlib.Atomic.make { batches = []; length = 0; kept = 0 };
       outstanding = Stdlib.Atomic.make 0;
       peak = Stdlib.Atomic.make 0;
       handles = Array.make cfg.n_processes None;
@@ -138,10 +141,24 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     if v > cur && not (Stdlib.Atomic.compare_and_set cell cur v) then
       meta_max cell v
 
+  (* Returns the roster the push installed. *)
   let rec registry_push t b =
     let cur = Stdlib.Atomic.get t.registry in
-    if not (Stdlib.Atomic.compare_and_set t.registry cur (b :: cur)) then
-      registry_push t b
+    let next = { cur with batches = b :: cur.batches; length = cur.length + 1 } in
+    if Stdlib.Atomic.compare_and_set t.registry cur next then next
+    else registry_push t b
+
+  (* Below this length the registry is not worth a walk. *)
+  let min_prune = 64
+
+  (* Drops freed batches. Losing the CAS to a concurrent push or prune
+     leaves the pruning to a later seal. *)
+  let prune t cur =
+    let batches = List.filter (fun b -> not (Stdlib.Atomic.get b.freed)) cur.batches in
+    let n = List.length batches in
+    ignore
+      (Stdlib.Atomic.compare_and_set t.registry cur { batches; length = n; kept = n }
+        : bool)
 
   (* -- freeing ------------------------------------------------------- *)
 
@@ -220,7 +237,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     in
     h.open_data <- Array.make t.capacity t.dummy;
     h.open_count <- 0;
-    registry_push t b;
+    let roster = registry_push t b in
+    if roster.length >= max min_prune (2 * roster.kept) then prune t roster;
     R.emit Qs_intf.Runtime_intf.Ev_bag_seal b.count (-1);
     Array.iter (fun cell -> insert_into h b cell) t.slots;
     (* drop the creator reference; if no slot was active the batch frees
@@ -296,7 +314,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       h.open_count <- 0
     end;
     List.iter (fun b -> free_batch ~emit:false h b)
-      (Stdlib.Atomic.get t.registry);
+      (Stdlib.Atomic.get t.registry).batches;
     List.iter
       (fun (e : _ Orphan_pool.entry) ->
         let n = Array.length e.Orphan_pool.payload in

@@ -412,6 +412,27 @@ let test_hyaline_enter_leave_exact_zero () =
     ~step:(fun _ -> Hy_s.drop_ref h b)
     ()
 
+(* Regression: [seal] used to push every batch onto the teardown registry
+   and nothing removed it, so each freed batch kept its record and its
+   data array reachable (~77 words at capacity 64): 200k retires grew the
+   instance by ~240k words with nothing left to free. On this
+   single-handle loop every batch is freed before the next seal, so
+   pruning keeps the registry within 64 entries (~5k words). *)
+let test_hyaline_registry_bounded () =
+  let dummy = { fid = -1; freed = 0 } in
+  let node = { fid = 1; freed = 0 } in
+  let t = Hy_s.create Test_bags.base_cfg ~dummy ~free_bulk:Test_bags.free_bulk in
+  let h = Hy_s.register t ~pid:0 in
+  for _ = 1 to 200_000 do
+    Hy_s.manage_state h;
+    Hy_s.retire h node;
+    Hy_s.clear_hps h
+  done;
+  checki "nothing left to free" 0 (Hy_s.retired_count t);
+  let words = Obj.reachable_words (Obj.repr t) in
+  checkb (Printf.sprintf "instance reaches %d words (< 20000)" words) true
+    (words < 20_000)
+
 let suite =
   [ Alcotest.test_case "differential battery vs incumbents" `Quick test_battery;
     Alcotest.test_case "bag capacity differential: debra+/hyaline" `Quick
@@ -430,5 +451,7 @@ let suite =
     Alcotest.test_case "hyaline retire allocates exactly zero" `Quick
       test_hyaline_retire_exact_zero;
     Alcotest.test_case "hyaline enter/leave + decrement allocate zero" `Quick
-      test_hyaline_enter_leave_exact_zero
+      test_hyaline_enter_leave_exact_zero;
+    Alcotest.test_case "hyaline registry stays bounded" `Quick
+      test_hyaline_registry_bounded
   ]
