@@ -100,9 +100,6 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     evicted_count : int R.atomic;
     fallback_since : int R.atomic;
     mutable mode_shadow : Smr_intf.mode; (* effect-free mirror for stats *)
-    mutable fallback_since_shadow : int;
-        (* effect-free mirror of [fallback_since] for stats — [stats] runs
-           outside process context, where runtime effects are illegal *)
     mutable fallback_ticks_acc : int;
         (* total time spent in completed fallback episodes (stats only;
            written exclusively by the process that wins the
@@ -156,7 +153,6 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
       evicted_count = R.atomic_padded 0;
       fallback_since = R.atomic_padded 0;
       mode_shadow = Smr_intf.Fast;
-      fallback_since_shadow = 0;
       fallback_ticks_acc = 0;
       handles = Array.make cfg.n_processes None }
 
@@ -270,9 +266,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     let t = h.owner in
     if R.cas t.fallback_flag 0 1 then begin
       t.mode_shadow <- Smr_intf.Fallback;
-      let now = R.now () in
-      R.set t.fallback_since now;
-      t.fallback_since_shadow <- now;
+      R.set t.fallback_since (R.now ());
       R.emit Qs_intf.Runtime_intf.Ev_fallback_enter (total_limbo h) (-1);
       reset_presence t;
       R.set t.presence.(h.pid) 1;
@@ -445,10 +439,6 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
   let stats t =
     { (Hz.stats t.engine) with
       fallback_ticks = t.fallback_ticks_acc;
-      fallback_since =
-        (match t.mode_shadow with
-        | Smr_intf.Fallback -> Some t.fallback_since_shadow
-        | Smr_intf.Fast -> None);
       mode = t.mode_shadow }
 end
 

@@ -135,12 +135,6 @@ type stats = {
       (** Total [RUNTIME.now] time spent in fallback mode over completed
           fallback episodes; an ongoing episode counts only once it exits.
           Simulator: virtual ticks. Real runtime: nanoseconds. *)
-  fallback_since : int option;
-      (** [Some t]: the scheme is in fallback mode now and entered it at
-          [RUNTIME.now]-time [t] — a live dashboard renders the current
-          dwell as [now - t] instead of waiting for the episode to
-          complete ([fallback_ticks] keeps its exit-only semantics).
-          [None]: on the fast path (or the scheme has no fallback). *)
   evictions : int;
   neutralizations : int;
       (** DEBRA+-style neutralizations performed by this scheme: delayed
@@ -161,7 +155,6 @@ let zero_stats =
     fallback_entries = 0;
     fallback_exits = 0;
     fallback_ticks = 0;
-    fallback_since = None;
     evictions = 0;
     neutralizations = 0;
     retired_now = 0;

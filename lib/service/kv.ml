@@ -182,11 +182,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       fallback_entries = a.fallback_entries + b.fallback_entries;
       fallback_exits = a.fallback_exits + b.fallback_exits;
       fallback_ticks = a.fallback_ticks + b.fallback_ticks;
-      fallback_since =
-        (match (a.fallback_since, b.fallback_since) with
-        | Some x, Some y -> Some (min x y)
-        | (Some _ as s), None | None, (Some _ as s) -> s
-        | None, None -> None);
       evictions = a.evictions + b.evictions;
       neutralizations = a.neutralizations + b.neutralizations;
       retired_now = a.retired_now + b.retired_now;

@@ -55,8 +55,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
   val retired_count : t -> int
   val report : t -> Qs_ds.Set_intf.report
   (** Arena and scheme counters summed over every shard and the index.
-      [smr.fallback_since] is the earliest instance's, and [smr.mode] is
-      [Fallback] if any instance is in fallback. [smr.retired_peak] is the
+      [smr.mode] is [Fallback] if any instance is in fallback. [smr.retired_peak] is the
       sum of the per-instance peaks, which need not coincide in time: an
       upper bound on the service-wide peak. *)
 end

@@ -17,8 +17,8 @@
      has one row per retained event;
    - the paper-level assertions tracing exists to surface: Cadence frees
      no node younger than [T + epsilon] (Theorem 5.1's premise, visible in
-     the age-at-free distribution), and QSense's [fallback_since] is
-     [Some] exactly while the scheme sits in fallback mode. *)
+     the age-at-free distribution), and QSense reports [Fallback] mode,
+     with an open trace episode, exactly while it sits in fallback. *)
 
 module RI = Qs_intf.Runtime_intf
 module Tracer = Qs_obs.Tracer
@@ -169,26 +169,23 @@ let test_cadence_age_floor () =
 let stall_delays ~until = { Sim_exp.victim = 3; windows = [ (50_000, until) ] }
 let qsense_c48 c = { c with Qs_smr.Smr_intf.switch_threshold = 48 }
 
-let test_fallback_since_live () =
+let test_fallback_live () =
   (* Victim stalls to the end of the run: QSense must sit in fallback at
-     the end, with [fallback_since] live and an open trace episode. *)
+     the end, with an open trace episode. *)
   let tracer, r =
     traced_run ~scheme:Qs_smr.Scheme.Qsense ~key_range:32 ~duration:800_000
       ~delays:(stall_delays ~until:max_int) ~smr_tweak:qsense_c48 ()
   in
   let smr = r.Sim_exp.report.smr in
   checkb "in fallback at end" true (smr.mode = Qs_smr.Smr_intf.Fallback);
-  (match smr.fallback_since with
-  | Some t -> checkb "entered during the run" true (t > 0 && t <= 800_000)
-  | None -> Alcotest.fail "fallback_since None while in fallback mode");
   checki "no completed episode: exit-only ticks stay 0" 0 smr.fallback_ticks;
   let eps = Metrics.fallback_episodes (Tracer.to_array tracer) in
   checkb "open episode in trace" true
     (List.exists (fun e -> e.Metrics.exit_time = None) eps)
 
-let test_fallback_round_trip_since_none () =
-  (* Victim resumes mid-run: the round-trip completes, [fallback_since]
-     returns to None, and the trace shows one closed global episode whose
+let test_fallback_round_trip () =
+  (* Victim resumes mid-run: the round-trip completes, the mode returns
+     to [Fast], and the trace shows one closed global episode whose
      exit may come from a different pid than the enter. *)
   let tracer, r =
     traced_run ~scheme:Qs_smr.Scheme.Qsense ~key_range:32 ~duration:1_500_000
@@ -197,7 +194,6 @@ let test_fallback_round_trip_since_none () =
   let smr = r.Sim_exp.report.smr in
   checkb "round trip" true (smr.fallback_entries >= 1 && smr.fallback_exits >= 1);
   checkb "back on fast path" true (smr.mode = Qs_smr.Smr_intf.Fast);
-  checkb "fallback_since cleared" true (smr.fallback_since = None);
   checkb "exit-only dwell accounted" true (smr.fallback_ticks > 0);
   let eps = Metrics.fallback_episodes (Tracer.to_array tracer) in
   (match List.find_opt (fun e -> e.Metrics.exit_time <> None) eps with
@@ -452,8 +448,8 @@ let suite =
     Alcotest.test_case "record is allocation-free" `Quick test_record_allocation_free;
     Alcotest.test_case "seeded trace bit-identical" `Quick test_seeded_trace_bit_identical;
     Alcotest.test_case "cadence age floor T+eps" `Quick test_cadence_age_floor;
-    Alcotest.test_case "fallback_since live in fallback" `Quick test_fallback_since_live;
-    Alcotest.test_case "fallback round trip clears since" `Slow test_fallback_round_trip_since_none;
+    Alcotest.test_case "fallback_since live in fallback" `Quick test_fallback_live;
+    Alcotest.test_case "fallback round trip clears since" `Slow test_fallback_round_trip;
     Alcotest.test_case "sink changes no corpus outcome" `Slow test_sink_changes_no_corpus_outcome;
     Alcotest.test_case "metrics: age join" `Quick test_metrics_age_join;
     Alcotest.test_case "metrics: global fallback pairing" `Quick test_metrics_fallback_global_pairing;
