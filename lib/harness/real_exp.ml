@@ -54,7 +54,7 @@ let target_setup ~target ~scheme ~n_domains =
 
 let default_setup ~ds ~scheme ~n_domains ~workload =
   target_setup
-    ~target:(Target.Set { ds; workload; generator = None })
+    ~target:(Target.Set { ds; workload })
     ~scheme ~n_domains
 
 type result = {

@@ -68,7 +68,7 @@ let target_setup ~target ~scheme ~n_processes =
 
 let default_setup ~ds ~scheme ~n_processes ~workload =
   target_setup
-    ~target:(Target.Set { ds; workload; generator = None })
+    ~target:(Target.Set { ds; workload })
     ~scheme ~n_processes
 
 type result = {

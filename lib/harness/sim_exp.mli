@@ -92,7 +92,7 @@ val default_setup :
   n_processes:int ->
   workload:Qs_workload.Spec.t ->
   setup
-(** {!target_setup} on [Target.Set { ds; workload; generator = None }]. *)
+(** {!target_setup} on [Target.Set { ds; workload }]. *)
 
 type result = {
   ops_total : int;

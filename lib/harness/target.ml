@@ -1,9 +1,5 @@
 type t =
-  | Set of {
-      ds : Cset.kind;
-      workload : Qs_workload.Spec.t;
-      generator : Qs_workload.Generator.t option;
-    }
+  | Set of { ds : Cset.kind; workload : Qs_workload.Spec.t }
   | Kv of { gen : Qs_workload.Kv_gen.t; n_shards : int }
 
 let n_kinds = function
@@ -37,7 +33,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     | Cset.Hashtable -> (module Qs_ds.Hashtable.Make (R))
 
   let driver ?on_op : t -> (module DRIVER) = function
-    | Set { ds; workload; generator } ->
+    | Set { ds; workload } ->
       let module C = (val cset_of ds) in
       (module struct
         include C
@@ -46,12 +42,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         let fill ctx k = ignore (C.insert ctx k)
         let arrival ~pid:_ ~i:_ = 0
 
-        let step ctx prng ~pid ~i =
-          let op =
-            match generator with
-            | Some g -> Qs_workload.Generator.op g ~pid ~i
-            | None -> Qs_workload.Spec.pick prng workload
-          in
+        let step ctx prng ~pid ~i:_ =
+          let op = Qs_workload.Spec.pick prng workload in
           let result =
             match op with
             | Search k -> C.search ctx k

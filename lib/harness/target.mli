@@ -1,18 +1,11 @@
-(** What an experiment runner drives: a concurrent set under a random or
-    pre-generated operation mix, or the sharded KV service replaying a
+(** What an experiment runner drives: a concurrent set under a random
+    operation mix, or the sharded KV service replaying a
     pre-generated request trace. {!Sim_exp} and {!Real_exp} run either
     through one worker loop; a target only decides how a structure is
     built, filled, stepped and inspected. *)
 
 type t =
-  | Set of {
-      ds : Cset.kind;
-      workload : Qs_workload.Spec.t;
-      generator : Qs_workload.Generator.t option;
-          (** pre-generated op streams (cyclic, indexed by completed ops)
-              in place of on-line [Spec.pick] draws — the same logical
-              sequence replayable across schemes *)
-    }
+  | Set of { ds : Cset.kind; workload : Qs_workload.Spec.t }
   | Kv of {
       gen : Qs_workload.Kv_gen.t;
           (** request streams; non-zero arrival times make the run open

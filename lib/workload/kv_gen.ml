@@ -1,7 +1,7 @@
-(* Pre-generated deterministic KV request streams, the service-layer
-   analogue of {!Generator}: the same logical request sequence (operation
-   AND open-loop arrival time) replayable against different schemes, so
-   per-request latencies are comparable across runs.
+(* Pre-generated deterministic KV request streams: the same logical
+   request sequence (operation AND open-loop arrival time) replayable
+   against different schemes, so per-request latencies are comparable
+   across runs.
 
    Arrival times are materialised as absolute schedule offsets: request
    [i] of a stream is due at [arrival i] ticks after the stream starts.

@@ -1,4 +1,4 @@
-(* Differential testing across runtimes: the same pre-generated operation
+(* Differential testing across runtimes: the same seeded operation
    stream, applied sequentially, must produce the exact same result sequence
    on (a) the reference model, (b) every structure on the simulator runtime
    and (c) every structure on the real-domain runtime. Any divergence
@@ -6,11 +6,13 @@
    only the RUNTIME instance differs). *)
 
 module Spec = Qs_workload.Spec
-module Gen = Qs_workload.Generator
 module IS = Set.Make (Int)
 
 let spec = Spec.make ~key_range:96 ~update_pct:60
-let stream = Gen.stream (Gen.make spec ~n_processes:1 ~ops_per_process:2_500 ~seed:77) ~pid:0
+
+let stream =
+  let prng = Qs_util.Prng.create ~seed:77 in
+  Array.init 2_500 (fun _ -> Spec.pick prng spec)
 
 let model_results () =
   let model = ref IS.empty in

@@ -241,8 +241,7 @@ let naive_hybrid_run ~scheme ~seed =
       target =
         Target.Set
           { ds = Cset.List;
-            workload = Spec.make ~key_range:8 ~update_pct:40;
-            generator = None };
+            workload = Spec.make ~key_range:8 ~update_pct:40 };
       delays =
         Some
           { victim = 3;
@@ -296,8 +295,7 @@ let dead_rooster_run ~seed ~kill =
       target =
         Target.Set
           { ds = Cset.List;
-            workload = Spec.make ~key_range:16 ~update_pct:20;
-            generator = None };
+            workload = Spec.make ~key_range:16 ~update_pct:20 };
       smr_tweak =
         (fun c ->
           { c with
@@ -347,8 +345,7 @@ let oversleep_run ~seed ~oversleep_min ~smr_epsilon =
       target =
         Target.Set
           { ds = Cset.List;
-            workload = Spec.make ~key_range:16 ~update_pct:20;
-            generator = None };
+            workload = Spec.make ~key_range:16 ~update_pct:20 };
       smr_tweak =
         (fun c ->
           { c with

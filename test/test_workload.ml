@@ -1,7 +1,6 @@
-(* Workload specification and pre-generated stream tests. *)
+(* Workload specification tests. *)
 
 module Spec = Qs_workload.Spec
-module Gen = Qs_workload.Generator
 
 let test_spec_validation () =
   Alcotest.check_raises "bad range"
@@ -39,45 +38,6 @@ let test_initial_keys () =
       if k mod 2 <> 0 then Alcotest.fail "expected even keys")
     keys;
   Alcotest.(check (list int)) "distinct" (List.sort_uniq compare keys) keys
-
-let test_generator_deterministic () =
-  let spec = Spec.updates_50 ~key_range:64 in
-  let a = Gen.make spec ~n_processes:3 ~ops_per_process:500 ~seed:9 in
-  let b = Gen.make spec ~n_processes:3 ~ops_per_process:500 ~seed:9 in
-  for pid = 0 to 2 do
-    Alcotest.(check bool) "same stream" true (Gen.stream a ~pid = Gen.stream b ~pid)
-  done;
-  let c = Gen.make spec ~n_processes:3 ~ops_per_process:500 ~seed:10 in
-  Alcotest.(check bool) "different seed differs" true
-    (Gen.stream a ~pid:0 <> Gen.stream c ~pid:0)
-
-let test_generator_streams_independent () =
-  let spec = Spec.updates_50 ~key_range:64 in
-  let g = Gen.make spec ~n_processes:2 ~ops_per_process:300 ~seed:4 in
-  Alcotest.(check bool) "streams differ across pids" true
-    (Gen.stream g ~pid:0 <> Gen.stream g ~pid:1);
-  Alcotest.(check int) "length" 300 (Gen.length g);
-  Alcotest.(check int) "processes" 2 (Gen.n_processes g)
-
-let test_generator_census () =
-  let spec = Spec.make ~key_range:64 ~update_pct:30 in
-  let g = Gen.make spec ~n_processes:1 ~ops_per_process:20_000 ~seed:2 in
-  let s, i, d = Gen.census (Gen.stream g ~pid:0) in
-  Alcotest.(check int) "total" 20_000 (s + i + d);
-  Alcotest.(check bool) "updates ~30%" true
-    (abs ((100 * (i + d) / 20_000) - 30) <= 2)
-
-(* Regression: ops_per_process = 0 used to pass [make]'s negative-only
-   check, then blow up later with Division_by_zero in the cyclic accessor
-   ([i mod 0]). It must be rejected up front. *)
-let test_generator_zero_ops_rejected () =
-  let spec = Spec.updates_50 ~key_range:64 in
-  Alcotest.check_raises "zero ops rejected"
-    (Invalid_argument "Generator.make: ops_per_process must be positive")
-    (fun () -> ignore (Gen.make spec ~n_processes:2 ~ops_per_process:0 ~seed:1));
-  Alcotest.check_raises "negative ops rejected"
-    (Invalid_argument "Generator.make: ops_per_process must be positive")
-    (fun () -> ignore (Gen.make spec ~n_processes:2 ~ops_per_process:(-1) ~seed:1))
 
 (* Regression: odd update percentages used to split asymmetrically —
    update_pct = 1 gave 0% inserts but 1% deletes (integer u/2 for the
@@ -151,11 +111,6 @@ let suite =
   [ Alcotest.test_case "spec validation" `Quick test_spec_validation;
     Alcotest.test_case "spec distribution" `Quick test_spec_distribution;
     Alcotest.test_case "initial keys" `Quick test_initial_keys;
-    Alcotest.test_case "generator deterministic" `Quick test_generator_deterministic;
-    Alcotest.test_case "generator per-pid streams" `Quick test_generator_streams_independent;
-    Alcotest.test_case "generator census" `Quick test_generator_census;
-    Alcotest.test_case "generator rejects zero ops" `Quick
-      test_generator_zero_ops_rejected;
     Alcotest.test_case "odd update pct splits evenly" `Quick
       test_spec_odd_pct_split;
     Alcotest.test_case "even update pct bit-identical" `Quick
