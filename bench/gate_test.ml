@@ -43,7 +43,7 @@ let any _ = true
 
 (* (name, doctoring, text the TREND FAIL line must contain) *)
 let cases =
-  [ ("schema", set [ "schema" ] (num 10.), "schema is 10, expected 11");
+  [ ("schema", set [ "schema" ] (num 11.), "schema is 11, expected 12");
     ("explorer step alloc", set [ "explorer"; "step_alloc_words" ] (num 9.),
      "explorer.step_alloc_words");
     ("explorer null", set [ "explorer" ] Json.Null, "field \"explorer\"");
@@ -67,9 +67,11 @@ let cases =
      drop [ "e2e" ] (fun r ->
          is_str "scheme" "qsense" r && is_str "ds" "list" r && is "domains" (num 1.) r),
      "e2e matrix incomplete: qsense/list ran domains [2], expected [1,2]");
-    ("churn flag off", set [ "churn" ] (Json.Bool false), "churn = false");
     ("e2e never churned", rows [ "e2e" ] any (Json.set_member "churn_events" (num 0.)),
      "no row recorded churn_events");
+    ("hp never recycled",
+     rows [ "e2e" ] (is_str "scheme" "hp") (Json.set_member "reuse_ratio" (num 0.)),
+     "e2e: hp never recycled a node");
     ("trace recorded nothing", set [ "trace"; "events_recorded_sink_on" ] (num 0.),
      "trace.events_recorded_sink_on");
     ("latency null", set [ "latency" ] Json.Null, "field \"latency\"");

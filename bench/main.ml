@@ -1,28 +1,27 @@
-(* Bechamel micro-benchmarks on the REAL runtime (OCaml 5 domains, real x86
-   fences), one group per reproduced table/figure, plus quick simulator
-   renditions of the paper's tables at the end.
+(* Benchmarks on the REAL runtime (OCaml 5 domains, real x86 fences) plus
+   the simulator observatories, in one run. Every section always runs;
+   [--quick] shrinks sizes and durations.
 
-   - "primitives":   the cost model the paper's argument rests on — a plain
-                     store (Cadence's HP publication) vs an SC store vs a
-                     full fence (classic HP's publication) vs CAS. The
-                     plain store is an [int] store, exactly what a publish
-                     does: hazard-pointer slots hold node ids, so a publish
-                     pays no GC write barrier ([caml_modify]).
-   - "fig3-*":       per-operation cost of the Figure 3 configuration
-                     (linked list, 10% updates) under each scheme.
-   - "fig5top-*":    per-operation cost of the Figure 5 top-row
-                     configurations (50% updates) for list / skiplist / bst
-                     / hashtable under each scheme.
-   - "overheads":    derived §7.3-style table (overhead vs leaky, speedup
-                     vs HP) computed from the measured ns/op.
+   - primitives:    the cost model the paper's argument rests on: a plain
+                    store (Cadence's HP publication) vs an SC store vs a
+                    full fence (classic HP's publication) vs CAS. The
+                    plain store is an [int] store, exactly what a publish
+                    does: hazard-pointer slots hold node ids, so a publish
+                    pays no GC write barrier ([caml_modify]).
+   - per-op cost:   the paper's §7.3 framing on one domain through
+                    {!Qs_harness.Real_exp}: ns/op of the Figure 3
+                    configuration (list, 10% updates) and the Figure 5
+                    top-row configurations (50% updates: list, skiplist,
+                    bst, hashtable) under each scheme, with the average
+                    overhead vs the leaky baseline and the speedup vs HP.
+   - retire/scan:   the production bag path's ns/retire.
+   - e2e, observatory, latency, service: see each module below.
 
-   Single-domain measurements: Bechamel times closures on one core; the
-   multi-core scalability curves come from the simulator (bin/repro.exe).
-   On x86 the fence in [assign_hp] costs the same whether or not other
-   cores run, so the per-op overhead ratios are the paper's. *)
+   The multi-core scalability curves come from the simulator
+   (bin/repro.exe). On x86 the fence in [assign_hp] costs the same whether
+   or not other cores run, so the one-domain overhead ratios are the
+   paper's. *)
 
-open Bechamel
-open Toolkit
 module R = Qs_real.Real_runtime
 
 (* Every generated artifact (JSON report, Perfetto traces, CSVs) lands in
@@ -32,202 +31,50 @@ let out_path name =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   Filename.concat dir name
 
+(* The hand-timed sections' one timing method: [rounds] rounds of the [n]
+   calls [f 0] .. [f (n - 1)] on the wall clock, [reset] run untimed after
+   each round; the best round's ns per call. *)
+let best_ns_per_call ?(reset = ignore) ~rounds ~n f =
+  let best = ref max_float in
+  for _ = 1 to rounds do
+    let t0 = R.now () in
+    for i = 0 to n - 1 do
+      f i
+    done;
+    let dt = float_of_int (R.now () - t0) in
+    if dt < !best then best := dt;
+    reset ()
+  done;
+  !best /. float_of_int n
+
 (* --- primitives ---------------------------------------------------------- *)
 
-let plain_cell = R.plain 1 0
-let atomic_cell = R.atomic 0
+module Primitives = struct
+  let plain_cell = R.plain 1 0
+  let atomic_cell = R.atomic 0
 
-let primitives =
-  [ Test.make ~name:"plain-write (cadence HP publish)"
-      (Staged.stage (fun () -> R.write plain_cell 0 42));
-    Test.make ~name:"plain-read" (Staged.stage (fun () -> ignore (R.read plain_cell 0)));
-    Test.make ~name:"atomic-get" (Staged.stage (fun () -> ignore (R.get atomic_cell)));
-    Test.make ~name:"atomic-set" (Staged.stage (fun () -> R.set atomic_cell 42));
-    Test.make ~name:"fence (classic HP publish)" (Staged.stage (fun () -> R.fence ()));
-    Test.make ~name:"cas"
-      (Staged.stage (fun () ->
-           let v = R.get atomic_cell in
-           ignore (R.cas atomic_cell v v)))
-  ]
+  let cases =
+    [ ("plain-write (cadence HP publish)", fun _ -> R.write plain_cell 0 42);
+      ("plain-read", fun _ -> ignore (R.read plain_cell 0));
+      ("atomic-get", fun _ -> ignore (R.get atomic_cell));
+      ("atomic-set", fun _ -> R.set atomic_cell 42);
+      ("fence (classic HP publish)", fun _ -> R.fence ());
+      ("cas",
+       fun _ ->
+         let v = R.get atomic_cell in
+         ignore (R.cas atomic_cell v v)) ]
 
-(* --- per-operation data-structure benchmarks ----------------------------- *)
-
-let schemes =
-  [ Qs_smr.Scheme.None_; Qs_smr.Scheme.Qsbr; Qs_smr.Scheme.Qsense;
-    Qs_smr.Scheme.Cadence; Qs_smr.Scheme.Hp ]
-
-let set_cfg scheme =
-  let base = Qs_ds.Set_intf.default_config ~n_processes:1 ~scheme in
-  { base with
-    smr =
-      { base.smr with
-        quiescence_threshold = 32;
-        scan_threshold = 32;
-        (* ns on the real clock: age out quickly so scans actually free *)
-        rooster_interval = 50_000;
-        epsilon = 10_000 } }
-
-module Bench_set (C : Qs_harness.Cset.S) (Info : sig
-  val name : string
-  val range : int
-end) =
-struct
-  let make ~update_pct scheme =
-    let set = C.create (set_cfg scheme) in
-    let ctx = C.register set ~pid:0 in
-    let keys = Array.init (Info.range / 2) (fun i -> 2 * i) in
-    Qs_util.Prng.shuffle (Qs_util.Prng.create ~seed:7) keys;
-    Array.iter (fun k -> ignore (C.insert ctx k)) keys;
-    let prng = Qs_util.Prng.create ~seed:42 in
-    Test.make
-      ~name:(Printf.sprintf "%s/%s" Info.name (Qs_smr.Scheme.to_string scheme))
-      (Staged.stage (fun () ->
-           let key = Qs_util.Prng.int prng Info.range in
-           let pct = Qs_util.Prng.percent prng in
-           if pct < update_pct / 2 then ignore (C.insert ctx key)
-           else if pct < update_pct then ignore (C.delete ctx key)
-           else ignore (C.search ctx key)))
-
-  let group ~group_name ~update_pct =
-    Test.make_grouped ~name:group_name (List.map (make ~update_pct) schemes)
+  let run ~quick =
+    let rounds = if quick then 5 else 20 in
+    let tbl = Qs_util.Table.create [ "primitive"; "ns/op" ] in
+    List.iter
+      (fun (name, f) ->
+        let ns = best_ns_per_call ~rounds ~n:1_000_000 f in
+        Qs_util.Table.add_row tbl [ name; Printf.sprintf "%.2f" ns ])
+      cases;
+    Qs_util.Table.print tbl;
+    print_newline ()
 end
-
-module List_b =
-  Bench_set (Qs_ds.Linked_list.Make (R)) (struct
-    let name = "list"
-    let range = 512
-  end)
-
-module Skip_b =
-  Bench_set (Qs_ds.Skiplist.Make (R)) (struct
-    let name = "skiplist"
-    let range = 4_096
-  end)
-
-module Bst_b =
-  Bench_set (Qs_ds.Bst.Make (R)) (struct
-    let name = "bst"
-    let range = 16_384
-  end)
-
-module Hash_b =
-  Bench_set (Qs_ds.Hashtable.Make (R)) (struct
-    let name = "hashtable"
-    let range = 4_096
-  end)
-
-(* Stack and queue: the methodology examples, one push/pop (enqueue/dequeue)
-   pair per iteration. *)
-
-module Stack_b = struct
-  module S = Qs_ds.Treiber_stack.Make (R)
-
-  let make scheme =
-    let st = S.create (set_cfg scheme) in
-    let ctx = S.register st ~pid:0 in
-    for i = 1 to 128 do
-      S.push ctx i
-    done;
-    Test.make
-      ~name:(Printf.sprintf "stack/%s" (Qs_smr.Scheme.to_string scheme))
-      (Staged.stage (fun () ->
-           S.push ctx 1;
-           ignore (S.pop ctx)))
-
-  let group () = Test.make_grouped ~name:"stack" (List.map make schemes)
-end
-
-module Queue_b = struct
-  module Q = Qs_ds.Msqueue.Make (R)
-
-  let make scheme =
-    let q = Q.create (set_cfg scheme) in
-    let ctx = Q.register q ~pid:0 in
-    for i = 1 to 128 do
-      Q.enqueue ctx i
-    done;
-    Test.make
-      ~name:(Printf.sprintf "queue/%s" (Qs_smr.Scheme.to_string scheme))
-      (Staged.stage (fun () ->
-           Q.enqueue ctx 1;
-           ignore (Q.dequeue ctx)))
-
-  let group () = Test.make_grouped ~name:"queue" (List.map make schemes)
-end
-
-(* --- measurement machinery ----------------------------------------------- *)
-
-let benchmark tests =
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.3) ~kde:None () in
-  Benchmark.all cfg Instance.[ monotonic_clock ] tests
-
-let analyze raw =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  Analyze.all ols Instance.monotonic_clock raw
-
-let ns_per_run results name =
-  match Hashtbl.find_opt results name with
-  | None -> nan
-  | Some ols -> (
-    match Analyze.OLS.estimates ols with
-    | Some [ e ] -> e
-    | _ -> nan)
-
-let run_group title tests =
-  Printf.printf "== %s ==\n%!" title;
-  let results = analyze (benchmark tests) in
-  let names = Hashtbl.fold (fun name _ acc -> name :: acc) results [] in
-  let tbl = Qs_util.Table.create [ "benchmark"; "ns/op" ] in
-  List.iter
-    (fun name ->
-      Qs_util.Table.add_row tbl [ name; Printf.sprintf "%.1f" (ns_per_run results name) ])
-    (List.sort compare names);
-  Qs_util.Table.print tbl;
-  print_newline ();
-  results
-
-let overhead_table per_ds_results =
-  let tbl =
-    Qs_util.Table.create
-      [ "scheme"; "list ns/op"; "skiplist ns/op"; "bst ns/op"; "hashtable ns/op";
-        "avg overhead vs none (%)"; "speedup vs hp" ]
-  in
-  let dss = [ "list"; "skiplist"; "bst"; "hashtable" ] in
-  let suffix_of ds scheme =
-    Printf.sprintf "/%s/%s" ds (Qs_smr.Scheme.to_string scheme)
-  in
-  let cost ds scheme =
-    let results = List.assoc ds per_ds_results in
-    let suffix = suffix_of ds scheme in
-    Hashtbl.fold
-      (fun name _ acc ->
-        if String.ends_with ~suffix name then ns_per_run results name else acc)
-      results nan
-  in
-  (* Baselines are computed once, outside the per-scheme loop. *)
-  let none_costs = List.map (fun ds -> cost ds Qs_smr.Scheme.None_) dss in
-  let hp_costs = List.map (fun ds -> cost ds Qs_smr.Scheme.Hp) dss in
-  List.iter
-    (fun scheme ->
-      let costs = List.map (fun ds -> cost ds scheme) dss in
-      let over =
-        (* throughput overhead = 1 - none/cost *)
-        List.map2 (fun none_c c -> 100. *. (1. -. (none_c /. c))) none_costs costs
-      in
-      let speedups = List.map2 (fun hp_c c -> hp_c /. c) hp_costs costs in
-      Qs_util.Table.add_row tbl
-        (Qs_smr.Scheme.to_string scheme
-        :: (List.map (Printf.sprintf "%.0f") costs
-           @ [ Printf.sprintf "%.1f"
-                 (Qs_util.Stats.mean (Array.of_list over));
-               Printf.sprintf "%.2fx"
-                 (Qs_util.Stats.mean (Array.of_list speedups))
-             ])))
-    schemes;
-  Qs_util.Table.print tbl;
-  print_newline ()
 
 (* --- retire/scan microbenchmarks ----------------------------------------- *)
 
@@ -242,8 +89,7 @@ let overhead_table per_ds_results =
      fires after L retires checks all L nodes against the N*K hazard
      pointers and frees them — the membership-heavy path.
 
-   Growing state rules out bechamel's closure timing, so rounds are timed
-   by hand on the monotonic clock and the best round is reported. *)
+   A round is L retires from an empty limbo; the best round is reported. *)
 
 module Micro = struct
   type fake = { id : int; mutable freed : int }
@@ -313,18 +159,9 @@ module Micro = struct
     fill_hps (fun ~pid ~slot n -> Cad.assign_hp handles.(pid) ~slot n);
     let nodes = pool limbo in
     let h = handles.(0) in
-    let best = ref max_float in
-    for _round = 1 to rounds do
-      let t0 = R.now () in
-      for i = 0 to limbo - 1 do
-        Cad.retire h nodes.(i)
-      done;
-      let dt = float_of_int (R.now () - t0) in
-      if dt < !best then best := dt;
-      (* Keep rounds start from an empty limbo; Drain rounds already do. *)
-      Cad.flush h
-    done;
-    !best /. float_of_int limbo
+    (* Keep rounds start from an empty limbo; Drain rounds already do. *)
+    best_ns_per_call ~reset:(fun () -> Cad.flush h) ~rounds ~n:limbo (fun i ->
+        Cad.retire h nodes.(i))
 
   type result = { scenario : scenario; limbo : int; bag_ns : float }
 
@@ -356,9 +193,9 @@ end
 (* The whole stack at once, on real OCaml 5 domains via {!Qs_harness.Real_exp}:
    {qsbr, hp, cadence, qsense, debra-plus, hyaline} × {list, hashtable} ×
    domain counts, the incumbents and the rival schemes (DESIGN.md §13) in
-   one matrix. Where the bechamel groups above time single operations on
-   one core, this measures aggregate throughput with reclamation actually
-   feeding the allocator: [reuse_ratio] is the share of allocations that
+   one matrix, every run with worker churn. It measures aggregate
+   throughput with reclamation actually feeding the allocator:
+   [reuse_ratio] is the share of allocations that
    recycled a freed node, and [retired_peak] bounds the limbo memory. A
    low or zero [reuse_ratio] is not by itself a fault: these runs are
    short (50 ms per worker generation at --quick), and a scheme that scans
@@ -391,23 +228,25 @@ module E2e = struct
       (if quick then [ 1; 2 ]
        else [ 1; 2; 4; Domain.recommended_domain_count () ])
 
+  (* The paper's key ranges (§7.1); the structure is pre-filled to half. *)
   let key_range = function
     | Qs_harness.Cset.List -> 512
-    | _ -> 4_096
+    | Qs_harness.Cset.Bst -> 16_384
+    | Qs_harness.Cset.Skiplist | Qs_harness.Cset.Hashtable -> 4_096
 
-  let run_one ~quick ~ds ~scheme ~n_domains =
-    let workload =
-      Qs_workload.Spec.make ~key_range:(key_range ds) ~update_pct:20
-    in
+  let run_one ~quick ~ds ~scheme ~n_domains ~update_pct ~churn =
+    let workload = Qs_workload.Spec.make ~key_range:(key_range ds) ~update_pct in
     let setup =
       { (Qs_harness.Real_exp.default_setup ~ds ~scheme ~n_domains ~workload) with
         duration_ms = (if quick then 50 else 250);
         (* three worker generations per pid slot, each handing its limbo
            lists to the orphan pool for the survivors to adopt *)
         churn =
-          Some
-            { Qs_harness.Real_exp.generations = 3;
-              downtime_ms = (if quick then 2 else 10) };
+          (if churn then
+             Some
+               { Qs_harness.Real_exp.generations = 3;
+                 downtime_ms = (if quick then 2 else 10) }
+           else None);
         seed = 42 }
     in
     let r = Qs_harness.Real_exp.run setup in
@@ -433,7 +272,9 @@ module E2e = struct
           (fun scheme ->
             List.map
               (fun n_domains ->
-                let r = run_one ~quick ~ds ~scheme ~n_domains in
+                let r =
+                  run_one ~quick ~ds ~scheme ~n_domains ~update_pct:20 ~churn:true
+                in
                 Printf.printf "  %-9s %-9s %d domains: %6.2f Mops/s (%d churn events)\n%!"
                   (Qs_harness.Cset.kind_to_string ds)
                   (Qs_smr.Scheme.to_string scheme)
@@ -462,6 +303,68 @@ module E2e = struct
             string_of_bool r.failed;
             string_of_int r.churn_events ])
       results;
+    Qs_util.Table.print tbl;
+    print_newline ()
+end
+
+(* --- per-operation cost (§7.3) --------------------------------------------- *)
+
+(* The paper's §7.3 numbers on real hardware: each cell is one
+   {!E2e.run_one} at one domain without churn, so the scheme configuration
+   (T = the rooster interval, roosters started by {!Qs_harness.Real_exp})
+   is the one every other real-domain number uses. ns/op = 1000 / Mops.
+   The averages cover the four Figure 5 columns: overhead vs none is
+   [1 - none/cost], speedup vs hp is [hp/cost]. *)
+module Per_op = struct
+  let schemes =
+    [ Qs_smr.Scheme.None_; Qs_smr.Scheme.Qsbr; Qs_smr.Scheme.Qsense;
+      Qs_smr.Scheme.Cadence; Qs_smr.Scheme.Hp ]
+
+  (* (column, structure, update %): Figure 3, then the Figure 5 top row. *)
+  let fig3 = ("fig3 list 10%", Qs_harness.Cset.List, 10)
+
+  let fig5 =
+    List.map
+      (fun ds -> (Qs_harness.Cset.kind_to_string ds ^ " 50%", ds, 50))
+      [ Qs_harness.Cset.List; Qs_harness.Cset.Skiplist; Qs_harness.Cset.Bst;
+        Qs_harness.Cset.Hashtable ]
+
+  (* ns/op per (column, scheme). *)
+  let run ~quick =
+    List.concat_map
+      (fun (col, ds, update_pct) ->
+        List.map
+          (fun scheme ->
+            let r =
+              E2e.run_one ~quick ~ds ~scheme ~n_domains:1 ~update_pct ~churn:false
+            in
+            let ns = 1000. /. r.throughput_mops in
+            Printf.printf "  %-15s %-8s %8.1f ns/op (%d violations, failed %b)\n%!"
+              col (Qs_smr.Scheme.to_string scheme) ns r.violations r.failed;
+            ((col, scheme), ns))
+          schemes)
+      (fig3 :: fig5)
+
+  let print_table costs =
+    let cost col scheme = List.assoc (col, scheme) costs in
+    let cols = List.map (fun (col, _, _) -> col) fig5 in
+    let fig3_col, _, _ = fig3 in
+    let tbl =
+      Qs_util.Table.create
+        (("scheme" :: List.map (fun col -> col ^ " ns/op") (fig3_col :: cols))
+        @ [ "avg overhead vs none (%)"; "speedup vs hp" ])
+    in
+    let mean f = Qs_util.Stats.mean (Array.of_list (List.map f cols)) in
+    List.iter
+      (fun scheme ->
+        let c col = cost col scheme in
+        Qs_util.Table.add_row tbl
+          ((Qs_smr.Scheme.to_string scheme
+           :: List.map (fun col -> Printf.sprintf "%.0f" (c col)) (fig3_col :: cols))
+          @ [ Printf.sprintf "%.1f"
+                (mean (fun col -> 100. *. (1. -. (cost col Qs_smr.Scheme.None_ /. c col))));
+              Printf.sprintf "%.2fx" (mean (fun col -> cost col Qs_smr.Scheme.Hp /. c col)) ]))
+      schemes;
     Qs_util.Table.print tbl;
     print_newline ()
 end
@@ -839,14 +742,14 @@ module Service_obs = struct
     print_newline ()
 end
 
-(* --- JSON report (schema 11) ---------------------------------------------- *)
+(* --- JSON report (schema 12) ---------------------------------------------- *)
 
 (* Consumed by [bench/trend.exe] (the bench gate, and the committed
    BENCH_HISTORY.jsonl) and by EXPERIMENTS.md readers, which lists what
    each schema number changed. "retire_scan" rows carry the production
    bag path's ns/retire. "e2e" holds one row per scheme (incumbents and
    rivals) × {list, hashtable} × domain count, every run with worker
-   churn ("churn" is always true). "trace" is the real-domain sink off/on
+   churn. "trace" is the real-domain sink off/on
    A/B. The "latency" section holds the recorder off/on A/B and one sim
    row per {scheme × structure × process count} plus the QSense stall
    row. The "service" section holds a real-domain churned-throughput row
@@ -907,10 +810,9 @@ let emit_json ~path ~quick ~retire_scan ~e2e ~trace ~latency ~service =
   in
   let doc =
     Json.Obj
-      [ ("schema", int 11);
+      [ ("schema", int 12);
         ("explorer", Json.Null);
         ("quick", Json.Bool quick);
-        ("churn", Json.Bool true);
         ("n_processes", int Micro.n_processes);
         ("hp_per_process", int Micro.hp_per_process);
         ("retire_scan", Json.Arr (List.map retire_scan_row retire_scan));
@@ -923,32 +825,23 @@ let emit_json ~path ~quick ~retire_scan ~e2e ~trace ~latency ~service =
       Out_channel.output_string oc (Json.to_string doc));
   Printf.printf "wrote %s\n%!" path
 
+let usage () =
+  prerr_endline "usage: main.exe [--quick]";
+  exit 2
+
 let () =
-  let argv = Array.to_list Sys.argv in
-  let quick = List.mem "--quick" argv in
-  let micro_only = List.mem "--micro-only" argv in
+  let quick =
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> false
+    | [ "--quick" ] -> true
+    | _ -> usage ()
+  in
   R.register_self 0;
-  (* roosters give Cadence/QSense their coarse clock and wake-up guarantee *)
-  let roosters = Qs_real.Roosters.start ~interval_ns:2_000_000 ~n:1 in
-  if not micro_only then begin
-    ignore
-      (run_group "primitives (real x86 costs)"
-         (Test.make_grouped ~name:"prim" primitives));
-    if not quick then begin
-      ignore
-        (run_group "fig3: list, 10% updates"
-           (List_b.group ~group_name:"fig3" ~update_pct:10));
-      let list_r = run_group "fig5-top: list, 50% updates" (List_b.group ~group_name:"list50" ~update_pct:50) in
-      let skip_r = run_group "fig5-top: skiplist, 50% updates" (Skip_b.group ~group_name:"skip50" ~update_pct:50) in
-      let bst_r = run_group "fig5-top: bst, 50% updates" (Bst_b.group ~group_name:"bst50" ~update_pct:50) in
-      let hash_r = run_group "extra: hashtable, 50% updates" (Hash_b.group ~group_name:"hash50" ~update_pct:50) in
-      ignore (run_group "extra: treiber stack, push+pop" (Stack_b.group ()));
-      ignore (run_group "extra: michael-scott queue, enq+deq" (Queue_b.group ()));
-      Printf.printf "== §7.3-style overhead table (derived from ns/op above) ==\n%!";
-      overhead_table
-        [ ("list", list_r); ("skiplist", skip_r); ("bst", bst_r); ("hashtable", hash_r) ]
-    end
-  end;
+  Printf.printf "== primitives (real x86 costs, best of rounds) ==\n%!";
+  Primitives.run ~quick;
+  Printf.printf
+    "== per-op cost on one real domain (§7.3: fig3 + fig5 top row, no churn) ==\n%!";
+  Per_op.print_table (Per_op.run ~quick);
   Printf.printf
     "== retire/scan microbenchmark (Cadence, 64-node bags, hash scan set) ==\n%!";
   let sizes = if quick then [ 100; 1_000; 10_000 ] else [ 100; 1_000; 10_000; 100_000 ] in
@@ -974,7 +867,6 @@ let () =
   emit_json ~path:(out_path "BENCH_RESULTS.json") ~quick ~retire_scan:results
     ~e2e:e2e_results ~trace:trace_overhead ~latency:latency_report
     ~service:service_report;
-  Qs_real.Roosters.stop roosters;
   (* The multi-core figures come from the simulator: *)
   print_endline "Scalability and robustness figures (multi-core) are produced by the";
   print_endline "deterministic simulator: `dune exec bin/repro.exe -- all [--scale full]`."

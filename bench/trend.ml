@@ -112,7 +112,6 @@ let summarize results =
             tm.Unix.tm_sec));
       ("schema", n (num "schema" results));
       ("quick", Json.Bool (flag "quick" results));
-      ("churn", Json.Bool (flag "churn" results));
       ("e2e_rows", n (float_of_int (List.length e2e)));
       ("e2e_bad", count unsafe e2e);
       ("latency", latency);
@@ -219,7 +218,8 @@ let e2e_schemes = [ "qsbr"; "hp"; "cadence"; "qsense"; "debra-plus"; "hyaline" ]
 (* The retire/scan micro, the real-domain e2e sweep with churn and the
    tracer A/B. The e2e matrix must be complete: every scheme x {list,
    hashtable} cell at every domain count the section ran, each row safe;
-   some row should churn. *)
+   some row should churn, and every scheme must recycle a node somewhere
+   (a scheme whose frees never reach the allocator reads 0 in every row). *)
 let gate_runs results =
   if arr "retire_scan" results = [] then
     fail "retire_scan is empty (retire/scan micro produced no rows)";
@@ -244,9 +244,15 @@ let gate_runs results =
               ds (show got) (show want))
         [ "list"; "hashtable" ])
     e2e_schemes;
-  if not (flag "churn" results) then fail "churn = false (e2e sweep ran without worker churn)";
   if not (List.exists (fun r -> num "churn_events" r > 0.) e2e) then
     fail "e2e ran with churn but no row recorded churn_events";
+  List.iter
+    (fun scheme ->
+      let rows = List.filter (fun r -> str "scheme" r = scheme) e2e in
+      if rows <> [] && List.for_all (fun r -> num "reuse_ratio" r = 0.) rows then
+        fail "e2e: %s never recycled a node (reuse_ratio 0 in all %d rows)" scheme
+          (List.length rows))
+    e2e_schemes;
   let tr = obj "trace" results in
   if num "events_recorded_sink_on" tr <= 0. then
     fail "trace.events_recorded_sink_on = 0 (traced A/B run recorded no events)";
@@ -353,8 +359,8 @@ let gate_history history results =
 
 let gate_current results =
   (match opt (fun () -> num "schema" results) with
-  | Some 11. -> ()
-  | Some s -> fail "schema is %g, expected 11" s
+  | Some 12. -> ()
+  | Some s -> fail "schema is %g, expected 12" s
   | None -> fail "schema missing");
   section "explorer" gate_explorer results;
   section "runs" gate_runs results;
