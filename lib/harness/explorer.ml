@@ -3,11 +3,11 @@
    One [case] fully determines one run: data structure, scheme, workload
    shape, scheduling strategy, fault plan and seed. [run_one] translates it
    into a [Sim_exp.setup], runs the worker phase through [Sim_exp.measure]
-   (the one simulator loop; no teardown traversal, so the step count and
-   the coverage sink see the workers only) and classifies the result with
-   three oracles — the arena's node-state oracle (use-after-free, double
-   free), memory exhaustion, and per-key linearizability of the operation
-   history [Sim_exp] records. A failing case can be
+   (the one simulator loop) and classifies the result with three oracles,
+   on every case whatever its strategy or faults — the arena's node-state
+   oracle (use-after-free, double free), memory exhaustion, and per-key
+   linearizability of the operation history [Sim_exp] records (operations
+   a crash or a neutralization cut short are pending). A failing case can be
    [shrink]'d to a smaller one with the same verdict class and round-tripped
    through a one-line repro file, so every CI failure is replayable from the
    artifact alone. *)
@@ -66,12 +66,7 @@ type verdict =
   | Not_linearizable of int
   | Worker_exn of string
 
-type lin_status =
-  | Lin_ok
-  | Lin_skipped_faults
-  | Lin_skipped_strategy
-  | Lin_skipped_oom
-  | Lin_too_large
+type lin_status = Lin_ok | Lin_unchecked | Lin_too_large
 
 type outcome = {
   verdict : verdict;
@@ -289,27 +284,16 @@ let plan level ~n ~duration ~seed : Scheduler.fault list =
       stall () ]
   | Neutralize ->
     (* rival-scheme delivery: restart signals land mid-operation (the
-       victim's in-flight op is discontinued and retried), plus one long
-       stall so a pinned laggard exists for schemes that neutralize on
-       their own (DEBRA+). Aborted ops make histories incomplete, so this
-       level — like crashes — skips the linearizability oracle and hunts
-       memory-safety classes: the restart-then-double-free and the
-       unwind-path leak. *)
+       victim's in-flight op is discontinued and retried, and stays in the
+       history as pending), plus one long stall so a pinned laggard exists
+       for schemes that neutralize on their own (DEBRA+). Hunts the
+       restart-then-double-free, the unwind-path leak, and a restarted
+       operation that applies twice. *)
     [ Scheduler.Neutralize_at { pid = pid (); at = at () };
       Scheduler.Neutralize_at { pid = pid (); at = at () };
       stall () ]
 
 (* --- the runner --------------------------------------------------------- *)
-
-(* Faults that break the checker's premises: a crash or a neutralization
-   leaves half-done operations with real effects, a skew burst breaks the
-   real-time order of the recorded intervals. *)
-let blocks_lin_check faults =
-  List.exists
-    (function
-      | Scheduler.Crash_at _ | Skew_burst _ | Neutralize_at _ -> true
-      | Stall_at _ | Oversleep_spike _ | Churn_at _ -> false)
-    faults
 
 (* The explorer's cost model: frequent long stalls open the clock gaps
    that let one process race far ahead of another. *)
@@ -360,64 +344,28 @@ let run_one ?sink (c : case) : outcome =
   let history = Qs_verify.History.create ~n:c.n_processes in
   let m = Sim_exp.measure (setup_of ?sink c ~workload history) in
   let report = m.report in
-  (* Neutralization — injected or performed by the scheme itself — aborts
-     operations after real effects (a delete may have unlinked and retired
-     before the restart), so the recorded history is incomplete and the
-     check must not run. *)
-  let lin_blocked_by_faults =
-    blocks_lin_check c.faults || report.smr.neutralizations > 0
-  in
-  (* PCT also blocks the check: priorities decouple execution order from
-     the per-process virtual clocks, so the recorded intervals no longer
-     approximate real-time order (a low-priority process runs late in the
-     schedule while its clock — and hence its recorded invocation times —
-     lag far behind the rest of the system). *)
-  let lin_blocked_by_strategy =
-    match c.strategy with Pct _ -> true | Fair | Targeted _ -> false
-  in
-  let lin =
-    ref (if lin_blocked_by_strategy then Lin_skipped_strategy else Lin_skipped_faults)
-  in
   (* The memory-safety oracles outrank everything: a UAF explains any
-     downstream anomaly. The linearizability check runs only on complete,
-     skew-free histories (crashed workers leave half-done operations with
-     real effects; skew bursts break the real-time order the checker
-     assumes; exhaustion interrupts operations mid-flight). *)
-  let verdict =
-    if m.violations > 0 then Uaf m.violations
-    else if report.double_frees > 0 then Double_free report.double_frees
+     downstream anomaly. *)
+  let verdict, lin =
+    if m.violations > 0 then (Uaf m.violations, Lin_unchecked)
+    else if report.double_frees > 0 then
+      (Double_free report.double_frees, Lin_unchecked)
     else
-      match m.failures with
-      | (pid, e) :: _ ->
-        Worker_exn (Printf.sprintf "pid%d:%s" pid (Printexc.to_string e))
-      | [] -> (
-        match m.failed_at with
-        | Some tm ->
-          lin := Lin_skipped_oom;
-          Oom tm
-        | None ->
-          if lin_blocked_by_faults || lin_blocked_by_strategy then Pass
-          else (
-            match
-              Qs_verify.Lin_check.check_set
-                ~initial:(Spec.initial_keys workload)
-                (Qs_verify.History.entries history)
-            with
-            | Qs_verify.Lin_check.Ok ->
-              lin := Lin_ok;
-              Pass
-            | Qs_verify.Lin_check.Violation k ->
-              lin := Lin_ok;
-              Not_linearizable k
-            | Qs_verify.Lin_check.Too_large _ ->
-              lin := Lin_too_large;
-              Pass))
+      match (m.failures, m.failed_at) with
+      | (pid, e) :: _, _ ->
+        (Worker_exn (Printf.sprintf "pid%d:%s" pid (Printexc.to_string e)), Lin_unchecked)
+      | [], Some tm -> (Oom tm, Lin_unchecked)
+      | [], None -> (
+        match
+          Qs_verify.Lin_check.check_set
+            ~initial:(Spec.initial_keys workload)
+            (Qs_verify.History.entries history)
+        with
+        | Qs_verify.Lin_check.Violation k -> (Not_linearizable k, Lin_ok)
+        | Ok -> (Pass, Lin_ok)
+        | Too_large _ -> (Pass, Lin_too_large))
   in
-  { verdict;
-    ops = m.ops_total;
-    steps = m.steps;
-    lin = !lin;
-    stats = report.smr }
+  { verdict; ops = m.ops_total; steps = m.steps; lin; stats = report.smr }
 
 (* --- counterexample shrinking ------------------------------------------- *)
 

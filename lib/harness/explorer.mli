@@ -4,17 +4,15 @@
 
     A {!case} fully determines one run — structure, scheme, workload shape,
     scheduling {!strategy}, fault plan and seed — and {!run_one} executes it
-    under three oracles:
+    under three oracles, on every case whatever its strategy or faults:
 
     - the arena's node-state oracle: use-after-free and double-free
       counters;
     - memory exhaustion against the case's arena capacity;
     - per-key linearizability ({!Qs_verify.Lin_check}) of the recorded
-      operation history (skipped when the fault plan contains crashes,
-      clock-skew bursts or [Neutralize_at] deliveries, when the scheme
-      neutralized a process on its own, or when the strategy is [Pct] —
-      all of which invalidate the completed-operations / real-time-order
-      assumptions the checker rests on).
+      operation history, stamped with the scheduler's step index. An
+      operation a crash or a neutralization cut short is pending: it may
+      or may not have taken effect.
 
     A case runs as one {!Sim_exp.measure} at the explorer's operating
     point (eager quiescence and scans, the {!stall_cost} model, the case's
@@ -78,16 +76,10 @@ type verdict =
   | Worker_exn of string
 
 type lin_status =
-  | Lin_ok  (** the history was actually checked *)
-  | Lin_skipped_faults
-      (** not checked: crash / skew / neutralize faults or a scheme's own
-          neutralizations make it unsound, or a memory-safety oracle
-          already fired *)
-  | Lin_skipped_strategy
-      (** not checked: PCT priorities decouple execution order from the
-          per-process virtual clocks, so recorded intervals misstate the
-          real-time order the checker assumes *)
-  | Lin_skipped_oom  (** not checked: exhaustion interrupts operations *)
+  | Lin_ok  (** the history was checked *)
+  | Lin_unchecked
+      (** not checked: a memory verdict (use-after-free, double free,
+          exhaustion) or a worker's death came first *)
   | Lin_too_large  (** a per-key sub-history exceeded the checker's limit *)
 
 type outcome = {
@@ -112,13 +104,12 @@ type fault_level =
   | Chaos  (** stalls + oversleep spike + skew burst + one crash *)
   | Churn
       (** dynamic membership: two processes leave and rejoin mid-run plus
-          one random stall — hunts the adopted-node UAF class. Unlike
-          crash/skew, churn does not block the linearizability check. *)
+          one random stall — hunts the adopted-node UAF class. *)
   | Neutralize
       (** two poison deliveries plus one stall — hunts the
           restart-then-double-free and unwind-path-leak classes introduced
-          by DEBRA+-style neutralization. Restarted operations can
-          double-apply, so this level blocks the linearizability check. *)
+          by DEBRA+-style neutralization, and restarted operations that
+          apply twice. *)
 
 val fault_level_to_string : fault_level -> string
 

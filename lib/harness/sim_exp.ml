@@ -43,7 +43,7 @@ type setup = {
           so the trace covers measured time only; [None] = tracing off *)
   history : Qs_verify.History.t option;
       (** per-op invocation/response record of a [Set] target, for the
-          linearizability check; the response stamp is a [now] effect *)
+          linearizability check, stamped with the scheduler's step index *)
   smr_tweak : Qs_smr.Smr_intf.config -> Qs_smr.Smr_intf.config;
   sched_tweak : Scheduler.config -> Scheduler.config;
 }
@@ -123,24 +123,6 @@ let rec window_end t = function
 
 let measure (setup : setup) : measured =
   let n = setup.n_processes in
-  (* invocation time of each process's operation in flight, for [history] *)
-  let inv = Array.make n 0 in
-  let on_op =
-    Option.map
-      (fun h ~pid (op : Qs_workload.Spec.op) result ->
-        (* the response stamp is a [now] effect: runs that record a history
-           have their own schedules *)
-        let res = Sim_runtime.now () in
-        let op, key =
-          match op with
-          | Search k -> (Qs_verify.History.Search, k)
-          | Insert k -> (Qs_verify.History.Insert, k)
-          | Delete k -> (Qs_verify.History.Delete, k)
-        in
-        Qs_verify.History.record h ~pid ~op ~key ~inv:inv.(pid) ~res ~result)
-      setup.history
-  in
-  let module D = (val T.driver ?on_op setup.target) in
   let sched_cfg =
     setup.sched_tweak
       { (Scheduler.default_config ~n_cores:n ~seed:setup.seed) with
@@ -151,6 +133,12 @@ let measure (setup : setup) : measured =
         rooster_oversleep = default_epsilon / 2 }
   in
   let sched = Scheduler.create sched_cfg in
+  (* the history's clock is the global step index: a meta-level read, like
+     the latency recorder's [clock_of], so recording moves no schedule *)
+  let history =
+    Option.map (fun h -> (h, fun () -> Scheduler.steps sched)) setup.history
+  in
+  let module D = (val T.driver ?history setup.target) in
   let cfg =
     { Qs_ds.Set_intf.scheme = setup.scheme;
       smr = setup.smr_tweak (base_smr_config ~n_processes:n);
@@ -250,8 +238,8 @@ let measure (setup : setup) : measured =
                  injected [Neutralize_at] fault): delivery only happens
                  while the opt-in flag is up, never during the churn
                  leave/rejoin or the delay sleep. An aborted operation is
-                 retried by the loop and neither counted nor recorded. *)
-              inv.(pid) <- t;
+                 retried by the loop and not counted; a history keeps it
+                 as pending. *)
               Scheduler.set_neutralizable sched ~pid true;
               (try
                  let kind = D.step !ctx prngs.(pid) ~pid ~i in

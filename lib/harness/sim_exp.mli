@@ -71,11 +71,13 @@ type setup = {
           the default, and guaranteed not to change seeded schedules
           either way (see DESIGN.md §9). *)
   history : Qs_verify.History.t option;
-      (** records each completed operation of a [Set] target — pid, op,
-          key, result, invocation time (the loop's [now] before the op)
-          and response time — for {!Qs_verify.Lin_check}. The response
-          stamp is a [Sim_runtime.now] effect, so a run with a history
-          has a schedule of its own; [None] adds no effect. *)
+      (** records each operation of a [Set] target — pid, op, key,
+          invocation stamp, then response stamp and result — for
+          {!Qs_verify.Lin_check}; an operation that never responds
+          (crashed, neutralized and retried, or cut off by exhaustion)
+          stays pending. Both stamps are [Scheduler.steps], a meta-level
+          read like the latency recorder's, so a run records a history
+          without moving its schedule; [None] records nothing. *)
   smr_tweak : Qs_smr.Smr_intf.config -> Qs_smr.Smr_intf.config;
   sched_tweak : Scheduler.config -> Scheduler.config;
 }

@@ -25,6 +25,8 @@ module type DRIVER = sig
   val outstanding : t -> int
 end
 
+module H = Qs_verify.History
+
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let cset_of : Cset.kind -> (module Cset.S) = function
     | Cset.List -> (module Qs_ds.Linked_list.Make (R))
@@ -32,7 +34,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     | Cset.Bst -> (module Qs_ds.Bst.Make (R))
     | Cset.Hashtable -> (module Qs_ds.Hashtable.Make (R))
 
-  let driver ?on_op : t -> (module DRIVER) = function
+  let driver ?history : t -> (module DRIVER) = function
     | Set { ds; workload } ->
       let module C = (val cset_of ds) in
       (module struct
@@ -44,13 +46,25 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
         let step ctx prng ~pid ~i:_ =
           let op = Qs_workload.Spec.pick prng workload in
+          (match history with
+          | Some (h, clock) ->
+            let op, key =
+              match op with
+              | Search k -> (H.Search, k)
+              | Insert k -> (H.Insert, k)
+              | Delete k -> (H.Delete, k)
+            in
+            H.invoke h ~pid ~op ~key ~at:(clock ())
+          | None -> ());
           let result =
             match op with
             | Search k -> C.search ctx k
             | Insert k -> C.insert ctx k
             | Delete k -> C.delete ctx k
           in
-          (match on_op with Some f -> f ~pid op result | None -> ());
+          (match history with
+          | Some (h, clock) -> H.respond h ~pid ~result ~at:(clock ())
+          | None -> ());
           Qs_workload.Spec.kind_index op
 
         let live_nodes ctx = C.nodes_per_key * C.size ctx

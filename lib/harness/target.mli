@@ -56,12 +56,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
   (** Each structure instantiated on [R]. *)
 
   val driver :
-    ?on_op:(pid:int -> Qs_workload.Spec.op -> bool -> unit) ->
+    ?history:Qs_verify.History.t * (unit -> int) ->
     t ->
     (module DRIVER)
   (** Each call applies the structure functors afresh, so node uids
       restart and a seeded run does not depend on earlier runs in the
-      same process. [on_op] sees every completed operation of a [Set]
-      target with its result, inside the operation's process (a [Kv]
-      target ignores it). *)
+      same process. [history] records every operation of a [Set] target
+      (a [Kv] target ignores it): the invocation just before the operation
+      runs and the response just after, inside the operation's process,
+      each stamped with a read of the clock. *)
 end

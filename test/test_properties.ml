@@ -230,7 +230,7 @@ let prop_sequential_histories_linearizable =
                 (Qs_verify.History.Delete, r)
               | _ -> (Qs_verify.History.Search, IS.mem key !model)
             in
-            { Qs_verify.History.pid = 0; op; key; result; inv; res })
+            { Qs_verify.History.pid = 0; op; key; inv; response = Some { res; result } })
           script
       in
       Qs_verify.Lin_check.is_linearizable ~initial:[] entries)

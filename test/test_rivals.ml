@@ -299,7 +299,7 @@ let test_hyaline_never_scans () =
    scheme, not just DEBRA+. The data-structure unwind handlers must keep
    the arena oracles clean (a never-published node freed, an owned retire
    pair never double-retired) no matter whose retire/insert gets aborted.
-   Linearizability is gated (a restarted operation may double-apply). *)
+   The history, with each aborted operation pending, stays linearizable. *)
 let test_injected_neutralization_safe () =
   List.iter
     (fun scheme ->
@@ -321,8 +321,8 @@ let test_injected_neutralization_safe () =
               in
               let o = Explorer.run_one c in
               check_pass name o;
-              checkb (name ^ ": lin gated under neutralization") true
-                (o.Explorer.lin = Explorer.Lin_skipped_faults))
+              checkb (name ^ ": lin checked under neutralization") true
+                (o.Explorer.lin = Explorer.Lin_ok))
             [ 3; 23 ])
         [ Cset.List; Cset.Bst; Cset.Skiplist; Cset.Hashtable ])
     (incumbents @ rivals)

@@ -1,11 +1,15 @@
 (* The linearizability checker itself (positive and negative hand-crafted
-   histories), then end-to-end: record real concurrent histories from the
-   simulator on every data structure and check them. *)
+   histories, pending operations), then end-to-end: explorer runs that
+   record real concurrent histories on every data structure and check
+   them. *)
 
 open Qs_verify
-open Qs_sim
+open Qs_harness
 
-let e pid op key result inv res : History.entry = { pid; op; key; result; inv; res }
+let e pid op key result inv res : History.entry =
+  { pid; op; key; inv; response = Some { res; result } }
+
+let pending pid op key inv : History.entry = { pid; op; key; inv; response = None }
 
 let test_checker_sequential_ok () =
   let h =
@@ -98,7 +102,7 @@ let sequential_history script =
           (History.Delete, r)
         | _ -> (History.Search, IS.mem key !model)
       in
-      { History.pid = 0; op; key; result; inv; res })
+      e 0 op key result inv res)
     script
 
 let script_gen = QCheck.Gen.(list_size (int_range 2 30) (tup2 (int_range 0 2) (int_range 0 3)))
@@ -114,10 +118,11 @@ let prop_widening_preserves_linearizability =
       let prng = Qs_util.Prng.create ~seed:(width + List.length script) in
       let widened =
         List.map
-          (fun (e : History.entry) ->
-            { e with
-              inv = e.inv - Qs_util.Prng.int prng (width + 1);
-              res = e.res + Qs_util.Prng.int prng (width + 1) })
+          (fun (x : History.entry) ->
+            let r = Option.get x.response in
+            { x with
+              inv = x.inv - Qs_util.Prng.int prng (width + 1);
+              response = Some { r with res = r.res + Qs_util.Prng.int prng (width + 1) } })
           entries
       in
       Lin_check.is_linearizable ~initial:[] widened)
@@ -134,85 +139,101 @@ let prop_mutation_detected =
       let idx = pick mod n in
       let mutated =
         List.mapi
-          (fun i (e : History.entry) ->
-            if i = idx then { e with result = not e.result } else e)
+          (fun i (x : History.entry) ->
+            match x.response with
+            | Some r when i = idx -> { x with response = Some { r with result = not r.result } }
+            | _ -> x)
           entries
       in
       not (Lin_check.is_linearizable ~initial:[] mutated))
 
+(* --- pending operations -------------------------------------------------- *)
+
+let test_pending_may_take_effect () =
+  (* p1's insert never answered; p0 later finds the key either way *)
+  let after = e 0 History.Search 1 true 20 30 in
+  let absent = e 0 History.Search 1 false 20 30 in
+  Alcotest.(check bool) "a pending insert may take effect" true
+    (Lin_check.is_linearizable ~initial:[] [ pending 1 History.Insert 1 0; after ]);
+  Alcotest.(check bool) "or may not" true
+    (Lin_check.is_linearizable ~initial:[] [ pending 1 History.Insert 1 0; absent ]);
+  Alcotest.(check bool) "a pending delete likewise" true
+    (Lin_check.is_linearizable ~initial:[ 1 ]
+       [ pending 1 History.Delete 1 0; e 0 History.Search 1 false 20 30 ]);
+  Alcotest.(check bool) "a pending search is dropped" true
+    (Lin_check.is_linearizable ~initial:[] [ pending 1 History.Search 1 0; absent ])
+
+let test_pending_not_before_invocation () =
+  (* the search completed before the insert was invoked, so it cannot see
+     the insert's effect *)
+  Alcotest.(check bool) "no effect before the invocation" false
+    (Lin_check.is_linearizable ~initial:[]
+       [ e 0 History.Search 1 true 0 10; pending 1 History.Insert 1 20 ])
+
+let test_pending_keeps_completed_constrained () =
+  (* a pending insert can only add the key, and only once *)
+  Alcotest.(check bool) "completed order still enforced" false
+    (Lin_check.is_linearizable ~initial:[]
+       [ pending 1 History.Insert 1 0;
+         e 0 History.Insert 1 true 10 20;
+         e 0 History.Search 1 false 30 40 ]);
+  Alcotest.(check bool) "completed results still checked" false
+    (Lin_check.is_linearizable ~initial:[]
+       [ pending 2 History.Insert 1 0;
+         e 0 History.Insert 1 true 10 20;
+         e 1 History.Insert 1 true 30 40 ]);
+  Alcotest.(check bool) "one pending effect at most" false
+    (Lin_check.is_linearizable ~initial:[]
+       [ pending 1 History.Insert 1 0;
+         e 0 History.Search 1 true 10 20;
+         e 0 History.Delete 1 true 30 40;
+         e 0 History.Search 1 true 50 60;
+         e 0 History.Delete 1 true 70 80;
+         e 0 History.Search 1 true 90 100 ])
+
 (* --- end-to-end: real histories from the simulator ---------------------- *)
 
-module Run (C : Qs_harness.Cset.S) = struct
-  let record ~scheme ~seed ~range ~ops =
-    let n = 4 in
-    let s =
-      Scheduler.create
-        { (Scheduler.default_config ~n_cores:n ~seed) with
-          rooster_interval = Some 2_000;
-          rooster_oversleep = 50 }
-    in
-    let base = Qs_ds.Set_intf.default_config ~n_processes:n ~scheme in
-    let set =
-      C.create
-        { base with
-          smr =
-            { base.smr with
-              quiescence_threshold = 8;
-              scan_threshold = 8;
-              rooster_interval = 2_000;
-              epsilon = 300 } }
-    in
-    let ctxs = Array.init n (fun pid -> C.register set ~pid) in
-    let initial = List.init (range / 2) (fun i -> 2 * i) in
-    Scheduler.exec s ~pid:0 (fun () ->
-        List.iter (fun k -> ignore (C.insert ctxs.(0) k)) initial);
-    let hist = History.create ~n in
-    let master = Qs_util.Prng.create ~seed:(seed + 17) in
-    let prngs = Array.init n (fun _ -> Qs_util.Prng.split master) in
-    for pid = 0 to n - 1 do
-      Scheduler.spawn s ~pid (fun () ->
-          let prng = prngs.(pid) and ctx = ctxs.(pid) in
-          for _ = 1 to ops do
-            let key = Qs_util.Prng.int prng range in
-            let inv = Sim_runtime.now () in
-            let op, result =
-              match Qs_util.Prng.int prng 3 with
-              | 0 -> (History.Insert, C.insert ctx key)
-              | 1 -> (History.Delete, C.delete ctx key)
-              | _ -> (History.Search, C.search ctx key)
-            in
-            History.record hist ~pid ~op ~key ~inv ~res:(Sim_runtime.now ()) ~result
-          done)
-    done;
-    Scheduler.run_all s;
-    (match Scheduler.failures s with
-    | [] -> ()
-    | (pid, exn) :: _ ->
-      Alcotest.failf "worker %d failed: %s" pid (Printexc.to_string exn));
-    (initial, History.entries hist)
-
-  let check ~scheme ~seed ~range ~ops =
-    let initial, entries = record ~scheme ~seed ~range ~ops in
-    match Lin_check.check_set ~initial entries with
-    | Lin_check.Ok -> ()
-    | Lin_check.Violation k -> Alcotest.failf "non-linearizable on key %d" k
-    | Lin_check.Too_large k -> Alcotest.failf "history too large on key %d" k
-end
-
-module List_run = Run (Qs_ds.Linked_list.Make (Sim_runtime))
-module Skip_run = Run (Qs_ds.Skiplist.Make (Sim_runtime))
-module Bst_run = Run (Qs_ds.Bst.Make (Sim_runtime))
-module Hash_run = Run (Qs_ds.Hashtable.Make (Sim_runtime))
-
-let lin_case name check =
+let lin_case name ds =
   Alcotest.test_case name `Quick (fun () ->
       List.iter
-        (fun (scheme, seed) -> check ~scheme ~seed ~range:96 ~ops:400)
+        (fun (scheme, seed) ->
+          let c =
+            { (Explorer.default_case ~ds ~scheme ~seed) with
+              Explorer.key_range = 96;
+              ops_per_proc = 400;
+              duration = 2_000_000 }
+          in
+          let o = Explorer.run_one c in
+          let name = Explorer.to_string c in
+          Alcotest.(check string) (name ^ ": verdict") "pass"
+            (Explorer.verdict_to_string o.verdict);
+          Alcotest.(check bool) (name ^ ": history checked") true
+            (o.lin = Explorer.Lin_ok))
         [ (Qs_smr.Scheme.Qsense, 3);
           (Qs_smr.Scheme.Qsbr, 4);
           (Qs_smr.Scheme.Hp, 5);
           (Qs_smr.Scheme.Cadence, 6)
         ])
+
+(* The history's stamps are meta-level reads of the step index: recording
+   one moves no schedule. *)
+let test_history_schedule_neutral () =
+  List.iter
+    (fun (ds, scheme) ->
+      let workload = Qs_workload.Spec.make ~key_range:64 ~update_pct:50 in
+      let setup =
+        { (Sim_exp.default_setup ~ds ~scheme ~n_processes:4 ~workload) with
+          Sim_exp.duration = 100_000;
+          seed = 11 }
+      in
+      let history = History.create ~n:4 in
+      let off = Sim_exp.measure setup in
+      let on = Sim_exp.measure { setup with history = Some history } in
+      let name = Cset.kind_to_string ds ^ "/" ^ Qs_smr.Scheme.to_string scheme in
+      Alcotest.(check int) (name ^ ": equal steps") off.steps on.steps;
+      Alcotest.(check int) (name ^ ": one entry per op") on.ops_total
+        (List.length (History.entries history)))
+    [ (Cset.List, Qs_smr.Scheme.Qsense); (Cset.Bst, Qs_smr.Scheme.Debra_plus) ]
 
 let suite =
   [ Alcotest.test_case "checker: sequential ok" `Quick test_checker_sequential_ok;
@@ -221,14 +242,18 @@ let suite =
     Alcotest.test_case "checker: double insert rejected" `Quick test_checker_double_insert;
     Alcotest.test_case "checker: keys independent" `Quick test_checker_keys_independent;
     Alcotest.test_case "checker: oversized history" `Quick test_checker_too_large;
-    lin_case "list linearizable" (fun ~scheme ~seed ~range ~ops ->
-        List_run.check ~scheme ~seed ~range ~ops);
-    lin_case "skiplist linearizable" (fun ~scheme ~seed ~range ~ops ->
-        Skip_run.check ~scheme ~seed ~range ~ops);
-    lin_case "bst linearizable" (fun ~scheme ~seed ~range ~ops ->
-        Bst_run.check ~scheme ~seed ~range ~ops);
-    lin_case "hashtable linearizable" (fun ~scheme ~seed ~range ~ops ->
-        Hash_run.check ~scheme ~seed ~range ~ops);
+    Alcotest.test_case "checker: pending op may or may not take effect" `Quick
+      test_pending_may_take_effect;
+    Alcotest.test_case "checker: pending op not before its invocation" `Quick
+      test_pending_not_before_invocation;
+    Alcotest.test_case "checker: completed ops stay constrained" `Quick
+      test_pending_keeps_completed_constrained;
+    Alcotest.test_case "history is schedule-neutral" `Quick
+      test_history_schedule_neutral;
+    lin_case "list linearizable" Cset.List;
+    lin_case "skiplist linearizable" Cset.Skiplist;
+    lin_case "bst linearizable" Cset.Bst;
+    lin_case "hashtable linearizable" Cset.Hashtable;
     QCheck_alcotest.to_alcotest prop_widening_preserves_linearizability;
     QCheck_alcotest.to_alcotest prop_mutation_detected
   ]
