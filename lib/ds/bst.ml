@@ -262,6 +262,19 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     D.clear_hps ctx.smr;
     res
 
+  (* Run [f] with neutralization delivery held back, as {!Smr_domain} runs
+     a scheme's bookkeeping: a restart signal then lands at the first
+     access after [f], never inside it. *)
+  let held f =
+    let d = R.set_neutralizable false in
+    match f () with
+    | v ->
+      ignore (R.set_neutralizable d);
+      v
+    | exception e ->
+      ignore (R.set_neutralizable d);
+      raise e
+
   let alloc_leaf ctx key =
     let n = D.alloc ctx.smr in
     n.key <- key;
@@ -301,9 +314,12 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
             match !fresh with
             | Some pair -> pair
             | None ->
-              let pair = (alloc_leaf ctx key, alloc_leaf ctx 0) in
-              fresh := Some pair;
-              pair
+              (* [alloc_leaf] performs effects: a restart delivered before
+                 [fresh] holds the pair would strand what was allocated *)
+              held (fun () ->
+                  let pair = (alloc_leaf ctx key, alloc_leaf ctx 0) in
+                  fresh := Some pair;
+                  pair)
           in
           nint.key <- max key s.l.key;
           nint.is_leaf <- false;
@@ -344,6 +360,24 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       | None -> ());
       raise e
 
+  (* Retire a won delete's parent and leaf. Delivery is held back, but
+     DEBRA+'s retire raises its cooperative restart with its node already
+     banked, so "retire s.p raised" never needs a compensating retire of
+     s.p — only an s.l whose retire was never entered is at risk, and
+     retiring it from the handler is safe in every scheme (a never-entered
+     retire banked nothing). *)
+  let retire_pair ctx s =
+    let entered_l = ref false in
+    (try
+       D.retire ctx.smr s.p;
+       entered_l := true;
+       D.retire ctx.smr s.l
+     with Qs_intf.Runtime_intf.Neutralized as e ->
+       if not !entered_l then (
+         try D.retire ctx.smr s.l with Qs_intf.Runtime_intf.Neutralized -> ());
+       raise e);
+    true
+
   let delete ctx key =
     D.manage_state ctx.smr;
     let rec attempt () =
@@ -369,25 +403,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
                 dmark = Mark op }
             in
             if R.cas s.gp.upd s.gpu op.dflag then begin
-              if help_delete op then begin
-                (* This delete owns BOTH removals (m = 2); bank the second
-                   even if a neutralization signal aborts between the two
-                   retire calls. DEBRA+'s retire only raises with its node
-                   already banked, so "retire s.p raised" never needs a
-                   compensating retire of s.p — only an s.l whose retire
-                   was never entered is at risk, and retiring it from the
-                   handler is safe in every scheme (a never-entered retire
-                   banked nothing). *)
-                let entered_l = ref false in
-                (try
-                   D.retire ctx.smr s.p;
-                   entered_l := true;
-                   D.retire ctx.smr s.l
-                 with Qs_intf.Runtime_intf.Neutralized as e ->
-                   if not !entered_l then (
-                     try D.retire ctx.smr s.l
-                     with Qs_intf.Runtime_intf.Neutralized -> ());
-                   raise e);
+              (* This delete owns the removal from here on. A restart
+                 delivered before it aborts or banks both removed nodes
+                 (m = 2) would leave p and l for helpers to unlink and
+                 nobody to retire, so delivery is held back until then. *)
+              if held (fun () -> help_delete op && retire_pair ctx s) then begin
                 D.clear_hps ctx.smr;
                 true
               end

@@ -3,11 +3,12 @@
    One [case] fully determines one run: data structure, scheme, workload
    shape, scheduling strategy, fault plan and seed. [run_one] translates it
    into a [Sim_exp.setup], runs the worker phase through [Sim_exp.measure]
-   (the one simulator loop) and classifies the result with three oracles,
+   (the one simulator loop) and classifies the result with four oracles,
    on every case whatever its strategy or faults — the arena's node-state
-   oracle (use-after-free, double free), memory exhaustion, and per-key
+   oracle (use-after-free, double free), memory exhaustion, per-key
    linearizability of the operation history [Sim_exp] records (operations
-   a crash or a neutralization cut short are pending). A failing case can be
+   a crash or a neutralization cut short are pending), and, on a run that
+   passes those, the teardown's leak check. A failing case can be
    [shrink]'d to a smaller one with the same verdict class and round-tripped
    through a one-line repro file, so every CI failure is replayable from the
    artifact alone. *)
@@ -65,6 +66,7 @@ type verdict =
   | Oom of int
   | Not_linearizable of int
   | Worker_exn of string
+  | Leaked of int
 
 type lin_status = Lin_ok | Lin_unchecked | Lin_too_large
 
@@ -83,6 +85,7 @@ let verdict_class = function
   | Oom _ -> 3
   | Not_linearizable _ -> 4
   | Worker_exn _ -> 5
+  | Leaked _ -> 6
 
 let same_class a b = verdict_class a = verdict_class b
 
@@ -93,6 +96,7 @@ let verdict_to_string = function
   | Oom t -> Printf.sprintf "oom:%d" t
   | Not_linearizable k -> Printf.sprintf "not-linearizable:%d" k
   | Worker_exn s -> "worker-exn:" ^ s
+  | Leaked n -> Printf.sprintf "leak:%d" n
 
 (* --- serialization: one "k=v" line per case ----------------------------- *)
 
@@ -309,15 +313,17 @@ let scheduler_strategy (c : case) : Scheduler.strategy =
   | Targeted { victim; hook; skip; stall } ->
     Scheduler.Targeted { victim; hook; skip; stall }
 
+let workload_of c = Spec.make ~key_range:c.key_range ~update_pct:c.update_pct
+
 (* A case is one {!Sim_exp} run at the explorer's operating point: eager
    quiescence and scans (Q = 8, R = 2) so reclamation runs often within a
    short case, and for schemes without roosters a vacuous age check (T =
    epsilon = 0), the adversarial setting under which fenced HP must still
    be safe and unfenced HP is not. *)
-let setup_of ?sink (c : case) ~workload history : Sim_exp.setup =
+let setup_of ?sink ?history (c : case) : Sim_exp.setup =
   let needs_roosters = Qs_smr.Scheme.needs_roosters c.scheme in
   { (Sim_exp.default_setup ~ds:c.ds ~scheme:c.scheme ~n_processes:c.n_processes
-       ~workload)
+       ~workload:(workload_of c))
     with
     duration = c.duration;
     ops_limit = Some c.ops_per_proc;
@@ -325,7 +331,7 @@ let setup_of ?sink (c : case) ~workload history : Sim_exp.setup =
     capacity = (if c.capacity > 0 then Some c.capacity else None);
     faults = c.faults;
     sink;
-    history = Some history;
+    history;
     sched_tweak =
       (fun cfg -> { cfg with cost = stall_cost; strategy = scheduler_strategy c });
     smr_tweak =
@@ -340,9 +346,18 @@ let setup_of ?sink (c : case) ~workload history : Sim_exp.setup =
           bag_capacity = c.bags }) }
 
 let run_one ?sink (c : case) : outcome =
-  let workload = Spec.make ~key_range:c.key_range ~update_pct:c.update_pct in
   let history = Qs_verify.History.create ~n:c.n_processes in
-  let m = Sim_exp.measure (setup_of ?sink c ~workload history) in
+  (* the sink sees the worker phase only, not the leak check's teardown *)
+  let tracing = ref true in
+  let sink =
+    Option.map
+      (fun (s : Qs_intf.Runtime_intf.sink) ->
+        { Qs_intf.Runtime_intf.record =
+            (fun ~pid ~time ~ev ~a ~b ->
+              if !tracing then s.record ~pid ~time ~ev ~a ~b) })
+      sink
+  in
+  let m = Sim_exp.measure (setup_of ?sink ~history c) in
   let report = m.report in
   (* The memory-safety oracles outrank everything: a UAF explains any
      downstream anomaly. *)
@@ -358,12 +373,24 @@ let run_one ?sink (c : case) : outcome =
       | [], None -> (
         match
           Qs_verify.Lin_check.check_set
-            ~initial:(Spec.initial_keys workload)
+            ~initial:(Spec.initial_keys (workload_of c))
             (Qs_verify.History.entries history)
         with
         | Qs_verify.Lin_check.Violation k -> (Not_linearizable k, Lin_ok)
-        | Ok -> (Pass, Lin_ok)
-        | Too_large _ -> (Pass, Lin_too_large))
+        | (Ok | Too_large _) as r -> (
+          let lin = if r = Ok then Lin_ok else Lin_too_large in
+          (* a crashed operation may strand the nodes of one key *)
+          let crashes =
+            List.length
+              (List.filter
+                 (function Scheduler.Crash_at _ -> true | _ -> false)
+                 c.faults)
+          in
+          tracing := false;
+          match (m.teardown ()).leak_check with
+          | `Leaked n when n > crashes * Cset.nodes_per_key_of c.ds ->
+            (Leaked n, lin)
+          | `Ok | `Leaked _ | `Skipped -> (Pass, lin)))
   in
   { verdict; ops = m.ops_total; steps = m.steps; lin; stats = report.smr }
 

@@ -4,7 +4,7 @@
 
     A {!case} fully determines one run — structure, scheme, workload shape,
     scheduling {!strategy}, fault plan and seed — and {!run_one} executes it
-    under three oracles, on every case whatever its strategy or faults:
+    under four oracles, on every case whatever its strategy or faults:
 
     - the arena's node-state oracle: use-after-free and double-free
       counters;
@@ -12,7 +12,11 @@
     - per-key linearizability ({!Qs_verify.Lin_check}) of the recorded
       operation history, stamped with the scheduler's step index. An
       operation a crash or a neutralization cut short is pending: it may
-      or may not have taken effect.
+      or may not have taken effect;
+    - on a run the others pass, the teardown's leak check: after every
+      process flushes, the arena holds no node beyond the live ones (a
+      crashed operation may strand one key's nodes, so each [Crash_at]
+      fault allows {!Cset.nodes_per_key_of} more).
 
     A case runs as one {!Sim_exp.measure} at the explorer's operating
     point (eager quiescence and scans, the {!stall_cost} model, the case's
@@ -74,6 +78,7 @@ type verdict =
   | Oom of int  (** virtual time of arena exhaustion *)
   | Not_linearizable of int  (** offending key *)
   | Worker_exn of string
+  | Leaked of int  (** nodes neither live nor freed after the teardown *)
 
 type lin_status =
   | Lin_ok  (** the history was checked *)
@@ -124,11 +129,21 @@ val stall_cost : Scheduler.cost_model
     with frequent long stalls (probability 0.05, up to 600 ticks), which
     open the clock gaps that let one process race far ahead of another. *)
 
+val setup_of :
+  ?sink:Qs_intf.Runtime_intf.sink ->
+  ?history:Qs_verify.History.t ->
+  case ->
+  Sim_exp.setup
+(** The {!Sim_exp} run a case stands for, at the explorer's operating
+    point: Q = 8, R = 2, the {!stall_cost} model, the case's strategy,
+    faults and seed. *)
+
 val run_one : ?sink:Qs_intf.Runtime_intf.sink -> case -> outcome
 (** Deterministic: equal cases give equal outcomes — with or without a
     [sink] (trace emission is schedule-neutral), so a traced replay of a
     repro file reproduces its verdict while producing a full timeline of
-    the failure. The sink covers the worker phase only (not the fill). *)
+    the failure. The sink covers the worker phase only (not the fill, nor
+    the leak check's teardown). *)
 
 val shrink : ?budget:int -> case -> verdict -> case * int
 (** [shrink case v] greedily minimises [case] (fewer ops, processes, keys,
