@@ -43,8 +43,8 @@
      to OUT. Exit 1 if a rare class ends up with no witness.
    - [fingerprint [--check] [--out PATH] [--jobs N]] — run every
      deterministic output (each [repro all] section at quick scale, seed 1;
-     the committed corpus' witness counts and each case's verdict and step
-     count; [smoke --seeds 3]; the sim-stall benchmark's p50/p99/p999 and
+     the committed corpus' witness counts and each case's verdict,
+     linearizability status and step count; [smoke --seeds 3]; the sim-stall benchmark's p50/p99/p999 and
      retired peak at seeds 1-3; the bench's [--quick] latency.rows and
      service.rows) and write one line per section — name, MD5 digest,
      line count — to PATH (default FINGERPRINTS). With
@@ -754,7 +754,8 @@ let fingerprint_corpus = Filename.concat "test" "explorer.corpus"
 
 (* The deterministic outputs a schedule-neutral change must leave alone:
    every [repro all] section (quick scale, seed 1), the committed corpus'
-   rare-class witness counts and each case's verdict and step count, the
+   rare-class witness counts and each case's verdict, linearizability
+   status and step count (a case that stops being checked moves), the
    smoke run at 3 seeds, the sim-stall benchmark's tails, and the bench's
    latency and service sim rows. Also returns what failed on its own
    terms, whatever the committed digests say: a failing smoke check, a
@@ -775,8 +776,12 @@ let fingerprint_sections (f : flags) =
           (match r with
           | None -> "no result\n"
           | Some ((o : Explorer.outcome), _) ->
-            Printf.sprintf "%s steps=%d\n"
+            Printf.sprintf "%s lin=%s steps=%d\n"
               (Explorer.verdict_to_string o.verdict)
+              (match o.lin with
+              | Explorer.Lin_ok -> "ok"
+              | Lin_unchecked -> "unchecked"
+              | Lin_too_large -> "too-large")
               o.steps))
       (Array.to_list results)
   in

@@ -97,8 +97,8 @@ type strategy =
       wake-ups crossed during the stall still fire.
     - [Crash_at] — the process never runs again. Its final descheduling is
       a context switch, so its store buffer drains; its core (and rooster)
-      stay up. Histories of crashed runs contain incomplete operations, so
-      the explorer skips linearizability checking for them.
+      stay up. A crashed operation stays pending in a recorded history:
+      it may or may not have taken effect.
     - [Oversleep_spike] — the process's next rooster wake-up is delayed by
       [extra] ticks on top of the configured oversleep, possibly far beyond
       the [epsilon] the SMR schemes assume.
