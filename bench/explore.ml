@@ -44,9 +44,9 @@
    - [fingerprint [--check] [--out PATH] [--jobs N]] — run every
      deterministic output (each [repro all] section at quick scale, seed 1;
      the committed corpus' witness counts and each case's verdict,
-     linearizability status and step count; [smoke --seeds 3]; the sim-stall benchmark's p50/p99/p999 and
-     retired peak at seeds 1-3; the bench's [--quick] latency.rows and
-     service.rows) and write one line per section — name, MD5 digest,
+     linearizability status and step count; [smoke --seeds 3]; the
+     sim-stall benchmark's p50/p99/p999 and retired peak at seeds 1-3;
+     the bench's [--quick] latency.rows and service.rows) and write one line per section — name, MD5 digest,
      line count — to PATH (default FINGERPRINTS). With
      [--check], compare against PATH instead, name every section that
      moved, is new or is missing, and exit 1 if any did. Either way it

@@ -262,19 +262,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     D.clear_hps ctx.smr;
     res
 
-  (* Run [f] with neutralization delivery held back, as {!Smr_domain} runs
-     a scheme's bookkeeping: a restart signal then lands at the first
-     access after [f], never inside it. *)
-  let held f =
-    let d = R.set_neutralizable false in
-    match f () with
-    | v ->
-      ignore (R.set_neutralizable d);
-      v
-    | exception e ->
-      ignore (R.set_neutralizable d);
-      raise e
-
   let alloc_leaf ctx key =
     let n = D.alloc ctx.smr in
     n.key <- key;
@@ -316,7 +303,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
             | None ->
               (* [alloc_leaf] performs effects: a restart delivered before
                  [fresh] holds the pair would strand what was allocated *)
-              held (fun () ->
+              D.held (fun () ->
                   let pair = (alloc_leaf ctx key, alloc_leaf ctx 0) in
                   fresh := Some pair;
                   pair)
@@ -407,7 +394,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
                  delivered before it aborts or banks both removed nodes
                  (m = 2) would leave p and l for helpers to unlink and
                  nobody to retire, so delivery is held back until then. *)
-              if held (fun () -> help_delete op && retire_pair ctx s) then begin
+              if D.held (fun () -> help_delete op && retire_pair ctx s) then begin
                 D.clear_hps ctx.smr;
                 true
               end

@@ -68,6 +68,18 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : NODE) = struct
   let preemptive = R.neutralize_is_preemptive
   let release deliverable = ignore (R.set_neutralizable deliverable)
 
+  let held f =
+    if not preemptive then f ()
+    else
+      let d = R.set_neutralizable false in
+      match f () with
+      | v ->
+        release d;
+        v
+      | exception e ->
+        release d;
+        raise e
+
   let manage_state c =
     match c.smr with
     | H ((module M), h) when not preemptive -> M.manage_state h

@@ -61,6 +61,12 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : NODE) : sig
   val unregister : ctx -> unit
   val flush : ctx -> unit
 
+  val held : (unit -> 'a) -> 'a
+  (** [held f] runs [f] with delivery held back in the same way, for a
+      structure's own window between an effect and the bookkeeping that
+      makes unwinding from it safe (a node allocated but not yet recorded
+      for the unwind handler, a removal won but not yet retired). *)
+
   val report : t -> Set_intf.report
   val retired_count : t -> int
   val violations : t -> int

@@ -368,7 +368,8 @@ let run_one ?sink (c : case) : outcome =
     else
       match (m.failures, m.failed_at) with
       | (pid, e) :: _, _ ->
-        (Worker_exn (Printf.sprintf "pid%d:%s" pid (Printexc.to_string e)), Lin_unchecked)
+        ( Worker_exn (Printf.sprintf "pid%d:%s" pid (Printexc.to_string e)),
+          Lin_unchecked )
       | [], Some tm -> (Oom tm, Lin_unchecked)
       | [], None -> (
         match

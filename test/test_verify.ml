@@ -122,7 +122,8 @@ let prop_widening_preserves_linearizability =
             let r = Option.get x.response in
             { x with
               inv = x.inv - Qs_util.Prng.int prng (width + 1);
-              response = Some { r with res = r.res + Qs_util.Prng.int prng (width + 1) } })
+              response =
+                Some { r with res = r.res + Qs_util.Prng.int prng (width + 1) } })
           entries
       in
       Lin_check.is_linearizable ~initial:[] widened)
@@ -141,7 +142,8 @@ let prop_mutation_detected =
         List.mapi
           (fun i (x : History.entry) ->
             match x.response with
-            | Some r when i = idx -> { x with response = Some { r with result = not r.result } }
+            | Some r when i = idx ->
+              { x with response = Some { r with result = not r.result } }
             | _ -> x)
           entries
       in
