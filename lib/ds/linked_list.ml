@@ -171,8 +171,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
           end
       end
 
-  let search_in ctx ~bucket key =
-    D.manage_state ctx.smr;
+  (* [search_in] after its [manage_state]; also the probe's fallback. *)
+  let find_member ctx bucket key =
     find ctx bucket key;
     let curr = ctx.curr in
     touch ctx curr;
@@ -180,19 +180,29 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     D.clear_hps ctx.smr;
     res
 
-  (* Read-only membership probe: walks the chain by key order without
-     snipping marked nodes (chain keys strictly increase, marked or not,
-     so the first node with key >= [key] settles membership: present iff
-     it carries [key] and its own next link is unmarked). Alternates the
-     two hazard-pointer slots between the node in hand and its successor
-     with the usual validation re-read, restarting from the bucket head
-     on interference.
+  let search_in ctx ~bucket key =
+    D.manage_state ctx.smr;
+    find_member ctx bucket key
+
+  (* Read-only membership probe: walks the chain by key order (chain keys
+     strictly increase, so the first node with key >= [key] settles
+     membership: present iff it carries [key] and its own next link is
+     unmarked). Alternates the two hazard-pointer slots between the node
+     in hand and its successor with the usual validation re-read,
+     restarting from the bucket head on interference.
+
+     It never follows a marked link. A marked link is frozen, so the
+     validation re-read would pass even after its successor was unlinked
+     and freed (Brown, arXiv:1712.01044: a traversal must not leave a
+     marked node). At a marked link the probe falls back to the snipping
+     [find], which gets past the marked node by unlinking it. Restarting
+     from the head instead could spin for as long as a stalled deleter
+     leaves its marked node linked.
 
      Like [find], top-level recursion that allocates nothing — it is the
      KV service's pinned-at-zero get path. Unlike [find], it publishes
-     once per node rather than twice and never writes the chain. The
-     cleanup duty read-only probes skip is picked up by the next mutating
-     [find] through the bucket. *)
+     once per node rather than twice and, until it meets a marked link,
+     never writes the chain. *)
   let rec probe_walk ctx bucket key slot node =
     if node.key > key then begin
       D.clear_hps ctx.smr;
@@ -213,7 +223,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       | Null ->
         D.clear_hps ctx.smr;
         false
-      | Ptr { dest; marked = _ } ->
+      | Ptr { marked = true; _ } -> find_member ctx bucket key
+      | Ptr { dest; marked = false } ->
         let slot' = 1 - slot in
         D.assign_hp ctx.smr ~slot:slot' dest;
         (* Validation read: if node.next changed since we read it, dest

@@ -54,10 +54,12 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
   val search_in : ctx -> bucket:node -> int -> bool
 
   val search_ro_in : ctx -> bucket:node -> int -> bool
-  (** Read-only membership probe: same answer as [search_in] but never
-      snips marked nodes and allocates nothing on the OCaml heap
-      (top-level recursion, no result tuple). The KV service's get path
-      uses this so benchmarks can pin it at zero words per request. *)
+  (** Membership probe: same answer as [search_in], and allocates nothing
+      on the OCaml heap (top-level recursion, no result tuple). It writes
+      nothing while the links it follows are unmarked; at a marked link
+      it finishes as [search_in] does, snipping. The KV service's get
+      path uses this so benchmarks can pin it at zero words per
+      request. *)
 
   val insert_in : ctx -> bucket:node -> int -> bool
   val delete_in : ctx -> bucket:node -> int -> bool

@@ -185,6 +185,57 @@ let test_fenced_hp_safe () =
   Alcotest.(check int) "fenced HP never violates" 0
     (violations_with ~scheme:Qs_smr.Scheme.Hp ~seeds)
 
+(* --- the read-only probe never leaves a node by a marked link ------------ *)
+
+(* One bucket, classic HP scanning on every retire, long random stalls: a
+   reader probes keys of [0, 8) with [search_ro_in] while two writers
+   insert and delete them. A probe that followed a marked link (frozen,
+   so its validation re-read always passed) reached freed nodes in 10 of
+   these 100 seeds; [search_in] on the same schedules reached none. *)
+let probe_violations ~seed =
+  let n = 3 in
+  let s =
+    Scheduler.create
+      { (Scheduler.default_config ~n_cores:n ~seed) with
+        rooster_interval = Some 2_000;
+        rooster_oversleep = 50;
+        cost =
+          { Scheduler.default_cost with stall_prob = 0.02; stall_max = 8_000 } }
+  in
+  let base =
+    Qs_ds.Set_intf.default_config ~n_processes:n ~scheme:Qs_smr.Scheme.Hp
+  in
+  let lst = L.create { base with smr = { base.smr with scan_threshold = 1 } } in
+  let bucket = L.new_bucket lst in
+  let ctxs = Array.init n (fun pid -> L.register lst ~pid) in
+  for pid = 0 to n - 1 do
+    let prng = Qs_util.Prng.create ~seed:((seed * 7) + pid) in
+    Scheduler.spawn s ~pid (fun () ->
+        let ctx = ctxs.(pid) in
+        for _ = 1 to 500 do
+          let key = Qs_util.Prng.int prng 8 in
+          if pid = 0 then ignore (L.search_ro_in ctx ~bucket key)
+          else if Qs_util.Prng.bool prng then ignore (L.insert_in ctx ~bucket key)
+          else ignore (L.delete_in ctx ~bucket key)
+        done)
+  done;
+  Scheduler.run_all s;
+  (match Scheduler.failures s with
+  | [] -> ()
+  | (pid, e) :: _ ->
+    Alcotest.failf "seed %d: worker %d failed: %s" seed pid
+      (Printexc.to_string e));
+  L.violations lst
+
+let test_probe_no_marked_link () =
+  let hit = ref [] in
+  for seed = 1 to 100 do
+    if probe_violations ~seed > 0 then hit := seed :: !hit
+  done;
+  if !hit <> [] then
+    Alcotest.failf "search_ro_in reached freed nodes at seeds %s"
+      (String.concat " " (List.rev_map string_of_int !hit))
+
 let suite =
   [ Alcotest.test_case "sequential semantics vs model" `Quick test_sequential_semantics;
     stress_case Qs_smr.Scheme.None_;
@@ -193,5 +244,7 @@ let suite =
     stress_case Qs_smr.Scheme.Cadence;
     stress_case Qs_smr.Scheme.Qsense;
     Alcotest.test_case "unfenced HP is unsafe under TSO" `Quick test_unsafe_hp_violates;
-    Alcotest.test_case "fenced HP is safe under TSO" `Quick test_fenced_hp_safe
+    Alcotest.test_case "fenced HP is safe under TSO" `Quick test_fenced_hp_safe;
+    Alcotest.test_case "probe never follows a marked link" `Quick
+      test_probe_no_marked_link
   ]
