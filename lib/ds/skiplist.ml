@@ -56,6 +56,17 @@
    traversals are top-level recursions over [ctx], so a search or a range
    count allocates nothing.
 
+   Range counts walk level 0 from [succs.(0)] and never leave a node by a
+   marked link (Brown, arXiv:1712.01044). A step publishes the successor
+   and re-reads the node's link: an equal unmarked link means the node is
+   still unmarked, hence still linked, with the successor linked behind
+   it, hence not retired. A marked link is frozen, so its re-read always
+   passes, yet once the node is snipped its successor can be unlinked,
+   retired and freed behind it. At a marked link the count therefore runs
+   [find] for the node's key, which snips it, and goes on from the new
+   [succs.(0)] with the count it has: every key counted so far is below
+   the node's and every key still to count is at or above it.
+
    Canonical links: a link value depends only on (dest, mark), not on the
    level, so each node carries its two link values, [ulink] and [mlink],
    built once when the node is created and shared by all its levels. No
@@ -380,9 +391,16 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     D.manage_state ctx.smr;
     delete_attempt ctx key
 
-  (* The level-0 walk of [range_count] from [node] (protected at [slot]):
-     the count, or -1 when the scan must restart. *)
-  let rec range_walk ctx hi count slot node =
+  (* Position at the first node with key >= [lo], then count from there:
+     [count] plus the keys met in [lo, hi], or -1 when the scan must
+     restart. The walk alternates the two level-0 slots (see the header);
+     [node] is protected and [slot] is the slot its successor does not go
+     into. *)
+  let rec range_from ctx lo hi count =
+    find ctx lo;
+    range_walk ctx hi count ctx.succ_slot ctx.succs.(0)
+
+  and range_walk ctx hi count slot node =
     if node == ctx.set.tail || node.key > hi then count
     else begin
       let link = R.aget node.next 0 in
@@ -390,9 +408,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       touch ctx node;
       match link with
       | Null -> count
-      | Ptr { dest; marked } ->
-        (* an unmarked link means [node] is still a member *)
-        let count = if marked then count else count + 1 in
+      | Ptr { marked = true; _ } ->
+        (* [node] is being deleted: not counted, and not left by its
+           frozen link (see the header) *)
+        range_from ctx node.key hi count
+      | Ptr { dest; marked = false } ->
         let slot' = 1 - slot in
         D.assign_hp ctx.smr ~slot:slot' dest;
         (* Validation read: if node's level-0 link changed, dest may already be
@@ -400,14 +420,12 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         if R.aget node.next 0 != link then -1
         else begin
           touch ctx dest;
-          range_walk ctx hi count slot' dest
+          range_walk ctx hi (count + 1) slot' dest
         end
     end
 
   let rec range_scan ctx lo hi =
-    find ctx lo;
-    (* succs.(0): first node with key >= lo, protected at succ_slot *)
-    let count = range_walk ctx hi 0 ctx.succ_slot ctx.succs.(0) in
+    let count = range_from ctx lo hi 0 in
     if count < 0 then range_scan ctx lo hi else count
 
   (* Count the keys present in [lo, hi] — the KV service's range scan.
@@ -417,10 +435,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
      slots between the node in hand and its successor: the successor is
      published, then the link is re-read to validate it still hangs off the
      protected node (Condition 1), and the whole scan restarts on
-     interference. Marked nodes are
-     traversed but not counted. A scan pins nodes for the whole walk, so it
-     holds hazard pointers far longer than a point operation — exactly the
-     pressure the service workload wants to put on reclamation. *)
+     interference. A marked node is not counted, and the scan re-positions
+     past it with [find] (see the header). A scan pins nodes for the whole
+     walk, so it holds hazard pointers far longer than a point operation —
+     exactly the pressure the service workload wants to put on
+     reclamation. *)
   let range_count ctx ~lo ~hi =
     if hi < lo then invalid_arg "Skiplist.range_count: hi < lo";
     D.manage_state ctx.smr;
