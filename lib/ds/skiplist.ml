@@ -43,18 +43,28 @@
    inserter's own pass.
 
    Hazard-pointer discipline: level l owns slots [2*l] and [2*l + 1], and
-   a step publishes once. [curr] goes into the slot of the level that does
-   not hold [pred] and is validated by re-reading [pred]'s link; moving on,
-   [curr] becomes the next [pred], already protected. Descending, [pred] is
-   not published again: it stays in the slot of the level where it was
-   reached. A level's slots are written only while walking that level, so
-   protection is continuous (Condition 1), and after a completed pass
-   every [preds.(l)] and [succs.(l)] is held by a slot of a level >= l —
-   what the fast unlink and the inserter's upper links rely on. The pass
-   records which level-0 slot holds [succs.(0)], where a range count
-   starts its alternation. The last slot is the inserter's own node. The
-   traversals are top-level recursions over [ctx], so a search or a range
-   count allocates nothing.
+   a step publishes at most once and reads each link once. [curr] goes
+   into the slot of the level that does not hold [pred] and is validated
+   by re-reading [pred]'s link; moving on, [curr] becomes the next [pred],
+   already protected, and the link just read from it is the next step's
+   [pred] link: the validation re-read after the next publish guards it.
+   Two nodes are neither published nor validated:
+   - the tail, which is never retired. Its link is not read either;
+   - [succs.(l + 1)] met again at level l, which a slot of a higher level
+     has held since this pass stopped there. A pass only descends through
+     its own stop, so [succs.(l + 1)] always comes from the current pass.
+     Its link is still read, for the mark.
+   Descending, [pred] is not published again: it stays in the slot of the
+   level where it was reached. A level's slots are written only while
+   walking that level, so protection is continuous (Condition 1), and
+   after a completed pass every [preds.(l)] and [succs.(l)] is the tail or
+   held by a slot of a level >= l — what the fast unlink and the
+   inserter's upper links rely on. The pass records [succ_slot], the
+   level-0 slot [succs.(0)] went into or, when it was not published
+   there, would have gone into; a range count publishes the next node
+   into the other level-0 slot, which then holds nothing it needs. The
+   last slot is the inserter's own node. The traversals are top-level
+   recursions over [ctx], so a search or a range count allocates nothing.
 
    Range counts walk level 0 from [succs.(0)] and never leave a node by a
    marked link (Brown, arXiv:1712.01044). A step publishes the successor
@@ -78,15 +88,15 @@
    [dest.ulink], no witness is stored: a pass leaves [preds] and [succs],
    and each CAS names its witness by a [ulink]. Per CAS site, writing
    [x.next[l]] for element [l] of [x]'s link array:
-   - [level_walk]'s snip, [pred.next[l]]: [curr.ulink] -> [succ.ulink].
-     [curr] is in the slot of level [l] just published and validated. A
+   - [visit]'s snip, [pred.next[l]]: [curr.ulink] -> [succ.ulink].
+     [curr] is held: published at [l] and validated, or [succs.(l + 1)]. A
      witness that still holds means [curr] is still [pred]'s unmarked
      successor (again, perhaps, after a node was inserted in front of it
      and deleted: the same state). [succ] is [curr]'s frozen successor at
      [l] — a marked link is never CASed — so it stays linked at [l] as
      long as [curr] is.
    - insert's bottom CAS, [preds.(0).next[0]]: [succs.(0).ulink] ->
-     [n.ulink]. [succs.(0)] is at [succ_slot].
+     [n.ulink]. [succs.(0)] is the tail or held.
    - [link_upper]'s CAS on [n.next[l]]: cur -> [succs.(l).ulink]. [n] is
      in the inserter's own slot. [cur]'s dest (a stale successor) is
      unprotected, but no ABA is possible: [n] is not linked at [l] yet, so
@@ -94,13 +104,13 @@
    - [link_upper]'s CAS on [preds.(l).next[l]]: [succs.(l).ulink] ->
      [n.ulink]. [succs.(l)] is held by a slot of a level >= [l].
    - [mark], [n.next[l]]: [dest.ulink] -> [dest.mlink]. [n] is
-     [succs.(0)], at [succ_slot]; [dest] is unprotected and may be
+     [succs.(0)], held; [dest] is unprotected and may be
      recycled and relinked behind [n] between the read and the CAS. That
      ABA is benign: the CAS writes the marked form of exactly the link it
      found, so it sets the mark and keeps whatever successor is there now.
    - [unlink_fast], [preds.(l).next[l]]: [n.ulink] -> [dest.ulink], where
-     [linked_everywhere] has checked [succs.(l) == n]. [n] is at
-     [succ_slot] and [preds.(l)] at a slot of a level >= [l]; [dest] is
+     [linked_everywhere] has checked [succs.(l) == n]. [n] is held, and
+     [preds.(l)] at a slot of a level >= [l]; [dest] is
      the successor frozen by our mark. A witness that holds means [n] is
      still linked behind [preds.(l)] at [l], whatever was linked and
      unlinked in between.
@@ -163,7 +173,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     prng : Qs_util.Prng.t; (* for level selection *)
     preds : node array;
     succs : node array;
-    mutable succ_slot : int; (* the level-0 slot that holds [succs.(0)] *)
+    mutable succ_slot : int;
+        (* the level-0 slot [succs.(0)] went into, or would have *)
     mutable fresh : node;
         (* the insert's not-yet-published node; [set.tail] when none *)
   }
@@ -204,40 +215,56 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   (* The pass of [find] from [pred] at [level] down to level 0: fills
      ctx.preds/succs/succ_slot and returns true, or returns false
      when the pass must restart from the head (a predecessor being removed,
-     a failed validation or snip). [slot] is the slot of [level] that
-     [curr] goes into; [pred] is held by the other one, by a slot of a
-     higher level, or is the head. *)
+     a failed validation or snip). [slot] is a slot of [level] that [curr]
+     may go into; [pred] is held by the other one, by a slot of a higher
+     level, or is the head. [level_walk] reads [pred]'s link; [step] takes
+     it already read, as the link of the node the walk just left. *)
   let rec level_walk ctx key pred slot level =
     let pred_link = R.aget pred.next level in
     touch ctx pred;
     match pred_link with
     | Null | Ptr { marked = true; _ } -> false
     | Ptr { dest = curr; marked = false } ->
+      step ctx key pred pred_link curr slot level
+
+  and step ctx key pred pred_link curr slot level =
+    if curr == ctx.set.tail then stop ctx key pred curr slot level
+    else if level < max_level && curr == ctx.succs.(level + 1) then
+      (* held by a slot of the level above since this pass stopped there *)
+      visit ctx key pred pred_link curr slot level
+    else begin
       D.assign_hp ctx.smr ~slot curr;
-      if R.aget pred.next level != pred_link then false
-      else begin
+      R.aget pred.next level == pred_link
+      && begin
         touch ctx curr;
-        let curr_link = R.aget curr.next level in
-        touch ctx curr;
-        match curr_link with
-        | Ptr { dest = succ; marked = true } ->
-          (* snip the marked node out of this level *)
-          R.acas pred.next level pred_link succ.ulink
-          && level_walk ctx key pred slot level
-        | Null | Ptr { marked = false; _ } ->
-          if curr.key < key then level_walk ctx key curr (slot lxor 1) level
-          else begin
-            ctx.preds.(level) <- pred;
-            ctx.succs.(level) <- curr;
-            if level = 0 then begin
-              ctx.succ_slot <- slot;
-              true
-            end
-            else
-              (* descend: pred keeps the slot it is in *)
-              level_walk ctx key pred ((2 * level) - 1) (level - 1)
-          end
+        visit ctx key pred pred_link curr slot level
       end
+    end
+
+  (* [curr] is protected: read its link for the mark, then snip it, move
+     on to it, or stop at it. *)
+  and visit ctx key pred pred_link curr slot level =
+    let curr_link = R.aget curr.next level in
+    touch ctx curr;
+    match curr_link with
+    | Ptr { dest = succ; marked = true } ->
+      (* snip the marked node out of this level *)
+      R.acas pred.next level pred_link succ.ulink
+      && level_walk ctx key pred slot level
+    | Ptr { dest = succ; marked = false } when curr.key < key ->
+      step ctx key curr curr_link succ (slot lxor 1) level
+    | Null when curr.key < key -> false
+    | Null | Ptr { marked = false; _ } -> stop ctx key pred curr slot level
+
+  (* Record [level]'s stop and descend; [pred] keeps the slot it is in. *)
+  and stop ctx key pred curr slot level =
+    ctx.preds.(level) <- pred;
+    ctx.succs.(level) <- curr;
+    if level = 0 then begin
+      ctx.succ_slot <- slot;
+      true
+    end
+    else level_walk ctx key pred ((2 * level) - 1) (level - 1)
 
   (* One full traversal pass (see the header), retried until complete. *)
   let rec find ctx key =

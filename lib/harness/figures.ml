@@ -120,10 +120,13 @@ let fig5_bottom ~scale ~seed ~ds =
   in
   let range = robustness_range scale ds in
   let workload = Qs_workload.Spec.make ~key_range:range ~update_pct:50 in
-  (* The cap models bounded memory: ample for the robust schemes' bounded
-     backlog (at the fallback flip up to ~N*C retired nodes exist, so the
-     slack must exceed that), fatal for QSBR once quiescence stops for a
-     whole window. *)
+  (* The cap models bounded memory: meant to be ample for the robust
+     schemes' bounded backlog, fatal for QSBR once quiescence stops for a
+     whole window. At the fallback flip up to ~N*C retired nodes can
+     exist, and the quick slack does not cover that: 150 < 8 * 24 = 192
+     (full: 180 > 8 * 12 = 96). QSense survives the quick skip-list run
+     by measurement, not by that bound: it survives a slack of 138 and
+     runs out of memory at 130. A per-run bound is ROADMAP item 1(b). *)
   let switch_c, slack = match scale with Quick -> (24, 150) | Full -> (12, 180) in
   let live = range / 2 * Cset.nodes_per_key_of ds in
   let capacity = Some (live + slack) in

@@ -11,6 +11,10 @@
    - on the simulator an uncontended search under classic HP costs at most
      4.5x the same search under the leaky baseline: one fenced publish per
      traversal step, not two;
+   - a pass reads each link once, and publishes neither the tail nor a
+     node that a slot of a higher level holds: a search of the empty set
+     makes one link read per level and no publish, and sequential
+     searches stay under a per-search bound on reads and publishes;
    - churn during a stall (QSense in fallback, C = 96, handlers leaving and
      rejoining while the victim is frozen) finishes, safe and leak-free. An
      insert of a key whose old node is still being deleted once stacked
@@ -131,10 +135,11 @@ let search_ticks scheme =
       done;
       S.clock_of sched ~pid:0 - t0)
 
-(* A pass publishes each node it enters once, and classic HP fences every
-   publish, so the HP search's cost over the leaky one is the per-step
-   publish count. One publish per step measures 3.60x; publishing [pred]
-   again on every step measured 6.14x. *)
+(* A pass publishes each node it enters at most once, and classic HP
+   fences every publish, so the HP search's cost over the leaky one is the
+   per-step publish count. Skipping the tail and the nodes a higher level
+   holds measures 2.99x; publishing them too measured 3.60x, and
+   publishing [pred] again on every step 6.14x. *)
 let test_hp_search_cost () =
   let hp = search_ticks Qs_smr.Scheme.Hp
   and none = search_ticks Qs_smr.Scheme.None_ in
@@ -142,6 +147,74 @@ let test_hp_search_cost () =
   if ratio > 4.5 then
     Alcotest.failf "HP search costs %.2fx the leaky search (%d vs %d ticks)"
       ratio hp none
+
+(* --- link reads and publishes per pass --------------------------------------- *)
+
+(* The real runtime with a counter on every link read and every fence. Under
+   classic HP a publish is one fence, and nothing else a search runs
+   fences, so the fence count is the publish count. *)
+module Counted = struct
+  include Qs_real.Real_runtime
+
+  let link_reads = ref 0
+  let fences = ref 0
+
+  let aget a i =
+    incr link_reads;
+    aget a i
+
+  let fence () =
+    incr fences;
+    fence ()
+end
+
+module Sc = Qs_ds.Skiplist.Make (Counted)
+
+let counted_set () =
+  Counted.register_self 0;
+  Sc.register
+    (Sc.create
+       (Qs_ds.Set_intf.default_config ~n_processes:1
+          ~scheme:Qs_smr.Scheme.Hp))
+    ~pid:0
+
+(* Link reads and publishes of [f ()]. *)
+let counted f =
+  let r0 = !Counted.link_reads and f0 = !Counted.fences in
+  f ();
+  (!Counted.link_reads - r0, !Counted.fences - f0)
+
+(* One read per level for the head's link to the tail, and nothing else:
+   the tail is neither published, validated nor read. *)
+let test_empty_search_cost () =
+  let ctx = counted_set () in
+  let levels = (Sc.hp_per_process - 1) / 2 in
+  let reads, publishes = counted (fun () -> ignore (Sc.search ctx 42)) in
+  Alcotest.(check int) "link reads" levels reads;
+  Alcotest.(check int) "publishes" 0 publishes
+
+(* Searches for every key of [0, 512) on a set holding the even ones, one
+   process. A pass reads each link once and publishes neither the tail
+   nor a node a higher level holds: 48.5 reads and 12.1 publishes per
+   search. Re-reading each link and publishing every node entered
+   measured 72.0 and 24.0. *)
+let test_sequential_pass_cost () =
+  let ctx = counted_set () in
+  for k = 0 to 255 do
+    ignore (Sc.insert ctx (2 * k))
+  done;
+  let searches = 512 in
+  let reads, publishes =
+    counted (fun () ->
+        for key = 0 to searches - 1 do
+          ignore (Sc.search ctx key)
+        done)
+  in
+  let per n = float_of_int n /. float_of_int searches in
+  if per reads > 50. || per publishes > 12.5 then
+    Alcotest.failf
+      "a search makes %.1f link reads and %.1f publishes (bounds 50, 12.5)"
+      (per reads) (per publishes)
 
 (* --- churn during a stall ------------------------------------------------- *)
 
@@ -201,5 +274,9 @@ let suite =
       test_delete_cost;
     Alcotest.test_case "sim HP search costs at most 4.5x leaky" `Quick
       test_hp_search_cost;
+    Alcotest.test_case "empty search: one read per level, no publish" `Quick
+      test_empty_search_cost;
+    Alcotest.test_case "sequential search pass cost" `Quick
+      test_sequential_pass_cost;
     Alcotest.test_case "churn during a stall finishes" `Quick
       test_churn_during_stall ]
