@@ -43,12 +43,12 @@
    inserter's own pass.
 
    Hazard-pointer discipline: level l owns slots [2*l] and [2*l + 1], and
-   a step publishes at most once and reads each link once. [curr] goes
-   into the slot of the level that does not hold [pred] and is validated
-   by re-reading [pred]'s link; moving on, [curr] becomes the next [pred],
-   already protected, and the link just read from it is the next step's
-   [pred] link: the validation re-read after the next publish guards it.
-   Two nodes are neither published nor validated:
+   a step publishes at most once. [curr] goes into the slot of the level
+   that does not hold [pred] and is validated by re-reading [pred]'s link;
+   moving on, [curr] becomes the next [pred], already protected, and the
+   link just read from it is the next step's [pred] link, not read again:
+   the validation re-read after the next publish guards it. After a snip,
+   [pred]'s link is read afresh. Two nodes are neither published nor validated:
    - the tail, which is never retired. Its link is not read either;
    - [succs.(l + 1)] met again at level l, which a slot of a higher level
      has held since this pass stopped there. A pass only descends through
