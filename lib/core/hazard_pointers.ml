@@ -95,6 +95,9 @@ struct
            Replaced wholesale (with a fresh block source), never mutated
            in place, when the lists are donated *)
     hp_row : R.plain; (* this process's row of [hp] *)
+    mutable published : int;
+        (* the slots published since the last [clear_hps], one bit each
+           (see {!Hp_array}) *)
     scan_set : Hp.scan_set;
     c : Counters.t;
     mutable until_scan : int; (* deferred: retires left before a scan *)
@@ -136,6 +139,7 @@ struct
         lsrc;
         lists = Array.init lists (fun _ -> Bag.create lsrc);
         hp_row = Hp.row t.hp ~pid;
+        published = 0;
         scan_set = Hp.scan_set t.hp;
         c = Counters.create ();
         until_scan = t.scan_threshold;
@@ -172,11 +176,15 @@ struct
 
   let manage_state _ = ()
 
+  (* The mask update is written out, not a call (see {!Hp_array}). *)
   let assign_hp h ~slot n =
     R.write h.hp_row slot (N.id n);
+    h.published <- h.published lor (1 lsl (if slot < 62 then slot else 62));
     if P.fenced then R.fence ()
 
-  let clear_hps h = Hp.clear h.owner.hp ~pid:h.pid
+  let clear_hps h =
+    Hp.clear_published h.owner.hp h.hp_row h.published;
+    h.published <- 0
 
   let limbo h =
     let n = ref 0 in

@@ -10,14 +10,26 @@
    process's K slots are one plain row ([R.plain]), padded as a whole, not
    per slot: on real domains the row is one flat block whose K slots share
    lines with each other (one writer) but not with the next process's row
-   (rows are written by different processes on every traversal step), and
-   [clear] is a contiguous fill.
+   (rows are written by different processes on every traversal step).
+
+   Clearing. A handle keeps a mask of the slots it has published since
+   its last clear, set inline by its own [assign_hp], and
+   [clear_published] stores the dummy's id into those slots only: an
+   operation that published two slots of a 33-slot row pays two stores,
+   not 33. Bit 62, the top bit of an OCaml [int], stands for every slot
+   from 62 up. [clear] still fills the whole row, for [unregister].
 
    Scans use a reusable {e scan set}: the N×K slots are snapshotted into a
    per-handle open-addressing hash set of node ids ({!Qs_util.Int_set}),
    giving expected-O(1) membership per retired node and zero allocation
    per scan — Michael's original hash-set scan, which makes scan work
    amortised O(1) per retire once R >= N·K. *)
+
+(* A publish of [slot] sets mask bit [min slot overflow_bit]. The handles
+   write that expression out in their [assign_hp] with the literal 62: a
+   publish must make no call, and a function of this module is reached by
+   a call. *)
+let overflow_bit = 62
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   type t = { slots : R.plain array; dummy_id : int; k : int }
@@ -35,6 +47,22 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     for i = 0 to t.k - 1 do
       R.write row i t.dummy_id
     done
+
+  (* Lowest slot first, one store per set bit; bit 62 clears slots 62 up
+     to k - 1. Top-level recursion, so a clear builds no closure. *)
+  let rec clear_bits t row mask i =
+    if mask <> 0 then begin
+      if mask land 1 <> 0 then
+        if i < overflow_bit then R.write row i t.dummy_id
+        else
+          for j = overflow_bit to t.k - 1 do
+            R.write row j t.dummy_id
+          done;
+      clear_bits t row (mask lsr 1) (i + 1)
+    end
+
+  (* Store the dummy's id into the slots of [row] that [mask] names. *)
+  let clear_published t row mask = clear_bits t row mask 0
 
   type scan_set = Qs_util.Int_set.t
 

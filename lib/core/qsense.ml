@@ -120,6 +120,9 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     hp_row : R.plain;
         (* this process's row of the hazard array, copied out of [hz] so a
            publish loads one field fewer *)
+    mutable published : int;
+        (* the slots published since the last [clear_hps], one bit each
+           (see {!Hp_array}) *)
     seized : bool Atomic.t;
         (* [Stdlib.Atomic], deliberately outside the simulated memory
            model (same reasoning as {!Orphan_pool}): set once by an
@@ -163,6 +166,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
         pid;
         hz;
         hp_row = hz.hp_row;
+        published = 0;
         seized = Atomic.make false;
         eviction_on = t.engine.cfg.eviction_timeout <> None;
         until_q = t.q;
@@ -178,15 +182,22 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
 
   (* Hazard pointers are maintained in BOTH modes, without fences — this is
      what makes the fast path fast and the switch sound (see §4.1). The
-     [false] branch is the rejected naive design, kept for demonstration. *)
+     [false] branch is the rejected naive design, kept for demonstration.
+     The mask update is written out, not a call (see {!Hp_array}). *)
   let assign_hp h ~slot n =
-    if P.always_publish then R.write h.hp_row slot (N.id n)
+    if P.always_publish then begin
+      R.write h.hp_row slot (N.id n);
+      h.published <- h.published lor (1 lsl (if slot < 62 then slot else 62))
+    end
     else if R.get h.owner.fallback_flag = 1 then begin
       R.write h.hp_row slot (N.id n);
+      h.published <- h.published lor (1 lsl (if slot < 62 then slot else 62));
       R.fence ()
     end
 
-  let clear_hps h = Hz.Hp.clear h.owner.engine.hp ~pid:h.pid
+  let clear_hps h =
+    Hz.Hp.clear_published h.owner.engine.hp h.hp_row h.published;
+    h.published <- 0
 
   (* Algorithm 5 lines 45-47: in fallback mode all three epochs are scanned
      (plus the adopted orphans, under the same filter). Never inlined, so

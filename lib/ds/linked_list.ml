@@ -201,8 +201,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
      Like [find], top-level recursion that allocates nothing — it is the
      KV service's pinned-at-zero get path. Unlike [find], it publishes
-     once per node rather than twice and, until it meets a marked link,
-     never writes the chain. *)
+     once per node rather than twice, never publishes the tail and, until
+     it meets a marked link, never writes the chain. *)
   let rec probe_walk ctx bucket key slot node =
     if node.key > key then begin
       D.clear_hps ctx.smr;
@@ -224,6 +224,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         D.clear_hps ctx.smr;
         false
       | Ptr { marked = true; _ } -> find_member ctx bucket key
+      | Ptr { dest; marked = false } when dest == ctx.set.tail ->
+        (* the tail is never retired, so it is neither published nor
+           validated, and its key, [max_int], ends every walk *)
+        D.clear_hps ctx.smr;
+        false
       | Ptr { dest; marked = false } ->
         let slot' = 1 - slot in
         D.assign_hp ctx.smr ~slot:slot' dest;

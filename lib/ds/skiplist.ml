@@ -101,6 +101,15 @@
      in the inserter's own slot. [cur]'s dest (a stale successor) is
      unprotected, but no ABA is possible: [n] is not linked at [l] yet, so
      only a deleter's mark can move the cell, and a mark is never undone.
+     When [cur] already is the witness (the bottom CAS's preparation set
+     it, and no retry has moved [succs.(l)]), the CAS is skipped. A
+     deleter's mark that lands between the read and the predecessor CAS
+     then leaves [n] linked at [l] behind a marked link. A CAS on
+     [n.next[l]] reaches the same state when the mark lands just after
+     it, so the inserter's argument above covers both: the level-0
+     re-read after the link sees the mark and runs the [key + 1] pass
+     itself, or the link was made before the level-0 mark and is undone
+     by the owning deleter.
    - [link_upper]'s CAS on [preds.(l).next[l]]: [succs.(l).ulink] ->
      [n.ulink]. [succs.(l)] is held by a slot of a level >= [l].
    - [mark], [n.next[l]]: [dest.ulink] -> [dest.mlink]. [n] is
@@ -303,7 +312,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       | Ptr { marked = true; _ } -> () (* being deleted: stop linking *)
       | Null | Ptr { marked = false; _ } ->
         let succ_link = ctx.succs.(level).ulink in
-        if R.acas n.next level cur succ_link then
+        if cur == succ_link || R.acas n.next level cur succ_link then
           if R.acas ctx.preds.(level).next level succ_link n.ulink then
             if is_marked n then find ctx (key + 1)
             else link_upper ctx key n (level + 1)
@@ -439,6 +448,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         (* [node] is being deleted: not counted, and not left by its
            frozen link (see the header) *)
         range_from ctx node.key hi count
+      | Ptr { dest; marked = false } when dest == ctx.set.tail ->
+        (* never retired: not published, not validated *)
+        count + 1
       | Ptr { dest; marked = false } ->
         let slot' = 1 - slot in
         D.assign_hp ctx.smr ~slot:slot' dest;

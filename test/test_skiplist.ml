@@ -15,6 +15,12 @@
      node that a slot of a higher level holds: a search of the empty set
      makes one link read per level and no publish, and sequential
      searches stay under a per-search bound on reads and publishes;
+   - an operation's clear stores only the slots it published: a search
+     of the empty set stores no slot at all, and a search of a 256-key
+     set at most two per publish (the publish and its clear);
+   - neither read-only walk publishes the tail: a range count of a
+     one-key set makes one publish (the key's node), and a probe of an
+     empty hash-table bucket none;
    - churn during a stall (QSense in fallback, C = 96, handlers leaving and
      rejoining while the victim is frozen) finishes, safe and leak-free. An
      insert of a key whose old node is still being deleted once stacked
@@ -150,14 +156,16 @@ let test_hp_search_cost () =
 
 (* --- link reads and publishes per pass --------------------------------------- *)
 
-(* The real runtime with a counter on every link read and every fence. Under
-   classic HP a publish is one fence, and nothing else a search runs
-   fences, so the fence count is the publish count. *)
+(* The real runtime with a counter on every link read, every fence and
+   every hazard-slot store. Under classic HP a publish is one fence and
+   one store, and nothing else an operation runs fences, so the fence
+   count is the publish count; the other stores are the clear's. *)
 module Counted = struct
   include Qs_real.Real_runtime
 
   let link_reads = ref 0
   let fences = ref 0
+  let writes = ref 0
 
   let aget a i =
     incr link_reads;
@@ -166,9 +174,14 @@ module Counted = struct
   let fence () =
     incr fences;
     fence ()
+
+  let write r i x =
+    incr writes;
+    write r i x
 end
 
 module Sc = Qs_ds.Skiplist.Make (Counted)
+module Hc = Qs_ds.Hashtable.Make (Counted)
 
 let counted_set () =
   Counted.register_self 0;
@@ -183,6 +196,12 @@ let counted f =
   let r0 = !Counted.link_reads and f0 = !Counted.fences in
   f ();
   (!Counted.link_reads - r0, !Counted.fences - f0)
+
+(* Publishes and hazard-slot stores of [f ()]. *)
+let stored f =
+  let f0 = !Counted.fences and w0 = !Counted.writes in
+  f ();
+  (!Counted.fences - f0, !Counted.writes - w0)
 
 (* One read per level for the head's link to the tail, and nothing else:
    the tail is neither published, validated nor read. *)
@@ -215,6 +234,64 @@ let test_sequential_pass_cost () =
     Alcotest.failf
       "a search makes %.1f link reads and %.1f publishes (bounds 50, 12.5)"
       (per reads) (per publishes)
+
+(* --- hazard-slot stores and the tail ------------------------------------------ *)
+
+(* The empty set's search publishes nothing, so its clear stores nothing.
+   Clearing the whole row stored all 33 slots. *)
+let test_empty_search_stores () =
+  let ctx = counted_set () in
+  let publishes, stores = stored (fun () -> ignore (Sc.search ctx 42)) in
+  Alcotest.(check int) "publishes" 0 publishes;
+  Alcotest.(check int) "slot stores" 0 stores
+
+(* Each publish stores one slot and the clear at most one more per slot
+   published: 12.1 publishes per search and at most twice as many stores,
+   where clearing the whole row added 33 stores to every search. *)
+let test_search_stores () =
+  let ctx = counted_set () in
+  for k = 0 to 255 do
+    ignore (Sc.insert ctx (2 * k))
+  done;
+  let publishes, stores =
+    stored (fun () ->
+        for key = 0 to 511 do
+          ignore (Sc.search ctx key)
+        done)
+  in
+  if stores > 2 * publishes then
+    Alcotest.failf "512 searches store %d slots for %d publishes" stores
+      publishes
+
+(* {5} counted over [0, max_int]: the positioning pass publishes the node
+   of 5 once, at its top level, and the walk from it meets the tail, which
+   it neither publishes nor validates (2 publishes when it did). *)
+let test_range_count_tail () =
+  let ctx = counted_set () in
+  ignore (Sc.insert ctx 5);
+  let count = ref 0 in
+  let publishes, _ =
+    stored (fun () -> count := Sc.range_count ctx ~lo:0 ~hi:max_int)
+  in
+  Alcotest.(check int) "count" 1 !count;
+  Alcotest.(check int) "publishes" 1 publishes
+
+(* An empty bucket's head links straight to the shared tail: the probe
+   answers without a publish (1 when it published the tail). *)
+let test_empty_bucket_probe () =
+  Counted.register_self 0;
+  let ctx =
+    Hc.register
+      (Hc.create
+         (Qs_ds.Set_intf.default_config ~n_processes:1
+            ~scheme:Qs_smr.Scheme.Hp))
+      ~pid:0
+  in
+  let found = ref true in
+  let publishes, stores = stored (fun () -> found := Hc.search_ro ctx 42) in
+  Alcotest.(check bool) "absent" false !found;
+  Alcotest.(check int) "publishes" 0 publishes;
+  Alcotest.(check int) "slot stores" 0 stores
 
 (* --- churn during a stall ------------------------------------------------- *)
 
@@ -278,5 +355,13 @@ let suite =
       test_empty_search_cost;
     Alcotest.test_case "sequential search pass cost" `Quick
       test_sequential_pass_cost;
+    Alcotest.test_case "empty search stores no hazard slot" `Quick
+      test_empty_search_stores;
+    Alcotest.test_case "search stores at most two slots per publish" `Quick
+      test_search_stores;
+    Alcotest.test_case "range count publishes no tail" `Quick
+      test_range_count_tail;
+    Alcotest.test_case "empty-bucket probe publishes nothing" `Quick
+      test_empty_bucket_probe;
     Alcotest.test_case "churn during a stall finishes" `Quick
       test_churn_during_stall ]

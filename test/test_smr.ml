@@ -434,6 +434,63 @@ let test_scheme_predicates () =
   Alcotest.(check bool) "cadence needs roosters" true (needs_roosters Cadence);
   Alcotest.(check bool) "hp needs no roosters" false (needs_roosters Hp)
 
+(* --- clearing only the published slots -------------------------------------- *)
+
+(* The real runtime, keeping every hazard row it allocates and counting
+   slot stores. *)
+module Rows = struct
+  include Qs_real.Real_runtime
+
+  let made = ref []
+  let writes = ref 0
+
+  let plain k v =
+    let r = plain k v in
+    made := r :: !made;
+    r
+
+  let write r i x =
+    incr writes;
+    write r i x
+end
+
+module Dispatch_rows = Qs_smr.Scheme.Dispatch (Rows) (N)
+
+(* K = 64 crosses the mask's overflow bit: slots 62 and 63 share bit 62. *)
+let test_clear_published kind () =
+  let k = 64 in
+  let (module M) = Dispatch_rows.make kind in
+  Rows.made := [];
+  (* C = 1: the naive hybrid publishes only in fallback, which its first
+     retire enters *)
+  let t =
+    M.create { (cfg ~n:1 ~k ()) with switch_threshold = 1 } ~dummy
+      ~free_bulk:(fun _ _ -> ())
+  in
+  let row =
+    match !Rows.made with
+    | [ row ] -> row
+    | rows -> Alcotest.failf "%d hazard rows for one process" (List.length rows)
+  in
+  let dirty () =
+    List.filter (fun i -> Rows.read row i <> dummy.id) (List.init k Fun.id)
+  in
+  let publish h slots = List.iter (fun s -> M.assign_hp h ~slot:s (mk s)) slots in
+  let h = M.register t ~pid:0 in
+  if kind = Qs_smr.Scheme.Naive_hybrid then M.retire h (mk 1_000);
+  let slots = [ 0; 5; 61; 62; 63 ] in
+  publish h slots;
+  Alcotest.(check (list int)) "published" slots (dirty ());
+  M.clear_hps h;
+  Alcotest.(check (list int)) "cleared" [] (dirty ());
+  let w0 = !Rows.writes in
+  M.clear_hps h;
+  Alcotest.(check int) "a second clear stores nothing" 0 (!Rows.writes - w0);
+  publish h [ 3; 63 ];
+  M.unregister h;
+  ignore (M.register t ~pid:0);
+  Alcotest.(check (list int)) "clean after re-register" [] (dirty ())
+
 let suite =
   [ Alcotest.test_case "hp protection" `Quick test_hp_protection;
     Alcotest.test_case "hp flush" `Quick test_hp_flush;
@@ -454,5 +511,10 @@ let suite =
       test_q_zero_quiesces_every_op;
     Alcotest.test_case "legal switch threshold" `Quick test_legal_threshold;
     Alcotest.test_case "scheme name round-trip" `Quick test_scheme_names;
-    Alcotest.test_case "scheme predicates" `Quick test_scheme_predicates
-  ]
+    Alcotest.test_case "scheme predicates" `Quick test_scheme_predicates ]
+  @ List.map
+      (fun kind ->
+        Alcotest.test_case
+          (Qs_smr.Scheme.to_string kind ^ " clears the published slots")
+          `Quick (test_clear_published kind))
+      Qs_smr.Scheme.[ Hp; Unsafe_hp; Cadence; Qsense; Naive_hybrid ]
