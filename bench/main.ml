@@ -309,12 +309,16 @@ end
 
 (* --- per-operation cost (§7.3) --------------------------------------------- *)
 
-(* The paper's §7.3 numbers on real hardware: each cell is one
+(* The paper's §7.3 numbers on real hardware: each run is one
    {!E2e.run_one} at one domain without churn, so the scheme configuration
    (T = the rooster interval, roosters started by {!Qs_harness.Real_exp})
    is the one every other real-domain number uses. ns/op = 1000 / Mops.
-   The averages cover the four Figure 5 columns: overhead vs none is
-   [1 - none/cost], speedup vs hp is [hp/cost]. *)
+   Each cell runs [rounds] times, in interleaved rounds (a round runs
+   every cell once, so host drift over the run moves all cells alike),
+   and reports the median and the interquartile range. The averages
+   cover the four Figure 5 columns, from the medians: overhead vs none is
+   [1 - none/cost], speedup vs hp is [hp/cost]. A column's order of
+   schemes writes [<] only where the IQRs separate. *)
 module Per_op = struct
   let schemes =
     [ Qs_smr.Scheme.None_; Qs_smr.Scheme.Qsbr; Qs_smr.Scheme.Qsense;
@@ -329,43 +333,98 @@ module Per_op = struct
       [ Qs_harness.Cset.List; Qs_harness.Cset.Skiplist; Qs_harness.Cset.Bst;
         Qs_harness.Cset.Hashtable ]
 
+  let rounds = 5
+
+  type cell = { median : float; q1 : float; q3 : float }
+
   (* ns/op per (column, scheme). *)
   let run ~quick =
-    List.concat_map
-      (fun (col, ds, update_pct) ->
-        List.map
-          (fun scheme ->
-            let r =
-              E2e.run_one ~quick ~ds ~scheme ~n_domains:1 ~update_pct ~churn:false
-            in
-            let ns = 1000. /. r.throughput_mops in
-            Printf.printf "  %-15s %-8s %8.1f ns/op (%d violations, failed %b)\n%!"
-              col (Qs_smr.Scheme.to_string scheme) ns r.violations r.failed;
-            ((col, scheme), ns))
-          schemes)
-      (fig3 :: fig5)
+    let cells =
+      List.concat_map
+        (fun (col, ds, update_pct) ->
+          List.map (fun scheme -> (col, ds, update_pct, scheme)) schemes)
+        (fig3 :: fig5)
+    in
+    let n = List.length cells in
+    let ns = Array.make_matrix n rounds 0.
+    and violations = Array.make n 0
+    and failed = Array.make n false in
+    for round = 0 to rounds - 1 do
+      List.iteri
+        (fun i (_, ds, update_pct, scheme) ->
+          let r =
+            E2e.run_one ~quick ~ds ~scheme ~n_domains:1 ~update_pct ~churn:false
+          in
+          ns.(i).(round) <- 1000. /. r.throughput_mops;
+          violations.(i) <- violations.(i) + r.violations;
+          failed.(i) <- failed.(i) || r.failed)
+        cells
+    done;
+    List.mapi
+      (fun i (col, _, _, scheme) ->
+        let q = Qs_util.Stats.percentile ns.(i) in
+        let c = { median = q 50.; q1 = q 25.; q3 = q 75. } in
+        Printf.printf
+          "  %-15s %-8s %8.1f ns/op, IQR %.1f-%.1f (%d violations, failed %b)\n%!"
+          col (Qs_smr.Scheme.to_string scheme) c.median c.q1 c.q3 violations.(i)
+          failed.(i);
+        ((col, scheme), c))
+      cells
+
+  (* Schemes from fastest to slowest median: [<] where one's IQR ends
+     below the next one's, [~] where they overlap. *)
+  let order cost col =
+    match
+      List.sort
+        (fun (_, a) (_, b) -> compare a.median b.median)
+        (List.map (fun scheme -> (scheme, cost col scheme)) schemes)
+    with
+    | [] -> ""
+    | (first, c0) :: rest ->
+      let buf = Buffer.create 64 in
+      Buffer.add_string buf (Qs_smr.Scheme.to_string first);
+      ignore
+        (List.fold_left
+           (fun prev (scheme, c) ->
+             Buffer.add_string buf (if prev.q3 < c.q1 then " < " else " ~ ");
+             Buffer.add_string buf (Qs_smr.Scheme.to_string scheme);
+             c)
+           c0 rest);
+      Buffer.contents buf
 
   let print_table costs =
     let cost col scheme = List.assoc (col, scheme) costs in
+    let median col scheme = (cost col scheme).median in
     let cols = List.map (fun (col, _, _) -> col) fig5 in
     let fig3_col, _, _ = fig3 in
     let tbl =
       Qs_util.Table.create
-        (("scheme" :: List.map (fun col -> col ^ " ns/op") (fig3_col :: cols))
+        (("scheme"
+         :: List.map (fun col -> col ^ " ns/op (IQR)") (fig3_col :: cols))
         @ [ "avg overhead vs none (%)"; "speedup vs hp" ])
     in
     let mean f = Qs_util.Stats.mean (Array.of_list (List.map f cols)) in
     List.iter
       (fun scheme ->
-        let c col = cost col scheme in
+        let m col = median col scheme in
         Qs_util.Table.add_row tbl
           ((Qs_smr.Scheme.to_string scheme
-           :: List.map (fun col -> Printf.sprintf "%.0f" (c col)) (fig3_col :: cols))
+           :: List.map
+                (fun col ->
+                  let c = cost col scheme in
+                  Printf.sprintf "%.0f (%.0f-%.0f)" c.median c.q1 c.q3)
+                (fig3_col :: cols))
           @ [ Printf.sprintf "%.1f"
-                (mean (fun col -> 100. *. (1. -. (cost col Qs_smr.Scheme.None_ /. c col))));
-              Printf.sprintf "%.2fx" (mean (fun col -> cost col Qs_smr.Scheme.Hp /. c col)) ]))
+                (mean (fun col ->
+                     100. *. (1. -. (median col Qs_smr.Scheme.None_ /. m col))));
+              Printf.sprintf "%.2fx"
+                (mean (fun col -> median col Qs_smr.Scheme.Hp /. m col)) ]))
       schemes;
     Qs_util.Table.print tbl;
+    Printf.printf "order by median (< where the IQRs separate, ~ where they overlap):\n";
+    List.iter
+      (fun col -> Printf.printf "  %-15s %s\n" col (order cost col))
+      (fig3_col :: cols);
     print_newline ()
 end
 
