@@ -4,7 +4,9 @@
 
    A process publishes the id of every node it is about to use in its row
    of the shared N×K array ({!Hp_array}) and appends every node it
-   removes to a removed list. A scan snapshots the N×K slots into a
+   removes to a removed list; its handle records the slots published
+   since the last [clear_hps] in a bit mask, so a clear stores only
+   those ({!Hp_array}). A scan snapshots the N×K slots into a
    reusable id hash set (expected-O(1) membership, zero allocation) and
    frees every removed node that no slot protects; it keeps at most N·K
    protected nodes, so R >= N·K makes scan work amortised O(1) per retire.
@@ -183,8 +185,10 @@ struct
     if P.fenced then R.fence ()
 
   let clear_hps h =
-    Hp.clear_published h.owner.hp h.hp_row h.published;
-    h.published <- 0
+    if h.published <> 0 then begin
+      Hp.clear_published h.owner.hp h.hp_row h.published 0;
+      h.published <- 0
+    end
 
   let limbo h =
     let n = ref 0 in

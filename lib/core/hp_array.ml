@@ -48,21 +48,30 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       R.write row i t.dummy_id
     done
 
-  (* Lowest slot first, one store per set bit; bit 62 clears slots 62 up
-     to k - 1. Top-level recursion, so a clear builds no closure. *)
-  let rec clear_bits t row mask i =
-    if mask <> 0 then begin
-      if mask land 1 <> 0 then
-        if i < overflow_bit then R.write row i t.dummy_id
-        else
-          for j = overflow_bit to t.k - 1 do
-            R.write row j t.dummy_id
-          done;
-      clear_bits t row (mask lsr 1) (i + 1)
-    end
+  (* The trailing zero bits of [m] <> 0, plus [n]. It makes no call, so
+     the zero bits between two published slots cost a shift and a test
+     each, with nothing spilled. *)
+  let rec zeros m n =
+    if m land 1 <> 0 then n
+    else if m land 0xff = 0 then zeros (m lsr 8) (n + 8)
+    else zeros (m lsr 1) (n + 1)
 
-  (* Store the dummy's id into the slots of [row] that [mask] names. *)
-  let clear_published t row mask = clear_bits t row mask 0
+  (* Store the dummy's id into the slots of [row] that [mask] names,
+     lowest first, one store per set bit; bit 62 stores slots 62 up to
+     k - 1. Bit 0 of [mask] is slot [i]. Top-level recursion, so a clear
+     builds no closure. *)
+  let rec clear_published t row mask i =
+    if mask <> 0 then begin
+      let slot = zeros mask i in
+      if slot < overflow_bit then begin
+        R.write row slot t.dummy_id;
+        clear_published t row (mask lsr (slot - i + 1)) (slot + 1)
+      end
+      else
+        for j = overflow_bit to t.k - 1 do
+          R.write row j t.dummy_id
+        done
+    end
 
   type scan_set = Qs_util.Int_set.t
 

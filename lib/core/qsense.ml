@@ -45,11 +45,13 @@
    fresh bags. Eviction seizes a victim's bag chains intact (donation is
    pointer splicing). The per-operation functions ([assign_hp],
    [clear_hps], [manage_state], [retire]) call no engine function besides
-   [clear_hps]'s one call to the hazard array: a call into a
-   functor-applied module is never inlined, so the engines are reached
-   through local wrappers on the amortised paths only. The per-process cells written by their owner and
-   read by everyone (epoch slots, presence and eviction flags) are
-   cache-line padded. *)
+   [clear_hps]'s one call to the hazard array, [Hp_array.clear_published],
+   which stores only the slots the handle's [published] mask names; the
+   publish sets its mask bit inline. A call into a functor-applied module
+   is never inlined, so the engines are reached through local wrappers on
+   the amortised paths only. The per-process cells written by their
+   owner and read by everyone (epoch slots, presence and eviction flags)
+   are cache-line padded. *)
 
 module Bag = Qs_util.Bag
 
@@ -196,8 +198,10 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
     end
 
   let clear_hps h =
-    Hz.Hp.clear_published h.owner.engine.hp h.hp_row h.published;
-    h.published <- 0
+    if h.published <> 0 then begin
+      Hz.Hp.clear_published h.owner.engine.hp h.hp_row h.published 0;
+      h.published <- 0
+    end
 
   (* Algorithm 5 lines 45-47: in fallback mode all three epochs are scanned
      (plus the adopted orphans, under the same filter). Never inlined, so

@@ -486,6 +486,9 @@ let test_clear_published kind () =
   let w0 = !Rows.writes in
   M.clear_hps h;
   Alcotest.(check int) "a second clear stores nothing" 0 (!Rows.writes - w0);
+  publish h [ 63 ];
+  M.clear_hps h;
+  Alcotest.(check (list int)) "overflow bit alone cleared" [] (dirty ());
   publish h [ 3; 63 ];
   M.unregister h;
   ignore (M.register t ~pid:0);
