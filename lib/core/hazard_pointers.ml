@@ -180,8 +180,8 @@ struct
 
   (* The mask update is written out, not a call (see {!Hp_array}). *)
   let assign_hp h ~slot n =
-    R.write h.hp_row slot (N.id n);
     h.published <- h.published lor (1 lsl (if slot < 62 then slot else 62));
+    R.write h.hp_row slot (N.id n);
     if P.fenced then R.fence ()
 
   let clear_hps h =

@@ -185,15 +185,17 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
   (* Hazard pointers are maintained in BOTH modes, without fences — this is
      what makes the fast path fast and the switch sound (see §4.1). The
      [false] branch is the rejected naive design, kept for demonstration.
-     The mask update is written out, not a call (see {!Hp_array}). *)
+     The mask update is written out, not a call (see {!Hp_array}), and
+     comes before the store, so the fast path's store stays a tail
+     call. *)
   let assign_hp h ~slot n =
     if P.always_publish then begin
-      R.write h.hp_row slot (N.id n);
-      h.published <- h.published lor (1 lsl (if slot < 62 then slot else 62))
+      h.published <- h.published lor (1 lsl (if slot < 62 then slot else 62));
+      R.write h.hp_row slot (N.id n)
     end
     else if R.get h.owner.fallback_flag = 1 then begin
-      R.write h.hp_row slot (N.id n);
       h.published <- h.published lor (1 lsl (if slot < 62 then slot else 62));
+      R.write h.hp_row slot (N.id n);
       R.fence ()
     end
 
