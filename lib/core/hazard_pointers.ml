@@ -186,7 +186,7 @@ struct
 
   let clear_hps h =
     if h.published <> 0 then begin
-      Hp.clear_published h.owner.hp h.hp_row h.published 0;
+      Hp.clear_published h.owner.hp h.hp_row h.published;
       h.published <- 0
     end
 

@@ -48,24 +48,28 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
       R.write row i t.dummy_id
     done
 
-  (* The trailing zero bits of [m] <> 0, plus [n]. It makes no call, so
-     the zero bits between two published slots cost a shift and a test
-     each, with nothing spilled. *)
-  let rec zeros m n =
-    if m land 1 <> 0 then n
-    else if m land 0xff = 0 then zeros (m lsr 8) (n + 8)
-    else zeros (m lsr 1) (n + 1)
+  (* The number of set bits of [x], 0 <= x < 2^62, by parallel bit sums:
+     no branch, so no misprediction on the mask's pattern. *)
+  let[@inline] popcount x =
+    let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+    let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+    let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+    let x = x + (x lsr 8) in
+    let x = x + (x lsr 16) in
+    (x + (x lsr 32)) land 0x7f
 
   (* Store the dummy's id into the slots of [row] that [mask] names,
      lowest first, one store per set bit; bit 62 stores slots 62 up to
-     k - 1. Bit 0 of [mask] is slot [i]. Top-level recursion, so a clear
-     builds no closure. *)
-  let rec clear_published t row mask i =
+     k - 1. A slot's index is the bit count below its bit, so the walk
+     branches once per published slot, not once per bit. Top-level
+     recursion, so a clear builds no closure. *)
+  let rec clear_published t row mask =
     if mask <> 0 then begin
-      let slot = zeros mask i in
+      let low = mask land -mask in
+      let slot = popcount (low - 1) in
       if slot < overflow_bit then begin
         R.write row slot t.dummy_id;
-        clear_published t row (mask lsr (slot - i + 1)) (slot + 1)
+        clear_published t row (mask lxor low)
       end
       else
         for j = overflow_bit to t.k - 1 do

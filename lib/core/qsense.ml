@@ -201,7 +201,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
 
   let clear_hps h =
     if h.published <> 0 then begin
-      Hz.Hp.clear_published h.owner.engine.hp h.hp_row h.published 0;
+      Hz.Hp.clear_published h.owner.engine.hp h.hp_row h.published;
       h.published <- 0
     end
 
