@@ -31,6 +31,16 @@
    a call. *)
 let overflow_bit = 62
 
+(* The number of set bits of [x], 0 <= x < 2^62, by parallel bit sums:
+   no branch, so no misprediction on the mask's pattern. *)
+let[@inline] popcount x =
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  let x = x + (x lsr 8) in
+  let x = x + (x lsr 16) in
+  (x + (x lsr 32)) land 0x7f
+
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   type t = { slots : R.plain array; dummy_id : int; k : int }
 
@@ -47,16 +57,6 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     for i = 0 to t.k - 1 do
       R.write row i t.dummy_id
     done
-
-  (* The number of set bits of [x], 0 <= x < 2^62, by parallel bit sums:
-     no branch, so no misprediction on the mask's pattern. *)
-  let[@inline] popcount x =
-    let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
-    let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
-    let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
-    let x = x + (x lsr 8) in
-    let x = x + (x lsr 16) in
-    (x + (x lsr 32)) land 0x7f
 
   (* Store the dummy's id into the slots of [row] that [mask] names,
      lowest first, one store per set bit; bit 62 stores slots 62 up to
