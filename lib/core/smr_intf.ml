@@ -204,7 +204,10 @@ module type S = sig
   val assign_hp : handle -> slot:int -> node -> unit
   val clear_hps : handle -> unit
   (** Reset all of the caller's hazard pointers to the dummy's id (rule 2's
-      "release reference" at the end of an operation). *)
+      "release reference" at the end of an operation). The hazard
+      schemes store only the slots published since the last clear, so
+      the cost is one store per slot the operation used, not one per
+      slot of the row. *)
 
   val retire : handle -> node -> unit
 

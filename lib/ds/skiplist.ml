@@ -70,7 +70,8 @@
    marked link (Brown, arXiv:1712.01044). A step publishes the successor
    and re-reads the node's link: an equal unmarked link means the node is
    still unmarked, hence still linked, with the successor linked behind
-   it, hence not retired. A marked link is frozen, so its re-read always
+   it, hence not retired. The tail, never retired, ends the walk with
+   neither. A marked link is frozen, so its re-read always
    passes, yet once the node is snipped its successor can be unlinked,
    retired and freed behind it. At a marked link the count therefore runs
    [find] for the node's key, which snips it, and goes on from the new
