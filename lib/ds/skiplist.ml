@@ -10,10 +10,18 @@
    Level-0 membership is authoritative.
 
    Traversal: [find ctx key] walks every level from the top and stops, per
-   level, at the first node with key >= [key] whose own link there is
-   unmarked, snipping every marked node it meets and restarting from the
-   head when a snip or a validation fails. A completed pass therefore left
-   no marked node standing between the head and its stop at any level.
+   level, at the first node with key >= [key], snipping every marked node
+   it meets before that and restarting from the head when a snip or a
+   validation fails. At level 0 the pass reads the stop's own link, snips
+   the stop if that link is marked and goes on: [found], the insert's
+   bottom CAS and the range walk need an unmarked [succs.(0)]. Above level
+   0 it reads no link of its stop, which may therefore be marked there.
+   A read would only report the mark as of the read, and a mark can land
+   just after it, so every user of an upper stop already handles a marked
+   one (the [link_upper] and [unlink_fast] CAS sites below); skipping it
+   saves one link read per level. A completed pass therefore left no
+   marked node standing between the head and its stop at any level, and
+   an unmarked stop at level 0.
 
    Deletion: mark the victim's links from its top level down to level 0;
    the process that wins the level-0 mark owns the removal and makes the
@@ -53,7 +61,8 @@
    - [succs.(l + 1)] met again at level l, which a slot of a higher level
      has held since this pass stopped there. A pass only descends through
      its own stop, so [succs.(l + 1)] always comes from the current pass.
-     Its link is still read, for the mark.
+     Its key is >= [key], so above level 0 the pass stops at it again with
+     no read at all; at level 0 its link is read, for the mark.
    Descending, [pred] is not published again: it stays in the slot of the
    level where it was reached. A level's slots are written only while
    walking that level, so protection is continuous (Condition 1), and
@@ -90,7 +99,8 @@
    and each CAS names its witness by a [ulink]. Per CAS site, writing
    [x.next[l]] for element [l] of [x]'s link array:
    - [visit]'s snip, [pred.next[l]]: [curr.ulink] -> [succ.ulink].
-     [curr] is held: published at [l] and validated, or [succs.(l + 1)]. A
+     [curr] is held: published at [l] and validated, or [succs.(1)] at
+     level 0 (above it, [succs.(l + 1)] is a stop, never snipped). A
      witness that still holds means [curr] is still [pred]'s unmarked
      successor (again, perhaps, after a node was inserted in front of it
      and deleted: the same state). [succ] is [curr]'s frozen successor at
@@ -112,7 +122,14 @@
      itself, or the link was made before the level-0 mark and is undone
      by the owning deleter.
    - [link_upper]'s CAS on [preds.(l).next[l]]: [succs.(l).ulink] ->
-     [n.ulink]. [succs.(l)] is held by a slot of a level >= [l].
+     [n.ulink]. [succs.(l)] is held by a slot of a level >= [l]. It may be
+     marked at [l] (the pass reads no upper stop's link), the state a mark
+     landing just after a read of that link leaves too. A witness that
+     holds means [succs.(l)] is still linked behind [preds.(l)] at [l], so
+     the CAS links [n] in front of a node that is being deleted. Its owner
+     unlinks it from behind [n] all the same: by the fast unlink when the
+     owner's pass ran after this CAS, else by the [key + 1] pass that the
+     moved witness sends it to.
    - [mark], [n.next[l]]: [dest.ulink] -> [dest.mlink]. [n] is
      [succs.(0)], held; [dest] is unprotected and may be
      recycled and relinked behind [n] between the read and the CAS. That
@@ -121,9 +138,14 @@
    - [unlink_fast], [preds.(l).next[l]]: [n.ulink] -> [dest.ulink], where
      [linked_everywhere] has checked [succs.(l) == n]. [n] is held, and
      [preds.(l)] at a slot of a level >= [l]; [dest] is
-     the successor frozen by our mark. A witness that holds means [n] is
+     the successor frozen by the mark. A witness that holds means [n] is
      still linked behind [preds.(l)] at [l], whatever was linked and
-     unlinked in between.
+     unlinked in between. Above level 0 the positioning pass may have
+     stopped at [n] after a losing deleter had marked it there (the pass
+     reads no upper stop's link), so the fast path can run where a read
+     would have snipped [n] first. The argument does not depend on when
+     the mark landed, so that is the same case as a mark landing after
+     the pass went by.
    No site is left with an unprotected witness that is not benign, so no
    site builds a fresh link. The validation reads compare the same way:
    an equal re-read means the published node is linked there now, hence
@@ -251,20 +273,24 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       end
     end
 
-  (* [curr] is protected: read its link for the mark, then snip it, move
-     on to it, or stop at it. *)
+  (* [curr] is protected: above level 0, a stop needs no link read (see the
+     header); otherwise read its link for the mark, then snip it, move on
+     to it, or stop at it. *)
   and visit ctx key pred pred_link curr slot level =
-    let curr_link = R.aget curr.next level in
-    touch ctx curr;
-    match curr_link with
-    | Ptr { dest = succ; marked = true } ->
-      (* snip the marked node out of this level *)
-      R.acas pred.next level pred_link succ.ulink
-      && level_walk ctx key pred slot level
-    | Ptr { dest = succ; marked = false } when curr.key < key ->
-      step ctx key curr curr_link succ (slot lxor 1) level
-    | Null when curr.key < key -> false
-    | Null | Ptr { marked = false; _ } -> stop ctx key pred curr slot level
+    if level > 0 && curr.key >= key then stop ctx key pred curr slot level
+    else begin
+      let curr_link = R.aget curr.next level in
+      touch ctx curr;
+      match curr_link with
+      | Ptr { dest = succ; marked = true } ->
+        (* snip the marked node out of this level *)
+        R.acas pred.next level pred_link succ.ulink
+        && level_walk ctx key pred slot level
+      | Ptr { dest = succ; marked = false } when curr.key < key ->
+        step ctx key curr curr_link succ (slot lxor 1) level
+      | Null when curr.key < key -> false
+      | Null | Ptr { marked = false; _ } -> stop ctx key pred curr slot level
+    end
 
   (* Record [level]'s stop and descend; [pred] keeps the slot it is in. *)
   and stop ctx key pred curr slot level =

@@ -11,16 +11,20 @@
    - on the simulator an uncontended search under classic HP costs at most
      4.5x the same search under the leaky baseline: one fenced publish per
      traversal step, not two;
-   - a pass reads each link once, and publishes neither the tail nor a
-     node that a slot of a higher level holds: a search of the empty set
-     makes one link read per level and no publish, and sequential
-     searches stay under a per-search bound on reads and publishes;
+   - a pass reads each link once, reads no link of a stop above level 0,
+     and publishes neither the tail nor a node that a slot of a higher
+     level holds: a search of the empty set makes one link read per level
+     and no publish, and sequential searches stay under a per-search bound
+     on reads and publishes;
    - an operation's clear stores only the slots it published: a search
      of the empty set stores no slot at all, and a search of a 256-key
      set at most two per publish (the publish and its clear);
    - neither read-only walk publishes the tail: a range count of a
      one-key set makes one publish (the key's node), and a probe of an
      empty hash-table bucket none;
+   - a stop above level 0 that is already marked is passed safely under
+     classic HP and QSense: the set stays valid, no freed node is
+     touched, and the history is linearizable;
    - churn during a stall (QSense in fallback, C = 96, handlers leaving and
      rejoining while the victim is frozen) finishes, safe and leak-free. An
      insert of a key whose old node is still being deleted once stacked
@@ -144,7 +148,10 @@ let search_ticks scheme =
 (* A pass publishes each node it enters at most once, and classic HP
    fences every publish, so the HP search's cost over the leaky one is the
    per-step publish count. Skipping the tail and the nodes a higher level
-   holds measures 2.99x; publishing them too measured 3.60x, and
+   holds measures 3.52x. It was 2.99x while a stop above level 0 still
+   read its link: dropping that read takes the same ticks off both
+   searches and no publish off the HP one, so the ratio rose. With that
+   read, publishing the tail and those nodes too measured 3.60x, and
    publishing [pred] again on every step 6.14x. *)
 let test_hp_search_cost () =
   let hp = search_ticks Qs_smr.Scheme.Hp
@@ -213,10 +220,11 @@ let test_empty_search_cost () =
   Alcotest.(check int) "publishes" 0 publishes
 
 (* Searches for every key of [0, 512) on a set holding the even ones, one
-   process. A pass reads each link once and publishes neither the tail
-   nor a node a higher level holds: 48.5 reads and 12.1 publishes per
-   search. Re-reading each link and publishing every node entered
-   measured 72.0 and 24.0. *)
+   process. A pass reads each link once, reads no link of a stop above
+   level 0, and publishes neither the tail nor a node a higher level
+   holds: 37.1 reads and 12.1 publishes per search. Reading each stop's
+   link measured 48.5 reads, and re-reading each link and publishing
+   every node entered 72.0 and 24.0. *)
 let test_sequential_pass_cost () =
   let ctx = counted_set () in
   for k = 0 to 255 do
@@ -230,9 +238,9 @@ let test_sequential_pass_cost () =
         done)
   in
   let per n = float_of_int n /. float_of_int searches in
-  if per reads > 50. || per publishes > 12.5 then
+  if per reads > 38. || per publishes > 12.5 then
     Alcotest.failf
-      "a search makes %.1f link reads and %.1f publishes (bounds 50, 12.5)"
+      "a search makes %.1f link reads and %.1f publishes (bounds 38, 12.5)"
       (per reads) (per publishes)
 
 (* --- hazard-slot stores and the tail ------------------------------------------ *)
@@ -292,6 +300,80 @@ let test_empty_bucket_probe () =
   Alcotest.(check bool) "absent" false !found;
   Alcotest.(check int) "publishes" 0 publishes;
   Alcotest.(check int) "slot stores" 0 stores
+
+(* --- marked stops above level 0 ---------------------------------------------- *)
+
+(* A pass stops above level 0 without reading the stop's link, so the stop
+   may already be marked: an insert links in front of it and a delete's
+   fast unlink may run on a victim a losing deleter marked at an upper
+   level. Four processes on keys of [0, 8), scanning on every retire,
+   under long random stalls (as the list's probe test): pid 0 inserts,
+   pids 1 and 2 delete and pid 3 searches. The set must stay valid, no
+   node may be touched after its free, and the history must be
+   linearizable. A build that also read each such stop's link, only to
+   count, found 1,421 of 73,448 upper-level stops marked over these 200
+   runs. The test passes too when every stop's link is read and a marked
+   stop is snipped. *)
+let marked_stop_run ~scheme ~seed =
+  let n = 4 and ops = 50 in
+  let s =
+    S.create
+      { (S.default_config ~n_cores:n ~seed) with
+        rooster_interval = Some 2_000;
+        rooster_oversleep = 50;
+        cost = { S.default_cost with stall_prob = 0.02; stall_max = 8_000 } }
+  in
+  let base = Qs_ds.Set_intf.default_config ~n_processes:n ~scheme in
+  let set =
+    Ss.create { base with smr = { base.smr with scan_threshold = 1 } }
+  in
+  let ctxs = Array.init n (fun pid -> Ss.register set ~pid) in
+  let history = Qs_verify.History.create ~n in
+  let at () = S.steps s in
+  for pid = 0 to n - 1 do
+    let prng = Qs_util.Prng.create ~seed:((seed * 7) + pid) in
+    S.spawn s ~pid (fun () ->
+        let ctx = ctxs.(pid) in
+        for _ = 1 to ops do
+          let key = Qs_util.Prng.int prng 8 in
+          let op, f =
+            match pid with
+            | 0 -> (Qs_verify.History.Insert, Ss.insert)
+            | 1 | 2 -> (Qs_verify.History.Delete, Ss.delete)
+            | _ -> (Qs_verify.History.Search, Ss.search)
+          in
+          Qs_verify.History.invoke history ~pid ~op ~key ~at:(at ());
+          let result = f ctx key in
+          Qs_verify.History.respond history ~pid ~result ~at:(at ())
+        done)
+  done;
+  S.run_all s;
+  let name =
+    Printf.sprintf "%s seed %d" (Qs_smr.Scheme.to_string scheme) seed
+  in
+  (match S.failures s with
+  | [] -> ()
+  | (pid, e) :: _ ->
+    Alcotest.failf "%s: worker %d failed: %s" name pid (Printexc.to_string e));
+  (match S.exec s ~pid:0 (fun () -> Ss.validate ctxs.(0)) with
+  | () -> ()
+  | exception Failure msg -> Alcotest.failf "%s: %s" name msg);
+  Alcotest.(check int) (name ^ ": no use-after-free") 0 (Ss.violations set);
+  match
+    Qs_verify.Lin_check.check_set ~initial:[]
+      (Qs_verify.History.entries history)
+  with
+  | Qs_verify.Lin_check.Ok -> ()
+  | Violation k -> Alcotest.failf "%s: key %d not linearizable" name k
+  | Too_large k -> Alcotest.failf "%s: key %d's history too large" name k
+
+let test_marked_upper_stop () =
+  List.iter
+    (fun scheme ->
+      for seed = 1 to 100 do
+        marked_stop_run ~scheme ~seed
+      done)
+    [ Qs_smr.Scheme.Hp; Qs_smr.Scheme.Qsense ]
 
 (* --- churn during a stall ------------------------------------------------- *)
 
@@ -363,5 +445,7 @@ let suite =
       test_range_count_tail;
     Alcotest.test_case "empty-bucket probe publishes nothing" `Quick
       test_empty_bucket_probe;
+    Alcotest.test_case "a marked upper-level stop is passed safely" `Quick
+      test_marked_upper_stop;
     Alcotest.test_case "churn during a stall finishes" `Quick
       test_churn_during_stall ]
