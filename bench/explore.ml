@@ -3,24 +3,14 @@
 
    Subcommands:
 
-   - [smoke [--seeds N] [--jobs N] [--repro-out PATH]] — the CI smoke
-     budget: positive controls (the explorer must find the planted unsafety
-     in the leaky and unsafe-hp baselines within N seeds), a clean sweep
-     over hp / cadence / qsense and the rival schemes debra-plus / hyaline
-     (fair, PCT, fault-plan and [Neutralize] schedules; any failure is
-     shrunk and saved to PATH), a churn sweep over the sound schemes
-     (the [Churn] fault level: leave/rejoin + orphan adoption under
-     a stall), and the QSense fallback round-trip with its QSBR
-     differential. Sweeps run through the worker-domain pool ([--jobs],
-     default cores-1); shrinking stays on the coordinator. Exit 1 on any
-     unexpected outcome.
    - [corpus PATH [--jobs N] [--repro-out OUT]] — replay a corpus of
      known-clean cases through the pool with the counting sink and report
      how many cases witness each rare event class; exit 1 if a case is not
      clean or any class has no witness (the corpus contract grow enforces
      at build time, re-checked here independently; [fingerprint] applies
      the same check to the committed file). The first dirty case is shrunk
-     and its repro saved to OUT.
+     and its repro saved to OUT. Cases run through the worker-domain pool
+     ([--jobs], default cores-1); shrinking stays on the coordinator.
    - [replay PATH [--trace OUT]] — re-run the first case of a repro/corpus
      file and print the verdict (exit 1 if it is not Pass, so a repro file
      "fails again" visibly). This is the one-liner for reproducing a CI
@@ -31,36 +21,38 @@
      inside a failure.
    - [profile [--jobs N] [--repeat N] [--out PATH]] — the sim-core
      micro-bench: effects/sec and schedules/sec on a representative case
-     mix, solo and through the pool, plus minor-allocation words per
-     scheduler step; merges an "explorer" section into PATH
-     (out/BENCH_RESULTS.json, written by bench/main.exe, whose schema
-     number it keeps) when it exists.
+     mix (the clean sweep at 2 seeds and the churn sweep at 1, from
+     [Explorer]'s case families), solo and through the pool, plus
+     minor-allocation words per scheduler step; merges an "explorer"
+     section into PATH (out/BENCH_RESULTS.json, written by bench/main.exe,
+     whose schema number it keeps) when it exists.
    - [grow OUT [--target N] [--jobs N] [--budget N] [--base PATH]] —
      coverage-guided corpus growth: breed [--target] known-clean cases from
      a deterministic frontier (plus [--base] corpus, if given), keeping
      witnesses for every rare event class (fallback entry, eviction-seize,
      unregister, adoption, bag sealing, neutralization); writes the corpus
      to OUT. Exit 1 if a rare class ends up with no witness.
-   - [fingerprint [--check] [--out PATH] [--jobs N]] — run every
-     deterministic output (each [repro all] section at quick scale, seed 1;
-     the committed corpus' witness counts and each case's verdict,
-     linearizability status and step count; [smoke --seeds 3]; the
-     sim-stall benchmark's p50/p99/p999 and retired peak at seeds 1-3;
-     the bench's [--quick] latency.rows and service.rows) and write one line per section — name, MD5 digest,
-     line count — to PATH (default FINGERPRINTS). With
-     [--check], compare against PATH instead, name every section that
-     moved, is new or is missing, and exit 1 if any did. Either way it
-     exits 1, naming the culprit, when a smoke check fails, a corpus case
-     is not clean or a rare class has no witness; a regenerating run then
-     writes nothing. This is the one CI step that runs the explorer. Run
-     from the repository root.
+   - [fingerprint [--check] [--out PATH] [--jobs N] [--repro-out OUT]] —
+     run every deterministic output (each [repro all] section at quick
+     scale, seed 1; the committed corpus' witness counts and each case's
+     verdict, linearizability status and step count; the same three for
+     each case of [Explorer]'s case families at 3 seeds, which
+     test/test_explorer.ml judges; the sim-stall benchmark's p50/p99/p999
+     and retired peak at seeds 1-3; the bench's [--quick] latency.rows and
+     service.rows) and write one line per section — name, MD5 digest, line
+     count — to PATH (default FINGERPRINTS). With [--check], compare
+     against PATH instead, name every section that moved, is new or is
+     missing, and exit 1 if any did. Either way it exits 1, naming the
+     culprit, when a corpus case is not clean (the first one is shrunk and
+     saved to OUT, as [corpus] does) or a rare class has no witness; a
+     regenerating run then writes nothing. Run from the repository
+     root.
 
    Everything is deterministic: equal case lines give equal verdicts, solo
    or pooled, whatever the job count. *)
 
 open Qs_harness
 module Scheme = Qs_smr.Scheme
-module Scheduler = Qs_sim.Scheduler
 
 (* Default outputs land in the gitignored [out/] directory (created on
    first write) rather than the repo root; explicit [--repro-out]/[--out]
@@ -74,15 +66,14 @@ let default_repro_out = Filename.concat "out" "explorer_failure.repro"
 
 let usage () =
   prerr_endline
-    "usage: explore.exe smoke [--seeds N] [--jobs N] [--repro-out PATH]\n\
-    \       explore.exe corpus PATH [--jobs N] [--repro-out OUT]\n\
+    "usage: explore.exe corpus PATH [--jobs N] [--repro-out OUT]\n\
     \       explore.exe replay PATH [--trace OUT]\n\
     \       explore.exe profile [--jobs N] [--repeat N] [--out PATH]\n\
     \       explore.exe grow OUT [--target N] [--jobs N] [--budget N] [--base PATH]\n\
-    \       explore.exe fingerprint [--check] [--out PATH] [--jobs N]";
+    \       explore.exe fingerprint [--check] [--out PATH] [--jobs N] [--repro-out OUT]";
   exit 2
 
-(* Flag values are validated here: a typo'd [--seeds x2] or [--jobs 0] gets
+(* Flag values are validated here: a typo'd [--jobs x2] or [--jobs 0] gets
    the usage message, not an [int_of_string] exception. *)
 let pos_int ~flag v =
   match int_of_string_opt v with
@@ -92,7 +83,6 @@ let pos_int ~flag v =
     usage ()
 
 type flags = {
-  seeds : int;
   jobs : int;
   repro_out : string;
   target : int;
@@ -103,8 +93,7 @@ type flags = {
 }
 
 let default_flags =
-  { seeds = 3;
-    jobs = Explorer_pool.default_jobs ();
+  { jobs = Explorer_pool.default_jobs ();
     repro_out = default_repro_out;
     target = 64;
     budget = 1_500;
@@ -114,7 +103,6 @@ let default_flags =
 
 let rec parse_flags acc = function
   | [] -> acc
-  | "--seeds" :: v :: rest -> parse_flags { acc with seeds = pos_int ~flag:"--seeds" v } rest
   | "--jobs" :: v :: rest -> parse_flags { acc with jobs = pos_int ~flag:"--jobs" v } rest
   | "--repro-out" :: p :: rest -> parse_flags { acc with repro_out = p } rest
   | "--target" :: v :: rest ->
@@ -127,7 +115,7 @@ let rec parse_flags acc = function
   | "--base" :: p :: rest -> parse_flags { acc with base = Some p } rest
   | [ flag ]
     when List.mem flag
-           [ "--seeds"; "--jobs"; "--repro-out"; "--target"; "--budget"; "--repeat";
+           [ "--jobs"; "--repro-out"; "--target"; "--budget"; "--repeat";
              "--out"; "--base" ] ->
     Printf.eprintf "explore.exe: %s expects a value\n" flag;
     usage ()
@@ -159,162 +147,7 @@ let persist_failure ~repro_out (c : Explorer.case) (o : Explorer.outcome) =
   Printf.printf "  replay with: dune exec bench/explore.exe -- replay %s\n%!"
     repro_out
 
-(* --- positive controls: the explorer must find planted bugs -------------- *)
-
-let unsafe_hp_case seed =
-  { (Explorer.default_case ~ds:Cset.List ~scheme:Scheme.Unsafe_hp ~seed) with
-    Explorer.key_range = 8;
-    ops_per_proc = 4_000;
-    duration = 10_000_000 }
-
-let leaky_case seed =
-  { (Explorer.default_case ~ds:Cset.List ~scheme:Scheme.None_ ~seed) with
-    Explorer.capacity = 256;
-    ops_per_proc = 4_000;
-    duration = 10_000_000 }
-
-let positive_control ~name ~mk ~seeds ~jobs =
-  let cases = List.map mk (Explorer.seeds ~base:1 ~count:seeds) in
-  let failures = Explorer_pool.explore ~jobs cases in
-  List.iter (fun (c, o) -> show_outcome c o) failures;
-  if failures = [] then begin
-    Printf.printf "FAIL: %s yielded no violation within %d seeds\n%!" name seeds;
-    false
-  end
-  else begin
-    Printf.printf "ok: %s caught (%d/%d seeds)\n%!" name
-      (List.length failures) seeds;
-    true
-  end
-
-(* --- clean sweep: robust schemes must stay clean ------------------------- *)
-
-let clean_cases ~seeds =
-  List.concat_map
-    (fun scheme ->
-      List.concat_map
-        (fun seed ->
-          let dc = Explorer.default_case ~ds:Cset.List ~scheme ~seed in
-          [ dc;
-            { dc with Explorer.strategy = Pct { depth = 3 } };
-            { dc with
-              Explorer.faults =
-                Explorer.plan Explorer.Stalls ~n:dc.n_processes
-                  ~duration:dc.duration ~seed };
-            { dc with
-              Explorer.faults =
-                Explorer.plan Explorer.Chaos ~n:dc.n_processes
-                  ~duration:dc.duration ~seed };
-            (* poison deliveries discontinue whatever operation is in
-               flight — under every scheme, not just DEBRA+: the unwind
-               handlers in the structures must hold across the zoo *)
-            { dc with
-              Explorer.faults =
-                Explorer.plan Explorer.Neutralize ~n:dc.n_processes
-                  ~duration:dc.duration ~seed } ])
-        (Explorer.seeds ~base:11 ~count:seeds))
-    [ Scheme.Hp; Scheme.Cadence; Scheme.Qsense; Scheme.Debra_plus;
-      Scheme.Hyaline ]
-
-let clean_sweep ~seeds ~jobs ~repro_out =
-  let cases = clean_cases ~seeds in
-  let failures = Explorer_pool.explore ~jobs cases in
-  match failures with
-  | [] ->
-    Printf.printf "ok: %d clean-scheme cases pass\n%!" (List.length cases);
-    true
-  | (c, o) :: _ ->
-    List.iter (fun (c, o) -> show_outcome c o) failures;
-    Printf.printf "FAIL: %d/%d clean-scheme cases failed\n%!"
-      (List.length failures) (List.length cases);
-    persist_failure ~repro_out c o;
-    false
-
-(* --- churn sweep: dynamic membership must stay safe ---------------------- *)
-
-(* Every sound scheme under the [Churn] fault level: two processes leave
-   and rejoin mid-run (donating their limbo lists to the orphan pool) while
-   a third stalls. The failure class being hunted is the adopted-node UAF —
-   an adopter freeing an orphan a still-running (evicted or stalled)
-   process protects. *)
-let churn_cases ~seeds =
-  List.concat_map
-    (fun scheme ->
-      List.map
-        (fun seed ->
-          let dc = Explorer.default_case ~ds:Cset.List ~scheme ~seed in
-          { dc with
-            Explorer.faults =
-              Explorer.plan Explorer.Churn ~n:dc.n_processes
-                ~duration:dc.duration ~seed })
-        (Explorer.seeds ~base:29 ~count:seeds))
-    [ Scheme.Qsbr; Scheme.Ebr; Scheme.Hp; Scheme.Cadence; Scheme.Qsense;
-      Scheme.Debra_plus; Scheme.Hyaline ]
-
-let churn_sweep ~seeds ~jobs ~repro_out =
-  let cases = churn_cases ~seeds in
-  let failures = Explorer_pool.explore ~jobs cases in
-  match failures with
-  | [] ->
-    Printf.printf "ok: %d churn cases pass (leave/rejoin + orphan adoption)\n%!"
-      (List.length cases);
-    true
-  | (c, o) :: _ ->
-    List.iter (fun (c, o) -> show_outcome c o) failures;
-    Printf.printf "FAIL: %d/%d churn cases failed\n%!"
-      (List.length failures) (List.length cases);
-    persist_failure ~repro_out c o;
-    false
-
-(* --- QSense fallback round-trip under an injected stall ------------------ *)
-
-let stall_case ~scheme =
-  { (Explorer.default_case ~ds:Cset.List ~scheme ~seed:5) with
-    Explorer.ops_per_proc = 4_000;
-    duration = 2_500_000;
-    capacity = 300;
-    faults = [ Scheduler.Stall_at { pid = 3; at = 100_000; ticks = 1_500_000 } ] }
-
-let fallback_round_trip () =
-  let o = Explorer.run_one (stall_case ~scheme:Scheme.Qsense) in
-  let o' = Explorer.run_one (stall_case ~scheme:Scheme.Qsbr) in
-  let qsense_ok =
-    o.verdict = Explorer.Pass
-    && o.stats.fallback_entries >= 1
-    && o.stats.fallback_exits >= 1
-    && o.stats.fallback_ticks > 0
-  in
-  let qsbr_ok = match o'.verdict with Explorer.Oom _ -> true | _ -> false in
-  Printf.printf
-    "%s: qsense under stall: %s (fallback entries=%d exits=%d ticks=%d); \
-     qsbr differential: %s\n%!"
-    (if qsense_ok && qsbr_ok then "ok" else "FAIL")
-    (Explorer.verdict_to_string o.verdict)
-    o.stats.fallback_entries o.stats.fallback_exits o.stats.fallback_ticks
-    (Explorer.verdict_to_string o'.verdict);
-  qsense_ok && qsbr_ok
-
 (* --- subcommands --------------------------------------------------------- *)
-
-(* Every smoke check, printing one verdict line each; true if all pass. *)
-let smoke_checks (f : flags) =
-  let ok_unsafe =
-    positive_control ~name:"unsafe-hp" ~mk:unsafe_hp_case ~seeds:f.seeds ~jobs:f.jobs
-  in
-  let ok_leaky =
-    positive_control ~name:"leaky" ~mk:leaky_case ~seeds:f.seeds ~jobs:f.jobs
-  in
-  let ok_clean = clean_sweep ~seeds:f.seeds ~jobs:f.jobs ~repro_out:f.repro_out in
-  let ok_churn = churn_sweep ~seeds:f.seeds ~jobs:f.jobs ~repro_out:f.repro_out in
-  let ok_fb = fallback_round_trip () in
-  let ok = ok_unsafe && ok_leaky && ok_clean && ok_churn && ok_fb in
-  if ok then print_endline "explorer smoke: all checks passed";
-  ok
-
-let smoke args =
-  let f = parse args in
-  Printf.printf "== explorer smoke (seed budget %d, %d jobs) ==\n%!" f.seeds f.jobs;
-  if smoke_checks f then 0 else 1
 
 let replay path args =
   let trace_out =
@@ -347,11 +180,10 @@ let replay path args =
 
 (* --- profile: the sim-core micro-bench ----------------------------------- *)
 
-(* Representative case mix: fair, PCT and fault-plan schedules across the
-   three hazard-scanning schemes — the workloads corpus replay and smoke
-   sweeps are made of. Fixed, so numbers are comparable run to run. *)
-let profile_batch () =
-  clean_cases ~seeds:2 @ churn_cases ~seeds:1
+(* Representative case mix: fair, PCT, fault-plan and churn schedules
+   across the sound schemes — the workloads corpus replay and the explorer
+   tests are made of. Fixed, so numbers are comparable run to run. *)
+let profile_batch () = Explorer.sweep_cases ~seeds:2 @ Explorer.churn_cases ~seeds:1
 
 let wall_s () = float_of_int (Qs_real.Real_runtime.now ()) /. 1e9
 
@@ -590,9 +422,10 @@ let grow_base () =
        §5.2 eviction timeout so the stalled victim's epoch is seized
        mid-fallback (without it Ev_evict is unreachable — eviction is off
        by default) *)
-    [ stall_case ~scheme:Scheme.Qsense;
-      { (stall_case ~scheme:Scheme.Qsense) with Explorer.seed = 6 };
-      { (stall_case ~scheme:Scheme.Qsense) with Explorer.evict = 200_000 } ]
+    [ Explorer.stall_case ~scheme:Scheme.Qsense ~seed:5;
+      Explorer.stall_case ~scheme:Scheme.Qsense ~seed:6;
+      { (Explorer.stall_case ~scheme:Scheme.Qsense ~seed:5) with
+        Explorer.evict = 200_000 } ]
   in
   let bags =
     List.concat_map
@@ -654,72 +487,67 @@ let grow out args =
 
 (* --- corpus: replay a corpus, with its rare-class witness counts ---------- *)
 
+let clean (o : Explorer.outcome) = Explorer.same_class o.verdict Explorer.Pass
+
 (* How many clean cases witness each rare event class. *)
 let witness_counts results =
   let counts = Array.make Coverage.n_events 0 in
   Array.iter
-    (function
-      | Some ((o : Explorer.outcome), cov)
-        when Explorer.same_class o.verdict Explorer.Pass ->
+    (fun (o, cov) ->
+      if clean o then
         List.iter
           (fun (_, j) -> if Coverage.covers cov j then counts.(j) <- counts.(j) + 1)
-          Coverage.rare_classes
-      | _ -> ())
+          Coverage.rare_classes)
     results;
   counts
 
-(* What a replayed corpus fails on, one line each: a case that is not
-   clean (named by its line), a rare class with no witness. *)
-let corpus_failures cases results class_counts =
+(* Replay a corpus through the pool with the counting sink: each case's
+   result, the rare-class witness counts and what failed, one line each (a
+   case that is not clean, named by its line; a rare class with no
+   witness), also printed as [FAIL:] lines. The first dirty case is shrunk
+   and its repro saved to [repro_out]. *)
+let replay_corpus ~jobs ~repro_out cases =
+  let results = Explorer_pool.map ~jobs Coverage.run_covered cases in
+  let class_counts = witness_counts results in
   let dirty =
-    List.concat
-      (List.mapi
-         (fun i r ->
-           match r with
-           | Some ((o : Explorer.outcome), _)
-             when Explorer.same_class o.verdict Explorer.Pass ->
-             []
-           | r ->
-             [ Printf.sprintf "corpus case %03d not clean (%s): %s" (i + 1)
-                 (match r with
-                 | Some (o, _) -> Explorer.verdict_to_string o.verdict
-                 | None -> "no result")
-                 (Explorer.to_string cases.(i)) ])
-         (Array.to_list results))
-  in
-  let unwitnessed =
     List.filter_map
-      (fun (name, j) ->
-        if class_counts.(j) = 0 then Some ("no witness: " ^ name) else None)
-      Coverage.rare_classes
+      (fun i ->
+        let o, _ = results.(i) in
+        if clean o then None else Some (i, cases.(i), o))
+      (List.init (Array.length cases) Fun.id)
   in
-  dirty @ unwitnessed
+  let failures =
+    List.map
+      (fun (i, c, (o : Explorer.outcome)) ->
+        Printf.sprintf "corpus case %03d not clean (%s): %s" (i + 1)
+          (Explorer.verdict_to_string o.verdict)
+          (Explorer.to_string c))
+      dirty
+    @ List.filter_map
+        (fun (name, j) ->
+          if class_counts.(j) = 0 then Some ("no witness: " ^ name) else None)
+        Coverage.rare_classes
+  in
+  List.iter (Printf.printf "FAIL: %s\n") failures;
+  (match dirty with
+  | (_, c, o) :: _ -> persist_failure ~repro_out c o
+  | [] -> ());
+  (results, class_counts, failures)
 
-(* Replay a corpus through the pool with the counting sink: witness
-   counts, then the failures. The first dirty case is shrunk and its repro
-   saved. *)
 let corpus path args =
   let f = parse args in
   let cases = Array.of_list (Explorer.load_corpus path) in
   Printf.printf "== corpus replay: %d cases from %s (%d jobs) ==\n%!"
     (Array.length cases) path f.jobs;
-  let results = Explorer_pool.map ~jobs:f.jobs Coverage.run_covered cases in
-  let class_counts = witness_counts results in
+  let _, class_counts, failures =
+    replay_corpus ~jobs:f.jobs ~repro_out:f.repro_out cases
+  in
   print_witnesses class_counts;
-  match corpus_failures cases results class_counts with
-  | [] ->
+  if failures <> [] then 1
+  else begin
     print_endline "corpus clean; all rare event classes witnessed";
     0
-  | failures ->
-    List.iter (Printf.printf "FAIL: %s\n") failures;
-    Seq.zip (Array.to_seq cases) (Array.to_seq results)
-    |> Seq.find_map (function
-         | c, Some ((o : Explorer.outcome), _)
-           when not (Explorer.same_class o.verdict Explorer.Pass) ->
-           Some (c, o)
-         | _ -> None)
-    |> Option.iter (fun (c, o) -> persist_failure ~repro_out:f.repro_out c o);
-    1
+  end
 
 (* --- fingerprint: one digest per deterministic output ------------------ *)
 
@@ -752,40 +580,51 @@ let section name text =
 
 let fingerprint_corpus = Filename.concat "test" "explorer.corpus"
 
+(* A case's verdict, linearizability status and step count: a case that
+   stops being checked moves. *)
+let outcome_line (o : Explorer.outcome) =
+  Printf.sprintf "%s lin=%s steps=%d\n"
+    (Explorer.verdict_to_string o.verdict)
+    (match o.lin with
+    | Explorer.Lin_ok -> "ok"
+    | Lin_unchecked -> "unchecked"
+    | Lin_too_large -> "too-large")
+    o.steps
+
+(* Every case of [Explorer]'s families that test/test_explorer.ml judges,
+   at its seeds there. *)
+let family_cases () =
+  let controls = Explorer.seeds ~base:1 ~count:3 in
+  List.map Explorer.unsafe_hp_case controls
+  @ List.map Explorer.leaky_case controls
+  @ Explorer.sweep_cases ~seeds:3
+  @ Explorer.churn_cases ~seeds:3
+  @ List.map
+      (fun scheme -> Explorer.stall_case ~scheme ~seed:5)
+      [ Scheme.Qsense; Scheme.Qsbr ]
+
 (* The deterministic outputs a schedule-neutral change must leave alone:
    every [repro all] section (quick scale, seed 1), the committed corpus'
-   rare-class witness counts and each case's verdict, linearizability
-   status and step count (a case that stops being checked moves), the
-   smoke run at 3 seeds, the sim-stall benchmark's tails, and the bench's
-   latency and service sim rows. Also returns what failed on its own
-   terms, whatever the committed digests say: a failing smoke check, a
-   corpus case that is not clean, a rare class with no witness. *)
+   rare-class witness counts and each case's outcome line, the outcome
+   line of every family case (digested, not judged), the sim-stall
+   benchmark's tails, and the bench's latency and service sim rows. Also
+   returns what failed on its own terms, whatever the committed digests
+   say: a corpus case that is not clean, a rare class with no witness. *)
 let fingerprint_sections (f : flags) =
   let repro =
     List.map
       (fun (title, render) -> section ("repro " ^ title) (render ()))
       (Figures.all ~scale:Figures.Quick ~seed:1)
   in
-  let cases = Array.of_list (Explorer.load_corpus fingerprint_corpus) in
-  let results = Explorer_pool.map ~jobs:f.jobs Coverage.run_covered cases in
+  let results, class_counts, failures =
+    replay_corpus ~jobs:f.jobs ~repro_out:f.repro_out
+      (Array.of_list (Explorer.load_corpus fingerprint_corpus))
+  in
   let corpus =
     List.mapi
-      (fun i r ->
-        section
-          (Printf.sprintf "corpus case %03d" (i + 1))
-          (match r with
-          | None -> "no result\n"
-          | Some ((o : Explorer.outcome), _) ->
-            Printf.sprintf "%s lin=%s steps=%d\n"
-              (Explorer.verdict_to_string o.verdict)
-              (match o.lin with
-              | Explorer.Lin_ok -> "ok"
-              | Lin_unchecked -> "unchecked"
-              | Lin_too_large -> "too-large")
-              o.steps))
+      (fun i (o, _) -> section (Printf.sprintf "corpus case %03d" (i + 1)) (outcome_line o))
       (Array.to_list results)
   in
-  let class_counts = witness_counts results in
   let witnesses =
     section "coverage witnesses"
       (String.concat ""
@@ -793,12 +632,12 @@ let fingerprint_sections (f : flags) =
             (fun (name, j) -> Printf.sprintf "%s %d\n" name class_counts.(j))
             Coverage.rare_classes))
   in
-  let smoke_ok, smoke_text =
-    capture (fun () -> smoke_checks { f with seeds = 3 })
-  in
-  let failures =
-    (if smoke_ok then [] else [ "smoke failed:\n" ^ smoke_text ])
-    @ corpus_failures cases results class_counts
+  let sweep =
+    section "sweep cases"
+      (String.concat ""
+         (List.map
+            (fun (_, o) -> outcome_line o)
+            (Explorer_pool.outcomes ~jobs:f.jobs (family_cases ()))))
   in
   let stall_workload = Option.get (Perfbench.Workloads.find "sim-stall") in
   let stall seed =
@@ -821,7 +660,7 @@ let fingerprint_sections (f : flags) =
          (List.map (fun r -> Qs_util.Json.to_string (row_json r) ^ "\n") rows))
   in
   ( repro @ [ witnesses ] @ corpus
-    @ [ section "smoke" smoke_text ]
+    @ [ sweep ]
     @ List.map stall [ 1; 2; 3 ]
     @ [ bench_rows "latency.rows" Sim_rows.Latency.rows Sim_rows.Latency.row_json;
         bench_rows "service.rows" Sim_rows.Service.rows Sim_rows.Service.row_json ],
@@ -851,7 +690,6 @@ let fingerprint args =
   let t0 = wall_s () in
   let sections, failures = fingerprint_sections f in
   let dt = wall_s () -. t0 in
-  List.iter (Printf.printf "FAIL: %s\n") failures;
   if check then begin
     let committed = read_fingerprints path in
     let named l s = List.exists (fun c -> c.name = s.name) l in
@@ -888,7 +726,6 @@ let fingerprint args =
 
 let () =
   match Array.to_list Sys.argv with
-  | _ :: "smoke" :: args -> exit (smoke args)
   | _ :: "corpus" :: path :: args -> exit (corpus path args)
   | _ :: "replay" :: path :: args -> exit (replay path args)
   | _ :: "profile" :: args -> exit (profile args)

@@ -228,14 +228,14 @@ module E2e = struct
       (if quick then [ 1; 2 ]
        else [ 1; 2; 4; Domain.recommended_domain_count () ])
 
-  (* The paper's key ranges (§7.1); the structure is pre-filled to half. *)
-  let key_range = function
-    | Qs_harness.Cset.List -> 512
-    | Qs_harness.Cset.Bst -> 16_384
-    | Qs_harness.Cset.Skiplist | Qs_harness.Cset.Hashtable -> 4_096
-
+  (* The repro figures' quick key ranges, at any scale; the structure is
+     pre-filled to half. *)
   let run_one ~quick ~ds ~scheme ~n_domains ~update_pct ~churn =
-    let workload = Qs_workload.Spec.make ~key_range:(key_range ds) ~update_pct in
+    let workload =
+      Qs_workload.Spec.make
+        ~key_range:(Qs_harness.Figures.range_of Qs_harness.Figures.Quick ds)
+        ~update_pct
+    in
     let setup =
       { (Qs_harness.Real_exp.default_setup ~ds ~scheme ~n_domains ~workload) with
         duration_ms = (if quick then 50 else 250);

@@ -155,29 +155,27 @@ let grow ?jobs ?(batch = 32) ?(budget = 2_000) ?(quota = 4) ~target base =
     List.iteri
       (fun i c ->
         incr runs;
-        match results.(i) with
-        | None -> ()
-        | Some ((o : Explorer.outcome), cov) ->
-          if
-            Explorer.same_class o.Explorer.verdict Explorer.Pass
-            && continue_ () && wanted cov
-          then begin
-            selected := (c, cov) :: !selected;
-            incr n_selected;
-            Array.iteri
-              (fun j n -> if n > 0 then class_counts.(j) <- class_counts.(j) + 1)
-              cov.counts;
-            (* Seed neighborhoods of rare-event hitters jump the queue
-               while their class still needs witnesses; once a class has
-               its quota, further neighborhoods fall back behind the
-               uniform backlog (breadth over depth). *)
-            if rare_mask cov <> 0 then
-              List.iter
-                (fun m ->
-                  if fresh m then
-                    Queue.add m (if under_quota cov then high else low))
-                (mutations c)
-          end)
+        let (o : Explorer.outcome), cov = results.(i) in
+        if
+          Explorer.same_class o.Explorer.verdict Explorer.Pass
+          && continue_ () && wanted cov
+        then begin
+          selected := (c, cov) :: !selected;
+          incr n_selected;
+          Array.iteri
+            (fun j n -> if n > 0 then class_counts.(j) <- class_counts.(j) + 1)
+            cov.counts;
+          (* Seed neighborhoods of rare-event hitters jump the queue
+             while their class still needs witnesses; once a class has
+             its quota, further neighborhoods fall back behind the
+             uniform backlog (breadth over depth). *)
+          if rare_mask cov <> 0 then
+            List.iter
+              (fun m ->
+                if fresh m then
+                  Queue.add m (if under_quota cov then high else low))
+              (mutations c)
+        end)
       cases
   done;
   { selected = List.rev !selected; class_counts; runs = !runs }

@@ -472,6 +472,58 @@ let explore cases =
       if same_class o.verdict Pass then None else Some (c, o))
     cases
 
+(* --- case families ------------------------------------------------------- *)
+
+(* The standing checks of test/test_explorer.ml, which alone judges them;
+   [explore.exe profile] and [grow] build on them and [fingerprint] digests
+   them. *)
+
+let unsafe_hp_case seed =
+  { (default_case ~ds:Cset.List ~scheme:Qs_smr.Scheme.Unsafe_hp ~seed) with
+    key_range = 8;
+    ops_per_proc = 4_000;
+    duration = 10_000_000 }
+
+let leaky_case seed =
+  { (default_case ~ds:Cset.List ~scheme:Qs_smr.Scheme.None_ ~seed) with
+    capacity = 256;
+    ops_per_proc = 4_000;
+    duration = 10_000_000 }
+
+let stall_case ~scheme ~seed =
+  { (default_case ~ds:Cset.List ~scheme ~seed) with
+    ops_per_proc = 4_000;
+    duration = 2_500_000;
+    capacity = 300;
+    faults = [ Scheduler.Stall_at { pid = 3; at = 100_000; ticks = 1_500_000 } ] }
+
+let with_plan level (c : case) =
+  { c with faults = plan level ~n:c.n_processes ~duration:c.duration ~seed:c.seed }
+
+let sweep_cases ~seeds:count =
+  List.concat_map
+    (fun scheme ->
+      List.concat_map
+        (fun seed ->
+          let dc = default_case ~ds:Cset.List ~scheme ~seed in
+          (* poison deliveries discontinue whatever operation is in flight
+             under every scheme, not just DEBRA+: the unwind handlers in the
+             structures must hold across the zoo *)
+          [ dc; { dc with strategy = Pct { depth = 3 } } ]
+          @ List.map (fun level -> with_plan level dc) [ Stalls; Chaos; Neutralize ])
+        (seeds ~base:11 ~count))
+    Qs_smr.Scheme.[ Hp; Cadence; Qsense; Debra_plus; Hyaline ]
+
+(* The failure class hunted is the adopted-node UAF: an adopter freeing an
+   orphan that a still-running (evicted or stalled) process protects. *)
+let churn_cases ~seeds:count =
+  List.concat_map
+    (fun scheme ->
+      List.map
+        (fun seed -> with_plan Churn (default_case ~ds:Cset.List ~scheme ~seed))
+        (seeds ~base:29 ~count))
+    Qs_smr.Scheme.[ Qsbr; Ebr; Hp; Cadence; Qsense; Debra_plus; Hyaline ]
+
 let save_repro path (c : case) (o : outcome) =
   let oc = open_out path in
   Printf.fprintf oc

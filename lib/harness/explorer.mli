@@ -156,6 +156,38 @@ val explore : case list -> (case * outcome) list
 
 val seeds : base:int -> count:int -> int list
 
+(** {1 Case families}
+
+    The explorer's standing checks. test/test_explorer.ml is the one place
+    that judges them; [explore.exe profile] and [grow] build on them, and
+    [explore.exe fingerprint] digests their outcomes. *)
+
+val unsafe_hp_case : int -> case
+(** Positive control for Algorithm 2's unfenced publish: unsafe-hp on an
+    8-key list, 4,000 ops/process. Some seed of [seeds ~base:1 ~count:3]
+    ends in a memory-safety verdict. *)
+
+val leaky_case : int -> case
+(** Positive control: the leaky baseline on a 256-node arena,
+    4,000 ops/process; it runs out of memory. *)
+
+val stall_case : scheme:Qs_smr.Scheme.kind -> seed:int -> case
+(** The robustness scenario (§7.2) on a 300-node arena: process 3 stalls
+    for 1.5M ticks from tick 100k. QSense completes a fallback round trip
+    and passes; QSBR runs out of memory. *)
+
+val sweep_cases : seeds:int -> case list
+(** The clean sweep: hp, cadence, qsense, debra-plus and hyaline on the
+    list, each at [seeds ~base:11 ~count:seeds] under fair, PCT (depth 3),
+    [Stalls], [Chaos] and [Neutralize] schedules — 25 cases per seed, all
+    expected to pass. *)
+
+val churn_cases : seeds:int -> case list
+(** The seven sound schemes (qsbr, ebr, hp, cadence, qsense, debra-plus,
+    hyaline) on the list under the [Churn] plan at
+    [seeds ~base:29 ~count:seeds] — 7 cases per seed, all expected to
+    pass. *)
+
 (** {1 Repro and corpus files} *)
 
 val to_string : case -> string

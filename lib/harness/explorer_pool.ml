@@ -12,86 +12,31 @@
 
    Results land in per-index slots (disjoint writes; the Domain.join at the
    end publishes them to the coordinator), so the output order is the input
-   order no matter how the workers interleave. Cancellation is cooperative:
-   a raised stop flag prevents claiming further indices but lets in-flight
-   cases finish, so every reported outcome is still complete and
-   deterministic. *)
+   order no matter how the workers interleave. *)
 
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
-let map (type b) ?jobs ?(stop_when : (b -> bool) option) (f : Explorer.case -> b)
-    (cases : Explorer.case array) : b option array =
+let map (type b) ?jobs (f : Explorer.case -> b) (cases : Explorer.case array) :
+    b array =
   let n = Array.length cases in
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let jobs = min jobs n in
-  let results : b option array = Array.make n None in
-  let hit r = match stop_when with None -> false | Some p -> p r in
-  if jobs <= 1 then begin
+  let jobs = min n (match jobs with Some j -> j | None -> default_jobs ()) in
+  if jobs <= 1 then
     (* Solo reference path: identical claiming order, no domains. *)
-    let stop = ref false in
-    let i = ref 0 in
-    while (not !stop) && !i < n do
-      let r = f cases.(!i) in
-      results.(!i) <- Some r;
-      if hit r then stop := true;
-      incr i
-    done;
-    results
-  end
+    Array.map f cases
   else begin
+    let results : b option array = Array.make n None in
     let next = Atomic.make 0 in
-    let stop = Atomic.make false in
-    let worker _wid =
-      let continue_ = ref true in
-      while !continue_ do
-        if Atomic.get stop then continue_ := false
-        else begin
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n then continue_ := false
-          else begin
-            let r = f cases.(i) in
-            results.(i) <- Some r;
-            if hit r then Atomic.set stop true
-          end
-        end
-      done
+    let rec claim () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <- Some (f cases.(i));
+        claim ()
+      end
     in
-    ignore (Qs_real.Domain_pool.run ~n:jobs worker);
-    results
+    ignore (Qs_real.Domain_pool.run ~n:jobs (fun _ -> claim ()));
+    Array.map Option.get results
   end
 
 let outcomes ?jobs (cases : Explorer.case list) :
     (Explorer.case * Explorer.outcome) list =
-  let arr = Array.of_list cases in
-  let res = map ?jobs Explorer.run_one arr in
-  List.mapi
-    (fun i c ->
-      match res.(i) with
-      | Some o -> (c, o)
-      | None -> assert false (* no stop_when: every index was claimed *))
-    cases
-
-let explore ?jobs cases =
-  List.filter
-    (fun ((_ : Explorer.case), (o : Explorer.outcome)) ->
-      not (Explorer.same_class o.verdict Explorer.Pass))
-    (outcomes ?jobs cases)
-
-let find_failure ?jobs (cases : Explorer.case list) =
-  let arr = Array.of_list cases in
-  let failing (o : Explorer.outcome) =
-    not (Explorer.same_class o.verdict Explorer.Pass)
-  in
-  let res = map ?jobs ~stop_when:failing Explorer.run_one arr in
-  (* Lowest-index completed failure: under cancellation the set of
-     completed cases depends on worker timing, but each completed outcome
-     is deterministic, and reporting the first one keeps CI logs stable in
-     the common one-failure situation. *)
-  let rec scan i =
-    if i >= Array.length arr then None
-    else
-      match res.(i) with
-      | Some o when failing o -> Some (arr.(i), o)
-      | _ -> scan (i + 1)
-  in
-  scan 0
+  List.combine cases (Array.to_list (map ?jobs Explorer.run_one (Array.of_list cases)))

@@ -11,33 +11,14 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1] (at least 1): leave one core
     for the coordinator. *)
 
-val map :
-  ?jobs:int ->
-  ?stop_when:('b -> bool) ->
-  (Explorer.case -> 'b) ->
-  Explorer.case array ->
-  'b option array
+val map : ?jobs:int -> (Explorer.case -> 'b) -> Explorer.case array -> 'b array
 (** [map ~jobs f cases] runs [f] on every case across [jobs] worker
     domains (default {!default_jobs}; [jobs <= 1] runs solo in the calling
-    domain) and returns the results in input order. [f] must be safe to
-    call concurrently from several domains — {!Explorer.run_one} and
-    anything built on it qualifies. With [stop_when], a matching result
-    raises a cooperative stop flag: no further cases are claimed (in-flight
-    ones finish), and unclaimed slots come back [None]. *)
+    domain) and returns the results in input order. [f]
+    must be safe to call concurrently from several domains —
+    {!Explorer.run_one} and anything built on it qualifies. *)
 
 val outcomes :
   ?jobs:int -> Explorer.case list -> (Explorer.case * Explorer.outcome) list
 (** Pooled {!Explorer.run_one} over the whole list; complete, input order,
     bit-identical to the solo sweep. *)
-
-val explore :
-  ?jobs:int -> Explorer.case list -> (Explorer.case * Explorer.outcome) list
-(** Pooled drop-in for {!Explorer.explore}: run every case, return the
-    failing ones (input order). *)
-
-val find_failure :
-  ?jobs:int -> Explorer.case list -> (Explorer.case * Explorer.outcome) option
-(** First-failure hunt with cancellation: workers stop claiming cases once
-    any failure is seen; returns the lowest-index completed failure (its
-    outcome is deterministic — shrink it on the coordinator). [None] means
-    every case passed. *)

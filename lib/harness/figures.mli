@@ -7,14 +7,9 @@ type scale =
   | Quick  (** scaled-down structure sizes; seconds *)
   | Full  (** the paper's sizes (BST scaled 10x down); minutes *)
 
-val scalability :
-  scale:scale ->
-  seed:int ->
-  ds:Cset.kind ->
-  schemes:Qs_smr.Scheme.kind list ->
-  update_pct:int ->
-  Qs_util.Table.t * (Qs_smr.Scheme.kind * float list) list
-(** Throughput vs core count, one row per scheme. *)
+val range_of : scale -> Cset.kind -> int
+(** A structure's key range at a scale: at [Quick], list 512, skip list
+    and hash table 4,096, BST 16,384. *)
 
 val fig3 :
   scale:scale -> seed:int -> Qs_util.Table.t * (Qs_smr.Scheme.kind * float list) list

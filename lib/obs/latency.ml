@@ -143,8 +143,6 @@ let observe r ~pid ~kind ~start ~dur =
     r.tk_min.(pid) <- min_from r.tk_dur off 1 r.k r.tk_dur.(off)
   end
 
-let hist r ~pid ~kind = r.hists.((pid * r.n_kinds) + kind)
-
 let merged r =
   let dst = create () in
   Array.iter (fun h -> merge_into ~dst h) r.hists;

@@ -78,8 +78,6 @@ val observe : recorder -> pid:int -> kind:int -> start:int -> dur:int -> unit
     (start, dur, kind) into pid's top-K buffer if it beats the smallest
     entry. Exactly 0 minor words allocated. *)
 
-val hist : recorder -> pid:int -> kind:int -> t
-
 val merged : recorder -> t
 (** Fresh histogram holding every process × kind merged. *)
 

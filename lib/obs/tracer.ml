@@ -11,39 +11,34 @@ type ring = {
 }
 
 type t = {
-  enabled : bool; (* immutable: the disabled path is one load + branch *)
   capacity : int;
   n_processes : int;
   rings : ring array; (* n_processes + 1; the last is the system ring *)
 }
 
-let create ?(enabled = true) ~n_processes ~capacity () =
+let create ~n_processes ~capacity () =
   if capacity < 1 then invalid_arg "Tracer.create: capacity must be >= 1";
   if n_processes < 0 then invalid_arg "Tracer.create: n_processes < 0";
-  { enabled;
-    capacity;
+  { capacity;
     n_processes;
     rings =
       Array.init (n_processes + 1) (fun _ ->
           { pos = 0; len = 0; dropped = 0; data = Array.make (capacity * 4) 0 })
   }
 
-let enabled t = t.enabled
 let capacity t = t.capacity
 let n_processes t = t.n_processes
 
 let record t ~pid ~time ~ev ~a ~b =
-  if t.enabled then begin
-    let idx = if pid >= 0 && pid < t.n_processes then pid else t.n_processes in
-    let r = t.rings.(idx) in
-    let base = r.pos * 4 in
-    r.data.(base) <- time;
-    r.data.(base + 1) <- RI.event_index ev;
-    r.data.(base + 2) <- a;
-    r.data.(base + 3) <- b;
-    r.pos <- (if r.pos + 1 = t.capacity then 0 else r.pos + 1);
-    if r.len < t.capacity then r.len <- r.len + 1 else r.dropped <- r.dropped + 1
-  end
+  let idx = if pid >= 0 && pid < t.n_processes then pid else t.n_processes in
+  let r = t.rings.(idx) in
+  let base = r.pos * 4 in
+  r.data.(base) <- time;
+  r.data.(base + 1) <- RI.event_index ev;
+  r.data.(base + 2) <- a;
+  r.data.(base + 3) <- b;
+  r.pos <- (if r.pos + 1 = t.capacity then 0 else r.pos + 1);
+  if r.len < t.capacity then r.len <- r.len + 1 else r.dropped <- r.dropped + 1
 
 let sink t = { RI.record = (fun ~pid ~time ~ev ~a ~b -> record t ~pid ~time ~ev ~a ~b) }
 

@@ -6,14 +6,11 @@
     pid lands there rather than being lost or corrupting a worker ring.
 
     {b Overhead discipline} (see DESIGN.md §9). [record] is the only
-    function on the hot path and it allocates nothing:
-
-    - disabled tracer: one immutable-bool load and a branch — the compiler
-      can hoist it, and there is no write traffic at all;
-    - enabled tracer: four [int array] stores plus ring-index arithmetic
-      into preallocated storage. Events are packed into a flat [int array]
-      of 4-word slots (time, event index, a, b), not records, so recording
-      never touches the allocator and never triggers GC on a traced run.
+    function on the hot path and it allocates nothing: four [int array]
+    stores plus ring-index arithmetic into preallocated storage. Events are
+    packed into a flat [int array] of 4-word slots (time, event index, a,
+    b), not records, so recording never touches the allocator and never
+    triggers GC on a traced run. An untraced run installs no sink at all.
 
     When the ring is full the {e oldest} event is overwritten and the
     per-ring [dropped] counter increments monotonically, so post-processing
@@ -27,14 +24,11 @@
 
 type t
 
-val create : ?enabled:bool -> n_processes:int -> capacity:int -> unit -> t
+val create : n_processes:int -> capacity:int -> unit -> t
 (** [create ~n_processes ~capacity ()] preallocates [n_processes + 1] rings
     of [capacity] events each ([capacity >= 1]; the extra ring is the
-    system ring). [enabled] defaults to [true]; an [enabled:false] tracer
-    is permanently off — the flag is immutable, which is what makes the
-    disabled path a single load and branch. *)
+    system ring). *)
 
-val enabled : t -> bool
 val capacity : t -> int
 val n_processes : t -> int
 
@@ -42,7 +36,7 @@ val record : t -> pid:int -> time:int -> ev:Qs_intf.Runtime_intf.event ->
   a:int -> b:int -> unit
 (** Record one event into [pid]'s ring (or the system ring when [pid] is
     outside [0, n_processes)). Allocation-free; see the overhead
-    discipline above. No-op when the tracer is disabled. *)
+    discipline above. *)
 
 val sink : t -> Qs_intf.Runtime_intf.sink
 (** The sink closing over this tracer, to install via

@@ -34,10 +34,3 @@ let shift_for n =
     done;
     Some (hash_bits - !k)
   end
-
-let[@inline] index_pow2 ~shift key = hash key lsr shift
-
-let index ~n key =
-  match shift_for n with
-  | Some shift -> index_pow2 ~shift key
-  | None -> hash key mod n

@@ -17,8 +17,3 @@ val shift_for : int -> int option
 (** [shift_for n] is [Some (hash_bits - k)] when [n = 2^k] — the shift
     that turns {!hash} into a uniform index in [0, n) as
     [hash key lsr shift] — and [None] for non-power-of-two [n]. *)
-
-val index : n:int -> int -> int
-(** Bucket index in [0, n) for any positive [n]: top-bits shift when [n]
-    is a power of two, [mod] fallback otherwise. Prefer precomputing
-    {!shift_for} on hot paths. *)

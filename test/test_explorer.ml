@@ -7,12 +7,17 @@
      unsafe (fence-free) HP variant and the leak in the leaky baseline,
      and every such failure shrinks to a smaller case of the same verdict
      class and replays from its saved repro file alone;
-   - negative control: the committed corpus of known-clean cases (fair,
-     PCT and fault-plan schedules over hp/cadence/qsense) stays clean,
-     with linearizability actually checked on the fault-free cases;
+   - negative controls: the committed corpus of known-clean cases stays
+     clean, with linearizability actually checked on it; the clean sweep
+     (hp, cadence, qsense, debra-plus, hyaline under fair, PCT, stall,
+     chaos and neutralize schedules) and the churn sweep over the seven
+     sound schemes pass at 3 seeds each;
    - injected stalls drive QSense through a full fallback round-trip
      (fallback_entries/exits/ticks) while QSBR OOMs under the identical
-     schedule. *)
+     schedule.
+
+   The case families are [Explorer]'s; this file is the one place that
+   judges them ([explore.exe fingerprint] only digests their outcomes). *)
 
 open Qs_harness
 module Scheme = Qs_smr.Scheme
@@ -101,19 +106,13 @@ let test_run_one_deterministic () =
 
 (* --- positive controls --------------------------------------------------- *)
 
-let unsafe_hp_case seed =
-  { (Explorer.default_case ~ds:Cset.List ~scheme:Scheme.Unsafe_hp ~seed) with
-    Explorer.key_range = 8;
-    ops_per_proc = 4_000;
-    duration = 10_000_000 }
+let control_seeds = Explorer.seeds ~base:1 ~count:3
 
 (* The fence in [assign_hp] is load-bearing: without it the explorer's
    fair schedules catch reclamation of hazardously referenced nodes.
    The failure then shrinks and replays from its repro file alone. *)
 let test_finds_unsafe_hp_and_shrinks () =
-  let failures =
-    Explorer.explore (List.map unsafe_hp_case [ 1; 2; 3 ])
-  in
+  let failures = Explorer.explore (List.map Explorer.unsafe_hp_case control_seeds) in
   Alcotest.(check bool)
     (Printf.sprintf "unsafe-hp caught (%d/3 seeds)" (List.length failures))
     true
@@ -144,17 +143,14 @@ let test_finds_unsafe_hp_and_shrinks () =
         (Explorer.same_class o'.Explorer.verdict o''.Explorer.verdict))
 
 let test_finds_leak () =
-  let c =
-    { (Explorer.default_case ~ds:Cset.List ~scheme:Scheme.None_ ~seed:1) with
-      Explorer.capacity = 256;
-      ops_per_proc = 4_000;
-      duration = 10_000_000 }
-  in
-  match (Explorer.run_one c).verdict with
-  | Explorer.Oom _ -> ()
-  | v ->
-      Alcotest.failf "leaky baseline should exhaust the arena, got %s"
-        (Explorer.verdict_to_string v)
+  List.iter
+    (fun seed ->
+      match (Explorer.run_one (Explorer.leaky_case seed)).verdict with
+      | Explorer.Oom _ -> ()
+      | v ->
+        Alcotest.failf "leaky baseline (seed %d) should exhaust the arena, got %s"
+          seed (Explorer.verdict_to_string v))
+    control_seeds
 
 (* A BST delete that wins its DFlag CAS must retire the removed pair, and
    an insert must record the pair it allocates, even when a neutralization
@@ -200,17 +196,35 @@ let test_corpus_clean () =
         Alcotest.failf "corpus case not lin-checked: %s" (Explorer.to_string c))
     cases
 
+(* [cases] hold [per_scheme] cases of each of [schemes] and nothing else,
+   and every case passes; a failure names its case line. The composition
+   check catches a scheme swapped out of a sweep even where its verdicts
+   would pass at the sweep's shape (unsafe-hp does, on 32 keys and 150
+   operations per process). *)
+let all_pass ~schemes ~per_scheme cases =
+  Alcotest.(check int) "case count" (per_scheme * List.length schemes)
+    (List.length cases);
+  List.iter
+    (fun scheme ->
+      Alcotest.(check int) (Scheme.to_string scheme ^ " cases") per_scheme
+        (List.length (List.filter (fun (c : Explorer.case) -> c.scheme = scheme) cases)))
+    schemes;
+  List.iter
+    (fun c ->
+      match (Explorer.run_one c).verdict with
+      | Explorer.Pass -> ()
+      | v ->
+        Alcotest.failf "%s -> %s" (Explorer.to_string c) (Explorer.verdict_to_string v))
+    cases
+
+let test_sweep_cases_pass () =
+  all_pass ~schemes:Scheme.[ Hp; Cadence; Qsense; Debra_plus; Hyaline ] ~per_scheme:15
+    (Explorer.sweep_cases ~seeds:3)
+
 (* --- QSense fallback round-trip under injected stalls -------------------- *)
 
-let stall_case ~scheme ~seed =
-  { (Explorer.default_case ~ds:Cset.List ~scheme ~seed) with
-    Explorer.ops_per_proc = 4_000;
-    duration = 2_500_000;
-    capacity = 300;
-    faults = [ Scheduler.Stall_at { pid = 3; at = 100_000; ticks = 1_500_000 } ] }
-
 let test_qsense_fallback_round_trip () =
-  let o = Explorer.run_one (stall_case ~scheme:Scheme.Qsense ~seed:5) in
+  let o = Explorer.run_one (Explorer.stall_case ~scheme:Scheme.Qsense ~seed:5) in
   (match o.Explorer.verdict with
   | Explorer.Pass -> ()
   | v ->
@@ -227,7 +241,7 @@ let test_qsense_fallback_round_trip () =
 
 (* Differential: the identical schedule kills QSBR. *)
 let test_qsbr_ooms_on_same_schedule () =
-  let o = Explorer.run_one (stall_case ~scheme:Scheme.Qsbr ~seed:5) in
+  let o = Explorer.run_one (Explorer.stall_case ~scheme:Scheme.Qsbr ~seed:5) in
   match o.Explorer.verdict with
   | Explorer.Oom t ->
       Alcotest.(check bool) "exhausted after the stall began" true (t >= 100_000)
@@ -270,26 +284,17 @@ let test_plan_deterministic () =
 
 (* --- churn: leave/rejoin + orphan adoption stays safe --------------------- *)
 
-let churn_case ~scheme ~seed =
-  let c = Explorer.default_case ~ds:Cset.List ~scheme ~seed in
-  { c with
-    Explorer.faults =
-      Explorer.plan Explorer.Churn ~n:c.Explorer.n_processes
-        ~duration:c.Explorer.duration ~seed }
-
 let test_churn_cases_pass () =
-  List.iter
-    (fun scheme ->
-      let o = Explorer.run_one (churn_case ~scheme ~seed:31) in
-      match o.Explorer.verdict with
-      | Explorer.Pass -> ()
-      | v ->
-        Alcotest.failf "%s under churn: %s" (Scheme.to_string scheme)
-          (Explorer.verdict_to_string v))
-    [ Scheme.Qsbr; Scheme.Hp; Scheme.Cadence; Scheme.Qsense ]
+  all_pass
+    ~schemes:Scheme.[ Qsbr; Ebr; Hp; Cadence; Qsense; Debra_plus; Hyaline ]
+    ~per_scheme:3 (Explorer.churn_cases ~seeds:3)
 
 let test_churn_deterministic () =
-  let c = churn_case ~scheme:Scheme.Qsense ~seed:33 in
+  let c =
+    List.find
+      (fun (c : Explorer.case) -> c.scheme = Scheme.Qsense)
+      (Explorer.churn_cases ~seeds:1)
+  in
   let a = Explorer.run_one c and b = Explorer.run_one c in
   Alcotest.(check string)
     "same verdict"
@@ -310,6 +315,8 @@ let suite =
     Alcotest.test_case "finds the leaky baseline's leak" `Quick test_finds_leak;
     Alcotest.test_case "bst unwind strands no node" `Quick test_bst_unwind_no_leak;
     Alcotest.test_case "committed corpus stays clean" `Quick test_corpus_clean;
+    Alcotest.test_case "sweep cases pass on the clean schemes" `Slow
+      test_sweep_cases_pass;
     Alcotest.test_case "stalls drive qsense through fallback and back" `Quick
       test_qsense_fallback_round_trip;
     Alcotest.test_case "qsbr OOMs on the same stall schedule" `Quick

@@ -6,8 +6,6 @@
      churn schedules — the worker-isolation invariant the pool's whole
      design rests on;
    - results come back complete and in input order;
-   - [find_failure] agrees with the solo sweep on which case fails and on
-     its verdict, with cancellation enabled;
    - per-case master PRNG streams for distinct seeds never overlap
      (QCheck over seed ranges): sharding a seed range across workers can
      never make two cases draw the same schedule randomness. *)
@@ -62,35 +60,6 @@ let test_repeat_stability () =
   let b = Explorer_pool.outcomes ~jobs:4 batch in
   List.iter2 (fun (_, o) (_, o') -> check_outcome_eq "jobs=2 vs jobs=4" o o') a b
 
-let test_find_failure_matches_solo () =
-  (* A planted leak among clean cases: the pool's first-failure hunt (with
-     cancellation) must land on the same case and verdict class as the
-     solo sweep. *)
-  let clean seed = Explorer.default_case ~ds:Cset.List ~scheme:Scheme.Hp ~seed in
-  let planted =
-    { (Explorer.default_case ~ds:Cset.List ~scheme:Scheme.None_ ~seed:3) with
-      Explorer.capacity = 256;
-      ops_per_proc = 4_000;
-      duration = 10_000_000 }
-  in
-  let batch = [ clean 1; clean 2; planted; clean 4; clean 5 ] in
-  let solo =
-    List.find_opt
-      (fun (_, (o : Explorer.outcome)) -> o.verdict <> Explorer.Pass)
-      (List.map (fun c -> (c, Explorer.run_one c)) batch)
-  in
-  let pooled = Explorer_pool.find_failure ~jobs:3 batch in
-  match (solo, pooled) with
-  | None, None -> Alcotest.fail "planted failure not found at all"
-  | Some (c, o), Some (c', o') ->
-    Alcotest.(check string)
-      "same failing case" (Explorer.to_string c) (Explorer.to_string c');
-    Alcotest.(check bool)
-      "same verdict class" true
-      (Explorer.same_class o.verdict o'.verdict)
-  | Some _, None -> Alcotest.fail "pool missed the failure solo found"
-  | None, Some _ -> Alcotest.fail "pool found a failure solo did not"
-
 (* --- PRNG stream disjointness -------------------------------------------- *)
 
 (* [Explorer.run_one] derives every per-process stream by [Prng.split] from
@@ -133,7 +102,5 @@ let suite =
       test_solo_vs_pool_bit_identical;
     Alcotest.test_case "jobs count does not change outcomes" `Slow
       test_repeat_stability;
-    Alcotest.test_case "find_failure matches solo sweep" `Slow
-      test_find_failure_matches_solo;
     test_streams_disjoint
   ]

@@ -3,9 +3,8 @@
    - ring semantics: fixed capacity, wrap-around drops the oldest events
      with a monotone [dropped] counter, out-of-range pids land in the
      system ring;
-   - overhead discipline: a disabled tracer records nothing, and recording
-     allocates zero minor words per event enabled or disabled (the
-     Gc-words pin CI relies on);
+   - overhead discipline: recording allocates zero minor words per event
+     (the Gc-words pin CI relies on);
    - determinism and neutrality: a seeded simulator run produces a
      bit-identical trace across two runs, and installing a sink changes no
      explorer verdict on the committed corpus (trace emission is
@@ -79,21 +78,11 @@ let test_merged_timeline_sorted () =
 
 (* --- overhead discipline -------------------------------------------------- *)
 
-let test_disabled_records_nothing () =
-  let t = Tracer.create ~enabled:false ~n_processes:1 ~capacity:8 () in
-  let s = Tracer.sink t in
-  for i = 1 to 100 do
-    s.RI.record ~pid:0 ~time:i ~ev:RI.Ev_retire ~a:i ~b:0
-  done;
-  checkb "reports disabled" false (Tracer.enabled t);
-  checki "records nothing" 0 (Tracer.total t);
-  checki "drops nothing" 0 (Tracer.total_dropped t)
-
 (* Minor words allocated per [record] through the sink, measured exactly as
    the runtimes drive it. Tail-called in a loop after a warm-up so the only
    allocation candidates are [record] itself. *)
-let words_per_event ~enabled =
-  let t = Tracer.create ~enabled ~n_processes:1 ~capacity:256 () in
+let words_per_event () =
+  let t = Tracer.create ~n_processes:1 ~capacity:256 () in
   let s = Tracer.sink t in
   let n = 50_000 in
   for i = 1 to 64 do
@@ -107,10 +96,7 @@ let words_per_event ~enabled =
   (w1 -. w0) /. float_of_int n
 
 let test_record_allocation_free () =
-  check (Alcotest.float 1e-3) "disabled: 0 words/event" 0.
-    (words_per_event ~enabled:false);
-  check (Alcotest.float 1e-3) "enabled: 0 words/event" 0.
-    (words_per_event ~enabled:true)
+  check (Alcotest.float 1e-3) "0 words/event" 0. (words_per_event ())
 
 (* --- traced simulator runs ------------------------------------------------ *)
 
@@ -444,7 +430,6 @@ let test_csv_shape () =
 let suite =
   [ Alcotest.test_case "ring wrap-around" `Quick test_wraparound;
     Alcotest.test_case "merged timeline sorted" `Quick test_merged_timeline_sorted;
-    Alcotest.test_case "disabled records nothing" `Quick test_disabled_records_nothing;
     Alcotest.test_case "record is allocation-free" `Quick test_record_allocation_free;
     Alcotest.test_case "seeded trace bit-identical" `Quick test_seeded_trace_bit_identical;
     Alcotest.test_case "cadence age floor T+eps" `Quick test_cadence_age_floor;
