@@ -9,6 +9,26 @@
    box to chase.
    Level-0 membership is authoritative.
 
+   Towers: a node's array holds [top + 1] links, sized to its own height
+   as ASCYLIB sizes each node to its level. The arena creates a node with
+   no tower ([top = -1] and one shared empty array, never indexed); the
+   first insert that takes it draws its height from [ctx.prng] and
+   allocates its array. A recycled node keeps both, so its insert draws no
+   level and allocates nothing. Three facts keep this sound:
+   - every read of [n.next] at level [l] happens where [n] is, or was,
+     linked at [l] (a traversal reached [n] through a level-[l] link), or
+     is an update's access to its own node at [l <= n.top]. The array
+     never changes after the node's first use, so even a stale reference
+     to a node freed and recycled since reads in bounds;
+   - live heights stay i.i.d. geometric: a fresh node's height is a fresh
+     draw, and which nodes are freed, hence recycled, depends on keys,
+     never on heights;
+   - [next] is set once, before the node's first bottom CAS, which
+     publishes it as it publishes [key]: on x86-TSO the CAS orders the
+     store before the link that makes the node reachable, and a reader
+     loads [next] after that link, with nothing more needed (the same
+     caveat as [R.aget], a plain load on real domains).
+
    Traversal: [find ctx key] walks every level from the top and stops, per
    level, at the first node with key >= [key], snipping every marked node
    it meets before that and restarting from the head when a snip or a
@@ -90,7 +110,7 @@
    Canonical links: a link value depends only on (dest, mark), not on the
    level, so each node carries its two link values, [ulink] and [mlink],
    built once when the node is created and shared by all its levels. No
-   insert or delete allocates. CAS compares physical identity, which here
+   insert of a recycled node and no delete allocates. CAS compares physical identity, which here
    means comparing (dest, mark), so a link value can leave a cell and come
    back; ABA safety rests on reclamation, as in the paper's C code: a node
    held by a hazard pointer (or inside the epoch that reached it) is never
@@ -149,7 +169,8 @@
    No site is left with an unprotected witness that is not benign, so no
    site builds a fresh link. The validation reads compare the same way:
    an equal re-read means the published node is linked there now, hence
-   not yet retired. [validate] checks that every link is canonical. *)
+   not yet retired. [validate] checks that every link is canonical and
+   that no node is linked above its [top]. *)
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let max_level = 15 (* enough for the paper's 20k-element skip list *)
@@ -157,8 +178,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   type node = {
     uid : int; (* stable identity for the SMR membership set *)
     mutable key : int;
-    mutable top : int; (* index of this node's highest level *)
-    next : link R.atomic_array; (* per-level links; full height *)
+    mutable top : int; (* index of this node's highest level; -1: none yet *)
+    mutable next : link R.atomic_array;
+        (* per-level links, [top + 1] of them; set once (see the header) *)
     ulink : link; (* [Ptr {dest = self; marked = false}], every level *)
     mlink : link; (* [Ptr {dest = self; marked = true}] *)
     mutable free : bool; (* the arena's Free bit *)
@@ -183,14 +205,16 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     in
     n
 
-  let null_links () = R.atomic_array (max_level + 1) (fun _ -> Null)
+  let null_links n = R.atomic_array n (fun _ -> Null)
+
+  (* the tower of a node that has none yet: shared, never indexed *)
+  let no_links = null_links 0
 
   module D = Smr_domain.Make (R) (struct
     type t = node
 
-    (* Nodes are allocated at full height and reused at any level: a
-       recycled node just uses a prefix of its link array. *)
-    let create () = make_node ~key:0 ~top:0 ~next:(null_links ())
+    (* Towerless: its first insert gives it a height (see the header). *)
+    let create () = make_node ~key:0 ~top:(-1) ~next:no_links
 
     let is_free n = n.free
     let set_free n b = n.free <- b
@@ -216,7 +240,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let hp_per_process = own_slot + 1
 
   let create (cfg : Set_intf.config) =
-    let tail = make_node ~key:max_int ~top:max_level ~next:(null_links ()) in
+    let tail =
+      make_node ~key:max_int ~top:max_level ~next:(null_links (max_level + 1))
+    in
     let head =
       make_node ~key:min_int ~top:max_level
         ~next:(R.atomic_array (max_level + 1) (fun _ -> tail.ulink))
@@ -368,7 +394,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       if ctx.fresh == ctx.set.tail then begin
         let n = D.alloc ctx.smr in
         n.key <- key;
-        n.top <- random_level ctx.prng 0;
+        if n.top < 0 then begin
+          (* first use: draw the height, build the tower *)
+          n.top <- random_level ctx.prng 0;
+          n.next <- null_links (n.top + 1)
+        end;
         ctx.fresh <- n;
         (* protected before the bottom CAS publishes it *)
         D.assign_hp ctx.smr ~slot:own_slot n
@@ -515,23 +545,28 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   (* Sequential-context helpers. *)
 
-  let to_list ctx =
+  let nodes ctx =
     let t = ctx.set in
     let rec go acc n =
       match R.aget n.next 0 with
       | Null -> List.rev acc
       | Ptr { dest; marked } ->
         if dest == t.tail then List.rev acc
-        else go (if marked then acc else dest.key :: acc) dest
+        else go (if marked then acc else dest :: acc) dest
     in
     go [] t.head
 
-  let size ctx = List.length (to_list ctx)
+  let uid n = n.uid
+  let key n = n.key
+  let top n = n.top
+  let to_list ctx = List.map key (nodes ctx)
+  let size ctx = List.length (nodes ctx)
 
   (* Structural invariants (sequential context): every chain is strictly
      sorted; every unmarked node linked at an upper level is present
-     (unmarked) in the level-0 chain; every link is canonical — physically
-     [dest.ulink] or [dest.mlink] — which the CAS witnesses rely on. *)
+     (unmarked) in the level-0 chain; no node is linked above its [top];
+     every link is canonical — physically [dest.ulink] or [dest.mlink] —
+     which the CAS witnesses rely on. *)
   let validate ctx =
     let t = ctx.set in
     let level_nodes level =
@@ -543,6 +578,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
             failwith
               (Printf.sprintf "skiplist: link at level %d is not canonical"
                  level);
+          if dest.top < level then
+            failwith
+              (Printf.sprintf "skiplist: node %d at level %d above its top %d"
+                 dest.key level dest.top);
           if dest == t.tail then List.rev acc
           else go (if marked then acc else dest :: acc) dest
       in

@@ -37,6 +37,20 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
 
   val to_list : ctx -> int list
   val size : ctx -> int
+
+  val nodes : ctx -> node list
+  (** The unmarked nodes of the level-0 chain, in key order. Sequential
+      context only. *)
+
+  val uid : node -> int
+  (** The node's identity, stable across its reuse by the arena. *)
+
+  val key : node -> int
+
+  val top : node -> int
+  (** The index of the node's highest level, drawn at its first insert
+      and kept across reuse. *)
+
   val heartbeat : ctx -> unit
   (** Scheme bookkeeping (quiescence announcement, epoch advance) without
       performing an operation — composite services call this on idle
