@@ -109,8 +109,8 @@
 
    Canonical links: a link value depends only on (dest, mark), not on the
    level, so each node carries its two link values, [ulink] and [mlink],
-   built once when the node is created and shared by all its levels. No
-   insert of a recycled node and no delete allocates. CAS compares physical identity, which here
+   built once when the node is created and shared by all its levels. Only
+   a node's first insert allocates. CAS compares physical identity, which here
    means comparing (dest, mark), so a link value can leave a cell and come
    back; ABA safety rests on reclamation, as in the paper's C code: a node
    held by a hazard pointer (or inside the epoch that reached it) is never
