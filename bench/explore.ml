@@ -210,7 +210,7 @@ let raw_dispatch_ns model =
   let sched = Scheduler.create cfg in
   (* Disjoint per-process cell rings: writes spread over cells, as data
      structure operations do, so store-buffer commits stay O(1). *)
-  let cells = Array.init 4 (fun _ -> Array.init 64 (fun _ -> Cell.make 0)) in
+  let cells = Array.init 4 (fun _ -> Array.init 64 (fun _ -> Cell.make_plain 0)) in
   let iters = 75_000 in
   for pid = 0 to 3 do
     Scheduler.spawn sched ~pid (fun () ->
@@ -235,7 +235,7 @@ let raw_dispatch_ns model =
 let inline_dispatch_ns () =
   let open Qs_sim in
   let sched = Scheduler.create (Scheduler.default_config ~n_cores:1 ~seed:1) in
-  let ring = Array.init 64 (fun _ -> Cell.make 0) in
+  let ring = Array.init 64 (fun _ -> Cell.make_plain 0) in
   let iters = 300_000 in
   Scheduler.spawn sched ~pid:0 (fun () ->
       for i = 1 to iters do

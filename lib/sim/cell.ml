@@ -1,95 +1,24 @@
 type 'a t = {
   mutable committed : 'a;
-  (* Single-slot fast path: the NEWEST pending entry (any writer) lives in
-     the [s_*] fields; older entries spill to the [pending] list, newest
-     first. The dominant pattern — one buffered write per cell at a time,
-     enqueued and later committed — then allocates nothing: the previous
-     all-list representation paid a tuple + cons per enqueue and a list
-     rebuild per commit, on every simulated store. *)
-  mutable s_pid : int; (* -1 = slot empty *)
-  mutable s_uid : int;
-  mutable s_val : 'a;
-  mutable pending : (int * int * 'a) list; (* spill: (pid, uid, value) *)
   mutable owner : int;
-  mutable next_uid : int;
-      (* per-cell write-token counter. Uids only need to be unique among the
-         pending entries of ONE cell (commit matches by uid within the
-         cell), so the counter lives in the cell rather than in a module
-         global: simulator instances share no mutable state, which is what
-         lets a pool of worker domains run isolated sims in parallel. *)
 }
 
-type buffered = B : 'a t * int -> buffered
-
-let make v =
-  { committed = v;
-    s_pid = -1;
-    s_uid = 0;
-    s_val = v;
-    pending = [];
-    owner = -1;
-    next_uid = 0 }
-
-let read_own pid c =
-  (* TSO store-to-load forwarding: the newest pending write by [pid]. The
-     slot holds the globally newest entry, so a slot hit is always the
-     right answer for its writer; otherwise walk the (newest-first) spill. *)
-  if c.s_pid = pid then c.s_val
-  else
-    let rec find = function
-      | [] -> c.committed
-      | (p, _, v) :: rest -> if p = pid then v else find rest
-    in
-    find c.pending
+let make v = { committed = v; owner = -1 }
 
 let read_committed c = c.committed
 
-let write_committed c v = c.committed <- v
+type plain = {
+  mutable value : int;
+  mutable p_owner : int;
+  mutable s_pid : int;
+  mutable s_seq : int;
+  mutable s_val : int;
+  mutable n_pending : int;
+}
 
-let enqueue_write pid c v =
-  let uid = c.next_uid + 1 in
-  c.next_uid <- uid;
-  if c.s_pid >= 0 then
-    (* Spill the previously-newest entry; the list stays newest-first. *)
-    c.pending <- (c.s_pid, c.s_uid, c.s_val) :: c.pending;
-  c.s_pid <- pid;
-  c.s_uid <- uid;
-  c.s_val <- v;
-  uid
+let make_plain v =
+  { value = v; p_owner = -1; s_pid = -1; s_seq = 0; s_val = 0; n_pending = 0 }
 
-(* Commit applies the entry's value to main memory whenever the entry still
-   exists, regardless of its age relative to other pending entries — commit
-   ORDER decides the final contents, exactly as with a hardware store
-   buffer (FIFO per process; cross-process order is the schedule's). *)
-let commit_id c uid =
-  if c.s_pid >= 0 && c.s_uid = uid then begin
-    c.committed <- c.s_val;
-    c.owner <- c.s_pid;
-    c.s_pid <- -1
-  end
-  else
-    let rec remove acc = function
-      | [] -> None
-      | ((p, u, v) as e) :: rest ->
-        if u = uid then Some (p, v, List.rev_append acc rest)
-        else remove (e :: acc) rest
-    in
-    match remove [] c.pending with
-    | None -> () (* already committed (e.g. capacity overflow then fence) *)
-    | Some (pid, v, pending') ->
-      c.committed <- v;
-      c.pending <- pending';
-      c.owner <- pid
+let plain_committed c = c.value
 
-let commit (B (c, uid)) = commit_id c uid
-
-(* Type-erased commit for the scheduler's store-buffer ring, which keeps
-   cells and uids in parallel arrays instead of allocating a [buffered]
-   token per store. Sound because every cell operation is parametric in the
-   element type. *)
-let commit_erased (o : Obj.t) uid = commit_id (Obj.obj o : Obj.t t) uid
-
-let owner c = c.owner
-let set_owner c pid = c.owner <- pid
-
-let pending_count c = (if c.s_pid >= 0 then 1 else 0) + List.length c.pending
+let pending_count c = c.n_pending

@@ -158,21 +158,24 @@ type proc = {
   pid : int;
   mutable clock : int;
   skew : int;
-  (* Store buffer: a preallocated ring of write tokens (capacity + slack for
-     the transient push-then-overflow state). The previous [Queue.t]
-     allocated a chain cell per buffered store. *)
-  buf_cell : Obj.t array; (* type-erased target cells *)
-  buf_uid : int array; (* matching pending-entry uids *)
+  (* Store buffer: a preallocated FIFO ring of (cell, value) stores, sized
+     capacity + 1 for the transient push-then-overflow state. See the
+     store-buffer section below. *)
+  buf_cell : Cell.plain array; (* target cells *)
+  buf_val : int array; (* stored values *)
   mutable buf_head : int;
   mutable buf_len : int;
+  mutable buf_seq : int;
+      (* stores pushed so far: the ring's oldest entry has sequence number
+         [buf_seq - buf_len], its newest [buf_seq - 1] *)
   mutable state : pstate;
   (* Suspended-effect scratch slots (see the [rt_*] tags above). *)
   mutable r_tag : int;
   mutable r_k : Obj.t; (* the captured continuation *)
   mutable r_cell : Obj.t; (* cell operand *)
-  mutable r_v : Obj.t; (* value operand (write / aset / cas-desired) *)
+  mutable r_v : Obj.t; (* value operand (aset / cas-desired) *)
   mutable r_v2 : Obj.t; (* cas-expected *)
-  mutable r_n : int; (* faa delta / charge amount *)
+  mutable r_n : int; (* plain write value / faa delta / charge amount *)
   mutable h_defer : ((Obj.t, unit) continuation -> unit) option;
       (* preallocated handler returned by [effc] for deferred effects;
          its closure stores the continuation into [r_k], nothing else *)
@@ -255,8 +258,8 @@ type _ Effect.t +=
   | E_atomic_set : 'a Cell.t * 'a -> unit Effect.t
   | E_cas : 'a Cell.t * 'a * 'a -> bool Effect.t
   | E_faa : int Cell.t * int -> int Effect.t
-  | E_read : 'a Cell.t -> 'a Effect.t
-  | E_write : 'a Cell.t * 'a -> unit Effect.t
+  | E_read : Cell.plain -> int Effect.t
+  | E_write : Cell.plain * int -> unit Effect.t
   | E_fence : unit Effect.t
   | E_now : int Effect.t
   | E_self : int Effect.t
@@ -312,12 +315,14 @@ type cursor = {
   mutable lim : int;
       (* Fast-path clock limit, set per dispatch: the minimum clock of
          every OTHER active process (fair mode), [max_int] under PCT or
-         [exec], [min_int] when inline execution is off the table for this
-         dispatch (pending faults, a pending signal). Nothing can move
-         another process's clock while this fiber runs — only [step] does,
-         and only this process is stepping — so [p.clock < lim] is an
-         exact strict-minimality test for the whole inline run. A mid-run
-         [spawn] activates a new process and resets both limits. *)
+         [exec], lowered to the trigger time of the process's next pending
+         fault, and [min_int] when inline execution is off the table for
+         this dispatch (a pending signal). Nothing can move another
+         process's clock while this fiber runs — only [step] does, and
+         only this process is stepping — so [p.clock < lim] is an exact
+         strict-minimality test for the whole inline run, and no fault can
+         come due inside it. A mid-run [spawn] activates a new process and
+         resets both limits. *)
   mutable lim_steps : int;
       (* Fast-path step limit: under PCT the running process keeps the
          highest priority — and so keeps being picked, with no draws —
@@ -371,6 +376,9 @@ let[@inline] draw (g : Qs_util.Prng.t) =
 
 let obj_unit : Obj.t = Obj.repr 0
 
+(* Filler for empty store-buffer slots; never committed or written. *)
+let no_cell = Cell.make_plain 0
+
 (* Preallocated handler for the synchronous effects (E_hook / E_emit): all
    their work happens in the [effc] body, so the returned closure only
    resumes — it captures nothing and one copy serves every process. *)
@@ -391,10 +399,11 @@ let create cfg =
       { pid;
         clock = 0;
         skew;
-        buf_cell = Array.make (cfg.store_buffer_capacity + 2) obj_unit;
-        buf_uid = Array.make (cfg.store_buffer_capacity + 2) 0;
+        buf_cell = Array.make (cfg.store_buffer_capacity + 1) no_cell;
+        buf_val = Array.make (cfg.store_buffer_capacity + 1) 0;
         buf_head = 0;
         buf_len = 0;
+        buf_seq = 0;
         state = Idle;
         r_tag = rt_none;
         r_k = obj_unit;
@@ -502,26 +511,66 @@ let post_poison (t : t) pid =
     | Idle | Done | Failed _ | Crashed -> ()
   end
 
-(* --- store-buffer ring --------------------------------------------------- *)
+(* --- store buffers ---------------------------------------------------------
 
-let[@inline] buf_push (p : proc) cell uid =
+   Only plain int cells are ever buffered (atomic operations drain and act
+   on main memory), so a process's buffer is a ring of (cell, int value)
+   pairs and storing a value is a plain [int] store: no write barrier, no
+   allocation. A store's uid is its sequence number in its writer's ring,
+   implicit in the entry's position (see [buf_seq]). Pushing a store also
+   makes it its cell's newest pending entry; committing the ring's oldest
+   store is O(1) (see cell.mli for the representation). *)
+
+let[@inline] buf_push (p : proc) (c : Cell.plain) v =
   let arr = p.buf_cell in
   let i = p.buf_head + p.buf_len in
   let i = if i >= Array.length arr then i - Array.length arr else i in
-  Array.unsafe_set arr i cell;
-  Array.unsafe_set p.buf_uid i uid;
+  (* A slot keeps its cell after the entry commits, so the ring pays no
+     clearing store, and a store that repeats the slot's cell (the same
+     hazard-pointer slot written over and over) pays no barrier either. *)
+  if Array.unsafe_get arr i != c then Array.unsafe_set arr i c;
+  Array.unsafe_set p.buf_val i v;
+  c.s_pid <- p.pid;
+  c.s_seq <- p.buf_seq;
+  c.s_val <- v;
+  c.n_pending <- c.n_pending + 1;
+  p.buf_seq <- p.buf_seq + 1;
   p.buf_len <- p.buf_len + 1
 
 let[@inline] buf_pop_commit (p : proc) =
-  let arr = p.buf_cell in
   let h = p.buf_head in
-  let cell = Array.unsafe_get arr h in
-  let uid = Array.unsafe_get p.buf_uid h in
-  Array.unsafe_set arr h obj_unit;
+  let c = Array.unsafe_get p.buf_cell h in
+  let seq = p.buf_seq - p.buf_len in
+  c.value <- Array.unsafe_get p.buf_val h;
+  c.p_owner <- p.pid;
+  c.n_pending <- c.n_pending - 1;
+  if c.s_seq = seq && c.s_pid = p.pid then c.s_pid <- -1;
   let h' = h + 1 in
-  p.buf_head <- (if h' >= Array.length arr then 0 else h');
-  p.buf_len <- p.buf_len - 1;
-  Cell.commit_erased cell uid
+  p.buf_head <- (if h' >= Array.length p.buf_cell then 0 else h');
+  p.buf_len <- p.buf_len - 1
+
+(* [p]'s newest store to [c] among the ring's entries at offsets [0, j]
+   from the head, scanned newest first; main memory when there is none. *)
+let rec scan_own (p : proc) (c : Cell.plain) j =
+  if j < 0 then c.value
+  else
+    let i = p.buf_head + j in
+    let n = Array.length p.buf_cell in
+    let i = if i >= n then i - n else i in
+    if Array.unsafe_get p.buf_cell i == c then Array.unsafe_get p.buf_val i
+    else scan_own p c (j - 1)
+
+(* TSO store-to-load forwarding: [p]'s newest pending store to [c], else
+   main memory. The cell's newest entry answers for its own writer. When
+   that entry accounts for every pending one (or none is pending), no
+   other process has a store to [c] in flight. Otherwise an entry is hidden
+   — behind another writer's newer one, or behind a newest entry that has
+   already committed — and [p] may own it: only then is its ring
+   scanned. *)
+let[@inline] read_own (p : proc) (c : Cell.plain) =
+  if c.s_pid = p.pid then c.s_val
+  else if c.n_pending = 0 || (c.n_pending = 1 && c.s_pid >= 0) then c.value
+  else scan_own p c (p.buf_len - 1)
 
 let flush_buffer p =
   if p.buf_len > 0 then begin
@@ -593,20 +642,29 @@ let[@inline] account (t : t) (p : proc) cost =
   end
 
 (* Cache-coherence cost model: accessing a line last written by another core
-   costs a remote miss. Reads downgrade the line to shared; the next commit
-   of a write re-acquires ownership (see Cell.commit). *)
+   costs a remote miss. Reads downgrade the line to shared; an atomic write,
+   or the commit of a buffered one ([buf_pop_commit]), re-acquires
+   ownership. *)
 let[@inline] read_extra (t : t) (p : proc) (c : _ Cell.t) =
-  let o = Cell.owner c in
+  let o = c.owner in
   if o <> p.pid && o <> -1 then begin
-    Cell.set_owner c (-1);
+    c.owner <- -1;
+    t.c_remote
+  end
+  else 0
+
+let[@inline] plain_read_extra (t : t) (p : proc) (c : Cell.plain) =
+  let o = c.p_owner in
+  if o <> p.pid && o <> -1 then begin
+    c.p_owner <- -1;
     t.c_remote
   end
   else 0
 
 let[@inline] write_extra (t : t) (p : proc) (c : _ Cell.t) =
-  let o = Cell.owner c in
+  let o = c.owner in
   let extra = if o <> p.pid && o <> -1 then t.c_remote else 0 in
-  Cell.set_owner c p.pid;
+  c.owner <- p.pid;
   extra
 
 (* --- operation bodies -----------------------------------------------------
@@ -617,36 +675,36 @@ let[@inline] write_extra (t : t) (p : proc) (c : _ Cell.t) =
    paths agree by construction: same accounting draws, then the same
    memory update. *)
 
-let[@inline] do_read (t : t) (p : proc) (c : 'a Cell.t) : 'a =
-  account t p (t.c_plain + read_extra t p c);
-  Cell.read_own p.pid c
+let[@inline] do_read (t : t) (p : proc) (c : Cell.plain) =
+  account t p (t.c_plain + plain_read_extra t p c);
+  read_own p c
 
-let[@inline] do_write (t : t) (p : proc) (c : 'a Cell.t) (v : 'a) =
+let[@inline] do_write (t : t) (p : proc) (c : Cell.plain) v =
   account t p t.c_plain;
-  buf_push p (Obj.repr c) (Cell.enqueue_write p.pid c v);
+  buf_push p c v;
   if p.buf_len > t.buf_capacity then buf_pop_commit p
 
 let[@inline] do_get (t : t) (p : proc) (c : 'a Cell.t) : 'a =
   account t p (t.c_aload + read_extra t p c);
-  Cell.read_committed c
+  c.committed
 
 let[@inline] do_set (t : t) (p : proc) (c : 'a Cell.t) (v : 'a) =
   flush_buffer p;
   account t p (t.c_astore + write_extra t p c);
-  Cell.write_committed c v
+  c.committed <- v
 
 let[@inline] do_cas (t : t) (p : proc) (c : 'a Cell.t) (expected : 'a) desired =
   flush_buffer p;
   account t p (t.c_cas + write_extra t p c);
-  let ok = Cell.read_committed c == expected in
-  if ok then Cell.write_committed c desired;
+  let ok = c.committed == expected in
+  if ok then c.committed <- desired;
   ok
 
 let[@inline] do_faa (t : t) (p : proc) (c : int Cell.t) n =
   flush_buffer p;
   account t p (t.c_cas + write_extra t p c);
-  let old = Cell.read_committed c in
-  Cell.write_committed c (old + n);
+  let old = c.committed in
+  c.committed <- old + n;
   old
 
 let[@inline] do_fence (t : t) (p : proc) =
@@ -709,7 +767,7 @@ let run_fiber (t : t) (p : proc) f =
           | E_write (c, v) ->
             p.r_tag <- rt_write;
             p.r_cell <- Obj.repr c;
-            p.r_v <- Obj.repr v;
+            p.r_n <- v;
             (Obj.magic p.h_defer : ((a, unit) continuation -> unit) option)
           | E_atomic_get c ->
             p.r_tag <- rt_aget;
@@ -781,17 +839,17 @@ let run_fiber (t : t) (p : proc) f =
    retc/exnc) — so the body, which reads the slots, runs before
    [continue]. The [Obj.obj] casts restore exactly the types the
    matching [effc] case erased: each tag maps to one effect constructor
-   with a fixed answer type (read/aget: the cell's element, erased to
-   [Obj.t] on both sides; cas: bool; faa/now/self: int; the rest: unit).
+   with a fixed answer type (aget: the cell's element, erased to [Obj.t] on
+   both sides; cas: bool; read/faa/now/self: int; the rest: unit).
    The match is a dense jump table over the [rt_*] tags. *)
 let run_resume (t : t) (p : proc) tag =
   match tag with
   | 1 (* rt_read *) ->
-    let k : (Obj.t, unit) continuation = Obj.obj p.r_k in
-    continue k (do_read t p (Obj.obj p.r_cell : Obj.t Cell.t))
+    let k : (int, unit) continuation = Obj.obj p.r_k in
+    continue k (do_read t p (Obj.obj p.r_cell : Cell.plain))
   | 2 (* rt_write *) ->
     let k : (unit, unit) continuation = Obj.obj p.r_k in
-    continue k (do_write t p (Obj.obj p.r_cell : Obj.t Cell.t) (Obj.obj p.r_v))
+    continue k (do_write t p (Obj.obj p.r_cell : Cell.plain) p.r_n)
   | 3 (* rt_aget *) ->
     let k : (Obj.t, unit) continuation = Obj.obj p.r_k in
     continue k (do_get t p (Obj.obj p.r_cell : Obj.t Cell.t))
@@ -924,21 +982,29 @@ let step (t : t) (cur : cursor) (p : proc) =
     end
     else begin
       p.r_tag <- rt_none;
-      cur.cur_t <- Obj.repr t;
-      cur.cur_p <- Obj.repr p;
-      (* A fault still pending after [apply_faults] has a future trigger
-         time; inline ops would sail past it without firing it, so they
-         stay disabled for this dispatch. A pending-but-masked poison also
-         disables inline execution: delivery is checked here, at dispatch,
-         and the suspended and inline paths must reach that check at the
-         same operations. *)
-      (match p.pending_faults with
-      | [] when not p.poison_pending ->
-        cur.lim <- t.pick_lim;
-        cur.lim_steps <- t.pick_lim_steps
-      | _ ->
+      (* Pointer stores into the cursor are write barriers; a run of
+         dispatches to one process repeats them for nothing. *)
+      if cur.cur_t != Obj.repr t then cur.cur_t <- Obj.repr t;
+      if cur.cur_p != Obj.repr p then cur.cur_p <- Obj.repr p;
+      (* A fault still pending after [apply_faults] has a trigger time
+         above [p.clock], and [apply_faults] fires a fault exactly when the
+         clock has reached it: inline ops may run while [p.clock] stays
+         below the earliest one (the list is sorted), and the first op at
+         or past it suspends, so the next [step] fires it. A
+         pending-but-masked poison disables inline execution: delivery is
+         checked here, at dispatch, and the suspended and inline paths
+         must reach that check at the same operations. *)
+      if p.poison_pending then begin
         cur.lim <- min_int;
-        cur.lim_steps <- min_int);
+        cur.lim_steps <- min_int
+      end
+      else begin
+        cur.lim <-
+          (match p.pending_faults with
+          | [] -> t.pick_lim
+          | f :: _ -> min t.pick_lim (fault_at f));
+        cur.lim_steps <- t.pick_lim_steps
+      end;
       cur.live <- true;
       run_resume t p tag;
       cur.live <- false
@@ -959,10 +1025,10 @@ let step (t : t) (cur : cursor) (p : proc) =
    body [run_resume] would run, skipping only the suspension. Outcomes are
    bit-identical either way; test/test_sim.ml pins this.
 
-   Guards: no pending faults on the running process (the step
-   preliminaries would fire them), and a pick proven ahead of time — a
-   strict (no-tie) fair minimum, a PCT step count short of the next change
-   point, or [exec]. *)
+   Guards: a pick proven ahead of time — a strict (no-tie) fair minimum, a
+   PCT step count short of the next change point, or [exec] — a clock
+   still short of the running process's next fault (the step preliminaries
+   would fire it), and no pending neutralization signal. *)
 
 let[@inline] cur_t (cur : cursor) : t = Obj.obj cur.cur_t
 let[@inline] cur_p (cur : cursor) : proc = Obj.obj cur.cur_p
@@ -982,12 +1048,12 @@ let[@inline] claim_step (cur : cursor) =
     end
     else false
 
-let op_read (c : 'a Cell.t) : 'a =
+let op_read (c : Cell.plain) : int =
   let cur = my_cursor () in
   if claim_step cur then do_read (cur_t cur) (cur_p cur) c
   else Effect.perform (E_read c)
 
-let op_write (c : 'a Cell.t) (v : 'a) : unit =
+let op_write (c : Cell.plain) (v : int) : unit =
   let cur = my_cursor () in
   if claim_step cur then do_write (cur_t cur) (cur_p cur) c v
   else Effect.perform (E_write (c, v))

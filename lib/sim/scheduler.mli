@@ -172,8 +172,8 @@ type _ Effect.t +=
   | E_atomic_set : 'a Cell.t * 'a -> unit Effect.t
   | E_cas : 'a Cell.t * 'a * 'a -> bool Effect.t
   | E_faa : int Cell.t * int -> int Effect.t
-  | E_read : 'a Cell.t -> 'a Effect.t
-  | E_write : 'a Cell.t * 'a -> unit Effect.t
+  | E_read : Cell.plain -> int Effect.t
+  | E_write : Cell.plain * int -> unit Effect.t
   | E_fence : unit Effect.t
   | E_now : int Effect.t
   | E_self : int Effect.t
@@ -215,8 +215,8 @@ val inject : t -> fault list -> unit
     deterministic and draw-free), the operation executes inline, skipping
     the fiber suspension; outcomes are bit-identical either way. *)
 
-val op_read : 'a Cell.t -> 'a
-val op_write : 'a Cell.t -> 'a -> unit
+val op_read : Cell.plain -> int
+val op_write : Cell.plain -> int -> unit
 val op_get : 'a Cell.t -> 'a
 val op_set : 'a Cell.t -> 'a -> unit
 val op_cas : 'a Cell.t -> 'a -> 'a -> bool

@@ -6,7 +6,7 @@
 
 type 'a atomic = 'a Cell.t
 type 'a atomic_array = 'a Cell.t array
-type plain = int Cell.t array
+type plain = Cell.plain array
 
 let atomic v = Cell.make v
 
@@ -24,7 +24,7 @@ let atomic_array n f = Array.init n (fun i -> Cell.make (f i))
 let aget a i = Scheduler.op_get a.(i)
 let aset a i v = Scheduler.op_set a.(i) v
 let acas a i expected desired = Scheduler.op_cas a.(i) expected desired
-let plain k v = Array.init k (fun _ -> Cell.make v)
+let plain k v = Array.init k (fun _ -> Cell.make_plain v)
 let read r i = Scheduler.op_read r.(i)
 let write r i v = Scheduler.op_write r.(i) v
 let fence () = Scheduler.op_fence ()

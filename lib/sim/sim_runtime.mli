@@ -7,7 +7,7 @@ include
   Qs_intf.Runtime_intf.RUNTIME
     with type 'a atomic = 'a Cell.t
      and type 'a atomic_array = 'a Cell.t array
-     and type plain = int Cell.t array
+     and type plain = Cell.plain array
 
 val sleep_until : int -> unit
 (** Block the calling process until its core clock reaches the target tick.

@@ -63,7 +63,7 @@ let test_atomic_drains_buffer () =
   Scheduler.exec s ~pid:0 (fun () ->
       R.write x 0 7;
       R.set a 1);
-  Alcotest.(check int) "committed" 7 (Cell.read_committed x.(0))
+  Alcotest.(check int) "committed" 7 (Cell.plain_committed x.(0))
 
 (* Buffer capacity: oldest store commits when the buffer overflows. *)
 let test_capacity_overflow () =
@@ -74,9 +74,75 @@ let test_capacity_overflow () =
   (* 10 writes, capacity 4: the 6 oldest must have committed *)
   for i = 0 to 5 do
     Alcotest.(check int) (Printf.sprintf "cell %d committed" i) (i + 1)
-      (Cell.read_committed cells.(i).(0))
+      (Cell.plain_committed cells.(i).(0))
   done;
-  Alcotest.(check int) "newest still pending" 0 (Cell.read_committed cells.(9).(0))
+  Alcotest.(check int) "newest still pending" 0 (Cell.plain_committed cells.(9).(0))
+
+(* One process writes one cell past the buffer's capacity: each overflow
+   commits the oldest store, so main memory steps through the older values
+   in write order, while forwarding keeps returning the newest. *)
+let test_one_cell_overflow () =
+  let s = Scheduler.create (cfg ~n_cores:1 ~capacity:4 ()) in
+  let x = R.plain 1 0 in
+  let seen =
+    Scheduler.exec s ~pid:0 (fun () ->
+        let acc = ref [] in
+        for v = 1 to 10 do
+          R.write x 0 v;
+          acc := (Cell.plain_committed x.(0), Cell.pending_count x.(0), R.read x 0) :: !acc
+        done;
+        List.rev !acc)
+  in
+  Alcotest.(check (list (triple int int int)))
+    "committed, pending, forwarded after each write"
+    (List.init 10 (fun i -> (max 0 (i - 3), min (i + 1) 4, i + 1)))
+    seen
+
+(* Two processes hold interleaved pending stores to one cell. Each reads
+   its own newest store; after the other's newest store commits, a process
+   still reads its own older pending one; and main memory ends with the
+   store that committed last, not the one written last. *)
+let test_two_writers_one_cell () =
+  let s = Scheduler.create (cfg ()) in
+  let x = R.plain 1 0 in
+  let write pid v = Scheduler.exec s ~pid (fun () -> R.write x 0 v) in
+  let read pid = Scheduler.exec s ~pid (fun () -> R.read x 0) in
+  let fence pid = Scheduler.exec s ~pid R.fence in
+  let check what want =
+    let committed = Cell.plain_committed x.(0) and pending = Cell.pending_count x.(0) in
+    let r0 = read 0 in
+    let r1 = read 1 in
+    Alcotest.(check (list int)) (what ^ ": committed, pending, reads by 0 and 1") want
+      [ committed; pending; r0; r1 ]
+  in
+  write 0 1;
+  write 1 2;
+  write 0 3;
+  write 1 4;
+  check "all four pending" [ 0; 4; 3; 4 ];
+  fence 1;
+  check "the other's newest committed" [ 4; 2; 3; 4 ];
+  fence 0;
+  check "commit order decides" [ 3; 0; 3; 3 ]
+
+(* Unfenced stores to one plain cell — a hazard-pointer slot published over
+   and over before anything drains — allocate nothing, overflow commits
+   included. *)
+let test_unfenced_writes_zero_alloc () =
+  let s = Scheduler.create (cfg ~n_cores:1 ~capacity:64 ()) in
+  let x = R.plain 1 0 in
+  let words =
+    Scheduler.exec s ~pid:0 (fun () ->
+        for i = 1 to 1_000 do
+          R.write x 0 i
+        done;
+        let w0 = Gc.minor_words () in
+        for i = 1 to 1_000 do
+          R.write x 0 i
+        done;
+        Gc.minor_words () -. w0)
+  in
+  Alcotest.(check (float 0.0)) "minor words for 1,000 writes" 0.0 words
 
 (* Roosters flush the worker's buffer within T (+ oversleep + switch). *)
 let test_rooster_flush () =
@@ -86,7 +152,7 @@ let test_rooster_flush () =
       R.write x 0 5;
       R.charge 500);
   Alcotest.(check bool) "rooster fired" true (Scheduler.rooster_fires s > 0);
-  Alcotest.(check int) "flushed by rooster" 5 (Cell.read_committed x.(0))
+  Alcotest.(check int) "flushed by rooster" 5 (Cell.plain_committed x.(0))
 
 let test_kill_roosters () =
   let s =
@@ -97,7 +163,7 @@ let test_kill_roosters () =
       R.write x 0 5;
       R.charge 500);
   Alcotest.(check int) "no rooster fired" 0 (Scheduler.rooster_fires s);
-  Alcotest.(check int) "still buffered" 0 (Cell.read_committed x.(0))
+  Alcotest.(check int) "still buffered" 0 (Cell.plain_committed x.(0))
 
 let test_cas_semantics () =
   let s = Scheduler.create (cfg ~n_cores:1 ()) in
@@ -200,7 +266,7 @@ let test_rooster_flushes_sleeper () =
   Scheduler.exec s ~pid:0 (fun () ->
       R.write x 0 9;
       R.sleep_until 20_000);
-  Alcotest.(check int) "flushed during sleep" 9 (Cell.read_committed x.(0))
+  Alcotest.(check int) "flushed during sleep" 9 (Cell.plain_committed x.(0))
 
 (* Exceptions in workers are recorded, not propagated by run_all. *)
 let test_failure_recorded () =
@@ -233,7 +299,7 @@ let run_det seed =
         done)
   done;
   Scheduler.run_all s;
-  (Scheduler.max_clock s, Scheduler.steps s, Cell.read_committed shared, Cell.read_committed accum.(0))
+  (Scheduler.max_clock s, Scheduler.steps s, Cell.read_committed shared, Cell.plain_committed accum.(0))
 
 let test_determinism () =
   let a = run_det 99 and b = run_det 99 in
@@ -284,7 +350,7 @@ let test_prob_drain () =
         R.charge 1;
         R.yield ()
       done);
-  Alcotest.(check int) "drained probabilistically" 3 (Cell.read_committed x.(0))
+  Alcotest.(check int) "drained probabilistically" 3 (Cell.plain_committed x.(0))
 
 (* Remote-access cost: ping-pong on one cell costs more than local reuse. *)
 let test_contention_cost () =
@@ -316,7 +382,7 @@ let test_reset_clocks () =
   Alcotest.(check bool) "clock advanced" true (Scheduler.clock_of s ~pid:0 >= 10_000);
   Scheduler.reset_clocks s;
   Alcotest.(check int) "clock reset" 0 (Scheduler.clock_of s ~pid:0);
-  Alcotest.(check int) "buffer drained" 3 (Cell.read_committed x.(0));
+  Alcotest.(check int) "buffer drained" 3 (Cell.plain_committed x.(0));
   (* roosters fire again on the fresh timeline *)
   let fires_before = Scheduler.rooster_fires s in
   Scheduler.exec s ~pid:0 (fun () -> R.charge 2_000);
@@ -446,7 +512,7 @@ let test_inject_crash () =
   Alcotest.(check int) "one crash fired" 1 (Scheduler.crashes s);
   Alcotest.(check bool) "victim crashed" true (Scheduler.crashed s ~pid:1);
   Alcotest.(check bool) "other process alive" false (Scheduler.crashed s ~pid:0);
-  Alcotest.(check int) "buffer drained at crash" 7 (Cell.read_committed x.(0));
+  Alcotest.(check int) "buffer drained at crash" 7 (Cell.plain_committed x.(0));
   Alcotest.(check bool)
     (Printf.sprintf "victim stopped early (%d/1000 iterations)" !progress)
     true
@@ -461,7 +527,7 @@ let test_oversleep_spike () =
       R.write x 0 5;
       R.charge 500);
   Alcotest.(check int) "wake-up delayed past the run" 0 (Scheduler.rooster_fires s);
-  Alcotest.(check int) "nothing flushed" 0 (Cell.read_committed x.(0))
+  Alcotest.(check int) "nothing flushed" 0 (Cell.plain_committed x.(0))
 
 (* Skew_burst: [now] reads ahead inside the window, normal outside it. *)
 let test_skew_burst () =
@@ -596,7 +662,7 @@ let test_oversleep_min_constant () =
     Scheduler.exec s ~pid:0 (fun () ->
         R.write x 0 5;
         R.charge 249);
-    (Scheduler.rooster_fires s, Cell.read_committed x.(0))
+    (Scheduler.rooster_fires s, Cell.plain_committed x.(0))
   in
   let fires0, x0 = run 0 in
   Alcotest.(check bool) "baseline wakes within T" true (fires0 > 0);
@@ -643,10 +709,25 @@ let mixed_body ~shared ~counter ~row pid () =
   done;
   !seen
 
-(* A fault that never fires still keeps every operation of its process on
-   the suspended path (see [Scheduler.step]), so [~suspend:true] runs the
-   same program with the inline fast path off. *)
-let run_mixed ~strategy ~suspend ~n_cores seed =
+(* Faults that fire mid-run on every process, each at a trigger time an
+   inline run must stop at exactly: a stall moves the clock, a skew burst
+   bends [now], an oversleep spike moves the next rooster wake-up and a
+   churn request joins the queue {!Scheduler.take_churn} reads. *)
+let mid_run_faults n_cores =
+  List.concat
+    (List.init n_cores (fun pid ->
+         let at k = (k * 400) + (pid * 37) in
+         [ Scheduler.Stall_at { pid; at = at 1; ticks = 900 };
+           Scheduler.Skew_burst { pid; at = at 2; until_ = at 3; extra = 5_000 };
+           Scheduler.Oversleep_spike { pid; at = at 3; extra = 1_500 };
+           Scheduler.Churn_at { pid; at = at 4; ticks = 10 } ]))
+
+(* A neutralization signal the body never opts into stays pending all run,
+   and a pending signal keeps every operation of its process on the
+   suspended path (see [Scheduler.step]), so [~suspend:true] runs the same
+   program with the inline fast path off. Landing, the signal emits one
+   [Ev_neutralize] per process, which is dropped from the events. *)
+let run_mixed ~strategy ~faults ~suspend ~n_cores seed =
   let s =
     Scheduler.create
       { (cfg ~n_cores ~seed ~rooster_interval:700 ~drain:(Scheduler.Prob 0.05) ()) with
@@ -655,10 +736,11 @@ let run_mixed ~strategy ~suspend ~n_cores seed =
   in
   let sink, events = recording_sink n_cores in
   Scheduler.set_sink s (Some sink);
-  if suspend then
-    Scheduler.inject s
-      (List.init n_cores (fun pid ->
-           Scheduler.Stall_at { pid; at = max_int; ticks = 0 }));
+  Scheduler.inject s
+    ((if faults then mid_run_faults n_cores else [])
+    @
+    if suspend then List.init n_cores (fun pid -> Scheduler.Neutralize_at { pid; at = 0 })
+    else []);
   let shared = R.atomic 0 and counter = R.atomic 0 and row = R.plain 4 0 in
   let seen = Array.make n_cores 0 in
   let body pid () = seen.(pid) <- mixed_body ~shared ~counter ~row pid () in
@@ -673,8 +755,11 @@ let run_mixed ~strategy ~suspend ~n_cores seed =
     List.init n_cores (fun pid -> Scheduler.clock_of s ~pid),
     Scheduler.steps s,
     Cell.read_committed shared :: Cell.read_committed counter
-    :: List.map Cell.read_committed (Array.to_list row),
-    events () )
+    :: List.map Cell.plain_committed (Array.to_list row),
+    List.map
+      (List.filter (fun (_, ev, _, _) -> ev <> Qs_intf.Runtime_intf.Ev_neutralize))
+      (events ()),
+    List.init n_cores (fun pid -> Scheduler.take_churn s ~pid <> None) )
 
 let test_inline_matches_suspended () =
   let targeted =
@@ -684,22 +769,30 @@ let test_inline_matches_suspended () =
   List.iter
     (fun (name, strategy, n_cores) ->
       List.iter
-        (fun seed ->
-          let seen, clocks, steps, mem, events =
-            run_mixed ~strategy ~suspend:false ~n_cores seed
+        (fun (faults, seed) ->
+          let seen, clocks, steps, mem, events, churned =
+            run_mixed ~strategy ~faults ~suspend:false ~n_cores seed
           in
-          let seen', clocks', steps', mem', events' =
-            run_mixed ~strategy ~suspend:true ~n_cores seed
+          let seen', clocks', steps', mem', events', churned' =
+            run_mixed ~strategy ~faults ~suspend:true ~n_cores seed
           in
-          let what s = Printf.sprintf "%s seed %d: %s" name seed s in
+          let what s =
+            Printf.sprintf "%s%s seed %d: %s" name
+              (if faults then " + faults" else "")
+              seed s
+          in
           Alcotest.(check (list int)) (what "observed") seen' seen;
           Alcotest.(check (list int)) (what "clocks") clocks' clocks;
           Alcotest.(check int) (what "steps") steps' steps;
           Alcotest.(check (list int)) (what "memory") mem' mem;
           Alcotest.(check bool) (what "events nonempty") true
             (List.for_all (fun e -> e <> []) events);
-          Alcotest.(check bool) (what "events") true (events' = events))
-        [ 1; 2; 3; 99 ])
+          Alcotest.(check bool) (what "events") true (events' = events);
+          Alcotest.(check (list bool)) (what "faults fired")
+            (List.init n_cores (fun _ -> faults))
+            churned;
+          Alcotest.(check (list bool)) (what "faults fired (suspended)") churned churned')
+        (List.concat_map (fun seed -> [ (false, seed); (true, seed) ]) [ 1; 2; 3; 99 ]))
     [ ("fair", Scheduler.Fair, 4);
       ("targeted", targeted, 4);
       ("pct", Scheduler.Pct { depth = 3; seed = 5 }, 4);
@@ -731,7 +824,7 @@ let run_many strategy =
       Alcotest.(check int)
         (Printf.sprintf "pid %d last write" pid)
         ops
-        (Cell.read_committed row.(pid)))
+        (Cell.plain_committed row.(pid)))
     finished;
   (List.init n (fun pid -> Scheduler.clock_of s ~pid), Scheduler.steps s)
 
@@ -747,6 +840,11 @@ let suite =
     Alcotest.test_case "store-to-load forwarding" `Quick test_store_to_load_forwarding;
     Alcotest.test_case "atomic drains buffer" `Quick test_atomic_drains_buffer;
     Alcotest.test_case "capacity overflow commits oldest" `Quick test_capacity_overflow;
+    Alcotest.test_case "one cell past capacity commits in order" `Quick
+      test_one_cell_overflow;
+    Alcotest.test_case "two writers on one cell" `Quick test_two_writers_one_cell;
+    Alcotest.test_case "unfenced writes allocate nothing" `Quick
+      test_unfenced_writes_zero_alloc;
     Alcotest.test_case "rooster flushes buffer" `Quick test_rooster_flush;
     Alcotest.test_case "killed roosters stop flushing" `Quick test_kill_roosters;
     Alcotest.test_case "cas semantics" `Quick test_cas_semantics;
