@@ -1002,7 +1002,10 @@ let step (t : t) (cur : cursor) (p : proc) =
         cur.lim <-
           (match p.pending_faults with
           | [] -> t.pick_lim
-          | f :: _ -> min t.pick_lim (fault_at f));
+          | f :: _ ->
+            (* not [min]: the polymorphic compare is a C call *)
+            let at = fault_at f in
+            if at < t.pick_lim then at else t.pick_lim);
         cur.lim_steps <- t.pick_lim_steps
       end;
       cur.live <- true;
