@@ -209,7 +209,7 @@ let raw_dispatch_ns model =
   in
   let sched = Scheduler.create cfg in
   (* Disjoint per-process cell rings: writes spread over cells, as data
-     structure operations do, so store-buffer commits stay O(1). *)
+     structure operations do. *)
   let cells = Array.init 4 (fun _ -> Array.init 64 (fun _ -> Cell.make_plain 0)) in
   let iters = 75_000 in
   for pid = 0 to 3 do
