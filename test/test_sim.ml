@@ -840,11 +840,6 @@ let suite =
     Alcotest.test_case "store-to-load forwarding" `Quick test_store_to_load_forwarding;
     Alcotest.test_case "atomic drains buffer" `Quick test_atomic_drains_buffer;
     Alcotest.test_case "capacity overflow commits oldest" `Quick test_capacity_overflow;
-    Alcotest.test_case "one cell past capacity commits in order" `Quick
-      test_one_cell_overflow;
-    Alcotest.test_case "two writers on one cell" `Quick test_two_writers_one_cell;
-    Alcotest.test_case "unfenced writes allocate nothing" `Quick
-      test_unfenced_writes_zero_alloc;
     Alcotest.test_case "rooster flushes buffer" `Quick test_rooster_flush;
     Alcotest.test_case "killed roosters stop flushing" `Quick test_kill_roosters;
     Alcotest.test_case "cas semantics" `Quick test_cas_semantics;
@@ -877,5 +872,10 @@ let suite =
     Alcotest.test_case "constant minimum oversleep" `Quick test_oversleep_min_constant;
     Alcotest.test_case "inline and suspended dispatch agree" `Quick
       test_inline_matches_suspended;
-    Alcotest.test_case "more than 62 processes" `Quick test_many_processes
+    Alcotest.test_case "more than 62 processes" `Quick test_many_processes;
+    Alcotest.test_case "one cell past capacity commits in order" `Quick
+      test_one_cell_overflow;
+    Alcotest.test_case "two writers on one cell" `Quick test_two_writers_one_cell;
+    Alcotest.test_case "unfenced writes allocate nothing" `Quick
+      test_unfenced_writes_zero_alloc
   ]
