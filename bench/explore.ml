@@ -580,15 +580,15 @@ let section name text =
 
 let fingerprint_corpus = Filename.concat "test" "explorer.corpus"
 
-(* A case's verdict, linearizability status and step count: a case that
-   stops being checked moves. *)
+(* A case's verdict, whether its history was checked for linearizability
+   and its step count: a case that stops being checked moves. A memory
+   verdict or a worker's death comes before the check. *)
 let outcome_line (o : Explorer.outcome) =
   Printf.sprintf "%s lin=%s steps=%d\n"
     (Explorer.verdict_to_string o.verdict)
-    (match o.lin with
-    | Explorer.Lin_ok -> "ok"
-    | Lin_unchecked -> "unchecked"
-    | Lin_too_large -> "too-large")
+    (match o.verdict with
+    | Uaf _ | Double_free _ | Oom _ | Worker_exn _ -> "unchecked"
+    | Pass | Not_linearizable _ | Leaked _ -> "ok")
     o.steps
 
 (* Every case of [Explorer]'s families that test/test_explorer.ml judges,

@@ -68,13 +68,10 @@ type verdict =
   | Worker_exn of string
   | Leaked of int
 
-type lin_status = Lin_ok | Lin_unchecked | Lin_too_large
-
 type outcome = {
   verdict : verdict;
   ops : int;
   steps : int;
-  lin : lin_status;
   stats : Qs_smr.Smr_intf.stats;
 }
 
@@ -361,25 +358,22 @@ let run_one ?sink (c : case) : outcome =
   let report = m.report in
   (* The memory-safety oracles outrank everything: a UAF explains any
      downstream anomaly. *)
-  let verdict, lin =
-    if m.violations > 0 then (Uaf m.violations, Lin_unchecked)
-    else if report.double_frees > 0 then
-      (Double_free report.double_frees, Lin_unchecked)
+  let verdict =
+    if m.violations > 0 then Uaf m.violations
+    else if report.double_frees > 0 then Double_free report.double_frees
     else
       match (m.failures, m.failed_at) with
       | (pid, e) :: _, _ ->
-        ( Worker_exn (Printf.sprintf "pid%d:%s" pid (Printexc.to_string e)),
-          Lin_unchecked )
-      | [], Some tm -> (Oom tm, Lin_unchecked)
+        Worker_exn (Printf.sprintf "pid%d:%s" pid (Printexc.to_string e))
+      | [], Some tm -> Oom tm
       | [], None -> (
         match
           Qs_verify.Lin_check.check_set
             ~initial:(Spec.initial_keys (workload_of c))
             (Qs_verify.History.entries history)
         with
-        | Qs_verify.Lin_check.Violation k -> (Not_linearizable k, Lin_ok)
-        | (Ok | Too_large _) as r -> (
-          let lin = if r = Ok then Lin_ok else Lin_too_large in
+        | Qs_verify.Lin_check.Violation k -> Not_linearizable k
+        | Ok -> (
           (* a crashed operation may strand the nodes of one key *)
           let crashes =
             List.length
@@ -389,11 +383,10 @@ let run_one ?sink (c : case) : outcome =
           in
           tracing := false;
           match (m.teardown ()).leak_check with
-          | `Leaked n when n > crashes * Cset.nodes_per_key_of c.ds ->
-            (Leaked n, lin)
-          | `Ok | `Leaked _ | `Skipped -> (Pass, lin)))
+          | `Leaked n when n > crashes * Cset.nodes_per_key_of c.ds -> Leaked n
+          | `Ok | `Leaked _ | `Skipped -> Pass))
   in
-  { verdict; ops = m.ops_total; steps = m.steps; lin; stats = report.smr }
+  { verdict; ops = m.ops_total; steps = m.steps; stats = report.smr }
 
 (* --- counterexample shrinking ------------------------------------------- *)
 

@@ -10,7 +10,7 @@
       counters;
     - memory exhaustion against the case's arena capacity;
     - per-key linearizability ({!Qs_verify.Lin_check}) of the recorded
-      operation history, stamped with the scheduler's step index. An
+      operation history, whatever its length, stamped with the scheduler's step index. An
       operation a crash or a neutralization cut short is pending: it may
       or may not have taken effect;
     - on a run the others pass, the teardown's leak check: after every
@@ -80,18 +80,10 @@ type verdict =
   | Worker_exn of string
   | Leaked of int  (** nodes neither live nor freed after the teardown *)
 
-type lin_status =
-  | Lin_ok  (** the history was checked *)
-  | Lin_unchecked
-      (** not checked: a memory verdict (use-after-free, double free,
-          exhaustion) or a worker's death came first *)
-  | Lin_too_large  (** a per-key sub-history exceeded the checker's limit *)
-
 type outcome = {
   verdict : verdict;
   ops : int;
   steps : int;
-  lin : lin_status;
   stats : Qs_smr.Smr_intf.stats;
 }
 

@@ -1,77 +1,77 @@
-type verdict = Ok | Violation of int | Too_large of int
+type verdict = Ok | Violation of int
 
-(* Apply one operation to the boolean membership model. Returns the new
-   state, or None if the recorded result is impossible. A pending update
-   that takes effect leaves the key present (insert) or absent (delete),
-   whatever it would have answered. *)
+(* Apply one completed operation to the boolean membership model. Returns
+   the new state, or None if the recorded result is impossible. *)
 let apply (e : History.entry) present =
   match (e.response, e.op) with
-  | None, History.Insert -> Some true
-  | None, History.Delete -> Some false
-  | None, History.Search -> Some present
+  | None, _ -> None
   | Some { result; _ }, History.Search -> if result = present then Some present else None
   | Some { result; _ }, History.Insert -> if result <> present then Some true else None
   | Some { result; _ }, History.Delete -> if result = present then Some false else None
 
-(* Wing-Gong linearizability over one key: search for a linear order of
-   every completed entry and any subset of the pending ones, consistent with
-   real time (an op may be linearized only if no other op still to be
-   linearized responded before it was invoked), under which every recorded
-   result matches the model. A pending op never responded, so it precedes
-   nothing and may take effect at any point after its invocation, or never.
-   Memoised on (linearized set, state). *)
+type event = Inv of int | Res of int | Pending of History.op_kind
+
+(* Just-in-time linearization over one key (Lowe, "Testing for
+   linearizability"). Walk the invocations and responses in time order,
+   invocations first at equal stamps, so op i may precede op j unless j
+   responded before i was invoked. At the response of an op not yet
+   linearized, linearize open ops, or let an unused pending update take
+   effect, until it is. A pending insert or delete never responded: it may
+   take effect at any point after its invocation, or never, so only how
+   many of each kind are invoked and unused matters. Memoised on (event,
+   linearized open ops, state, unused pending inserts, unused pending
+   deletes). *)
 let check_key ~present0 (entries : History.entry list) =
   let arr = Array.of_list entries in
-  let n = Array.length arr in
-  if n > 60 then invalid_arg "Lin_check.check_key: history too large";
-  (* bit set in [completed]: the search is done once these are linearized *)
-  let completed = ref 0 in
-  let res =
-    Array.mapi
-      (fun i (e : History.entry) ->
-        match e.response with
-        | Some r ->
-          if r.res < e.inv then invalid_arg "Lin_check: res < inv";
-          completed := !completed lor (1 lsl i);
-          r.res
-        | None -> max_int)
-      arr
+  let events =
+    List.concat
+      (List.mapi
+         (fun i (e : History.entry) ->
+           match e.response with
+           | Some r ->
+             if r.res < e.inv then invalid_arg "Lin_check: res < inv";
+             [ ((e.inv, 0), Inv i); ((r.res, 1), Res i) ]
+           | None when e.op = History.Search -> [] (* constrains nothing *)
+           | None -> [ ((e.inv, 0), Pending e.op) ])
+         entries)
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd |> Array.of_list
   in
-  let completed = !completed in
-  let full = (1 lsl n) - 1 in
+  let n = Array.length events in
   let seen = Hashtbl.create 1024 in
-  (* an op i is minimal in the remaining set if no other remaining op's
-     response precedes i's invocation *)
-  let minimal mask i =
-    let rec go j =
-      j >= n
-      || ((j = i || mask land (1 lsl j) = 0 || res.(j) >= arr.(i).inv)
-         && go (j + 1))
-    in
-    go 0
+  (* [opn]: completed ops invoked and not yet responded; [lin]: the sorted
+     subset of them already linearized *)
+  let rec run ev opn lin present ins del =
+    ev = n
+    || (not (Hashtbl.mem seen (ev, lin, present, ins, del)))
+       && begin
+         Hashtbl.add seen (ev, lin, present, ins, del) ();
+         match events.(ev) with
+         | Inv i -> run (ev + 1) (i :: opn) lin present ins del
+         | Pending History.Insert -> run (ev + 1) opn lin present (ins + 1) del
+         | Pending _ -> run (ev + 1) opn lin present ins (del + 1)
+         | Res i when List.mem i lin ->
+           run (ev + 1) (List.filter (( <> ) i) opn) (List.filter (( <> ) i) lin)
+             present ins del
+         | Res i ->
+           (match apply arr.(i) present with
+           | Some p -> run (ev + 1) (List.filter (( <> ) i) opn) lin p ins del
+           | None -> false)
+           || List.exists
+                (fun j ->
+                  j <> i
+                  && (not (List.mem j lin))
+                  &&
+                  match apply arr.(j) present with
+                  | Some p -> run ev opn (List.merge compare [ j ] lin) p ins del
+                  | None -> false)
+                opn
+           (* a pending update is spent only where it changes the state *)
+           || (ins > 0 && (not present) && run ev opn lin true (ins - 1) del)
+           || (del > 0 && present && run ev opn lin false ins (del - 1))
+       end
   in
-  let rec search mask present =
-    (* mask: bit set = still to linearize *)
-    if mask land completed = 0 then true
-    else begin
-      let key = (mask, present) in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        let rec try_ops i =
-          if i >= n then false
-          else if mask land (1 lsl i) <> 0 && minimal mask i then begin
-            match apply arr.(i) present with
-            | Some present' when search (mask lxor (1 lsl i)) present' -> true
-            | _ -> try_ops (i + 1)
-          end
-          else try_ops (i + 1)
-        in
-        try_ops 0
-      end
-    end
-  in
-  search full present0
+  run 0 [] [] present0 0 0
 
 module IM = Map.Make (Int)
 
@@ -79,29 +79,18 @@ let check_set ~initial (entries : History.entry list) =
   let by_key =
     List.fold_left
       (fun m (e : History.entry) ->
-        match (e.op, e.response) with
-        | History.Search, None -> m (* a pending search constrains nothing *)
-        | _ ->
-          IM.update e.key
-            (function None -> Some [ e ] | Some es -> Some (e :: es))
-            m)
+        IM.update e.key (function None -> Some [ e ] | Some es -> Some (e :: es)) m)
       IM.empty entries
   in
   let initial_set = List.fold_left (fun s k -> IM.add k true s) IM.empty initial in
-  let exception Found of verdict in
+  let exception Found of int in
   try
     IM.iter
       (fun key es ->
-        if List.length es > 60 then raise (Found (Too_large key));
-        let present0 = IM.mem key initial_set in
-        if not (check_key ~present0 es) then raise (Found (Violation key)))
+        if not (check_key ~present0:(IM.mem key initial_set) es) then
+          raise (Found key))
       by_key;
     Ok
-  with Found v -> v
+  with Found k -> Violation k
 
-let is_linearizable ~initial entries =
-  match check_set ~initial entries with
-  | Ok -> true
-  | Violation _ -> false
-  | Too_large k ->
-    invalid_arg (Printf.sprintf "Lin_check: sub-history for key %d too large" k)
+let is_linearizable ~initial entries = check_set ~initial entries = Ok

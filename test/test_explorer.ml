@@ -187,13 +187,11 @@ let test_corpus_clean () =
   List.iter
     (fun c ->
       let o = Explorer.run_one c in
+      (* a pass includes the check of the history, whatever its length,
+         strategy or faults *)
       if o.verdict <> Explorer.Pass then
         Alcotest.failf "corpus case failed: %s -> %s" (Explorer.to_string c)
-          (Explorer.verdict_to_string o.verdict);
-      (* every history is checked, whatever the strategy or faults; only
-         the 4,000-op stall cases outgrow the checker's per-key limit *)
-      if o.lin <> Explorer.Lin_ok && c.ops_per_proc < 4_000 then
-        Alcotest.failf "corpus case not lin-checked: %s" (Explorer.to_string c))
+          (Explorer.verdict_to_string o.verdict))
     cases
 
 (* [cases] hold [per_scheme] cases of each of [schemes] and nothing else,

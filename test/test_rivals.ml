@@ -319,10 +319,8 @@ let test_injected_neutralization_safe () =
                 Printf.sprintf "%s/%s/seed%d" (Scheme.to_string scheme)
                   (Cset.kind_to_string ds) seed
               in
-              let o = Explorer.run_one c in
-              check_pass name o;
-              checkb (name ^ ": lin checked under neutralization") true
-                (o.Explorer.lin = Explorer.Lin_ok))
+              (* a pass includes the check of the history *)
+              check_pass name (Explorer.run_one c))
             [ 3; 23 ])
         [ Cset.List; Cset.Bst; Cset.Skiplist; Cset.Hashtable ])
     (incumbents @ rivals)

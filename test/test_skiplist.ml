@@ -460,7 +460,6 @@ let marked_stop_run ~scheme ~seed =
   with
   | Qs_verify.Lin_check.Ok -> ()
   | Violation k -> Alcotest.failf "%s: key %d not linearizable" name k
-  | Too_large k -> Alcotest.failf "%s: key %d's history too large" name k
 
 let test_marked_upper_stop () =
   List.iter
