@@ -37,6 +37,19 @@ let stall = Some { Sim_exp.victim = 3; windows = [ (50_000, 10_000_000) ] }
    unbounded retired backlog. *)
 let cap = Some 300
 
+(* [Sim_exp.run setup] with its operation history recorded, which must be
+   linearizable: the long QSense runs cross fast -> fallback -> fast. *)
+let run_lin_checked (setup : Sim_exp.setup) =
+  let history = Qs_verify.History.create ~n:setup.n_processes in
+  let r = Sim_exp.run { setup with history = Some history } in
+  (match
+     Qs_verify.Lin_check.check_set ~initial:(Spec.initial_keys workload)
+       (Qs_verify.History.entries history)
+   with
+  | Ok -> ()
+  | Violation k -> Alcotest.failf "key %d not linearizable" k);
+  r
+
 let test_qsbr_oom_under_delay () =
   let r = Sim_exp.run { (base ~scheme:Qs_smr.Scheme.Qsbr) with delays = stall; capacity = cap } in
   (match r.failed_at with
@@ -72,7 +85,7 @@ let test_qsense_survives_stall () =
 let test_qsense_recovers () =
   (* victim stalls during [50k, 500k); the run continues to 1M *)
   let r =
-    Sim_exp.run
+    run_lin_checked
       { (base ~scheme:Qs_smr.Scheme.Qsense) with
         duration = 1_000_000;
         delays = Some { victim = 3; windows = [ (50_000, 500_000) ] };
@@ -135,7 +148,7 @@ let test_eviction_restores_fast_path () =
    (the rejoin guard keeps its first epoch cycle conservative). *)
 let test_eviction_then_rejoin () =
   let r =
-    Sim_exp.run
+    run_lin_checked
       { (base ~scheme:Qs_smr.Scheme.Qsense) with
         duration = 1_200_000;
         delays = Some { victim = 3; windows = [ (50_000, 600_000) ] };
