@@ -200,11 +200,9 @@ let of_string line : (case, string) result =
     let* duration = int_field "dur" in
     let* capacity = int_field "cap" in
     let* switch = int_field "switch" in
+    let* evict = int_field "evict" in
+    let* bags = int_field "bags" in
     let* seed = int_field "seed" in
-    (* [bags] and [evict] are optional so older corpus/repro lines keep
-       parsing; absent means 64-node bags / no eviction *)
-    let bags = Option.value (int_field "bags") ~default:64 in
-    let evict = Option.value (int_field "evict") ~default:0 in
     Some
       { ds;
         scheme;

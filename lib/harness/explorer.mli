@@ -52,15 +52,12 @@ type case = {
   capacity : int;  (** arena capacity; 0 = unbounded *)
   switch : int;  (** QSense C; 0 = smallest legal (Property 4) *)
   evict : int;
-      (** QSense §5.2 eviction timeout dt; 0 = eviction off. Serialized as
-          an optional [evict=] field (absent = 0), so pre-eviction case
-          lines keep parsing. *)
+      (** QSense §5.2 eviction timeout dt; 0 = eviction off. *)
   bags : int;
       (** {!Qs_util.Bag} block capacity of every limbo list. Values below 1
           run as 1 (the block source clamps), so old [bags=0] lines, which
           once selected an element-wise reference, replay on capacity-1
-          bags. Serialized as an optional [bags=] field (absent = 64) so
-          pre-bag case lines keep parsing. *)
+          bags. *)
   strategy : strategy;
   faults : Scheduler.fault list;
   seed : int;

@@ -85,7 +85,11 @@ let test_serialization_rejects_malformed () =
      strat=pct faults=- seed=1";
   expect_error
     "ds=list scheme=hp n=4 keys=32 upd=50 ops=10 dur=1000 cap=0 switch=0 \
-     strat=fair faults=stall:9 seed=1"
+     strat=fair faults=stall:9 seed=1";
+  (* every field is required, [bags=] and [evict=] included *)
+  expect_error
+    "ds=list scheme=hp n=4 keys=32 upd=50 ops=10 dur=1000 cap=0 switch=0 \
+     evict=0 strat=fair faults=- seed=1"
 
 (* --- determinism --------------------------------------------------------- *)
 
