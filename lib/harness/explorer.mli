@@ -10,9 +10,9 @@
       counters;
     - memory exhaustion against the case's arena capacity;
     - per-key linearizability ({!Qs_verify.Lin_check}) of the recorded
-      operation history, whatever its length, stamped with the scheduler's step index. An
-      operation a crash or a neutralization cut short is pending: it may
-      or may not have taken effect;
+      operation history, whatever its length, stamped with the scheduler's
+      step index. An operation a crash or a neutralization cut short is
+      pending: it may or may not have taken effect;
     - on a run the others pass, the teardown's leak check: after every
       process flushes, the arena holds no node beyond the live ones (a
       crashed operation may strand one key's nodes, so each [Crash_at]

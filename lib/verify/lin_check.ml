@@ -50,25 +50,25 @@ let check_key ~present0 (entries : History.entry list) =
          | Inv i -> run (ev + 1) (i :: opn) lin present ins del
          | Pending History.Insert -> run (ev + 1) opn lin present (ins + 1) del
          | Pending _ -> run (ev + 1) opn lin present ins (del + 1)
-         | Res i when List.mem i lin ->
-           run (ev + 1) (List.filter (( <> ) i) opn) (List.filter (( <> ) i) lin)
-             present ins del
          | Res i ->
-           (match apply arr.(i) present with
-           | Some p -> run (ev + 1) (List.filter (( <> ) i) opn) lin p ins del
-           | None -> false)
-           || List.exists
-                (fun j ->
-                  j <> i
-                  && (not (List.mem j lin))
-                  &&
-                  match apply arr.(j) present with
-                  | Some p -> run ev opn (List.merge compare [ j ] lin) p ins del
-                  | None -> false)
-                opn
-           (* a pending update is spent only where it changes the state *)
-           || (ins > 0 && (not present) && run ev opn lin true (ins - 1) del)
-           || (del > 0 && present && run ev opn lin false ins (del - 1))
+           let opn' = List.filter (( <> ) i) opn in
+           if List.mem i lin then
+             run (ev + 1) opn' (List.filter (( <> ) i) lin) present ins del
+           else
+             (match apply arr.(i) present with
+             | Some p -> run (ev + 1) opn' lin p ins del
+             | None -> false)
+             || List.exists
+                  (fun j ->
+                    (not (List.mem j lin))
+                    &&
+                    match apply arr.(j) present with
+                    | Some p -> run ev opn (List.merge compare [ j ] lin) p ins del
+                    | None -> false)
+                  opn'
+             (* a pending update is spent only where it changes the state *)
+             || (ins > 0 && (not present) && run ev opn lin true (ins - 1) del)
+             || (del > 0 && present && run ev opn lin false ins (del - 1))
        end
   in
   run 0 [] [] present0 0 0
@@ -79,7 +79,9 @@ let check_set ~initial (entries : History.entry list) =
   let by_key =
     List.fold_left
       (fun m (e : History.entry) ->
-        IM.update e.key (function None -> Some [ e ] | Some es -> Some (e :: es)) m)
+        IM.update e.key
+          (function None -> Some [ e ] | Some es -> Some (e :: es))
+          m)
       IM.empty entries
   in
   let initial_set = List.fold_left (fun s k -> IM.add k true s) IM.empty initial in
