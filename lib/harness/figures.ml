@@ -234,8 +234,7 @@ let ablation_rooster ~seed =
                ~n_processes:8 ~workload) with
             seed;
             duration = 800_000;
-            smr_tweak = (fun c -> { c with rooster_interval = t; scan_threshold = 8 });
-            sched_tweak = (fun c -> { c with rooster_interval = Some t }) }
+            smr_tweak = (fun c -> { c with rooster_interval = t; scan_threshold = 8 }) }
       in
       Qs_util.Table.add_row tbl
         [ string_of_int t;
@@ -331,7 +330,6 @@ let ablation_epsilon ~seed =
           sched_tweak =
             (fun c ->
               { c with
-                rooster_interval = Some 200;
                 rooster_oversleep = oversleep;
                 store_buffer_capacity = 100_000;
                 cost =

@@ -123,14 +123,17 @@ let rec window_end t = function
 
 let measure (setup : setup) : measured =
   let n = setup.n_processes in
+  let smr = setup.smr_tweak (base_smr_config ~n_processes:n) in
+  (* the roosters run at the scheme's own T and oversleep within its
+     epsilon, so a setup states T once, in [smr_tweak] *)
   let sched_cfg =
     setup.sched_tweak
       { (Scheduler.default_config ~n_cores:n ~seed:setup.seed) with
         rooster_interval =
-          (if Qs_smr.Scheme.needs_roosters setup.scheme then
-             Some default_rooster_interval
+          (if Qs_smr.Scheme.needs_roosters setup.scheme && smr.rooster_interval > 0
+           then Some smr.rooster_interval
            else None);
-        rooster_oversleep = default_epsilon / 2 }
+        rooster_oversleep = smr.epsilon / 2 }
   in
   let sched = Scheduler.create sched_cfg in
   (* the history's clock is the global step index: a meta-level read, like
@@ -141,7 +144,7 @@ let measure (setup : setup) : measured =
   let module D = (val T.driver ?history setup.target) in
   let cfg =
     { Qs_ds.Set_intf.scheme = setup.scheme;
-      smr = setup.smr_tweak (base_smr_config ~n_processes:n);
+      smr;
       capacity = setup.capacity;
       debug_checks = true }
   in

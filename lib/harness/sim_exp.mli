@@ -80,13 +80,15 @@ type setup = {
           without moving its schedule; [None] records nothing. *)
   smr_tweak : Qs_smr.Smr_intf.config -> Qs_smr.Smr_intf.config;
   sched_tweak : Scheduler.config -> Scheduler.config;
+      (** applied after the roosters are set from the tweaked SMR config:
+          T when the scheme needs roosters and T > 0, oversleep epsilon/2 *)
 }
 
 val target_setup :
   target:Target.t -> scheme:Qs_smr.Scheme.kind -> n_processes:int -> setup
 (** 300k ticks, seed 1, no op limit, no cap, no delays, no churn, no
-    sampling; roosters are configured automatically for schemes that need
-    them. *)
+    sampling; roosters are configured from the SMR config for schemes that
+    need them. *)
 
 val default_setup :
   ds:Cset.kind ->

@@ -152,6 +152,32 @@ let test_cadence_age_floor () =
   checkb "trace frees <= scheme frees" true
     (Metrics.frees_total es <= r.Sim_exp.report.smr.frees)
 
+(* T is stated once, in the SMR config: the scheduler's roosters follow
+   it. Each wake-up is T plus an oversleep of at most epsilon / 2 = 300
+   ticks after the last, so process 0's mean spacing lies in [T, T + 300].
+   While the roosters kept the default T of 4,000, this run saw 14
+   wake-ups. *)
+let test_rooster_follows_smr_t () =
+  let tracer, _ =
+    traced_run ~duration:60_000 ~scheme:Qs_smr.Scheme.Cadence
+      ~smr_tweak:(fun c -> { c with Qs_smr.Smr_intf.rooster_interval = 1_000 })
+      ()
+  in
+  let wakes =
+    Tracer.ring_to_array tracer ~pid:0
+    |> Array.to_list
+    |> List.filter_map (fun (e : Tracer.entry) ->
+           if e.ev = RI.Ev_rooster_wake then Some e.time else None)
+  in
+  let n = List.length wakes in
+  checkb (Printf.sprintf "%d wake-ups" n) true (n >= 40);
+  let first = List.hd wakes and last = List.nth wakes (n - 1) in
+  let mean = (last - first) / (n - 1) in
+  checkb
+    (Printf.sprintf "mean wake-up spacing %d in [1000, 1300]" mean)
+    true
+    (mean >= 1_000 && mean <= 1_300)
+
 let stall_delays ~until = { Sim_exp.victim = 3; windows = [ (50_000, until) ] }
 let qsense_c48 c = { c with Qs_smr.Smr_intf.switch_threshold = 48 }
 
@@ -433,6 +459,7 @@ let suite =
     Alcotest.test_case "record is allocation-free" `Quick test_record_allocation_free;
     Alcotest.test_case "seeded trace bit-identical" `Quick test_seeded_trace_bit_identical;
     Alcotest.test_case "cadence age floor T+eps" `Quick test_cadence_age_floor;
+    Alcotest.test_case "roosters follow the SMR config's T" `Quick test_rooster_follows_smr_t;
     Alcotest.test_case "fallback_since live in fallback" `Quick test_fallback_live;
     Alcotest.test_case "fallback round trip clears since" `Slow test_fallback_round_trip;
     Alcotest.test_case "sink changes no corpus outcome" `Slow test_sink_changes_no_corpus_outcome;
