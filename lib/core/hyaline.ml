@@ -26,9 +26,13 @@
    processes already inside a critical section at seal time can still
    hold references; each such process holds exactly one batch reference
    via its slot and drops it on leave. No grace period, no global epoch,
-   no quiescence — and therefore robust in the same sense as HP: a
-   stalled process delays only the batches inserted into its own slot
-   (bounded by what was live at its entry), never reclamation at large.
+   no quiescence — but not robust: a process stalled between operations
+   costs nothing (its slot is [Inactive]), while one stalled inside an
+   operation keeps its slot [Active], so every batch sealed after the
+   stall holds a reference that never drops, and none of them is freed.
+   The paper's era-tracking variants (Hyaline-S, Hyaline-1S) bound this;
+   this basic scheme runs out of memory safely instead (test_rivals pins
+   it).
 
    Bookkeeping that must survive crashed workers (a process that never
    leaves would strand its chain) lives at the meta level: every sealed

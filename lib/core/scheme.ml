@@ -52,18 +52,6 @@ let needs_roosters = function
   | Cadence | Qsense | Naive_hybrid -> true
   | None_ | Hp | Unsafe_hp | Qsbr | Ebr | Debra_plus | Hyaline -> false
 
-(** Whether the scheme survives prolonged process delays with bounded
-    memory (the paper's robustness property). *)
-(* EBR is robust to processes stalled BETWEEN operations but not to
-   processes stalled inside one; it does not get the paper's robustness
-   label. DEBRA+ earns it by neutralizing in-operation laggards (in the
-   real runtime only cooperatively — see {!Debra_plus}). Hyaline earns it
-   the hazard-pointer way: a stalled process delays only the batches
-   inserted into its own slot. *)
-let robust = function
-  | Hp | Debra_plus | Hyaline | Cadence | Qsense -> true
-  | None_ | Unsafe_hp | Qsbr | Ebr | Naive_hybrid -> false
-
 module Dispatch (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   type s = (module Smr_intf.S with type node = N.t)
 

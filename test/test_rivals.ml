@@ -256,7 +256,7 @@ let test_debra_plus_survives_pinned_stall () =
    but a victim frozen MID-operation leaves its slot Active forever, every
    batch sealed from then on keeps the victim's reference, and nothing
    frees — the same fate as the epoch schemes, reached through refcounts
-   instead of a stuck epoch. The paper's era-tracking extension (Hyaline-1)
+   instead of a stuck epoch. The paper's era-tracking extension (Hyaline-S)
    is what buys robustness here; this reproduction implements the basic
    scheme, so the honest assertion is a safe OOM, not survival — which is
    exactly what makes DEBRA+'s neutralization the distinguishing control. *)

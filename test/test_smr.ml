@@ -429,8 +429,6 @@ let test_scheme_names () =
 
 let test_scheme_predicates () =
   let open Qs_smr.Scheme in
-  Alcotest.(check bool) "qsense robust" true (robust Qsense);
-  Alcotest.(check bool) "qsbr not robust" false (robust Qsbr);
   Alcotest.(check bool) "cadence needs roosters" true (needs_roosters Cadence);
   Alcotest.(check bool) "hp needs no roosters" false (needs_roosters Hp)
 
