@@ -46,8 +46,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   let search ctx key = L.search_in ctx.lctx ~bucket:(bucket_of ctx.table key) key
 
-  let search_ro ctx key =
-    L.search_ro_in ctx.lctx ~bucket:(bucket_of ctx.table key) key
+  let search_ro = search
 
   let insert ctx key = L.insert_in ctx.lctx ~bucket:(bucket_of ctx.table key) key
   let delete ctx key = L.delete_in ctx.lctx ~bucket:(bucket_of ctx.table key) key

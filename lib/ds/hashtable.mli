@@ -25,13 +25,16 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
       [mod] fallback otherwise). Exposed for distribution tests. *)
 
   val search : ctx -> int -> bool
+  (** The bucket's {!Linked_list.Make.search_in} — the KV service's get
+      path, pinned at zero heap words per request. *)
+
   val insert : ctx -> int -> bool
   val delete : ctx -> int -> bool
 
   val search_ro : ctx -> int -> bool
-  (** Same answer as [search] but via the read-only, allocation-free
-      bucket probe ({!Linked_list.S.search_ro_in}) — the KV service's
-      get path, pinned at zero heap words per request. *)
+  (** [search] under its old name, kept only because the service
+      benchmark (perfbench/real.ml) calls it; it goes when that runner
+      is ported to the harness. *)
 
   val to_list : ctx -> int list
   (** Sorted, for comparability with the other set implementations. *)

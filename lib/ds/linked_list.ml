@@ -46,9 +46,10 @@
    not yet retired, which is all that Condition 1 asks. [validate_in]
    checks that every link is canonical.
 
-   Hazard-pointer discipline (K = 2): slot 0 protects the predecessor, slot
-   1 the current node. Each is published before the validation read
-   ([pred.next] still equals the link we followed), per Condition 1. *)
+   Hazard-pointer discipline (K = 2): in [find], slot 0 protects the
+   predecessor, slot 1 the current node; the search ([probe_walk])
+   alternates them. Each is published before the validation read (the
+   link we followed is still there), per Condition 1. *)
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   type node = {
@@ -171,7 +172,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
           end
       end
 
-  (* [search_in] after its [manage_state]; also the probe's fallback. *)
+  (* The search's fallback at a marked link: membership by [find]. *)
   let find_member ctx bucket key =
     find ctx bucket key;
     let curr = ctx.curr in
@@ -180,29 +181,26 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     D.clear_hps ctx.smr;
     res
 
-  let search_in ctx ~bucket key =
-    D.manage_state ctx.smr;
-    find_member ctx bucket key
-
-  (* Read-only membership probe: walks the chain by key order (chain keys
-     strictly increase, so the first node with key >= [key] settles
-     membership: present iff it carries [key] and its own next link is
-     unmarked). Alternates the two hazard-pointer slots between the node
-     in hand and its successor with the usual validation re-read,
-     restarting from the bucket head on interference.
+  (* The membership search (the set's [search], the hash table's and the
+     KV service's get): walks the chain by key order (chain keys strictly
+     increase, so the first node with key >= [key] settles membership:
+     present iff it carries [key] and its own next link is unmarked).
+     Alternates the two hazard-pointer slots between the node in hand and
+     its successor with the usual validation re-read, restarting from the
+     bucket head on interference.
 
      It never follows a marked link. A marked link is frozen, so the
      validation re-read would pass even after its successor was unlinked
      and freed (Brown, arXiv:1712.01044: a traversal must not leave a
-     marked node). At a marked link the probe falls back to the snipping
+     marked node). At a marked link the search falls back to the snipping
      [find], which gets past the marked node by unlinking it. Restarting
      from the head instead could spin for as long as a stalled deleter
      leaves its marked node linked.
 
-     Like [find], top-level recursion that allocates nothing — it is the
-     KV service's pinned-at-zero get path. Unlike [find], it publishes
-     once per node rather than twice, never publishes the tail and, until
-     it meets a marked link, never writes the chain. *)
+     Like [find], top-level recursion that allocates nothing. Unlike
+     [find], it publishes once per node rather than twice, never
+     publishes the tail and, until it meets a marked link, never writes
+     the chain. *)
   let rec probe_walk ctx bucket key slot node =
     if node.key > key then begin
       D.clear_hps ctx.smr;
@@ -245,7 +243,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     (* the bucket sentinel is never reclaimed: no protection needed *)
     probe_walk ctx bucket key 1 bucket
 
-  let search_ro_in ctx ~bucket key =
+  let search_in ctx ~bucket key =
     D.manage_state ctx.smr;
     probe_restart ctx bucket key
 

@@ -2,8 +2,10 @@
     of the paper's three evaluation structures (its appendix shows the
     QSense integration on exactly this list, Algorithms 6-7).
 
-    Two hazard pointers per process (slot 0 = predecessor, slot 1 =
-    current), published before the validation read per Condition 1.
+    Two hazard pointers per process, each published before its
+    validation read per Condition 1: insert and delete hold the
+    predecessor in slot 0 and the current node in slot 1, and the
+    membership search alternates the two, one publish per node.
     Deletion marks the victim's link (logical) then unlinks it (physical);
     the winner of the physical unlink CAS retires the node.
 
@@ -52,14 +54,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
   (** A fresh head sentinel chained to the shared tail; never reclaimed. *)
 
   val search_in : ctx -> bucket:node -> int -> bool
-
-  val search_ro_in : ctx -> bucket:node -> int -> bool
-  (** Membership probe: same answer as [search_in], and allocates nothing
-      on the OCaml heap (top-level recursion, no result tuple). It writes
-      nothing while the links it follows are unmarked; at a marked link
-      it finishes as [search_in] does, snipping. The KV service's get
-      path uses this so benchmarks can pin it at zero words per
-      request. *)
+  (** Membership ([search] on a bucket): one hazard-pointer publish per
+      node, no allocation, and no write until a marked link, where it
+      finishes with the snipping walk of insert and delete. *)
 
   val insert_in : ctx -> bucket:node -> int -> bool
   val delete_in : ctx -> bucket:node -> int -> bool

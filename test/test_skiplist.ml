@@ -18,9 +18,9 @@
    - an operation's clear stores only the slots it published: a search
      of the empty set stores no slot at all, and a search of a 256-key
      set at most two per publish (the publish and its clear);
-   - neither read-only walk publishes the tail: a range count of a
-     one-key set makes one publish (the key's node), and a probe of an
-     empty hash-table bucket none;
+   - neither the range count nor the hash table's search publishes the
+     tail: a range count of a one-key set makes one publish (the key's
+     node), and a search of an empty hash-table bucket none;
    - a node's tower is sized to its height: a node costs at most 40 heap
      words on the simulator and 20 on real domains; a recycled node keeps
      the height it was first given, and under churn the live heights stay
@@ -130,30 +130,6 @@ let test_delete_cost () =
 
 (* --- link reads and publishes per pass --------------------------------------- *)
 
-(* The real runtime with a counter on every link read, every fence and
-   every hazard-slot store. Under classic HP a publish is one fence and
-   one store, and nothing else an operation runs fences, so the fence
-   count is the publish count; the other stores are the clear's. *)
-module Counted = struct
-  include Qs_real.Real_runtime
-
-  let link_reads = ref 0
-  let fences = ref 0
-  let writes = ref 0
-
-  let aget a i =
-    incr link_reads;
-    aget a i
-
-  let fence () =
-    incr fences;
-    fence ()
-
-  let write r i x =
-    incr writes;
-    write r i x
-end
-
 module Sc = Qs_ds.Skiplist.Make (Counted)
 module Hc = Qs_ds.Hashtable.Make (Counted)
 
@@ -165,17 +141,8 @@ let counted_set () =
           ~scheme:Qs_smr.Scheme.Hp))
     ~pid:0
 
-(* Link reads and publishes of [f ()]. *)
-let counted f =
-  let r0 = !Counted.link_reads and f0 = !Counted.fences in
-  f ();
-  (!Counted.link_reads - r0, !Counted.fences - f0)
-
-(* Publishes and hazard-slot stores of [f ()]. *)
-let stored f =
-  let f0 = !Counted.fences and w0 = !Counted.writes in
-  f ();
-  (!Counted.fences - f0, !Counted.writes - w0)
+let counted = Counted.counted
+let stored = Counted.stored
 
 (* One read per level for the head's link to the tail, and nothing else:
    the tail is neither published, validated nor read. *)
@@ -273,7 +240,7 @@ let test_range_count_tail () =
   Alcotest.(check int) "count" 1 !count;
   Alcotest.(check int) "publishes" 1 publishes
 
-(* An empty bucket's head links straight to the shared tail: the probe
+(* An empty bucket's head links straight to the shared tail: the search
    answers without a publish (1 when it published the tail). *)
 let test_empty_bucket_probe () =
   Counted.register_self 0;
@@ -285,7 +252,7 @@ let test_empty_bucket_probe () =
       ~pid:0
   in
   let found = ref true in
-  let publishes, stores = stored (fun () -> found := Hc.search_ro ctx 42) in
+  let publishes, stores = stored (fun () -> found := Hc.search ctx 42) in
   Alcotest.(check bool) "absent" false !found;
   Alcotest.(check int) "publishes" 0 publishes;
   Alcotest.(check int) "slot stores" 0 stores
