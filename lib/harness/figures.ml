@@ -124,10 +124,11 @@ let fig5_bottom ~scale ~seed ~ds =
      schemes' bounded backlog, fatal for QSBR once quiescence stops for a
      whole window. At the fallback flip up to ~N*C retired nodes can
      exist, and the quick slack does not cover that: 150 < 8 * 24 = 192
-     (full: 180 > 8 * 12 = 96). QSense survives the quick skip-list run
-     by measurement, not by that bound: it survives every slack from 135
-     to 150 and runs out of memory at 134, a margin of 15 nodes. A per-run
-     bound is ROADMAP item 1(b). *)
+     (full: 180 > 8 * 12 = 96). QSense survives the quick runs by
+     measurement, not by that bound: on the skip list every slack from
+     135 to 150 (out of memory at 134), a margin of 15 nodes; on the list
+     from 148 (out of memory at 147), a margin of 2. A per-run bound is
+     ROADMAP item 1(b). *)
   let switch_c, slack = match scale with Quick -> (24, 150) | Full -> (12, 180) in
   let live = range / 2 * Cset.nodes_per_key_of ds in
   let capacity = Some (live + slack) in
