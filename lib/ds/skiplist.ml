@@ -34,7 +34,7 @@
    it meets before that and restarting from the head when a snip or a
    validation fails. At level 0 the pass reads the stop's own link, snips
    the stop if that link is marked and goes on: [found], the insert's
-   bottom CAS and the range walk need an unmarked [succs.(0)]. Above level
+   bottom CAS and the range count need an unmarked [succs.(0)]. Above level
    0 it reads no link of its stop, which may therefore be marked there.
    A read would only report the mark as of the read, and a mark can land
    just after it, so every user of an upper stop already handles a marked
@@ -90,22 +90,25 @@
    held by a slot of a level >= l — what the fast unlink and the
    inserter's upper links rely on. The pass records [succ_slot], the
    level-0 slot [succs.(0)] went into or, when it was not published
-   there, would have gone into; a range count publishes the next node
-   into the other level-0 slot, which then holds nothing it needs. The
-   last slot is the inserter's own node. The traversals are top-level
-   recursions over [ctx], so a search or a range count allocates nothing.
+   there, would have gone into, so that the pass can go on from that stop
+   (below). The last slot is the inserter's own node. The traversals are
+   top-level recursions over [ctx], so a search or a range count
+   allocates nothing.
 
-   Range counts walk level 0 from [succs.(0)] and never leave a node by a
-   marked link (Brown, arXiv:1712.01044). A step publishes the successor
-   and re-reads the node's link: an equal unmarked link means the node is
-   still unmarked, hence still linked, with the successor linked behind
-   it, hence not retired. The tail, never retired, ends the walk with
-   neither. A marked link is frozen, so its re-read always
-   passes, yet once the node is snipped its successor can be unlinked,
-   retired and freed behind it. At a marked link the count therefore runs
-   [find] for the node's key, which snips it, and goes on from the new
-   [succs.(0)] with the count it has: every key counted so far is below
-   the node's and every key still to count is at or above it.
+   Range counts: [range_count ~lo ~hi] is [find] for [lo] continued. The
+   same pass goes on at level 0 from [succs.(0)] (witness
+   [succs.(0).ulink], predecessor [preds.(0)], slot [succ_slot]) toward
+   [hi + 1], or [max_int] when [hi] is, and returns the number of nodes
+   it moved past: the keys in [lo, hi]. So the count takes the one step
+   every pass takes and never leaves a node by a marked link (Brown,
+   arXiv:1712.01044). A marked link is frozen, so a validation re-read
+   of it always passes, yet once its node is snipped the successor can be
+   unlinked, retired and freed behind it; the step reads each node's link
+   for the mark before moving on and snips a marked node in place. A
+   failed snip or validation restarts the count from [lo] at 0. The
+   stop's link is read for its mark like any level-0 stop's, and
+   [succs.(1)], met again, is not published again. When [succs.(0)] is
+   the tail, the count is 0 and the tail's link is not read.
 
    Canonical links: a link value depends only on (dest, mark), not on the
    level, so each node carries its two link values, [ulink] and [mlink],
@@ -271,66 +274,71 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     match R.aget n.next 0 with Ptr { marked; _ } -> marked | Null -> false
 
   (* The pass of [find] from [pred] at [level] down to level 0: fills
-     ctx.preds/succs/succ_slot and returns true, or returns false
-     when the pass must restart from the head (a predecessor being removed,
-     a failed validation or snip). [slot] is a slot of [level] that [curr]
-     may go into; [pred] is held by the other one, by a slot of a higher
-     level, or is the head. [level_walk] reads [pred]'s link; [step] takes
-     it already read, as the link of the node the walk just left. *)
-  let rec level_walk ctx key pred slot level =
+     ctx.preds/succs/succ_slot and returns [count] plus the number of nodes
+     it moved past, or -1 when the pass must restart from the head (a
+     predecessor being removed, a failed validation or snip). [slot] is a
+     slot of [level] that [curr] may go into; [pred] is held by the other
+     one, by a slot of a higher level, or is the head. [level_walk] reads
+     [pred]'s link; [step] takes it already read, as the link of the node
+     the walk just left. A range count runs the same pass on from its
+     level-0 stop (see the header). *)
+  let rec level_walk ctx key pred slot level count =
     let pred_link = R.aget pred.next level in
     touch ctx pred;
     match pred_link with
-    | Null | Ptr { marked = true; _ } -> false
+    | Null | Ptr { marked = true; _ } -> -1
     | Ptr { dest = curr; marked = false } ->
-      step ctx key pred pred_link curr slot level
+      step ctx key pred pred_link curr slot level count
 
-  and step ctx key pred pred_link curr slot level =
-    if curr == ctx.set.tail then stop ctx key pred curr slot level
+  and step ctx key pred pred_link curr slot level count =
+    if curr == ctx.set.tail then stop ctx key pred curr slot level count
     else if level < max_level && curr == ctx.succs.(level + 1) then
       (* held by a slot of the level above since this pass stopped there *)
-      visit ctx key pred pred_link curr slot level
+      visit ctx key pred pred_link curr slot level count
     else begin
       D.assign_hp ctx.smr ~slot curr;
-      R.aget pred.next level == pred_link
-      && begin
+      if R.aget pred.next level != pred_link then -1
+      else begin
         touch ctx curr;
-        visit ctx key pred pred_link curr slot level
+        visit ctx key pred pred_link curr slot level count
       end
     end
 
   (* [curr] is protected: above level 0, a stop needs no link read (see the
      header); otherwise read its link for the mark, then snip it, move on
      to it, or stop at it. *)
-  and visit ctx key pred pred_link curr slot level =
-    if level > 0 && curr.key >= key then stop ctx key pred curr slot level
+  and visit ctx key pred pred_link curr slot level count =
+    if level > 0 && curr.key >= key then
+      stop ctx key pred curr slot level count
     else begin
       let curr_link = R.aget curr.next level in
       touch ctx curr;
       match curr_link with
       | Ptr { dest = succ; marked = true } ->
         (* snip the marked node out of this level *)
-        R.acas pred.next level pred_link succ.ulink
-        && level_walk ctx key pred slot level
+        if R.acas pred.next level pred_link succ.ulink then
+          level_walk ctx key pred slot level count
+        else -1
       | Ptr { dest = succ; marked = false } when curr.key < key ->
-        step ctx key curr curr_link succ (slot lxor 1) level
-      | Null when curr.key < key -> false
-      | Null | Ptr { marked = false; _ } -> stop ctx key pred curr slot level
+        step ctx key curr curr_link succ (slot lxor 1) level (count + 1)
+      | Null when curr.key < key -> -1
+      | Null | Ptr { marked = false; _ } ->
+        stop ctx key pred curr slot level count
     end
 
   (* Record [level]'s stop and descend; [pred] keeps the slot it is in. *)
-  and stop ctx key pred curr slot level =
+  and stop ctx key pred curr slot level count =
     ctx.preds.(level) <- pred;
     ctx.succs.(level) <- curr;
     if level = 0 then begin
       ctx.succ_slot <- slot;
-      true
+      count
     end
-    else level_walk ctx key pred ((2 * level) - 1) (level - 1)
+    else level_walk ctx key pred ((2 * level) - 1) (level - 1) count
 
   (* One full traversal pass (see the header), retried until complete. *)
   let rec find ctx key =
-    if not (level_walk ctx key ctx.set.head ((2 * max_level) + 1) max_level)
+    if level_walk ctx key ctx.set.head ((2 * max_level) + 1) max_level 0 < 0
     then find ctx key
 
   (* Recovery after a neutralization signal aborted an update past its
@@ -484,62 +492,25 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     D.manage_state ctx.smr;
     delete_attempt ctx key
 
-  (* Position at the first node with key >= [lo], then count from there:
-     [count] plus the keys met in [lo, hi], or -1 when the scan must
-     restart. The walk alternates the two level-0 slots (see the header);
-     [node] is protected and [slot] is the slot its successor does not go
-     into. *)
-  let rec range_from ctx lo hi count =
+  (* The keys present in [lo, hi], counted by [find] for [lo] and the same
+     pass run on at level 0 from its stop toward [target] (see the header),
+     retried from [lo] at 0 until one completes. *)
+  let rec count_attempt ctx lo target =
     find ctx lo;
-    range_walk ctx hi count ctx.succ_slot ctx.succs.(0)
+    let first = ctx.succs.(0) in
+    let count =
+      if first == ctx.set.tail then 0
+      else visit ctx target ctx.preds.(0) first.ulink first ctx.succ_slot 0 0
+    in
+    if count < 0 then count_attempt ctx lo target else count
 
-  and range_walk ctx hi count slot node =
-    if node == ctx.set.tail || node.key > hi then count
-    else begin
-      let link = R.aget node.next 0 in
-      (* the read above is the access hazard: re-check the oracle *)
-      touch ctx node;
-      match link with
-      | Null -> count
-      | Ptr { marked = true; _ } ->
-        (* [node] is being deleted: not counted, and not left by its
-           frozen link (see the header) *)
-        range_from ctx node.key hi count
-      | Ptr { dest; marked = false } when dest == ctx.set.tail ->
-        (* never retired: not published, not validated *)
-        count + 1
-      | Ptr { dest; marked = false } ->
-        let slot' = 1 - slot in
-        D.assign_hp ctx.smr ~slot:slot' dest;
-        (* Validation read: if node's level-0 link changed, dest may already be
-           snipped out (and, without protection, freed) — restart. *)
-        if R.aget node.next 0 != link then -1
-        else begin
-          touch ctx dest;
-          range_walk ctx hi (count + 1) slot' dest
-        end
-    end
-
-  let rec range_scan ctx lo hi =
-    let count = range_from ctx lo hi 0 in
-    if count < 0 then range_scan ctx lo hi else count
-
-  (* Count the keys present in [lo, hi] — the KV service's range scan.
-     Positions with a full [find] pass (which leaves the first candidate
-     protected at the level-0 slot [succ_slot]), then walks the
-     authoritative level-0 chain, alternating the two bottom hazard-pointer
-     slots between the node in hand and its successor: the successor is
-     published, then the link is re-read to validate it still hangs off the
-     protected node (Condition 1), and the whole scan restarts on
-     interference. A marked node is not counted, and the scan re-positions
-     past it with [find] (see the header). A scan pins nodes for the whole
-     walk, so it holds hazard pointers far longer than a point operation —
-     exactly the pressure the service workload wants to put on
-     reclamation. *)
+  (* Count the keys present in [lo, hi] — the KV service's range scan. The
+     walk holds hazard pointers far longer than a point operation — exactly
+     the pressure the service workload wants to put on reclamation. *)
   let range_count ctx ~lo ~hi =
     if hi < lo then invalid_arg "Skiplist.range_count: hi < lo";
     D.manage_state ctx.smr;
-    let res = range_scan ctx lo hi in
+    let res = count_attempt ctx lo (if hi = max_int then hi else hi + 1) in
     D.clear_hps ctx.smr;
     res
 
