@@ -1,16 +1,17 @@
-(* The real runtime with a counter on every link read, every fence and
-   every hazard-slot store. A link read is an atomic-array element read
-   (the skip list's towers) or an atomic read (the list's [next]);
-   classic HP itself reads neither. Under classic HP a publish is
-   one fence and one store, and nothing else an operation runs fences,
-   so the fence count is the publish count; the other stores are the
-   clear's. *)
+(* The real runtime with a counter on every link read, every CAS, every
+   fence and every hazard-slot store. A link read is an atomic-array
+   element read (the skip list's towers) or an atomic read (the list's
+   [next]); classic HP itself reads neither and makes no CAS, so every
+   CAS counted is the structure's. Under classic HP a publish is one
+   fence and one store, and nothing else an operation runs fences, so the
+   fence count is the publish count; the other stores are the clear's. *)
 
 include Qs_real.Real_runtime
 
 let link_reads = ref 0
 let fences = ref 0
 let writes = ref 0
+let cases = ref 0
 
 let get a =
   incr link_reads;
@@ -19,6 +20,14 @@ let get a =
 let aget a i =
   incr link_reads;
   aget a i
+
+let cas a expected desired =
+  incr cases;
+  cas a expected desired
+
+let acas a i expected desired =
+  incr cases;
+  acas a i expected desired
 
 let fence () =
   incr fences;
@@ -33,6 +42,12 @@ let counted f =
   let r0 = !link_reads and f0 = !fences in
   f ();
   (!link_reads - r0, !fences - f0)
+
+(* Link reads, publishes and CASes of [f ()]. *)
+let counted_cas f =
+  let c0 = !cases in
+  let reads, publishes = counted f in
+  (reads, publishes, !cases - c0)
 
 (* Publishes and hazard-slot stores of [f ()]. *)
 let stored f =

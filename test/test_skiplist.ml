@@ -5,11 +5,12 @@
      warm-up) — the traversal is top-level recursion over the context, with
      no per-call closures, and every link an update CASes in is one of the
      canonical links its node was created with;
-   - on the simulator a sequential, uncontended delete costs at most 1.5x
-     the virtual ticks of the matching insert: one positioning pass and a
-     level-by-level unlink, not a positioning pass plus repeated sweeps;
    - under classic HP a fixed seeded sequence of searches makes an exact
-     number of fenced publishes;
+     number of link reads and fenced publishes; sequential insert/delete
+     pairs an exact number of reads, publishes and CASes (a delete is one
+     positioning pass and a level-by-level unlink, not a pass plus
+     sweeps); sequential range counts an exact number of reads and
+     publishes;
    - a pass reads each link once, reads no link of a stop above level 0,
      and publishes neither the tail nor a node that a slot of a higher
      level holds: a search of the empty set makes one link read per level
@@ -28,6 +29,10 @@
    - a stop above level 0 that is already marked is passed safely under
      classic HP and QSense: the set stays valid, no freed node is
      touched, and the history is linearizable;
+   - a range count, the search pass continued at level 0, never leaves a
+     node by a marked link: under classic HP with writers racing it, no
+     freed node is touched, the set stays valid and a quiescent count of
+     every key matches the set;
    - churn during a stall (QSense in fallback, C = 96, handlers leaving and
      rejoining while the victim is frozen) finishes, safe and leak-free. An
      insert of a key whose old node is still being deleted once stacked
@@ -88,45 +93,6 @@ let test_insert_delete_zero_alloc () =
       let k = (2 * (i land 1_023)) + 1 in
       if not (Sr.insert ctx k && Sr.delete ctx k) then
         Alcotest.fail "insert+delete of an absent key had no effect")
-
-(* --- simulator cost of a delete ------------------------------------------ *)
-
-(* Sequential insert/delete pairs of the odd keys in [1, 512) against a set
-   prefilled with the even ones; one process, no jitter or random stalls,
-   so every tick is the operation's own. *)
-let test_delete_cost () =
-  let sched =
-    S.create
-      { (S.default_config ~n_cores:1 ~seed:1) with
-        cost = { S.default_cost with jitter = 0; stall_prob = 0. } }
-  in
-  let cfg =
-    Qs_ds.Set_intf.default_config ~n_processes:1 ~scheme:Qs_smr.Scheme.Qsense
-  in
-  let set = Ss.create cfg in
-  let ctx = Ss.register set ~pid:0 in
-  let timed f =
-    let t0 = S.clock_of sched ~pid:0 in
-    if not (f ()) then Alcotest.fail "update had no effect";
-    S.clock_of sched ~pid:0 - t0
-  in
-  let ins, del =
-    S.exec sched ~pid:0 (fun () ->
-        for k = 0 to 255 do
-          ignore (Ss.insert ctx (2 * k))
-        done;
-        let ins = ref 0 and del = ref 0 in
-        for k = 0 to 255 do
-          let key = (2 * k) + 1 in
-          ins := !ins + timed (fun () -> Ss.insert ctx key);
-          del := !del + timed (fun () -> Ss.delete ctx key)
-        done;
-        (!ins, !del))
-  in
-  let ratio = float_of_int del /. float_of_int ins in
-  if ratio > 1.5 then
-    Alcotest.failf "delete costs %.2fx insert (%d vs %d ticks over 256 pairs)"
-      ratio del ins
 
 (* --- link reads and publishes per pass --------------------------------------- *)
 
@@ -191,13 +157,14 @@ let test_hp_search_publishes () =
     ignore (Sc.insert ctx (2 * k))
   done;
   let prng = Qs_util.Prng.create ~seed:1 in
-  let _, publishes =
+  let reads, publishes =
     counted (fun () ->
         for _ = 1 to 1_000 do
           ignore (Sc.search ctx (Qs_util.Prng.int prng 512))
         done)
   in
-  Alcotest.(check int) "publishes of 1,000 searches" 12_269 publishes
+  Alcotest.(check int) "publishes of 1,000 searches" 12_269 publishes;
+  Alcotest.(check int) "link reads of 1,000 searches" 37_381 reads
 
 (* --- hazard-slot stores and the tail ------------------------------------------ *)
 
@@ -239,6 +206,57 @@ let test_range_count_tail () =
   in
   Alcotest.(check int) "count" 1 !count;
   Alcotest.(check int) "publishes" 1 publishes
+
+(* --- exact counts of updates and range counts ---------------------------- *)
+
+(* The even keys of [0, 512) behind a counting context under classic HP. *)
+let counted_even_set () =
+  let ctx = counted_set () in
+  for k = 0 to 255 do
+    ignore (Sc.insert ctx (2 * k))
+  done;
+  ctx
+
+(* Sequential insert/delete pairs of the odd keys in [1, 512), one process
+   under classic HP: 20,361 link reads, 6,480 publishes and 1,392 CASes in
+   all. An insert is one positioning pass and a CAS per level; a delete
+   one pass, a mark per level and the fast unlink's CAS per level, not a
+   pass plus sweeps. These counts replace a bound of 1.5 on the ratio of
+   the deletes' simulator ticks to the inserts'. *)
+let test_update_counts () =
+  let ctx = counted_even_set () in
+  let ins = ref (0, 0, 0) and del = ref (0, 0, 0) in
+  let add r (a, b, c) =
+    let x, y, z = !r in
+    r := (x + a, y + b, z + c)
+  in
+  for k = 0 to 255 do
+    let key = (2 * k) + 1 in
+    add ins (Counted.counted_cas (fun () -> ignore (Sc.insert ctx key)));
+    add del (Counted.counted_cas (fun () -> ignore (Sc.delete ctx key)))
+  done;
+  let card = Alcotest.(triple int int int) in
+  Alcotest.check card "insert reads, publishes, CASes" (9_916, 3_360, 464) !ins;
+  Alcotest.check card "delete reads, publishes, CASes" (10_445, 3_120, 928) !del
+
+(* 512 counts of [lo, lo + 15], lo in [0, 512), on the even keys: [find]
+   for [lo], then the same pass on at level 0. Its level-0 stop's link is
+   read for the mark (495 reads, the 17 counts that end at the tail read
+   none) and [succs.(1)] is not published again (298 publishes and their
+   validation reads). The separate range walk made 27,049 reads and
+   10,226 publishes. *)
+let test_range_counts () =
+  let ctx = counted_even_set () in
+  let total = ref 0 in
+  let reads, publishes =
+    counted (fun () ->
+        for lo = 0 to 511 do
+          total := !total + Sc.range_count ctx ~lo ~hi:(lo + 15)
+        done)
+  in
+  Alcotest.(check int) "keys counted" 4_032 !total;
+  Alcotest.(check int) "link reads" 27_246 reads;
+  Alcotest.(check int) "publishes" 9_928 publishes
 
 (* An empty bucket's head links straight to the shared tail: the search
    answers without a publish (1 when it published the tail). *)
@@ -436,9 +454,82 @@ let test_marked_upper_stop () =
       done)
     [ Qs_smr.Scheme.Hp; Qs_smr.Scheme.Qsense ]
 
-(* --- churn during a stall ------------------------------------------------- *)
+(* --- the range count never leaves a node by a marked link --------------- *)
 
+(* Classic HP scanning on every retire, long random stalls (as the list's
+   probe test): pid 0 counts ranges of 8 keys of [0, 16) while pids 1 and 2
+   insert and delete them. A count that followed a marked link (frozen, so
+   its validation re-read always passes) could reach a node freed behind
+   it. No freed node may be touched, the set must stay valid, and a count
+   of [0, max_int] once the run is over must see every key. A shared step
+   that moved on through a marked link at level 0 failed 339 of these 450
+   seeds (use-after-free, an invalid set, worker failures, livelocks);
+   skip-list corpus cases 022, 030, 031, 039, 041, 043 and 044 catch it
+   too. The runs end by virtual time 3.3M; a pass looping on freed nodes
+   is failed at 16M, which the roosters' wake-ups reach, instead of
+   hanging the suite. *)
 exception Livelock of int
+
+let range_run ~seed =
+  let n = 3 in
+  let s =
+    S.create
+      { (S.default_config ~n_cores:n ~seed) with
+        rooster_interval = Some 2_000;
+        rooster_oversleep = 50;
+        cost = { S.default_cost with stall_prob = 0.02; stall_max = 8_000 } }
+  in
+  S.set_sink s
+    (Some
+       { Qs_intf.Runtime_intf.record =
+           (fun ~pid:_ ~time ~ev:_ ~a:_ ~b:_ ->
+             if time > 16_000_000 then raise (Livelock time)) });
+  let base =
+    Qs_ds.Set_intf.default_config ~n_processes:n ~scheme:Qs_smr.Scheme.Hp
+  in
+  let set =
+    Ss.create { base with smr = { base.smr with scan_threshold = 1 } }
+  in
+  let ctxs = Array.init n (fun pid -> Ss.register set ~pid) in
+  for pid = 0 to n - 1 do
+    let prng = Qs_util.Prng.create ~seed:((seed * 7) + pid) in
+    S.spawn s ~pid (fun () ->
+        let ctx = ctxs.(pid) in
+        for _ = 1 to 500 do
+          if pid = 0 then begin
+            let lo = Qs_util.Prng.int prng 9 in
+            ignore (Ss.range_count ctx ~lo ~hi:(lo + 7))
+          end
+          else begin
+            let key = Qs_util.Prng.int prng 16 in
+            if Qs_util.Prng.bool prng then ignore (Ss.insert ctx key)
+            else ignore (Ss.delete ctx key)
+          end
+        done)
+  done;
+  let name = Printf.sprintf "seed %d" seed in
+  (try S.run_all s
+   with Livelock t -> Alcotest.failf "%s: livelock, virtual time %d" name t);
+  (match S.failures s with
+  | [] -> ()
+  | (pid, e) :: _ ->
+    Alcotest.failf "%s: worker %d failed: %s" name pid (Printexc.to_string e));
+  Alcotest.(check int) (name ^ ": no use-after-free") 0 (Ss.violations set);
+  let ctx = ctxs.(0) in
+  match
+    S.exec s ~pid:0 (fun () ->
+        Ss.validate ctx;
+        (Ss.range_count ctx ~lo:0 ~hi:max_int, List.length (Ss.to_list ctx)))
+  with
+  | count, keys -> Alcotest.(check int) (name ^ ": quiescent count") keys count
+  | exception Failure msg -> Alcotest.failf "%s: %s" name msg
+
+let test_range_no_marked_link () =
+  for seed = 1 to 450 do
+    range_run ~seed
+  done
+
+(* --- churn during a stall ------------------------------------------------- *)
 
 let duration = 21_000_000
 
@@ -490,8 +581,8 @@ let suite =
       test_range_count_zero_alloc;
     Alcotest.test_case "insert+delete pair allocates exactly zero" `Quick
       test_insert_delete_zero_alloc;
-    Alcotest.test_case "sim delete costs at most 1.5x insert" `Quick
-      test_delete_cost;
+    Alcotest.test_case "HP insert/delete counts are exact" `Quick
+      test_update_counts;
     Alcotest.test_case "HP search publish count is exact" `Quick
       test_hp_search_publishes;
     Alcotest.test_case "empty search: one read per level, no publish" `Quick
@@ -504,6 +595,8 @@ let suite =
       test_search_stores;
     Alcotest.test_case "range count publishes no tail" `Quick
       test_range_count_tail;
+    Alcotest.test_case "HP range count read and publish counts are exact"
+      `Quick test_range_counts;
     Alcotest.test_case "empty-bucket probe publishes nothing" `Quick
       test_empty_bucket_probe;
     Alcotest.test_case "words per node fit the node's height" `Quick
@@ -514,5 +607,7 @@ let suite =
       test_live_heights_geometric;
     Alcotest.test_case "a marked upper-level stop is passed safely" `Quick
       test_marked_upper_stop;
+    Alcotest.test_case "range count never follows a marked link" `Quick
+      test_range_no_marked_link;
     Alcotest.test_case "churn during a stall finishes" `Quick
       test_churn_during_stall ]
