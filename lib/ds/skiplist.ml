@@ -105,10 +105,8 @@
    of it always passes, yet once its node is snipped the successor can be
    unlinked, retired and freed behind it; the step reads each node's link
    for the mark before moving on and snips a marked node in place. A
-   failed snip or validation restarts the count from [lo] at 0. The
-   stop's link is read for its mark like any level-0 stop's, and
-   [succs.(1)], met again, is not published again. When [succs.(0)] is
-   the tail, the count is 0 and the tail's link is not read.
+   failed snip or validation restarts the count from [lo] at 0. When
+   [succs.(0)] is the tail, the count is 0 and the tail's link is not read.
 
    Canonical links: a link value depends only on (dest, mark), not on the
    level, so each node carries its two link values, [ulink] and [mlink],
@@ -492,9 +490,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     D.manage_state ctx.smr;
     delete_attempt ctx key
 
-  (* The keys present in [lo, hi], counted by [find] for [lo] and the same
-     pass run on at level 0 from its stop toward [target] (see the header),
-     retried from [lo] at 0 until one completes. *)
+  (* [find] for [lo], then the same pass on at level 0 from its stop toward
+     [target] (see the header), retried from [lo] at 0 until one completes. *)
   let rec count_attempt ctx lo target =
     find ctx lo;
     let first = ctx.succs.(0) in
@@ -504,9 +501,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     in
     if count < 0 then count_attempt ctx lo target else count
 
-  (* Count the keys present in [lo, hi] — the KV service's range scan. The
-     walk holds hazard pointers far longer than a point operation — exactly
-     the pressure the service workload wants to put on reclamation. *)
+  (* The KV service's range scan. It holds hazard pointers far longer than
+     a point operation: the pressure the service workload wants to put on
+     reclamation. *)
   let range_count ctx ~lo ~hi =
     if hi < lo then invalid_arg "Skiplist.range_count: hi < lo";
     D.manage_state ctx.smr;

@@ -394,19 +394,23 @@ let test_live_heights_geometric () =
    count, found 1,421 of 73,448 upper-level stops marked over these 200
    runs. The test passes too when every stop's link is read and a marked
    stop is snipped. *)
+(* [n] processes under long random stalls, on a set that scans on every
+   retire. *)
+let stall_sched ~n ~seed =
+  S.create
+    { (S.default_config ~n_cores:n ~seed) with
+      rooster_interval = Some 2_000;
+      rooster_oversleep = 50;
+      cost = { S.default_cost with stall_prob = 0.02; stall_max = 8_000 } }
+
+let scan_every_retire ~n ~scheme =
+  let base = Qs_ds.Set_intf.default_config ~n_processes:n ~scheme in
+  Ss.create { base with smr = { base.smr with scan_threshold = 1 } }
+
 let marked_stop_run ~scheme ~seed =
   let n = 4 and ops = 50 in
-  let s =
-    S.create
-      { (S.default_config ~n_cores:n ~seed) with
-        rooster_interval = Some 2_000;
-        rooster_oversleep = 50;
-        cost = { S.default_cost with stall_prob = 0.02; stall_max = 8_000 } }
-  in
-  let base = Qs_ds.Set_intf.default_config ~n_processes:n ~scheme in
-  let set =
-    Ss.create { base with smr = { base.smr with scan_threshold = 1 } }
-  in
+  let s = stall_sched ~n ~seed in
+  let set = scan_every_retire ~n ~scheme in
   let ctxs = Array.init n (fun pid -> Ss.register set ~pid) in
   let history = Qs_verify.History.create ~n in
   let at () = S.steps s in
@@ -472,24 +476,13 @@ exception Livelock of int
 
 let range_run ~seed =
   let n = 3 in
-  let s =
-    S.create
-      { (S.default_config ~n_cores:n ~seed) with
-        rooster_interval = Some 2_000;
-        rooster_oversleep = 50;
-        cost = { S.default_cost with stall_prob = 0.02; stall_max = 8_000 } }
-  in
+  let s = stall_sched ~n ~seed in
   S.set_sink s
     (Some
        { Qs_intf.Runtime_intf.record =
            (fun ~pid:_ ~time ~ev:_ ~a:_ ~b:_ ->
              if time > 16_000_000 then raise (Livelock time)) });
-  let base =
-    Qs_ds.Set_intf.default_config ~n_processes:n ~scheme:Qs_smr.Scheme.Hp
-  in
-  let set =
-    Ss.create { base with smr = { base.smr with scan_threshold = 1 } }
-  in
+  let set = scan_every_retire ~n ~scheme:Qs_smr.Scheme.Hp in
   let ctxs = Array.init n (fun pid -> Ss.register set ~pid) in
   for pid = 0 to n - 1 do
     let prng = Qs_util.Prng.create ~seed:((seed * 7) + pid) in
