@@ -8,43 +8,46 @@
    process whose CAS physically unlinks the node is the unique caller of
    [retire] for it.
 
-   Canonical links: a link value depends only on (dest, mark), so every
-   node carries its two link values, [ulink] (unmarked) and [mlink]
-   (marked), built once when the node is created; the arena recycles
-   nodes, so they are paid for once per node, not once per CAS, and no
-   insert or delete allocates. CAS compares physical identity, which here
-   means comparing (dest, mark) — the tagged word of the paper's ASCYLIB
-   code. A link value can therefore leave a cell and come back, and ABA
-   safety rests on reclamation, as in C: a node held by a hazard pointer
-   (or inside the epoch that reached it) is never recycled, so the same
-   (dest, mark) in a cell means the same node in the same place. Since
-   every unmarked link in a cell is physically its [dest.ulink], a witness
-   is named rather than stored: [find] leaves [pred] and [curr], and the
-   CAS compares against [curr.ulink]. Per CAS site (slot 0 = predecessor,
-   slot 1 = current; under epoch schemes the operation's epoch plays both
-   roles):
-   - [walk]'s snip, [pred.next]: [curr.ulink] -> [succ.ulink]. [curr] is
-     in slot 1, published and validated. If the witness still holds,
-     [curr] is still [pred]'s unmarked successor — possibly again, after
-     a node was inserted in front of it and deleted, which leaves the
-     same state. [succ] needs no slot: [curr]'s link is marked, so it is
-     frozen, and [succ] stays linked for as long as [curr] is.
-   - insert's publish, [pred.next]: [curr.ulink] -> [n.ulink]. Same
-     witness, [curr] in slot 1; [n] is not yet shared.
-   - delete's mark, [curr.next]: [succ.ulink] -> [succ.mlink]. [curr] is
-     in slot 1, but [succ] is unprotected: between the read and the CAS
-     it may be unlinked, freed, recycled and linked behind [curr] again.
-     That ABA is benign: the CAS writes the marked form of exactly the
-     link it found, so it sets the mark and keeps whatever successor is
-     there now — the atomic mark the algorithm asks for.
-   - delete's unlink, [pred.next]: [curr.ulink] -> [succ.ulink]. [curr]
-     in slot 1; [succ] is the successor our own mark froze.
+   Canonical links: a link value depends only on (dest, mark). An
+   unmarked link is the successor node itself, and a marked link is the
+   node's one mark box, [mlink], built once when the node is created (a
+   link is a [cell]: [Null], a node, or a node's mark, behind an unboxed
+   constructor, so following an unmarked link is one load, as in the
+   paper's C code, where the mark is the low bit of the pointer). The
+   arena recycles nodes, so mark boxes are paid for once per node, not
+   once per CAS, and no insert or delete allocates. CAS compares physical
+   identity, which here means comparing (dest, mark) — the tagged word of
+   the paper's ASCYLIB code. A link value can therefore leave a cell and
+   come back, and ABA safety rests on reclamation, as in C: a node held by
+   a hazard pointer (or inside the epoch that reached it) is never
+   recycled, so the same (dest, mark) in a cell means the same node in the
+   same place. Since every unmarked link in a cell is physically its dest,
+   a witness is named rather than stored: [find] leaves [pred] and [curr],
+   and the CAS compares against [curr]. Per CAS site (slot 0 =
+   predecessor, slot 1 = current; under epoch schemes the operation's
+   epoch plays both roles):
+   - [walk]'s snip, [pred.next]: [curr] -> [succ]. [curr] is in slot 1,
+     published and validated. If the witness still holds, [curr] is still
+     [pred]'s unmarked successor — possibly again, after a node was
+     inserted in front of it and deleted, which leaves the same state.
+     [succ] needs no slot: [curr]'s link is marked, so it is frozen, and
+     [succ] stays linked for as long as [curr] is.
+   - insert's publish, [pred.next]: [curr] -> [n]. Same witness, [curr]
+     in slot 1; [n] is not yet shared.
+   - delete's mark, [curr.next]: [succ] -> [succ.mlink]. [curr] is in
+     slot 1, but [succ] is unprotected: between the read and the CAS it
+     may be unlinked, freed, recycled and linked behind [curr] again. That
+     ABA is benign: the CAS writes the marked form of exactly the link it
+     found, so it sets the mark and keeps whatever successor is there now
+     — the atomic mark the algorithm asks for.
+   - delete's unlink, [pred.next]: [curr] -> [succ]. [curr] in slot 1;
+     [succ] is the successor our own mark froze.
    No CAS site is left with an unprotected witness that is not benign, so
-   no site builds a fresh link. The validation reads ([R.get pred.next !=
-   pred_link], where [pred_link] is [curr.ulink]) compare the same way:
-   an equal re-read means the published node is linked there now, hence
-   not yet retired, which is all that Condition 1 asks. [validate_in]
-   checks that every link is canonical.
+   no site builds a fresh mark box. The validation reads ([R.get pred.next
+   != pred_link], where [pred_link] is [curr]) compare the same way: an
+   equal re-read means the published node is linked there now, hence not
+   yet retired, which is all that Condition 1 asks. [validate_in] checks
+   that every marked link is its dest's [mlink].
 
    Hazard-pointer discipline (K = 2): in [find], slot 0 protects the
    predecessor, slot 1 the current node; the search ([probe_walk])
@@ -52,16 +55,26 @@
    link we followed is still there), per Condition 1. *)
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
-  type node = {
-    uid : int; (* stable identity for the SMR membership set *)
-    mutable key : int;
-    next : link R.atomic;
-    ulink : link; (* [Ptr {dest = self; marked = false}] *)
-    mlink : link; (* [Ptr {dest = self; marked = true}] *)
-    mutable free : bool; (* the arena's Free bit *)
-  }
+  type _ cell =
+    | Null : [ `Null ] cell
+    | Node : {
+        uid : int; (* stable identity for the SMR membership set *)
+        mutable key : int;
+        next : link R.atomic;
+        mlink : [ `Mark ] cell; (* [Mark self]: the marked link to it *)
+        mutable free : bool; (* the arena's Free bit *)
+      }
+        -> [ `Node ] cell
+    | Mark : [ `Node ] cell -> [ `Mark ] cell
 
-  and link = Null | Ptr of { dest : node; marked : bool }
+  (* [L Null], [L n] (unmarked: the node [n] itself) or [L n.mlink]
+     (marked); unboxed, so a link is its cell (see the header) *)
+  and link = L : _ cell -> link [@@unboxed]
+
+  type node = [ `Node ] cell
+
+  let next (Node n : node) = n.next
+  let mlink (Node n : node) = L n.mlink
 
   (* Node identities for Smr_intf.NODE.id: stamped once at creation (the
      slow allocation path), stable across arena reuse. Stdlib atomics, not
@@ -69,27 +82,20 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let uid_counter = Atomic.make 0
   let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
-  (* A node with its two canonical links (see the header). *)
-  let make_node ~key ~next =
+  (* A node with its mark box (see the header). *)
+  let make_node ~key ~next : node =
     let uid = fresh_uid () in
-    let rec n =
-      { uid;
-        key;
-        next;
-        ulink = Ptr { dest = n; marked = false };
-        mlink = Ptr { dest = n; marked = true };
-        free = false }
-    in
+    let rec n = Node { uid; key; next; mlink = Mark n; free = false } in
     n
 
   module D = Smr_domain.Make (R) (struct
     type t = node
 
-    let create () = make_node ~key:0 ~next:(R.atomic Null)
+    let create () = make_node ~key:0 ~next:(R.atomic (L Null))
 
-    let is_free n = n.free
-    let set_free n b = n.free <- b
-    let id n = n.uid
+    let is_free (Node n : node) = n.free
+    let set_free (Node n : node) b = n.free <- b
+    let id (Node n : node) = n.uid
   end)
 
   type t = { head : node; tail : node; dom : D.t }
@@ -106,8 +112,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let hp_per_process = 2
 
   let create (cfg : Set_intf.config) =
-    let tail = make_node ~key:max_int ~next:(R.atomic Null) in
-    let head = make_node ~key:min_int ~next:(R.atomic tail.ulink) in
+    let tail = make_node ~key:max_int ~next:(R.atomic (L Null)) in
+    let head = make_node ~key:min_int ~next:(R.atomic (L tail)) in
     { head;
       tail;
       dom = D.create cfg ~hp_per_process ~removes_per_op_max:1 ~dummy:tail }
@@ -120,46 +126,46 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       curr = t.tail }
 
   (* the oracle, pre-filtered on [Free] (see {!Smr_domain.Make.touch}) *)
-  let touch ctx n = if n.free then D.touch ctx.smr n
+  let touch ctx (Node n as node : node) = if n.free then D.touch ctx.smr node
 
   (* Find the first node with key >= [key] starting from [head] (the list's
      own head, or a hash-table bucket's), cleaning up marked nodes on the
      way. Leaves [pred] and [curr] in the ctx; the link read from
-     [pred.next] was [curr.ulink] (see the header), the CAS witness for
-     both insertion and physical deletion. Top-level recursion over the
-     ctx, with the result in its fields rather than a tuple, so a pass
+     [pred.next] was [curr] (see the header), the CAS witness for both
+     insertion and physical deletion. Top-level recursion over the ctx,
+     with the result in its fields rather than a tuple, so a pass
      allocates nothing. *)
   let rec find ctx head key = walk ctx head key head
 
-  and walk ctx head key pred =
-    let pred_link = R.get pred.next in
+  and walk ctx head key (Node p as pred : node) =
+    let pred_link = R.get p.next in
     touch ctx pred;
     match pred_link with
-    | Null | Ptr { marked = true; _ } ->
+    | L Null | L (Mark _) ->
       (* pred itself was removed or is being removed: restart from head *)
       find ctx head key
-    | Ptr { dest = curr; marked = false } ->
+    | L (Node c as curr) ->
       D.assign_hp ctx.smr ~slot:1 curr;
       (* Validation read: if pred.next changed since we read it, curr may
          already be unlinked (and, without protection, freed) — restart.
          The hazard pointer published above makes the success case safe. *)
-      if R.get pred.next != pred_link then find ctx head key
+      if R.get p.next != pred_link then find ctx head key
       else begin
         touch ctx curr;
-        let curr_link = R.get curr.next in
+        let curr_link = R.get c.next in
         (* the read above is the access hazard: re-check the oracle *)
         touch ctx curr;
         match curr_link with
-        | Ptr { dest = succ; marked = true } ->
+        | L (Mark succ) ->
           (* curr is logically deleted: attempt the physical unlink; the
              winner of this CAS retires the node (free_node_later). *)
-          if R.cas pred.next pred_link succ.ulink then begin
+          if R.cas p.next pred_link (L succ) then begin
             D.retire ctx.smr curr;
             walk ctx head key pred
           end
           else find ctx head key
-        | Null | Ptr { marked = false; _ } ->
-          if curr.key >= key then begin
+        | L Null | L (Node _) ->
+          if c.key >= key then begin
             ctx.pred <- pred;
             ctx.curr <- curr
           end
@@ -167,7 +173,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
             D.assign_hp ctx.smr ~slot:0 curr;
             (* Re-validate: curr must still be pred's successor, otherwise
                the slot-0 protection could cover an already-freed node. *)
-            if R.get pred.next != pred_link then find ctx head key
+            if R.get p.next != pred_link then find ctx head key
             else walk ctx head key curr
           end
       end
@@ -175,9 +181,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   (* The search's fallback at a marked link: membership by [find]. *)
   let find_member ctx bucket key =
     find ctx bucket key;
-    let curr = ctx.curr in
+    let (Node c as curr) = ctx.curr in
     touch ctx curr;
-    let res = curr.key = key in
+    let res = c.key = key in
     D.clear_hps ctx.smr;
     res
 
@@ -201,38 +207,38 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
      [find], it publishes once per node rather than twice, never
      publishes the tail and, until it meets a marked link, never writes
      the chain. *)
-  let rec probe_walk ctx bucket key slot node =
-    if node.key > key then begin
+  let rec probe_walk ctx bucket key slot (Node n as node : node) =
+    if n.key > key then begin
       D.clear_hps ctx.smr;
       false
     end
-    else if node.key = key then begin
-      let link = R.get node.next in
+    else if n.key = key then begin
+      let link = R.get n.next in
       touch ctx node;
       D.clear_hps ctx.smr;
       match link with
-      | Null -> true
-      | Ptr { marked; _ } -> not marked
+      | L Null | L (Node _) -> true
+      | L (Mark _) -> false
     end
     else begin
-      let link = R.get node.next in
+      let link = R.get n.next in
       touch ctx node;
       match link with
-      | Null ->
+      | L Null ->
         D.clear_hps ctx.smr;
         false
-      | Ptr { marked = true; _ } -> find_member ctx bucket key
-      | Ptr { dest; marked = false } when dest == ctx.set.tail ->
+      | L (Mark _) -> find_member ctx bucket key
+      | L (Node _ as dest) when dest == ctx.set.tail ->
         (* the tail is never retired, so it is neither published nor
            validated, and its key, [max_int], ends every walk *)
         D.clear_hps ctx.smr;
         false
-      | Ptr { dest; marked = false } ->
+      | L (Node _ as dest) ->
         let slot' = 1 - slot in
         D.assign_hp ctx.smr ~slot:slot' dest;
         (* Validation read: if node.next changed since we read it, dest
            may already be unlinked (and freed) — restart from the head. *)
-        if R.get node.next != link then probe_restart ctx bucket key
+        if R.get n.next != link then probe_restart ctx bucket key
         else begin
           touch ctx dest;
           probe_walk ctx bucket key slot' dest
@@ -255,21 +261,21 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   let rec insert_attempt ctx bucket key =
     find ctx bucket key;
-    let pred = ctx.pred and curr = ctx.curr in
-    if curr.key = key then begin
+    let pred = ctx.pred and (Node c as curr) = ctx.curr in
+    if c.key = key then begin
       if ctx.fresh != ctx.set.tail then drop_fresh ctx;
       D.clear_hps ctx.smr;
       false
     end
     else begin
       if ctx.fresh == ctx.set.tail then begin
-        let n = D.alloc ctx.smr in
-        n.key <- key;
+        let (Node m as n) = D.alloc ctx.smr in
+        m.key <- key;
         ctx.fresh <- n
       end;
       let n = ctx.fresh in
-      R.set n.next curr.ulink;
-      if R.cas pred.next curr.ulink n.ulink then begin
+      R.set (next n) (L curr);
+      if R.cas (next pred) (L curr) (L n) then begin
         ctx.fresh <- ctx.set.tail;
         D.clear_hps ctx.smr;
         true
@@ -291,23 +297,23 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   let rec delete_attempt ctx bucket key =
     find ctx bucket key;
-    let pred = ctx.pred and curr = ctx.curr in
-    if curr.key <> key then begin
+    let pred = ctx.pred and (Node c as curr) = ctx.curr in
+    if c.key <> key then begin
       D.clear_hps ctx.smr;
       false
     end
     else begin
-      let curr_link0 = R.get curr.next in
+      let curr_link = R.get c.next in
       touch ctx curr;
-      match curr_link0 with
-      | Null ->
+      match curr_link with
+      | L Null ->
         (* curr is the tail sentinel; impossible since tail.key = max_int *)
         D.clear_hps ctx.smr;
         false
-      | Ptr { dest = succ; marked = false } as curr_link ->
-        if R.cas curr.next curr_link succ.mlink then begin
+      | L (Node _ as succ) ->
+        if R.cas c.next curr_link (mlink succ) then begin
           (* Logical delete succeeded — we own the removal. *)
-          (if R.cas pred.next curr.ulink succ.ulink then D.retire ctx.smr curr
+          (if R.cas (next pred) (L curr) (L succ) then D.retire ctx.smr curr
            else
              (* physical unlink lost a race; a find pass cleans up and
                 retires on our behalf *)
@@ -316,7 +322,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
           true
         end
         else delete_attempt ctx bucket key
-      | Ptr { marked = true; _ } ->
+      | L (Mark _) ->
         (* someone else is deleting it; retry to settle the outcome *)
         delete_attempt ctx bucket key
     end
@@ -333,17 +339,17 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   (* A fresh head sentinel chained to the shared tail — hash-table buckets.
      Never reclaimed. *)
-  let new_bucket t = make_node ~key:min_int ~next:(R.atomic t.tail.ulink)
+  let new_bucket t = make_node ~key:min_int ~next:(R.atomic (L t.tail))
 
   (* Sequential-context helpers (no concurrent mutators). *)
 
   let to_list_in ctx ~bucket =
     let rec go acc n =
-      match R.get n.next with
-      | Null -> List.rev acc
-      | Ptr { dest; marked } ->
-        if dest == ctx.set.tail then List.rev acc
-        else go (if marked then acc else dest.key :: acc) dest
+      match R.get (next n) with
+      | L Null -> List.rev acc
+      | L (Mark dest) -> if dest == ctx.set.tail then List.rev acc else go acc dest
+      | L (Node d as dest) ->
+        if dest == ctx.set.tail then List.rev acc else go (d.key :: acc) dest
     in
     go [] bucket
 
@@ -352,22 +358,24 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   (* Structural invariant check (sequential context): the chain from the
      bucket head reaches the shared tail, node keys strictly increase
      (marked nodes keep their position in Harris's algorithm, so the check
-     covers them too), and every link is canonical — physically
-     [dest.ulink] or [dest.mlink] — which the CAS witnesses rely on. *)
+     covers them too), and every marked link is canonical — physically its
+     dest's [mlink] — which the CAS witnesses rely on. *)
   let validate_in ctx ~bucket =
     let rec go last n hops =
       if hops > 1_000_000 then failwith "list: cycle suspected";
-      match R.get n.next with
-      | Null ->
+      match R.get (next n) with
+      | L Null ->
         if n != ctx.set.tail then failwith "list: chain does not end at tail"
-      | Ptr { dest; marked } as l ->
-        if l != (if marked then dest.mlink else dest.ulink) then
-          failwith "list: link is not canonical";
-        if dest != ctx.set.tail then begin
-          if dest.key <= last then failwith "list: keys not strictly increasing";
-          go dest.key dest (hops + 1)
-        end
-        else go last dest (hops + 1)
+      | L (Mark dest as l) ->
+        if L l != mlink dest then failwith "list: link is not canonical";
+        past last dest hops
+      | L (Node _ as dest) -> past last dest hops
+    and past last (Node d as dest : node) hops =
+      if dest != ctx.set.tail then begin
+        if d.key <= last then failwith "list: keys not strictly increasing";
+        go d.key dest (hops + 1)
+      end
+      else go last dest (hops + 1)
     in
     go min_int bucket 0
 

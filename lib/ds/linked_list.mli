@@ -9,9 +9,11 @@
     Deletion marks the victim's link (logical) then unlinks it (physical);
     the winner of the physical unlink CAS retires the node.
 
-    Links are canonical: each node carries its unmarked and marked link
-    values, built once when the node is created, so insert and delete
-    allocate nothing. A CAS compares (dest, mark), and ABA safety rests on
+    Links are canonical: an unmarked link is the successor node itself
+    (one load to follow, as with the paper's tagged pointers), and a
+    marked link is the node's one mark box, built once when the node is
+    created, so insert and delete allocate nothing. A CAS compares
+    (dest, mark), and ABA safety rests on
     reclamation: every CAS's witness names a node held by a hazard pointer
     (or the operation's epoch), which cannot be recycled. The one
     unprotected witness, the successor in delete's mark CAS, is benign:

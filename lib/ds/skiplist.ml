@@ -96,10 +96,10 @@
    allocates nothing.
 
    Range counts: [range_count ~lo ~hi] is [find] for [lo] continued. The
-   same pass goes on at level 0 from [succs.(0)] (witness
-   [succs.(0).ulink], predecessor [preds.(0)], slot [succ_slot]) toward
-   [hi + 1], or [max_int] when [hi] is, and returns the number of nodes
-   it moved past: the keys in [lo, hi]. So the count takes the one step
+   same pass goes on at level 0 from [succs.(0)] (witness [succs.(0)],
+   predecessor [preds.(0)], slot [succ_slot]) toward [hi + 1], or
+   [max_int] when [hi] is, and returns the number of nodes it moved past:
+   the keys in [lo, hi]. So the count takes the one step
    every pass takes and never leaves a node by a marked link (Brown,
    arXiv:1712.01044). A marked link is frozen, so a validation re-read
    of it always passes, yet once its node is snipped the successor can be
@@ -109,27 +109,29 @@
    [succs.(0)] is the tail, the count is 0 and the tail's link is not read.
 
    Canonical links: a link value depends only on (dest, mark), not on the
-   level, so each node carries its two link values, [ulink] and [mlink],
-   built once when the node is created and shared by all its levels. Only
-   a node's first insert allocates. CAS compares physical identity, which here
-   means comparing (dest, mark), so a link value can leave a cell and come
-   back; ABA safety rests on reclamation, as in the paper's C code: a node
-   held by a hazard pointer (or inside the epoch that reached it) is never
-   recycled. Since every unmarked link in a cell is physically its
-   [dest.ulink], no witness is stored: a pass leaves [preds] and [succs],
-   and each CAS names its witness by a [ulink]. Per CAS site, writing
-   [x.next[l]] for element [l] of [x]'s link array:
-   - [visit]'s snip, [pred.next[l]]: [curr.ulink] -> [succ.ulink].
-     [curr] is held: published at [l] and validated, or [succs.(1)] at
-     level 0 (above it, [succs.(l + 1)] is a stop, never snipped). A
+   level. An unmarked link is the successor node itself, and a marked link
+   is the node's one mark box, [mlink], built once when the node is
+   created and shared by all its levels (as in {!Linked_list}: a link is
+   a [cell] behind an unboxed constructor, so following an unmarked link
+   is one load). Only a node's first insert allocates. CAS compares
+   physical identity, which here means comparing (dest, mark), so a link
+   value can leave a cell and come back; ABA safety rests on reclamation,
+   as in the paper's C code: a node held by a hazard pointer (or inside
+   the epoch that reached it) is never recycled. Since every unmarked link
+   in a cell is physically its dest, no witness is stored: a pass leaves
+   [preds] and [succs], and each CAS names its witness by a node. Per CAS
+   site, writing [x.next[l]] for element [l] of [x]'s link array:
+   - [visit]'s snip, [pred.next[l]]: [curr] -> [succ]. [curr] is held:
+     published at [l] and validated, or [succs.(1)] at level 0 (above
+     it, [succs.(l + 1)] is a stop, never snipped). A
      witness that still holds means [curr] is still [pred]'s unmarked
      successor (again, perhaps, after a node was inserted in front of it
      and deleted: the same state). [succ] is [curr]'s frozen successor at
      [l] — a marked link is never CASed — so it stays linked at [l] as
      long as [curr] is.
-   - insert's bottom CAS, [preds.(0).next[0]]: [succs.(0).ulink] ->
-     [n.ulink]. [succs.(0)] is the tail or held.
-   - [link_upper]'s CAS on [n.next[l]]: cur -> [succs.(l).ulink]. [n] is
+   - insert's bottom CAS, [preds.(0).next[0]]: [succs.(0)] -> [n].
+     [succs.(0)] is the tail or held.
+   - [link_upper]'s CAS on [n.next[l]]: cur -> [succs.(l)]. [n] is
      in the inserter's own slot. [cur]'s dest (a stale successor) is
      unprotected, but no ABA is possible: [n] is not linked at [l] yet, so
      only a deleter's mark can move the cell, and a mark is never undone.
@@ -142,8 +144,8 @@
      re-read after the link sees the mark and runs the [key + 1] pass
      itself, or the link was made before the level-0 mark and is undone
      by the owning deleter.
-   - [link_upper]'s CAS on [preds.(l).next[l]]: [succs.(l).ulink] ->
-     [n.ulink]. [succs.(l)] is held by a slot of a level >= [l]. It may be
+   - [link_upper]'s CAS on [preds.(l).next[l]]: [succs.(l)] -> [n].
+     [succs.(l)] is held by a slot of a level >= [l]. It may be
      marked at [l] (the pass reads no upper stop's link), the state a mark
      landing just after a read of that link leaves too. A witness that
      holds means [succs.(l)] is still linked behind [preds.(l)] at [l], so
@@ -151,12 +153,11 @@
      unlinks it from behind [n] all the same: by the fast unlink when the
      owner's pass ran after this CAS, else by the [key + 1] pass that the
      moved witness sends it to.
-   - [mark], [n.next[l]]: [dest.ulink] -> [dest.mlink]. [n] is
-     [succs.(0)], held; [dest] is unprotected and may be
-     recycled and relinked behind [n] between the read and the CAS. That
+   - [mark], [n.next[l]]: [dest] -> [dest.mlink]. [n] is [succs.(0)],
+     held; [dest] is unprotected and may be recycled and relinked behind [n] between the read and the CAS. That
      ABA is benign: the CAS writes the marked form of exactly the link it
      found, so it sets the mark and keeps whatever successor is there now.
-   - [unlink_fast], [preds.(l).next[l]]: [n.ulink] -> [dest.ulink], where
+   - [unlink_fast], [preds.(l).next[l]]: [n] -> [dest], where
      [linked_everywhere] has checked [succs.(l) == n]. [n] is held, and
      [preds.(l)] at a slot of a level >= [l]; [dest] is
      the successor frozen by the mark. A witness that holds means [n] is
@@ -168,45 +169,50 @@
      the mark landed, so that is the same case as a mark landing after
      the pass went by.
    No site is left with an unprotected witness that is not benign, so no
-   site builds a fresh link. The validation reads compare the same way:
-   an equal re-read means the published node is linked there now, hence
-   not yet retired. [validate] checks that every link is canonical and
-   that no node is linked above its [top]. *)
+   site builds a fresh mark box. The validation reads compare the same
+   way: an equal re-read means the published node is linked there now,
+   hence not yet retired. [validate] checks that every marked link is its
+   dest's [mlink] and that no node is linked above its [top]. *)
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let max_level = 15 (* enough for the paper's 20k-element skip list *)
 
-  type node = {
-    uid : int; (* stable identity for the SMR membership set *)
-    mutable key : int;
-    mutable top : int; (* index of this node's highest level; -1: none yet *)
-    mutable next : link R.atomic_array;
-        (* per-level links, [top + 1] of them; set once (see the header) *)
-    ulink : link; (* [Ptr {dest = self; marked = false}], every level *)
-    mlink : link; (* [Ptr {dest = self; marked = true}] *)
-    mutable free : bool; (* the arena's Free bit *)
-  }
+  type _ cell =
+    | Null : [ `Null ] cell
+    | Node : {
+        uid : int; (* stable identity for the SMR membership set *)
+        mutable key : int;
+        mutable top : int; (* index of this node's highest level; -1: none yet *)
+        mutable next : link R.atomic_array;
+            (* per-level links, [top + 1] of them; set once (see the header) *)
+        mlink : [ `Mark ] cell; (* [Mark self], every level *)
+        mutable free : bool; (* the arena's Free bit *)
+      }
+        -> [ `Node ] cell
+    | Mark : [ `Node ] cell -> [ `Mark ] cell
 
-  and link = Null | Ptr of { dest : node; marked : bool }
+  (* [L Null], [L n] (unmarked: the node [n] itself) or [L n.mlink]
+     (marked); unboxed, so a link is its cell (see the header) *)
+  and link = L : _ cell -> link [@@unboxed]
+
+  type node = [ `Node ] cell
 
   let uid_counter = Atomic.make 0
   let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
-  (* A node with its two canonical links (see the header). *)
-  let make_node ~key ~top ~next =
+  (* A node with its mark box (see the header). *)
+  let make_node ~key ~top ~next : node =
     let uid = fresh_uid () in
-    let rec n =
-      { uid;
-        key;
-        top;
-        next;
-        ulink = Ptr { dest = n; marked = false };
-        mlink = Ptr { dest = n; marked = true };
-        free = false }
-    in
+    let rec n = Node { uid; key; top; next; mlink = Mark n; free = false } in
     n
 
-  let null_links n = R.atomic_array n (fun _ -> Null)
+  let uid (Node n : node) = n.uid
+  let key (Node n : node) = n.key
+  let top (Node n : node) = n.top
+  let next (Node n : node) = n.next
+  let mlink (Node n : node) = L n.mlink
+
+  let null_links n = R.atomic_array n (fun _ -> L Null)
 
   (* the tower of a node that has none yet: shared, never indexed *)
   let no_links = null_links 0
@@ -217,9 +223,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     (* Towerless: its first insert gives it a height (see the header). *)
     let create () = make_node ~key:0 ~top:(-1) ~next:no_links
 
-    let is_free n = n.free
-    let set_free n b = n.free <- b
-    let id n = n.uid
+    let is_free (Node n : node) = n.free
+    let set_free (Node n : node) b = n.free <- b
+    let id (Node n : node) = n.uid
   end)
 
   type t = { head : node; tail : node; dom : D.t }
@@ -246,7 +252,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     in
     let head =
       make_node ~key:min_int ~top:max_level
-        ~next:(R.atomic_array (max_level + 1) (fun _ -> tail.ulink))
+        ~next:(R.atomic_array (max_level + 1) (fun _ -> L tail))
     in
     { head;
       tail;
@@ -262,14 +268,14 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       fresh = t.tail }
 
   (* the oracle, pre-filtered on [Free] (see {!Smr_domain.Make.touch}) *)
-  let touch ctx n = if n.free then D.touch ctx.smr n
+  let touch ctx (Node n as node : node) = if n.free then D.touch ctx.smr node
 
   let rec random_level prng lvl =
     if lvl < max_level && Qs_util.Prng.bool prng then random_level prng (lvl + 1)
     else lvl
 
   let is_marked n =
-    match R.aget n.next 0 with Ptr { marked; _ } -> marked | Null -> false
+    match R.aget (next n) 0 with L (Mark _) -> true | L Null | L (Node _) -> false
 
   (* The pass of [find] from [pred] at [level] down to level 0: fills
      ctx.preds/succs/succ_slot and returns [count] plus the number of nodes
@@ -281,12 +287,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
      the walk just left. A range count runs the same pass on from its
      level-0 stop (see the header). *)
   let rec level_walk ctx key pred slot level count =
-    let pred_link = R.aget pred.next level in
+    let pred_link = R.aget (next pred) level in
     touch ctx pred;
     match pred_link with
-    | Null | Ptr { marked = true; _ } -> -1
-    | Ptr { dest = curr; marked = false } ->
-      step ctx key pred pred_link curr slot level count
+    | L Null | L (Mark _) -> -1
+    | L (Node _ as curr) -> step ctx key pred pred_link curr slot level count
 
   and step ctx key pred pred_link curr slot level count =
     if curr == ctx.set.tail then stop ctx key pred curr slot level count
@@ -295,7 +300,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       visit ctx key pred pred_link curr slot level count
     else begin
       D.assign_hp ctx.smr ~slot curr;
-      if R.aget pred.next level != pred_link then -1
+      if R.aget (next pred) level != pred_link then -1
       else begin
         touch ctx curr;
         visit ctx key pred pred_link curr slot level count
@@ -305,29 +310,30 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   (* [curr] is protected: above level 0, a stop needs no link read (see the
      header); otherwise read its link for the mark, then snip it, move on
      to it, or stop at it. *)
-  and visit ctx key pred pred_link curr slot level count =
-    if level > 0 && curr.key >= key then
-      stop ctx key pred curr slot level count
+  and visit ctx key pred pred_link (Node c as curr : node) slot level count =
+    if level > 0 && c.key >= key then stop ctx key pred curr slot level count
     else begin
-      let curr_link = R.aget curr.next level in
+      let curr_link = R.aget c.next level in
       touch ctx curr;
       match curr_link with
-      | Ptr { dest = succ; marked = true } ->
+      | L (Mark succ) ->
         (* snip the marked node out of this level *)
-        if R.acas pred.next level pred_link succ.ulink then
+        if R.acas (next pred) level pred_link (L succ) then
           level_walk ctx key pred slot level count
         else -1
-      | Ptr { dest = succ; marked = false } when curr.key < key ->
+      | L (Node _ as succ) when c.key < key ->
         step ctx key curr curr_link succ (slot lxor 1) level (count + 1)
-      | Null when curr.key < key -> -1
-      | Null | Ptr { marked = false; _ } ->
-        stop ctx key pred curr slot level count
+      | L Null when c.key < key -> -1
+      | L Null | L (Node _) -> stop ctx key pred curr slot level count
     end
 
-  (* Record [level]'s stop and descend; [pred] keeps the slot it is in. *)
+  (* Record [level]'s stop and descend; [pred] keeps the slot it is in.
+     A store is skipped when the stop is already recorded: each is a GC
+     write barrier, and on the upper levels, where the head and the tail
+     are the stop of most passes, the stops rarely change. *)
   and stop ctx key pred curr slot level count =
-    ctx.preds.(level) <- pred;
-    ctx.succs.(level) <- curr;
+    if ctx.preds.(level) != pred then ctx.preds.(level) <- pred;
+    if ctx.succs.(level) != curr then ctx.succs.(level) <- curr;
     if level = 0 then begin
       ctx.succ_slot <- slot;
       count
@@ -350,7 +356,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     | () -> ()
     | exception Qs_intf.Runtime_intf.Neutralized -> sweep ctx key
 
-  let found ctx key = ctx.succs.(0).key = key
+  let found ctx k = key ctx.succs.(0) = k
 
   let search ctx key =
     D.manage_state ctx.smr;
@@ -364,15 +370,15 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
      inserter writes a node's upper links and only deleters mark them, so a
      failed CAS on [n.next] means "being deleted" — stop. A link that lands
      after the deleter's pass is undone here (see the header). *)
-  let rec link_upper ctx key n level =
-    if level <= n.top then begin
-      let cur = R.aget n.next level in
+  let rec link_upper ctx key (Node m as n : node) level =
+    if level <= m.top then begin
+      let cur = R.aget m.next level in
       match cur with
-      | Ptr { marked = true; _ } -> () (* being deleted: stop linking *)
-      | Null | Ptr { marked = false; _ } ->
-        let succ_link = ctx.succs.(level).ulink in
-        if cur == succ_link || R.acas n.next level cur succ_link then
-          if R.acas ctx.preds.(level).next level succ_link n.ulink then
+      | L (Mark _) -> () (* being deleted: stop linking *)
+      | L Null | L (Node _) ->
+        let succ_link = L ctx.succs.(level) in
+        if cur == succ_link || R.acas m.next level cur succ_link then
+          if R.acas (next ctx.preds.(level)) level succ_link (L n) then
             if is_marked n then find ctx (key + 1)
             else link_upper ctx key n (level + 1)
           else begin
@@ -398,23 +404,23 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     end
     else begin
       if ctx.fresh == ctx.set.tail then begin
-        let n = D.alloc ctx.smr in
-        n.key <- key;
-        if n.top < 0 then begin
+        let (Node m as n) = D.alloc ctx.smr in
+        m.key <- key;
+        if m.top < 0 then begin
           (* first use: draw the height, build the tower *)
-          n.top <- random_level ctx.prng 0;
-          n.next <- null_links (n.top + 1)
+          m.top <- random_level ctx.prng 0;
+          m.next <- null_links (m.top + 1)
         end;
         ctx.fresh <- n;
         (* protected before the bottom CAS publishes it *)
         D.assign_hp ctx.smr ~slot:own_slot n
       end;
-      let n = ctx.fresh in
+      let (Node m as n) = ctx.fresh in
       (* prepare all levels before the bottom CAS publishes the node *)
-      for i = 0 to n.top do
-        R.aset n.next i ctx.succs.(i).ulink
+      for i = 0 to m.top do
+        R.aset m.next i (L ctx.succs.(i))
       done;
-      if R.acas ctx.preds.(0).next 0 ctx.succs.(0).ulink n.ulink then begin
+      if R.acas (next ctx.preds.(0)) 0 (L ctx.succs.(0)) (L n) then begin
         ctx.fresh <- ctx.set.tail;
         link_upper ctx key n 1;
         D.clear_hps ctx.smr;
@@ -440,10 +446,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   (* Mark [n]'s link at [level]; true when this call set the mark. *)
   let rec mark n level =
-    match R.aget n.next level with
-    | Ptr { dest; marked = false } as l ->
-      R.acas n.next level l dest.mlink || mark n level
-    | Null | Ptr { marked = true; _ } -> false
+    match R.aget (next n) level with
+    | L (Node _ as dest) as l -> R.acas (next n) level l (mlink dest) || mark n level
+    | L Null | L (Mark _) -> false
 
   let rec linked_everywhere ctx n level =
     level < 0 || (ctx.succs.(level) == n && linked_everywhere ctx n (level - 1))
@@ -452,11 +457,11 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let rec unlink_fast ctx n level =
     level < 0
     ||
-    match R.aget n.next level with
-    | Ptr { dest; marked = true } ->
-      R.acas ctx.preds.(level).next level n.ulink dest.ulink
+    match R.aget (next n) level with
+    | L (Mark dest) ->
+      R.acas (next ctx.preds.(level)) level (L n) (L dest)
       && unlink_fast ctx n (level - 1)
-    | Null | Ptr { marked = false; _ } -> false
+    | L Null | L (Node _) -> false
 
   let rec delete_attempt ctx key =
     find ctx key;
@@ -465,8 +470,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       false
     end
     else begin
-      let n = ctx.succs.(0) in
-      for level = n.top downto 1 do
+      let (Node m as n) = ctx.succs.(0) in
+      for level = m.top downto 1 do
         ignore (mark n level)
       done;
       (* level 0 decides ownership; a loser retries to settle the outcome *)
@@ -475,7 +480,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
         (* past the point of no return: a neutralization signal must not
            leave the node linked or unretired *)
         (match
-           if not (linked_everywhere ctx n n.top && unlink_fast ctx n n.top)
+           if not (linked_everywhere ctx n m.top && unlink_fast ctx n m.top)
            then find ctx (key + 1)
          with
         | () -> ()
@@ -497,7 +502,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     let first = ctx.succs.(0) in
     let count =
       if first == ctx.set.tail then 0
-      else visit ctx target ctx.preds.(0) first.ulink first ctx.succ_slot 0 0
+      else visit ctx target ctx.preds.(0) (L first) first ctx.succ_slot 0 0
     in
     if count < 0 then count_attempt ctx lo target else count
 
@@ -516,42 +521,42 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let nodes ctx =
     let t = ctx.set in
     let rec go acc n =
-      match R.aget n.next 0 with
-      | Null -> List.rev acc
-      | Ptr { dest; marked } ->
-        if dest == t.tail then List.rev acc
-        else go (if marked then acc else dest :: acc) dest
+      match R.aget (next n) 0 with
+      | L Null -> List.rev acc
+      | L (Mark dest) -> if dest == t.tail then List.rev acc else go acc dest
+      | L (Node _ as dest) ->
+        if dest == t.tail then List.rev acc else go (dest :: acc) dest
     in
     go [] t.head
 
-  let uid n = n.uid
-  let key n = n.key
-  let top n = n.top
   let to_list ctx = List.map key (nodes ctx)
   let size ctx = List.length (nodes ctx)
 
   (* Structural invariants (sequential context): every chain is strictly
      sorted; every unmarked node linked at an upper level is present
      (unmarked) in the level-0 chain; no node is linked above its [top];
-     every link is canonical — physically [dest.ulink] or [dest.mlink] —
+     every marked link is canonical — physically its dest's [mlink] —
      which the CAS witnesses rely on. *)
   let validate ctx =
     let t = ctx.set in
     let level_nodes level =
       let rec go acc n =
-        match R.aget n.next level with
-        | Null -> List.rev acc
-        | Ptr { dest; marked } as l ->
-          if l != (if marked then dest.mlink else dest.ulink) then
+        match R.aget (next n) level with
+        | L Null -> List.rev acc
+        | L (Mark dest as l) ->
+          if L l != mlink dest then
             failwith
               (Printf.sprintf "skiplist: link at level %d is not canonical"
                  level);
-          if dest.top < level then
-            failwith
-              (Printf.sprintf "skiplist: node %d at level %d above its top %d"
-                 dest.key level dest.top);
-          if dest == t.tail then List.rev acc
-          else go (if marked then acc else dest :: acc) dest
+          past acc dest ~marked:true
+        | L (Node _ as dest) -> past acc dest ~marked:false
+      and past acc dest ~marked =
+        if top dest < level then
+          failwith
+            (Printf.sprintf "skiplist: node %d at level %d above its top %d"
+               (key dest) level (top dest));
+        if dest == t.tail then List.rev acc
+        else go (if marked then acc else dest :: acc) dest
       in
       go [] t.head
     in
@@ -559,9 +564,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       let rec go last = function
         | [] -> ()
         | n :: rest ->
-          if n.key <= last then
+          if key n <= last then
             failwith (Printf.sprintf "skiplist: level %d not sorted" level);
-          go n.key rest
+          go (key n) rest
       in
       go min_int nodes
     in
@@ -575,7 +580,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
           if not (List.memq n base) then
             failwith
               (Printf.sprintf "skiplist: node %d at level %d missing from level 0"
-                 n.key level))
+                 (key n) level))
         nodes
     done
 

@@ -29,10 +29,13 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
   val delete : ctx -> int -> bool
 
   val range_count : ctx -> lo:int -> hi:int -> int
-  (** Number of keys currently in [lo, hi] (inclusive): a hazard-pointer
-      protected walk of the authoritative level-0 chain that restarts on
-      interference. Allocation-free; pins nodes for the whole walk, so it
-      exercises reclamation much harder than point operations. Raises
+  (** Number of keys currently in [lo, hi] (inclusive): the search pass for
+      [lo] continued along the authoritative level-0 chain, restarting from
+      [lo] on interference. Allocation-free. Under hazard pointers it holds
+      at most the two level-0 slots it alternates, plus the upper-level
+      stops of its positioning pass, at any moment; under epoch-based
+      schemes the whole walk is one operation, which holds back epoch
+      advances far longer than a point operation does. Raises
       [Invalid_argument] if [hi < lo]. *)
 
   val to_list : ctx -> int list

@@ -5,8 +5,12 @@
    these pin the list's [find] as closure- and tuple-free. The mutating
    outcomes are pinned too: an insert of an absent key paired with the
    delete of that key allocates nothing either — the new node comes from
-   the arena and every link it is CASed with is one of the canonical links
-   its nodes were created with. *)
+   the arena and every link it is CASed with is a node or the mark box its
+   node was created with.
+
+   The node is pinned too: a list or hash-table node, with its mark box
+   and its [next] cell, costs at most 10 heap words on real domains (15
+   while each node also carried a boxed unmarked link). *)
 
 module Hr = Qs_ds.Hashtable.Make (Qs_real.Real_runtime)
 
@@ -51,6 +55,28 @@ let test_insert_delete_zero_alloc () =
       if not (Hr.insert ctx k && Hr.delete ctx k) then
         Alcotest.fail "insert+delete of an absent key had no effect")
 
+(* Heap words per key: 3,000 inserts into an empty list and into an empty
+   table, whose bucket sentinels exist before the first insert. *)
+let test_words_per_node () =
+  Qs_real.Real_runtime.register_self 0;
+  let module Lr = Qs_ds.Linked_list.Make (Qs_real.Real_runtime) in
+  let run f = f () in
+  let list =
+    Test_skiplist.words_per_node ~insert:Lr.insert ~run ~create:(fun () ->
+        let set = Lr.create Test_skiplist.qsense_cfg in
+        (set, Lr.register set ~pid:0))
+  in
+  let table =
+    Test_skiplist.words_per_node ~insert:Hr.insert ~run ~create:(fun () ->
+        let set = Hr.create Test_skiplist.qsense_cfg in
+        (set, Hr.register set ~pid:0))
+  in
+  if list > 10. || table > 10. then
+    Alcotest.failf
+      "a node costs %.2f words in the list and %.2f in the hash table \
+       (bound 10)"
+      list table
+
 let suite =
   [ Alcotest.test_case "search allocates exactly zero" `Quick
       test_search_zero_alloc;
@@ -59,4 +85,6 @@ let suite =
     Alcotest.test_case "delete of an absent key allocates exactly zero" `Quick
       test_delete_absent_zero_alloc;
     Alcotest.test_case "insert+delete pair allocates exactly zero" `Quick
-      test_insert_delete_zero_alloc ]
+      test_insert_delete_zero_alloc;
+    Alcotest.test_case "words per node fit one node and its mark box" `Quick
+      test_words_per_node ]
