@@ -343,14 +343,14 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   (* Sequential-context helpers (no concurrent mutators). *)
 
+  (* A node is in the set iff its own link is unmarked. *)
   let to_list_in ctx ~bucket =
-    let rec go acc n =
-      match R.get (next n) with
+    let rec go acc (Node m as n : node) =
+      match R.get m.next with
       | L Null -> List.rev acc
-      | L (Mark dest) -> if dest == ctx.set.tail then List.rev acc else go acc dest
-      | L (Node d as dest) ->
-        if dest == ctx.set.tail then List.rev acc else go (d.key :: acc) dest
-    in
+      | L (Node _ as dest) -> past (if n == bucket then acc else m.key :: acc) dest
+      | L (Mark dest) -> past acc dest
+    and past acc dest = if dest == ctx.set.tail then List.rev acc else go acc dest in
     go [] bucket
 
   let to_list ctx = to_list_in ctx ~bucket:ctx.set.head

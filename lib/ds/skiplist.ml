@@ -523,10 +523,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     let rec go acc n =
       match R.aget (next n) 0 with
       | L Null -> List.rev acc
-      | L (Mark dest) -> if dest == t.tail then List.rev acc else go acc dest
-      | L (Node _ as dest) ->
-        if dest == t.tail then List.rev acc else go (dest :: acc) dest
-    in
+      | L (Node _ as dest) -> past (if n == t.head then acc else n :: acc) dest
+      | L (Mark dest) -> past acc dest
+    and past acc dest = if dest == t.tail then List.rev acc else go acc dest in
     go [] t.head
 
   let to_list ctx = List.map key (nodes ctx)
@@ -543,20 +542,19 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       let rec go acc n =
         match R.aget (next n) level with
         | L Null -> List.rev acc
+        | L (Node _ as dest) -> past (if n == t.head then acc else n :: acc) dest
         | L (Mark dest as l) ->
           if L l != mlink dest then
             failwith
               (Printf.sprintf "skiplist: link at level %d is not canonical"
                  level);
-          past acc dest ~marked:true
-        | L (Node _ as dest) -> past acc dest ~marked:false
-      and past acc dest ~marked =
+          past acc dest
+      and past acc dest =
         if top dest < level then
           failwith
             (Printf.sprintf "skiplist: node %d at level %d above its top %d"
                (key dest) level (top dest));
-        if dest == t.tail then List.rev acc
-        else go (if marked then acc else dest :: acc) dest
+        if dest == t.tail then List.rev acc else go acc dest
       in
       go [] t.head
     in

@@ -4,7 +4,9 @@
    [next]); classic HP itself reads neither and makes no CAS, so every
    CAS counted is the structure's. Under classic HP a publish is one
    fence and one store, and nothing else an operation runs fences, so the
-   fence count is the publish count; the other stores are the clear's. *)
+   fence count is the publish count; the other stores are the clear's.
+   [cut_after] stops an operation right after one of its CASes, leaving
+   what a process that stalls there forever leaves behind. *)
 
 include Qs_real.Real_runtime
 
@@ -12,6 +14,11 @@ let link_reads = ref 0
 let fences = ref 0
 let writes = ref 0
 let cases = ref 0
+
+exception Cut
+
+(* the value of [cases] at which the CAS raises [Cut] *)
+let cut = ref max_int
 
 let get a =
   incr link_reads;
@@ -23,11 +30,15 @@ let aget a i =
 
 let cas a expected desired =
   incr cases;
-  cas a expected desired
+  let ok = cas a expected desired in
+  if !cases = !cut then raise Cut;
+  ok
 
 let acas a i expected desired =
   incr cases;
-  acas a i expected desired
+  let ok = acas a i expected desired in
+  if !cases = !cut then raise Cut;
+  ok
 
 let fence () =
   incr fences;
@@ -54,3 +65,13 @@ let stored f =
   let f0 = !fences and w0 = !writes in
   f ();
   (!fences - f0, !writes - w0)
+
+(* Runs [f ()] and abandons it right after its [n]th CAS has taken
+   effect. *)
+let cut_after n f =
+  cut := !cases + n;
+  match f () with
+  | () ->
+    cut := max_int;
+    failwith "Counted.cut_after: fewer CASes than the cut"
+  | exception Cut -> cut := max_int

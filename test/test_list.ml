@@ -267,6 +267,27 @@ let test_hp_search_counts () =
   Alcotest.(check int) "publishes of 1,000 searches" 134_247 publishes;
   Alcotest.(check int) "link reads of 1,000 searches" 269_009 reads
 
+(* A delete abandoned right after its mark, as a deleter stalled forever
+   there leaves it: the marked node stays linked behind the canonical
+   marked link, which [validate] accepts (a fresh mark box in place of
+   the node's [mlink] fails it), and the next insert of its key snips it. *)
+let test_stalled_mark_validates () =
+  Counted.register_self 0;
+  let ctx =
+    Lc.register
+      (Lc.create
+         (Qs_ds.Set_intf.default_config ~n_processes:1 ~scheme:Qs_smr.Scheme.Hp))
+      ~pid:0
+  in
+  List.iter (fun k -> ignore (Lc.insert ctx k)) [ 1; 2; 3 ];
+  Counted.cut_after 1 (fun () -> ignore (Lc.delete ctx 2));
+  Lc.validate ctx;
+  Alcotest.(check (list int)) "marked key gone" [ 1; 3 ] (Lc.to_list ctx);
+  Alcotest.(check bool) "search" false (Lc.search ctx 2);
+  Alcotest.(check bool) "insert" true (Lc.insert ctx 2);
+  Lc.validate ctx;
+  Alcotest.(check (list int)) "reinserted" [ 1; 2; 3 ] (Lc.to_list ctx)
+
 let suite =
   [ Alcotest.test_case "sequential semantics vs model" `Quick test_sequential_semantics;
     stress_case Qs_smr.Scheme.None_;
@@ -278,6 +299,8 @@ let suite =
     Alcotest.test_case "fenced HP is safe under TSO" `Quick test_fenced_hp_safe;
     Alcotest.test_case "probe never follows a marked link" `Quick
       test_probe_no_marked_link;
+    Alcotest.test_case "a stalled delete's mark validates" `Quick
+      test_stalled_mark_validates;
     Alcotest.test_case "HP search publish and read counts are exact" `Quick
       test_hp_search_counts
   ]

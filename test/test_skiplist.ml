@@ -111,6 +111,23 @@ let counted_set () =
 let counted = Counted.counted
 let stored = Counted.stored
 
+(* A delete abandoned right after its level-0 mark (its marks go top
+   down, one CAS per level), as a deleter stalled forever there leaves it:
+   the node stays linked at every level behind canonical marked links,
+   which [validate] accepts (a fresh mark box in place of the node's
+   [mlink] fails it), and the set stays usable around it. *)
+let test_stalled_mark_validates () =
+  let ctx = counted_set () in
+  List.iter (fun k -> ignore (Sc.insert ctx k)) [ 1; 2; 3 ];
+  let n = List.find (fun n -> Sc.key n = 2) (Sc.nodes ctx) in
+  Counted.cut_after (Sc.top n + 1) (fun () -> ignore (Sc.delete ctx 2));
+  Sc.validate ctx;
+  Alcotest.(check (list int)) "marked key gone" [ 1; 3 ] (Sc.to_list ctx);
+  Alcotest.(check bool) "search" false (Sc.search ctx 2);
+  Alcotest.(check bool) "insert" true (Sc.insert ctx 2);
+  Sc.validate ctx;
+  Alcotest.(check (list int)) "reinserted" [ 1; 2; 3 ] (Sc.to_list ctx)
+
 (* One read per level for the head's link to the tail, and nothing else:
    the tail is neither published, validated nor read. *)
 let test_empty_search_cost () =
@@ -596,6 +613,8 @@ let suite =
       test_empty_bucket_probe;
     Alcotest.test_case "words per node fit the node's height" `Quick
       test_words_per_node;
+    Alcotest.test_case "a stalled delete's mark validates" `Quick
+      test_stalled_mark_validates;
     Alcotest.test_case "a recycled node keeps its top" `Quick
       test_recycled_node_keeps_top;
     Alcotest.test_case "live heights stay geometric under churn" `Quick
