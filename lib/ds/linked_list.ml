@@ -348,9 +348,12 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     let rec go acc (Node m as n : node) =
       match R.get m.next with
       | L Null -> List.rev acc
-      | L (Node _ as dest) -> past (if n == bucket then acc else m.key :: acc) dest
+      | L (Node _ as dest) ->
+        past (if n == bucket then acc else m.key :: acc) dest
       | L (Mark dest) -> past acc dest
-    and past acc dest = if dest == ctx.set.tail then List.rev acc else go acc dest in
+    and past acc dest =
+      if dest == ctx.set.tail then List.rev acc else go acc dest
+    in
     go [] bucket
 
   let to_list ctx = to_list_in ctx ~bucket:ctx.set.head

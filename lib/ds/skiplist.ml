@@ -154,9 +154,10 @@
      owner's pass ran after this CAS, else by the [key + 1] pass that the
      moved witness sends it to.
    - [mark], [n.next[l]]: [dest] -> [dest.mlink]. [n] is [succs.(0)],
-     held; [dest] is unprotected and may be recycled and relinked behind [n] between the read and the CAS. That
-     ABA is benign: the CAS writes the marked form of exactly the link it
-     found, so it sets the mark and keeps whatever successor is there now.
+     held; [dest] is unprotected and may be recycled and relinked behind
+     [n] between the read and the CAS. That ABA is benign: the CAS writes
+     the marked form of exactly the link it found, so it sets the mark and
+     keeps whatever successor is there now.
    - [unlink_fast], [preds.(l).next[l]]: [n] -> [dest], where
      [linked_everywhere] has checked [succs.(l) == n]. [n] is held, and
      [preds.(l)] at a slot of a level >= [l]; [dest] is
@@ -182,7 +183,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     | Node : {
         uid : int; (* stable identity for the SMR membership set *)
         mutable key : int;
-        mutable top : int; (* index of this node's highest level; -1: none yet *)
+        mutable top : int; (* index of its highest level; -1: none yet *)
         mutable next : link R.atomic_array;
             (* per-level links, [top + 1] of them; set once (see the header) *)
         mlink : [ `Mark ] cell; (* [Mark self], every level *)
@@ -275,7 +276,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     else lvl
 
   let is_marked n =
-    match R.aget (next n) 0 with L (Mark _) -> true | L Null | L (Node _) -> false
+    match R.aget (next n) 0 with
+    | L (Mark _) -> true
+    | L Null | L (Node _) -> false
 
   (* The pass of [find] from [pred] at [level] down to level 0: fills
      ctx.preds/succs/succ_slot and returns [count] plus the number of nodes
@@ -447,7 +450,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   (* Mark [n]'s link at [level]; true when this call set the mark. *)
   let rec mark n level =
     match R.aget (next n) level with
-    | L (Node _ as dest) as l -> R.acas (next n) level l (mlink dest) || mark n level
+    | L (Node _ as dest) as l ->
+      R.acas (next n) level l (mlink dest) || mark n level
     | L Null | L (Mark _) -> false
 
   let rec linked_everywhere ctx n level =
@@ -542,7 +546,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       let rec go acc n =
         match R.aget (next n) level with
         | L Null -> List.rev acc
-        | L (Node _ as dest) -> past (if n == t.head then acc else n :: acc) dest
+        | L (Node _ as dest) ->
+          past (if n == t.head then acc else n :: acc) dest
         | L (Mark dest as l) ->
           if L l != mlink dest then
             failwith
