@@ -24,9 +24,11 @@
      node), and a search of an empty hash-table bucket none;
    - a node's tower is sized to its height and an unmarked link is the
      node itself: a node costs at most 18 heap words on the simulator and
-     12 on real domains; a recycled node keeps
-     the height it was first given, and under churn the live heights stay
-     geometric;
+     12 on real domains; a recycled node keeps the height it was first
+     given, and under churn the live heights stay geometric;
+   - a delete abandoned right after its level-0 mark leaves the node
+     linked behind canonical marked links, which [validate] accepts, and
+     the set's contents and later operations treat it as deleted;
    - a stop above level 0 that is already marked is passed safely under
      classic HP and QSense: the set stays valid, no freed node is
      touched, and the history is linearizable;
