@@ -183,6 +183,19 @@ let gate_stall_rows what rows =
     (List.filter (flag "stall") rows);
   stall_row rows
 
+(* Each stall row's attributed/total p999 spikes and its margin: how many
+   attributed spikes may turn unattributed before attr_pct drops below 80
+   (the fewest that pass is ceil(4n/5) of n). *)
+let stall_margins rows =
+  String.concat ", "
+    (List.map
+       (fun r ->
+         let total = int_of_float (num "p999_samples" r) in
+         let attributed = total - int_of_float (num "unattributed" (obj "attr" r)) in
+         Printf.sprintf "%s %d/%d margin %d" (label r) attributed total
+           (attributed - (((4 * total) + 4) / 5)))
+       (List.filter (flag "stall") rows))
+
 (* Sim-core profile. The step-allocation pin is the noise-immune gate: a
    scheduler step on the fast path stays under 8 minor words (it measures
    ~5: genuine suspensions allocate their continuation, inline ops
@@ -278,9 +291,11 @@ let gate_latency results =
   let stall = gate_stall_rows "latency" rows in
   Printf.sprintf
     "latency OK: %d rows, overhead %.1f%% \
-     (off %.2f vs on %.2f Mops/s), stall p999 %.0f ticks %.0f%% attributed"
+     (off %.2f vs on %.2f Mops/s), stall p999 %.0f ticks %.0f%% attributed \
+     (spikes %s)"
     (List.length rows) (num "overhead_pct" lat) (num "real_mops_recorder_off" lat)
     (num "real_mops_recorder_on" lat) (num "p999" stall) (num "attr_pct" stall)
+    (stall_margins rows)
 
 let service_matrix =
   List.concat_map
@@ -324,9 +339,10 @@ let gate_service results =
     fail "service.real.churn_events = 0 (real-domain row recorded no handler churn)";
   Printf.sprintf
     "service OK: %d matrix rows + stall, real %.2f Mops/s x%.0f (%.0f churns), \
-     stall p999 %.0f ticks %.0f%% attributed"
+     stall p999 %.0f ticks %.0f%% attributed (spikes %s)"
     (List.length matrix) (num "throughput_mops" real) (num "domains" real)
     (num "churn_events" real) (num "p999" stall) (num "attr_pct" stall)
+    (stall_margins rows)
 
 let median xs =
   match List.sort compare xs with

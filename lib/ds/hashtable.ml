@@ -13,9 +13,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
 
   type node = L.node
 
-  (* [shift] is the precomputed Fibonacci-hash shift for power-of-two
-     bucket counts (take the top bits, where the multiplicative hash mixes),
-     or -1 for the [mod] fallback on other sizes. *)
+  (* [shift] is the precomputed Fibonacci-hash shift for the power-of-two
+     bucket count: take the top bits, where the multiplicative hash mixes. *)
   type t = { list : L.t; buckets : node array; shift : int }
 
   type ctx = { table : t; lctx : L.ctx }
@@ -25,22 +24,15 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
   let hp_per_process = L.hp_per_process
 
   let create_sized ~n_buckets (cfg : Set_intf.config) =
-    if n_buckets <= 0 then invalid_arg "Hashtable.create_sized: n_buckets";
+    let shift = Qs_util.Fib_hash.shift_for n_buckets in
     let list = L.create cfg in
-    let shift =
-      match Qs_util.Fib_hash.shift_for n_buckets with
-      | Some s -> s
-      | None -> -1
-    in
     { list; buckets = Array.init n_buckets (fun _ -> L.new_bucket list); shift }
 
   let create cfg = create_sized ~n_buckets:default_buckets cfg
 
   let register t ~pid = { table = t; lctx = L.register t.list ~pid }
 
-  let bucket_index t key =
-    let h = Qs_util.Fib_hash.hash key in
-    if t.shift >= 0 then h lsr t.shift else h mod Array.length t.buckets
+  let bucket_index t key = Qs_util.Fib_hash.hash key lsr t.shift
 
   let bucket_of t key = t.buckets.(bucket_index t key)
 

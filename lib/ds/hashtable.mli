@@ -16,13 +16,15 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
   (** [default_buckets] buckets. *)
 
   val create_sized : n_buckets:int -> Set_intf.config -> t
+  (** Raises [Invalid_argument] unless [n_buckets] is a positive power of
+      two. *)
 
   val register : t -> pid:int -> ctx
 
   val bucket_index : t -> int -> int
   (** The bucket a key routes to — a Fibonacci hash taking the {e high}
-      bits of the multiplicative product (power-of-two bucket counts;
-      [mod] fallback otherwise). Exposed for distribution tests. *)
+      bits of the multiplicative product. Exposed for distribution
+      tests. *)
 
   val search : ctx -> int -> bool
   (** The bucket's {!Linked_list.Make.search_in} — the KV service's get

@@ -66,15 +66,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
     max 16 (Table.default_buckets * 4 / n_shards)
 
   let create ?(n_shards = default_shards) (cfg : Qs_ds.Set_intf.config) =
-    if n_shards <= 0 || n_shards land (n_shards - 1) <> 0 then
-      invalid_arg "Kv.create: n_shards must be a positive power of two";
-    let k =
-      let b = ref 0 and m = ref n_shards in
-      while !m > 1 do incr b; m := !m lsr 1 done;
-      !b
-    in
-    (* buckets take hash bits [54, 62); shards the [k] bits below *)
-    let shard_shift = Qs_util.Fib_hash.hash_bits - 8 - k in
+    (* buckets take hash bits [54, 62); shards the log2 n_shards bits below
+       (a count that is not a power of two is rejected here) *)
+    let shard_shift = Qs_util.Fib_hash.shift_for n_shards - 8 in
     if shard_shift < 0 then invalid_arg "Kv.create: too many shards";
     { shards =
         Array.init n_shards (fun _ ->

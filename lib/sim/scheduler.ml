@@ -1,7 +1,5 @@
 open Effect.Deep
 
-type drain_policy = No_drain | Prob of float
-
 type cost_model = {
   plain_op : int;
   atomic_load : int;
@@ -10,7 +8,6 @@ type cost_model = {
   fence : int;
   remote_access : int;
   ctx_switch : int;
-  jitter : int;
   stall_prob : float;
   stall_max : int;
 }
@@ -25,7 +22,6 @@ let default_cost =
     fence = 60;
     remote_access = 8;
     ctx_switch = 200;
-    jitter = 1;
     stall_prob = 0.002;
     stall_max = 400 }
 
@@ -90,12 +86,8 @@ type config = {
   seed : int;
   cost : cost_model;
   store_buffer_capacity : int;
-  drain : drain_policy;
   rooster_interval : int option;
   rooster_oversleep : int;
-  rooster_oversleep_min : int;
-  clock_skew : int;
-  kill_roosters_at : int option;
   strategy : strategy;
   pct_horizon : int;
 }
@@ -105,12 +97,8 @@ let default_config ~n_cores ~seed =
     seed;
     cost = default_cost;
     store_buffer_capacity = 64;
-    drain = No_drain;
     rooster_interval = None;
     rooster_oversleep = 0;
-    rooster_oversleep_min = 0;
-    clock_skew = 0;
-    kill_roosters_at = None;
     strategy = Fair;
     pct_horizon = 200_000 }
 
@@ -157,7 +145,6 @@ let rt_charge = 11
 type proc = {
   pid : int;
   mutable clock : int;
-  skew : int;
   (* Store buffer: a preallocated FIFO ring of (cell, value) stores, sized
      capacity + 1 for the transient push-then-overflow state. See the
      store-buffer section below. *)
@@ -221,13 +208,11 @@ type t = {
   c_cas : int;
   c_fence : int;
   c_remote : int;
-  c_jitter : int;
   c_stall_max : int;
   stall_thresh : int;
-      (* stall_prob rescaled to [0, max_int]: the per-step stall roll is one
-         PRNG draw and an integer compare, no float arithmetic. -1 = never
-         (prob 0 draws nothing, as before). *)
-  drain_thresh : int; (* same encoding for the [Prob] drain policy *)
+      (* stall_prob rescaled to [0, max_int]: the per-step stall roll is an
+         integer compare on bits of the step's one draw, no float
+         arithmetic. 0 = never. *)
   buf_capacity : int;
   mutable last_scheduled : int; (* pid of the last process stepped (PCT) *)
   mutable armed_faults : fault list; (* master copy, re-armed by reset_clocks *)
@@ -276,14 +261,12 @@ let hook_index : Qs_intf.Runtime_intf.hook -> int = function
   | Hook_scan -> 1
   | Hook_quiesce -> 2
 
-(* Rooster oversleep, uniform in [min, max]. Skips the PRNG draw entirely
-   when the bound is 0 so that pre-existing seeded schedules are bit-for-bit
-   unchanged. *)
+(* Rooster oversleep, uniform in [0, rooster_oversleep]. Skips the PRNG
+   draw entirely when the bound is 0 so that pre-existing seeded schedules
+   are bit-for-bit unchanged. *)
 let draw_oversleep cfg prng =
-  if cfg.rooster_oversleep = 0 then cfg.rooster_oversleep_min
-  else
-    let lo = min cfg.rooster_oversleep_min cfg.rooster_oversleep in
-    lo + Qs_util.Prng.int prng (cfg.rooster_oversleep - lo + 1)
+  if cfg.rooster_oversleep = 0 then 0
+  else Qs_util.Prng.int prng (cfg.rooster_oversleep + 1)
 
 (* In-module copy of {!Qs_util.Prng}'s SplitMix advance — same constants,
    same stream (Prng's stream-identity tests pin the constants; keep in
@@ -389,7 +372,6 @@ let create cfg =
   let prng = Qs_util.Prng.create ~seed:cfg.seed in
   let make_proc pid =
     let p_prng = Qs_util.Prng.split prng in
-    let skew = if cfg.clock_skew = 0 then 0 else Qs_util.Prng.int p_prng (cfg.clock_skew + 1) in
     let next_rooster =
       match cfg.rooster_interval with
       | None -> max_int
@@ -398,7 +380,6 @@ let create cfg =
     let p =
       { pid;
         clock = 0;
-        skew;
         buf_cell = Array.make (cfg.store_buffer_capacity + 1) no_cell;
         buf_val = Array.make (cfg.store_buffer_capacity + 1) 0;
         buf_head = 0;
@@ -442,11 +423,7 @@ let create cfg =
           demote_next = -1 }
     | Fair | Targeted _ -> None
   in
-  let thresh_of_prob p =
-    if p <= 0. then -1
-    else if p >= 1. then max_int
-    else int_of_float (p *. float_of_int max_int)
-  in
+  let stall_p = cfg.cost.stall_prob in
   { cfg;
     procs = Array.init cfg.n_cores make_proc;
     prng;
@@ -457,11 +434,11 @@ let create cfg =
     c_cas = cfg.cost.cas;
     c_fence = cfg.cost.fence;
     c_remote = cfg.cost.remote_access;
-    c_jitter = cfg.cost.jitter;
     c_stall_max = cfg.cost.stall_max;
-    stall_thresh = thresh_of_prob cfg.cost.stall_prob;
-    drain_thresh =
-      (match cfg.drain with No_drain -> -1 | Prob p -> thresh_of_prob p);
+    stall_thresh =
+      (if stall_p <= 0. then 0
+       else if stall_p >= 1. then max_int
+       else int_of_float (stall_p *. float_of_int max_int));
     buf_capacity = cfg.store_buffer_capacity;
     last_scheduled = -1;
     armed_faults = [];
@@ -580,9 +557,6 @@ let flush_buffer p =
     p.flushes <- p.flushes + 1
   end
 
-let roosters_alive t fire_time =
-  match t.cfg.kill_roosters_at with None -> true | Some k -> fire_time < k
-
 (* Advance [p]'s clock to [target], firing every rooster wake-up crossed on
    the way. A rooster wake-up forces a context switch on [p]'s core, which
    drains [p]'s store buffer — the visibility guarantee Cadence needs.
@@ -590,7 +564,7 @@ let roosters_alive t fire_time =
    single compare; the rooster-crossing loop lives out of line. *)
 let rec advance_rooster (t : t) (p : proc) target =
   match t.cfg.rooster_interval with
-  | Some iv when p.next_rooster <= target && roosters_alive t p.next_rooster ->
+  | Some iv when p.next_rooster <= target ->
     p.clock <- max p.clock p.next_rooster;
     flush_buffer p;
     t.rooster_fires <- t.rooster_fires + 1;
@@ -609,37 +583,20 @@ let[@inline] advance_to (t : t) (p : proc) target =
     Array.unsafe_set t.clocks p.pid target
   end
 
+(* Charge one step: ONE SplitMix draw serves both per-step rolls. Bit 0 is
+   the jitter coin (0 or 1 tick); bits 1..62 are the stall roll, whose
+   range [0, max_int] matches the [stall_thresh] scale exactly (63-bit
+   ints: [d lsr 1] spans [0, 2^62-1] = [0, max_int]). SplitMix output bits
+   are independent, so the two decisions stay uncorrelated. Occasional
+   long stalls model cache misses, interrupts and preemptions: the
+   asynchrony that lets one process race far ahead of another. *)
 let[@inline] account (t : t) (p : proc) cost =
-  if t.c_jitter = 1 then begin
-    (* Fast path for the default cost model: ONE SplitMix draw serves both
-       per-step rolls. Bit 0 is the jitter coin; bits 1..62 are the stall
-       roll, whose range [0, max_int] matches the [stall_thresh] scale
-       exactly (63-bit ints: [d lsr 1] spans [0, 2^62-1] = [0, max_int]).
-       SplitMix output bits are independent, so the two decisions stay
-       uncorrelated. Occasional long stalls model cache misses, interrupts
-       and preemptions: the asynchrony that lets one process race far
-       ahead of another. *)
-    let d = draw p.prng in
-    let stall =
-      if t.stall_thresh >= 0 && d lsr 1 < t.stall_thresh then
-        Qs_util.Prng.int p.prng (t.c_stall_max + 1)
-      else 0
-    in
-    advance_to t p (p.clock + cost + (d land 1) + stall)
-  end
-  else begin
-    let jitter =
-      if t.c_jitter = 0 then 0 else Qs_util.Prng.int p.prng (t.c_jitter + 1)
-    in
-    let stall =
-      if
-        t.stall_thresh >= 0
-        && Qs_util.Prng.next p.prng land max_int < t.stall_thresh
-      then Qs_util.Prng.int p.prng (t.c_stall_max + 1)
-      else 0
-    in
-    advance_to t p (p.clock + cost + jitter + stall)
-  end
+  let d = draw p.prng in
+  let stall =
+    if d lsr 1 < t.stall_thresh then Qs_util.Prng.int p.prng (t.c_stall_max + 1)
+    else 0
+  in
+  advance_to t p (p.clock + cost + (d land 1) + stall)
 
 (* Cache-coherence cost model: accessing a line last written by another core
    costs a remote miss. Reads downgrade the line to shared; an atomic write,
@@ -671,7 +628,7 @@ let[@inline] write_extra (t : t) (p : proc) (c : _ Cell.t) =
 
    Each simulated operation's semantics, written once. [run_resume] (the
    suspended path) and the [op_*] entry points (the inline path) both call
-   these after the step preliminaries (step count, drain roll), so the two
+   these after the step preliminary (the step count), so the two
    paths agree by construction: same accounting draws, then the same
    memory update. *)
 
@@ -714,7 +671,7 @@ let[@inline] do_fence (t : t) (p : proc) =
 let[@inline] do_now (t : t) (p : proc) =
   account t p t.c_plain;
   let burst = if p.clock < p.extra_skew_until then p.extra_skew else 0 in
-  p.clock + p.skew + burst
+  p.clock + burst
 
 (* A hook is a free annotation — no [account], no PRNG draw, no step — so
    it must not perturb existing seeded schedules. The only observable
@@ -884,13 +841,6 @@ let run_resume (t : t) (p : proc) tag =
    at (approximately) the right virtual time relative to the other cores. *)
 let sleep_quantum = 512
 
-let[@inline] drain_maybe (t : t) (p : proc) =
-  if
-    t.drain_thresh >= 0
-    && p.buf_len > 0
-    && draw p.prng land max_int < t.drain_thresh
-  then buf_pop_commit p
-
 let fault_pid = function
   | Stall_at { pid; _ }
   | Crash_at { pid; _ }
@@ -956,7 +906,6 @@ let step (t : t) (cur : cursor) (p : proc) =
     advance_to t p (min target (p.clock + sleep_quantum));
     if p.clock >= target then p.state <- Ready
   | Ready ->
-    drain_maybe t p;
     let tag = p.r_tag in
     if tag = rt_none then begin
       p.state <- Done;
@@ -1024,29 +973,28 @@ let step (t : t) (cur : cursor) (p : proc) =
    process. In that case performing the effect, parking the fiber, and
    re-picking is pure overhead (~46ns of fiber switching per operation on
    the reference box), so the [op_*] entry points execute the operation
-   inline instead: [step]'s preliminaries ([claim_step]), then the same
+   inline instead: [step]'s preliminary ([claim_step]), then the same
    body [run_resume] would run, skipping only the suspension. Outcomes are
    bit-identical either way; test/test_sim.ml pins this.
 
    Guards: a pick proven ahead of time — a strict (no-tie) fair minimum, a
    PCT step count short of the next change point, or [exec] — a clock
-   still short of the running process's next fault (the step preliminaries
-   would fire it), and no pending neutralization signal. *)
+   still short of the running process's next fault ([step] would fire
+   it), and no pending neutralization signal. *)
 
 let[@inline] cur_t (cur : cursor) : t = Obj.obj cur.cur_t
 let[@inline] cur_p (cur : cursor) : proc = Obj.obj cur.cur_p
 
-(* [step]'s preliminaries for the running process (step count, drain
-   roll) when its next pick is proven to return it; [false], with nothing
-   done, when the operation must suspend. [live] is read first: on a dead
-   cursor the other fields may not exist (see [my_cursor]). *)
+(* [step]'s preliminary for the running process (the step count) when its
+   next pick is proven to return it; [false], with nothing done, when the
+   operation must suspend. [live] is read first: on a dead cursor the other
+   fields may not exist (see [my_cursor]). *)
 let[@inline] claim_step (cur : cursor) =
   if not cur.live then false
   else
     let t = cur_t cur and p = cur_p cur in
     if p.clock < cur.lim && t.steps < cur.lim_steps then begin
       t.steps <- t.steps + 1;
-      drain_maybe t p;
       true
     end
     else false

@@ -15,21 +15,22 @@
 
     {b TSO.} Plain writes go to a per-process store buffer (capacity
     {!config.store_buffer_capacity}); they commit to memory on a fence, on a
-    rooster-induced context switch, on capacity overflow, on any atomic
-    operation by the same process (x86 [lock] semantics), or — under
-    [Prob p] drain — spontaneously with probability [p] per step.
+    rooster-induced context switch, on capacity overflow, or on any atomic
+    operation by the same process (x86 [lock] semantics) — never
+    spontaneously, which is the adversarial case the SMR schemes must
+    survive.
 
     {b Roosters.} With [rooster_interval = Some t], each core flushes its
     worker's store buffer every [t] ticks (plus a bounded random oversleep),
     charging the worker a context-switch cost. This is the mechanism
     Cadence's safety relies on.
 
-    {b Determinism.} Everything — interleaving, jitter, oversleep, skew —
-    derives from [seed]. *)
+    {b Skew.} [now] reads a process's core clock; cross-core skew is the
+    {!Skew_burst} fault (a constant skew is one burst from [0] to
+    [max_int]).
 
-type drain_policy =
-  | No_drain  (** adversarial: only fences/atomics/roosters/capacity drain *)
-  | Prob of float  (** commit the oldest buffered store with prob. p per step *)
+    {b Determinism.} Everything — interleaving, the per-step jitter coin
+    and stall roll, rooster oversleep — derives from [seed]. *)
 
 type cost_model = {
   plain_op : int;      (** plain read/write, clock read *)
@@ -39,17 +40,18 @@ type cost_model = {
   fence : int;         (** full barrier — the cost hazard pointers pay *)
   remote_access : int; (** added when touching a line owned by another core *)
   ctx_switch : int;    (** charged to the worker at each rooster wake-up *)
-  jitter : int;        (** uniform random extra in [0, jitter] per operation *)
   stall_prob : float;
       (** probability, per operation, of a long stall — modelling cache
           misses, interrupts and preemptions, the asynchrony that lets one
-          process race far ahead of another *)
+          process race far ahead of another. Every operation also pays a
+          jitter coin of 0 or 1 tick; one PRNG draw per step serves both
+          the coin and the stall roll. *)
   stall_max : int;     (** stall length is uniform in [0, stall_max] *)
 }
 
 val default_cost : cost_model
 (** plain 1, atomic load 8 (pointer chase), atomic store 3, cas 12,
-    fence 60, remote 8, ctx switch 200, jitter 1, stall 0.002/400 —
+    fence 60, remote 8, ctx switch 200, stall 0.002/400 —
     ratios in line with published x86 measurements. *)
 
 (** Scheduling strategies (see "Schedule exploration" in EXPERIMENTS.md).
@@ -133,26 +135,16 @@ type config = {
   seed : int;
   cost : cost_model;
   store_buffer_capacity : int;  (** oldest store commits when full (hw ~64) *)
-  drain : drain_policy;
   rooster_interval : int option;  (** [None]: no roosters *)
   rooster_oversleep : int;
-      (** max extra sleep per rooster wake-up, drawn per event. The
-          effective oversleep is uniform in
-          [\[min rooster_oversleep_min rooster_oversleep, rooster_oversleep\]].
+      (** max extra sleep per rooster wake-up: each wake-up's oversleep is
+          uniform in [\[0, rooster_oversleep\]], and [0] draws nothing.
           {b Default bound:} experiments configure this at most [epsilon/2]
           (see [Qs_harness.Sim_exp]), keeping total rooster slack within the
           [epsilon] that Cadence's age check [now - ts >= T + epsilon]
           budgets for; oversleep beyond [epsilon] voids the safety argument
-          (that is what {!Oversleep_spike} and [rooster_oversleep_min] are
-          for — negative tests). *)
-  rooster_oversleep_min : int;
-      (** minimum extra sleep per wake-up (default 0). With
-          [rooster_oversleep = 0] the oversleep is exactly this constant and
-          no PRNG draw is consumed — set it above [epsilon] to prove the
-          age-check bound is load-bearing. *)
-  clock_skew : int;  (** per-core constant offset in [0, clock_skew] *)
-  kill_roosters_at : int option;
-      (** stop firing roosters after this virtual time (fault injection) *)
+          (negative tests set this above the SMR config's [epsilon], or
+          inject an {!Oversleep_spike}). *)
   strategy : strategy;  (** scheduling policy; default [Fair] *)
   pct_horizon : int;
       (** PCT change points are drawn from [\[0, pct_horizon)] steps;

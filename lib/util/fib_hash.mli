@@ -13,7 +13,7 @@ val hash : int -> int
     immediate range), truncated to {!hash_bits} bits.
     A bijection on the 62-bit space; allocation-free. *)
 
-val shift_for : int -> int option
-(** [shift_for n] is [Some (hash_bits - k)] when [n = 2^k] — the shift
-    that turns {!hash} into a uniform index in [0, n) as
-    [hash key lsr shift] — and [None] for non-power-of-two [n]. *)
+val shift_for : int -> int
+(** [shift_for n] is [hash_bits - k] when [n = 2^k] — the shift that turns
+    {!hash} into a uniform index in [0, n) as [hash key lsr shift].
+    Raises [Invalid_argument] unless [n] is a positive power of two. *)

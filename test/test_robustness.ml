@@ -10,8 +10,9 @@
      victim never recovers;
    - Cadence's retired-node bound (Property 2) and QSense's 2NC bound
      (Property 4) hold across runs;
-   - killing the roosters breaks Cadence (fault injection): its deferral
-     argument really does depend on them. *)
+   - a run without roosters breaks Cadence, and so does rooster oversleep
+     beyond its epsilon: its deferral argument really does depend on
+     them. *)
 
 open Qs_harness
 module Spec = Qs_workload.Spec
@@ -319,8 +320,9 @@ let dead_rooster_run ~seed ~kill =
       sched_tweak =
         (fun c ->
           { c with
-            kill_roosters_at = (if kill then Some 1_000 else None);
-            rooster_interval = Some 500;
+            (* dead roosters: the scheme still assumes T = 500, but no
+               wake-up ever flushes a store buffer *)
+            rooster_interval = (if kill then None else Some 500);
             (* big store buffers + long stalls: without rooster flushes, a
                reader's unfenced hazard pointer can stay invisible well past
                the deferral window *)
@@ -347,10 +349,11 @@ let test_dead_roosters_break_cadence () =
 (* --- fault injection: oversleep beyond epsilon breaks the deferral ------- *)
 
 (* Cadence frees a node once it is [T + eps] old, on the assumption that
-   every rooster wake-up lands within [eps] of its deadline. A constant
-   scheduler-side oversleep beyond the [eps] the SMR config assumes means
-   hazard-pointer stores can stay buffered past the deferral window. *)
-let oversleep_run ~seed ~oversleep_min ~smr_epsilon =
+   every rooster wake-up lands within [eps] of its deadline. A
+   scheduler-side oversleep bound beyond the [eps] the SMR config assumes
+   means hazard-pointer stores can stay buffered past the deferral
+   window. *)
+let oversleep_run ~seed ~oversleep ~smr_epsilon =
   Sim_exp.run
     { (base ~scheme:Qs_smr.Scheme.Cadence) with
       seed;
@@ -370,9 +373,8 @@ let oversleep_run ~seed ~oversleep_min ~smr_epsilon =
         (fun c ->
           { c with
             rooster_interval = Some 500;
-            rooster_oversleep = 0;
-            (* every wake-up lands oversleep_min late, deterministically *)
-            rooster_oversleep_min = oversleep_min;
+            (* each wake-up lands up to [oversleep] ticks late *)
+            rooster_oversleep = oversleep;
             store_buffer_capacity = 100_000;
             cost =
               { Qs_sim.Scheduler.default_cost with
@@ -381,11 +383,12 @@ let oversleep_run ~seed ~oversleep_min ~smr_epsilon =
 
 let test_oversleep_beyond_epsilon_breaks_cadence () =
   let seeds = [ 1; 2; 3; 4 ] in
-  (* roosters oversleep 10k ticks; the SMR config still assumes eps = 50 *)
+  (* roosters oversleep up to 10k ticks; the SMR config still assumes
+     eps = 50 *)
   let total =
     List.fold_left
       (fun acc seed ->
-        acc + (oversleep_run ~seed ~oversleep_min:10_000 ~smr_epsilon:50).violations)
+        acc + (oversleep_run ~seed ~oversleep:10_000 ~smr_epsilon:50).violations)
       0 seeds
   in
   Alcotest.(check bool)
@@ -396,7 +399,7 @@ let test_oversleep_beyond_epsilon_breaks_cadence () =
     List.fold_left
       (fun acc seed ->
         acc
-        + (oversleep_run ~seed ~oversleep_min:10_000 ~smr_epsilon:11_000).violations)
+        + (oversleep_run ~seed ~oversleep:10_000 ~smr_epsilon:11_000).violations)
       0 seeds
   in
   Alcotest.(check int) "epsilon >= oversleep keeps cadence safe" 0 control

@@ -225,13 +225,16 @@ let test_hashtable_bucket_distribution () =
   let max_load = Array.fold_left max 0 loads in
   Alcotest.(check bool) "stride-256 keys spread" true (max_load <= 8)
 
-(* Non-power-of-two bucket counts take the [mod] fallback; routing must
-   stay in range and agree with [validate]'s placement check. *)
+(* Routing is a shift by the power-of-two bucket count's log: any other
+   count is rejected at creation. *)
 let test_hashtable_odd_bucket_count () =
-  let table = HT.create_sized ~n_buckets:97 (set_cfg ~n:1 ()) in
+  Alcotest.check_raises "97 buckets rejected"
+    (Invalid_argument "Fib_hash.shift_for: not a positive power of two")
+    (fun () -> ignore (HT.create_sized ~n_buckets:97 (set_cfg ~n:1 ())));
+  let table = HT.create_sized ~n_buckets:128 (set_cfg ~n:1 ()) in
   for key = 0 to 2_000 do
     let b = HT.bucket_index table key in
-    if b < 0 || b >= 97 then Alcotest.failf "key %d out of range: %d" key b
+    if b < 0 || b >= 128 then Alcotest.failf "key %d out of range: %d" key b
   done
 
 let distribution_suite =
