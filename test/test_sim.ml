@@ -780,6 +780,43 @@ let test_many_processes () =
       Alcotest.(check bool) (name ^ ": same seed, same run") true (a = b))
     [ ("fair", Scheduler.Fair); ("pct", Scheduler.Pct { depth = 3; seed = 11 }) ]
 
+(* The per-step stall roll: with stall_prob = 0 no step stalls, and with
+   stall_prob = 1 every step does, each stall uniform in [0, stall_max].
+   Two [now] reads bracket one plain read, so each gap is two steps of
+   plain cost, a jitter coin each, and at most two stalls. *)
+let test_stall_roll_bounds () =
+  let gaps stall_prob =
+    let s =
+      Scheduler.create
+        { (cfg ~n_cores:1 ()) with
+          cost = { Scheduler.default_cost with stall_prob; stall_max = 50 } }
+    in
+    let p = R.plain 1 0 in
+    let out = Array.make 200 0 in
+    Scheduler.exec s ~pid:0 (fun () ->
+        for i = 0 to 199 do
+          let t0 = R.now () in
+          ignore (R.read p 0);
+          out.(i) <- R.now () - t0
+        done);
+    out
+  in
+  let check_within what lo hi g =
+    Array.iter
+      (fun v ->
+        if v < lo || v > hi then Alcotest.failf "%s: gap %d outside [%d, %d]" what v lo hi)
+      g
+  in
+  let never = gaps 0. and always = gaps 1. in
+  check_within "stall_prob 0" 2 4 never;
+  check_within "stall_prob 1" 2 (2 * (1 + 1 + 50)) always;
+  let sum = Array.fold_left ( + ) 0 in
+  (* 200 gaps of two steps, each stall averaging 25 ticks: ~10_000 above
+     the unstalled total, which is at most 800. *)
+  if sum always <= 4 * sum never then
+    Alcotest.failf "stall_prob 1 total %d not far above stall_prob 0 total %d"
+      (sum always) (sum never)
+
 let suite =
   [ Alcotest.test_case "tso staleness until fence" `Quick test_tso_staleness;
     Alcotest.test_case "store-to-load forwarding" `Quick test_store_to_load_forwarding;
@@ -813,10 +850,11 @@ let suite =
     Alcotest.test_case "pct flushes on deschedule" `Quick test_pct_flushes_on_deschedule;
     Alcotest.test_case "inline and suspended dispatch agree" `Quick
       test_inline_matches_suspended;
-    Alcotest.test_case "more than 62 processes" `Quick test_many_processes;
     Alcotest.test_case "one cell past capacity commits in order" `Quick
       test_one_cell_overflow;
     Alcotest.test_case "two writers on one cell" `Quick test_two_writers_one_cell;
     Alcotest.test_case "unfenced writes allocate nothing" `Quick
-      test_unfenced_writes_zero_alloc
+      test_unfenced_writes_zero_alloc;
+    Alcotest.test_case "stall roll bounds each step" `Quick test_stall_roll_bounds;
+    Alcotest.test_case "more than 62 processes" `Quick test_many_processes
   ]
